@@ -1,7 +1,7 @@
 # The verify target is the tier-1 gate: CI runs it, and it is the
 # command to run before sending a change.
 
-.PHONY: verify build test test-race bench wheel rpsweep ifsweep vasweep enginebench cpisweep stats trace tenants fmt-check vet
+.PHONY: verify build test test-race bench perf perf-compare wheel rpsweep ifsweep vasweep enginebench cpisweep stats trace tenants fmt-check vet
 
 # J is the sweep parallelism the sweep targets pass to momexp; override
 # with `make rpsweep J=1` to force a serial run.
@@ -34,6 +34,17 @@ bench:
 	go run ./cmd/momsim -bench gsmencode -isa mom3d -mem vcache3d -dram sdram -mshr 16 -pf 8
 	go run ./cmd/momsim -bench gsmencode -isa mom3d -mem vcache3d -dram sdram -mshr 16 -rp history -pf 8
 
+# perf runs the host-performance benchmark declared in BENCHMARK.json
+# (five workloads, end-to-end pass; see bench/README.md) and writes
+# .bench_out/result.json. perf-compare judges result B against
+# baseline A, metric by metric, and fails on any regression beyond its
+# bound: make perf-compare A=before.json B=after.json
+perf:
+	go run ./bench
+
+perf-compare:
+	go run ./bench compare $(A) $(B)
+
 # stats smokes the observability layer end to end: a tiny run with the
 # registry exporter on, then the pretty-printed snapshot so a reader
 # can eyeball every registered name.
@@ -56,7 +67,8 @@ trace:
 # detector: the engine data structures, the golden-table and
 # per-feature bit-identity tests in internal/core, the multi-tenant
 # lockstep equivalence, and the sweep-level parallel/serial and
-# wheel/step byte-identity checks.
+# wheel/step byte-identity checks — the trace store's among them: four
+# workers sharing it must generate each stream once, race-free.
 wheel:
 	go test -race -count=1 \
 		-run 'TestRing|TestQueue|TestWheelMatchesStep|MatchesSerial|TestIFSweepWheelMatchesStep' \

@@ -19,6 +19,7 @@ import (
 func newRunner() *experiments.Runner { return experiments.NewRunner() }
 
 func BenchmarkTable1VectorLengths(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rows := experiments.Table1(newRunner())
 		for _, r := range rows {
@@ -105,6 +106,7 @@ func BenchmarkFigure11Power(b *testing.B) {
 }
 
 func BenchmarkHeadline(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h := experiments.ComputeHeadline(newRunner())
 		b.ReportMetric(h.AvgSpeedupPct, "%speedup")

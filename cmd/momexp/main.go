@@ -22,6 +22,7 @@
 //	momexp -mshr 16 -pf 8  ... with a stream prefetcher riding the MSHR batch
 //	momexp -dram sdram -rp history  ... under the live/dead row predictor
 //	momexp -q           suppress per-simulation progress
+//	momexp -cpuprofile cpu.pprof -memprofile mem.pprof  profile the simulator itself
 package main
 
 import (
@@ -33,6 +34,7 @@ import (
 	"repro/internal/dram/policy"
 	"repro/internal/experiments"
 	"repro/internal/kernels"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -68,6 +70,8 @@ func main() {
 	enginebench := flag.String("enginebench", "", "measure wheel-vs-step host throughput and write the report to this file as JSON")
 	reps := flag.Int("reps", 0, "-enginebench repetitions per cell, best-of (0 = default 3)")
 	quiet := flag.Bool("q", false, "suppress progress output")
+	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
+	memprofile := flag.String("memprofile", "", "write a host heap profile, taken at exit, to this file")
 	flag.Parse()
 
 	mode, workers, benchReps, err := resolveSweep(sweepOptions{Engine: *engineName, J: *jWorkers, Reps: *reps})
@@ -194,6 +198,13 @@ func main() {
 		}
 		r.DRAMSpec = dram.FormatSpecOpts(*dramName, *dmap, *dsched, *dprof, knobs)
 	}
+
+	stopProfiles, err := stats.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "momexp: %v\n", err)
+		os.Exit(1)
+	}
+	defer stopProfiles()
 
 	switch {
 	case *enginebench != "":
@@ -328,8 +339,9 @@ func main() {
 	}
 
 	if simNs, simCycles := r.HostPerf(); !*quiet && simNs > 0 {
-		fmt.Fprintf(os.Stderr, "host: %s engine, %d workers, %.3fs simulating, %.0f simulated cycles/s\n",
-			mode, workers, float64(simNs)/1e9, float64(simCycles)/(float64(simNs)/1e9))
+		streams, insts, bytes := r.TraceStats()
+		fmt.Fprintf(os.Stderr, "host: %s engine, %d workers, %.3fs simulating, %.0f simulated cycles/s; %d traces generated once each, %d instructions, %.0f MB held\n",
+			mode, workers, float64(simNs)/1e9, float64(simCycles)/(float64(simNs)/1e9), streams, insts, float64(bytes)/1e6)
 	}
 }
 

@@ -116,6 +116,8 @@ func main() {
 	cpistack := flag.Bool("cpistack", false, "print the CPI stack: every core cycle attributed to one stall reason")
 	sample := flag.Int64("sample", 0, "interval time-series sampling period in cycles (0 = off; needs -samplejson)")
 	sampleFile := flag.String("samplejson", "", "write the interval time series as JSON to this file")
+	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
+	memprofile := flag.String("memprofile", "", "write a host heap profile, taken at exit, to this file")
 	flag.Parse()
 
 	// Reject explicitly-set knobs the chosen backend would silently
@@ -154,6 +156,12 @@ func main() {
 	if rc.MemKind == core.MemIdeal && (dramSet || dramKnobSet || mlatSet) {
 		fail("-dram/-dmap/-dsched/-mlat have no effect with -mem ideal")
 	}
+
+	stopProfiles, err := stats.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fail("%v", err)
+	}
+	defer stopProfiles()
 
 	tr := &trace.Trace{}
 	tst := trace.NewStats()

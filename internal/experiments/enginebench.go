@@ -73,13 +73,13 @@ func EngineBench(reps int, progress func(SimKey)) *EngineBenchReport {
 	if !ok {
 		panic("experiments: motionsearch missing from the kernel registry")
 	}
+	var rec trace.Recorder
 	for _, vk := range benchVariants {
 		key := SimKey{Bench: bm.Name, Variant: vk.v, Mem: vk.kind, L2Lat: baseLat, DRAM: engineBenchSpec}
 		if progress != nil {
 			progress(key)
 		}
-		tr := &trace.Trace{}
-		bm.Run(vk.v, tr)
+		insts, _ := rec.Record(func(s trace.Sink) { bm.Run(vk.v, s) })
 		cfg := coreConfigFor(vk.v)
 		var cycles int64
 		best := [2]int64{} // per engine.Mode
@@ -93,7 +93,7 @@ func EngineBench(reps int, progress func(SimKey)) *EngineBenchReport {
 					MSHRs: knobs.MSHRs, PFStreams: knobs.PFStreams, PFDegree: knobs.PFDegree}
 				ms := core.NewMemSystem(vk.kind, tim, cfg.Lanes, vk.v == kernels.MMX && vk.kind != core.MemIdeal)
 				start := time.Now()
-				st := core.SimulateMode(cfg, ms, tr.Insts, mode)
+				st := core.SimulateMode(cfg, ms, insts, mode)
 				ns := time.Since(start).Nanoseconds()
 				if best[mode] == 0 || ns < best[mode] {
 					best[mode] = ns

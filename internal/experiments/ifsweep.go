@@ -55,13 +55,12 @@ type TenantResult struct {
 // token so the controller shards its stats and, with /qos, schedules
 // per tenant).
 func (r *Runner) SimTenants(mix []string, l2lat int64, spec string) *TenantResult {
-	key := tenantKey(mix, l2lat, spec)
+	key := tenantCell{strings.Join(mix, "+"), l2lat, spec}
 	if res, ok := r.tenantResults[key]; ok {
 		return res
 	}
 	if r.Progress != nil {
-		r.Progress(SimKey{Bench: strings.Join(mix, "+"), Variant: mom3DVariant,
-			Mem: mom3DVCKind, L2Lat: l2lat, DRAM: spec})
+		r.Progress(key.simKey())
 	}
 	backend, knobs, err := buildBackend(spec)
 	if err != nil {
@@ -70,11 +69,11 @@ func (r *Runner) SimTenants(mix []string, l2lat int64, spec string) *TenantResul
 	if knobs.Tenants != len(mix) {
 		panic(fmt.Sprintf("experiments: spec %q carries tn%d for a %d-tenant mix", spec, knobs.Tenants, len(mix)))
 	}
-	// Collect every tenant's trace first: traceFor caches one benchmark
-	// at a time, but the returned instruction slices stay valid.
+	// Every tenant of one benchmark gets the same stored slice: the
+	// group reads tenant 0's in place and copies before it rebases.
 	traces := make([][]isa.Inst, len(mix))
 	for i, bench := range mix {
-		traces[i] = r.traceFor(bench, mom3DVariant).tr.Insts
+		traces[i] = r.traceFor(bench, mom3DVariant).insts
 	}
 	cfg := coreConfigFor(mom3DVariant)
 	tim := vmem.Timing{L2Latency: l2lat, MemLatency: flatMemLatency, Backend: backend,
@@ -101,17 +100,8 @@ func (r *Runner) SimTenants(mix []string, l2lat int64, spec string) *TenantResul
 		sd.Flush()
 	}
 	res.DRAM = *backend.Stats()
-	if r.tenantResults == nil {
-		r.tenantResults = map[string]*TenantResult{}
-	}
 	r.tenantResults[key] = res
 	return res
-}
-
-// tenantKey memoizes multi-tenant runs the way SimKey memoizes
-// single-requestor ones; "+" cannot appear in a benchmark name or spec.
-func tenantKey(mix []string, l2lat int64, spec string) string {
-	return fmt.Sprintf("%s|%d|%s", strings.Join(mix, "+"), l2lat, spec)
 }
 
 // IFSweepRow compares one tenant mix with and without QoS scheduling
@@ -173,8 +163,8 @@ func IFSweep(r *Runner) []IFSweepRow {
 				Mem: mom3DVCKind, L2Lat: baseLat, DRAM: ifBaseSpec})
 		}
 		shared = append(shared,
-			tenantCell{mix: mix, l2lat: baseLat, spec: ifSpec(len(mix), false)},
-			tenantCell{mix: mix, l2lat: baseLat, spec: ifSpec(len(mix), true)})
+			tenantCell{mix: strings.Join(mix, "+"), l2lat: baseLat, spec: ifSpec(len(mix), false)},
+			tenantCell{mix: strings.Join(mix, "+"), l2lat: baseLat, spec: ifSpec(len(mix), true)})
 	}
 	r.prewarm(solo)
 	r.prewarmTenants(shared)

@@ -1,12 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/kernels"
 )
 
 // This file is the parallel sweep runner: sweeps enumerate their cells
@@ -25,20 +24,34 @@ func AutoWorkers(j int) int {
 	return j
 }
 
-// child clones the runner for one worker: shared immutable benchmark
-// descriptors, private trace cache and memo, same backend and engine.
+// child clones the runner for one worker: the parent's immutable
+// benchmark descriptors and its trace store (so the pool holds one copy
+// of each stream, generated once), a private memo, same backend and
+// engine.
 func (r *Runner) child() *Runner {
-	c := &Runner{
-		benches:  make(map[string]kernels.Benchmark, len(r.benches)),
-		results:  map[SimKey]*SimResult{},
-		order:    append([]string(nil), r.order...),
-		DRAMSpec: r.DRAMSpec,
-		Engine:   r.Engine,
+	return &Runner{
+		benches:       r.benches,
+		order:         r.order,
+		results:       map[SimKey]*SimResult{},
+		tenantResults: map[tenantCell]*TenantResult{},
+		store:         r.store,
+		DRAMSpec:      r.DRAMSpec,
+		Engine:        r.Engine,
 	}
-	for name, bm := range r.benches {
-		c.benches[name] = bm
-	}
-	return c
+}
+
+// tenantCell is one multi-tenant simulation: the memo key of SimTenants
+// and a prewarm request. mix is the tenants' benchmarks joined with
+// "+", which cannot appear in a benchmark name.
+type tenantCell struct {
+	mix   string
+	l2lat int64
+	spec  string
+}
+
+// simKey is the cell as Progress reports it.
+func (c tenantCell) simKey() SimKey {
+	return SimKey{Bench: c.mix, Variant: mom3DVariant, Mem: mom3DVCKind, L2Lat: c.l2lat, DRAM: c.spec}
 }
 
 // prewarm simulates the given cells across r.Workers goroutines and
@@ -46,25 +59,44 @@ func (r *Runner) child() *Runner {
 // from cache. With Workers <= 1 it is a no-op: the sweep computes each
 // cell lazily, exactly as before the pool existed.
 func (r *Runner) prewarm(cells []SimKey) {
+	prewarm(r, cells, r.results, func(k SimKey) SimKey { return k },
+		func(c *Runner, k SimKey) *SimResult { return c.SimDRAM(k.Bench, k.Variant, k.Mem, k.L2Lat, k.DRAM) })
+}
+
+// prewarmTenants is prewarm for the multi-tenant cells of the
+// interference and placement sweeps.
+func (r *Runner) prewarmTenants(cells []tenantCell) {
+	prewarm(r, cells, r.tenantResults, tenantCell.simKey,
+		func(c *Runner, k tenantCell) *TenantResult {
+			return c.SimTenants(strings.Split(k.mix, "+"), k.l2lat, k.spec)
+		})
+}
+
+// prewarm is the one worker pool: sim runs every cell the memo lacks on
+// per-worker clones of r. A panic inside a cell is recovered in its
+// worker and raised again here, on the calling goroutine, with the
+// cell's key — where a sweep's caller can recover it and name the cell.
+func prewarm[K comparable, V any](r *Runner, cells []K, memo map[K]*V, label func(K) SimKey, sim func(*Runner, K) *V) {
 	if r.Workers <= 1 {
 		return
 	}
-	var todo []SimKey
-	seen := map[SimKey]bool{}
+	var todo []K
+	seen := map[K]bool{}
 	for _, k := range cells {
-		if seen[k] || r.results[k] != nil {
+		if seen[k] || memo[k] != nil {
 			continue
 		}
 		seen[k] = true
 		todo = append(todo, k)
 		if r.Progress != nil {
-			r.Progress(k)
+			r.Progress(label(k))
 		}
 	}
 	if len(todo) < 2 {
 		return
 	}
-	out := make([]*SimResult, len(todo))
+	out := make([]*V, len(todo))
+	panics := make([]any, len(todo))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < min(r.Workers, len(todo)); w++ {
@@ -77,70 +109,18 @@ func (r *Runner) prewarm(cells []SimKey) {
 				if i >= len(todo) {
 					return
 				}
-				k := todo[i]
-				out[i] = c.SimDRAM(k.Bench, k.Variant, k.Mem, k.L2Lat, k.DRAM)
+				func() {
+					defer func() { panics[i] = recover() }()
+					out[i] = sim(c, todo[i])
+				}()
 			}
 		}()
 	}
 	wg.Wait()
 	for i, k := range todo {
-		r.results[k] = out[i]
-	}
-}
-
-// tenantCell is one multi-tenant prewarm request.
-type tenantCell struct {
-	mix   []string
-	l2lat int64
-	spec  string
-}
-
-// prewarmTenants is prewarm for the multi-tenant cells of the
-// interference sweep.
-func (r *Runner) prewarmTenants(cells []tenantCell) {
-	if r.Workers <= 1 {
-		return
-	}
-	var todo []tenantCell
-	seen := map[string]bool{}
-	for _, c := range cells {
-		k := tenantKey(c.mix, c.l2lat, c.spec)
-		if seen[k] || r.tenantResults[k] != nil {
-			continue
+		if panics[i] != nil {
+			panic(fmt.Sprintf("experiments: cell %+v: %v", k, panics[i]))
 		}
-		seen[k] = true
-		todo = append(todo, c)
-		if r.Progress != nil {
-			r.Progress(SimKey{Bench: strings.Join(c.mix, "+"), Variant: mom3DVariant,
-				Mem: mom3DVCKind, L2Lat: c.l2lat, DRAM: c.spec})
-		}
-	}
-	if len(todo) < 2 {
-		return
-	}
-	out := make([]*TenantResult, len(todo))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(r.Workers, len(todo)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := r.child()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(todo) {
-					return
-				}
-				t := todo[i]
-				out[i] = c.SimTenants(t.mix, t.l2lat, t.spec)
-			}
-		}()
-	}
-	wg.Wait()
-	if r.tenantResults == nil {
-		r.tenantResults = map[string]*TenantResult{}
-	}
-	for i, t := range todo {
-		r.tenantResults[tenantKey(t.mix, t.l2lat, t.spec)] = out[i]
+		memo[k] = out[i]
 	}
 }

@@ -6,11 +6,14 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/engine"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -57,16 +60,15 @@ type SimResult struct {
 func (r *SimResult) Cycles() int64 { return r.Core.Cycles }
 
 // Runner generates traces and runs simulations, memoizing results so the
-// figures can share configurations. Traces are cached per benchmark and
-// dropped when the runner moves on, bounding memory.
+// figures can share configurations. Every (benchmark, variant) stream is
+// generated once and held, read-only, for the life of the runner.
 type Runner struct {
-	benches map[string]kernels.Benchmark
+	benches map[string]kernels.Benchmark // immutable after construction
 	order   []string
 
-	results map[SimKey]*SimResult
-
-	traceBench string
-	traces     map[kernels.Variant]*tracePair
+	results       map[SimKey]*SimResult
+	tenantResults map[tenantCell]*TenantResult
+	store         *traceStore // shared with the worker clones child() makes
 
 	// Progress, if non-nil, is called before each new simulation.
 	Progress func(key SimKey)
@@ -84,34 +86,42 @@ type Runner struct {
 	// Workers caps the goroutines the sweep prewarmers fan cells across;
 	// 0 or 1 keeps every sweep serial.
 	Workers int
-
-	tenantResults map[string]*TenantResult
 }
 
-type tracePair struct {
-	tr *trace.Trace
-	st *trace.Stats
+// traceStore is the runner-lifetime trace cache. The five paper kernels
+// are 2.05 M instructions = 180 MB (all 18 extended streams 286 MB), so
+// nothing is ever evicted. One lock covers lookup and generation:
+// generating is a small share of any sweep, and a worker that waits for
+// another's stream would otherwise have generated a copy of it.
+type traceStore struct {
+	mu      sync.Mutex
+	streams map[streamKey]*stream
+	rec     trace.Recorder // staging, reused from one generation to the next
+}
+
+type streamKey struct {
+	bench string
+	v     kernels.Variant
+}
+
+// stream is one generated trace. Every cell, tenant mix and sweep that
+// asks gets the same insts and st: both are read-only.
+type stream struct {
+	insts []isa.Inst
+	st    *trace.Stats
 }
 
 // NewRunner builds a runner over the default benchmark suite.
-func NewRunner() *Runner {
-	r := &Runner{
-		benches: map[string]kernels.Benchmark{},
-		results: map[SimKey]*SimResult{},
-	}
-	for _, bm := range kernels.All() {
-		r.benches[bm.Name] = bm
-		r.order = append(r.order, bm.Name)
-	}
-	return r
-}
+func NewRunner() *Runner { return NewRunnerWith(kernels.All()) }
 
 // NewRunnerWith builds a runner over a custom suite (tests use scaled-down
 // benchmarks).
 func NewRunnerWith(bms []kernels.Benchmark) *Runner {
 	r := &Runner{
-		benches: map[string]kernels.Benchmark{},
-		results: map[SimKey]*SimResult{},
+		benches:       map[string]kernels.Benchmark{},
+		results:       map[SimKey]*SimResult{},
+		tenantResults: map[tenantCell]*TenantResult{},
+		store:         &traceStore{streams: map[streamKey]*stream{}},
 	}
 	for _, bm := range bms {
 		r.benches[bm.Name] = bm
@@ -123,13 +133,25 @@ func NewRunnerWith(bms []kernels.Benchmark) *Runner {
 // Benchmarks lists the suite in presentation order.
 func (r *Runner) Benchmarks() []string { return r.order }
 
-func (r *Runner) traceFor(bench string, v kernels.Variant) *tracePair {
-	if r.traceBench != bench {
-		r.traces = map[kernels.Variant]*tracePair{}
-		r.traceBench = bench
+// TraceStats reports what the trace store holds: the streams generated
+// (each exactly once), their instructions, and the bytes those occupy.
+func (r *Runner) TraceStats() (streams, insts int, bytes int64) {
+	r.store.mu.Lock()
+	defer r.store.mu.Unlock()
+	for _, s := range r.store.streams {
+		insts += len(s.insts)
 	}
-	if tp, ok := r.traces[v]; ok {
-		return tp
+	return len(r.store.streams), insts, int64(insts) * int64(unsafe.Sizeof(isa.Inst{}))
+}
+
+// traceFor returns the stream of one benchmark variant, generating it
+// on first use.
+func (r *Runner) traceFor(bench string, v kernels.Variant) *stream {
+	ts, key := r.store, streamKey{bench, v}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	if s := ts.streams[key]; s != nil {
+		return s
 	}
 	bm, ok := r.benches[bench]
 	if !ok {
@@ -139,14 +161,11 @@ func (r *Runner) traceFor(bench string, v kernels.Variant) *tracePair {
 		if bm, ok = kernels.ByName(bench); !ok {
 			panic(fmt.Sprintf("experiments: unknown benchmark %q", bench))
 		}
-		r.benches[bench] = bm
 	}
-	tr := &trace.Trace{}
-	st := trace.NewStats()
-	bm.Run(v, trace.Multi{tr, st})
-	tp := &tracePair{tr: tr, st: st}
-	r.traces[v] = tp
-	return tp
+	s := &stream{}
+	s.insts, s.st = ts.rec.Record(func(sink trace.Sink) { bm.Run(v, sink) })
+	ts.streams[key] = s
+	return s
 }
 
 // coreConfigFor maps an ISA variant to its processor configuration.
@@ -209,7 +228,7 @@ func (r *Runner) SimDRAM(bench string, v kernels.Variant, mem core.MemKind, l2la
 	bankL1 := v == kernels.MMX && mem != core.MemIdeal
 	ms := core.NewMemSystem(mem, tim, cfg.Lanes, bankL1)
 	start := time.Now()
-	st := core.SimulateMode(cfg, ms, tp.tr.Insts, r.Engine)
+	st := core.SimulateMode(cfg, ms, tp.insts, r.Engine)
 	hostNs := time.Since(start).Nanoseconds()
 	res := &SimResult{
 		Key:      key,

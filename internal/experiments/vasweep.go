@@ -64,7 +64,7 @@ func VASweep(r *Runner) []VASweepRow {
 				solo = append(solo, SimKey{Bench: bench, Variant: mom3DVariant,
 					Mem: mom3DVCKind, L2Lat: baseLat, DRAM: vaSpec(1, p.Token)})
 			}
-			shared = append(shared, tenantCell{mix: mix, l2lat: baseLat,
+			shared = append(shared, tenantCell{mix: strings.Join(mix, "+"), l2lat: baseLat,
 				spec: vaSpec(len(mix), p.Token)})
 		}
 	}
