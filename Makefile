@@ -67,11 +67,12 @@ trace:
 # detector: the engine data structures, the golden-table and
 # per-feature bit-identity tests in internal/core, the multi-tenant
 # lockstep equivalence, and the sweep-level parallel/serial and
-# wheel/step byte-identity checks — the trace store's among them: four
-# workers sharing it must generate each stream once, race-free.
+# wheel/step byte-identity checks (TestSweepsParallelMatchSerial ranges
+# over every sweep) — the trace store's among them: four workers
+# sharing it must generate each stream once, race-free.
 wheel:
 	go test -race -count=1 \
-		-run 'TestRing|TestQueue|TestWheelMatchesStep|MatchesSerial|TestIFSweepWheelMatchesStep' \
+		-run 'TestRing|TestQueue|TestWheelMatchesStep|Match(es)?Serial|TestIFSweepWheelMatchesStep' \
 		./internal/engine/ ./internal/core/ ./internal/tenant/ ./internal/experiments/
 
 # rpsweep regenerates the full-size per-bank row-policy matrix

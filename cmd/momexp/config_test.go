@@ -1,0 +1,77 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestResolveSweepRejections: every flag combination that used to run
+// and quietly ignore part of the command line is an error that names
+// the flags involved.
+func TestResolveSweepRejections(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    sweepOptions
+		want []string // substrings of the error; nil = accepted
+	}{
+		{"default run", sweepOptions{}, nil},
+		{"one sweep on the wheel", sweepOptions{Engine: "wheel", J: 4, Selectors: []string{"rpsweep"}}, nil},
+		{"figure on a chosen backend", sweepOptions{Selectors: []string{"fig"}, Backend: true}, nil},
+		{"statsjson on the wheel", sweepOptions{Engine: "wheel", J: 2, Selectors: []string{"statsjson"}}, nil},
+		{"enginebench with reps", sweepOptions{Reps: 5, Selectors: []string{"enginebench"}}, nil},
+		{"two sweeps", sweepOptions{Selectors: []string{"mshrsweep", "pfsweep"}}, []string{"-mshrsweep", "-pfsweep"}},
+		{"figure and sweep", sweepOptions{Selectors: []string{"fig", "rpsweep"}}, []string{"-fig", "-rpsweep"}},
+		{"reps without enginebench", sweepOptions{Reps: 5}, []string{"-reps", "-enginebench"}},
+		{"reps with a sweep", sweepOptions{Reps: 5, Selectors: []string{"latdist"}}, []string{"-reps", "-enginebench"}},
+		{"enginebench with engine", sweepOptions{Engine: "step", Selectors: []string{"enginebench"}}, []string{"-enginebench", "drop -engine"}},
+		{"enginebench with workers", sweepOptions{J: 2, Selectors: []string{"enginebench"}}, []string{"-enginebench", "drop -j"}},
+		{"unknown selector", sweepOptions{Selectors: []string{"nosuchsweep"}}, []string{"-nosuchsweep"}},
+	} {
+		_, err := resolveSweep(tc.o)
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, w)
+			}
+		}
+	}
+	// Backend flags are refused by exactly the selectors that fix their
+	// own backends, each in its own words.
+	for _, s := range selectors {
+		_, err := resolveSweep(sweepOptions{Selectors: []string{s.name}, Backend: true})
+		if s.owns == "" {
+			if err != nil {
+				t.Errorf("-%s honours backend flags but rejected them: %v", s.name, err)
+			}
+		} else if err == nil || err.Error() != "-"+s.name+" "+s.owns {
+			t.Errorf("-%s with backend flags: got %v, want its own refusal", s.name, err)
+		}
+	}
+}
+
+// TestSelectorTable: the table generates the flags, so a row that
+// misdeclares itself would only show up at run time.
+func TestSelectorTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, s := range selectors {
+		if s.name == "" || s.help == "" || s.run == nil {
+			t.Errorf("selector %+v is missing a name, help text or run function", s)
+		}
+		if seen[s.name] {
+			t.Errorf("selector -%s declared twice", s.name)
+		}
+		seen[s.name] = true
+		if s.inDefault && s.arg != noArg {
+			t.Errorf("-%s takes an argument the default run cannot supply", s.name)
+		}
+	}
+}

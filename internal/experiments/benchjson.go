@@ -56,21 +56,30 @@ var benchVariants = []struct {
 	{kernels.MMX, core.MemMultiBanked},
 }
 
-// ComputeBenchReport runs the golden matrix over the scaled-down suite
-// and collects every configuration's registry snapshot. progress, if
-// non-nil, is called before each simulation.
-func ComputeBenchReport(progress func(SimKey)) *BenchReport {
-	r := NewRunnerWith(GoldenSuite())
-	r.Progress = progress
-	rep := &BenchReport{Suite: "golden-small", Configs: map[string]stats.Snapshot{}}
-	for _, bench := range r.Benchmarks() {
+// goldenMatrix lists the golden matrix's cells over a suite: every
+// benchmark × ISA/memory-system variant × backend of BenchSpecs.
+func goldenMatrix(benches []string) []SimKey {
+	var cells []SimKey
+	for _, bench := range benches {
 		for _, vk := range benchVariants {
 			for _, spec := range BenchSpecs {
-				res := r.SimDRAM(bench, vk.v, vk.kind, baseLat, spec)
-				key := fmt.Sprintf("%s/%s/%s", bench, vk.v, spec)
-				rep.Configs[key] = res.Snap
+				cells = append(cells, SimKey{Bench: bench, Variant: vk.v, Mem: vk.kind, L2Lat: baseLat, DRAM: spec})
 			}
 		}
+	}
+	return cells
+}
+
+// ComputeBenchReport runs the golden matrix over r's suite — momexp
+// passes a runner over GoldenSuite, labelled "golden-small" — on r's
+// engine and workers, and collects every configuration's registry
+// snapshot.
+func ComputeBenchReport(r *Runner, suite string) *BenchReport {
+	cells := goldenMatrix(r.Benchmarks())
+	r.prewarm(cells)
+	rep := &BenchReport{Suite: suite, Configs: map[string]stats.Snapshot{}}
+	for _, k := range cells {
+		rep.Configs[fmt.Sprintf("%s/%s/%s", k.Bench, k.Variant, k.DRAM)] = r.simKey(k).Snap
 	}
 	return rep
 }

@@ -66,7 +66,7 @@ var benchReportKeys = struct {
 // and the registry-snapshot counters must reproduce the pinned counts
 // bit for bit.
 func TestBenchReportMatchesGolden(t *testing.T) {
-	rep := ComputeBenchReport(nil)
+	rep := ComputeBenchReport(NewRunnerWith(GoldenSuite()), "golden-small")
 	want := loadGoldenTable(t)
 	if len(rep.Configs) != len(want) {
 		t.Errorf("report has %d configurations, golden table has %d rows", len(rep.Configs), len(want))
@@ -118,7 +118,7 @@ func TestBenchReportMatchesGolden(t *testing.T) {
 // deterministic bytes, and the suite/configs envelope a consumer joins
 // against the golden table.
 func TestBenchReportJSONRoundTrips(t *testing.T) {
-	rep := ComputeBenchReport(nil)
+	rep := ComputeBenchReport(NewRunnerWith(GoldenSuite()), "golden-small")
 	var a, b bytes.Buffer
 	if err := rep.WriteJSON(&a); err != nil {
 		t.Fatalf("WriteJSON: %v", err)

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/kernels"
 	"repro/internal/stats"
 )
 
@@ -67,16 +66,20 @@ func stackMap(c core.CPIStack) map[string]uint64 {
 // backend ladder, panicking if any row violates conservation — a
 // corrupted attribution must never render as a plausible table.
 func CPISweep(r *Runner, suite string) *CPISweepReport {
+	s := &Sweep{Rows: benchRows(r.Benchmarks())}
+	for _, spec := range CPISweepSpecs {
+		s.Cols = append(s.Cols, Col{Spec: on(spec)})
+	}
 	rep := &CPISweepReport{Suite: suite}
-	for _, bench := range r.Benchmarks() {
-		for _, spec := range CPISweepSpecs {
-			res := r.SimDRAM(bench, kernels.MOM3D, mom3DVCKind, baseLat, spec)
+	for _, cells := range s.Run(r).Cells {
+		for _, c := range cells {
+			res := c.Sim
 			if got, want := res.Core.CPI.Sum(), uint64(res.Core.Cycles); got != want {
 				panic(fmt.Sprintf("experiments: cpi sweep %s/%s: stack sums to %d, run took %d cycles",
-					bench, spec, got, want))
+					res.Key.Bench, res.Key.DRAM, got, want))
 			}
 			rep.Rows = append(rep.Rows, CPISweepRow{
-				Config: fmt.Sprintf("%s/%s/%s", bench, kernels.MOM3D, spec),
+				Config: fmt.Sprintf("%s/%s/%s", res.Key.Bench, res.Key.Variant, res.Key.DRAM),
 				Cycles: res.Core.Cycles,
 				Stack:  stackMap(res.Core.CPI),
 			})

@@ -2,135 +2,83 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/dram"
-	"repro/internal/kernels"
 )
 
 // DRAMMappings lists the SDRAM address-mapping schemes the sweep
 // compares, in presentation order.
 var DRAMMappings = []string{"line", "bank", "row"}
 
-// DRAMSweepRow summarizes one benchmark under the fixed backend and the
-// SDRAM backend in every mapping scheme (FR-FCFS), plus the FCFS
-// scheduler under the default line mapping.
-type DRAMSweepRow struct {
-	Bench       string
-	FixedCycles int64
-
-	Cycles  []int64   // per DRAMMappings entry, FR-FCFS
-	RowHit  []float64 // per DRAMMappings entry
-	BLP     []float64 // per DRAMMappings entry
-	BW      []float64 // per DRAMMappings entry, bytes/cycle
-	FCFSCyc int64     // line mapping, FCFS
+// benchRows is one row per benchmark.
+func benchRows(benches []string) []Row {
+	var rows []Row
+	for _, bench := range benches {
+		rows = append(rows, Row{Label: fmt.Sprintf("%-14s", bench), Bench: bench})
+	}
+	return rows
 }
 
 // DRAMSweep runs the fixed-vs-SDRAM comparison across the runner's
 // suite on the paper's best configuration (MOM+3D over the vector
-// cache with the 3D register file).
-func DRAMSweep(r *Runner) []DRAMSweepRow {
-	var rows []DRAMSweepRow
-	for _, bench := range r.Benchmarks() {
-		row := DRAMSweepRow{Bench: bench}
-		row.FixedCycles = r.SimDRAM(bench, kernels.MOM3D, mom3DVCKind, baseLat, "").Cycles()
-		for _, m := range DRAMMappings {
-			res := r.SimDRAM(bench, kernels.MOM3D, mom3DVCKind, baseLat, "sdram/"+m+"/frfcfs")
-			row.Cycles = append(row.Cycles, res.Cycles())
-			row.RowHit = append(row.RowHit, res.DRAM.RowHitRate())
-			row.BLP = append(row.BLP, res.DRAM.BankLevelParallelism())
-			row.BW = append(row.BW, res.DRAM.AchievedBandwidth())
-		}
-		row.FCFSCyc = r.SimDRAM(bench, kernels.MOM3D, mom3DVCKind, baseLat, "sdram/line/fcfs").Cycles()
-		rows = append(rows, row)
+// cache with the 3D register file): each benchmark under the seed's
+// flat model, the SDRAM backend in every mapping scheme (FR-FCFS), and
+// the FCFS scheduler under the default line mapping.
+func DRAMSweep(r *Runner) *Table {
+	s := &Sweep{
+		Title: "DRAM sweep — fixed 100-cycle latency vs banked SDRAM (MOM+3D, vector cache + 3D)",
+		Head:  fmt.Sprintf("%-14s", "benchmark"),
+		Rows:  benchRows(r.Benchmarks()),
+		Cols:  []Col{{fmt.Sprintf(" %10s", "fixed cyc"), on(""), " %10d", cycles}},
+		Mid: "note: sdram columns use FR-FCFS; fcfs column uses the line mapping.\n" +
+			"achieved bandwidth (bytes/cycle) and bank-level parallelism per mapping:\n",
 	}
-	return rows
+	for _, m := range DRAMMappings {
+		spec := on(sdramSpec(m, "frfcfs", "", dram.Knobs{}))
+		s.Cols = append(s.Cols, Col{fmt.Sprintf(" %10s %8s", m+" cyc", "rowhit"), spec, " %10d %8.3f",
+			func(c Result) []any { return []any{c.Sim.Cycles(), c.Sim.DRAM.RowHitRate()} }})
+		s.Detail = append(s.Detail, Col{"", spec, "  " + m + " %.2f B/c blp %.2f", func(c Result) []any {
+			return []any{c.Sim.DRAM.AchievedBandwidth(), c.Sim.DRAM.BankLevelParallelism()}
+		}})
+	}
+	s.Cols = append(s.Cols, Col{fmt.Sprintf(" %10s", "fcfs cyc"),
+		on(sdramSpec("line", "fcfs", "", dram.Knobs{})), " %10d", cycles})
+	return s.Run(r)
 }
 
 // DRAMChannels lists the channel counts the scaling sweep crosses.
 var DRAMChannels = []int{1, 2, 4, 8}
 
-// ChannelScalingRow summarizes one benchmark across channel counts
-// under the line-interleaved mapping (the one that spreads a stream
-// over every channel) with FR-FCFS.
-type ChannelScalingRow struct {
-	Bench   string
-	Cycles  []int64   // per DRAMChannels entry
-	BW      []float64 // achieved bytes/cycle per DRAMChannels entry
-	BusUtil []float64 // bus utilization (sums over channels)
-}
-
 // DRAMChannelScaling runs the channel-count sweep the batched
 // transaction API unlocks: an instruction's misses fan out across
 // per-channel controller shards, so bandwidth should scale with the
-// channel count on streaming kernels.
-func DRAMChannelScaling(r *Runner) []ChannelScalingRow {
-	var rows []ChannelScalingRow
-	for _, bench := range r.Benchmarks() {
-		row := ChannelScalingRow{Bench: bench}
-		for _, ch := range DRAMChannels {
-			// The default channel count uses the knob-free spec so the
-			// result is shared with DRAMSweep's memoized simulations.
-			spec := "sdram/line/frfcfs"
-			if ch != dram.DefaultConfig().Channels {
-				spec = fmt.Sprintf("sdram/line/frfcfs/%dch", ch)
-			}
-			res := r.SimDRAM(bench, kernels.MOM3D, mom3DVCKind, baseLat, spec)
-			row.Cycles = append(row.Cycles, res.Cycles())
-			row.BW = append(row.BW, res.DRAM.AchievedBandwidth())
-			row.BusUtil = append(row.BusUtil, res.DRAM.BusUtilization())
-		}
-		rows = append(rows, row)
+// channel count on streaming kernels. It uses the line-interleaved
+// mapping (the one that spreads a stream over every channel) with
+// FR-FCFS.
+func DRAMChannelScaling(r *Runner) *Table {
+	s := &Sweep{
+		Title: "DRAM channel scaling — sdram/line/frfcfs, batched misses fanned out per channel",
+		Head:  fmt.Sprintf("%-14s", "benchmark"),
+		Rows:  benchRows(r.Benchmarks()),
+		Note: "note: B/cyc is achieved DRAM bandwidth over the active window; util\n" +
+			"is data-bus busy time summed over channels (an n-channel part tops out at n).\n",
 	}
-	return rows
-}
-
-// RenderChannelScaling formats the channel sweep as a fixed-width text
-// table.
-func RenderChannelScaling(rows []ChannelScalingRow) string {
-	var b strings.Builder
-	b.WriteString("DRAM channel scaling — sdram/line/frfcfs, batched misses fanned out per channel\n")
-	fmt.Fprintf(&b, "%-14s", "benchmark")
 	for _, ch := range DRAMChannels {
-		fmt.Fprintf(&b, " %9dch %8s %6s", ch, "B/cyc", "util")
-	}
-	b.WriteByte('\n')
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s", r.Bench)
-		for i := range DRAMChannels {
-			fmt.Fprintf(&b, " %11d %8.2f %6.2f", r.Cycles[i], r.BW[i], r.BusUtil[i])
+		// The default channel count leaves the knob unset so the result
+		// is shared with DRAMSweep's memoized simulations.
+		knob := ch
+		if ch == dram.DefaultConfig().Channels {
+			knob = 0
 		}
-		b.WriteByte('\n')
+		s.Cols = append(s.Cols, Col{fmt.Sprintf(" %11s %8s %6s", fmt.Sprintf("%dch", ch), "B/cyc", "util"),
+			at(func(k *dram.Knobs) { k.Channels = knob }), " %11d %8.2f %6.2f", func(c Result) []any {
+				return []any{c.Sim.Cycles(), c.Sim.DRAM.AchievedBandwidth(), c.Sim.DRAM.BusUtilization()}
+			}})
 	}
-	b.WriteString("note: B/cyc is achieved DRAM bandwidth over the active window; util\n")
-	b.WriteString("is data-bus busy time summed over channels (an n-channel part tops out at n).\n")
-	return b.String()
+	return s.Run(r)
 }
 
-// RenderDRAMSweep formats the sweep as a fixed-width text table.
-func RenderDRAMSweep(rows []DRAMSweepRow) string {
-	var b strings.Builder
-	b.WriteString("DRAM sweep — fixed 100-cycle latency vs banked SDRAM (MOM+3D, vector cache + 3D)\n")
-	fmt.Fprintf(&b, "%-14s %10s", "benchmark", "fixed cyc")
-	for _, m := range DRAMMappings {
-		fmt.Fprintf(&b, " %10s %8s", m+" cyc", "rowhit")
-	}
-	fmt.Fprintf(&b, " %10s\n", "fcfs cyc")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %10d", r.Bench, r.FixedCycles)
-		for i := range DRAMMappings {
-			fmt.Fprintf(&b, " %10d %8.3f", r.Cycles[i], r.RowHit[i])
-		}
-		fmt.Fprintf(&b, " %10d\n", r.FCFSCyc)
-	}
-	b.WriteString("note: sdram columns use FR-FCFS; fcfs column uses the line mapping.\n")
-	b.WriteString("achieved bandwidth (bytes/cycle) and bank-level parallelism per mapping:\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-14s", r.Bench)
-		for i, m := range DRAMMappings {
-			fmt.Fprintf(&b, "  %s %.2f B/c blp %.2f", m, r.BW[i], r.BLP[i])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
+// RenderDRAMSweep and RenderChannelScaling format the two tables as
+// fixed-width text.
+func RenderDRAMSweep(t *Table) string      { return t.Render() }
+func RenderChannelScaling(t *Table) string { return t.Render() }

@@ -10,29 +10,33 @@ import (
 
 func TestDRAMSweepShape(t *testing.T) {
 	r := smallRunner()
-	rows := DRAMSweep(r)
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d, want 5", len(rows))
+	tab := DRAMSweep(r)
+	if len(tab.Rows) != 5 || len(tab.Cells) != 5 {
+		t.Fatalf("rows = %d, want 5", len(tab.Rows))
 	}
 	sawDiff := false
 	bestHit := 0.0
-	for _, row := range rows {
-		if len(row.Cycles) != len(DRAMMappings) || len(row.RowHit) != len(DRAMMappings) {
-			t.Fatalf("%s: per-mapping columns missing", row.Bench)
+	for i, row := range tab.Cells {
+		bench := tab.Rows[i].Bench
+		// Column 0 is the flat model, then one per mapping, then fcfs;
+		// the detail section reads the mapping cells again.
+		if len(row) != 2+2*len(DRAMMappings) {
+			t.Fatalf("%s: per-mapping columns missing", bench)
 		}
-		for i, m := range DRAMMappings {
-			if row.Cycles[i] <= 0 {
-				t.Errorf("%s/%s: cycles %d", row.Bench, m, row.Cycles[i])
+		fixed := row[0].Sim.Cycles()
+		for j, m := range DRAMMappings {
+			res := row[1+j].Sim
+			if res.Cycles() <= 0 {
+				t.Errorf("%s/%s: cycles %d", bench, m, res.Cycles())
 			}
-			if row.RowHit[i] < 0 || row.RowHit[i] > 1 {
-				t.Errorf("%s/%s: row hit rate %f out of range", row.Bench, m, row.RowHit[i])
+			hit := res.DRAM.RowHitRate()
+			if hit < 0 || hit > 1 {
+				t.Errorf("%s/%s: row hit rate %f out of range", bench, m, hit)
 			}
-			if row.Cycles[i] != row.FixedCycles {
+			if res.Cycles() != fixed {
 				sawDiff = true
 			}
-			if row.RowHit[i] > bestHit {
-				bestHit = row.RowHit[i]
-			}
+			bestHit = max(bestHit, hit)
 		}
 	}
 	if !sawDiff {
@@ -43,7 +47,7 @@ func TestDRAMSweepShape(t *testing.T) {
 	if bestHit < 0.5 {
 		t.Errorf("best row hit rate = %f, want > 0.5", bestHit)
 	}
-	out := RenderDRAMSweep(rows)
+	out := RenderDRAMSweep(tab)
 	if !strings.Contains(out, "DRAM sweep") || !strings.Contains(out, "gsmencode") {
 		t.Error("render missing header or benchmark rows")
 	}
@@ -55,21 +59,22 @@ func TestChannelScalingSweepShape(t *testing.T) {
 	// only checks the sweep's shape; TestChannelScalingFullGSM asserts
 	// the scaling itself on a full-size streaming kernel.
 	r := smallRunner()
-	rows := DRAMChannelScaling(r)
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d, want 5", len(rows))
+	tab := DRAMChannelScaling(r)
+	if len(tab.Cells) != 5 {
+		t.Fatalf("rows = %d, want 5", len(tab.Cells))
 	}
-	for _, row := range rows {
-		if len(row.BW) != len(DRAMChannels) || len(row.Cycles) != len(DRAMChannels) {
-			t.Fatalf("%s: missing columns", row.Bench)
+	for i, row := range tab.Cells {
+		if len(row) != len(DRAMChannels) {
+			t.Fatalf("%s: missing columns", tab.Rows[i].Bench)
 		}
-		for i := range DRAMChannels {
-			if row.Cycles[i] <= 0 || row.BW[i] <= 0 {
-				t.Errorf("%s/%dch: cycles %d bw %f", row.Bench, DRAMChannels[i], row.Cycles[i], row.BW[i])
+		for j, c := range row {
+			if c.Sim.Cycles() <= 0 || c.Sim.DRAM.AchievedBandwidth() <= 0 {
+				t.Errorf("%s/%dch: cycles %d bw %f", tab.Rows[i].Bench, DRAMChannels[j],
+					c.Sim.Cycles(), c.Sim.DRAM.AchievedBandwidth())
 			}
 		}
 	}
-	out := RenderChannelScaling(rows)
+	out := RenderChannelScaling(tab)
 	if !strings.Contains(out, "channel scaling") || !strings.Contains(out, "gsmencode") {
 		t.Error("render missing header or benchmark rows")
 	}

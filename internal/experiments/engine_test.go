@@ -23,38 +23,35 @@ func TestIFSweepWheelMatchesStep(t *testing.T) {
 	}
 }
 
-func TestMSHRSweepParallelMatchesSerial(t *testing.T) {
-	serial := mshrRunner()
-	par := mshrRunner()
-	par.Engine = engine.Wheel
-	par.Workers = 4
-	want := RenderMSHRSweep(MSHRSweep(serial))
-	got := RenderMSHRSweep(MSHRSweep(par))
-	if got != want {
-		t.Fatalf("mshrsweep diverged under -j 4 wheel\nserial step:\n%s\nparallel wheel:\n%s", want, got)
-	}
-}
-
-func TestIFSweepParallelMatchesSerial(t *testing.T) {
-	serial := mshrRunner()
-	par := mshrRunner()
-	par.Workers = 4
-	want := RenderIFSweep(IFSweep(serial))
-	got := RenderIFSweep(IFSweep(par))
-	if got != want {
-		t.Fatalf("ifsweep diverged under -j 4\nserial:\n%s\nparallel:\n%s", want, got)
-	}
-}
-
-func TestPFSweepParallelMatchesSerial(t *testing.T) {
-	serial := mshrRunner()
-	par := mshrRunner()
-	par.Engine = engine.Wheel
-	par.Workers = 4
-	want := RenderPFSweep(PFSweep(serial))
-	got := RenderPFSweep(PFSweep(par))
-	if got != want {
-		t.Fatalf("pfsweep diverged under -j 4 wheel\nserial step:\n%s\nparallel wheel:\n%s", want, got)
+// TestSweepsParallelMatchSerial renders every sweep twice — serially
+// on the step oracle, then with four workers on the wheel — and wants
+// the same bytes: -j and -engine may change how long a table takes,
+// never what it says.
+func TestSweepsParallelMatchSerial(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		runner func() *Runner
+		render func(*Runner) string
+	}{
+		{"dramsweep", smallRunner, func(r *Runner) string { return RenderDRAMSweep(DRAMSweep(r)) }},
+		{"channelscaling", smallRunner, func(r *Runner) string { return RenderChannelScaling(DRAMChannelScaling(r)) }},
+		{"mshrsweep", mshrRunner, func(r *Runner) string { return RenderMSHRSweep(MSHRSweep(r)) }},
+		{"pfsweep", mshrRunner, func(r *Runner) string { return RenderPFSweep(PFSweep(r)) }},
+		{"rpsweep", mshrRunner, func(r *Runner) string { return RenderRPSweep(RPSweep(r)) }},
+		{"ifsweep", mshrRunner, func(r *Runner) string { return RenderIFSweep(IFSweep(r)) }},
+		{"vasweep", mshrRunner, func(r *Runner) string { return RenderVASweep(VASweep(r)) }},
+		{"latdist", latDistRunner, func(r *Runner) string { return RenderLatDist(LatDist(r)) }},
+		{"cpisweep", cpiSweepRunner, func(r *Runner) string { return RenderCPISweep(CPISweep(r, "test-small")) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			par := tc.runner()
+			par.Engine = engine.Wheel
+			par.Workers = 4
+			want, got := tc.render(tc.runner()), tc.render(par)
+			if got != want {
+				t.Fatalf("diverged under -j 4 wheel\nserial step:\n%s\nparallel wheel:\n%s", want, got)
+			}
+		})
 	}
 }
 

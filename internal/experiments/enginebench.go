@@ -4,13 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/kernels"
-	"repro/internal/trace"
-	"repro/internal/vmem"
 )
 
 // This file emits the engine throughput report (BENCH_PR8.json):
@@ -68,66 +63,41 @@ func EngineBench(reps int, progress func(SimKey)) *EngineBenchReport {
 	rep := &EngineBenchReport{Suite: "motionsearch-full + golden-small", Reps: reps}
 
 	// Headline rows: full-size motionsearch, each ISA × memory-system
-	// variant of the golden matrix, on the HBM backend.
-	bm, ok := kernels.ByName("motionsearch")
-	if !ok {
-		panic("experiments: motionsearch missing from the kernel registry")
-	}
-	var rec trace.Recorder
+	// variant of the golden matrix, on the HBM backend. A runner per
+	// variant, so only one full-size stream is held at a time.
 	for _, vk := range benchVariants {
-		key := SimKey{Bench: bm.Name, Variant: vk.v, Mem: vk.kind, L2Lat: baseLat, DRAM: engineBenchSpec}
+		key := SimKey{Bench: "motionsearch", Variant: vk.v, Mem: vk.kind, L2Lat: baseLat, DRAM: engineBenchSpec}
 		if progress != nil {
 			progress(key)
 		}
-		insts, _ := rec.Record(func(s trace.Sink) { bm.Run(vk.v, s) })
-		cfg := coreConfigFor(vk.v)
-		var cycles int64
-		best := [2]int64{} // per engine.Mode
-		for _, mode := range []engine.Mode{engine.Step, engine.Wheel} {
-			for i := 0; i < reps; i++ {
-				backend, knobs, err := buildBackend(engineBenchSpec)
-				if err != nil {
-					panic(fmt.Sprintf("experiments: %v", err))
-				}
-				tim := vmem.Timing{L2Latency: baseLat, MemLatency: flatMemLatency, Backend: backend,
-					MSHRs: knobs.MSHRs, PFStreams: knobs.PFStreams, PFDegree: knobs.PFDegree}
-				ms := core.NewMemSystem(vk.kind, tim, cfg.Lanes, vk.v == kernels.MMX && vk.kind != core.MemIdeal)
-				start := time.Now()
-				st := core.SimulateMode(cfg, ms, insts, mode)
-				ns := time.Since(start).Nanoseconds()
-				if best[mode] == 0 || ns < best[mode] {
-					best[mode] = ns
-				}
-				if cycles == 0 {
-					cycles = st.Cycles
-				} else if st.Cycles != cycles {
-					panic(fmt.Sprintf("experiments: engine bench %s/%s/%s: %v cycles %d != %d — engines diverged",
-						bm.Name, vk.v, engineBenchSpec, mode, st.Cycles, cycles))
-				}
-			}
-		}
-		rep.Rows = append(rep.Rows,
-			engineBenchRow(fmt.Sprintf("%s/%s/%s", bm.Name, vk.v, engineBenchSpec),
-				cycles, best[engine.Step], best[engine.Wheel]))
+		rep.Rows = append(rep.Rows, bestOf(NewRunner(), reps,
+			fmt.Sprintf("%s/%s/%s", key.Bench, key.Variant, key.DRAM), []SimKey{key}))
 	}
 
 	// Aggregate row: the full golden matrix (the 54 pinned rows) under
 	// each engine, summing per-cell simulation wall clock.
+	golden := NewRunnerWith(GoldenSuite())
+	rep.Rows = append(rep.Rows, bestOf(golden, reps, "golden-matrix/54-rows", goldenMatrix(golden.Benchmarks())))
+	return rep
+}
+
+// bestOf times cells under each engine reps times — every repetition
+// on a fresh memo over base's traces, so nothing is recalled and no
+// stream is generated twice — and keeps each engine's fastest total of
+// SimResult.HostNs, the simulation loop alone. Engines that disagree on
+// the cycle count are a bug, not a measurement.
+func bestOf(base *Runner, reps int, config string, cells []SimKey) EngineBenchRow {
 	var cycles int64
-	best := [2]int64{}
+	best := [2]int64{} // per engine.Mode
 	for _, mode := range []engine.Mode{engine.Step, engine.Wheel} {
 		for i := 0; i < reps; i++ {
-			r := NewRunnerWith(GoldenSuite())
-			r.Engine = mode
+			c := base.child()
+			c.Engine = mode
 			var total, cyc int64
-			for _, bench := range r.Benchmarks() {
-				for _, vk := range benchVariants {
-					for _, spec := range BenchSpecs {
-						res := r.SimDRAM(bench, vk.v, vk.kind, baseLat, spec)
-						total += res.HostNs
-						cyc += res.Cycles()
-					}
-				}
+			for _, k := range cells {
+				res := c.simKey(k)
+				total += res.HostNs
+				cyc += res.Cycles()
 			}
 			if best[mode] == 0 || total < best[mode] {
 				best[mode] = total
@@ -135,14 +105,12 @@ func EngineBench(reps int, progress func(SimKey)) *EngineBenchReport {
 			if cycles == 0 {
 				cycles = cyc
 			} else if cyc != cycles {
-				panic(fmt.Sprintf("experiments: engine bench golden matrix: %v cycles %d != %d — engines diverged",
-					mode, cyc, cycles))
+				panic(fmt.Sprintf("experiments: engine bench %s: %v cycles %d != %d — engines diverged",
+					config, mode, cyc, cycles))
 			}
 		}
 	}
-	rep.Rows = append(rep.Rows,
-		engineBenchRow("golden-matrix/54-rows", cycles, best[engine.Step], best[engine.Wheel]))
-	return rep
+	return engineBenchRow(config, cycles, best[engine.Step], best[engine.Wheel])
 }
 
 // WriteJSON writes the report as indented JSON.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -30,15 +31,6 @@ var IFMixes = [][]string{
 // blocking pipeline keeps each tenant's in-flight demand small, so
 // the interference measured is the controller's, not the MSHR file's.
 const ifBaseSpec = "sdram/line/frfcfs"
-
-// ifSpec composes the multi-tenant backend spec for one mix size.
-func ifSpec(tenants int, qos bool) string {
-	s := fmt.Sprintf("%s/tn%d", ifBaseSpec, tenants)
-	if qos {
-		s += "/qos"
-	}
-	return s
-}
 
 // TenantResult is the outcome of one multi-tenant simulation.
 type TenantResult struct {
@@ -123,18 +115,6 @@ func slowdowns(contended, solo []int64) []float64 {
 	return out
 }
 
-// maxOf returns the largest slowdown — the worst tenant's experience,
-// the figure QoS exists to bound.
-func maxOf(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // jain is Jain's fairness index over per-tenant slowdowns: 1 when every
 // tenant suffers equally, approaching 1/n as one tenant absorbs all the
 // interference.
@@ -155,31 +135,60 @@ func jain(xs []float64) float64 {
 // scheduling turns and picking ready banks first — without giving the
 // bandwidth back.
 func IFSweep(r *Runner) []IFSweepRow {
-	var solo []SimKey
-	var shared []tenantCell
-	for _, mix := range IFMixes {
-		for _, bench := range mix {
-			solo = append(solo, SimKey{Bench: bench, Variant: mom3DVariant,
-				Mem: mom3DVCKind, L2Lat: baseLat, DRAM: ifBaseSpec})
-		}
-		shared = append(shared,
-			tenantCell{mix: strings.Join(mix, "+"), l2lat: baseLat, spec: ifSpec(len(mix), false)},
-			tenantCell{mix: strings.Join(mix, "+"), l2lat: baseLat, spec: ifSpec(len(mix), true)})
-	}
-	r.prewarm(solo)
-	r.prewarmTenants(shared)
+	t := ifSweep(IFMixes).Run(r)
 	var rows []IFSweepRow
-	for _, mix := range IFMixes {
-		row := IFSweepRow{Mix: mix, Solo: make([]int64, len(mix))}
-		for i, bench := range mix {
-			row.Solo[i] = r.SimDRAM(bench, mom3DVariant, mom3DVCKind, baseLat, ifBaseSpec).Cycles()
-		}
-		row.Base = r.SimTenants(mix, baseLat, ifSpec(len(mix), false))
-		row.QoS = r.SimTenants(mix, baseLat, ifSpec(len(mix), true))
-		row.Defer = row.QoS.DRAM.QoSDeferred
-		rows = append(rows, row)
+	for i, mix := range IFMixes {
+		base, qos := t.Cells[2*i][0], t.Cells[2*i+1][0]
+		rows = append(rows, IFSweepRow{Mix: mix, Solo: base.Solo, Base: base.Tenants,
+			QoS: qos.Tenants, Defer: qos.Tenants.DRAM.QoSDeferred})
 	}
 	return rows
+}
+
+// shared is the backend of a mix-matrix line: the FR-FCFS part under
+// one address mapping with the row's tenant knobs.
+func shared(mapping string) func(Row) string {
+	return func(w Row) string { return sdramSpec(mapping, "frfcfs", "", w.Knobs) }
+}
+
+// fairness is the shared head of a mix-matrix line: every tenant's
+// slowdown, the worst of them, and Jain's index over them.
+func fairness(c Result) []any {
+	sl := slowdowns(c.Tenants.Cycles, c.Solo)
+	var cells []string
+	for _, s := range sl {
+		cells = append(cells, fmt.Sprintf("%.2f", s))
+	}
+	return []any{strings.Join(cells, " "), slices.Max(sl), jain(sl)}
+}
+
+// ifSweep declares the interference table: every mix twice, under
+// plain FR-FCFS and under QoS credit scheduling.
+func ifSweep(mixes [][]string) *Sweep {
+	s := &Sweep{
+		Title: fmt.Sprintf("Interference sweep — tenant mixes on one shared part, FR-FCFS vs QoS credit scheduling (MOM+3D, vector cache + 3D, %s/tn<m>[/qos])", ifBaseSpec),
+		Head:  fmt.Sprintf("%-38s", "mix"),
+		Cols: []Col{{fmt.Sprintf(" %-24s %6s %6s %6s %6s", "tenant slowdowns vs solo", "max", "jain", "B/cyc", "defer"),
+			shared("line"), " %-24s %6.3f %6.3f %6.2f %6d", func(c Result) []any {
+				return append(fairness(c), c.Tenants.DRAM.AchievedBandwidth(), c.Tenants.DRAM.QoSDeferred)
+			}}},
+		Note: "slowdown = shared-part cycles / solo cycles on the same backend; max is the worst\n" +
+			"tenant (the QoS target), jain is Jain's fairness index over the slowdowns, defer\n" +
+			"counts scheduling turns over-share tenants yielded. QoS must beat the frfcfs max\n" +
+			"in every mix while holding bandwidth; tenants are address-disjoint, so slowdowns\n" +
+			"measure pure controller and bus contention.\n",
+	}
+	for _, mix := range mixes {
+		for _, qos := range []bool{false, true} {
+			sched := " (frfcfs)"
+			if qos {
+				sched = " (qos)"
+			}
+			s.Rows = append(s.Rows, Row{Label: fmt.Sprintf("%-38s", mixLabel(mix)+sched), Mix: mix,
+				Solo: ifBaseSpec, Knobs: dram.Knobs{Tenants: len(mix), QoS: qos}})
+		}
+	}
+	return s
 }
 
 // mixLabel compresses a tenant mix into "3x motionsearch + gsmencode"
@@ -203,34 +212,11 @@ func mixLabel(mix []string) string {
 
 // RenderIFSweep formats the sweep as a fixed-width text table.
 func RenderIFSweep(rows []IFSweepRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Interference sweep — tenant mixes on one shared part, FR-FCFS vs QoS credit scheduling (MOM+3D, vector cache + 3D, %s/tn<m>[/qos])\n", ifBaseSpec)
-	fmt.Fprintf(&b, "%-38s %-24s %6s %6s %6s %6s\n",
-		"mix", "tenant slowdowns vs solo", "max", "jain", "B/cyc", "defer")
-	for _, r := range rows {
-		for pass, tr := range []*TenantResult{r.Base, r.QoS} {
-			name := mixLabel(r.Mix)
-			label := name + " (frfcfs)"
-			if pass == 1 {
-				label = name + " (qos)"
-			}
-			sl := slowdowns(tr.Cycles, r.Solo)
-			var cells []string
-			for _, s := range sl {
-				cells = append(cells, fmt.Sprintf("%.2f", s))
-			}
-			def := uint64(0)
-			if pass == 1 {
-				def = r.Defer
-			}
-			fmt.Fprintf(&b, "%-38s %-24s %6.3f %6.3f %6.2f %6d\n",
-				label, strings.Join(cells, " "), maxOf(sl), jain(sl), tr.DRAM.AchievedBandwidth(), def)
-		}
+	var mixes [][]string
+	var cells [][]Result
+	for _, w := range rows {
+		mixes = append(mixes, w.Mix)
+		cells = append(cells, []Result{{Tenants: w.Base, Solo: w.Solo}}, []Result{{Tenants: w.QoS, Solo: w.Solo}})
 	}
-	b.WriteString("slowdown = shared-part cycles / solo cycles on the same backend; max is the worst\n")
-	b.WriteString("tenant (the QoS target), jain is Jain's fairness index over the slowdowns, defer\n")
-	b.WriteString("counts scheduling turns over-share tenants yielded. QoS must beat the frfcfs max\n")
-	b.WriteString("in every mix while holding bandwidth; tenants are address-disjoint, so slowdowns\n")
-	b.WriteString("measure pure controller and bus contention.\n")
-	return b.String()
+	return (&Table{ifSweep(mixes), cells}).Render()
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -44,7 +45,7 @@ func TestIFSweepShape(t *testing.T) {
 		if j := jain(sl); j <= 0 || j > 1.0000001 {
 			t.Errorf("%v: Jain index %f out of (0,1]", row.Mix, j)
 		}
-		if m := maxOf(sl); m < 1 {
+		if m := slices.Max(sl); m < 1 {
 			t.Errorf("%v: max slowdown %f below 1", row.Mix, m)
 		}
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/kernels"
+	"repro/internal/dram"
 	"repro/internal/stats"
 )
 
@@ -36,24 +36,22 @@ type LatDistRow struct {
 	Walk    stats.HistSnapshot // vm.walk.latency: TLB miss to translation
 }
 
-// latDistSpec composes the backend spec for one profile. Translation is
-// on (first-touch placement) so the walk-latency distribution sits next
-// to the DRAM ones it feeds.
-func latDistSpec(profile string) string {
-	return fmt.Sprintf("sdram/line/frfcfs/%s/mshr%d/va", profile, latDistMSHRs)
-}
-
 // LatDist measures the read-latency distributions of each timing
 // profile on the streaming kernel, read straight from the registry
-// snapshot the runner takes after every simulation.
+// snapshot the runner takes after every simulation. Translation is on
+// (first-touch placement) so the walk-latency distribution sits next
+// to the DRAM ones it feeds.
 func LatDist(r *Runner) []LatDistRow {
-	var rows []LatDistRow
+	s := &Sweep{Cols: []Col{{Spec: at(func(k *dram.Knobs) { k.MSHRs, k.VA = latDistMSHRs, "first" })}}}
 	for _, prof := range LatDistProfiles {
-		spec := latDistSpec(prof)
-		res := r.SimDRAM(LatDistBench, kernels.MOM3D, mom3DVCKind, baseLat, spec)
+		s.Rows = append(s.Rows, Row{Bench: LatDistBench, Prof: prof})
+	}
+	var rows []LatDistRow
+	for i, cells := range s.Run(r).Cells {
+		res := cells[0].Sim
 		rows = append(rows, LatDistRow{
-			Profile: prof,
-			Spec:    spec,
+			Profile: LatDistProfiles[i],
+			Spec:    res.Key.DRAM,
 			Cycles:  res.Cycles(),
 			Wait:    res.Snap.Hists["dram.read_wait"],
 			Service: res.Snap.Hists["dram.read_service"],

@@ -2,9 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
-	"repro/internal/kernels"
+	"repro/internal/dram"
 )
 
 // MSHRCounts lists the MSHR file sizes the non-blocking-pipeline sweep
@@ -22,98 +21,36 @@ var MSHRBenches = []string{"gsmencode", "motionsearch"}
 // counts ("" is the default DDR profile).
 var MSHRProfiles = []string{"", "hbm"}
 
-// MSHRSweepRow summarizes one benchmark × profile across MSHR counts
-// on the paper's best configuration (MOM+3D over the vector cache with
-// the 3D register file).
-type MSHRSweepRow struct {
-	Bench   string
-	Profile string // "ddr" or "hbm"
-
-	BlockCycles int64   // legacy blocking path (no MSHR file)
-	BlockBW     float64 // achieved bytes/cycle under blocking
-
-	Cycles []int64   // per MSHRCounts entry
-	BW     []float64 // achieved bytes/cycle per MSHRCounts entry
-	MLP    []float64 // mean outstanding misses at allocation
-	Span   []float64 // mean instructions per Submit batch
-}
-
-// mshrSpec composes the sweep's backend spec for one profile and MSHR
-// count (0 = no mshr segment: the legacy blocking path).
-func mshrSpec(profile string, mshrs int) string {
-	s := "sdram/line/frfcfs"
-	if profile != "" {
-		s += "/" + profile
-	}
-	if mshrs > 0 {
-		s += fmt.Sprintf("/mshr%d", mshrs)
-	}
-	return s
-}
-
 // MSHRSweep runs the non-blocking-pipeline sweep: for each streaming
-// kernel and timing profile, the blocking model against MSHR files of
-// increasing size. It is the experiment behind the issue/completion
-// split: achieved bandwidth should rise once the file covers an
-// instruction's intrinsic line-level parallelism (a dvload spans up to
-// 16 lines) and keeps rising as batches span multiple instructions.
-func MSHRSweep(r *Runner) []MSHRSweepRow {
-	var cells []SimKey
-	for _, bench := range MSHRBenches {
-		for _, prof := range MSHRProfiles {
-			for _, n := range append([]int{0}, MSHRCounts...) {
-				cells = append(cells, SimKey{Bench: bench, Variant: kernels.MOM3D,
-					Mem: mom3DVCKind, L2Lat: baseLat, DRAM: mshrSpec(prof, n)})
-			}
-		}
+// kernel and timing profile, the blocking model (column 0: the legacy
+// path, no MSHR file) against MSHR files of increasing size. It is the
+// experiment behind the issue/completion split: achieved bandwidth
+// should rise once the file covers an instruction's intrinsic
+// line-level parallelism (a dvload spans up to 16 lines) and keeps
+// rising as batches span multiple instructions.
+func MSHRSweep(r *Runner) *Table {
+	mshrs := func(n int) func(Row) string { return at(func(k *dram.Knobs) { k.MSHRs = n }) }
+	last := MSHRCounts[len(MSHRCounts)-1]
+	s := &Sweep{
+		Title: "MSHR sweep — blocking model vs non-blocking memory pipeline (MOM+3D, vector cache + 3D, sdram/line/frfcfs)",
+		Head:  fmt.Sprintf("%-14s %-4s", "benchmark", "prof"),
+		Rows:  benchProfRows(MSHRBenches, MSHRProfiles, dram.Knobs{}),
+		Cols:  []Col{{fmt.Sprintf(" %10s", "block cyc"), mshrs(0), " %10d", cycles}},
+		Mid: "note: mshr1 is the blocking compatibility mode — its cycles must equal the block column\n" +
+			"(the refactor's equivalence net). MLP and batch spans at the largest file:\n",
+		Detail: []Col{
+			{"", mshrs(last), fmt.Sprintf(" mshr%d: MLP %%.2f, %%.2f instructions/batch", last),
+				func(c Result) []any { return []any{c.Sim.MSHR.MLP(), c.Sim.MSHR.AvgSpan()} }},
+			{"", mshrs(0), " (blocking bw %.2f B/cyc)",
+				func(c Result) []any { return []any{c.Sim.DRAM.AchievedBandwidth()} }},
+		},
 	}
-	r.prewarm(cells)
-	var rows []MSHRSweepRow
-	for _, bench := range MSHRBenches {
-		for _, prof := range MSHRProfiles {
-			name := prof
-			if name == "" {
-				name = "ddr"
-			}
-			row := MSHRSweepRow{Bench: bench, Profile: name}
-			blk := r.SimDRAM(bench, kernels.MOM3D, mom3DVCKind, baseLat, mshrSpec(prof, 0))
-			row.BlockCycles = blk.Cycles()
-			row.BlockBW = blk.DRAM.AchievedBandwidth()
-			for _, n := range MSHRCounts {
-				res := r.SimDRAM(bench, kernels.MOM3D, mom3DVCKind, baseLat, mshrSpec(prof, n))
-				row.Cycles = append(row.Cycles, res.Cycles())
-				row.BW = append(row.BW, res.DRAM.AchievedBandwidth())
-				row.MLP = append(row.MLP, res.MSHR.MLP())
-				row.Span = append(row.Span, res.MSHR.AvgSpan())
-			}
-			rows = append(rows, row)
-		}
+	for _, n := range MSHRCounts {
+		s.Cols = append(s.Cols, Col{fmt.Sprintf(" %7s %6s", fmt.Sprintf("mshr%d", n), "B/cyc"),
+			mshrs(n), " %7d %6.2f", cyclesBW})
 	}
-	return rows
+	return s.Run(r)
 }
 
 // RenderMSHRSweep formats the sweep as a fixed-width text table.
-func RenderMSHRSweep(rows []MSHRSweepRow) string {
-	var b strings.Builder
-	b.WriteString("MSHR sweep — blocking model vs non-blocking memory pipeline (MOM+3D, vector cache + 3D, sdram/line/frfcfs)\n")
-	fmt.Fprintf(&b, "%-14s %-4s %10s", "benchmark", "prof", "block cyc")
-	for _, n := range MSHRCounts {
-		fmt.Fprintf(&b, " %7s %6s", fmt.Sprintf("mshr%d", n), "B/cyc")
-	}
-	b.WriteByte('\n')
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %-4s %10d", r.Bench, r.Profile, r.BlockCycles)
-		for i := range MSHRCounts {
-			fmt.Fprintf(&b, " %7d %6.2f", r.Cycles[i], r.BW[i])
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString("note: mshr1 is the blocking compatibility mode — its cycles must equal the block column\n")
-	b.WriteString("(the refactor's equivalence net). MLP and batch spans at the largest file:\n")
-	last := len(MSHRCounts) - 1
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-14s %-4s mshr%d: MLP %.2f, %.2f instructions/batch (blocking bw %.2f B/cyc)\n",
-			r.Bench, r.Profile, MSHRCounts[last], r.MLP[last], r.Span[last], r.BlockBW)
-	}
-	return b.String()
-}
+func RenderMSHRSweep(t *Table) string { return t.Render() }

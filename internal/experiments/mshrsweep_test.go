@@ -19,31 +19,32 @@ func mshrRunner() *Runner {
 
 func TestMSHRSweepShape(t *testing.T) {
 	r := mshrRunner()
-	rows := MSHRSweep(r)
-	if want := len(MSHRBenches) * len(MSHRProfiles); len(rows) != want {
-		t.Fatalf("rows = %d, want %d", len(rows), want)
+	tab := MSHRSweep(r)
+	if want := len(MSHRBenches) * len(MSHRProfiles); len(tab.Cells) != want {
+		t.Fatalf("rows = %d, want %d", len(tab.Cells), want)
 	}
-	for _, row := range rows {
-		if len(row.Cycles) != len(MSHRCounts) || len(row.BW) != len(MSHRCounts) ||
-			len(row.MLP) != len(MSHRCounts) || len(row.Span) != len(MSHRCounts) {
-			t.Fatalf("%s/%s: per-count columns missing", row.Bench, row.Profile)
+	for i, row := range tab.Cells {
+		name := tab.Rows[i].Bench + "/" + profName(tab.Rows[i].Prof)
+		// Column 0 is the blocking path, then one per MSHRCounts entry.
+		if len(row) < 1+len(MSHRCounts) {
+			t.Fatalf("%s: per-count columns missing", name)
 		}
-		if row.BlockCycles <= 0 {
-			t.Errorf("%s/%s: blocking cycles %d", row.Bench, row.Profile, row.BlockCycles)
+		block := row[0].Sim.Cycles()
+		if block <= 0 {
+			t.Errorf("%s: blocking cycles %d", name, block)
 		}
-		for i, n := range MSHRCounts {
-			if row.Cycles[i] <= 0 {
-				t.Errorf("%s/%s/mshr%d: cycles %d", row.Bench, row.Profile, n, row.Cycles[i])
+		for j, n := range MSHRCounts {
+			if c := row[1+j].Sim.Cycles(); c <= 0 {
+				t.Errorf("%s/mshr%d: cycles %d", name, n, c)
 			}
 		}
 		// The refactor's equivalence net, as seen by the sweep itself:
 		// the 1-entry file reproduces the blocking model exactly.
-		if MSHRCounts[0] == 1 && row.Cycles[0] != row.BlockCycles {
-			t.Errorf("%s/%s: mshr1 cycles %d != blocking %d",
-				row.Bench, row.Profile, row.Cycles[0], row.BlockCycles)
+		if c := row[1].Sim.Cycles(); MSHRCounts[0] == 1 && c != block {
+			t.Errorf("%s: mshr1 cycles %d != blocking %d", name, c, block)
 		}
 	}
-	out := RenderMSHRSweep(rows)
+	out := RenderMSHRSweep(tab)
 	if !strings.Contains(out, "MSHR sweep") || !strings.Contains(out, "motionsearch") {
 		t.Error("render missing header or benchmark rows")
 	}

@@ -8,11 +8,11 @@ import (
 	"sync/atomic"
 )
 
-// This file is the parallel sweep runner: sweeps enumerate their cells
-// up front, a worker pool simulates the not-yet-memoized ones on
+// This file is the parallel sweep runner: the sweep driver (sweep.go)
+// enumerates a sweep's cells up front, a worker pool simulates the not-yet-memoized ones on
 // per-worker runner clones, and the results land in the parent memo in
 // input order. Every cell is a pure function of its key (the simulator
-// is deterministic and each run owns its backend), so the serial sweep
+// is deterministic and each run owns its backend), so the serial gather
 // that follows reads identical values no matter how the pool scheduled
 // them — tables and -statsjson output stay byte-stable.
 
@@ -59,8 +59,12 @@ func (c tenantCell) simKey() SimKey {
 // from cache. With Workers <= 1 it is a no-op: the sweep computes each
 // cell lazily, exactly as before the pool existed.
 func (r *Runner) prewarm(cells []SimKey) {
-	prewarm(r, cells, r.results, func(k SimKey) SimKey { return k },
-		func(c *Runner, k SimKey) *SimResult { return c.SimDRAM(k.Bench, k.Variant, k.Mem, k.L2Lat, k.DRAM) })
+	prewarm(r, cells, r.results, func(k SimKey) SimKey { return k }, (*Runner).simKey)
+}
+
+// simKey is SimDRAM by memo key.
+func (r *Runner) simKey(k SimKey) *SimResult {
+	return r.SimDRAM(k.Bench, k.Variant, k.Mem, k.L2Lat, k.DRAM)
 }
 
 // prewarmTenants is prewarm for the multi-tenant cells of the

@@ -2,9 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
-	"repro/internal/kernels"
+	"repro/internal/dram"
 )
 
 // PFConfigs are the prefetcher shapes the stream-prefetch sweep
@@ -36,111 +35,37 @@ var PFProfiles = []string{"", "hbm"}
 // of the file) covers a useful number of speculative lines.
 const PFMSHRs = 64
 
-// PFSweepRow summarizes one benchmark × profile across the prefetcher
-// shapes on the paper's best configuration (MOM+3D over the vector
-// cache with the 3D register file).
-type PFSweepRow struct {
-	Bench   string
-	Profile string // "ddr" or "hbm"
-
-	Cycles []int64   // per PFConfigs entry
-	BW     []float64 // achieved DRAM bytes/cycle per PFConfigs entry
-
-	// Prefetch outcome at each config (zero for the off column).
-	Hits    []uint64
-	Late    []uint64
-	Useless []uint64
-	Issued  []uint64
-}
-
-// pfSpec composes the sweep's backend spec for one profile and
-// prefetcher shape.
-func pfSpec(profile string, streams, degree int) string {
-	s := "sdram/line/frfcfs"
-	if profile != "" {
-		s += "/" + profile
-	}
-	s += fmt.Sprintf("/mshr%d", PFMSHRs)
-	if streams > 0 {
-		s += fmt.Sprintf("/pf%dd%d", streams, degree)
-	}
-	return s
-}
-
 // PFSweep runs the stream-prefetch sweep: for each streaming kernel
 // and timing profile, prefetch-off against the table shapes of
 // PFConfigs, all over the non-blocking pipeline. It is the experiment
 // behind the prefetcher: predicted lines riding the MSHR batch should
 // raise achieved bandwidth on kernels whose misses form dense streams,
 // and the off column doubles as the equivalence anchor (it must match
-// the plain mshr64 configuration exactly).
-func PFSweep(r *Runner) []PFSweepRow {
-	var cells []SimKey
-	for _, bench := range PFBenches {
-		for _, prof := range PFProfiles {
-			for _, c := range PFConfigs {
-				cells = append(cells, SimKey{Bench: bench, Variant: kernels.MOM3D,
-					Mem: mom3DVCKind, L2Lat: baseLat, DRAM: pfSpec(prof, c.Streams, c.Degree)})
-			}
-		}
+// the plain mshr64 configuration exactly). The detail section gives the
+// prefetch outcome of every shape but off.
+func PFSweep(r *Runner) *Table {
+	s := &Sweep{
+		Title: fmt.Sprintf("Stream-prefetch sweep — prefetch off vs pf<streams>d<degree> (MOM+3D, vector cache + 3D, sdram/line/frfcfs/mshr%d)", PFMSHRs),
+		Head:  fmt.Sprintf("%-14s %-4s", "benchmark", "prof"),
+		Rows:  benchProfRows(PFBenches, PFProfiles, dram.Knobs{MSHRs: PFMSHRs}),
+		Mid:   "prefetch outcome at each shape (issued: hit/late/useless):\n",
+		Note: "note: the off column must match the plain mshr64 pipeline exactly — prefetch-off\n" +
+			"is equivalence-tested against the pre-prefetcher model per benchmark and backend.\n",
 	}
-	r.prewarm(cells)
-	var rows []PFSweepRow
-	for _, bench := range PFBenches {
-		for _, prof := range PFProfiles {
-			name := prof
-			if name == "" {
-				name = "ddr"
-			}
-			row := PFSweepRow{Bench: bench, Profile: name}
-			for _, c := range PFConfigs {
-				res := r.SimDRAM(bench, kernels.MOM3D, mom3DVCKind, baseLat, pfSpec(prof, c.Streams, c.Degree))
-				row.Cycles = append(row.Cycles, res.Cycles())
-				row.BW = append(row.BW, res.DRAM.AchievedBandwidth())
-				row.Hits = append(row.Hits, res.PF.Hits)
-				row.Late = append(row.Late, res.PF.Late)
-				row.Useless = append(row.Useless, res.PF.Useless)
-				row.Issued = append(row.Issued, res.PF.Issued)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows
-}
-
-// RenderPFSweep formats the sweep as a fixed-width text table.
-func RenderPFSweep(rows []PFSweepRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Stream-prefetch sweep — prefetch off vs pf<streams>d<degree> (MOM+3D, vector cache + 3D, sdram/line/frfcfs/mshr%d)\n", PFMSHRs)
-	fmt.Fprintf(&b, "%-14s %-4s", "benchmark", "prof")
 	for _, c := range PFConfigs {
+		spec := at(func(k *dram.Knobs) { k.PFStreams, k.PFDegree = c.Streams, c.Degree })
 		label := "off"
 		if c.Streams > 0 {
 			label = fmt.Sprintf("pf%dd%d", c.Streams, c.Degree)
+			s.Detail = append(s.Detail, Col{"", spec, "  " + label + ": %d: %d/%d/%d", func(c Result) []any {
+				pf := c.Sim.PF
+				return []any{pf.Issued, pf.Hits, pf.Late, pf.Useless}
+			}})
 		}
-		fmt.Fprintf(&b, " %9s %6s", label, "B/cyc")
+		s.Cols = append(s.Cols, Col{fmt.Sprintf(" %9s %6s", label, "B/cyc"), spec, " %9d %6.2f", cyclesBW})
 	}
-	b.WriteByte('\n')
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %-4s", r.Bench, r.Profile)
-		for i := range PFConfigs {
-			fmt.Fprintf(&b, " %9d %6.2f", r.Cycles[i], r.BW[i])
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString("prefetch outcome at each shape (issued: hit/late/useless):\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-14s %-4s", r.Bench, r.Profile)
-		for i, c := range PFConfigs {
-			if c.Streams == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "  pf%dd%d: %d: %d/%d/%d", c.Streams, c.Degree,
-				r.Issued[i], r.Hits[i], r.Late[i], r.Useless[i])
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString("note: the off column must match the plain mshr64 pipeline exactly — prefetch-off\n")
-	b.WriteString("is equivalence-tested against the pre-prefetcher model per benchmark and backend.\n")
-	return b.String()
+	return s.Run(r)
 }
+
+// RenderPFSweep formats the sweep as a fixed-width text table.
+func RenderPFSweep(t *Table) string { return t.Render() }

@@ -4,59 +4,52 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/kernels"
+	"repro/internal/dram"
 )
 
 func TestPFSweepShape(t *testing.T) {
 	r := mshrRunner() // test-scale gsmencode + motionsearch
-	rows := PFSweep(r)
-	if want := len(PFBenches) * len(PFProfiles); len(rows) != want {
-		t.Fatalf("rows = %d, want %d", len(rows), want)
+	tab := PFSweep(r)
+	if want := len(PFBenches) * len(PFProfiles); len(tab.Cells) != want {
+		t.Fatalf("rows = %d, want %d", len(tab.Cells), want)
 	}
-	for _, row := range rows {
-		if len(row.Cycles) != len(PFConfigs) || len(row.BW) != len(PFConfigs) ||
-			len(row.Hits) != len(PFConfigs) || len(row.Issued) != len(PFConfigs) {
-			t.Fatalf("%s/%s: per-config columns missing", row.Bench, row.Profile)
+	for i, row := range tab.Cells {
+		w := tab.Rows[i]
+		name := w.Bench + "/" + profName(w.Prof)
+		if len(row) < len(PFConfigs) {
+			t.Fatalf("%s: per-config columns missing", name)
 		}
-		for i, c := range PFConfigs {
-			if row.Cycles[i] <= 0 {
-				t.Errorf("%s/%s/pf%dd%d: cycles %d", row.Bench, row.Profile, c.Streams, c.Degree, row.Cycles[i])
+		for j, c := range PFConfigs {
+			res := row[j].Sim
+			if res.Cycles() <= 0 {
+				t.Errorf("%s/pf%dd%d: cycles %d", name, c.Streams, c.Degree, res.Cycles())
 			}
-			if c.Streams == 0 && row.Issued[i] != 0 {
-				t.Errorf("%s/%s: prefetch-off column issued %d prefetches", row.Bench, row.Profile, row.Issued[i])
+			if c.Streams == 0 && res.PF.Issued != 0 {
+				t.Errorf("%s: prefetch-off column issued %d prefetches", name, res.PF.Issued)
 			}
 		}
 		// The off column is the equivalence anchor: it must match the
 		// plain (no pf segment) configuration of the same pipeline.
-		plain := r.SimDRAM(row.Bench, kernels.MOM3D, mom3DVCKind, baseLat, pfSpec(profOf(row.Profile), 0, 0))
-		if row.Cycles[0] != plain.Cycles() {
-			t.Errorf("%s/%s: off column %d != plain mshr pipeline %d",
-				row.Bench, row.Profile, row.Cycles[0], plain.Cycles())
+		plain := r.simKey(bestKey(w.Bench, sdramSpec("line", "frfcfs", w.Prof, dram.Knobs{MSHRs: PFMSHRs})))
+		if row[0].Sim != plain {
+			t.Errorf("%s: off column %q is not the plain mshr pipeline's memo entry %q",
+				name, row[0].Sim.Key.DRAM, plain.Key.DRAM)
 		}
 	}
-	out := RenderPFSweep(rows)
+	out := RenderPFSweep(tab)
 	if !strings.Contains(out, "Stream-prefetch sweep") || !strings.Contains(out, "motionsearch") {
 		t.Error("render missing header or benchmark rows")
 	}
-}
-
-// profOf maps the row's display profile back to the spec segment.
-func profOf(display string) string {
-	if display == "ddr" {
-		return ""
-	}
-	return display
 }
 
 // TestPFSweepPrefetchesOnStreamingKernel: at test scale the sequential
 // gsmencode miss stream must actually trigger prefetches in at least
 // one configuration — the sweep is not allowed to be a table of zeros.
 func TestPFSweepPrefetchesOnStreamingKernel(t *testing.T) {
-	r := mshrRunner()
 	issued := uint64(0)
-	for _, row := range PFSweep(r) {
-		for _, n := range row.Issued {
-			issued += n
+	for _, row := range PFSweep(mshrRunner()).Cells {
+		for _, c := range row {
+			issued += c.Sim.PF.Issued
 		}
 	}
 	if issued == 0 {

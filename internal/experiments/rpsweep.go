@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
-	"repro/internal/kernels"
+	"repro/internal/dram"
+	"repro/internal/dram/policy"
 )
 
 // RPPolicies are the per-bank row policies the sweep crosses, as
@@ -38,134 +38,56 @@ func rpPFShape(bench, profile string) (streams, degree int) {
 	return 48, 2
 }
 
-// rpSpec composes the sweep's backend spec for one profile, prefetch
-// shape (0 streams = demand-only) and row policy.
-func rpSpec(profile string, streams, degree int, rp string) string {
-	s := "sdram/line/frfcfs"
-	if profile != "" {
-		s += "/" + profile
-	}
-	if rp != "" {
-		s += "/rp" + rp
-	}
-	s += fmt.Sprintf("/mshr%d", PFMSHRs)
-	if streams > 0 {
-		s += fmt.Sprintf("/pf%dd%d", streams, degree)
-	}
-	return s
-}
-
-// RPSweepRow summarizes one benchmark × profile × traffic mix across
-// the row policies on the paper's best configuration (MOM+3D over the
-// vector cache with the 3D register file, 64-entry MSHR file). Each
-// benchmark × profile appears twice: once demand-only, once with its
-// PR 4 best prefetcher shape riding the batch.
-type RPSweepRow struct {
-	Bench   string
-	Profile string // "ddr" or "hbm"
-	Streams int    // prefetcher shape of the row (0 = demand-only)
-	Degree  int
-
-	Cycles []int64   // per RPPolicies entry
-	BW     []float64 // achieved DRAM bytes/cycle per RPPolicies entry
-	RowHit []float64 // row-buffer hit rate per RPPolicies entry
-
-	// Policy internals per RPPolicies entry.
-	ClosedEarly []uint64
-	Reopened    []uint64
-	Flips       []uint64
-	Deferred    []uint64 // prefetch reads held back by the pfq cap
-}
-
-// Traffic names the row's traffic mix.
-func (r *RPSweepRow) Traffic() string {
-	if r.Streams == 0 {
-		return "demand"
-	}
-	return fmt.Sprintf("pf%dd%d", r.Streams, r.Degree)
-}
-
 // RPSweep runs the row-policy sweep: for each streaming kernel and
 // timing profile, the four per-bank policies over demand-only traffic
 // and again under the kernel's PR 4 prefetcher shape with the
-// demand-priority scheduler. It is the experiment behind the policy
+// demand-priority scheduler (the row's Knobs), all behind the
+// PFMSHRs-entry file. It is the experiment behind the policy
 // subsystem: the history predictor should converge to open-page
 // behaviour where rows pay (gsmencode — zero flips, bit-identical to
 // rpopen) and to close-page where they thrash (motionsearch/ddr
 // demand traffic), while the prefetch matrix shows demand-priority
 // closing the PR 4 motionsearch/ddr regression with gsmencode's
 // bandwidth intact.
-func RPSweep(r *Runner) []RPSweepRow {
-	var cells []SimKey
-	for _, bench := range RPBenches {
-		for _, prof := range RPProfiles {
-			name := prof
-			if name == "" {
-				name = "ddr"
-			}
-			pfStreams, pfDegree := rpPFShape(bench, name)
-			for _, shape := range [][2]int{{0, 0}, {pfStreams, pfDegree}} {
-				for _, rp := range RPPolicies {
-					cells = append(cells, SimKey{Bench: bench, Variant: kernels.MOM3D,
-						Mem: mom3DVCKind, L2Lat: baseLat, DRAM: rpSpec(prof, shape[0], shape[1], rp)})
-				}
-			}
-		}
+func RPSweep(r *Runner) *Table {
+	s := &Sweep{
+		Title: fmt.Sprintf("Row-policy sweep — per-bank policies × traffic mix under demand-priority scheduling (MOM+3D, vector cache + 3D, sdram/line/frfcfs/rp<p>/mshr%d[/pf<n>d<m>])", PFMSHRs),
+		Head:  fmt.Sprintf("%-14s %-4s %-7s", "benchmark", "prof", "traffic"),
+		Mid:   "policy internals at each point (closed early / reopened / predictor flips; pfq-deferred prefetches):\n",
+		Note: "note: rpopen is the PR 4 model's policy — with prefetch off it is pinned bit-identical\n" +
+			"to the golden-stats table; the history predictor should match rpopen where rows pay\n" +
+			"(gsmencode) and converge to rpclose where they thrash (motionsearch demand traffic).\n",
 	}
-	r.prewarm(cells)
-	var rows []RPSweepRow
-	for _, bench := range RPBenches {
-		for _, prof := range RPProfiles {
-			name := prof
-			if name == "" {
-				name = "ddr"
-			}
-			pfStreams, pfDegree := rpPFShape(bench, name)
-			for _, shape := range [][2]int{{0, 0}, {pfStreams, pfDegree}} {
-				row := RPSweepRow{Bench: bench, Profile: name, Streams: shape[0], Degree: shape[1]}
-				for _, rp := range RPPolicies {
-					res := r.SimDRAM(bench, kernels.MOM3D, mom3DVCKind, baseLat, rpSpec(prof, shape[0], shape[1], rp))
-					row.Cycles = append(row.Cycles, res.Cycles())
-					row.BW = append(row.BW, res.DRAM.AchievedBandwidth())
-					row.RowHit = append(row.RowHit, res.DRAM.RowHitRate())
-					row.ClosedEarly = append(row.ClosedEarly, res.DRAM.RowClosedEarly)
-					row.Reopened = append(row.Reopened, res.DRAM.RowReopened)
-					row.Flips = append(row.Flips, res.DRAM.PredictorFlips)
-					row.Deferred = append(row.Deferred, res.DRAM.PrefetchDeferred)
-				}
-				rows = append(rows, row)
-			}
-		}
+	for _, w := range benchProfRows(RPBenches, RPProfiles, dram.Knobs{MSHRs: PFMSHRs}) {
+		label := w.Label
+		w.Label = fmt.Sprintf("%s %-7s", label, "demand")
+		s.Rows = append(s.Rows, w)
+		w.Knobs.PFStreams, w.Knobs.PFDegree = rpPFShape(w.Bench, profName(w.Prof))
+		w.Label = fmt.Sprintf("%s %-7s", label, fmt.Sprintf("pf%dd%d", w.Knobs.PFStreams, w.Knobs.PFDegree))
+		s.Rows = append(s.Rows, w)
 	}
-	return rows
+	for _, p := range RPPolicies {
+		rp, err := policy.Parse(p)
+		if err != nil {
+			panic(fmt.Sprintf("experiments: RPPolicies: %v", err))
+		}
+		if rp.Kind == policy.Open {
+			// The default policy needs no token: rpopen is the machine
+			// PFSweep runs for the same shape, under the same memo key.
+			rp = policy.Spec{}
+		}
+		spec := at(func(k *dram.Knobs) { k.RP = rp })
+		s.Cols = append(s.Cols, Col{fmt.Sprintf(" %9s %6s %6s", "rp"+p, "B/cyc", "rowhit"), spec, " %9d %6.2f %6.3f",
+			func(c Result) []any {
+				return []any{c.Sim.Cycles(), c.Sim.DRAM.AchievedBandwidth(), c.Sim.DRAM.RowHitRate()}
+			}})
+		s.Detail = append(s.Detail, Col{"", spec, "  rp" + p + ": %d/%d/%d (%d def)", func(c Result) []any {
+			d := c.Sim.DRAM
+			return []any{d.RowClosedEarly, d.RowReopened, d.PredictorFlips, d.PrefetchDeferred}
+		}})
+	}
+	return s.Run(r)
 }
 
 // RenderRPSweep formats the sweep as a fixed-width text table.
-func RenderRPSweep(rows []RPSweepRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Row-policy sweep — per-bank policies × traffic mix under demand-priority scheduling (MOM+3D, vector cache + 3D, sdram/line/frfcfs/rp<p>/mshr%d[/pf<n>d<m>])\n", PFMSHRs)
-	fmt.Fprintf(&b, "%-14s %-4s %-7s", "benchmark", "prof", "traffic")
-	for _, p := range RPPolicies {
-		fmt.Fprintf(&b, " %9s %6s %6s", "rp"+p, "B/cyc", "rowhit")
-	}
-	b.WriteByte('\n')
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %-4s %-7s", r.Bench, r.Profile, r.Traffic())
-		for i := range RPPolicies {
-			fmt.Fprintf(&b, " %9d %6.2f %6.3f", r.Cycles[i], r.BW[i], r.RowHit[i])
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString("policy internals at each point (closed early / reopened / predictor flips; pfq-deferred prefetches):\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-14s %-4s %-7s", r.Bench, r.Profile, r.Traffic())
-		for i, p := range RPPolicies {
-			fmt.Fprintf(&b, "  rp%s: %d/%d/%d (%d def)", p, r.ClosedEarly[i], r.Reopened[i], r.Flips[i], r.Deferred[i])
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString("note: rpopen is the PR 4 model's policy — with prefetch off it is pinned bit-identical\n")
-	b.WriteString("to the golden-stats table; the history predictor should match rpopen where rows pay\n")
-	b.WriteString("(gsmencode) and converge to rpclose where they thrash (motionsearch demand traffic).\n")
-	return b.String()
-}
+func RenderRPSweep(t *Table) string { return t.Render() }

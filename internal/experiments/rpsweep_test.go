@@ -1,63 +1,50 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/kernels"
 )
 
 func TestRPSweepShape(t *testing.T) {
 	r := mshrRunner() // test-scale gsmencode + motionsearch
-	rows := RPSweep(r)
+	tab := RPSweep(r)
 	// Two traffic mixes per benchmark × profile.
-	if want := len(RPBenches) * len(RPProfiles) * 2; len(rows) != want {
-		t.Fatalf("rows = %d, want %d", len(rows), want)
+	if want := len(RPBenches) * len(RPProfiles) * 2; len(tab.Cells) != want {
+		t.Fatalf("rows = %d, want %d", len(tab.Cells), want)
 	}
-	openIdx := -1
-	for i, p := range RPPolicies {
-		if p == "open" {
-			openIdx = i
-		}
-	}
+	openIdx := slices.Index(RPPolicies, "open")
 	if openIdx < 0 {
 		t.Fatal("the sweep must include the static open policy (the PR 4 baseline)")
 	}
-	for _, row := range rows {
-		if len(row.Cycles) != len(RPPolicies) || len(row.BW) != len(RPPolicies) ||
-			len(row.ClosedEarly) != len(RPPolicies) || len(row.Deferred) != len(RPPolicies) {
-			t.Fatalf("%s/%s/%s: per-policy columns missing", row.Bench, row.Profile, row.Traffic())
+	for i, row := range tab.Cells {
+		w := tab.Rows[i]
+		name := strings.Join(strings.Fields(w.Label), "/")
+		if len(row) < len(RPPolicies) {
+			t.Fatalf("%s: per-policy columns missing", name)
 		}
-		for i, p := range RPPolicies {
-			if row.Cycles[i] <= 0 {
-				t.Errorf("%s/%s/%s/rp%s: cycles %d", row.Bench, row.Profile, row.Traffic(), p, row.Cycles[i])
+		for j, p := range RPPolicies {
+			if c := row[j].Sim.Cycles(); c <= 0 {
+				t.Errorf("%s/rp%s: cycles %d", name, p, c)
+			}
+			// Demand-only rows carry no speculative traffic to defer.
+			if d := row[j].Sim.DRAM.PrefetchDeferred; w.Knobs.PFStreams == 0 && d != 0 {
+				t.Errorf("%s/rp%s: %d prefetches deferred without a prefetcher", name, p, d)
 			}
 		}
 		// The open policy never closes a row early and never flips.
-		if row.ClosedEarly[openIdx] != 0 || row.Flips[openIdx] != 0 {
-			t.Errorf("%s/%s/%s: rpopen closed %d rows early (%d flips)",
-				row.Bench, row.Profile, row.Traffic(), row.ClosedEarly[openIdx], row.Flips[openIdx])
+		if d := row[openIdx].Sim.DRAM; d.RowClosedEarly != 0 || d.PredictorFlips != 0 {
+			t.Errorf("%s: rpopen closed %d rows early (%d flips)", name, d.RowClosedEarly, d.PredictorFlips)
 		}
-		// Demand-only rows carry no speculative traffic to defer.
-		if row.Streams == 0 {
-			for i, p := range RPPolicies {
-				if row.Deferred[i] != 0 {
-					t.Errorf("%s/%s/demand/rp%s: %d prefetches deferred without a prefetcher",
-						row.Bench, row.Profile, p, row.Deferred[i])
-				}
-			}
-		}
-		// The demand-only rpopen point is the equivalence anchor: it
-		// must match the plain (no rp token) mshr pipeline exactly.
-		if row.Streams == 0 {
-			plain := r.SimDRAM(row.Bench, kernels.MOM3D, mom3DVCKind, baseLat, rpSpec(profOf(row.Profile), 0, 0, ""))
-			if row.Cycles[openIdx] != plain.Cycles() {
-				t.Errorf("%s/%s: rpopen demand column %d != plain mshr pipeline %d",
-					row.Bench, row.Profile, row.Cycles[openIdx], plain.Cycles())
-			}
+		// The rpopen point is the plain (no rp token) pipeline of the
+		// row's traffic shape: same memo entry, not a second spelling.
+		plain := r.simKey(bestKey(w.Bench, sdramSpec("line", "frfcfs", w.Prof, w.Knobs)))
+		if row[openIdx].Sim != plain {
+			t.Errorf("%s: rpopen column is not the plain pipeline's memo entry (%q vs %q)",
+				name, row[openIdx].Sim.Key.DRAM, plain.Key.DRAM)
 		}
 	}
-	out := RenderRPSweep(rows)
+	out := RenderRPSweep(tab)
 	if !strings.Contains(out, "Row-policy sweep") || !strings.Contains(out, "motionsearch") ||
 		!strings.Contains(out, "rphistory") {
 		t.Error("render missing header, benchmark rows or policy columns")
@@ -69,21 +56,32 @@ func TestRPSweepShape(t *testing.T) {
 // kernel that touches DRAM, so the sweep is not allowed to be four
 // copies of the same column.
 func TestRPSweepPoliciesDiverge(t *testing.T) {
-	r := mshrRunner()
-	closeIdx := -1
-	for i, p := range RPPolicies {
-		if p == "close" {
-			closeIdx = i
-		}
-	}
+	closeIdx := slices.Index(RPPolicies, "close")
 	if closeIdx < 0 {
 		t.Fatal("the sweep must include the static close policy")
 	}
 	closed := uint64(0)
-	for _, row := range RPSweep(r) {
-		closed += row.ClosedEarly[closeIdx]
+	for _, row := range RPSweep(mshrRunner()).Cells {
+		closed += row[closeIdx].Sim.DRAM.RowClosedEarly
 	}
 	if closed == 0 {
 		t.Error("no configuration closed a single row under the static close policy")
+	}
+}
+
+// TestRPSweepSharesPFSweepCells: the rpopen column of every row is a
+// machine PFSweep already simulated (same shape, default row policy),
+// so after PFSweep's 20 cells RPSweep adds 24, not its full 32.
+func TestRPSweepSharesPFSweepCells(t *testing.T) {
+	r := mshrRunner()
+	calls := 0
+	r.Progress = func(SimKey) { calls++ }
+	PFSweep(r)
+	if calls != 20 {
+		t.Fatalf("PFSweep simulated %d cells, want 20", calls)
+	}
+	RPSweep(r)
+	if calls != 20+24 {
+		t.Errorf("PFSweep then RPSweep simulated %d cells, want 20 + 24", calls)
 	}
 }

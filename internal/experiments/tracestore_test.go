@@ -108,11 +108,11 @@ func TestSharedTracesAreReadOnly(t *testing.T) {
 		for _, bench := range r.Benchmarks() {
 			c.SimDRAM(bench, kernels.MMX, core.MemMultiBanked, baseLat, "")
 			c.SimDRAM(bench, kernels.MOM, core.MemVectorCache, baseLat, "sdram/line/frfcfs/mshr8/pf8d4")
-			c.SimDRAM(bench, kernels.MOM3D, core.MemVectorCache3D, baseLat, vaSpec(1, "vacolor"))
+			c.SimDRAM(bench, kernels.MOM3D, core.MemVectorCache3D, baseLat, "sdram/bank/frfcfs/vacolor")
 		}
 		for _, mix := range IFMixes {
-			c.SimTenants(mix, baseLat, ifSpec(len(mix), true))
-			c.SimTenants(mix, baseLat, vaSpec(len(mix), "vacolor"))
+			c.SimTenants(mix, baseLat, fmt.Sprintf("sdram/line/frfcfs/tn%d/qos", len(mix)))
+			c.SimTenants(mix, baseLat, fmt.Sprintf("sdram/bank/frfcfs/tn%d/vacolor", len(mix)))
 		}
 	}
 
@@ -144,8 +144,8 @@ func TestPrewarmPanicSurfacesOnCaller(t *testing.T) {
 		"tenant cell": {
 			func(r *Runner) {
 				r.prewarmTenants([]tenantCell{
-					{mix: "gsmencode+gsmencode", l2lat: baseLat, spec: ifSpec(2, false)},
-					{mix: "gsmencode+gsmencode", l2lat: baseLat, spec: ifSpec(4, false)},
+					{mix: "gsmencode+gsmencode", l2lat: baseLat, spec: ifBaseSpec + "/tn2"},
+					{mix: "gsmencode+gsmencode", l2lat: baseLat, spec: ifBaseSpec + "/tn4"},
 				})
 			},
 			[]string{"gsmencode+gsmencode", "tn4 for a 2-tenant mix"},

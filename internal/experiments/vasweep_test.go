@@ -7,46 +7,48 @@ import (
 
 func TestVASweepShape(t *testing.T) {
 	r := mshrRunner() // test-scale gsmencode + motionsearch
-	rows := VASweep(r)
-	if want := len(IFMixes) * len(VAPolicies); len(rows) != want {
-		t.Fatalf("rows = %d, want %d", len(rows), want)
+	tab := VASweep(r)
+	if want := len(IFMixes) * len(VAPolicies); len(tab.Cells) != want {
+		t.Fatalf("rows = %d, want %d", len(tab.Cells), want)
 	}
-	for _, row := range rows {
-		n := len(row.Mix)
-		if len(row.Solo) != n || len(row.Shared.Cycles) != n {
-			t.Fatalf("%v (%s): per-tenant columns missing", row.Mix, row.Policy)
+	for i, row := range tab.Cells {
+		w, c := tab.Rows[i], row[0]
+		name := strings.TrimSpace(w.Label)
+		n := len(w.Mix)
+		if len(c.Solo) != n || len(c.Tenants.Cycles) != n {
+			t.Fatalf("%s: per-tenant columns missing", name)
 		}
-		if len(row.Shared.Shards) != n {
-			t.Fatalf("%v (%s): backend stat shards missing", row.Mix, row.Policy)
+		if len(c.Tenants.Shards) != n {
+			t.Fatalf("%s: backend stat shards missing", name)
 		}
-		for i := 0; i < n; i++ {
-			if row.Solo[i] <= 0 {
-				t.Errorf("%v (%s) tenant %d: solo cycles %d", row.Mix, row.Policy, i, row.Solo[i])
+		for j := 0; j < n; j++ {
+			if c.Solo[j] <= 0 {
+				t.Errorf("%s tenant %d: solo cycles %d", name, j, c.Solo[j])
 			}
 			// Contending for the shared pool, channels and rows can never
 			// beat running alone under the same placement policy.
-			if row.Shared.Cycles[i] < row.Solo[i] {
-				t.Errorf("%v (%s) tenant %d: shared run faster than solo (%d vs %d)",
-					row.Mix, row.Policy, i, row.Shared.Cycles[i], row.Solo[i])
+			if c.Tenants.Cycles[j] < c.Solo[j] {
+				t.Errorf("%s tenant %d: shared run faster than solo (%d vs %d)",
+					name, j, c.Tenants.Cycles[j], c.Solo[j])
 			}
-			if row.Shared.Shards[i].Reads == 0 {
-				t.Errorf("%v (%s) tenant %d: shard saw no reads", row.Mix, row.Policy, i)
+			if c.Tenants.Shards[j].Reads == 0 {
+				t.Errorf("%s tenant %d: shard saw no reads", name, j)
 			}
 		}
-		sl := slowdowns(row.Shared.Cycles, row.Solo)
+		sl := slowdowns(c.Tenants.Cycles, c.Solo)
 		if j := jain(sl); j <= 0 || j > 1.0000001 {
-			t.Errorf("%v (%s): Jain index %f out of (0,1]", row.Mix, row.Policy, j)
+			t.Errorf("%s: Jain index %f out of (0,1]", name, j)
 		}
 	}
 	// The matrix must actually discriminate: some mix must time
 	// differently across placement policies, or the allocator is not
 	// reaching the controller.
 	differs := false
-	for i := 0; i+len(VAPolicies) <= len(rows); i += len(VAPolicies) {
-		base := rows[i] // first-fit cell of this mix
-		for _, other := range rows[i+1 : i+len(VAPolicies)] {
-			for j := range base.Shared.Cycles {
-				if base.Shared.Cycles[j] != other.Shared.Cycles[j] {
+	for i := 0; i+len(VAPolicies) <= len(tab.Cells); i += len(VAPolicies) {
+		base := tab.Cells[i][0].Tenants // first-fit cell of this mix
+		for _, other := range tab.Cells[i+1 : i+len(VAPolicies)] {
+			for j := range base.Cycles {
+				if base.Cycles[j] != other[0].Tenants.Cycles[j] {
 					differs = true
 				}
 			}
@@ -55,7 +57,7 @@ func TestVASweepShape(t *testing.T) {
 	if !differs {
 		t.Error("placement policy never changed any tenant's cycles")
 	}
-	out := RenderVASweep(rows)
+	out := RenderVASweep(tab)
 	for _, want := range []string{"Placement sweep", "max", "jain", "row%", "(first-fit)", "(color)", "(colo)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)

@@ -90,17 +90,6 @@ func (tm Timing) Xl(a uint64) uint64 {
 // DefaultTiming is the paper's base system (§5.3) over a 100-cycle DRAM.
 func DefaultTiming() Timing { return Timing{L2Latency: 20, MemLatency: 100} }
 
-// MissDone returns the completion cycle of the main-memory access for
-// the line containing addr whose L2 miss is detected at cycle t — the
-// one-request-at-a-time compatibility adapter over the batch API. With
-// no Backend it reproduces the seed's flat model exactly: t+MemLatency.
-func (tm Timing) MissDone(addr uint64, t int64) int64 {
-	if tm.Backend != nil {
-		return dram.Access(tm.Backend, addr, t)
-	}
-	return t + tm.MemLatency
-}
-
 // SubmitMisses presents one instruction's collected misses (and any
 // dirty-victim write-backs) to the main memory as a single batch and
 // returns the latest read completion, or t0 when every request was a

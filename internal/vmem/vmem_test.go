@@ -175,27 +175,6 @@ func TestExclusiveBitInvalidatesL1(t *testing.T) {
 	}
 }
 
-// TestMissDoneMatchesSubmit: the one-request compatibility adapter must
-// agree with a single-read batch through Submit, with and without a
-// backend (the bit-exact seed path).
-func TestMissDoneMatchesSubmit(t *testing.T) {
-	flat := Timing{L2Latency: 20, MemLatency: 100}
-	if got := flat.MissDone(0x1000, 40); got != 140 {
-		t.Fatalf("flat MissDone = %d, want 140", got)
-	}
-	if got := flat.SubmitMisses([]dram.Request{{Addr: 0x1000, At: 40}}, 40); got != 140 {
-		t.Fatalf("flat SubmitMisses = %d, want 140", got)
-	}
-
-	a, b := dram.NewFixed(100), dram.NewFixed(100)
-	viaMiss := Timing{L2Latency: 20, MemLatency: 100, Backend: a}.MissDone(0x1000, 40)
-	viaSubmit := Timing{L2Latency: 20, MemLatency: 100, Backend: b}.
-		SubmitMisses([]dram.Request{{Addr: 0x1000, At: 40}}, 40)
-	if viaMiss != viaSubmit {
-		t.Fatalf("MissDone %d != SubmitMisses %d", viaMiss, viaSubmit)
-	}
-}
-
 // recordingBackend captures every Submit batch so tests can assert the
 // subsystems collect one batch per instruction.
 type recordingBackend struct {
