@@ -64,16 +64,19 @@ trace:
 	@python3 -c "import json; d=json.load(open('/tmp/momsim_trace.json')); print('trace OK:', len(d['traceEvents']), 'events')"
 
 # wheel runs the wheel-vs-step equivalence suite under the race
-# detector: the engine data structures, the golden-table and
-# per-feature bit-identity tests in internal/core, the multi-tenant
-# lockstep equivalence, and the sweep-level parallel/serial and
-# wheel/step byte-identity checks (TestSweepsParallelMatchSerial ranges
-# over every sweep) — the trace store's among them: four workers
-# sharing it must generate each stream once, race-free.
+# detector: the wake ring, the golden-table and per-feature
+# bit-identity tests in internal/core with the mid-run engine switch
+# and the independent sleeper check beside them, the multi-tenant
+# lockstep equivalence, the sweep-level parallel/serial and wheel/step
+# byte-identity checks (TestSweepsParallelMatchSerial ranges over every
+# sweep) — the trace store's among them: four workers sharing it must
+# generate each stream once, race-free — and the full-size evaluation
+# under both engines against the frozen naive-scan digests (most of
+# the suite's time under -race).
 wheel:
 	go test -race -count=1 \
-		-run 'TestRing|TestQueue|TestWheelMatchesStep|Match(es)?Serial|TestIFSweepWheelMatchesStep' \
-		./internal/engine/ ./internal/core/ ./internal/tenant/ ./internal/experiments/
+		-run 'TestRing|TestWheelMatchesStep|TestEngineSwitchMidRun|TestSleepersAreNeverReady|Match(es)?Serial|TestIFSweepWheelMatchesStep|TestFullSizeMatchesNaiveScanDigests' \
+		./internal/engine/ ./internal/core/ ./internal/tenant/ ./internal/experiments/ ./cmd/momexp/
 
 # rpsweep regenerates the full-size per-bank row-policy matrix
 # (EXPERIMENTS.md's reference table): open/close/timer/history ×

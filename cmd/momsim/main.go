@@ -180,7 +180,6 @@ func main() {
 
 	ms := core.NewMemSystem(rc.MemKind, rc.Timing, rc.Core.Lanes, rc.Variant == kernels.MMX && rc.MemKind != core.MemIdeal)
 	sim := core.NewSim(rc.Core, ms, tr.Insts)
-	sim.SetEngine(rc.Engine)
 	var tracer *stats.Tracer
 	if rc.Trace != "" {
 		tracer = stats.NewTracer(rc.TraceBuf)

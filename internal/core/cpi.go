@@ -116,8 +116,8 @@ func (s *Sim) chargeCPI(n uint64, committed bool) {
 
 // classifyUnissued blames an unissued head on its first blocker,
 // walking the dependence list exactly as issueBoundPark does — the
-// poll-free mirror of ready(), so classification cannot flush the MSHR
-// file or touch TLB state.
+// poll-free mirror of readyBound, so classification cannot flush the
+// MSHR file or touch TLB state.
 func (s *Sim) classifyUnissued(e *robEntry, n uint64) {
 	c := &s.stats.CPI
 	at := s.now
@@ -125,12 +125,12 @@ func (s *Sim) classifyUnissued(e *robEntry, n uint64) {
 		d := e.deps[i]
 		p := s.entry(d.seq)
 		if p == nil {
-			rec, ok := s.pendBySeq[d.seq]
-			if !ok || d.usePtr {
+			h := s.scoreboard(d.seq)
+			if h == nil || d.usePtr {
 				continue // value in the register file
 			}
-			if t, exact := rec.h.Bound(); !exact || t > at {
-				s.chargeMem(rec.h, n)
+			if t, exact := h.Bound(); !exact || t > at {
+				s.chargeMem(h, n)
 				return
 			}
 			continue

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/isa"
@@ -81,9 +83,9 @@ type robEntry struct {
 	missed  bool
 	hadWalk bool
 
-	// Wheel-engine scheduling state (see wheel.go). An unissued entry
+	// Issue-scan scheduling state (see wheel.go). An unissued entry
 	// is either active — on its queue's evaluation list — or asleep
-	// with a registered wake-up: a cycle on the sim's issueWake queue,
+	// with a registered wake-up: a cycle on the sim's issueWake ring,
 	// or (enlisted) a link on the blocking entry's waiter chain.
 	// waiterHead/waiterNext store seq+1, 0 meaning none; the chain
 	// threads through the waiters' own ROB entries.
@@ -103,6 +105,7 @@ type storeRec struct {
 // eventually fill, so the rename mapping can be released once the data
 // arrives.
 type pendRec struct {
+	seq uint64
 	h   *vmem.Pending
 	dst isa.Reg
 }
@@ -115,8 +118,6 @@ type Sim struct {
 	rob   []robEntry
 	count int
 	head  int // ROB ring index of the oldest entry
-
-	pend [qCount][]uint64 // unissued entry seqs per queue, program order
 
 	// Rename: last uncommitted writer per (class, index).
 	writer [6][32]uint64
@@ -132,11 +133,13 @@ type Sim struct {
 
 	// Scoreboard for the non-blocking memory pipeline: instructions
 	// that graduated with their miss still outstanding park their
-	// handle here, keyed by sequence number, so younger readers of the
-	// destination register keep stalling on the true dependency after
-	// the ROB entry is gone. postedStores is the store buffer: retired
-	// stores whose line fill is still in flight.
-	pendBySeq    map[uint64]pendRec
+	// handle here, so younger readers of the destination register keep
+	// stalling on the true dependency after the ROB entry is gone.
+	// Commit retires in order, so the records are sorted by sequence
+	// number as appended: lookups are binary searches (scoreboard) and
+	// there are never more of them than MSHRs. postedStores is the
+	// store buffer: retired stores whose line fill is still in flight.
+	pendBySeq    []pendRec
 	postedStores []*vmem.Pending
 
 	// Branch prediction state (gshare ablation).
@@ -152,20 +155,16 @@ type Sim struct {
 	next            int // next trace index to dispatch
 	lastCommitCycle int64
 
-	// Wheel-engine state (see wheel.go). issueWake is the persistent
-	// per-sim queue of sleeping entries' timed wake-ups; qActive
+	// Issue-scan state (see wheel.go). issueWake is the persistent
+	// per-sim ring of sleeping entries' timed wake-ups; qActive
 	// holds, per issue queue, the seqs that must actually be
 	// evaluated this cycle — everything else is asleep with a
-	// registered wake-up and is never touched. wheelIssue routes
-	// issueQueue to the event-driven scan; issueGen counts issues so
-	// Advance can detect no-progress steps.
-	issueWake  *engine.Ring
-	qActive    [qCount][]uint64
-	scanBuf    []uint64 // reusable rebuild buffer for issueQueueWheel
-	midBuf     []uint64 // reusable mid-scan wake collector
-	extrasBuf  []uint64 // reusable same-cycle merge list
-	wheelIssue bool
-	issueGen   uint64
+	// registered wake-up and is never touched.
+	issueWake *engine.Ring
+	qActive   [qCount][]uint64
+	scanBuf   []uint64 // reusable rebuild buffer for issueQueue
+	midBuf    []uint64 // reusable mid-scan wake collector
+	extrasBuf []uint64 // reusable same-cycle merge list
 	// Issue-side skip verdict, rebuilt by each Step's scans so NextWake
 	// needs no walk of its own: issueNoSkip forces a real step next
 	// cycle (an active entry needs a per-cycle re-check); issueUnitBound
@@ -180,7 +179,7 @@ type Sim struct {
 	// cannot misread it.
 	xlatWake int64
 	// robMask is Window-1 when Window is a power of two, letting
-	// entry() mask instead of divide on the hottest path; 0 otherwise.
+	// slot() mask instead of divide on the hottest path; 0 otherwise.
 	robMask uint64
 
 	// tr, when non-nil, receives issue/commit spans and causal flow
@@ -211,24 +210,22 @@ func (s *Sim) classLimit(c isa.RegClass) int {
 // Simulate runs the dynamic instruction stream to completion and returns
 // the statistics. The memory system accumulates its own counters.
 func Simulate(cfg Config, mem *MemSystem, insts []isa.Inst) *Stats {
-	s := NewSim(cfg, mem, insts)
-	for s.Running() {
-		s.Step()
-	}
-	st := s.Finish()
-	mem.Drain()
-	return st
+	return SimulateMode(cfg, mem, insts, engine.Step)
 }
 
 // NewSim builds a simulator that is advanced one cycle at a time via
-// Step. Simulate is the single-requestor wrapper; the tenant front end
-// steps several Sims in lockstep against a shared memory system.
+// Step, or one step and a jump over dead cycles via Advance. Simulate
+// is the single-requestor wrapper; the tenant front end steps several
+// Sims in lockstep against a shared memory system.
 func NewSim(cfg Config, mem *MemSystem, insts []isa.Inst) *Sim {
 	s := &Sim{cfg: cfg, mem: mem, insts: insts,
-		rob:       make([]robEntry, cfg.Window),
-		pendBySeq: map[uint64]pendRec{}}
+		rob: make([]robEntry, cfg.Window),
+		// Spans the common wake distance (memory latency plus queueing);
+		// rarer far-future bounds overflow to the ring's small heap.
+		issueWake:      engine.NewRing(1024),
+		issueUnitBound: maxWake}
 	if cfg.Window > 0 && cfg.Window&(cfg.Window-1) == 0 {
-		s.robMask = uint64(cfg.Window - 1) // power-of-two window: entry() masks
+		s.robMask = uint64(cfg.Window - 1) // power-of-two window: slot() masks
 	}
 	if cfg.UseGshare {
 		s.pht = make([]int8, 1<<cfg.GshareBits)
@@ -302,18 +299,20 @@ func (s *Sim) Finish() *Stats {
 // polling it every cycle does not perturb batch accumulation.
 func (s *Sim) prunePending() {
 	if len(s.pendBySeq) > 0 {
-		for seq, rec := range s.pendBySeq {
+		live := s.pendBySeq[:0]
+		for _, rec := range s.pendBySeq {
 			if !rec.h.Settled(s.now) {
+				live = append(live, rec)
 				continue
 			}
 			if r := rec.dst; r.Valid() {
 				c, i := r.Class(), r.Index()
-				if s.hasW[c][i] && s.writer[c][i] == seq {
+				if s.hasW[c][i] && s.writer[c][i] == rec.seq {
 					s.hasW[c][i] = false
 				}
 			}
-			delete(s.pendBySeq, seq)
 		}
+		s.pendBySeq = live
 	}
 	if len(s.postedStores) > 0 {
 		live := s.postedStores[:0]
@@ -326,18 +325,35 @@ func (s *Sim) prunePending() {
 	}
 }
 
-func (s *Sim) entry(seq uint64) *robEntry {
-	i := seq
+// slot maps a sequence number to its index in the ROB ring.
+func (s *Sim) slot(seq uint64) int {
 	if s.robMask != 0 {
-		i &= s.robMask
-	} else {
-		i %= uint64(s.cfg.Window)
+		return int(seq & s.robMask)
 	}
-	e := &s.rob[i]
+	return int(seq % uint64(s.cfg.Window))
+}
+
+func (s *Sim) entry(seq uint64) *robEntry {
+	e := &s.rob[s.slot(seq)]
 	if e.valid && e.seq == seq {
 		return e
 	}
 	return nil // already committed
+}
+
+// scoreboard returns the fill handle of the graduated instruction seq
+// while its data is still outstanding, nil once the value is in the
+// register file.
+func (s *Sim) scoreboard(seq uint64) *vmem.Pending {
+	if len(s.pendBySeq) == 0 {
+		return nil // the common case: nothing graduated early
+	}
+	i, ok := slices.BinarySearchFunc(s.pendBySeq, seq,
+		func(r pendRec, seq uint64) int { return cmp.Compare(r.seq, seq) })
+	if !ok {
+		return nil
+	}
+	return s.pendBySeq[i].h
 }
 
 // commit retires up to CommitWidth completed instructions in order. An
@@ -376,7 +392,7 @@ func (s *Sim) commit() bool {
 		}
 		if outstanding {
 			s.stats.EarlyRetired++
-			s.pendBySeq[e.seq] = pendRec{h: e.pend, dst: in.Dst}
+			s.pendBySeq = append(s.pendBySeq, pendRec{seq: e.seq, h: e.pend, dst: in.Dst})
 			if in.IsStore {
 				s.postedStores = append(s.postedStores, e.pend)
 			}
@@ -393,7 +409,7 @@ func (s *Sim) commit() bool {
 			s.traceCommit(e)
 		}
 		e.valid = false
-		s.head = (s.head + 1) % s.cfg.Window
+		s.head = s.slot(uint64(s.head) + 1)
 		s.count--
 		n++
 	}
@@ -415,66 +431,15 @@ func (s *Sim) release(r isa.Reg, seq uint64, keepMapping bool) {
 	s.inflight[c]--
 }
 
-// ready reports whether every operand of e is available and, for loads,
-// whether all older overlapping stores have completed.
-func (s *Sim) ready(e *robEntry) bool {
-	for i := 0; i < e.ndeps; i++ {
-		d := e.deps[i]
-		p := s.entry(d.seq)
-		if p == nil {
-			// Committed — but a producer that retired early may still
-			// be filling the register from memory; the scoreboard keeps
-			// the true dependency alive. (ReadyBy resolves the MSHR
-			// batch lazily: it answers false for free while the
-			// minimum-latency bound rules completion out.)
-			if rec, ok := s.pendBySeq[d.seq]; ok && !d.usePtr && !rec.h.ReadyBy(s.now) {
-				return false
-			}
-			continue // value in the register file
-		}
-		if !p.issued {
-			return false
-		}
-		t := p.done
-		if d.usePtr {
-			t = p.donePtr
-		}
-		if t > s.now {
-			return false
-		}
-		if !d.usePtr && p.pend != nil && !p.pend.ReadyBy(s.now) {
-			return false
-		}
-	}
-	if e.in.Kind.IsMem() && !e.in.IsStore {
-		// A load waits only for un-issued older overlapping stores: once
-		// a store has issued, the LSQ forwarding/merge network supplies
-		// its data to younger loads.
-		for _, st := range s.stores {
-			if st.seq >= e.seq {
-				break
-			}
-			if st.lo < e.hi && e.lo < st.hi {
-				p := s.entry(st.seq)
-				if p != nil && !p.issued {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 // issue selects ready instructions oldest-first from each queue, bounded
 // by the per-queue issue widths and functional unit structure.
 func (s *Sim) issue() {
-	if s.wheelIssue {
-		// Reset this step's issue-side skip verdict; the scans below,
-		// wakeWaiters, and insert re-establish it (see wheel.go).
-		s.issueNoSkip = false
-		s.issueUnitBound = maxWake
-		s.drainWakes() // move entries whose timed wake-up is due back to active
-	}
+	// Reset this step's issue-side skip verdict; the scans below,
+	// wakeWaiters, and insert re-establish it (see wheel.go).
+	s.issueNoSkip = false
+	s.issueUnitBound = maxWake
+	s.drainWakes() // move entries whose timed wake-up is due back to active
+
 	// Integer pipeline.
 	s.issueQueue(qInt, s.cfg.IntIssue, func(e *robEntry) (int64, bool) {
 		return s.now + int64(e.in.Op.Class().Latency()), true
@@ -579,44 +544,6 @@ func (s *Sim) forwardable(e *robEntry) bool {
 	return false
 }
 
-// issueQueue scans one pending queue oldest-first, issuing up to width
-// entries for which fire() grants a slot and returns a completion cycle.
-// Under the wheel engine the scan is event-driven instead (wheel.go):
-// only entries with a pending reason to re-evaluate are visited.
-func (s *Sim) issueQueue(q queue, width int, fire func(e *robEntry) (int64, bool)) {
-	if s.wheelIssue {
-		s.issueQueueWheel(q, width, fire)
-		return
-	}
-	pend := s.pend[q]
-	kept := pend[:0]
-	issued := 0
-	for _, seq := range pend {
-		e := s.entry(seq)
-		if e == nil || e.issued {
-			continue
-		}
-		if issued < width && s.ready(e) {
-			done, ok := fire(e)
-			if ok {
-				e.issued = true
-				e.done = done
-				if e.donePtr == 0 {
-					e.donePtr = done
-				}
-				if s.tr != nil {
-					s.traceIssue(e)
-				}
-				s.issueGen++
-				issued++
-				continue
-			}
-		}
-		kept = append(kept, seq)
-	}
-	s.pend[q] = kept
-}
-
 // dispatch brings up to FetchWidth instructions into the window, stopping
 // at resource exhaustion or a taken branch (fetch break).
 func (s *Sim) dispatch(insts []isa.Inst, next int) int {
@@ -683,8 +610,7 @@ func (s *Sim) regsAvailable(in *isa.Inst) bool {
 
 // insert renames and dispatches one instruction into the window.
 func (s *Sim) insert(in *isa.Inst) {
-	idx := int(in.Seq % uint64(s.cfg.Window))
-	e := &s.rob[idx]
+	e := &s.rob[s.slot(in.Seq)]
 	*e = robEntry{in: in, seq: in.Seq, valid: true, q: queueOf(in)}
 
 	addDep := func(r isa.Reg, usePtr bool) {
@@ -729,17 +655,12 @@ func (s *Sim) insert(in *isa.Inst) {
 		}
 	}
 
-	if s.wheelIssue {
-		// Park straight from dispatch when a registered wake-up covers
-		// the entry; otherwise it is ready (or needs per-cycle polls)
-		// and must be evaluated next cycle.
-		if _, asleep := s.issueBoundPark(e); !asleep {
-			e.active = true
-			s.qActive[e.q] = append(s.qActive[e.q], in.Seq)
-			s.issueNoSkip = true
-		}
-	} else {
-		s.pend[e.q] = append(s.pend[e.q], in.Seq)
+	// Park straight from dispatch when a registered wake-up covers the
+	// entry; otherwise it is ready (or needs per-cycle polls) and must
+	// be evaluated next cycle.
+	if _, asleep := s.issueBoundPark(e); !asleep {
+		s.activate(e)
+		s.issueNoSkip = true
 	}
 	s.count++
 }

@@ -8,21 +8,22 @@ import (
 	"repro/internal/isa"
 )
 
-// This file is the event-wheel engine: the machinery that lets a Sim
-// jump over cycles in which Step would provably do nothing, while
-// staying bit-identical to per-cycle stepping — including the stall
-// counters Step charges every idle cycle and the exact cycles at
-// which ready()'s ReadyBy polls force MSHR batch flushes.
+// This file holds the issue stage's scan and, built on it, the event-
+// wheel engine: the machinery that lets a Sim jump over cycles in which
+// Step would provably do nothing, while staying bit-identical to
+// executing every cycle — including the stall counters Step charges
+// every idle cycle and the exact cycles at which readyBound's ReadyBy
+// polls force MSHR batch flushes.
 //
-// Two structures carry the engine. First, the issue side is event-
-// driven: each queue only evaluates its active list — entries with a
-// pending reason to re-check. A blocked entry parks with a registered
-// wake-up: a cycle bound on the sim's persistent issueWake queue (the
-// blocker's completion or flush bound), or a link on the blocking
-// entry's waiter chain when only that entry's own issue can unblock
-// it. Sleeping entries are never touched, which is what makes the
-// executed steps cheap. Second, after a Step that made no progress,
-// NextWake collects a conservative wake-up from every pollable
+// Two structures carry it. First, the issue scan is event-driven under
+// both engines: each queue only evaluates its active list — entries
+// with a pending reason to re-check. A blocked entry parks with a
+// registered wake-up: a cycle bound on the sim's persistent issueWake
+// ring (the blocker's completion or flush bound), or a link on the
+// blocking entry's waiter chain when only that entry's own issue can
+// unblock it. Sleeping entries are never touched, which is what makes
+// an executed step cheap. Second — the wheel engine alone — after a
+// Step, NextWake collects a conservative wake-up from every pollable
 // subsystem (commit head, store buffer, dispatch gates, active
 // entries, the earliest sleeping entry) and SkipTo jumps the clock
 // there in one move, bulk-charging the stall reasons Step would have
@@ -49,18 +50,20 @@ import (
 //     chained slot is recycled while the chain is live. (There is no
 //     squash path — mispredicts only stall fetch.)
 //
-// The skipped ready() polls are unobservable: every handle before the
-// first blocker is resolved (its polls mutate nothing), and the
-// blocker's own poll first flushes at its lower bound — exactly the
-// registered wake-up, where a real Step performs the poll so the MSHR
-// occupancy/flush statistics match the oracle bit for bit.
+// The polls a sleeping entry does not make are unobservable: every
+// handle before the first blocker is resolved (its polls mutate
+// nothing), and the blocker's own poll first flushes at its lower
+// bound — exactly the registered wake-up, where the scan performs the
+// poll. A scan that re-walks every unissued entry every cycle flushes
+// at the same cycles, so the MSHR occupancy/flush statistics match the
+// frozen output of one bit for bit (internal/experiments/testdata/
+// fullsize_digests.txt, core's golden_stats.txt).
 
-// SimulateMode is Simulate with an explicit engine selection: Step is
-// the cycle-stepped oracle, Wheel skips dead cycles between scheduled
+// SimulateMode is Simulate with an explicit engine selection: Step
+// executes every cycle, Wheel skips dead cycles between scheduled
 // wake-ups. Both produce bit-identical statistics.
 func SimulateMode(cfg Config, mem *MemSystem, insts []isa.Inst, mode engine.Mode) *Stats {
 	s := NewSim(cfg, mem, insts)
-	s.SetEngine(mode)
 	if mode == engine.Wheel {
 		for s.Running() {
 			s.Advance()
@@ -75,35 +78,23 @@ func SimulateMode(cfg Config, mem *MemSystem, insts []isa.Inst, mode engine.Mode
 	return st
 }
 
-// SetEngine selects the engine for a hand-stepped Sim. Under Wheel,
-// the issue scan switches to the event-driven active lists and the
-// caller drives the clock with Advance — or, in a lockstep group,
-// with NextWake/SkipTo around shared Step rounds. Switching to Wheel
-// mid-run adopts already-dispatched entries; switching back to Step
-// mid-run is not supported.
-func (s *Sim) SetEngine(mode engine.Mode) {
-	s.wheelIssue = mode == engine.Wheel
-	if s.wheelIssue && s.issueWake == nil {
-		// Spans the common wake distance (memory latency plus queueing);
-		// rarer far-future bounds overflow to the ring's small heap.
-		s.issueWake = engine.NewRing(1024)
-		for i := range s.rob {
-			e := &s.rob[i]
-			if e.valid && !e.issued && !e.active {
-				e.active = true
-				s.qActive[e.q] = append(s.qActive[e.q], e.seq)
-			}
-		}
-		// No scan has evaluated the adopted entries yet: the first
-		// NextWake must not skip until a real step computes a verdict.
-		s.issueNoSkip = true
-		s.issueUnitBound = maxWake
-	}
-}
+// SetEngine has nothing left to select: the engine of a hand-stepped
+// Sim is whichever of Step and Advance (or, in a lockstep group,
+// NextWake/SkipTo around shared Step rounds) the caller drives the
+// clock with, and a caller may change its mind at any cycle. The
+// method stays for callers that announce a mode before the run.
+func (s *Sim) SetEngine(engine.Mode) {}
 
 // maxWake marks an entry blocked on another entry's issue rather than
 // on a cycle bound.
 const maxWake = math.MaxInt64
+
+// activate puts e on its queue's active list: the queue's next scan
+// evaluates it.
+func (s *Sim) activate(e *robEntry) {
+	e.active = true
+	s.qActive[e.q] = append(s.qActive[e.q], e.seq)
+}
 
 // drainWakes moves every entry whose timed wake-up is due back onto
 // its queue's active list. Spurious wakes (the entry re-parked with a
@@ -115,8 +106,7 @@ func (s *Sim) drainWakes() {
 			return
 		}
 		if e := s.entry(seq); e != nil && !e.issued && !e.active {
-			e.active = true
-			s.qActive[e.q] = append(s.qActive[e.q], e.seq)
+			s.activate(e)
 		}
 	}
 }
@@ -124,7 +114,7 @@ func (s *Sim) drainWakes() {
 // park puts e to sleep until the given cycle bound — or, for maxWake,
 // until the entry at wseq issues — and reports whether it did. A
 // bound not in the future keeps the entry active (the next real Step
-// must re-evaluate it, performing any poll the oracle would).
+// must re-evaluate it, performing the poll that is due).
 func (s *Sim) park(e *robEntry, wake int64, wseq uint64) bool {
 	if wake == maxWake {
 		if !e.enlisted {
@@ -151,11 +141,12 @@ func (s *Sim) park(e *robEntry, wake int64, wseq uint64) bool {
 
 // wakeWaiters re-activates every entry chained on p, called when p
 // issues from queue q's scan. Waiters on q or a later queue activate —
-// their scan runs (or is running) this very cycle, exactly when the
-// oracle would re-evaluate them. A waiter on an already-scanned queue
-// cannot issue this cycle (its blocker's completion lies in the
-// future), so it re-parks immediately — typically on the blocker's
-// completion time — instead of burning a step on a doomed re-check.
+// their scan runs (or is running) this very cycle, exactly when an
+// in-order pass over the whole queue would reach them. A waiter on an
+// already-scanned queue cannot issue this cycle (its blocker's
+// completion lies in the future), so it re-parks immediately —
+// typically on the blocker's completion time — instead of burning a
+// step on a doomed re-check.
 func (s *Sim) wakeWaiters(p *robEntry, q queue) {
 	h := p.waiterHead
 	p.waiterHead = 0
@@ -171,13 +162,11 @@ func (s *Sim) wakeWaiters(p *robEntry, q queue) {
 			continue
 		}
 		if e.q >= q {
-			e.active = true
-			s.qActive[e.q] = append(s.qActive[e.q], e.seq)
+			s.activate(e)
 			continue
 		}
 		if _, asleep := s.issueBoundPark(e); !asleep {
-			e.active = true
-			s.qActive[e.q] = append(s.qActive[e.q], e.seq)
+			s.activate(e)
 			s.issueNoSkip = true // evaluated next cycle; its scan already ran
 		}
 	}
@@ -211,14 +200,15 @@ func (s *Sim) noteRefusal(q queue, e *robEntry) {
 	}
 }
 
-// issueQueueWheel is issueQueue over the queue's active list only.
-// The list is sorted so width goes to the oldest ready entries, as
-// the oracle's in-order scan allocates it. Entries woken mid-scan by
-// a blocker issuing are merged back into the scan in seq order: a
-// waiter is always younger than its blocker, so the oracle's single
-// in-order pass evaluates it after the blocker issues — in the same
-// cycle — and the wheel must too.
-func (s *Sim) issueQueueWheel(q queue, width int, fire func(e *robEntry) (int64, bool)) {
+// issueQueue scans one queue's active list oldest-first, issuing up to
+// width entries for which fire() grants a slot and returns a completion
+// cycle. The list is sorted so width goes to the oldest ready entries,
+// as an in-order pass over the whole queue would allocate it. Entries
+// woken mid-scan by a blocker issuing are merged back into the scan in
+// seq order: a waiter is always younger than its blocker, so such a
+// pass would evaluate it after the blocker issues — in the same cycle
+// — and this scan must too.
+func (s *Sim) issueQueue(q queue, width int, fire func(e *robEntry) (int64, bool)) {
 	act := s.qActive[q]
 	if len(act) == 0 {
 		return
@@ -227,62 +217,17 @@ func (s *Sim) issueQueueWheel(q queue, width int, fire func(e *robEntry) (int64,
 	slices.Sort(act)
 	issued := 0
 
-	// Fast path: no mid-scan wakes yet, so survivors compact in place
-	// (k never passes i) and nothing is copied.
+	// Fast path: until an issue wakes same-cycle waiters, survivors
+	// compact in place (k never passes i) and nothing is copied.
 	k, i := 0, 0
-	merged := false
-	for ; i < len(act); i++ {
-		seq := act[i]
-		e := s.entry(seq)
-		if e == nil || e.issued {
-			continue
-		}
-		if issued >= width {
-			// The oracle stops evaluating (and polling) once width is
-			// spent, so the poll-free walk is exact here: park if a
-			// registered wake-up covers the entry, else re-check next
-			// cycle.
-			if _, asleep := s.issueBoundPark(e); !asleep {
-				act[k] = seq
-				k++
-				s.issueNoSkip = true
-			}
-			continue
-		}
-		ok, wake, wseq := s.readyBound(e)
-		if !ok {
-			if !s.park(e, wake, wseq) {
-				act[k] = seq
-				k++
-				s.issueNoSkip = true // bound not in the future: re-poll next cycle
-			}
-			continue
-		}
-		done, ok := fire(e)
-		if !ok {
-			act[k] = seq // ready, but the unit refused the grant
+	for ; i < len(act) && len(s.qActive[q]) == 0; i++ {
+		if s.evaluate(q, act[i], width, &issued, fire) {
+			act[k] = act[i]
 			k++
-			s.noteRefusal(q, e)
-			continue
-		}
-		e.issued = true
-		e.done = done
-		if e.donePtr == 0 {
-			e.donePtr = done
-		}
-		if s.tr != nil {
-			s.traceIssue(e)
-		}
-		s.issueGen++
-		issued++
-		if s.wakeWaiters(e, q); len(s.qActive[q]) > 0 {
-			i++
-			merged = true
-			break // same-cycle waiters woke: switch to the merge scan
 		}
 	}
-	if !merged {
-		s.midBuf = s.qActive[q][:0]
+	if len(s.qActive[q]) == 0 {
+		s.midBuf = s.qActive[q]
 		s.qActive[q] = act[:k]
 		return
 	}
@@ -290,86 +235,105 @@ func (s *Sim) issueQueueWheel(q queue, width int, fire func(e *robEntry) (int64,
 	// Merge path: waiters woken mid-scan are always younger than their
 	// blocker, hence younger than every already-kept survivor, so a
 	// two-cursor merge over the remaining act entries and the woken
-	// extras preserves the oracle's in-order evaluation.
-	extras := append(s.extrasBuf[:0], s.qActive[q]...)
-	s.qActive[q] = s.qActive[q][:0]
-	slices.Sort(extras)
+	// extras preserves in-order evaluation.
+	extras := s.extrasBuf[:0]
 	out := append(s.scanBuf[:0], act[:k]...)
 	j := 0
-	for i < len(act) || j < len(extras) {
-		var seq uint64
-		if j < len(extras) && (i >= len(act) || extras[j] < act[i]) {
-			seq = extras[j]
-			j++
-		} else {
-			seq = act[i]
-			i++
-		}
-		e := s.entry(seq)
-		if e == nil || e.issued {
-			continue
-		}
-		if issued >= width {
-			if _, asleep := s.issueBoundPark(e); !asleep {
-				out = append(out, seq)
-				s.issueNoSkip = true
-			}
-			continue
-		}
-		ok, wake, wseq := s.readyBound(e)
-		if !ok {
-			if !s.park(e, wake, wseq) {
-				out = append(out, seq)
-				s.issueNoSkip = true
-			}
-			continue
-		}
-		done, ok := fire(e)
-		if !ok {
-			out = append(out, seq)
-			s.noteRefusal(q, e)
-			continue
-		}
-		e.issued = true
-		e.done = done
-		if e.donePtr == 0 {
-			e.donePtr = done
-		}
-		if s.tr != nil {
-			s.traceIssue(e)
-		}
-		s.issueGen++
-		issued++
-		if s.wakeWaiters(e, q); len(s.qActive[q]) > 0 {
-			extras = append(extras, s.qActive[q]...)
-			s.qActive[q] = s.qActive[q][:0]
+	for {
+		if woken := s.qActive[q]; len(woken) > 0 {
+			extras = append(extras, woken...)
+			s.qActive[q] = woken[:0]
 			slices.Sort(extras[j:])
 		}
+		var seq uint64
+		switch {
+		case j < len(extras) && (i >= len(act) || extras[j] < act[i]):
+			seq = extras[j]
+			j++
+		case i < len(act):
+			seq = act[i]
+			i++
+		default:
+			// Recycle all three detached backings for the next scan.
+			s.midBuf = s.qActive[q]
+			s.extrasBuf = extras[:0]
+			s.scanBuf = act[:0]
+			s.qActive[q] = out
+			return
+		}
+		if s.evaluate(q, seq, width, &issued, fire) {
+			out = append(out, seq)
+		}
 	}
-	// Recycle all three detached backings for the next scan.
-	s.midBuf = s.qActive[q][:0]
-	s.extrasBuf = extras[:0]
-	s.scanBuf = act[:0]
-	s.qActive[q] = out
 }
 
-// readyBound is ready() extended with the first-blocker wake-up. It
-// performs the identical short-circuit walk and the identical lazy
-// ReadyBy polls (so MSHR flushes fire at the same cycles the oracle
-// fires them); on a blocked verdict it reports the first cycle the
-// verdict could flip on its own — the blocker's completion or flush
-// bound — or maxWake plus the seq of the unissued entry whose issue
-// is the only event that can unblock it.
+// evaluate gives the entry seq its turn in queue q's scan — issuing it
+// if it is ready, width remains and fire grants the unit, parking it if
+// a registered wake-up covers what blocks it — and reports whether it
+// stays on the active list for the next cycle's scan.
+func (s *Sim) evaluate(q queue, seq uint64, width int, issued *int, fire func(e *robEntry) (int64, bool)) bool {
+	e := s.entry(seq)
+	if e == nil || e.issued {
+		return false
+	}
+	if *issued >= width {
+		// Nothing is evaluated (or polled) once width is spent, so the
+		// poll-free walk is exact here: park if a registered wake-up
+		// covers the entry, else re-check next cycle.
+		_, asleep := s.issueBoundPark(e)
+		if !asleep {
+			s.issueNoSkip = true
+		}
+		return !asleep
+	}
+	if ok, wake, wseq := s.readyBound(e); !ok {
+		if s.park(e, wake, wseq) {
+			return false
+		}
+		s.issueNoSkip = true // bound not in the future: re-poll next cycle
+		return true
+	}
+	done, ok := fire(e)
+	if !ok {
+		s.noteRefusal(q, e) // ready, but the unit refused the grant
+		return true
+	}
+	e.issued = true
+	e.done = done
+	if e.donePtr == 0 {
+		e.donePtr = done
+	}
+	if s.tr != nil {
+		s.traceIssue(e)
+	}
+	*issued++
+	s.wakeWaiters(e, q)
+	return false
+}
+
+// readyBound reports whether every operand of e is available and, for
+// loads, whether all older overlapping stores have issued — the one
+// place issue readiness is evaluated with polls: the walk
+// short-circuits at the first blocker, and its lazy ReadyBy polls are
+// what flush MSHR batches. On a blocked verdict it reports the first
+// cycle the verdict could flip on its own — the blocker's completion
+// or flush bound — or maxWake plus the seq of the unissued entry whose
+// issue is the only event that can unblock it.
 func (s *Sim) readyBound(e *robEntry) (bool, int64, uint64) {
 	for i := 0; i < e.ndeps; i++ {
 		d := e.deps[i]
 		p := s.entry(d.seq)
 		if p == nil {
-			if rec, ok := s.pendBySeq[d.seq]; ok && !d.usePtr && !rec.h.ReadyBy(s.now) {
-				b, _ := rec.h.Bound()
+			// Committed — but a producer that retired early may still
+			// be filling the register from memory; the scoreboard keeps
+			// the true dependency alive. (ReadyBy resolves the MSHR
+			// batch lazily: it answers false for free while the
+			// minimum-latency bound rules completion out.)
+			if h := s.scoreboard(d.seq); h != nil && !d.usePtr && !h.ReadyBy(s.now) {
+				b, _ := h.Bound()
 				return false, b, 0
 			}
-			continue
+			continue // value in the register file
 		}
 		if !p.issued {
 			return false, maxWake, d.seq
@@ -387,6 +351,9 @@ func (s *Sim) readyBound(e *robEntry) (bool, int64, uint64) {
 		}
 	}
 	if e.in.Kind.IsMem() && !e.in.IsStore {
+		// A load waits only for un-issued older overlapping stores: once
+		// a store has issued, the LSQ forwarding/merge network supplies
+		// its data to younger loads.
 		for _, st := range s.stores {
 			if st.seq >= e.seq {
 				break
@@ -401,11 +368,11 @@ func (s *Sim) readyBound(e *robEntry) (bool, int64, uint64) {
 	return true, 0, 0
 }
 
-// issueBoundPark is readyBound without the polls — NextWake must not
-// flush — parking the entry on its first blocking condition. For
-// unresolved fill handles it uses the poll-free lower bound, which is
-// exactly the cycle a per-cycle poll would first flush, so the wake-up
-// lands the real Step (and its flush) on the oracle's cycle. It
+// issueBoundPark is readyBound without the polls — an entry that gets
+// no turn this cycle must not flush — parking the entry on its first
+// blocking condition. For unresolved fill handles it uses the poll-free
+// lower bound, which is exactly the cycle a per-cycle poll would first
+// flush, so the wake-up lands the scan (and its flush) on that cycle. It
 // returns (ready, asleep): ready means nothing blocks at now; asleep
 // means the entry parked with a registered wake-up. Neither means the
 // bound was not in the future — the caller keeps the entry active.
@@ -415,11 +382,11 @@ func (s *Sim) issueBoundPark(e *robEntry) (bool, bool) {
 		d := e.deps[i]
 		p := s.entry(d.seq)
 		if p == nil {
-			rec, ok := s.pendBySeq[d.seq]
-			if !ok || d.usePtr {
+			h := s.scoreboard(d.seq)
+			if h == nil || d.usePtr {
 				continue // value in the register file
 			}
-			t, exact := rec.h.Bound()
+			t, exact := h.Bound()
 			if !exact || t > now {
 				return false, s.park(e, t, 0)
 			}
@@ -477,13 +444,8 @@ func (s *Sim) Advance() {
 // NextWake returns the earliest cycle >= now at which a Step might do
 // something a skipped cycle would not (commit, issue, dispatch, an
 // MSHR flush triggered by a poll, the no-progress panic). Returning
-// now means the next cycle cannot be skipped. As a side effect it
-// parks any still-active entry that has a future wake-up, pruning the
-// active lists down to entries that genuinely need per-cycle checks.
+// now means the next cycle cannot be skipped.
 func (s *Sim) NextWake() int64 {
-	if s.issueWake == nil {
-		s.SetEngine(engine.Wheel) // hand-stepped caller skipped SetEngine
-	}
 	now := s.now
 	if s.issueNoSkip {
 		return now // an active entry needs a per-cycle re-check

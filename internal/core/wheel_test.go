@@ -16,7 +16,13 @@ import (
 // bit-identical to per-cycle stepping on every statistic the registry
 // exports — including stall-cycle charges and the MSHR flush/occupancy
 // counters that observe WHEN lazy batches were flushed, not just what
-// they contained. These tests hold the wheel to that bar.
+// they contained. These tests hold the wheel to that bar. Both engines
+// run the same issue scan, so what skip-on ≡ skip-off proves is the
+// skipping (NextWake's bounds, SkipTo's bulk charges); that the scan
+// itself parks nothing that could issue is TestSleepersAreNeverReady's
+// claim, and that its numbers are those of a scan that re-walked every
+// entry every cycle is what the golden table and the frozen full-size
+// digests (cmd/momexp) hold.
 
 // TestWheelMatchesStepGolden regenerates the entire checked-in
 // golden-stats table (all 54 rows) through the wheel engine. Any
@@ -43,6 +49,22 @@ func TestWheelMatchesStepGolden(t *testing.T) {
 // the full registry snapshot rendered to its deterministic listing.
 func engineSnapshot(t *testing.T, bm kernels.Benchmark, v kernels.Variant,
 	kind MemKind, spec string, mut func(*Config), mode engine.Mode) string {
+	t.Helper()
+	return driveSnapshot(t, bm, v, kind, spec, mut, func(s *Sim) {
+		for s.Running() {
+			if mode == engine.Wheel {
+				s.Advance()
+			} else {
+				s.Step()
+			}
+		}
+	})
+}
+
+// driveSnapshot is engineSnapshot with the clock in the caller's hands:
+// drive advances the fresh Sim until it stops running.
+func driveSnapshot(t *testing.T, bm kernels.Benchmark, v kernels.Variant,
+	kind MemKind, spec string, mut func(*Config), drive func(*Sim)) string {
 	t.Helper()
 	tr := &trace.Trace{}
 	bm.Run(v, tr)
@@ -72,7 +94,10 @@ func engineSnapshot(t *testing.T, bm kernels.Benchmark, v kernels.Variant,
 		tim.VA = vmsys.Space(0)
 	}
 	ms := NewMemSystem(kind, tim, cfg.Lanes, v == kernels.MMX && kind != MemIdeal)
-	st := SimulateMode(cfg, ms, tr.Insts, mode)
+	s := NewSim(cfg, ms, tr.Insts)
+	drive(s)
+	st := s.Finish()
+	ms.Drain()
 	if sd, ok := backend.(*dram.SDRAM); ok {
 		sd.Flush()
 	}
@@ -187,5 +212,161 @@ func TestWheelMatchesStepStoreBuffer(t *testing.T) {
 			MemVectorCache3D, "sdram/line/frfcfs/mshr8", sb1)
 		requireEngineMatch(t, bm.Name+"/sb1/pf", bm, kernels.MOM3D,
 			MemVectorCache3D, "sdram/line/frfcfs/hbm/mshr16/pf8d2", sb1)
+	}
+}
+
+// sleeperSpecs are the backends the mid-run tests cross: the flat
+// latency (nil backend), the non-blocking pipeline over the banked
+// part, and a deep MSHR file with the stream prefetcher riding it.
+var sleeperSpecs = []string{"", "sdram/line/frfcfs/mshr8", "sdram/line/frfcfs/mshr64/pf8d4"}
+
+// TestEngineSwitchMidRun changes engine every n cycles, in both
+// directions, and requires the registry snapshot of a pure per-cycle
+// run: with one issue scan there is no per-engine state to adopt, so a
+// hand-stepped caller may mix Step and Advance freely.
+func TestEngineSwitchMidRun(t *testing.T) {
+	for _, bm := range []kernels.Benchmark{GSMEnc(), MPEG2Enc(),
+		kernels.MotionSearch(kernels.SmallMotionSearchConfig())} {
+		for _, spec := range sleeperSpecs {
+			want := engineSnapshot(t, bm, kernels.MOM3D, MemVectorCache3D, spec, nil, engine.Step)
+			for _, n := range []int{1, 7, 500} {
+				for _, wheelFirst := range []bool{false, true} {
+					got := driveSnapshot(t, bm, kernels.MOM3D, MemVectorCache3D, spec, nil, func(s *Sim) {
+						wheel := wheelFirst
+						for calls := 0; s.Running(); calls++ {
+							if calls > 0 && calls%n == 0 {
+								wheel = !wheel
+							}
+							if wheel {
+								s.Advance()
+							} else {
+								s.Step()
+							}
+						}
+					})
+					if got != want {
+						t.Errorf("%s/%s: switching every %d calls (wheel first: %v) diverged from pure step\n--- step ---\n%s--- switched ---\n%s",
+							bm.Name, spec, n, wheelFirst, want, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSleepersAreNeverReady checks the issue scan's parking from the
+// outside. It hand-steps with Step() only and, after every cycle,
+// classifies every valid unissued ROB entry from the raw fields —
+// calling neither readyBound nor issueBoundPark, and reading fill
+// handles through the poll-free Bound only, so the check cannot flush
+// a batch the run would not. Each entry must be in exactly one place:
+// on its queue's active list (once), on the waiter chain of an older
+// entry that has not issued, or asleep — and then something must be
+// holding it that time alone resolves no earlier than the cycle its
+// wake-up is registered for: a producer still executing, or a fill
+// whose lower bound lies ahead. An entry asleep with nothing holding
+// it is an instruction the scan would never look at again.
+func TestSleepersAreNeverReady(t *testing.T) {
+	type cell struct {
+		bm   kernels.Benchmark
+		v    kernels.Variant
+		kind MemKind
+	}
+	var cells []cell
+	for _, bm := range equivBenches() {
+		cells = append(cells, cell{bm, kernels.MOM3D, MemVectorCache3D})
+	}
+	// The other two pipelines, on one kernel each.
+	cells = append(cells, cell{JPEGEnc(), kernels.MOM, MemVectorCache}, cell{JPEGEnc(), kernels.MMX, MemMultiBanked})
+	for _, c := range cells {
+		for _, spec := range sleeperSpecs {
+			name := fmt.Sprintf("%s/%s/%s", c.bm.Name, c.v, spec)
+			driveSnapshot(t, c.bm, c.v, c.kind, spec, nil, func(s *Sim) {
+				for s.Running() && !t.Failed() {
+					s.Step()
+					checkSleepers(t, name, s)
+				}
+			})
+		}
+	}
+}
+
+// checkSleepers asserts the placement invariant on the state Step left
+// behind. The cycle just executed is s.now-1: wake-ups registered for
+// s.now are still on the ring, to be drained by the next Step.
+func checkSleepers(t *testing.T, name string, s *Sim) {
+	t.Helper()
+	at := s.now - 1
+	live := func(seq uint64) *robEntry {
+		e := &s.rob[seq%uint64(len(s.rob))]
+		if e.valid && e.seq == seq {
+			return e
+		}
+		return nil
+	}
+	onList := map[uint64]int{}
+	for q := range s.qActive {
+		for _, seq := range s.qActive[q] {
+			onList[seq]++
+			if e := live(seq); e == nil || e.issued || !e.active || int(e.q) != q {
+				t.Errorf("%s cycle %d: queue %d's active list holds seq %d, which is not an active unissued entry of it", name, at, q, seq)
+			}
+		}
+	}
+	chained := map[uint64]int{}
+	for i := range s.rob {
+		p := &s.rob[i]
+		if !p.valid || p.issued {
+			continue
+		}
+		for h := p.waiterHead; h != 0; {
+			w := live(h - 1)
+			if w == nil || w.seq <= p.seq {
+				t.Errorf("%s cycle %d: seq %d's waiter chain reaches seq %d, not a younger live entry", name, at, p.seq, h-1)
+				break
+			}
+			chained[w.seq]++
+			h = w.waiterNext
+		}
+	}
+	// held reports whether a fill handle still withholds its data past
+	// the executed cycle, as far as poll-free state can tell.
+	held := func(h interface{ Bound() (int64, bool) }) bool {
+		b, _ := h.Bound()
+		return b > at
+	}
+	for i := range s.rob {
+		e := &s.rob[i]
+		if !e.valid || e.issued {
+			continue
+		}
+		places := onList[e.seq] + chained[e.seq]
+		if e.active != (onList[e.seq] == 1) || e.enlisted != (chained[e.seq] == 1) || places > 1 {
+			t.Errorf("%s cycle %d: seq %d active=%v on %d lists, enlisted=%v on %d chains",
+				name, at, e.seq, e.active, onList[e.seq], e.enlisted, chained[e.seq])
+		}
+		if places != 0 {
+			continue
+		}
+		blocked := false
+		for _, d := range e.deps[:e.ndeps] {
+			if p := live(d.seq); p != nil {
+				if !p.issued {
+					continue // no timer covers this one: only a chain link would
+				}
+				done := p.done
+				if d.usePtr {
+					done = p.donePtr
+				}
+				blocked = blocked || done > at || (!d.usePtr && p.pend != nil && held(p.pend))
+			} else if !d.usePtr {
+				for _, rec := range s.pendBySeq {
+					blocked = blocked || (rec.seq == d.seq && held(rec.h))
+				}
+			}
+		}
+		if !blocked {
+			t.Errorf("%s cycle %d: seq %d is asleep and nothing holds it: it is ready and will never be scanned", name, at, e.seq)
+		}
 	}
 }

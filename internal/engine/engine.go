@@ -1,19 +1,16 @@
-// Package engine provides the event-wheel simulation core: a
-// monotonic event queue keyed on cycle, and the Mode switch the
-// front ends use to select between the cycle-stepped oracle and the
-// event-wheel engine built on this queue.
+// Package engine holds what the front ends share about advancing a
+// simulator: the Mode switch between the two drivers of the one
+// pipeline, and Ring, the timing wheel the issue stage parks sleeping
+// entries on.
 //
-// The queue is a binary heap ordered by (cycle, schedule order), so
-// events popped for the same cycle come back in the order they were
-// scheduled — the determinism the lockstep tenant front end and the
-// bit-identical golden table depend on. Events carry a Kind tag (the
-// event vocabulary: retirements, fill bounds, unit frees, fetch
-// restarts, barriers) so a consumer can dispatch on what woke it.
-//
-// The wheel's scheduling contract is conservative: a subsystem may
-// schedule a wake-up EARLIER than its next state change (the consumer
-// re-evaluates and reschedules), but never later. The cycle-stepped
-// engine is the degenerate wheel whose every cycle is a wake-up.
+// Both modes run the same Step over the same event-driven issue scan.
+// Step executes it every cycle; Wheel additionally asks, after each
+// step, for the earliest cycle at which anything could observably
+// happen and jumps the clock there. The scheduling contract is
+// conservative: a subsystem may report a wake-up EARLIER than its next
+// state change (the consumer re-evaluates and re-parks), but never
+// later — so the per-cycle driver is the wheel with skipping off, and
+// skip-on ≡ skip-off is the oracle.
 package engine
 
 import "fmt"
@@ -22,12 +19,12 @@ import "fmt"
 type Mode int
 
 const (
-	// Step is the cycle-stepped oracle: every simulator advances one
-	// cycle at a time, polling all subsystems each cycle.
+	// Step is the cycle-stepped oracle: every simulator executes every
+	// cycle, skipping nothing.
 	Step Mode = iota
-	// Wheel is the event-wheel engine: between wake-ups scheduled on
-	// the event queue, cycles provably free of work are skipped in one
-	// jump. Required to be bit-identical to Step.
+	// Wheel is the event-wheel engine: between registered wake-ups,
+	// cycles provably free of work are skipped in one jump. Required
+	// to be bit-identical to Step.
 	Wheel
 )
 
@@ -47,237 +44,4 @@ func (m Mode) String() string {
 		return "wheel"
 	}
 	return "step"
-}
-
-// Kind is the event vocabulary: what a scheduled wake-up is waiting on.
-type Kind uint8
-
-const (
-	EvWake     Kind = iota // generic wake-up
-	EvCommit               // scoreboard head retirement / branch resolution
-	EvReady                // an unissued entry's operands become available
-	EvFill                 // an MSHR fill bound (lazy-batch poll threshold)
-	EvFetch                // front-end restart after a mispredict penalty
-	EvUnitFree             // an occupied functional unit frees
-	EvBarrier              // tenant lockstep barrier
-	EvDeadline             // no-progress watchdog fence
-)
-
-func (k Kind) String() string {
-	switch k {
-	case EvCommit:
-		return "commit"
-	case EvReady:
-		return "ready"
-	case EvFill:
-		return "fill"
-	case EvFetch:
-		return "fetch"
-	case EvUnitFree:
-		return "unitfree"
-	case EvBarrier:
-		return "barrier"
-	case EvDeadline:
-		return "deadline"
-	}
-	return "wake"
-}
-
-// Event is one scheduled wake-up.
-type Event struct {
-	Cycle int64
-	Kind  Kind
-	Data  uint64 // consumer payload, e.g. the seq the wake-up re-evaluates
-	id    uint64
-}
-
-// ID identifies the event for Cancel/Reschedule.
-func (e Event) ID() uint64 { return e.id }
-
-// Queue is the monotonic event queue: a binary heap keyed on
-// (cycle, schedule order). Not safe for concurrent use, matching the
-// rest of the simulator.
-type Queue struct {
-	heap []Event
-	pos  map[uint64]int // event id -> heap index, for Cancel/Reschedule
-	next uint64         // id source; doubles as the same-cycle FIFO key
-	// tracking is armed by the first Cancel/Reschedule. Until then no
-	// id lookups can happen, so Schedule/Pop skip the map entirely —
-	// the wheel's hot accumulate-and-drain pattern stays map-free.
-	tracking bool
-}
-
-// NewQueue builds an empty queue.
-func NewQueue() *Queue {
-	return &Queue{}
-}
-
-// Len is the number of scheduled events.
-func (q *Queue) Len() int { return len(q.heap) }
-
-// Empty reports whether no events are scheduled.
-func (q *Queue) Empty() bool { return len(q.heap) == 0 }
-
-// Reset drops every scheduled event. Event ids stay unique across
-// resets, so a stale id can never alias a new event.
-func (q *Queue) Reset() {
-	q.heap = q.heap[:0]
-	clear(q.pos)
-	q.tracking = false
-}
-
-// track arms id→index maintenance, indexing the current heap.
-func (q *Queue) track() {
-	if q.pos == nil {
-		q.pos = map[uint64]int{}
-	}
-	for i, e := range q.heap {
-		q.pos[e.id] = i
-	}
-	q.tracking = true
-}
-
-// Schedule adds a wake-up at the given cycle and returns its id.
-// Events scheduled for the same cycle pop in schedule order.
-func (q *Queue) Schedule(cycle int64, kind Kind) uint64 {
-	return q.ScheduleData(cycle, kind, 0)
-}
-
-// ScheduleData is Schedule with a consumer payload attached to the
-// event.
-func (q *Queue) ScheduleData(cycle int64, kind Kind, data uint64) uint64 {
-	q.next++
-	e := Event{Cycle: cycle, Kind: kind, Data: data, id: q.next}
-	q.heap = append(q.heap, e)
-	if q.tracking {
-		q.pos[e.id] = len(q.heap) - 1
-	}
-	q.up(len(q.heap) - 1)
-	return e.id
-}
-
-// Cancel removes a scheduled event. It reports whether the id was
-// still scheduled.
-func (q *Queue) Cancel(id uint64) bool {
-	if !q.tracking {
-		q.track()
-	}
-	i, ok := q.pos[id]
-	if !ok {
-		return false
-	}
-	q.remove(i)
-	return true
-}
-
-// Reschedule moves a scheduled event to a new cycle, keeping its
-// identity (and its FIFO rank among events scheduled the same call —
-// rescheduling does not push it behind later-scheduled events at the
-// same cycle). It reports whether the id was still scheduled.
-func (q *Queue) Reschedule(id uint64, cycle int64) bool {
-	if !q.tracking {
-		q.track()
-	}
-	i, ok := q.pos[id]
-	if !ok {
-		return false
-	}
-	old := q.heap[i].Cycle
-	q.heap[i].Cycle = cycle
-	if cycle < old {
-		q.up(i)
-	} else if cycle > old {
-		q.down(i)
-	}
-	return true
-}
-
-// NextCycle peeks the earliest scheduled cycle.
-func (q *Queue) NextCycle() (int64, bool) {
-	if len(q.heap) == 0 {
-		return 0, false
-	}
-	return q.heap[0].Cycle, true
-}
-
-// Pop removes and returns the earliest event; ties pop in schedule
-// order.
-func (q *Queue) Pop() (Event, bool) {
-	if len(q.heap) == 0 {
-		return Event{}, false
-	}
-	e := q.heap[0]
-	q.remove(0)
-	return e, true
-}
-
-// PopUpTo pops the earliest event if it is due at or before cycle.
-func (q *Queue) PopUpTo(cycle int64) (Event, bool) {
-	if len(q.heap) == 0 || q.heap[0].Cycle > cycle {
-		return Event{}, false
-	}
-	return q.Pop()
-}
-
-func (q *Queue) less(a, b int) bool {
-	if q.heap[a].Cycle != q.heap[b].Cycle {
-		return q.heap[a].Cycle < q.heap[b].Cycle
-	}
-	return q.heap[a].id < q.heap[b].id
-}
-
-func (q *Queue) swap(a, b int) {
-	q.heap[a], q.heap[b] = q.heap[b], q.heap[a]
-	if q.tracking {
-		q.pos[q.heap[a].id] = a
-		q.pos[q.heap[b].id] = b
-	}
-}
-
-func (q *Queue) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !q.less(i, p) {
-			break
-		}
-		q.swap(i, p)
-		i = p
-	}
-}
-
-func (q *Queue) down(i int) {
-	n := len(q.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && q.less(l, m) {
-			m = l
-		}
-		if r < n && q.less(r, m) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		q.swap(i, m)
-		i = m
-	}
-}
-
-func (q *Queue) remove(i int) {
-	last := len(q.heap) - 1
-	if q.tracking {
-		delete(q.pos, q.heap[i].id)
-	}
-	if i != last {
-		q.heap[i] = q.heap[last]
-		if q.tracking {
-			q.pos[q.heap[i].id] = i
-		}
-	}
-	q.heap = q.heap[:last]
-	if i < last {
-		q.up(i)
-		q.down(i)
-	}
 }

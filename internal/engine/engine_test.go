@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"math/rand"
-	"sort"
-	"testing"
-)
+import "testing"
 
 func TestParseMode(t *testing.T) {
 	cases := []struct {
@@ -29,180 +25,5 @@ func TestParseMode(t *testing.T) {
 	}
 	if Step.String() != "step" || Wheel.String() != "wheel" {
 		t.Errorf("Mode.String: step=%q wheel=%q", Step.String(), Wheel.String())
-	}
-}
-
-// TestQueueOrdering pops a shuffled schedule back in cycle order.
-func TestQueueOrdering(t *testing.T) {
-	q := NewQueue()
-	rng := rand.New(rand.NewSource(7))
-	var cycles []int64
-	for i := 0; i < 500; i++ {
-		c := int64(rng.Intn(1000))
-		cycles = append(cycles, c)
-		q.Schedule(c, EvWake)
-	}
-	sort.Slice(cycles, func(i, j int) bool { return cycles[i] < cycles[j] })
-	if got, ok := q.NextCycle(); !ok || got != cycles[0] {
-		t.Fatalf("NextCycle = %d,%v, want %d", got, ok, cycles[0])
-	}
-	var last Event
-	for i, want := range cycles {
-		e, ok := q.Pop()
-		if !ok {
-			t.Fatalf("Pop %d: queue empty early", i)
-		}
-		if e.Cycle != want {
-			t.Fatalf("Pop %d: cycle %d, want %d", i, e.Cycle, want)
-		}
-		if i > 0 && e.Cycle == last.Cycle && e.ID() < last.ID() {
-			t.Fatalf("Pop %d: same-cycle events out of schedule order (%d after %d)",
-				i, e.ID(), last.ID())
-		}
-		last = e
-	}
-	if !q.Empty() {
-		t.Fatalf("queue not empty after draining: %d left", q.Len())
-	}
-}
-
-// TestQueueSameCycleFIFO: events at one cycle pop exactly in the order
-// they were scheduled — the determinism the lockstep front end needs.
-func TestQueueSameCycleFIFO(t *testing.T) {
-	q := NewQueue()
-	kinds := []Kind{EvCommit, EvFill, EvFetch, EvUnitFree, EvBarrier}
-	var ids []uint64
-	for _, k := range kinds {
-		ids = append(ids, q.Schedule(42, k))
-	}
-	// interleave an earlier and a later event
-	q.Schedule(41, EvWake)
-	q.Schedule(43, EvWake)
-	if e, _ := q.Pop(); e.Cycle != 41 {
-		t.Fatalf("first pop at cycle %d, want 41", e.Cycle)
-	}
-	for i, k := range kinds {
-		e, ok := q.Pop()
-		if !ok || e.Cycle != 42 || e.Kind != k || e.ID() != ids[i] {
-			t.Fatalf("pop %d = {cycle %d kind %v id %d}, want {42 %v %d}",
-				i, e.Cycle, e.Kind, e.ID(), k, ids[i])
-		}
-	}
-	if e, _ := q.Pop(); e.Cycle != 43 {
-		t.Fatalf("last pop at cycle %d, want 43", e.Cycle)
-	}
-}
-
-func TestQueueCancelReschedule(t *testing.T) {
-	q := NewQueue()
-	a := q.Schedule(10, EvCommit)
-	b := q.Schedule(20, EvFill)
-	c := q.Schedule(30, EvFetch)
-
-	if !q.Cancel(b) {
-		t.Fatal("Cancel(b) = false on a scheduled event")
-	}
-	if q.Cancel(b) {
-		t.Fatal("Cancel(b) = true on an already-cancelled event")
-	}
-	// pull c ahead of a, push a behind
-	if !q.Reschedule(c, 5) || !q.Reschedule(a, 40) {
-		t.Fatal("Reschedule returned false on scheduled events")
-	}
-	if q.Reschedule(b, 1) {
-		t.Fatal("Reschedule revived a cancelled event")
-	}
-	e1, _ := q.Pop()
-	e2, _ := q.Pop()
-	if e1.ID() != c || e1.Cycle != 5 || e2.ID() != a || e2.Cycle != 40 {
-		t.Fatalf("pops after cancel/reschedule: {%d@%d} {%d@%d}, want {%d@5} {%d@40}",
-			e1.ID(), e1.Cycle, e2.ID(), e2.Cycle, c, a)
-	}
-	if !q.Empty() {
-		t.Fatal("cancelled event still queued")
-	}
-}
-
-func TestQueueResetAndPopUpTo(t *testing.T) {
-	q := NewQueue()
-	q.Schedule(10, EvWake)
-	id := q.Schedule(20, EvWake)
-	q.Reset()
-	if !q.Empty() {
-		t.Fatal("Reset left events queued")
-	}
-	if q.Cancel(id) {
-		t.Fatal("Cancel found an event across Reset")
-	}
-	q.Schedule(15, EvWake)
-	if _, ok := q.PopUpTo(14); ok {
-		t.Fatal("PopUpTo(14) returned an event due at 15")
-	}
-	if e, ok := q.PopUpTo(15); !ok || e.Cycle != 15 {
-		t.Fatal("PopUpTo(15) missed the due event")
-	}
-}
-
-// TestQueueRandomized cross-checks the indexed heap against a naive
-// reference model under a random op mix.
-func TestQueueRandomized(t *testing.T) {
-	q := NewQueue()
-	rng := rand.New(rand.NewSource(99))
-	model := map[uint64]int64{} // live id -> cycle
-	var live []uint64           // live ids in schedule order
-	for op := 0; op < 5000; op++ {
-		switch rng.Intn(4) {
-		case 0, 1: // schedule
-			c := int64(rng.Intn(200))
-			id := q.Schedule(c, EvWake)
-			model[id] = c
-			live = append(live, id)
-		case 2: // reschedule the oldest live id
-			if len(live) == 0 {
-				continue
-			}
-			id := live[0]
-			c := int64(rng.Intn(200))
-			if !q.Reschedule(id, c) {
-				t.Fatalf("op %d: Reschedule lost live id %d", op, id)
-			}
-			model[id] = c
-		case 3: // pop and check it is the (cycle, schedule-order) minimum
-			e, ok := q.Pop()
-			if !ok {
-				if len(model) != 0 {
-					t.Fatalf("op %d: queue empty, model has %d", op, len(model))
-				}
-				continue
-			}
-			gotCycle, okID := model[e.ID()]
-			if !okID {
-				t.Fatalf("op %d: popped unknown id %d", op, e.ID())
-			}
-			if e.Cycle != gotCycle {
-				t.Fatalf("op %d: popped id %d at cycle %d, model says %d",
-					op, e.ID(), e.Cycle, gotCycle)
-			}
-			for _, id := range live {
-				c, liveStill := model[id]
-				if !liveStill {
-					continue
-				}
-				if c < gotCycle || (c == gotCycle && id < e.ID()) {
-					t.Fatalf("op %d: popped {id %d cycle %d}, but {id %d cycle %d} is smaller",
-						op, e.ID(), gotCycle, id, c)
-				}
-				if c == gotCycle {
-					break // first live id at the min cycle must be the popped one
-				}
-			}
-			delete(model, e.ID())
-			for i, id := range live {
-				if id == e.ID() {
-					live = append(live[:i], live[i+1:]...)
-					break
-				}
-			}
-		}
 	}
 }

@@ -3,24 +3,38 @@ package engine
 import "math/bits"
 
 // Ring is a timing-wheel event queue specialized for the hot path of
-// the wheel engine: dense wake-ups a bounded distance in the future.
+// the issue scan: dense wake-ups a bounded distance in the future.
 // A circular bucket array covers the next span cycles with O(1)
 // scheduling and popping; a per-word occupancy bitmap makes "first
 // non-empty cycle" a handful of word scans instead of a heap walk.
 // The rare event beyond the horizon goes to a small overflow min-heap.
 //
-// Same-cycle events pop in LIFO order. The wheel's consumers are
+// Same-cycle events pop in LIFO order. The ring's consumers are
 // order-insensitive within a cycle (waking an entry is idempotent and
-// the issue scan re-sorts by age), which is what buys the cheaper
-// bucket representation over the heap's FIFO tie-break.
+// the issue scan re-sorts by age), which is what buys the cheapest
+// bucket representation: a chain pushed and popped at its head.
+//
+// Every simulator owns a ring, so the ring allocates nothing per
+// bucket: the chains of all buckets and the free list thread through
+// one slab of nodes, which grows to the high-water mark of events in
+// flight and is then reused — steady-state Schedule and PopUpTo do not
+// allocate.
 type Ring struct {
-	slots  [][]uint64
+	heads  []int32    // per-bucket chain head, as slab index+1; 0 = empty
+	nodes  []ringNode // the slab
+	free   int32      // free-list head, as slab index+1; 0 = none
 	bitmap []uint64
 	mask   int64
 	base   int64 // slots hold cycles in [base, base+span)
 	nextLB int64 // no slot event lies in [base, nextLB): scans start here
 	count  int   // events resident in slots
 	far    []ringFar
+}
+
+// ringNode is one event resident in a bucket, or one free-list link.
+type ringNode struct {
+	data uint64
+	next int32 // slab index+1 of the next node on the same chain; 0 = end
 }
 
 type ringFar struct {
@@ -36,7 +50,7 @@ func NewRing(span int) *Ring {
 		n <<= 1
 	}
 	return &Ring{
-		slots:  make([][]uint64, n),
+		heads:  make([]int32, n),
 		bitmap: make([]uint64, n/64),
 		mask:   int64(n) - 1,
 	}
@@ -56,7 +70,15 @@ func (r *Ring) Schedule(cycle int64, data uint64) {
 		return
 	}
 	idx := cycle & r.mask
-	r.slots[idx] = append(r.slots[idx], data)
+	n := r.free
+	if n != 0 {
+		r.free = r.nodes[n-1].next
+	} else {
+		r.nodes = append(r.nodes, ringNode{})
+		n = int32(len(r.nodes))
+	}
+	r.nodes[n-1] = ringNode{data: data, next: r.heads[idx]}
+	r.heads[idx] = n
 	r.bitmap[idx>>6] |= 1 << (uint(idx) & 63)
 	r.count++
 	if cycle < r.nextLB {
@@ -74,7 +96,7 @@ func (r *Ring) NextCycle() (int64, bool) {
 }
 
 // PopUpTo removes and returns one event scheduled at or before now.
-// Draining all due events takes repeated calls, as with Queue.
+// Draining all due events takes repeated calls.
 func (r *Ring) PopUpTo(now int64) (uint64, bool) {
 	if len(r.far) > 0 && r.far[0].cycle <= now {
 		return r.farPop(), true
@@ -82,12 +104,14 @@ func (r *Ring) PopUpTo(now int64) (uint64, bool) {
 	if r.count > 0 {
 		if c, ok := r.nextSlotCycle(); ok && c <= now {
 			idx := c & r.mask
-			s := r.slots[idx]
-			d := s[len(s)-1]
-			r.slots[idx] = s[:len(s)-1]
-			if len(s) == 1 {
+			n := r.heads[idx]
+			nd := &r.nodes[n-1]
+			d := nd.data
+			r.heads[idx] = nd.next
+			if nd.next == 0 {
 				r.bitmap[idx>>6] &^= 1 << (uint(idx) & 63)
 			}
+			nd.next, r.free = r.free, n
 			r.count--
 			r.base = c // later events keep their slots: all lie in [c, c+span)
 			return d, true

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -38,10 +37,9 @@ func TestRingBasic(t *testing.T) {
 	if c, ok := r.NextCycle(); !ok || c != 10 {
 		t.Fatalf("NextCycle after pop = %d,%v, want 10", c, ok)
 	}
-	got := drain(r, 10)
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("at 10 popped %v, want [1 3]", got)
+	// Within a cycle the bucket is a stack: last scheduled, first popped.
+	if got := drain(r, 10); len(got) != 2 || got[0] != 3 || got[1] != 1 {
+		t.Fatalf("at 10 popped %v, want [3 1]", got)
 	}
 	if r.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", r.Len())
@@ -88,23 +86,57 @@ func TestRingFarOverflow(t *testing.T) {
 	}
 }
 
-// TestRingDifferential drives random schedule/advance traffic through
-// the ring and a flat reference, checking NextCycle exactness and that
-// each advance drains exactly the due multiset (the ring guarantees no
-// order within a drain; the wheel's consumers don't need one).
+// TestRingDifferential drives random schedule/pop traffic through the
+// ring and a flat reference model: near-future events, far ones that
+// overflow to the heap, single pops interleaved with schedules (so a
+// bucket is refilled while half drained and freed nodes are reused),
+// and clocks that lap the 128-cycle span many times over. Every pop
+// must hand back a due event the model still holds, a refusal means
+// the model holds none, and NextCycle and Len stay exact. (The ring
+// promises no order across cycles; TestRingBasic pins the LIFO order
+// within one.)
 func TestRingDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		r := NewRing(128)
-		type ev struct {
-			cycle int64
-			data  uint64
-		}
-		var ref []ev
+		ref := map[uint64]int64{} // payload -> cycle
 		now := int64(0)
 		var data uint64
-		for op := 0; op < 400; op++ {
-			if rng.Intn(3) > 0 {
+		check := func() {
+			t.Helper()
+			wantNext, any := int64(0), false
+			for _, c := range ref {
+				if !any || c < wantNext {
+					wantNext, any = c, true
+				}
+			}
+			if c, ok := r.NextCycle(); ok != any || (ok && c != wantNext) {
+				t.Fatalf("trial %d now %d: NextCycle = %d,%v, want %d,%v", trial, now, c, ok, wantNext, any)
+			}
+			if r.Len() != len(ref) {
+				t.Fatalf("trial %d now %d: Len = %d, want %d", trial, now, r.Len(), len(ref))
+			}
+		}
+		pop := func() bool {
+			t.Helper()
+			d, ok := r.PopUpTo(now)
+			if !ok {
+				for d, c := range ref {
+					if c <= now {
+						t.Fatalf("trial %d now %d: nothing popped, payload %d due at %d", trial, now, d, c)
+					}
+				}
+				return false
+			}
+			if c, held := ref[d]; !held || c > now {
+				t.Fatalf("trial %d now %d: popped payload %d (held %v, cycle %d)", trial, now, d, held, c)
+			}
+			delete(ref, d)
+			return true
+		}
+		for op := 0; op < 600; op++ {
+			switch k := rng.Intn(6); {
+			case k < 3:
 				// Mostly near-future, sometimes far beyond the span.
 				d := int64(rng.Intn(120)) + 1
 				if rng.Intn(10) == 0 {
@@ -112,42 +144,43 @@ func TestRingDifferential(t *testing.T) {
 				}
 				data++
 				r.Schedule(now+d, data)
-				ref = append(ref, ev{now + d, data})
-			} else {
+				ref[data] = now + d
+			case k == 3:
+				pop() // one event, leaving the rest of the cycle resident
+			default:
 				now += int64(rng.Intn(200)) + 1
-				want := map[uint64]bool{}
-				live := ref[:0]
-				for _, e := range ref {
-					if e.cycle <= now {
-						want[e.data] = true
-					} else {
-						live = append(live, e)
+				if k == 4 {
+					for pop() {
 					}
-				}
-				ref = live
-				got := drain(r, now)
-				if len(got) != len(want) {
-					t.Fatalf("trial %d now %d: drained %d events, want %d", trial, now, len(got), len(want))
-				}
-				for _, d := range got {
-					if !want[d] {
-						t.Fatalf("trial %d now %d: unexpected payload %d", trial, now, d)
-					}
-				}
-				wantNext := int64(-1)
-				for _, e := range ref {
-					if wantNext < 0 || e.cycle < wantNext {
-						wantNext = e.cycle
-					}
-				}
-				c, ok := r.NextCycle()
-				if (wantNext >= 0) != ok || (ok && c != wantNext) {
-					t.Fatalf("trial %d now %d: NextCycle = %d,%v, want %d", trial, now, c, ok, wantNext)
-				}
-				if r.Len() != len(ref) {
-					t.Fatalf("trial %d now %d: Len = %d, want %d", trial, now, r.Len(), len(ref))
 				}
 			}
+			check()
 		}
+	}
+}
+
+// TestRingSteadyStateDoesNotAllocate holds the ring to its reason for
+// being a slab: once it has seen its high-water mark, scheduling and
+// popping — bucket chains, far overflow, wrap-around — allocate nothing.
+func TestRingSteadyStateDoesNotAllocate(t *testing.T) {
+	r := NewRing(64)
+	now := int64(0)
+	round := func() {
+		for i := int64(1); i <= 48; i++ {
+			r.Schedule(now+1+i%7, uint64(i)) // seven buckets, chains of six or seven
+		}
+		r.Schedule(now+500, 99) // beyond the span: the overflow heap
+		now += 37               // not a divisor of the span: buckets rotate
+		for {
+			if _, ok := r.PopUpTo(now); !ok {
+				break
+			}
+		}
+	}
+	for i := 0; i < 32; i++ {
+		round() // warm: the slab and the heap reach their working size
+	}
+	if n := testing.AllocsPerRun(200, round); n != 0 {
+		t.Fatalf("steady-state Schedule/PopUpTo allocates %.1f times per round, want 0", n)
 	}
 }

@@ -87,12 +87,7 @@ func New(o Options) *Group {
 		}
 		g.sims[i] = core.NewSim(o.Core, g.mems[i], tr)
 	}
-	if o.Engine == engine.Wheel {
-		g.wheel = true
-		for _, s := range g.sims {
-			s.SetEngine(engine.Wheel)
-		}
-	}
+	g.wheel = o.Engine == engine.Wheel
 	return g
 }
 
