@@ -67,15 +67,17 @@ trace:
 # detector: the wake ring, the golden-table and per-feature
 # bit-identity tests in internal/core with the mid-run engine switch
 # and the independent sleeper check beside them, the multi-tenant
-# lockstep equivalence, the sweep-level parallel/serial and wheel/step
-# byte-identity checks (TestSweepsParallelMatchSerial ranges over every
-# sweep) — the trace store's among them: four workers sharing it must
-# generate each stream once, race-free — and the full-size evaluation
-# under both engines against the frozen naive-scan digests (most of
-# the suite's time under -race).
+# lockstep equivalence and the tenants-alias-one-stream check (address
+# windows ≡ the rebased copies they replaced), the sweep-level
+# parallel/serial and wheel/step byte-identity checks
+# (TestSweepsParallelMatchSerial ranges over every sweep) — the trace
+# store's among them: four workers sharing it must generate each stream
+# once, race-free — and the full-size evaluation under both engines
+# against the frozen naive-scan digests (most of the suite's time under
+# -race).
 wheel:
 	go test -race -count=1 \
-		-run 'TestRing|TestWheelMatchesStep|TestEngineSwitchMidRun|TestSleepersAreNeverReady|Match(es)?Serial|TestIFSweepWheelMatchesStep|TestFullSizeMatchesNaiveScanDigests' \
+		-run 'TestRing|TestWheelMatchesStep|TestEngineSwitchMidRun|TestSleepersAreNeverReady|Match(es)?Serial|TestIFSweepWheelMatchesStep|TestTenantsAliasOneStream|TestFullSizeMatchesNaiveScanDigests' \
 		./internal/engine/ ./internal/core/ ./internal/tenant/ ./internal/experiments/ ./cmd/momexp/
 
 # rpsweep regenerates the full-size per-bank row-policy matrix

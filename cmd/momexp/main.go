@@ -172,9 +172,10 @@ func main() {
 	}
 
 	if simNs, simCycles := r.HostPerf(); !*quiet && simNs > 0 {
-		streams, insts, bytes := r.TraceStats()
-		fmt.Fprintf(os.Stderr, "host: %s engine, %d workers, %.3fs simulating, %.0f simulated cycles/s; %d traces generated once each, %d instructions, %.0f MB held\n",
-			plan.Mode, plan.Workers, float64(simNs)/1e9, float64(simCycles)/(float64(simNs)/1e9), streams, insts, float64(bytes)/1e6)
+		streams, insts, static, bytes := r.TraceStats()
+		fmt.Fprintf(os.Stderr, "host: %s engine, %d workers, %.3fs simulating, %.0f simulated cycles/s; %d traces generated once each, %d instructions over %d static, %.1f B/inst, %.0f MB held\n",
+			plan.Mode, plan.Workers, float64(simNs)/1e9, float64(simCycles)/(float64(simNs)/1e9),
+			streams, insts, static, float64(bytes)/float64(insts), float64(bytes)/1e6)
 	}
 }
 

@@ -74,7 +74,6 @@ import (
 	"repro/internal/dram"
 	"repro/internal/dram/policy"
 	"repro/internal/engine"
-	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/power"
 	"repro/internal/stats"
@@ -163,9 +162,9 @@ func main() {
 	}
 	defer stopProfiles()
 
-	tr := &trace.Trace{}
-	tst := trace.NewStats()
-	digest := rc.Bench.Run(rc.Variant, trace.Multi{tr, tst})
+	var rec trace.Recorder
+	var digest []byte
+	stream, tst := rec.Record(func(sink trace.Sink) { digest = rc.Bench.Run(rc.Variant, sink) })
 	if *verify {
 		ref := rc.Bench.Reference()
 		if string(digest) != string(ref) {
@@ -174,12 +173,12 @@ func main() {
 	}
 
 	if rc.Tenants > 1 {
-		runTenants(rc, tr.Insts, tst)
+		runTenants(rc, stream, tst)
 		return
 	}
 
 	ms := core.NewMemSystem(rc.MemKind, rc.Timing, rc.Core.Lanes, rc.Variant == kernels.MMX && rc.MemKind != core.MemIdeal)
-	sim := core.NewSim(rc.Core, ms, tr.Insts)
+	sim := core.NewStreamSim(rc.Core, ms, stream, 0)
 	var tracer *stats.Tracer
 	if rc.Trace != "" {
 		tracer = stats.NewTracer(rc.TraceBuf)
@@ -394,15 +393,15 @@ func registerHost(reg *stats.Registry, cycles int64, wall time.Duration) {
 // runTenants is the multi-requestor path: rc.Tenants instances of the
 // kernel trace contend for one shared memory system, stepped in
 // per-cycle lockstep by the tenant group.
-func runTenants(rc runConfig, insts []isa.Inst, tst *trace.Stats) {
-	traces := make([][]isa.Inst, rc.Tenants)
-	for i := range traces {
-		traces[i] = insts
+func runTenants(rc runConfig, stream *trace.Stream, tst *trace.Stats) {
+	streams := make([]*trace.Stream, rc.Tenants)
+	for i := range streams {
+		streams[i] = stream
 	}
 	g := tenant.New(tenant.Options{
 		Core: rc.Core, Kind: rc.MemKind, Tim: rc.Timing, Lanes: rc.Core.Lanes,
-		BankL1: rc.Variant == kernels.MMX && rc.MemKind != core.MemIdeal,
-		Traces: traces, Engine: rc.Engine, VM: rc.VM,
+		BankL1:  rc.Variant == kernels.MMX && rc.MemKind != core.MemIdeal,
+		Streams: streams, Engine: rc.Engine, VM: rc.VM,
 	})
 	var tracer *stats.Tracer
 	if rc.Trace != "" {

@@ -192,6 +192,7 @@ func NewVM(policy string, n int, backend dram.Backend) (*vm.VM, error) {
 // cycle t. The int64 is the cycle the access clears the L1/L2 pipeline
 // (final for hits and stores); the Pending handle, when non-nil,
 // tracks a main-memory line fill still outstanding in the MSHR file.
+// in is read during the call and not retained.
 func (m *MemSystem) ScalarAccess(in *isa.Inst, t int64) (int64, *vmem.Pending) {
 	if m.Kind == MemIdeal {
 		return t + 1, nil

@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/isa"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/vmem"
 )
 
@@ -58,7 +59,7 @@ type dep struct {
 }
 
 type robEntry struct {
-	in      *isa.Inst
+	in      *isa.Inst // the stream's shared template: Seq, Addr and Taken are zero
 	seq     uint64
 	valid   bool
 	issued  bool
@@ -67,7 +68,8 @@ type robEntry struct {
 	q       queue
 	deps    [5]dep
 	ndeps   int
-	lo, hi  uint64 // memory address range (loads and stores)
+	addr    uint64 // effective address, tenant base included (memory kinds)
+	lo, hi  uint64 // the byte range it touches (loads and stores)
 
 	// pend tracks the entry's outstanding line misses in the MSHR file.
 	// done then only covers port/bank occupancy and cache hits; the
@@ -150,10 +152,19 @@ type Sim struct {
 	fetchResumeAt  int64
 
 	// Stepping state, owned by Step so a Sim can be advanced one
-	// cycle at a time interleaved with other requestors.
-	insts           []isa.Inst
+	// cycle at a time interleaved with other requestors. The stream is
+	// shared and read-only; base is the requestor's address window,
+	// added to every memory address at dispatch.
+	stream          trace.Stream
+	base            uint64
 	next            int // next trace index to dispatch
 	lastCommitCycle int64
+
+	// issued is the one materialised instruction, filled at fire time
+	// for the callees that take a whole *isa.Inst (vmem.System.Issue,
+	// MemSystem.ScalarAccess, vm.Space.Ready). They must not keep the
+	// pointer: the next memory issue overwrites what it points at.
+	issued isa.Inst
 
 	// Issue-scan state (see wheel.go). issueWake is the persistent
 	// per-sim ring of sleeping entries' timed wake-ups; qActive
@@ -213,12 +224,19 @@ func Simulate(cfg Config, mem *MemSystem, insts []isa.Inst) *Stats {
 	return SimulateMode(cfg, mem, insts, engine.Step)
 }
 
-// NewSim builds a simulator that is advanced one cycle at a time via
-// Step, or one step and a jump over dead cycles via Advance. Simulate
-// is the single-requestor wrapper; the tenant front end steps several
-// Sims in lockstep against a shared memory system.
+// NewSim is NewStreamSim for a caller holding a materialised trace: it
+// compacts insts (whose Seq must count from 0) and runs the copy.
 func NewSim(cfg Config, mem *MemSystem, insts []isa.Inst) *Sim {
-	s := &Sim{cfg: cfg, mem: mem, insts: insts,
+	return NewStreamSim(cfg, mem, trace.Compact(insts), 0)
+}
+
+// NewStreamSim builds a simulator over a stream it only reads, advanced
+// one cycle at a time via Step, or one step and a jump over dead cycles
+// via Advance. SimulateStream is the single-requestor wrapper; the
+// tenant front end steps several Sims in lockstep against a shared
+// memory system, possibly all over one stream, each with its own base.
+func NewStreamSim(cfg Config, mem *MemSystem, stream *trace.Stream, base uint64) *Sim {
+	s := &Sim{cfg: cfg, mem: mem, stream: *stream, base: base,
 		rob: make([]robEntry, cfg.Window),
 		// Spans the common wake distance (memory latency plus queueing);
 		// rarer far-future bounds overflow to the ring's small heap.
@@ -236,7 +254,7 @@ func NewSim(cfg Config, mem *MemSystem, insts []isa.Inst) *Sim {
 // Running reports whether another Step would do work: trace left to
 // dispatch or instructions still in the window.
 func (s *Sim) Running() bool {
-	return s.next < len(s.insts) || s.count > 0
+	return s.next < len(s.stream.Dyn) || s.count > 0
 }
 
 // Now returns the core's current cycle — the sampling driver reads it
@@ -254,12 +272,12 @@ func (s *Sim) Step() {
 		s.lastCommitCycle = s.now
 	}
 	s.issue()
-	s.next = s.dispatch(s.insts, s.next)
+	s.dispatch()
 	s.chargeCPI(1, committed)
 	s.now++
 	if s.now-s.lastCommitCycle > noProgressLimit {
 		panic(fmt.Sprintf("core: no commit progress at cycle %d (trace pos %d/%d, rob %d)",
-			s.now, s.next, len(s.insts), s.count))
+			s.now, s.next, len(s.stream.Dyn), s.count))
 	}
 }
 
@@ -397,7 +415,7 @@ func (s *Sim) commit() bool {
 				s.postedStores = append(s.postedStores, e.pend)
 			}
 		}
-		if in.Kind.IsMem() || in.Kind == isa.KindUSIMDMem {
+		if in.Kind.IsMem() {
 			s.lsqCount--
 			if in.IsStore && len(s.stores) > 0 && s.stores[0].seq == e.seq {
 				s.stores = s.stores[1:]
@@ -488,17 +506,18 @@ func (s *Sim) issue() {
 			// stall is an idempotent transaction keyed by seq, so the
 			// per-cycle retries here and the wheel's sparse retries
 			// leave identical TLB state (see internal/vm).
+			in := s.materialise(e)
 			if sp := s.mem.Tim.VA; sp != nil {
 				if s.tr != nil && sp.InFlight(e.seq) {
 					e.hadWalk = true // peek before Ready retires the transaction
 				}
-				if until := sp.Ready(e.in, e.seq, s.now); until > s.now {
+				if until := sp.Ready(in, e.seq, s.now); until > s.now {
 					s.xlatWake = until
 					return 0, false
 				}
 			}
 			sig := s.missSig()
-			done, pend := s.mem.VM.Issue(e.in, s.now)
+			done, pend := s.mem.VM.Issue(in, s.now)
 			e.pend = pend
 			e.missed = pend != nil || s.missSig() != sig
 			return done, true
@@ -509,22 +528,31 @@ func (s *Sim) issue() {
 		// Translation after the port check: a translation-stalled access
 		// holds no L1 port, and once both pass the access always issues,
 		// so the transaction retires exactly once.
+		in := s.materialise(e)
 		if sp := s.mem.Tim.VA; sp != nil {
 			if s.tr != nil && sp.InFlight(e.seq) {
 				e.hadWalk = true
 			}
-			if until := sp.Ready(e.in, e.seq, s.now); until > s.now {
+			if until := sp.Ready(in, e.seq, s.now); until > s.now {
 				s.xlatWake = until
 				return 0, false
 			}
 		}
 		l1Used++
 		sig := s.missSig()
-		done, pend := s.mem.ScalarAccess(e.in, s.now)
+		done, pend := s.mem.ScalarAccess(in, s.now)
 		e.pend = pend
 		e.missed = pend != nil || s.missSig() != sig
 		return done, true
 	})
+}
+
+// materialise fills the scratch instruction from e, valid until the
+// next call.
+func (s *Sim) materialise(e *robEntry) *isa.Inst {
+	s.issued = *e.in
+	s.issued.Seq, s.issued.Addr = e.seq, e.addr
+	return &s.issued
 }
 
 // forwardable reports whether an older in-flight issued store fully
@@ -546,7 +574,7 @@ func (s *Sim) forwardable(e *robEntry) bool {
 
 // dispatch brings up to FetchWidth instructions into the window, stopping
 // at resource exhaustion or a taken branch (fetch break).
-func (s *Sim) dispatch(insts []isa.Inst, next int) int {
+func (s *Sim) dispatch() {
 	if s.mispredictPend {
 		e := s.entry(s.mispredictSeq)
 		if e == nil || (e.issued && e.done <= s.now) {
@@ -557,20 +585,21 @@ func (s *Sim) dispatch(insts []isa.Inst, next int) int {
 			s.fetchResumeAt = resolve + s.cfg.MispredictPenalty
 			s.mispredictPend = false
 		} else {
-			return next
+			return
 		}
 	}
 	if s.now < s.fetchResumeAt {
-		return next
+		return
 	}
-	for n := 0; n < s.cfg.FetchWidth && next < len(insts); n++ {
-		in := &insts[next]
+	static, dyn := s.stream.Static, s.stream.Dyn
+	for n := 0; n < s.cfg.FetchWidth && s.next < len(dyn); n++ {
+		d := &dyn[s.next]
+		in := &static[d.Static]
 		if s.count == s.cfg.Window {
 			s.stats.StallROB++
 			break
 		}
-		isMem := in.Kind.IsMem() || in.Kind == isa.KindUSIMDMem
-		if isMem && s.lsqCount == s.cfg.LSQ {
+		if in.Kind.IsMem() && s.lsqCount == s.cfg.LSQ {
 			s.stats.StallLSQ++
 			break
 		}
@@ -578,21 +607,27 @@ func (s *Sim) dispatch(insts []isa.Inst, next int) int {
 			s.stats.StallRegs++
 			break
 		}
-		s.insert(in)
-		next++
+		seq := uint64(s.next)
+		s.insert(in, seq, d.Addr)
+		s.next++
 		if in.Kind == isa.KindBranch {
-			if s.cfg.UseGshare && s.predict(in) != in.Taken {
+			if s.cfg.UseGshare && s.predict(d.Taken) != d.Taken {
 				s.stats.Mispredicts++
 				s.mispredictPend = true
-				s.mispredictSeq = in.Seq
+				s.mispredictSeq = seq
 				break
 			}
-			if in.Taken {
+			if d.Taken {
 				break // fetch break on taken branches
 			}
 		}
 	}
-	return next
+}
+
+// nextStatic is the template of the next instruction to dispatch: all
+// the dispatch gates read.
+func (s *Sim) nextStatic() *isa.Inst {
+	return &s.stream.Static[s.stream.Dyn[s.next].Static]
 }
 
 func (s *Sim) regsAvailable(in *isa.Inst) bool {
@@ -608,10 +643,11 @@ func (s *Sim) regsAvailable(in *isa.Inst) bool {
 	return true
 }
 
-// insert renames and dispatches one instruction into the window.
-func (s *Sim) insert(in *isa.Inst) {
-	e := &s.rob[s.slot(in.Seq)]
-	*e = robEntry{in: in, seq: in.Seq, valid: true, q: queueOf(in)}
+// insert renames and dispatches instruction seq — template in, address
+// addr as recorded — into the window.
+func (s *Sim) insert(in *isa.Inst, seq, addr uint64) {
+	e := &s.rob[s.slot(seq)]
+	*e = robEntry{in: in, seq: seq, valid: true, q: queueOf(in)}
 
 	addDep := func(r isa.Reg, usePtr bool) {
 		if !r.Valid() {
@@ -638,7 +674,7 @@ func (s *Sim) insert(in *isa.Inst) {
 			return
 		}
 		c, i := r.Class(), r.Index()
-		s.writer[c][i] = in.Seq
+		s.writer[c][i] = seq
 		s.hasW[c][i] = true
 		s.inflight[c]++
 	}
@@ -647,11 +683,12 @@ func (s *Sim) insert(in *isa.Inst) {
 		setWriter(in.Ptr)
 	}
 
-	if in.Kind.IsMem() || in.Kind == isa.KindUSIMDMem {
+	if in.Kind.IsMem() {
 		s.lsqCount++
-		e.lo, e.hi = memRange(in)
+		e.addr = addr + s.base
+		e.lo, e.hi = memRange(in, e.addr)
 		if in.IsStore {
-			s.stores = append(s.stores, storeRec{seq: in.Seq, lo: e.lo, hi: e.hi})
+			s.stores = append(s.stores, storeRec{seq: seq, lo: e.lo, hi: e.hi})
 		}
 	}
 
@@ -666,19 +703,19 @@ func (s *Sim) insert(in *isa.Inst) {
 }
 
 // memRange returns the conservative [lo, hi) byte range an instruction
-// touches, used for store-to-load ordering.
-func memRange(in *isa.Inst) (lo, hi uint64) {
+// touches at effective address addr, used for store-to-load ordering.
+func memRange(in *isa.Inst, addr uint64) (lo, hi uint64) {
 	switch in.Kind {
 	case isa.KindScalarMem:
-		return in.Addr, in.Addr + uint64(in.Imm)
+		return addr, addr + uint64(in.Imm)
 	case isa.KindUSIMDMem:
-		return in.Addr, in.Addr + 8
+		return addr, addr + 8
 	case isa.KindMOMMem, isa.Kind3DLoad:
 		size := int64(isa.MOMElemBytes)
 		if in.Kind == isa.Kind3DLoad {
 			size = int64(in.Width) * 8
 		}
-		first := int64(in.Addr)
+		first := int64(addr)
 		last := first + int64(in.VL-1)*in.Stride
 		if last < first {
 			first, last = last, first
@@ -691,17 +728,17 @@ func memRange(in *isa.Inst) (lo, hi uint64) {
 // predict consults the gshare pattern history table and updates it with
 // the actual outcome (traces carry perfect outcomes; the predictor is an
 // ablation of the perfect-prediction default).
-func (s *Sim) predict(in *isa.Inst) bool {
+func (s *Sim) predict(taken bool) bool {
 	idx := s.history & (uint64(len(s.pht)) - 1)
 	ctr := s.pht[idx]
 	pred := ctr >= 2
-	if in.Taken && ctr < 3 {
+	if taken && ctr < 3 {
 		s.pht[idx]++
 	}
-	if !in.Taken && ctr > 0 {
+	if !taken && ctr > 0 {
 		s.pht[idx]--
 	}
-	s.history = s.history<<1 | uint64(boolBit(in.Taken))
+	s.history = s.history<<1 | uint64(boolBit(taken))
 	return pred
 }
 

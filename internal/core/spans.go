@@ -29,9 +29,7 @@ func (s *Sim) SetTracer(tr *stats.Tracer, tenant int) {
 // traceSpans reports whether in gets an issue→commit span: the memory
 // instructions are the pipeline's interesting population (and bound
 // the ring's growth — ALU traffic would bury them).
-func traceSpans(in *isa.Inst) bool {
-	return in.Kind.IsMem() || in.Kind == isa.KindUSIMDMem
-}
+func traceSpans(in *isa.Inst) bool { return in.Kind.IsMem() }
 
 // traceIssue emits the span begin and the outgoing flow events for an
 // instruction that just issued at s.now. Callers gate on s.tr != nil.
@@ -42,7 +40,7 @@ func (s *Sim) traceIssue(e *robEntry) {
 	}
 	lane := int(e.seq % uint64(s.cfg.Window))
 	s.tr.Emit(stats.Event{Cycle: s.now, Cat: "core", Name: in.Op.Name(), Ph: 'B',
-		Addr: in.Addr, ID: e.seq, Lane: lane, Tenant: s.trTenant})
+		Addr: e.addr, ID: e.seq, Lane: lane, Tenant: s.trTenant})
 	if e.hadWalk {
 		// Close the walk chain the vm layer opened when this seq first
 		// stalled on translation: the arrow lands on the issue cycle.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
 // This file holds the issue stage's scan and, built on it, the event-
@@ -63,7 +64,13 @@ import (
 // executes every cycle, Wheel skips dead cycles between scheduled
 // wake-ups. Both produce bit-identical statistics.
 func SimulateMode(cfg Config, mem *MemSystem, insts []isa.Inst, mode engine.Mode) *Stats {
-	s := NewSim(cfg, mem, insts)
+	return SimulateStream(cfg, mem, trace.Compact(insts), mode)
+}
+
+// SimulateStream runs a recorded stream, which it only reads, to
+// completion under the given engine.
+func SimulateStream(cfg Config, mem *MemSystem, stream *trace.Stream, mode engine.Mode) *Stats {
+	s := NewStreamSim(cfg, mem, stream, 0)
 	if mode == engine.Wheel {
 		for s.Running() {
 			s.Advance()
@@ -500,14 +507,13 @@ func (s *Sim) NextWake() int64 {
 		if e := s.entry(s.mispredictSeq); e != nil && e.issued {
 			sched(e.done)
 		}
-	} else if s.next < len(s.insts) {
+	} else if s.next < len(s.stream.Dyn) {
 		if now < s.fetchResumeAt {
 			sched(s.fetchResumeAt)
 		} else {
-			in := &s.insts[s.next]
-			isMem := in.Kind.IsMem() || in.Kind == isa.KindUSIMDMem
+			in := s.nextStatic()
 			if s.count != s.cfg.Window &&
-				!(isMem && s.lsqCount == s.cfg.LSQ) &&
+				!(in.Kind.IsMem() && s.lsqCount == s.cfg.LSQ) &&
 				s.regsAvailable(in) {
 				return now // dispatch inserts next cycle
 			}
@@ -563,13 +569,12 @@ func (s *Sim) SkipTo(t int64) {
 			s.stats.StallSB += uint64(n)
 		}
 	}
-	if !s.mispredictPend && s.now >= s.fetchResumeAt && s.next < len(s.insts) {
-		in := &s.insts[s.next]
-		isMem := in.Kind.IsMem() || in.Kind == isa.KindUSIMDMem
+	if !s.mispredictPend && s.now >= s.fetchResumeAt && s.next < len(s.stream.Dyn) {
+		in := s.nextStatic()
 		switch {
 		case s.count == s.cfg.Window:
 			s.stats.StallROB += uint64(n)
-		case isMem && s.lsqCount == s.cfg.LSQ:
+		case in.Kind.IsMem() && s.lsqCount == s.cfg.LSQ:
 			s.stats.StallLSQ += uint64(n)
 		case !s.regsAvailable(in):
 			s.stats.StallRegs += uint64(n)

@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/isa"
 	"repro/internal/tenant"
+	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/vmem"
 )
@@ -61,11 +61,11 @@ func (r *Runner) SimTenants(mix []string, l2lat int64, spec string) *TenantResul
 	if knobs.Tenants != len(mix) {
 		panic(fmt.Sprintf("experiments: spec %q carries tn%d for a %d-tenant mix", spec, knobs.Tenants, len(mix)))
 	}
-	// Every tenant of one benchmark gets the same stored slice: the
-	// group reads tenant 0's in place and copies before it rebases.
-	traces := make([][]isa.Inst, len(mix))
+	// Every tenant of one benchmark reads the same stored stream in
+	// place; the group gives each its own address window.
+	streams := make([]*trace.Stream, len(mix))
 	for i, bench := range mix {
-		traces[i] = r.traceFor(bench, mom3DVariant).insts
+		streams[i] = r.traceFor(bench, mom3DVariant).tr
 	}
 	cfg := coreConfigFor(mom3DVariant)
 	tim := vmem.Timing{L2Latency: l2lat, MemLatency: flatMemLatency, Backend: backend,
@@ -77,7 +77,7 @@ func (r *Runner) SimTenants(mix []string, l2lat int64, spec string) *TenantResul
 		}
 	}
 	g := tenant.New(tenant.Options{Core: cfg, Kind: mom3DVCKind, Tim: tim,
-		Lanes: cfg.Lanes, Traces: traces, Engine: r.Engine, VM: vmsys})
+		Lanes: cfg.Lanes, Streams: streams, Engine: r.Engine, VM: vmsys})
 	start := time.Now()
 	g.Run()
 	res := &TenantResult{Mix: mix, Cycles: make([]int64, g.N()),

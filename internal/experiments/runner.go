@@ -8,12 +8,10 @@ import (
 	"fmt"
 	"sync"
 	"time"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/engine"
-	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -89,10 +87,11 @@ type Runner struct {
 }
 
 // traceStore is the runner-lifetime trace cache. The five paper kernels
-// are 2.05 M instructions = 180 MB (all 18 extended streams 286 MB), so
-// nothing is ever evicted. One lock covers lookup and generation:
-// generating is a small share of any sweep, and a worker that waits for
-// another's stream would otherwise have generated a copy of it.
+// are 2.05 M instructions over 8,386 static ones = 33.5 MB (all 18
+// extended streams: 3.25 M over 19,501 = 53.7 MB), so nothing is ever
+// evicted. One lock covers lookup and generation: generating is a small
+// share of any sweep, and a worker that waits for another's stream
+// would otherwise have generated a copy of it.
 type traceStore struct {
 	mu      sync.Mutex
 	streams map[streamKey]*stream
@@ -105,10 +104,10 @@ type streamKey struct {
 }
 
 // stream is one generated trace. Every cell, tenant mix and sweep that
-// asks gets the same insts and st: both are read-only.
+// asks gets the same tr and st: both are read-only.
 type stream struct {
-	insts []isa.Inst
-	st    *trace.Stats
+	tr *trace.Stream
+	st *trace.Stats
 }
 
 // NewRunner builds a runner over the default benchmark suite.
@@ -134,14 +133,17 @@ func NewRunnerWith(bms []kernels.Benchmark) *Runner {
 func (r *Runner) Benchmarks() []string { return r.order }
 
 // TraceStats reports what the trace store holds: the streams generated
-// (each exactly once), their instructions, and the bytes those occupy.
-func (r *Runner) TraceStats() (streams, insts int, bytes int64) {
+// (each exactly once), their dynamic and static instructions, and the
+// bytes the two tables of every stream occupy.
+func (r *Runner) TraceStats() (streams, insts, static int, bytes int64) {
 	r.store.mu.Lock()
 	defer r.store.mu.Unlock()
 	for _, s := range r.store.streams {
-		insts += len(s.insts)
+		insts += len(s.tr.Dyn)
+		static += len(s.tr.Static)
+		bytes += s.tr.Bytes()
 	}
-	return len(r.store.streams), insts, int64(insts) * int64(unsafe.Sizeof(isa.Inst{}))
+	return len(r.store.streams), insts, static, bytes
 }
 
 // traceFor returns the stream of one benchmark variant, generating it
@@ -163,7 +165,7 @@ func (r *Runner) traceFor(bench string, v kernels.Variant) *stream {
 		}
 	}
 	s := &stream{}
-	s.insts, s.st = ts.rec.Record(func(sink trace.Sink) { bm.Run(v, sink) })
+	s.tr, s.st = ts.rec.Record(func(sink trace.Sink) { bm.Run(v, sink) })
 	ts.streams[key] = s
 	return s
 }
@@ -228,7 +230,7 @@ func (r *Runner) SimDRAM(bench string, v kernels.Variant, mem core.MemKind, l2la
 	bankL1 := v == kernels.MMX && mem != core.MemIdeal
 	ms := core.NewMemSystem(mem, tim, cfg.Lanes, bankL1)
 	start := time.Now()
-	st := core.SimulateMode(cfg, ms, tp.insts, r.Engine)
+	st := core.SimulateStream(cfg, ms, tp.tr, r.Engine)
 	hostNs := time.Since(start).Nanoseconds()
 	res := &SimResult{
 		Key:      key,

@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/trace"
 )
 
 // paperEvaluation runs everything momexp's default run computes short
@@ -31,22 +32,25 @@ func paperEvaluation(r *Runner) {
 func TestTraceStoreGeneratesEachStreamOnce(t *testing.T) {
 	r := smallRunner()
 	paperEvaluation(r)
-	streams, insts, bytes := r.TraceStats()
+	streams, insts, static, bytes := r.TraceStats()
 	if streams != 15 {
 		t.Errorf("paper evaluation generated %d streams, want 15", streams)
 	}
-	var held int
+	var dyn, tmpl int
 	for _, s := range r.store.streams {
-		held += len(s.insts)
+		dyn += len(s.tr.Dyn)
+		tmpl += len(s.tr.Static)
 	}
-	if insts != held || bytes != int64(held)*int64(unsafe.Sizeof(isa.Inst{})) {
-		t.Errorf("TraceStats = %d instructions, %d bytes; the store holds %d instructions", insts, bytes, held)
+	held := int64(dyn)*int64(unsafe.Sizeof(trace.Dyn{})) + int64(tmpl)*int64(unsafe.Sizeof(isa.Inst{}))
+	if insts != dyn || static != tmpl || bytes != held {
+		t.Errorf("TraceStats = %d instructions over %d static, %d bytes; the store holds %d over %d, %d bytes",
+			insts, static, bytes, dyn, tmpl, held)
 	}
 
 	r = mshrRunner()
 	IFSweep(r)
 	VASweep(r)
-	if streams, _, _ := r.TraceStats(); streams != 2 {
+	if streams, _, _, _ := r.TraceStats(); streams != 2 {
 		t.Errorf("IFSweep + VASweep generated %d streams, want 2", streams)
 	}
 }
@@ -69,30 +73,38 @@ func TestTraceStoreParallelMatchesSerial(t *testing.T) {
 	if got != want {
 		t.Fatalf("sweeps diverged under -j 4\nserial:\n%s\nparallel:\n%s", want, got)
 	}
-	ws, wi, _ := serial.TraceStats()
-	gs, gi, _ := par.TraceStats()
+	ws, wi, _, _ := serial.TraceStats()
+	gs, gi, _, _ := par.TraceStats()
 	if gs != ws || gi != wi {
 		t.Errorf("4 workers generated %d streams (%d instructions), 1 worker %d (%d)", gs, gi, ws, wi)
 	}
 }
 
-// hashStreams fingerprints the bytes of every stored stream.
+// rawBytes views a slice's elements as bytes, padding included.
+func rawBytes[T any](s []T) []byte {
+	var zero T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(zero)))
+}
+
+// hashStreams fingerprints the bytes of every stored stream, the
+// dynamic records and the static table both.
 func hashStreams(r *Runner) map[streamKey][sha256.Size]byte {
 	sums := map[streamKey][sha256.Size]byte{}
 	for k, s := range r.store.streams {
-		raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s.insts))),
-			len(s.insts)*int(unsafe.Sizeof(isa.Inst{})))
-		sums[k] = sha256.Sum256(raw)
+		h := sha256.New()
+		h.Write(rawBytes(s.tr.Dyn))
+		h.Write(rawBytes(s.tr.Static))
+		sums[k] = [sha256.Size]byte(h.Sum(nil))
 	}
 	return sums
 }
 
-// Every consumer gets the stored slice itself, so none may write to it:
-// an in-place edit would silently corrupt every later cell of the same
-// stream. Drive the streams through each kind of consumer — both
-// engines, lockstep tenants without translation (tenant 0 aliases the
-// stored slice, the others get rebased copies) and with it (every
-// tenant aliases it) — and require the stored bytes unchanged.
+// Every consumer reads the stored stream itself, so none may write to
+// it: an in-place edit would silently corrupt every later cell of the
+// same stream. Drive the streams through each kind of consumer — both
+// engines, lockstep tenants without translation (IFMixes[0]: four
+// motionsearch tenants aliasing one stream, each adding its own window
+// base) and with it — and require the stored bytes unchanged.
 func TestSharedTracesAreReadOnly(t *testing.T) {
 	r := mshrRunner()
 	for _, bench := range r.Benchmarks() {

@@ -8,8 +8,8 @@
 // apply per-tenant QoS scheduling without any interface widening.
 //
 // A 1-tenant group is the single-requestor simulator exactly: tenant 0
-// is built by core.NewMemSystem, its trace is never rebased, its tag
-// is the identity, and Run performs the same step/finish/drain
+// is built by core.NewMemSystem, its address window starts at 0, its
+// tag is the identity, and Run performs the same step/finish/drain
 // sequence core.Simulate does — the golden-stats equivalence asserted
 // in this package's tests.
 package tenant
@@ -22,32 +22,39 @@ import (
 	"repro/internal/engine"
 	"repro/internal/isa"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/vmem"
 )
 
-// RebaseShift positions each tenant's address space: tenant i's trace
-// is offset by i << RebaseShift, far above any kernel footprint
-// (~6 MB max), so independent traces — which all allocate from the
-// same base address — never alias in the shared L2 while still
-// contending for the same channels, banks and rows.
+// RebaseShift positions each tenant's address space: tenant i's
+// simulator adds i << RebaseShift to every memory address it
+// dispatches, far above any kernel footprint (~6 MB max), so
+// independent traces — which all allocate from the same base address —
+// never alias in the shared L2 while still contending for the same
+// channels, banks and rows.
 const RebaseShift = 32
 
-// Options configures a multi-requestor run. One trace per tenant;
-// running M instances of one kernel means passing the same trace M
-// times (the group copies and rebases, so sharing a slice is fine).
+// Options configures a multi-requestor run. One stream per tenant;
+// running M instances of one kernel means passing the same stream M
+// times (tenants only read it, so all M share the one copy).
 type Options struct {
-	Core   core.Config
-	Kind   core.MemKind
-	Tim    vmem.Timing // shared backend/MSHR sizing; Tenant is overwritten per tenant
-	Lanes  int
-	BankL1 bool
+	Core    core.Config
+	Kind    core.MemKind
+	Tim     vmem.Timing // shared backend/MSHR sizing; Tenant is overwritten per tenant
+	Lanes   int
+	BankL1  bool
+	Streams []*trace.Stream
+	Engine  engine.Mode // simulation engine; Wheel skips rounds no tenant can act in
+
+	// Traces is the tenants as materialised traces, for callers that
+	// hold no stream: New compacts each (trace.Compact) when Streams is
+	// empty.
 	Traces [][]isa.Inst
-	Engine engine.Mode // simulation engine; Wheel skips rounds no tenant can act in
 
 	// VM, when non-nil, gives tenant i the real virtual address space
 	// VM.Space(i) over one shared physical pool instead of the
-	// tenant<<32 window rebasing: traces run at their native virtual
+	// tenant<<32 address window: traces run at their native virtual
 	// addresses, isolation comes from per-tenant page tables, and the
 	// buddy allocator's placement policy decides how the tenants'
 	// pages interleave across DRAM channels and rows.
@@ -63,10 +70,16 @@ type Group struct {
 	done  bool
 }
 
-// New builds the group: shared memory system, per-tenant rebased trace
-// copies, one steppable simulator per tenant.
+// New builds the group: shared memory system, one steppable simulator
+// per tenant over that tenant's stream and address window.
 func New(o Options) *Group {
-	n := len(o.Traces)
+	streams := o.Streams
+	if len(streams) == 0 {
+		for _, tr := range o.Traces {
+			streams = append(streams, trace.Compact(tr))
+		}
+	}
+	n := len(streams)
 	if n < 1 {
 		panic("tenant: need at least one trace")
 	}
@@ -78,35 +91,17 @@ func New(o Options) *Group {
 	if ta, ok := o.Tim.Backend.(dram.TenantAware); ok && n > 1 {
 		ta.EnableTenantStats(n)
 	}
-	for i := range o.Traces {
-		tr := o.Traces[i]
+	for i, st := range streams {
+		var base uint64
 		if o.VM == nil {
 			// Without address translation, disjoint tenant<<32 windows
 			// fake the isolation real page tables provide.
-			tr = rebase(tr, i)
+			base = uint64(i) << RebaseShift
 		}
-		g.sims[i] = core.NewSim(o.Core, g.mems[i], tr)
+		g.sims[i] = core.NewStreamSim(o.Core, g.mems[i], st, base)
 	}
 	g.wheel = o.Engine == engine.Wheel
 	return g
-}
-
-// rebase returns tenant's private copy of the trace with every memory
-// address offset into its own address window. Tenant 0 keeps the
-// original slice untouched — the bit-identity anchor.
-func rebase(insts []isa.Inst, tenant int) []isa.Inst {
-	if tenant == 0 {
-		return insts
-	}
-	base := uint64(tenant) << RebaseShift
-	out := make([]isa.Inst, len(insts))
-	copy(out, insts)
-	for i := range out {
-		if out[i].Kind.IsMem() {
-			out[i].Addr += base
-		}
-	}
-	return out
 }
 
 // Run steps every tenant one cycle per round, in tenant order, until

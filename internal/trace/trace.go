@@ -37,47 +37,6 @@ func (m Multi) Emit(in isa.Inst) {
 	}
 }
 
-// recorderChunk is the Recorder's staging granularity in instructions:
-// 352 KiB at 88 B each.
-const recorderChunk = 4096
-
-// Recorder is the sink whole streams are generated through. It stages
-// instructions in fixed-size chunks that never move, accumulates the
-// stream's Stats in the same Emit, and copies the finished stream once
-// into a slice of exactly its size. The staging outlives the stream, so
-// a Recorder that records stream after stream allocates only the
-// streams themselves. The zero value is ready to use.
-type Recorder struct {
-	chunks []*[recorderChunk]isa.Inst
-	n      int // instructions staged by the current Record
-	st     *Stats
-}
-
-// Emit stages one instruction and accumulates it, implementing Sink for
-// the generator Record runs.
-func (r *Recorder) Emit(in isa.Inst) {
-	c, i := r.n/recorderChunk, r.n%recorderChunk
-	if c == len(r.chunks) {
-		r.chunks = append(r.chunks, new([recorderChunk]isa.Inst))
-	}
-	r.chunks[c][i] = in
-	r.st.add(&r.chunks[c][i])
-	r.n++
-}
-
-// Record runs gen with the recorder as its sink and returns the stream
-// gen emitted (len == cap) and its statistics. It starts empty whatever
-// an earlier gen that panicked left staged.
-func (r *Recorder) Record(gen func(Sink)) ([]isa.Inst, *Stats) {
-	r.n, r.st = 0, NewStats()
-	gen(r)
-	insts := make([]isa.Inst, r.n)
-	for c := 0; c*recorderChunk < r.n; c++ {
-		copy(insts[c*recorderChunk:], r.chunks[c][:])
-	}
-	return insts, r.st
-}
-
 // Stats accumulates stream statistics. It implements Sink and can be
 // attached alongside a Trace (or used alone, streaming, for very long
 // runs).

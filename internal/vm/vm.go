@@ -292,7 +292,9 @@ func (sp *Space) l2tag(vpn uint64) uint64 {
 // Subsequent calls while stalled are pure time checks; the first call
 // at or after the ready cycle retires the transaction and processes
 // the walk fills. Idempotence per seq is what keeps the per-cycle and
-// event-wheel engines bit-identical.
+// event-wheel engines bit-identical. in is only read during the call
+// (the core reuses it for its next memory issue); the transaction keeps
+// page numbers, never the pointer.
 func (sp *Space) Ready(in *isa.Inst, seq uint64, now int64) int64 {
 	if x, ok := sp.inflight[seq]; ok {
 		if now < x.ready {

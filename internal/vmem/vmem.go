@@ -193,6 +193,9 @@ type System interface {
 	// is not architecturally complete until the handle reports ready.
 	// A nil handle means the returned cycle is the final completion
 	// (every access hit, or the subsystem runs the blocking model).
+	// in is the core's per-Sim scratch instruction, overwritten by its
+	// next memory issue: an implementation reads it during the call
+	// and keeps no pointer to it.
 	Issue(in *isa.Inst, t0 int64) (int64, *Pending)
 	// Stats exposes the accumulated counters.
 	Stats() *Stats
