@@ -1,7 +1,7 @@
 # The verify target is the tier-1 gate: CI runs it, and it is the
 # command to run before sending a change.
 
-.PHONY: verify build test test-race bench perf perf-compare wheel rpsweep ifsweep vasweep enginebench cpisweep stats trace tenants fmt-check vet
+.PHONY: verify build test test-race bench perf perf-compare perf-pairs wheel rpsweep ifsweep vasweep enginebench cpisweep stats trace tenants fmt-check vet
 
 # J is the sweep parallelism the sweep targets pass to momexp; override
 # with `make rpsweep J=1` to force a serial run.
@@ -45,6 +45,16 @@ perf:
 perf-compare:
 	go run ./bench compare $(A) $(B)
 
+# perf-pairs is the evidence a performance claim needs: N alternating
+# runs of one workload on a build of commit REF and on a build of the
+# working tree, every run listed, with medians, quartiles and pairs won
+# per end-to-end metric. ARGS go to both sides (a held-back -seed, or
+# -trace 1 for the per-layer rows):
+#   make perf-pairs REF=HEAD~1 W=dram-sweeps N=10
+N ?= 10
+perf-pairs:
+	scripts/perf_pairs.py $(REF) $(W) $(N) $(ARGS)
+
 # stats smokes the observability layer end to end: a tiny run with the
 # registry exporter on, then the pretty-printed snapshot so a reader
 # can eyeball every registered name.
@@ -65,8 +75,9 @@ trace:
 
 # wheel runs the wheel-vs-step equivalence suite under the race
 # detector: the wake ring, the golden-table and per-feature
-# bit-identity tests in internal/core with the mid-run engine switch
-# and the independent sleeper check beside them, the multi-tenant
+# bit-identity tests in internal/core with the mid-run engine switch,
+# the independent sleeper check and the ready-latch monotonicity check
+# beside them, the multi-tenant
 # lockstep equivalence and the tenants-alias-one-stream check (address
 # windows ≡ the rebased copies they replaced), the sweep-level
 # parallel/serial and wheel/step byte-identity checks
@@ -77,7 +88,7 @@ trace:
 # -race).
 wheel:
 	go test -race -count=1 \
-		-run 'TestRing|TestWheelMatchesStep|TestEngineSwitchMidRun|TestSleepersAreNeverReady|Match(es)?Serial|TestIFSweepWheelMatchesStep|TestTenantsAliasOneStream|TestFullSizeMatchesNaiveScanDigests' \
+		-run 'TestRing|TestWheelMatchesStep|TestEngineSwitchMidRun|TestSleepersAreNeverReady|TestReadyLatchIsMonotone|Match(es)?Serial|TestIFSweepWheelMatchesStep|TestTenantsAliasOneStream|TestFullSizeMatchesNaiveScanDigests' \
 		./internal/engine/ ./internal/core/ ./internal/tenant/ ./internal/experiments/ ./cmd/momexp/
 
 # rpsweep regenerates the full-size per-bank row-policy matrix

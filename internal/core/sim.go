@@ -95,6 +95,11 @@ type robEntry struct {
 	enlisted   bool
 	waiterHead uint64
 	waiterNext uint64
+
+	// ready latches the verdict that nothing blocks the entry's issue
+	// (readyBound or issueBoundPark answered ready): the verdict is
+	// monotone, so later turns skip the walk — see wheel.go.
+	ready bool
 }
 
 type storeRec struct {
@@ -128,7 +133,12 @@ type Sim struct {
 	inflight [6]int // uncommitted writers per register class
 
 	lsqCount int
+	// stores is a window of storeBuf, which holds 2·LSQ records: commit
+	// pops the front, insert appends, and on reaching the tail slides
+	// the live records (never more than LSQ) back to the front — an
+	// amortised copy of under one record per store, and no reallocation.
 	stores   []storeRec // uncommitted stores, program order
+	storeBuf []storeRec
 
 	simdBusyUntil  int64 // MOM single SIMD unit occupancy
 	moverBusyUntil int64 // 3D->MOM register transfer datapath occupancy
@@ -237,7 +247,8 @@ func NewSim(cfg Config, mem *MemSystem, insts []isa.Inst) *Sim {
 // memory system, possibly all over one stream, each with its own base.
 func NewStreamSim(cfg Config, mem *MemSystem, stream *trace.Stream, base uint64) *Sim {
 	s := &Sim{cfg: cfg, mem: mem, stream: *stream, base: base,
-		rob: make([]robEntry, cfg.Window),
+		rob:      make([]robEntry, cfg.Window),
+		storeBuf: make([]storeRec, 2*cfg.LSQ),
 		// Spans the common wake distance (memory latency plus queueing);
 		// rarer far-future bounds overflow to the ring's small heap.
 		issueWake:      engine.NewRing(1024),
@@ -688,6 +699,9 @@ func (s *Sim) insert(in *isa.Inst, seq, addr uint64) {
 		e.addr = addr + s.base
 		e.lo, e.hi = memRange(in, e.addr)
 		if in.IsStore {
+			if len(s.stores) == cap(s.stores) {
+				s.stores = append(s.storeBuf[:0], s.stores...)
+			}
 			s.stores = append(s.stores, storeRec{seq: seq, lo: e.lo, hi: e.hi})
 		}
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/isa"
 	"repro/internal/vmem"
@@ -230,4 +232,28 @@ func TestL2ActivityAccounting(t *testing.T) {
 	if mem.ScalarL2Accesses != 1 {
 		t.Errorf("scalar L2 accesses = %d, want 1 (cold miss)", mem.ScalarL2Accesses)
 	}
+}
+
+// TestSimulateResultDoesNotPinTheMachine: the statistics Simulate
+// returns are what the experiment runner memoizes per cell, so they
+// must not keep the Sim — and through it the window, the memory system
+// and its cache arrays — reachable. (Finish returns a pointer into the
+// Sim; until SimulateStream copied it, every memoized cell held half a
+// megabyte of machine.)
+func TestSimulateResultDoesNotPinTheMachine(t *testing.T) {
+	ms := idealMem()
+	freed := make(chan struct{})
+	runtime.SetFinalizer(ms, func(*MemSystem) { close(freed) })
+	st := Simulate(MOMCore(), ms, seqify([]isa.Inst{add(1, 2, 3), add(4, 1, 1)}))
+	ms = nil
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(st)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatalf("the memory system is still reachable from the returned stats (%d cycles)", st.Cycles)
 }

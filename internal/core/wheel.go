@@ -51,6 +51,17 @@ import (
 //     chained slot is recycled while the chain is live. (There is no
 //     squash path — mispredicts only stall fetch.)
 //
+// Why the ready latch is sound — a ready verdict never flips back, so
+// robEntry.ready lets every later turn skip the walk (a ready entry can
+// wait many cycles for its unit or for issue width): an issued
+// producer's done time is fixed; a handle that answered ReadyBy true is
+// resolved and stays ready (issueBoundPark's ready means an exact bound
+// not in the future, which ReadyBy confirms without flushing) — so its
+// producer retires without entering the scoreboard; an issued older
+// store stays issued and no older store can dispatch later.
+// The polls the latch skips touch resolved handles only, so every
+// flush still lands on the cycle it would have.
+//
 // The polls a sleeping entry does not make are unobservable: every
 // handle before the first blocker is resolved (its polls mutate
 // nothing), and the blocker's own poll first flushes at its lower
@@ -80,9 +91,12 @@ func SimulateStream(cfg Config, mem *MemSystem, stream *trace.Stream, mode engin
 			s.Step()
 		}
 	}
-	st := s.Finish()
+	// A copy: Finish points into the Sim, and a caller that keeps the
+	// result (the runner memoizes every cell's) must not keep the window,
+	// its fill handles' slabs and the whole memory system with it.
+	st := *s.Finish()
 	mem.Drain()
-	return st
+	return &st
 }
 
 // SetEngine has nothing left to select: the engine of a hand-stepped
@@ -327,6 +341,9 @@ func (s *Sim) evaluate(q queue, seq uint64, width int, issued *int, fire func(e 
 // or flush bound — or maxWake plus the seq of the unissued entry whose
 // issue is the only event that can unblock it.
 func (s *Sim) readyBound(e *robEntry) (bool, int64, uint64) {
+	if e.ready {
+		return true, 0, 0
+	}
 	for i := 0; i < e.ndeps; i++ {
 		d := e.deps[i]
 		p := s.entry(d.seq)
@@ -372,6 +389,7 @@ func (s *Sim) readyBound(e *robEntry) (bool, int64, uint64) {
 			}
 		}
 	}
+	e.ready = true
 	return true, 0, 0
 }
 
@@ -384,6 +402,9 @@ func (s *Sim) readyBound(e *robEntry) (bool, int64, uint64) {
 // means the entry parked with a registered wake-up. Neither means the
 // bound was not in the future — the caller keeps the entry active.
 func (s *Sim) issueBoundPark(e *robEntry) (bool, bool) {
+	if e.ready {
+		return true, false
+	}
 	now := s.now
 	for i := 0; i < e.ndeps; i++ {
 		d := e.deps[i]
@@ -428,6 +449,7 @@ func (s *Sim) issueBoundPark(e *robEntry) (bool, bool) {
 			}
 		}
 	}
+	e.ready = true
 	return true, false
 }
 

@@ -267,6 +267,18 @@ func TestEngineSwitchMidRun(t *testing.T) {
 // whose lower bound lies ahead. An entry asleep with nothing holding
 // it is an instruction the scan would never look at again.
 func TestSleepersAreNeverReady(t *testing.T) {
+	forEachSleeperCell(t, func(name string, s *Sim) {
+		for s.Running() && !t.Failed() {
+			s.Step()
+			checkSleepers(t, name, s)
+		}
+	})
+}
+
+// forEachSleeperCell builds every cell the raw-ROB-field checks cross —
+// each small kernel on MOM+3D, the other two pipelines on one kernel
+// each, over sleeperSpecs — and hands its fresh Sim to clock to run.
+func forEachSleeperCell(t *testing.T, clock func(name string, s *Sim)) {
 	type cell struct {
 		bm   kernels.Benchmark
 		v    kernels.Variant
@@ -281,14 +293,18 @@ func TestSleepersAreNeverReady(t *testing.T) {
 	for _, c := range cells {
 		for _, spec := range sleeperSpecs {
 			name := fmt.Sprintf("%s/%s/%s", c.bm.Name, c.v, spec)
-			driveSnapshot(t, c.bm, c.v, c.kind, spec, nil, func(s *Sim) {
-				for s.Running() && !t.Failed() {
-					s.Step()
-					checkSleepers(t, name, s)
-				}
-			})
+			driveSnapshot(t, c.bm, c.v, c.kind, spec, nil, func(s *Sim) { clock(name, s) })
 		}
 	}
+}
+
+// rawEntry finds seq's ROB entry from the raw ring, without Sim.entry.
+func rawEntry(s *Sim, seq uint64) *robEntry {
+	e := &s.rob[seq%uint64(len(s.rob))]
+	if e.valid && e.seq == seq {
+		return e
+	}
+	return nil
 }
 
 // checkSleepers asserts the placement invariant on the state Step left
@@ -297,18 +313,11 @@ func TestSleepersAreNeverReady(t *testing.T) {
 func checkSleepers(t *testing.T, name string, s *Sim) {
 	t.Helper()
 	at := s.now - 1
-	live := func(seq uint64) *robEntry {
-		e := &s.rob[seq%uint64(len(s.rob))]
-		if e.valid && e.seq == seq {
-			return e
-		}
-		return nil
-	}
 	onList := map[uint64]int{}
 	for q := range s.qActive {
 		for _, seq := range s.qActive[q] {
 			onList[seq]++
-			if e := live(seq); e == nil || e.issued || !e.active || int(e.q) != q {
+			if e := rawEntry(s, seq); e == nil || e.issued || !e.active || int(e.q) != q {
 				t.Errorf("%s cycle %d: queue %d's active list holds seq %d, which is not an active unissued entry of it", name, at, q, seq)
 			}
 		}
@@ -320,7 +329,7 @@ func checkSleepers(t *testing.T, name string, s *Sim) {
 			continue
 		}
 		for h := p.waiterHead; h != 0; {
-			w := live(h - 1)
+			w := rawEntry(s, h-1)
 			if w == nil || w.seq <= p.seq {
 				t.Errorf("%s cycle %d: seq %d's waiter chain reaches seq %d, not a younger live entry", name, at, p.seq, h-1)
 				break
@@ -350,7 +359,7 @@ func checkSleepers(t *testing.T, name string, s *Sim) {
 		}
 		blocked := false
 		for _, d := range e.deps[:e.ndeps] {
-			if p := live(d.seq); p != nil {
+			if p := rawEntry(s, d.seq); p != nil {
 				if !p.issued {
 					continue // no timer covers this one: only a chain link would
 				}
@@ -369,4 +378,111 @@ func checkSleepers(t *testing.T, name string, s *Sim) {
 			t.Errorf("%s cycle %d: seq %d is asleep and nothing holds it: it is ready and will never be scanned", name, at, e.seq)
 		}
 	}
+}
+
+// TestReadyLatchIsMonotone holds robEntry.ready to the property that
+// makes it a latch: once set on an unissued entry, the entry passes the
+// poll-free readiness walk at the cycle just executed and at every later
+// one until it issues — so skipping the walk for a latched entry skips
+// nothing that could have answered otherwise. Like checkSleepers the
+// walk is written against raw ROB fields, calls neither readyBound nor
+// issueBoundPark, and reads fill handles through Bound alone. Both
+// engines: the wheel lands on fewer cycles, but a verdict that holds at
+// every one of them held in between (the walk only compares against a
+// clock that moves forward). Mutation-checked: latching where
+// issueBoundPark's park refuses (a bound not in the future, but the
+// entry not ready) fails here within the first cells.
+func TestReadyLatchIsMonotone(t *testing.T) {
+	for _, mode := range []engine.Mode{engine.Step, engine.Wheel} {
+		latched := 0
+		forEachSleeperCell(t, func(name string, s *Sim) {
+			for s.Running() && !t.Failed() {
+				if mode == engine.Wheel {
+					s.Advance()
+				} else {
+					s.Step()
+				}
+				latched += checkLatched(t, fmt.Sprintf("%s/%v", name, mode), s)
+			}
+		})
+		if latched == 0 && !t.Failed() {
+			t.Errorf("%v: no unissued entry ever held the latch across a cycle: the check saw nothing", mode)
+		}
+	}
+}
+
+// checkLatched walks every valid unissued entry with ready set and
+// reports how many it saw.
+func checkLatched(t *testing.T, name string, s *Sim) int {
+	t.Helper()
+	at := s.now - 1
+	// landed reports whether a fill handle's data is known to be there by
+	// the executed cycle: an exact bound, not in the future.
+	landed := func(h interface{ Bound() (int64, bool) }) bool {
+		b, exact := h.Bound()
+		return exact && b <= at
+	}
+	n := 0
+	for i := range s.rob {
+		e := &s.rob[i]
+		if !e.valid || e.issued || !e.ready {
+			continue
+		}
+		n++
+		for _, d := range e.deps[:e.ndeps] {
+			p := rawEntry(s, d.seq)
+			switch {
+			case p == nil:
+				for _, rec := range s.pendBySeq {
+					if rec.seq == d.seq && !d.usePtr && !landed(rec.h) {
+						t.Errorf("%s cycle %d: seq %d is latched ready, but retired producer %d's fill has not landed", name, at, e.seq, d.seq)
+					}
+				}
+			case !p.issued:
+				t.Errorf("%s cycle %d: seq %d is latched ready, but producer %d has not issued", name, at, e.seq, d.seq)
+			case d.usePtr && p.donePtr > at, !d.usePtr && p.done > at:
+				t.Errorf("%s cycle %d: seq %d is latched ready, but producer %d is still executing", name, at, e.seq, d.seq)
+			case !d.usePtr && p.pend != nil && !landed(p.pend):
+				t.Errorf("%s cycle %d: seq %d is latched ready, but producer %d's fill has not landed", name, at, e.seq, d.seq)
+			}
+		}
+		if e.in.Kind.IsMem() && !e.in.IsStore {
+			for _, st := range s.stores {
+				if p := rawEntry(s, st.seq); st.seq < e.seq && st.lo < e.hi && e.lo < st.hi && p != nil && !p.issued {
+					t.Errorf("%s cycle %d: load seq %d is latched ready, but older overlapping store %d has not issued", name, at, e.seq, st.seq)
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestStepSteadyStateAllocs pins the core's share of "a steady-state
+// cycle allocates nothing" on the cell where it used to allocate most:
+// mpeg2encode on MOM over flat memory, whose stores made the parent
+// reallocate Sim.stores about 170 times in 10,000 cycles (commit popped
+// the list's front off its backing array, so every append past the
+// shrunken capacity moved it).
+func TestStepSteadyStateAllocs(t *testing.T) {
+	driveSnapshot(t, MPEG2Enc(), kernels.MOM, MemVectorCache, "", nil, func(s *Sim) {
+		steps := 0
+		run := func() {
+			for i := 0; i < 10000 && s.Running(); i++ {
+				s.Step()
+				steps++
+			}
+		}
+		// AllocsPerRun's own warm-up round brings the active lists, the
+		// ring and the vmem scratch to size; the second round is measured.
+		n := testing.AllocsPerRun(1, run)
+		if steps != 20000 {
+			t.Fatalf("the cell ran out after %d steps; the pin needs 10,000 warm and 10,000 measured", steps)
+		}
+		if n > 10 {
+			t.Errorf("10,000 steady-state Steps allocate %.0f times, want at most 1 per 1,000", n)
+		}
+		for s.Running() {
+			s.Step()
+		}
+	})
 }

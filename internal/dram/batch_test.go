@@ -1,6 +1,11 @@
 package dram
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+)
 
 // TestSubmitSingleMatchesOneAtATime: under FCFS, a multi-request batch
 // with ordered arrivals must complete exactly like the same requests
@@ -305,5 +310,92 @@ func TestPresetsAndSpecKnobs(t *testing.T) {
 		if _, err := ParseSpec(bad, 100); err == nil {
 			t.Errorf("ParseSpec(%q) did not error", bad)
 		}
+	}
+}
+
+// TestSubmitArrivalOrderMatchesStableSort: byArrival must order a
+// channel's batch indices exactly as sort.SliceStable did — by At, equal
+// arrivals in batch order — on random index lists with few distinct
+// arrival cycles (so ties are the common case), sorted runs, reversed
+// runs and the empty and one-element lists Submit sees most.
+func TestSubmitArrivalOrderMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(20020918))
+	for trial := 0; trial < 2000; trial++ {
+		batch := make([]Request, rng.Intn(96))
+		spread := 1 + rng.Intn(6) // distinct At values in play
+		for i := range batch {
+			switch trial % 3 {
+			case 0:
+				batch[i].At = int64(rng.Intn(spread))
+			case 1:
+				batch[i].At = int64(i / spread) // already ordered, in runs of ties
+			default:
+				batch[i].At = int64((len(batch) - i) / spread) // reversed
+			}
+		}
+		// A channel's list: an increasing subsequence of batch indices.
+		var got []int
+		for i := range batch {
+			if rng.Intn(3) > 0 {
+				got = append(got, i)
+			}
+		}
+		want := append([]int(nil), got...)
+		sort.SliceStable(want, func(a, b int) bool { return batch[want[a]].At < batch[want[b]].At })
+		byArrival(got, batch)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: byArrival ordered %v, sort.SliceStable %v (arrivals %v)", trial, got, want, batch)
+		}
+	}
+}
+
+// submitRound is one warmed-up Submit of a 64-request batch — reads
+// fanned over all eight channels of the HBM part, a few posted writes,
+// arrivals in issue order — with the clock moved past its completions.
+type submitRound struct {
+	s     *SDRAM
+	batch [64]Request
+	at    int64
+	line  uint64
+}
+
+func newSubmitRound() *submitRound { return &submitRound{s: NewSDRAM(PresetHBM.Config())} }
+
+func (r *submitRound) run() {
+	for i := range r.batch {
+		r.batch[i] = Request{Addr: r.line * 128, Write: i%16 == 15, At: r.at + int64(i/4), ID: uint64(i + 1)}
+		r.line = (r.line*5 + 1) % (1 << 20) // every line of a 128 MB window once, rows and banks mixed
+	}
+	for _, c := range r.s.Submit(r.batch[:]) {
+		r.at = max(r.at, c.Done)
+	}
+}
+
+// TestSubmitSteadyStateDoesNotAllocate: once the per-Submit scratch
+// has seen its batch size, scheduling a batch on the 8-channel part
+// allocates nothing — ordering nine index lists by arrival included,
+// which cost three allocations each under sort.SliceStable.
+func TestSubmitSteadyStateDoesNotAllocate(t *testing.T) {
+	r := newSubmitRound()
+	if r.s.Config().Channels != 8 {
+		t.Fatalf("the HBM preset has %d channels, want the 8-channel part", r.s.Config().Channels)
+	}
+	for i := 0; i < 16; i++ {
+		r.run() // warm: scratch, write queues and policy state reach size
+	}
+	if n := testing.AllocsPerRun(200, r.run); n != 0 {
+		t.Fatalf("a warmed Submit allocates %.0f times per batch, want 0", n)
+	}
+}
+
+// BenchmarkSubmit tracks the controller's host cost: one op is one
+// 64-request batch.
+func BenchmarkSubmit(b *testing.B) {
+	r := newSubmitRound()
+	r.run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.run()
 	}
 }

@@ -3,7 +3,7 @@ package dram
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/cache"
@@ -1121,6 +1121,19 @@ func (s *SDRAM) qosPick(c *channel, batch []Request, pend []int) int {
 	return pick
 }
 
+// byArrival orders batch indices by their requests' At, equal arrivals
+// keeping batch order. An insertion sort: the lists are one channel's
+// share of a batch the MSHR file appended in issue order — short and all
+// but sorted — and it neither reflects nor allocates, where the sort
+// package's stable slice sort did both, three allocations a call.
+func byArrival(idx []int, batch []Request) {
+	for i := 1; i < len(idx); i++ {
+		for j := i; j > 0 && batch[idx[j]].At < batch[idx[j-1]].At; j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
+		}
+	}
+}
+
 // Submit implements Backend. The batch fans out across channels; each
 // channel schedules its reads through the demand-aware FR-FCFS reorder
 // window (demand row hits, then demands, then prefetch row hits, then
@@ -1131,11 +1144,9 @@ func (s *SDRAM) Submit(batch []Request) []Completion {
 	if len(batch) == 0 {
 		return s.comps
 	}
-	if cap(s.comps) < len(batch) {
-		s.comps = make([]Completion, len(batch))
-	} else {
-		s.comps = s.comps[:len(batch)]
-	}
+	// Every element is overwritten below; Grow's amortised doubling means
+	// a run of ever-larger batches reallocates O(log) times, not each time.
+	s.comps = slices.Grow(s.comps, len(batch))[:len(batch)]
 	s.dec = s.dec[:0]
 	s.wOrder = s.wOrder[:0]
 	for c := range s.perChan {
@@ -1168,12 +1179,12 @@ func (s *SDRAM) Submit(batch []Request) []Completion {
 	// Reads first (read priority), each channel independent.
 	for ch := range s.perChan {
 		pend := s.perChan[ch]
-		sort.SliceStable(pend, func(a, b int) bool { return batch[pend[a]].At < batch[pend[b]].At })
+		byArrival(pend, batch)
 		s.scheduleReads(ch, batch, pend)
 	}
 
 	// Then the batch's writes, in arrival order.
-	sort.SliceStable(s.wOrder, func(a, b int) bool { return batch[s.wOrder[a]].At < batch[s.wOrder[b]].At })
+	byArrival(s.wOrder, batch)
 	for _, i := range s.wOrder {
 		s.comps[i].Done = s.postWrite(s.dec[i].ch, batch[i])
 	}

@@ -1,6 +1,8 @@
 package vmem
 
 import (
+	"math"
+
 	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/stats"
@@ -86,9 +88,11 @@ func (s *MSHRStats) AvgSpan() float64 {
 	return float64(s.SpanSum) / float64(s.Flushes)
 }
 
-// mshrEntry tracks one outstanding L2 line miss. Handles hold pointers
-// to entries, so an entry struct is never recycled; the file merely
-// drops freed entries from its live set.
+// mshrEntry tracks one outstanding L2 line miss. Entries are carved
+// from the file's slab (MSHRFile.entrySlab), one allocation per slabLen
+// misses. Handles hold pointers to entries and outlive the file's live
+// set, so an entry is never handed out twice; the file merely drops
+// freed entries from its live set and a slab dies with its last handle.
 type mshrEntry struct {
 	line     uint64
 	id       uint64
@@ -132,6 +136,23 @@ type MSHRFile struct {
 	span     int // instructions contributing to the pending batch
 	flushGen int // flush generation, for span tracking across mid-instruction flushes
 
+	// Views of entries, kept current by the four places that change it
+	// or resolve a member (allocate, injectPrefetch, resolve, free) so
+	// that nothing scans the file per miss: the unresolved entries, the
+	// unresolved prefetches among them, and the earliest completion among
+	// the resolved ones (noDone when none), short of which free has
+	// nothing to drop. A blocking file keeps nothing in entries and
+	// leaves all three alone.
+	unresolved, pfLive int
+	minDone            int64
+
+	// Where entries, handles and each handle's entries/fresh windows come
+	// from (see slab).
+	entrySlab  slab[mshrEntry]
+	handleSlab slab[Pending]
+	ptrSlab    slab[*mshrEntry]
+	idSlab     slab[uint64]
+
 	// tenant is the requestor tag of the RegisterFor call in progress:
 	// every entry ID and write-back the call files carries it in the
 	// ID's top byte (dram.TagTenant), so a shared backend can route
@@ -150,6 +171,33 @@ type MSHRFile struct {
 
 	tr *stats.Tracer // event tracer, nil = off
 	st MSHRStats
+}
+
+// slabLen is how many elements one slab allocation holds: 256 entries
+// are 14 KB, 256 handles 24 KB.
+const slabLen = 256
+
+// noDone is minDone with no resolved entry live.
+const noDone = math.MaxInt64
+
+// slab hands out consecutive windows of zeroed elements, one allocation
+// per slabLen of them, so the miss path's steady state allocates only
+// on refill. Nothing is ever returned to a slab: handles keep pointers
+// into them long after the file has dropped the entry (the scoreboard
+// polls a graduated instruction's handle until its fill lands), so a
+// free list would need the reference count the garbage collector
+// already keeps per slab.
+type slab[T any] struct{ rest []T }
+
+// take returns the next n elements, with capacity n: appending past
+// the window reallocates instead of running into a neighbour's.
+func (s *slab[T]) take(n int) []T {
+	if len(s.rest) < n {
+		s.rest = make([]T, max(n, slabLen))
+	}
+	w := s.rest[:n:n]
+	s.rest = s.rest[n:]
+	return w
 }
 
 // NewMSHRFile builds a file of n MSHRs over the Timing's main memory
@@ -179,6 +227,7 @@ func NewMSHRFile(tim Timing, n int) *MSHRFile {
 		byLine:   map[uint64]*mshrEntry{},
 		pendByID: map[uint64]*mshrEntry{},
 		nextID:   1, // 0 tags write-backs, which never resolve an entry
+		minDone:  noDone,
 	}
 	f.st.Fill = stats.NewHistogram()
 	return f
@@ -192,6 +241,13 @@ func (f *MSHRFile) SetTracer(t *stats.Tracer) { f.tr = t }
 // miss-to-fill histogram and the trace.
 func (f *MSHRFile) resolve(e *mshrEntry, done int64) {
 	e.done, e.resolved = done, true
+	if !f.blocking {
+		f.unresolved--
+		if e.prefetch {
+			f.pfLive--
+		}
+		f.minDone = min(f.minDone, done)
+	}
 	f.st.Fill.Observe(done - e.at)
 	if f.tr != nil {
 		f.tr.Emit(stats.Event{Cycle: e.at, Dur: done - e.at, Cat: "mshr", Name: "fill",
@@ -247,27 +303,46 @@ func (f *MSHRFile) Blocking() bool { return f.blocking }
 func (f *MSHRFile) Stats() *MSHRStats { return &f.st }
 
 // Outstanding is the number of unresolved line misses in the file.
-func (f *MSHRFile) Outstanding() int {
-	n := 0
-	for _, e := range f.entries {
-		if !e.resolved {
-			n++
-		}
-	}
-	return n
-}
+func (f *MSHRFile) Outstanding() int { return f.unresolved }
 
-// free drops entries whose fill has completed by cycle t.
+// free drops entries whose fill has completed by cycle t: none while t
+// is short of the earliest resolved completion, which is every call
+// but the few that cross one.
 func (f *MSHRFile) free(t int64) {
+	if t < f.minDone {
+		return
+	}
 	live := f.entries[:0]
+	f.minDone = noDone
 	for _, e := range f.entries {
-		if e.resolved && e.done <= t {
-			delete(f.byLine, e.line)
-			continue
+		if e.resolved {
+			if e.done <= t {
+				delete(f.byLine, e.line)
+				continue
+			}
+			f.minDone = min(f.minDone, e.done)
 		}
 		live = append(live, e)
 	}
 	f.entries = live
+}
+
+// newEntry carves the entry of a miss to line arriving at cycle at.
+func (f *MSHRFile) newEntry(line uint64, at int64, prefetch bool) *mshrEntry {
+	e := &f.entrySlab.take(1)[0]
+	e.line, e.id, e.at, e.prefetch = line, dram.TagTenant(f.nextID, f.tenant), at, prefetch
+	f.nextID++
+	return e
+}
+
+// track enters e into the live set.
+func (f *MSHRFile) track(e *mshrEntry) {
+	f.entries = append(f.entries, e)
+	f.byLine[e.line] = e
+	f.unresolved++
+	if e.prefetch {
+		f.pfLive++
+	}
 }
 
 // flush submits everything pending as one batch and resolves the
@@ -323,30 +398,24 @@ func (f *MSHRFile) allocate(addr uint64, at int64) (*mshrEntry, int64) {
 		f.flush()
 		f.free(at)
 		for len(f.entries) >= f.cap {
-			tFree := f.entries[0].done
-			for _, e := range f.entries[1:] {
-				if e.done < tFree {
-					tFree = e.done
-				}
-			}
-			if tFree > at {
+			// The flush resolved every live entry, so the earliest fill
+			// is the view free keeps.
+			if tFree := f.minDone; tFree > at {
 				f.st.StallCycles += uint64(tFree - at)
 				at = tFree
 			}
 			f.free(at)
 		}
 	}
-	e := &mshrEntry{line: addr &^ f.lineMask, id: dram.TagTenant(f.nextID, f.tenant), at: at}
-	f.nextID++
-	f.entries = append(f.entries, e)
-	f.byLine[e.line] = e
+	e := f.newEntry(addr&^f.lineMask, at, false)
+	f.track(e)
 	f.st.Allocs++
 	if f.tr != nil {
 		f.tr.Emit(stats.Event{Cycle: at, Cat: "mshr", Name: "alloc", Addr: e.line, ID: e.id, Tenant: f.tenant})
 		f.tr.Emit(stats.Event{Cycle: at, Cat: "dep", Name: "mem", Ph: 't',
 			ID: e.id, Tenant: f.tenant})
 	}
-	occ := f.Outstanding() // already counts the just-appended entry
+	occ := f.unresolved // already counts the just-tracked entry
 	f.st.OccSum += uint64(occ)
 	if occ > f.st.OccMax {
 		f.st.OccMax = occ
@@ -392,7 +461,12 @@ func (f *MSHRFile) Register(batch []dram.Request, pfTouch []PFTouch, occDone int
 // Register exactly.
 func (f *MSHRFile) RegisterFor(tenant int, batch []dram.Request, pfTouch []PFTouch, occDone int64) *Pending {
 	f.tenant = tenant
-	p := &Pending{file: f, base: occDone}
+	p := &f.handleSlab.take(1)[0]
+	p.file, p.base = f, occDone
+	// Every read of the batch and every touch adds at most one entry, so
+	// the windows below are never appended past.
+	n := len(batch) + len(pfTouch)
+	p.entries, p.fresh = f.ptrSlab.take(n)[:0], f.idSlab.take(n)[:0]
 	if f.blocking {
 		// Blocking mode files the whole instruction atomically, submits
 		// it at once and leaves nothing live between instructions —
@@ -405,8 +479,7 @@ func (f *MSHRFile) RegisterFor(tenant int, batch []dram.Request, pfTouch []PFTou
 				f.st.Writebacks++
 				continue
 			}
-			e := &mshrEntry{line: r.Addr &^ f.lineMask, id: dram.TagTenant(f.nextID, f.tenant), at: r.At}
-			f.nextID++
+			e := f.newEntry(r.Addr&^f.lineMask, r.At, false)
 			f.st.Allocs++
 			if f.tr != nil {
 				f.tr.Emit(stats.Event{Cycle: r.At, Cat: "mshr", Name: "alloc", Addr: e.line, ID: e.id, Tenant: f.tenant})
@@ -566,17 +639,6 @@ func (f *MSHRFile) prefetchQuota() int {
 	return q
 }
 
-// prefetchLive counts unresolved prefetch entries in the file.
-func (f *MSHRFile) prefetchLive() int {
-	n := 0
-	for _, e := range f.entries {
-		if e.prefetch && !e.resolved {
-			n++
-		}
-	}
-	return n
-}
-
 // classifyPrefetch settles a demanded prefetch entry into the hit/late
 // split once its completion time is known.
 func (f *MSHRFile) classifyPrefetch(e *mshrEntry) {
@@ -608,7 +670,7 @@ func (f *MSHRFile) injectPrefetch(line uint64, at int64) {
 		return
 	}
 	f.free(at)
-	if len(f.entries) >= f.cap || f.prefetchLive() >= f.prefetchQuota() {
+	if len(f.entries) >= f.cap || f.pfLive >= f.prefetchQuota() {
 		f.pf.st.DroppedMSHR++
 		if f.tr != nil {
 			f.tr.Emit(stats.Event{Cycle: at, Cat: "pf", Name: "drop_mshr", Addr: line, Tenant: f.tenant})
@@ -624,10 +686,8 @@ func (f *MSHRFile) injectPrefetch(line uint64, at int64) {
 		return
 	}
 	res := f.l2.FillPrefetch(line)
-	e := &mshrEntry{line: line, id: dram.TagTenant(f.nextID, f.tenant), at: at, prefetch: true}
-	f.nextID++
-	f.entries = append(f.entries, e)
-	f.byLine[line] = e
+	e := f.newEntry(line, at, true)
+	f.track(e)
 	f.pending = append(f.pending, dram.Request{Addr: line, At: at, ID: e.id, Prefetch: true})
 	f.pendByID[e.id] = e
 	if res.Writeback && f.tim.Backend != nil {
@@ -650,7 +710,11 @@ func (f *MSHRFile) injectPrefetch(line uint64, at int64) {
 func (f *MSHRFile) Drain() { f.flush() }
 
 // Pending is the completion handle of one instruction's outstanding
-// misses: the issue side returns it, the scoreboard queries it.
+// misses: the issue side returns it, the scoreboard queries it. Handles
+// come from the file's slab and their entries/fresh windows from its
+// pointer and ID slabs, sized at RegisterFor to the most the
+// instruction can file; like entries they are never reused, because
+// the core decides how long it keeps one.
 type Pending struct {
 	file     *MSHRFile
 	entries  []*mshrEntry
@@ -677,7 +741,9 @@ type Pending struct {
 // FreshIDs returns the MSHR entry IDs this instruction's primary
 // misses allocated, for originating causal flow chains. Merged
 // secondary misses are excluded — their chains belong to the
-// instruction that filed the primary miss.
+// instruction that filed the primary miss. An empty result may be nil
+// or zero-length (a window of the ID slab); callers must only range
+// over it or take its length.
 func (p *Pending) FreshIDs() []uint64 { return p.fresh }
 
 // TakeFullStall consumes up to n cycles of the handle's MSHR
