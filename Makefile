@@ -1,7 +1,7 @@
 # The verify target is the tier-1 gate: CI runs it, and it is the
 # command to run before sending a change.
 
-.PHONY: verify build test test-race bench perf perf-compare perf-pairs wheel rpsweep ifsweep vasweep enginebench cpisweep stats trace tenants fmt-check vet
+.PHONY: verify build test test-race bench perf perf-compare perf-pairs loc wheel rpsweep ifsweep vasweep enginebench cpisweep stats trace tenants fmt-check vet
 
 # J is the sweep parallelism the sweep targets pass to momexp; override
 # with `make rpsweep J=1` to force a serial run.
@@ -54,6 +54,12 @@ perf-compare:
 N ?= 10
 perf-pairs:
 	scripts/perf_pairs.py $(REF) $(W) $(N) $(ARGS)
+
+# loc prints the size figure ROADMAP items and simplicity issues quote:
+# non-test Go lines per package directory and in total, with and without
+# bench/ (plain `wc -l`; *_test.go excluded).
+loc:
+	@scripts/loc.sh
 
 # stats smokes the observability layer end to end: a tiny run with the
 # registry exporter on, then the pretty-printed snapshot so a reader

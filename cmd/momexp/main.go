@@ -19,7 +19,7 @@
 //	momexp -statsjson BENCH_PR6.json  write the golden-matrix registry snapshots as JSON
 //	momexp -enginebench BENCH_PR8.json [-reps 3]  time both engines and write the report as JSON
 //	momexp -dram sdram  rerun the evaluation over the banked SDRAM model
-//	momexp -mshr 8      ... with an 8-entry MSHR file (non-blocking pipeline)
+//	momexp -mshr 8      ... with an 8-entry MSHR file (non-blocking pipeline; 0 or 1 = the blocking model)
 //	momexp -mshr 16 -pf 8  ... with a stream prefetcher riding the MSHR batch
 //	momexp -dram sdram -rp history  ... under the live/dead row predictor
 //	momexp -engine wheel -j 8  any of the above on the event-wheel engine, cells across 8 workers
@@ -56,7 +56,7 @@ func main() {
 	dwqi := flag.Int("dwqi", 0, "sdram idle-bus opportunistic write-drain gap in cycles (0 = profile default, -1 = off)")
 	dwin := flag.Int("dwin", 0, "sdram FR-FCFS reorder-window override (0 = profile default)")
 	rp := flag.String("rp", "", "sdram per-bank row policy: open, close, timer[:<idle>], history")
-	mshr := flag.Int("mshr", 0, "MSHR count for the non-blocking memory pipeline (0 = blocking model)")
+	mshr := flag.Int("mshr", 0, "MSHR count for the non-blocking memory pipeline (0 or 1 = the blocking model)")
 	pf := flag.Int("pf", 0, "stream-prefetcher stream-table entries (0 = off; needs -mshr >= 2)")
 	pfd := flag.Int("pfd", 0, "stream-prefetcher degree: lines kept in flight per stream (0 = default 4)")
 	pfq := flag.Int("pfq", 0, "sdram per-channel cap on prefetch reads in flight (0 = half the read queue)")

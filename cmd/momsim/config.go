@@ -113,8 +113,8 @@ func resolve(o options) (runConfig, error) {
 	if err != nil {
 		return rc, err
 	}
-	if o.Tenants < 1 {
-		return rc, fmt.Errorf("-tenants must be at least 1 (got %d)", o.Tenants)
+	if o.Tenants < 1 || o.Tenants > dram.MaxTenants {
+		return rc, fmt.Errorf("-tenants must be 1..%d (got %d)", dram.MaxTenants, o.Tenants)
 	}
 	if o.QoS && o.Tenants < 2 {
 		return rc, fmt.Errorf("-qos partitions the channel between requestors; it needs -tenants >= 2")

@@ -74,7 +74,7 @@ func TestResolveMSHR(t *testing.T) {
 	if rc.Timing.MSHRs != 8 {
 		t.Errorf("Timing.MSHRs = %d, want 8", rc.Timing.MSHRs)
 	}
-	// Default stays on the legacy blocking path.
+	// Default stays on the blocking model.
 	if rc2, err := resolve(defaultOptions()); err != nil || rc2.Timing.MSHRs != 0 {
 		t.Errorf("default Timing.MSHRs = %d (err %v), want 0", rc2.Timing.MSHRs, err)
 	}
@@ -242,6 +242,8 @@ func TestResolveRejectsUnknownValues(t *testing.T) {
 		{"rp-arg-on-open", func(o *options) { o.DRAM = "sdram"; o.RP = "open:5" }, "parameter"},
 		{"pfq-no-pf", func(o *options) { o.DRAM = "sdram"; o.MSHR = 8; o.PFQ = 4 }, "stream count"},
 		{"pfq-negative", func(o *options) { o.DRAM = "sdram"; o.MSHR = 8; o.PF = 4; o.PFQ = -1 }, "knobs"},
+		{"tenants-zero", func(o *options) { o.Tenants = 0 }, "-tenants must be 1..256"},
+		{"tenants-past-the-request-field", func(o *options) { o.Tenants = 257 }, "-tenants must be 1..256"},
 		{"tracebuf-negative", func(o *options) { o.Trace = "t.json"; o.TraceBuf = -1 }, "-tracebuf"},
 		{"tracebuf-no-trace", func(o *options) { o.TraceBuf = 4096 }, "-trace"},
 		{"trace-eq-statsjson", func(o *options) { o.Trace = "out.json"; o.StatsJSON = "out.json" }, "distinct"},

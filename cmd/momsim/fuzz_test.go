@@ -4,8 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dram"
 	"repro/internal/engine"
 )
+
+// maxTenants is dram.MaxTenants under a name the fuzz target's dram
+// parameter does not shadow.
+const maxTenants = dram.MaxTenants
 
 // FuzzResolve drives momsim's flag resolution with arbitrary values.
 // resolve is the single validation funnel between flag.Parse and the
@@ -58,6 +63,8 @@ func FuzzResolve(f *testing.F) {
 		0, 0, 0, 0, 0, 8, 0, 0, 0, 20, 100, "", "", 0, 200, 1, false, "") // pfdecay without pf: rejected
 	add("motionsearch", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "ddr", "open",
 		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 0, 1, false, "Wheel") // engine names are case-sensitive: rejected
+	add("gsmencode", "mom3d", "vcache3d", "fixed", "line", "frfcfs", "ddr", "open",
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 0, 257, false, "") // more tenants than a request can name: rejected
 
 	f.Fuzz(func(t *testing.T, bench, isa, mem, dram, dmap, dsched, dprof, rp string,
 		dchan, dwq, dwql, dwqi, dwin, mshr, pf, pfd, pfq int, l2, mlat int64,
@@ -99,8 +106,8 @@ func FuzzResolve(f *testing.F) {
 		if rc.MemKind == core.MemIdeal && (rc.Timing.MSHRs != 0 || rc.Timing.PFStreams != 0) {
 			t.Fatalf("accepted mshr/pf with ideal memory: %+v", rc.Timing)
 		}
-		if rc.Tenants < 1 {
-			t.Fatalf("accepted a tenant count below 1: %d", rc.Tenants)
+		if rc.Tenants < 1 || rc.Tenants > maxTenants {
+			t.Fatalf("accepted a tenant count outside 1..%d: %d", maxTenants, rc.Tenants)
 		}
 		if rc.QoS && rc.Tenants < 2 {
 			t.Fatal("accepted -qos without at least 2 tenants")

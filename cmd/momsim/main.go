@@ -14,8 +14,8 @@
 // the per-bank row policy (open, close, timer[:<idle>], history — the
 // 2-bit live/dead predictor). -mshr N enables the non-blocking memory
 // pipeline: N miss-status holding registers decouple instruction issue
-// from memory completion (N=1 is the bit-exact blocking compatibility
-// mode; 0, the default, keeps the legacy blocking path). -pf N adds a
+// from memory completion (0 or 1 = the blocking model, which has no
+// file; 0 is the default). -pf N adds a
 // stream prefetcher over the MSHR file (N stream-table entries; -pfd
 // picks how many lines each stream keeps in flight): predicted L2
 // lines join the lazy MSHR batch as prefetch entries that never stall
@@ -96,7 +96,7 @@ func main() {
 	dwqi := flag.Int("dwqi", 0, "sdram idle-bus opportunistic write-drain gap in cycles (0 = profile default, -1 = off)")
 	dwin := flag.Int("dwin", 0, "sdram FR-FCFS reorder-window override (0 = profile default)")
 	rp := flag.String("rp", def.RP, "sdram per-bank row policy: open, close, timer[:<idle>], history")
-	mshr := flag.Int("mshr", 0, "MSHR count for the non-blocking memory pipeline (0 = blocking model, 1 = blocking via the MSHR file)")
+	mshr := flag.Int("mshr", 0, "MSHR count for the non-blocking memory pipeline (0 or 1 = the blocking model)")
 	pf := flag.Int("pf", 0, "stream-prefetcher stream-table entries (0 = off; needs -mshr >= 2)")
 	pfd := flag.Int("pfd", 0, "stream-prefetcher degree: lines kept in flight per stream (0 = default 4)")
 	pfq := flag.Int("pfq", 0, "sdram per-channel cap on prefetch reads in flight (0 = half the read queue)")

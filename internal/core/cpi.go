@@ -23,7 +23,7 @@ import "repro/internal/vmem"
 //
 // Memory-blocked cycles split three ways through the blocking
 // instruction's Pending handle: cycles the handle absorbed waiting for
-// a free MSHR (the full-stall budget RegisterFor accumulated), cycles
+// a free MSHR (the full-stall budget Register accumulated), cycles
 // the channel scheduler spent yielding the requests to other tenants
 // under QoS (the per-entry yield budget the controller stamped on the
 // completion), and the remainder — the DRAM wait proper. The budgets

@@ -85,7 +85,7 @@ func NewMemSystem(kind MemKind, tim vmem.Timing, lanes int, bankL1 bool) *MemSys
 		panic(fmt.Sprintf("dram line bytes %d != L2 line size %d",
 			tim.Backend.LineBytes(), m.L2.Config().LineSize))
 	}
-	if tim.MSHRs >= 1 {
+	if tim.MSHRs >= 2 {
 		// One MSHR file serves the vector subsystem and the scalar miss
 		// path: both sit behind the same L2, so their misses share the
 		// same outstanding-line budget and the same Submit batches.
@@ -119,8 +119,9 @@ func NewMemSystem(kind MemKind, tim vmem.Timing, lanes int, bankL1 bool) *MemSys
 // system: a single L2, MSHR file, prefetcher and DRAM backend serve
 // every tenant, while each tenant keeps its own L1, vector subsystem
 // and scalar path (mirroring one core per requestor). Tenant i's
-// Timing carries Tenant=i, so every miss it files is requestor-tagged
-// on the opaque ID path all the way into the backend. Tenant 0's view
+// Timing carries Tenant=i, so every request it creates is stamped with
+// its requestor (dram.Request.Tenant) all the way into the backend —
+// which is what bounds n at dram.MaxTenants. Tenant 0's view
 // is constructed by NewMemSystem itself, so a 1-tenant system is the
 // single-requestor system, bit for bit.
 //
@@ -128,8 +129,8 @@ func NewMemSystem(kind MemKind, tim vmem.Timing, lanes int, bankL1 bool) *MemSys
 // vmsys.Space(i): real per-tenant address spaces over one shared
 // physical pool, replacing the tenant<<32 window rebasing.
 func NewTenantMemSystems(kind MemKind, tim vmem.Timing, lanes int, bankL1 bool, n int, vmsys *vm.VM) []*MemSystem {
-	if n < 1 {
-		panic("core: tenant count must be at least 1")
+	if n < 1 || n > dram.MaxTenants {
+		panic(fmt.Sprintf("core: tenant count must be 1..%d (got %d)", dram.MaxTenants, n))
 	}
 	if vmsys != nil {
 		if vmsys.N() < n {
@@ -223,7 +224,7 @@ func (m *MemSystem) ScalarAccess(in *isa.Inst, t int64) (int64, *vmem.Pending) {
 			// The line was prefetched: the load may still be waiting on
 			// the in-flight fill, and the touch trains the stream table.
 			m.scalarPF = append(m.scalarPF[:0],
-				vmem.PFTouch{Line: m.L2.LineAddr(addr), At: done})
+				vmem.PFTouch{Line: m.L2.LineAddr(addr), At: done, Tenant: uint8(m.Tim.Tenant)})
 			return m.Tim.Complete(nil, m.scalarPF, done)
 		}
 		return done, nil
@@ -232,9 +233,10 @@ func (m *MemSystem) ScalarAccess(in *isa.Inst, t int64) (int64, *vmem.Pending) {
 	// by the fill rides along as a posted write-back that never
 	// gates the load.
 	m.scalarBatch = m.scalarBatch[:0]
-	m.scalarBatch = append(m.scalarBatch, dram.Request{Addr: addr, At: done})
+	ten := uint8(m.Tim.Tenant)
+	m.scalarBatch = append(m.scalarBatch, dram.Request{Addr: addr, At: done, Tenant: ten})
 	if res.Writeback && m.Tim.Backend != nil {
-		m.scalarBatch = append(m.scalarBatch, dram.Request{Addr: res.VictimAddr, Write: true, At: done})
+		m.scalarBatch = append(m.scalarBatch, dram.Request{Addr: res.VictimAddr, Write: true, At: done, Tenant: ten})
 	}
 	return m.Tim.Complete(m.scalarBatch, m.scalarPF[:0], done)
 }
@@ -251,8 +253,8 @@ func (m *MemSystem) DRAM() dram.Backend {
 	return m.Tim.Backend
 }
 
-// MSHR returns the miss-status holding register file, or nil when the
-// blocking model is in use.
+// MSHR returns the miss-status holding register file, or nil under the
+// blocking model (Tim.MSHRs below 2).
 func (m *MemSystem) MSHR() *vmem.MSHRFile {
 	return m.Tim.MSHR
 }

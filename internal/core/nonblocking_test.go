@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/dram"
@@ -54,37 +53,18 @@ func simBenchPF(t *testing.T, tr *trace.Trace, v kernels.Variant, kind MemKind, 
 	return Simulate(cfg, ms, tr.Insts), ms
 }
 
-// TestMSHR1MatchesBlockingAllBenchmarks is the refactor's safety net:
-// with a 1-entry MSHR file the decoupled machinery must reproduce the
-// blocking model's cycle counts bit-identically on every benchmark,
-// over both the flat backend and the banked SDRAM.
-func TestMSHR1MatchesBlockingAllBenchmarks(t *testing.T) {
-	variants := []struct {
-		v    kernels.Variant
-		kind MemKind
-	}{
-		{kernels.MOM3D, MemVectorCache3D},
-		{kernels.MOM, MemVectorCache},
-		{kernels.MMX, MemMultiBanked},
-	}
-	for _, bm := range equivBenches() {
-		for _, vk := range variants {
-			tr := &trace.Trace{}
-			bm.Run(vk.v, tr)
-			for _, spec := range []string{"fixed", "sdram/line/frfcfs"} {
-				name := fmt.Sprintf("%s/%v/%s", bm.Name, vk.v, spec)
-				blocking := simBench(t, tr, vk.v, vk.kind, spec, 0)
-				mshr1 := simBench(t, tr, vk.v, vk.kind, spec, 1)
-				if blocking.Cycles != mshr1.Cycles {
-					t.Errorf("%s: -mshr 1 cycles %d != blocking %d", name, mshr1.Cycles, blocking.Cycles)
-				}
-				if blocking.Committed != mshr1.Committed {
-					t.Errorf("%s: committed %d != %d", name, mshr1.Committed, blocking.Committed)
-				}
-				if mshr1.EarlyRetired != 0 {
-					t.Errorf("%s: blocking-mode file early-retired %d instructions", name, mshr1.EarlyRetired)
-				}
-			}
+// TestMSHR1IsTheBlockingModel: there are two miss models, and the knob
+// has no third value between them — MSHRs 0 and 1 both build no file
+// (the blocking model is Timing.SubmitMisses), 2 is the smallest file.
+func TestMSHR1IsTheBlockingModel(t *testing.T) {
+	for _, tc := range []struct{ mshrs, wantCap int }{{0, 0}, {1, 0}, {2, 2}, {8, 8}} {
+		tim := vmem.Timing{L2Latency: 20, MemLatency: 100, MSHRs: tc.mshrs}
+		f := NewMemSystem(MemVectorCache3D, tim, 4, false).MSHR()
+		switch {
+		case tc.wantCap == 0 && f != nil:
+			t.Errorf("MSHRs %d built a %d-register file; the blocking model has none", tc.mshrs, f.Cap())
+		case tc.wantCap > 0 && (f == nil || f.Cap() != tc.wantCap):
+			t.Errorf("MSHRs %d: want a %d-register file, got %v", tc.mshrs, tc.wantCap, f)
 		}
 	}
 }
@@ -93,8 +73,8 @@ func TestMSHR1MatchesBlockingAllBenchmarks(t *testing.T) {
 // the prefetch-off path: a Timing with PFStreams 0 must run the exact
 // code the pre-prefetcher model ran, so cycles and commits match a
 // configuration that never mentions the prefetcher, on the blocking
-// model, the blocking-mode file and the decoupled file alike. (The
-// absolute pre-PR baselines are pinned separately by TestGoldenStats.)
+// model (spelled 0 and 1) and the decoupled file alike. (The absolute
+// pre-PR baselines are pinned separately by TestGoldenStats.)
 func TestPrefetchOffMatchesNoPrefetcher(t *testing.T) {
 	bm := kernels.MotionSearch(kernels.SmallMotionSearchConfig())
 	tr := &trace.Trace{}

@@ -31,7 +31,7 @@ func TestSubmitSingleMatchesOneAtATime(t *testing.T) {
 	one, batched := mk(), mk()
 	var oneDones []int64
 	for _, r := range reqs {
-		oneDones = append(oneDones, one.Access(r.Addr, r.At))
+		oneDones = append(oneDones, access(one, r.Addr, r.At))
 	}
 	comps := batched.Submit(reqs)
 	for i := range reqs {
@@ -52,7 +52,7 @@ func TestFRFCFSPromotesRowHitInBatch(t *testing.T) {
 	cfg := testConfig() // 1 channel, 1 bank, open page
 	cfg.ReorderWindow = 8
 	s := NewSDRAM(cfg)
-	s.Access(0, 0) // opens row 0, done 19
+	access(s, 0, 0) // opens row 0, done 19
 
 	comps := s.Submit([]Request{
 		{Addr: 1024, At: 30}, // row 1: conflict, arrived first
@@ -78,7 +78,7 @@ func TestFRFCFSPromotesRowHitInBatch(t *testing.T) {
 	// the would-be hit into a second conflict: strictly slower.
 	cfg.Scheduler = FCFS
 	f := NewSDRAM(cfg)
-	f.Access(0, 0)
+	access(f, 0, 0)
 	fc := f.Submit([]Request{{Addr: 1024, At: 30}, {Addr: 128, At: 30}})
 	if fc[1].Done <= hit.Done {
 		t.Errorf("FCFS done %d not slower than FR-FCFS promoted hit %d", fc[1].Done, hit.Done)

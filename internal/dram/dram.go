@@ -36,6 +36,11 @@ const lineBytes = cache.L2LineBytes
 // entry the request belongs to); backends carry it through to the
 // matching Completion untouched so completions can be routed back to
 // their MSHRs even after the scheduler reorders the batch.
+//
+// Tenant is the requestor the request belongs to (0 for single-requestor
+// traffic), set where the request is born and never rewritten: backends
+// key per-tenant statistics and QoS credit on it. It sits in the struct's
+// tail padding, so a Request stays 40 bytes.
 type Request struct {
 	Addr  uint64
 	Write bool
@@ -57,6 +62,7 @@ type Request struct {
 	// prefetch.
 	Prefetch bool
 	Demanded bool
+	Tenant   uint8
 }
 
 // speculative reports whether the scheduler should treat the request
@@ -123,13 +129,6 @@ type Backend interface {
 	Reset()
 }
 
-// Access is the one-at-a-time compatibility path over the batch API: it
-// submits a single read and returns its completion cycle. The scalar
-// miss path and the seed's flat model go through here.
-func Access(b Backend, addr uint64, t0 int64) int64 {
-	return b.Submit([]Request{{Addr: addr, At: t0}})[0].Done
-}
-
 // Stats aggregates a backend's activity.
 type Stats struct {
 	Accesses     uint64
@@ -177,10 +176,11 @@ type Stats struct {
 	DemandFirstLapses uint64
 	QoSDeferred       uint64
 
-	// TenantMisroute counts requests whose ID carried a tenant tag
-	// outside the allocated stat-shard range. Such requests are still
-	// serviced normally but recorded in no shard — routing them into a
-	// wrapped shard index would corrupt another tenant's accounting.
+	// TenantMisroute counts requests whose Tenant lies outside the
+	// per-tenant state the backend keeps (stat shards, QoS credit sets),
+	// once each. Such requests are still serviced normally but recorded
+	// in no shard and booked against no credit — wrapping them into
+	// range would corrupt another tenant's accounting.
 	TenantMisroute uint64
 
 	// Row-policy accounting (internal/dram/policy): RowClosedEarly
@@ -381,7 +381,8 @@ func (f *Fixed) Submit(batch []Request) []Completion {
 			f.st.ReadWait.Observe(0)
 			f.st.ReadService.Observe(f.Latency)
 		}
-		if ts := shardFor(f.tst, r.ID, &f.st); ts != nil {
+		if slot := tenantSlot(r.Tenant, len(f.tst), &f.st); slot >= 0 {
+			ts := &f.tst[slot]
 			ts.Bytes += uint64(f.lineBytes)
 			if r.Write {
 				ts.Writes++
@@ -394,7 +395,7 @@ func (f *Fixed) Submit(batch []Request) []Completion {
 			}
 		}
 		if f.tr != nil {
-			ten := TenantOf(r.ID)
+			ten := int(r.Tenant)
 			f.tr.Emit(stats.Event{Cycle: r.At, Cat: "dram", Name: "issue", Addr: r.Addr, ID: r.ID, Tenant: ten})
 			f.tr.Emit(stats.Event{Cycle: done, Cat: "dram", Name: "complete", Addr: r.Addr, ID: r.ID, Tenant: ten})
 		}
@@ -403,6 +404,3 @@ func (f *Fixed) Submit(batch []Request) []Completion {
 	}
 	return f.comps
 }
-
-// Access submits a single read (the seed's scalar path).
-func (f *Fixed) Access(addr uint64, t0 int64) int64 { return Access(f, addr, t0) }

@@ -20,19 +20,25 @@ func testConfig() Config {
 	}
 }
 
+// access submits one read on its own and returns its completion cycle:
+// the one-request form most timing tests are written in.
+func access(b Backend, addr uint64, t0 int64) int64 {
+	return b.Submit([]Request{{Addr: addr, At: t0}})[0].Done
+}
+
 func TestRowMissHitConflictTiming(t *testing.T) {
 	s := NewSDRAM(testConfig())
 
 	// Bank idle: activate (tRCD) + CAS + burst.
-	if got, want := s.Access(0, 0), int64(10+5+4); got != want {
+	if got, want := access(s, 0, 0), int64(10+5+4); got != want {
 		t.Fatalf("row miss: done = %d, want %d", got, want)
 	}
 	// Same row open: CAS + burst only.
-	if got, want := s.Access(128, 19), int64(19+5+4); got != want {
+	if got, want := access(s, 128, 19), int64(19+5+4); got != want {
 		t.Fatalf("row hit: done = %d, want %d", got, want)
 	}
 	// Different row: precharge + activate + CAS + burst.
-	if got, want := s.Access(1024, 28), int64(28+7+10+5+4); got != want {
+	if got, want := access(s, 1024, 28), int64(28+7+10+5+4); got != want {
 		t.Fatalf("row conflict: done = %d, want %d", got, want)
 	}
 
@@ -54,12 +60,12 @@ func TestClosedPagePolicy(t *testing.T) {
 	cfg.RowPolicy = policy.Spec{Kind: policy.Close}
 	s := NewSDRAM(cfg)
 
-	if got, want := s.Access(0, 0), int64(19); got != want {
+	if got, want := access(s, 0, 0), int64(19); got != want {
 		t.Fatalf("first access: done = %d, want %d", got, want)
 	}
 	// The bank auto-precharges (tRP after the burst), so the second
 	// access to the same row is another activate, not a hit.
-	if got, want := s.Access(128, 19), int64(19+7+10+5+4); got != want {
+	if got, want := access(s, 128, 19), int64(19+7+10+5+4); got != want {
 		t.Fatalf("second access: done = %d, want %d", got, want)
 	}
 	st := s.Stats()
@@ -124,8 +130,8 @@ func TestSchedulerOverlap(t *testing.T) {
 		cfg.Banks = 2
 		cfg.Scheduler = sched
 		s := NewSDRAM(cfg)
-		s.Access(0, 0)          // bank 0
-		return s.Access(128, 0) // bank 1 under MapLine
+		access(s, 0, 0)          // bank 0
+		return access(s, 128, 0) // bank 1 under MapLine
 	}
 	fr, fc := run(FRFCFS), run(FCFS)
 	if fr >= fc {
@@ -136,8 +142,8 @@ func TestSchedulerOverlap(t *testing.T) {
 	cfg := testConfig()
 	cfg.Banks = 2
 	s := NewSDRAM(cfg)
-	s.Access(0, 0)
-	s.Access(128, 0)
+	access(s, 0, 0)
+	access(s, 128, 0)
 	if blp := s.Stats().BankLevelParallelism(); blp != 0.5 {
 		t.Fatalf("bank-level parallelism = %f, want 0.5", blp)
 	}
@@ -156,10 +162,10 @@ func TestRefreshClosesRows(t *testing.T) {
 	cfg.TREFI, cfg.TRFC = 100, 20
 	s := NewSDRAM(cfg)
 
-	s.Access(0, 0) // opens the row, done at 19
+	access(s, 0, 0) // opens the row, done at 19
 	// Arriving after the 100-cycle refresh boundary: the row was closed
 	// and the bank stalled until 120, so this is a miss, not a hit.
-	if got, want := s.Access(128, 150), int64(150+10+5+4); got != want {
+	if got, want := access(s, 128, 150), int64(150+10+5+4); got != want {
 		t.Fatalf("post-refresh access: done = %d, want %d", got, want)
 	}
 	st := s.Stats()
@@ -172,8 +178,8 @@ func TestRefreshClosesRows(t *testing.T) {
 	// A request landing inside the refresh window waits it out and then
 	// re-activates the (closed) row.
 	s.Reset()
-	s.Access(0, 0)
-	if got, want := s.Access(128, 105), int64(120+10+5+4); got != want {
+	access(s, 0, 0)
+	if got, want := access(s, 128, 105), int64(120+10+5+4); got != want {
 		t.Fatalf("in-refresh access: done = %d, want %d", got, want)
 	}
 }
@@ -185,8 +191,8 @@ func TestRefreshDuringBusyBank(t *testing.T) {
 	cfg := testConfig()
 	cfg.TREFI, cfg.TRFC = 100, 20
 	s := NewSDRAM(cfg)
-	s.Access(0, 90) // row miss, bank busy until 109
-	if got, want := s.Access(128, 95), int64(129+10+5+4); got != want {
+	access(s, 0, 90) // row miss, bank busy until 109
+	if got, want := access(s, 128, 95), int64(129+10+5+4); got != want {
 		t.Fatalf("refresh-crossing access: done = %d, want %d", got, want)
 	}
 	st := s.Stats()
@@ -218,9 +224,9 @@ func TestQueueBackpressure(t *testing.T) {
 	cfg.QueueDepth = 1
 	s := NewSDRAM(cfg)
 
-	s.Access(0, 0) // done at 19, occupies the only queue slot
+	access(s, 0, 0) // done at 19, occupies the only queue slot
 	// The second request cannot enter the controller until cycle 19.
-	if got, want := s.Access(128, 0), int64(19+5+4); got != want {
+	if got, want := access(s, 128, 0), int64(19+5+4); got != want {
 		t.Fatalf("queued access: done = %d, want %d", got, want)
 	}
 	st := s.Stats()
@@ -241,7 +247,7 @@ func TestStreamingRowHitRate(t *testing.T) {
 	s := NewSDRAM(cfg)
 	t0 := int64(0)
 	for i := 0; i < 1024; i++ {
-		t0 = s.Access(uint64(i*cfg.LineBytes), t0)
+		t0 = access(s, uint64(i*cfg.LineBytes), t0)
 	}
 	if hr := s.Stats().RowHitRate(); hr < 0.9 {
 		t.Fatalf("streaming row hit rate = %f, want >= 0.9", hr)
@@ -253,7 +259,7 @@ func TestStreamingRowHitRate(t *testing.T) {
 
 func TestFixedBackend(t *testing.T) {
 	f := NewFixed(100)
-	if got := f.Access(0x1234, 50); got != 150 {
+	if got := access(f, 0x1234, 50); got != 150 {
 		t.Fatalf("fixed access: done = %d, want 150", got)
 	}
 	if st := f.Stats(); st.Accesses != 1 || st.Bytes != 128 {
@@ -347,10 +353,10 @@ func TestValidateFlagCombo(t *testing.T) {
 
 func TestResetClearsTimingState(t *testing.T) {
 	s := NewSDRAM(testConfig())
-	s.Access(0, 0)
+	access(s, 0, 0)
 	s.Reset()
 	// After reset the bank is idle again: same latency as a cold start.
-	if got := s.Access(0, 0); got != 19 {
+	if got := access(s, 0, 0); got != 19 {
 		t.Fatalf("post-reset access: done = %d, want 19", got)
 	}
 }

@@ -1,6 +1,10 @@
 package dram
 
-import "testing"
+import (
+	"cmp"
+	"slices"
+	"testing"
+)
 
 // qosTestConfig is the two-tenant contention part: single channel,
 // single bank (so every request contends), an 8-deep reorder window and
@@ -24,13 +28,14 @@ func starvationBatch() []Request {
 		reqs = append(reqs, Request{
 			Addr: uint64(i) * 128,
 			At:   0,
-			ID:   TagTenant(uint64(i), 0),
+			ID:   uint64(i),
 		})
 	}
 	reqs = append(reqs, Request{
-		Addr: 1 << 20, // its own row, a guaranteed conflict
-		At:   0,
-		ID:   TagTenant(100, 1),
+		Addr:   1 << 20, // its own row, a guaranteed conflict
+		At:     0,
+		ID:     100,
+		Tenant: 1,
 	})
 	return reqs
 }
@@ -89,7 +94,7 @@ func TestQoSOffIsBitIdentical(t *testing.T) {
 	plain := NewSDRAM(func() Config { c := testConfig(); c.ReorderWindow = 8; return c }())
 	var untagged []Request
 	for _, r := range batch {
-		r.ID &= (1 << TenantShift) - 1
+		r.Tenant = 0
 		untagged = append(untagged, r)
 	}
 	plainComps := plain.Submit(untagged)
@@ -113,5 +118,60 @@ func TestQoSOffIsBitIdentical(t *testing.T) {
 	if tagged.TenantStatsOf(0).Reads != 12 || tagged.TenantStatsOf(1).Reads != 1 {
 		t.Errorf("shard reads = %d/%d, want 12/1",
 			tagged.TenantStatsOf(0).Reads, tagged.TenantStatsOf(1).Reads)
+	}
+}
+
+// TestQoSStrayTenantHoldsNoCredit: a read from a tenant the part was not
+// sized for is served, counted once in TenantMisroute, and booked against
+// nobody — tenants 0 and 1 are picked in the same order and yield the same
+// turns whether or not it is in the window. A `tenant % 2` wrap would file
+// tenant 5's read as tenant 1's load and push tenant 1 over its credit.
+func TestQoSStrayTenantHoldsNoCredit(t *testing.T) {
+	cfg := qosTestConfig(true)
+	cfg.QueueDepth = 4 // a credit of two reads per tenant
+	var batch []Request
+	for i := 0; i < 6; i++ {
+		batch = append(batch, Request{Addr: uint64(i) * 128, ID: uint64(i)}) // tenant 0, one row
+	}
+	for i := 0; i < 3; i++ {
+		batch = append(batch, Request{Addr: 1<<20 + uint64(i)*128, ID: uint64(10 + i), Tenant: 1})
+	}
+	stray := Request{Addr: 6 * 128, ID: 99, Tenant: 5} // oldest in the window, tenant 0's row
+
+	// order is the IDs of tenants 0 and 1 in the order they were served.
+	run := func(batch []Request) (order []uint64, s *SDRAM) {
+		s = NewSDRAM(cfg)
+		s.EnableTenantStats(2)
+		comps := append([]Completion(nil), s.Submit(batch)...)
+		slices.SortFunc(comps, func(a, b Completion) int { return cmp.Compare(a.Done, b.Done) })
+		for _, c := range comps {
+			if c.ID != stray.ID {
+				order = append(order, c.ID)
+			}
+		}
+		return order, s
+	}
+	wantOrder, want := run(batch)
+	gotOrder, got := run(append([]Request{stray}, batch...))
+
+	if !slices.Equal(gotOrder, wantOrder) {
+		t.Errorf("picks moved with a stray read in the window:\n  without %v\n  with    %v", wantOrder, gotOrder)
+	}
+	if want.Stats().QoSDeferred == 0 {
+		t.Fatal("the batch never engaged the credit pick; the test is vacuous")
+	}
+	if a, b := want.Stats().QoSDeferred, got.Stats().QoSDeferred; a != b {
+		t.Errorf("QoSDeferred %d without the stray, %d with it", a, b)
+	}
+	for i := 0; i < 2; i++ {
+		if a, b := want.TenantStatsOf(i).QoSDeferred, got.TenantStatsOf(i).QoSDeferred; a != b {
+			t.Errorf("tenant %d yielded %d turns without the stray, %d with it", i, a, b)
+		}
+		if a, b := want.TenantStatsOf(i).Reads, got.TenantStatsOf(i).Reads; a != b {
+			t.Errorf("tenant %d shard counts %d reads without the stray, %d with it", i, a, b)
+		}
+	}
+	if a, b := want.Stats().TenantMisroute, got.Stats().TenantMisroute; a != 0 || b != 1 {
+		t.Errorf("TenantMisroute = %d without the stray and %d with it, want 0 and 1", a, b)
 	}
 }

@@ -17,17 +17,17 @@ func TestTimerPolicyClosesIdleRows(t *testing.T) {
 	s := NewSDRAM(cfg)
 
 	// Cold activate: done at 19; the timer arms for 19+20 = 39.
-	if got := s.Access(0, 0); got != 19 {
+	if got := access(s, 0, 0); got != 19 {
 		t.Fatalf("cold access done = %d, want 19", got)
 	}
 	// Inside the gap the row is still open: a same-row access hits.
-	if got, want := s.Access(128, 25), int64(25+5+4); got != want {
+	if got, want := access(s, 128, 25), int64(25+5+4); got != want {
 		t.Fatalf("in-gap access done = %d, want %d (row hit)", got, want)
 	}
 	// The hit re-arms the timer for 34+20 = 54. Arriving long after, the
 	// row was precharged during the idle gap: a plain activate, never a
 	// conflict — and reopening the same row counts as a wasted close.
-	if got, want := s.Access(256, 100), int64(100+10+5+4); got != want {
+	if got, want := access(s, 256, 100), int64(100+10+5+4); got != want {
 		t.Fatalf("post-gap access done = %d, want %d (activate from idle)", got, want)
 	}
 	st := s.Stats()
@@ -46,10 +46,10 @@ func TestTimerPolicyPrechargeOccupiesBank(t *testing.T) {
 	cfg := testConfig()
 	cfg.RowPolicy = policy.Spec{Kind: policy.Timer, Idle: 20}
 	s := NewSDRAM(cfg)
-	s.Access(0, 0) // done 19, timer fires at 39, precharge busy until 46
+	access(s, 0, 0) // done 19, timer fires at 39, precharge busy until 46
 	// Arriving at 40, the precharge (39..46) is still in flight: the
 	// activate starts at 46.
-	if got, want := s.Access(128, 40), int64(46+10+5+4); got != want {
+	if got, want := access(s, 128, 40), int64(46+10+5+4); got != want {
 		t.Fatalf("in-precharge access done = %d, want %d", got, want)
 	}
 }
@@ -62,8 +62,8 @@ func TestTimerPolicyDefeatsConflict(t *testing.T) {
 		cfg := testConfig()
 		cfg.RowPolicy = rp
 		s := NewSDRAM(cfg)
-		s.Access(0, 0)
-		return s.Access(4096, 200) // row 4: a conflict under open page
+		access(s, 0, 0)
+		return access(s, 4096, 200) // row 4: a conflict under open page
 	}
 	open := run(policy.Spec{})
 	timer := run(policy.Spec{Kind: policy.Timer, Idle: 20})
@@ -94,7 +94,7 @@ func TestHistoryPolicyConverges(t *testing.T) {
 	var dones []int64
 	for _, addr := range rows {
 		t0 += 100
-		dones = append(dones, s.Access(addr, t0))
+		dones = append(dones, access(s, addr, t0))
 	}
 	st := s.Stats()
 	if st.RowConflicts != 1 {
@@ -127,7 +127,7 @@ func TestHistoryPolicyMatchesOpenOnStreams(t *testing.T) {
 		t0 := int64(0)
 		var dones []int64
 		for i := 0; i < 512; i++ {
-			t0 = s.Access(uint64(i*cfg.LineBytes), t0)
+			t0 = access(s, uint64(i*cfg.LineBytes), t0)
 			dones = append(dones, t0)
 		}
 		return dones, *s.Stats()
@@ -281,9 +281,9 @@ func TestRowPolicyStatsAccounting(t *testing.T) {
 	cfg := testConfig()
 	cfg.RowPolicy = policy.Spec{Kind: policy.Close}
 	s := NewSDRAM(cfg)
-	s.Access(0, 0)
-	s.Access(128, 50) // same row: the close was wasted
-	s.Access(4096, 100)
+	access(s, 0, 0)
+	access(s, 128, 50) // same row: the close was wasted
+	access(s, 4096, 100)
 	st := s.Stats()
 	if st.RowClosedEarly != 3 {
 		t.Fatalf("closed early = %d, want 3 (every access auto-precharges)", st.RowClosedEarly)

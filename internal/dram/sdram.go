@@ -2,8 +2,6 @@ package dram
 
 import (
 	"fmt"
-	"math"
-	"slices"
 	"strings"
 
 	"repro/internal/cache"
@@ -147,8 +145,8 @@ type Config struct {
 	// 0 keeps the historical sticky latch.
 	PFDecay int64
 
-	// Tenants is the number of requestor tags sharing the part (0 or 1
-	// = single requestor; see TagTenant). QoS turns on per-tenant
+	// Tenants is the number of requestors sharing the part (0 or 1 =
+	// single requestor; see Request.Tenant). QoS turns on per-tenant
 	// credit scheduling in each channel: a tenant's reads are capped at
 	// its share of the read queue (QueueDepth/Tenants, at least 1) and
 	// the FR-FCFS pick services the least-loaded tenant first, so one
@@ -216,21 +214,24 @@ type channel struct {
 	busWrite    bool    // last burst was a write (turnaround tracking)
 	cmdFree     int64   // FCFS: command issue serialization point
 	nextRefresh int64   // next refresh epoch boundary
-	inflight    []int64 // completion times of queued reads
-	pfInflight  []int64 // completion times of queued prefetch reads (PFQCap)
+	inflight    doneSet // queued reads
+	pfInflight  doneSet // queued speculative reads (PFQCap)
 	// demandUntil is the demand-first latch: while a pending read's
 	// arrival is below it the pick keeps demands ahead of speculation.
 	// 0 = unlatched; math.MaxInt64 = the sticky latch (PFDecay off).
 	demandUntil int64
-	tenInflight [][]int64 // QoS: completion times of queued reads per tenant
+	tenInflight []doneSet // QoS: queued reads per tenant
 	writeQ      []Request // posted writes awaiting a threshold drain
 }
 
-// decoded caches the address decomposition of one batch request.
+// decoded caches what Submit works out once per batch request: the
+// address decomposition, and the tenant's slot in the per-tenant tables
+// (-1 for a stray or a part keeping none; see tenantSlot).
 type decoded struct {
 	ch  int
 	bk  int
 	row int64
+	ten int
 }
 
 // SDRAM is the banked controller model.
@@ -241,14 +242,14 @@ type SDRAM struct {
 	st    Stats
 	tst   []TenantStats // per-requestor shards (nil = off)
 
+	// tenants is how many requestors the part keeps per-tenant state
+	// for — stat shards, QoS credit sets — and so the n every request's
+	// Tenant is bounds-checked against (tenantSlot); 0 = none.
+	tenants int
+
 	lineShift, colBits, rowBits, chanBits, bankBits uint
 
-	// Event tracing (nil = off). service runs deep under the
-	// schedulers without request identity in scope, so the callers
-	// stash the active request's address and ID here — only when a
-	// tracer is attached.
-	tr           *stats.Tracer
-	trAddr, trID uint64
+	tr *stats.Tracer // event tracing (nil = off)
 
 	// Per-Submit scratch, reused across calls.
 	comps   []Completion
@@ -334,6 +335,9 @@ func NewSDRAM(cfg Config) *SDRAM {
 		chanBits:  log2(cfg.Channels),
 		bankBits:  log2(cfg.Ranks * cfg.Banks),
 	}
+	if cfg.QoS {
+		s.tenants = cfg.Tenants
+	}
 	s.chans = make([]channel, cfg.Channels)
 	s.perChan = make([][]int, cfg.Channels)
 	s.st.initHists()
@@ -410,12 +414,12 @@ func (s *SDRAM) Reset() {
 		s.chans[c] = channel{
 			banks:       make([]bank, s.cfg.Ranks*s.cfg.Banks),
 			nextRefresh: s.cfg.TREFI,
-			inflight:    make([]int64, 0, s.cfg.QueueDepth),
-			pfInflight:  make([]int64, 0, s.cfg.QueueDepth),
+			inflight:    make(doneSet, 0, s.cfg.QueueDepth),
+			pfInflight:  make(doneSet, 0, s.cfg.QueueDepth),
 			writeQ:      make([]Request, 0, s.cfg.WQDepth),
 		}
 		if s.cfg.QoS {
-			s.chans[c].tenInflight = make([][]int64, s.cfg.Tenants)
+			s.chans[c].tenInflight = make([]doneSet, s.cfg.Tenants)
 		}
 	}
 }
@@ -423,23 +427,29 @@ func (s *SDRAM) Reset() {
 // EnableTenantStats implements TenantAware: allocate n per-requestor
 // stat shards. Recording into them is pure observation — it never
 // feeds back into scheduling — so enabling shards preserves timing
-// bit-for-bit.
+// bit-for-bit. Under QoS the part already keeps Config.Tenants credit
+// sets; a tenant beyond either table is a stray to both.
 func (s *SDRAM) EnableTenantStats(n int) {
 	s.tst = make([]TenantStats, n)
 	for i := range s.tst {
 		s.tst[i].init()
+	}
+	s.tenants = n
+	if s.cfg.QoS {
+		s.tenants = min(n, s.cfg.Tenants)
 	}
 }
 
 // TenantStatsOf implements TenantAware.
 func (s *SDRAM) TenantStatsOf(i int) *TenantStats { return &s.tst[i] }
 
-// tenantShard maps a request ID to its stat shard (nil when sharding
-// is off or the tag is outside the allocated range; stray tags are
-// counted in Stats.TenantMisroute instead of aliasing into another
-// tenant's shard, and can never panic the controller).
-func (s *SDRAM) tenantShard(id uint64) *TenantStats {
-	return shardFor(s.tst, id, &s.st)
+// shard is the stat shard of the tenant in slot ten, nil when sharding
+// is off or the tenant is a stray (see tenantSlot).
+func (s *SDRAM) shard(ten int) *TenantStats {
+	if ten < 0 || s.tst == nil {
+		return nil
+	}
+	return &s.tst[ten]
 }
 
 // decode splits addr into channel, bank and row according to the
@@ -542,8 +552,9 @@ func (s *SDRAM) burst(c *channel, ready int64, write bool) int64 {
 // refresh catch-up, any pending idle-timer precharge, row management,
 // column access and data burst, leaving the row buffer per the row
 // policy's decision. arrival must already include any queue
-// back-pressure.
-func (s *SDRAM) service(ci, bi int, row, arrival int64, write bool) int64 {
+// back-pressure; r is the request being served, read for its direction
+// and, when tracing, its identity.
+func (s *SDRAM) service(ci, bi int, row, arrival int64, r *Request) int64 {
 	c := &s.chans[ci]
 	s.refreshUpTo(c, arrival)
 	bk := &c.banks[bi]
@@ -600,18 +611,18 @@ func (s *SDRAM) service(ci, bi int, row, arrival int64, write bool) int64 {
 	if s.cfg.Scheduler == FCFS {
 		c.cmdFree = colIssue
 	}
-	done := s.burst(c, colIssue+s.cfg.TCAS, write)
+	done := s.burst(c, colIssue+s.cfg.TCAS, r.Write)
 	if s.tr != nil {
 		lane := s.globalBank(ci, bi)
-		ten := TenantOf(s.trID)
+		ten := int(r.Tenant)
 		if colIssue > start {
 			s.tr.Emit(stats.Event{Cycle: start, Dur: colIssue - start, Cat: "dram", Name: "activate",
-				Addr: s.trAddr, ID: s.trID, Lane: lane, Tenant: ten})
+				Addr: r.Addr, ID: r.ID, Lane: lane, Tenant: ten})
 		}
 		s.tr.Emit(stats.Event{Cycle: colIssue, Dur: s.cfg.TCAS, Cat: "dram", Name: "column",
-			Addr: s.trAddr, ID: s.trID, Lane: lane, Tenant: ten})
+			Addr: r.Addr, ID: r.ID, Lane: lane, Tenant: ten})
 		s.tr.Emit(stats.Event{Cycle: done - s.cfg.TBurst, Dur: s.cfg.TBurst, Cat: "dram", Name: "burst",
-			Addr: s.trAddr, ID: s.trID, Lane: lane, Tenant: ten})
+			Addr: r.Addr, ID: r.ID, Lane: lane, Tenant: ten})
 	}
 
 	bk.freeAt = done
@@ -637,188 +648,6 @@ func (s *SDRAM) service(ci, bi int, row, arrival int64, write bool) int64 {
 	return done
 }
 
-// admitRead applies the bounded read queue: completed entries are
-// dropped, occupancy is sampled, and the arrival stalls until a slot
-// frees when the queue is full. Returns the (possibly delayed) arrival.
-func (s *SDRAM) admitRead(c *channel, t0 int64) int64 {
-	arrival := t0
-	live := c.inflight[:0]
-	for _, done := range c.inflight {
-		if done > arrival {
-			live = append(live, done)
-		}
-	}
-	c.inflight = live
-	occ := len(c.inflight) + 1 // the arriving request occupies a slot
-	if occ > s.cfg.QueueDepth {
-		occ = s.cfg.QueueDepth
-	}
-	s.st.QueueSum += uint64(occ)
-	if occ > s.st.QueueMax {
-		s.st.QueueMax = occ
-	}
-	if len(c.inflight) >= s.cfg.QueueDepth {
-		oldest := 0
-		for i := 1; i < len(c.inflight); i++ {
-			if c.inflight[i] < c.inflight[oldest] {
-				oldest = i
-			}
-		}
-		arrival = c.inflight[oldest]
-		c.inflight = append(c.inflight[:oldest], c.inflight[oldest+1:]...)
-		s.st.StallCycles += uint64(arrival - t0)
-	}
-	return arrival
-}
-
-// pfUnderCap reports whether the channel could take one more
-// speculative read at cycle t without crossing PFQCap — the same
-// occupancy bound admitPrefetch enforces, consulted by the pick loop
-// before it promotes a speculative row hit over a waiting demand.
-func (s *SDRAM) pfUnderCap(c *channel, t int64) bool {
-	n := 0
-	for _, done := range c.pfInflight {
-		if done > t {
-			n++
-		}
-	}
-	return n < s.cfg.PFQCap
-}
-
-// admitPrefetch applies the per-channel cap on speculative read-queue
-// occupancy: a prefetch arriving while PFQCap prefetch reads are still
-// in flight on its channel is deferred until the earliest of them
-// completes (counted in PrefetchDeferred), so speculative traffic can
-// never crowd demand reads out of more than its share of the bounded
-// queue. Crossing the cap also latches the channel into demand-first
-// picking (see scheduleReads): sticky by default, or for PFDecay
-// cycles past the deferral when decay is configured — a channel whose
-// speculative stream stays under its share that long earns its full
-// FR-FCFS standing back. Demand reads pass through untouched.
-func (s *SDRAM) admitPrefetch(c *channel, t0 int64) int64 {
-	live := c.pfInflight[:0]
-	for _, done := range c.pfInflight {
-		if done > t0 {
-			live = append(live, done)
-		}
-	}
-	c.pfInflight = live
-	if len(c.pfInflight) < s.cfg.PFQCap {
-		return t0
-	}
-	s.st.PrefetchDeferred++
-	if s.cfg.PFDecay > 0 {
-		if until := t0 + s.cfg.PFDecay; until > c.demandUntil {
-			c.demandUntil = until
-		}
-	} else {
-		c.demandUntil = math.MaxInt64
-	}
-	for len(c.pfInflight) >= s.cfg.PFQCap {
-		earliest := 0
-		for i := 1; i < len(c.pfInflight); i++ {
-			if c.pfInflight[i] < c.pfInflight[earliest] {
-				earliest = i
-			}
-		}
-		if d := c.pfInflight[earliest]; d > t0 {
-			t0 = d
-		}
-		c.pfInflight = append(c.pfInflight[:earliest], c.pfInflight[earliest+1:]...)
-	}
-	return t0
-}
-
-// qosCredit is the per-tenant share of a channel's read queue under
-// QoS scheduling: an even split, but never below one slot.
-func (s *SDRAM) qosCredit() int {
-	credit := s.cfg.QueueDepth / s.cfg.Tenants
-	if credit < 1 {
-		credit = 1
-	}
-	return credit
-}
-
-// tenLive counts one tenant's reads still in flight on the channel at
-// cycle t — the load figure both the credit gate and the QoS pick key
-// on.
-func tenLive(q []int64, t int64) int {
-	n := 0
-	for _, done := range q {
-		if done > t {
-			n++
-		}
-	}
-	return n
-}
-
-// pruneTenant drops tenant ti's completed reads from its channel
-// in-flight list as of cycle t, keeping tenLive cheap for the pick
-// loop's repeated scans.
-func (s *SDRAM) pruneTenant(c *channel, ti int, t int64) {
-	q := c.tenInflight[ti]
-	live := q[:0]
-	for _, done := range q {
-		if done > t {
-			live = append(live, done)
-		}
-	}
-	c.tenInflight[ti] = live
-}
-
-// serviceRead runs one read through its channel, including queue
-// back-pressure (the prefetch occupancy cap for speculative reads)
-// and the bank-level-parallelism sample, and returns its completion
-// cycle. id is the request's opaque tag, consulted only for tenant
-// routing (the per-tenant in-flight bookkeeping the QoS pick keys on).
-func (s *SDRAM) serviceRead(ch int, bi int, row int64, t0 int64, prefetch bool, id uint64) int64 {
-	c := &s.chans[ch]
-	req := t0 // the request's own arrival, before any back-pressure
-	if prefetch {
-		t0 = s.admitPrefetch(c, t0)
-	}
-	ti := 0
-	if c.tenInflight != nil {
-		ti = TenantOf(id) % len(c.tenInflight)
-		s.pruneTenant(c, ti, t0)
-	}
-	arrival := s.admitRead(c, t0)
-	s.opportunisticDrain(ch, bi, arrival)
-	// Bank-level parallelism: banks already busy at arrival, across the
-	// whole part.
-	for ci := range s.chans {
-		for b := range s.chans[ci].banks {
-			if s.chans[ci].banks[b].freeAt > arrival {
-				s.st.BankBusySum++
-			}
-		}
-	}
-	done := s.service(ch, bi, row, arrival, false)
-	c.inflight = append(c.inflight, done)
-	if prefetch {
-		c.pfInflight = append(c.pfInflight, done)
-	}
-	if c.tenInflight != nil {
-		c.tenInflight[ti] = append(c.tenInflight[ti], done)
-	}
-	s.st.ReadWait.Observe(arrival - req)
-	s.st.ReadService.Observe(done - arrival)
-	if ts := s.tenantShard(id); ts != nil {
-		ts.Reads++
-		ts.Bytes += uint64(s.cfg.LineBytes)
-		if prefetch {
-			ts.PrefetchReads++
-		}
-		ts.ReadLatency.Observe(done - req)
-	}
-	if s.tr != nil {
-		s.tr.Emit(stats.Event{Cycle: done, Cat: "dram", Name: "complete",
-			Addr: s.trAddr, ID: s.trID, Lane: ch, Tenant: TenantOf(id)})
-	}
-	s.st.observe(t0, done, s.cfg.LineBytes)
-	return done
-}
-
 // drainWrites retires the channel's queued writes oldest-first starting
 // no earlier than cycle t, stopping when `keep` remain (0 empties the
 // queue; the low-watermark policy passes cfg.WQLow so a threshold
@@ -837,12 +666,10 @@ func (s *SDRAM) drainWrites(ci int, t int64, keep int) {
 		s.st.PartialDrains++
 	}
 	n := len(c.writeQ) - keep
-	for _, w := range c.writeQ[:n] {
+	for i := range c.writeQ[:n] {
+		w := &c.writeQ[i]
 		_, bi, row := s.decode(w.Addr)
-		if s.tr != nil {
-			s.trAddr, s.trID = w.Addr, w.ID
-		}
-		done := s.service(ci, bi, row, max(t, w.At), true)
+		done := s.service(ci, bi, row, max(t, w.At), w)
 		// The drain's bus time must stay inside the bandwidth window,
 		// or drained bytes would report as transferred in zero cycles.
 		if done > s.st.LastDone {
@@ -885,7 +712,8 @@ func (s *SDRAM) opportunisticDrain(ci int, readBank int, arrival int64) {
 		return
 	}
 	kept := c.writeQ[:0]
-	for i, w := range c.writeQ {
+	for i := range c.writeQ {
+		w := &c.writeQ[i]
 		_, bi, row := s.decode(w.Addr)
 		if bi == readBank {
 			kept = append(kept, c.writeQ[i:]...)
@@ -906,10 +734,7 @@ func (s *SDRAM) opportunisticDrain(ci int, readBank int, arrival int64) {
 			kept = append(kept, c.writeQ[i:]...)
 			break
 		}
-		if s.tr != nil {
-			s.trAddr, s.trID = w.Addr, w.ID
-		}
-		done := s.service(ci, bi, row, w.At, true)
+		done := s.service(ci, bi, row, w.At, w)
 		if done > s.st.LastDone {
 			s.st.LastDone = done
 		}
@@ -918,21 +743,22 @@ func (s *SDRAM) opportunisticDrain(ci int, readBank int, arrival int64) {
 	c.writeQ = kept
 }
 
-// postWrite absorbs one write into the channel's write queue and
-// returns its acceptance cycle. Crossing the drain threshold retires
-// writes down to the low watermark (the whole queue when WQLow is 0).
-func (s *SDRAM) postWrite(ci int, w Request) int64 {
-	c := &s.chans[ci]
+// postWrite absorbs write w, decoded to d, into its channel's write
+// queue and returns its acceptance cycle. Crossing the drain threshold
+// retires writes down to the low watermark (the whole queue when WQLow
+// is 0).
+func (s *SDRAM) postWrite(d decoded, w Request) int64 {
+	c := &s.chans[d.ch]
 	ack := w.At + 1 // posted: the queue accepts it next cycle
 	c.writeQ = append(c.writeQ, w)
 	s.st.Writes++
-	if ts := s.tenantShard(w.ID); ts != nil {
+	if ts := s.shard(d.ten); ts != nil {
 		ts.Writes++
 		ts.Bytes += uint64(s.cfg.LineBytes)
 	}
 	s.st.observe(w.At, ack, s.cfg.LineBytes)
 	if len(c.writeQ) >= s.cfg.WQDrain {
-		s.drainWrites(ci, ack, s.cfg.WQLow)
+		s.drainWrites(d.ch, ack, s.cfg.WQLow)
 	}
 	return ack
 }
@@ -951,249 +777,6 @@ func (s *SDRAM) rowOpenAt(c *channel, bk *bank, row, at int64) bool {
 	}
 	return bk.closeAt == 0 || at < bk.closeAt
 }
-
-// scheduleReads services one channel's pending reads through the
-// demand-aware FR-FCFS reorder window. While the channel's speculative
-// occupancy sits below PFQCap, speculation is harmless and the classic
-// pick runs unchanged: the oldest row hit in the first ReorderWindow
-// pending requests (still a hit under the row policy's pending
-// closes), demand or prefetch alike, else the oldest request. Once
-// prefetch reads hold their whole PFQCap share of the queue — the same
-// occupancy bound admitPrefetch enforces — the pick turns demand-first:
-// a demand row hit, then the oldest demand, and a speculative read
-// only when the window holds no demand at all. Prefetches a demand has
-// already merged onto (Request.Demanded — the late prefetches whose
-// fills gate instructions) count as demands throughout:
-// deprioritizing them would push back the very completions the
-// pipeline is waiting on. FCFS keeps strict arrival order. pend must
-// be sorted by arrival and is consumed.
-func (s *SDRAM) scheduleReads(ch int, batch []Request, pend []int) {
-	c := &s.chans[ch]
-	for len(pend) > 0 {
-		pick := 0
-		switch {
-		case s.cfg.QoS && s.cfg.Scheduler == FRFCFS && s.cfg.ReorderWindow > 1:
-			pick = s.qosPick(c, batch, pend)
-		case s.cfg.Scheduler == FRFCFS && s.cfg.ReorderWindow > 1:
-			w := len(pend)
-			if w > s.cfg.ReorderWindow {
-				w = s.cfg.ReorderWindow
-			}
-			// Speculative reads keep full FR-FCFS standing until the
-			// channel's speculative stream overruns its PFQCap share
-			// (the admitPrefetch deferral latch), and win it back once
-			// the latch decays: PFDecay quiet cycles with no further
-			// deferral unlatch the channel.
-			if c.demandUntil != 0 && batch[pend[0]].At >= c.demandUntil {
-				c.demandUntil = 0
-				s.st.DemandFirstLapses++
-			}
-			classic := c.demandUntil == 0
-			pick = -1
-			demandHit, demand, pfHit := -1, -1, -1
-			for i := 0; i < w; i++ {
-				d := s.dec[pend[i]]
-				hit := s.rowOpenAt(c, &c.banks[d.bk], d.row, batch[pend[i]].At)
-				if batch[pend[i]].speculative() && !classic {
-					if hit && pfHit < 0 && s.pfUnderCap(c, batch[pend[i]].At) {
-						pfHit = i
-					}
-					continue
-				}
-				if hit {
-					demandHit = i
-					break
-				}
-				if demand < 0 {
-					demand = i
-				}
-			}
-			switch {
-			case demandHit >= 0:
-				pick = demandHit
-			case demand >= 0:
-				pick = demand
-			case pfHit >= 0:
-				pick = pfHit
-			default:
-				pick = 0
-			}
-		}
-		if pick != 0 {
-			s.st.Reordered++
-		}
-		i := pend[pick]
-		pend = append(pend[:pick], pend[pick+1:]...)
-		d := s.dec[i]
-		if s.tr != nil {
-			s.trAddr, s.trID = batch[i].Addr, batch[i].ID
-		}
-		s.comps[i].Done = s.serviceRead(ch, d.bk, d.row, batch[i].At, batch[i].speculative(), batch[i].ID)
-	}
-}
-
-// qosPick is the tenant-aware window pick, a pure reordering of the
-// classic FR-FCFS service — it never delays a picked request, so the
-// channel stays work-conserving. The key, most significant first:
-//
-//   - credit: a read whose tenant already holds its full queue share
-//     in flight (see qosCredit) yields to any under-share candidate,
-//     so a flooding tenant cannot monopolize the part while a sparse
-//     tenant has work waiting. Each yield counts as a QoSDeferred
-//     scheduling turn against the heavy tenant.
-//   - demand beats speculation; over-cap speculative reads wait unless
-//     the window holds nothing else (mirroring the demand-first pick).
-//   - readiness: the request whose data will be ready soonest goes
-//     first, estimated as bank-free time plus the row overhead the
-//     access would pay. This matters under multi-tenant interleaving:
-//     lockstep requestors at the same kernel position hit the SAME
-//     bank with different rows, and serving those conflicts
-//     back-to-back in arrival order reserves the channel bus for data
-//     that is not ready while other banks sit idle. Picking ready
-//     banks first overlaps the conflict streaks instead.
-//   - tenant load (fewest reads in flight), then arrival order, break
-//     the remaining ties.
-func (s *SDRAM) qosPick(c *channel, batch []Request, pend []int) int {
-	w := len(pend)
-	if w > s.cfg.ReorderWindow {
-		w = s.cfg.ReorderWindow
-	}
-	credit := s.qosCredit()
-	pick, bestOver, bestSpec, bestLoad := -1, 0, 0, 0
-	var bestReady int64
-	for i := 0; i < w; i++ {
-		r := batch[pend[i]]
-		spec := 0
-		if r.speculative() {
-			if !s.pfUnderCap(c, r.At) {
-				continue
-			}
-			spec = 1
-		}
-		load := 0
-		if c.tenInflight != nil {
-			load = tenLive(c.tenInflight[TenantOf(r.ID)%len(c.tenInflight)], r.At)
-		}
-		over := 0
-		if load >= credit {
-			over = 1
-		}
-		d := s.dec[pend[i]]
-		bk := &c.banks[d.bk]
-		start := r.At
-		if bk.freeAt > start {
-			start = bk.freeAt
-		}
-		ready := start + s.peekRowLatency(bk, d.row, start)
-		if pick < 0 || over < bestOver || (over == bestOver && (spec < bestSpec ||
-			(spec == bestSpec && (ready < bestReady || (ready == bestReady && load < bestLoad))))) {
-			pick, bestOver, bestSpec, bestReady, bestLoad = i, over, spec, ready, load
-		}
-	}
-	if pick < 0 {
-		return 0
-	}
-	// Account the yields: every over-share read that arrived before the
-	// winner gave up this scheduling turn to it.
-	if bestOver == 0 {
-		for i := 0; i < pick; i++ {
-			r := batch[pend[i]]
-			if r.speculative() && !s.pfUnderCap(c, r.At) {
-				continue
-			}
-			if c.tenInflight == nil {
-				continue
-			}
-			ti := TenantOf(r.ID) % len(c.tenInflight)
-			if tenLive(c.tenInflight[ti], r.At) >= credit {
-				s.st.QoSDeferred++
-				if ts := s.tenantShard(r.ID); ts != nil {
-					ts.QoSDeferred++
-				}
-				// Stamp the yielded read's completion with one transfer
-				// slot — the turn it gave up — so the requestor's CPI
-				// stack can attribute the added wait to QoS rather than
-				// raw DRAM service.
-				s.comps[pend[i]].QoSDelay += s.cfg.TBurst
-			}
-		}
-	}
-	return pick
-}
-
-// byArrival orders batch indices by their requests' At, equal arrivals
-// keeping batch order. An insertion sort: the lists are one channel's
-// share of a batch the MSHR file appended in issue order — short and all
-// but sorted — and it neither reflects nor allocates, where the sort
-// package's stable slice sort did both, three allocations a call.
-func byArrival(idx []int, batch []Request) {
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && batch[idx[j]].At < batch[idx[j-1]].At; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-}
-
-// Submit implements Backend. The batch fans out across channels; each
-// channel schedules its reads through the demand-aware FR-FCFS reorder
-// window (demand row hits, then demands, then prefetch row hits, then
-// arrival order — and speculative reads are additionally capped by
-// PFQCap), then posts the batch's writes into its write queue.
-func (s *SDRAM) Submit(batch []Request) []Completion {
-	s.comps = s.comps[:0]
-	if len(batch) == 0 {
-		return s.comps
-	}
-	// Every element is overwritten below; Grow's amortised doubling means
-	// a run of ever-larger batches reallocates O(log) times, not each time.
-	s.comps = slices.Grow(s.comps, len(batch))[:len(batch)]
-	s.dec = s.dec[:0]
-	s.wOrder = s.wOrder[:0]
-	for c := range s.perChan {
-		s.perChan[c] = s.perChan[c][:0]
-	}
-
-	// Decode every request once and split it per channel: reads into
-	// the channel's pending list, writes into a deferred list. Stable
-	// sorting by arrival keeps "oldest" well-defined even when the
-	// caller's batch is not time-ordered.
-	for i, r := range batch {
-		ch, bk, row := s.decode(r.Addr)
-		s.dec = append(s.dec, decoded{ch: ch, bk: bk, row: row})
-		s.comps[i] = Completion{Addr: r.Addr, Write: r.Write, At: r.At, Channel: ch, ID: r.ID}
-		if s.tr != nil {
-			s.tr.Emit(stats.Event{Cycle: r.At, Cat: "dram", Name: "issue",
-				Addr: r.Addr, ID: r.ID, Lane: ch, Tenant: TenantOf(r.ID)})
-		}
-		switch {
-		case r.Write:
-			s.wOrder = append(s.wOrder, i)
-		default:
-			if r.Prefetch {
-				s.st.PrefetchReads++
-			}
-			s.perChan[ch] = append(s.perChan[ch], i)
-		}
-	}
-
-	// Reads first (read priority), each channel independent.
-	for ch := range s.perChan {
-		pend := s.perChan[ch]
-		byArrival(pend, batch)
-		s.scheduleReads(ch, batch, pend)
-	}
-
-	// Then the batch's writes, in arrival order.
-	byArrival(s.wOrder, batch)
-	for _, i := range s.wOrder {
-		s.comps[i].Done = s.postWrite(s.dec[i].ch, batch[i])
-	}
-	return s.comps
-}
-
-// Access submits a single read — the one-at-a-time compatibility path
-// the pre-batch API exposed; unit tests and the scalar adapter use it.
-func (s *SDRAM) Access(addr uint64, t0 int64) int64 { return Access(s, addr, t0) }
 
 // Flush drains every channel's write queue at its current bus-free
 // cycle, so end-of-run statistics account for all posted traffic.

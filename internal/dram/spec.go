@@ -77,7 +77,7 @@ type Knobs struct {
 	WQLow  int
 	WQIdle int64
 
-	MSHRs int // -mshr / "mshr<n>": vmem MSHR file size (1 = blocking)
+	MSHRs int // -mshr / "mshr<n>": vmem MSHR file size (0 or 1 = the blocking model)
 
 	// RP is the per-bank row policy (-rp / "rp<name>[:<n>]"); the zero
 	// value keeps the preset's static open page. PFQ caps per-channel
@@ -220,6 +220,9 @@ func BuildOpts(kind, mapping, sched, prof string, knobs Knobs, fixedLatency int6
 	}
 	if knobs.PFDecay > 0 && knobs.PFStreams == 0 {
 		return nil, fmt.Errorf("demand-first decay %d governs prefetch scheduling and needs a stream count (-pf / pf<n>)", knobs.PFDecay)
+	}
+	if knobs.Tenants > MaxTenants {
+		return nil, fmt.Errorf("tenant count %d is past the %d requestors a request can name (-tenants / tn<n>)", knobs.Tenants, MaxTenants)
 	}
 	if knobs.QoS && knobs.Tenants < 2 {
 		return nil, fmt.Errorf("qos scheduling partitions the channel between requestors and needs a tenant count of at least 2 (-tenants / tn<n>)")

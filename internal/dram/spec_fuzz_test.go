@@ -63,6 +63,7 @@ func FuzzParseSpec(f *testing.F) {
 		"sdram/tn0",         // rejected: malformed tenant count
 		"sdram/tn-3",        // rejected: ditto
 		"sdram/mshr8/pfdec", // rejected: pfdec with no count
+		"sdram/tn257",       // rejected: more tenants than a request can name
 	} {
 		f.Add(seed)
 	}
@@ -128,7 +129,7 @@ func TestSpecPrefetchKnob(t *testing.T) {
 		{"sdram/line/frfcfs/mshr8/pf8d4", true, 8, 4},
 		{"fixed/mshr4/pf2d1", true, 2, 1},
 		{"sdram/line/frfcfs/pf8", false, 0, 0},       // pf without mshr
-		{"sdram/line/frfcfs/mshr1/pf8", false, 0, 0}, // blocking file
+		{"sdram/line/frfcfs/mshr1/pf8", false, 0, 0}, // the blocking model
 		{"sdram/line/frfcfs/mshr8/pf0", false, 0, 0},
 		{"sdram/line/frfcfs/mshr8/pf8d0", false, 0, 0},
 		{"sdram/line/frfcfs/mshr8/pf8d", false, 0, 0}, // trailing separator, no degree

@@ -120,6 +120,8 @@ func TestSpecTenantKnobs(t *testing.T) {
 		{"fixed/qos", "sdram"},                           // controller token on fixed
 		{"fixed/pfdec100", "sdram"},                      // ditto
 		{"sdram/line/frfcfs/tn0", "tn0"},                 // malformed value
+		{"sdram/line/frfcfs/tn257", "256 requestors"},    // more than Request.Tenant can name
+		{"fixed/tn257", "256 requestors"},                // on every kind
 		{"sdram/line/frfcfs/mshr8/pf4/pfdec0", "pfdec0"}, // ditto
 	}
 	for _, c := range rejects {

@@ -2,35 +2,16 @@ package dram
 
 import "repro/internal/stats"
 
-// Tenant tags ride the opaque Request.ID path: the MSHR file stamps the
-// requestor index into the top byte of every ID it hands the backend,
-// so the tag survives scheduling, reordering and completion routing
-// without widening any interface. The low 56 bits remain the caller's
-// entry identity — far beyond any MSHR counter this simulator reaches —
-// and tenant 0 tags to the identity, keeping the single-requestor path
-// bit-identical.
-const TenantShift = 56
+// A request's requestor is a field, Request.Tenant, stamped where the
+// request is born and carried through scheduling, reordering and
+// completion routing like the address. This file holds what backends key
+// on it: the limit of the field, the per-tenant stat shard, and the one
+// bounds check every per-tenant table is indexed through.
 
-// tenantMask covers the tag field: the top byte of the ID.
-const tenantMask = uint64(0xff) << TenantShift
-
-// TagTenant stamps a requestor index into an opaque request ID. The
-// field is cleared first so re-tagging an already-tagged ID replaces
-// the tag instead of OR-merging two tags into garbage, and the index
-// must fit the byte — a wider index would silently corrupt the low 56
-// entry-identity bits.
-func TagTenant(id uint64, tenant int) uint64 {
-	if tenant < 0 || tenant > 0xff {
-		panic("dram: tenant index out of tag range")
-	}
-	return id&^tenantMask | uint64(tenant)<<TenantShift
-}
-
-// TenantOf recovers the requestor index from a tagged ID (0 for
-// untagged single-requestor traffic).
-func TenantOf(id uint64) int {
-	return int(id >> TenantShift)
-}
+// MaxTenants is how many requestors Request.Tenant can tell apart. The
+// places a tenant count enters (BuildOpts for "tn<n>", momsim's
+// -tenants, core.NewTenantMemSystems) refuse more.
+const MaxTenants = 1 << 8
 
 // TenantStats is one requestor's shard of the backend's activity:
 // traffic volume, bandwidth and the full read-latency distribution
@@ -63,24 +44,27 @@ func (t *TenantStats) reset() {
 	t.ReadLatency = h
 }
 
-// shardFor routes a tagged ID to its stat shard. A tag outside the
-// allocated range is counted in st.TenantMisroute and recorded nowhere:
-// the old `TenantOf(id) % len(tst)` wrap silently aliased stray tags
-// into another tenant's shard, corrupting that tenant's accounting.
-func shardFor(tst []TenantStats, id uint64, st *Stats) *TenantStats {
-	if len(tst) == 0 {
-		return nil
+// tenantSlot is the one bounds check per-tenant state is indexed
+// through — the stat shards of both backends and, on the SDRAM, each
+// channel's QoS credit sets: tenant's slot among the n a backend keeps
+// state for, or -1 for a stray. Backends call it once per request, so a
+// stray counts once in st.TenantMisroute; it is then recorded in no
+// shard, holds no credit and is charged to no one, where a
+// `tenant % n` wrap silently booked it against another tenant. n == 0
+// is a backend keeping no per-tenant state: no slot, nothing misrouted.
+func tenantSlot(tenant uint8, n int, st *Stats) int {
+	if int(tenant) < n {
+		return int(tenant)
 	}
-	if t := TenantOf(id); t < len(tst) {
-		return &tst[t]
+	if n > 0 {
+		st.TenantMisroute++
 	}
-	st.TenantMisroute++
-	return nil
+	return -1
 }
 
 // TenantAware is implemented by backends that can shard statistics per
-// requestor tag. EnableTenantStats allocates n shards (indexed by
-// TenantOf of each request's ID); TenantStatsOf exposes shard i.
+// requestor. EnableTenantStats allocates n shards (indexed by each
+// request's Tenant); TenantStatsOf exposes shard i.
 type TenantAware interface {
 	EnableTenantStats(n int)
 	TenantStatsOf(i int) *TenantStats

@@ -1,49 +1,29 @@
 package dram
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
-// TagTenant must replace the tag field, not OR into it: re-tagging an
-// already-tagged ID previously merged the two tags into garbage.
-func TestTagTenantRetag(t *testing.T) {
-	id := TagTenant(42, 3)
-	if got := TenantOf(id); got != 3 {
-		t.Fatalf("TenantOf after first tag = %d, want 3", got)
+// The tenant rides in the struct's tail padding: widening Request would
+// widen every pending batch and write queue in the simulator.
+func TestRequestStaysFortyBytes(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(Request{}) = %d, want 40", got)
 	}
-	re := TagTenant(id, 1)
-	if got := TenantOf(re); got != 1 {
-		t.Fatalf("TenantOf after re-tag = %d, want 1 (tag fields merged)", got)
-	}
-	if re&^tenantMask != 42 {
-		t.Fatalf("re-tagging corrupted the entry identity: low bits = %d, want 42", re&^tenantMask)
-	}
-	if TagTenant(42, 0) != 42 {
-		t.Fatalf("tenant 0 must tag to the identity")
+	if MaxTenants-1 != int(^uint8(0)) {
+		t.Fatalf("MaxTenants = %d does not match what Request.Tenant holds", MaxTenants)
 	}
 }
 
-// A tenant index wider than the tag byte must panic instead of
-// silently corrupting the low 56 entry-identity bits.
-func TestTagTenantBounds(t *testing.T) {
-	for _, ten := range []int{-1, 256, 1 << 20} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("TagTenant(_, %d) did not panic", ten)
-				}
-			}()
-			TagTenant(7, ten)
-		}()
-	}
-}
-
-// An out-of-range tenant tag must land in the TenantMisroute overflow
+// An out-of-range tenant must land in the TenantMisroute overflow
 // counter, not wrap into another tenant's stat shard.
 func TestTenantMisrouteFixed(t *testing.T) {
 	f := NewFixed(100)
 	f.EnableTenantStats(2)
-	// Tag 5 on a 2-shard backend: the old %len wrap would alias this
-	// into shard 1.
-	batch := []Request{{Addr: 0, At: 0, ID: TagTenant(1, 5)}}
+	// Tenant 5 on a 2-shard backend: a %len wrap would alias this into
+	// shard 1.
+	batch := []Request{{Addr: 0, At: 0, ID: 1, Tenant: 5}}
 	if comps := f.Submit(batch); len(comps) != 1 {
 		t.Fatalf("Submit returned %d completions, want 1", len(comps))
 	}
@@ -56,13 +36,13 @@ func TestTenantMisrouteFixed(t *testing.T) {
 			t.Fatalf("shard %d recorded the misrouted request: %+v", i, ts)
 		}
 	}
-	// An in-range tag still routes normally and counts no misroute.
-	f.Submit([]Request{{Addr: 64, At: 10, ID: TagTenant(2, 1)}})
+	// An in-range tenant still routes normally and counts no misroute.
+	f.Submit([]Request{{Addr: 64, At: 10, ID: 2, Tenant: 1}})
 	if got := f.TenantStatsOf(1).Reads; got != 1 {
 		t.Fatalf("shard 1 reads = %d, want 1", got)
 	}
 	if got := f.Stats().TenantMisroute; got != 1 {
-		t.Fatalf("TenantMisroute after valid tag = %d, want 1", got)
+		t.Fatalf("TenantMisroute after an in-range tenant = %d, want 1", got)
 	}
 }
 
@@ -70,10 +50,10 @@ func TestTenantMisrouteFixed(t *testing.T) {
 func TestTenantMisrouteSDRAM(t *testing.T) {
 	s := NewSDRAM(DefaultConfig())
 	s.EnableTenantStats(2)
-	s.Submit([]Request{{Addr: 0, At: 0, ID: TagTenant(1, 7)}})
+	s.Submit([]Request{{Addr: 0, At: 0, ID: 1, Tenant: 7}})
 	s.Flush()
-	if got := s.Stats().TenantMisroute; got == 0 {
-		t.Fatalf("TenantMisroute = 0, want > 0")
+	if got := s.Stats().TenantMisroute; got != 1 {
+		t.Fatalf("TenantMisroute = %d, want 1", got)
 	}
 	for i := 0; i < 2; i++ {
 		if ts := s.TenantStatsOf(i); ts.Reads != 0 {

@@ -77,7 +77,7 @@ func TestOpportunisticDrainSparesReadBank(t *testing.T) {
 		cfg.WQDepth, cfg.WQDrain = 8, 8
 		cfg.WQIdle = idle
 		s := NewSDRAM(cfg)
-		s.Access(0, 0)                                         // opens row 0
+		access(s, 0, 0)                                        // opens row 0
 		s.Submit([]Request{{Addr: 4096, Write: true, At: 30}}) // row 4, same bank
 		return s.Submit([]Request{{Addr: 0, At: 500}})[0].Done
 	}

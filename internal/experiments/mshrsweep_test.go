@@ -38,15 +38,27 @@ func TestMSHRSweepShape(t *testing.T) {
 				t.Errorf("%s/mshr%d: cycles %d", name, n, c)
 			}
 		}
-		// The refactor's equivalence net, as seen by the sweep itself:
-		// the 1-entry file reproduces the blocking model exactly.
-		if c := row[1].Sim.Cycles(); MSHRCounts[0] == 1 && c != block {
-			t.Errorf("%s: mshr1 cycles %d != blocking %d", name, c, block)
+		// The mshr1 column is the blocking machine: the same cell.
+		if MSHRCounts[0] == 1 && row[1].Sim != row[0].Sim {
+			t.Errorf("%s: the mshr1 column does not read the block column's cell", name)
 		}
 	}
 	out := RenderMSHRSweep(tab)
 	if !strings.Contains(out, "MSHR sweep") || !strings.Contains(out, "motionsearch") {
 		t.Error("render missing header or benchmark rows")
+	}
+}
+
+// TestMSHRSweepSharesBlockingCell: the mshr1 column is a machine the
+// block column already simulated (no file below two registers), so the
+// sweep's 4 rows cost 4 cells each — block, mshr4, mshr8, mshr16 — not 5.
+func TestMSHRSweepSharesBlockingCell(t *testing.T) {
+	r := mshrRunner()
+	calls := 0
+	r.Progress = func(SimKey) { calls++ }
+	MSHRSweep(r)
+	if want := len(MSHRBenches) * len(MSHRProfiles) * len(MSHRCounts); calls != want {
+		t.Errorf("MSHRSweep simulated %d cells, want %d", calls, want)
 	}
 }
 

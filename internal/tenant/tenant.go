@@ -3,15 +3,15 @@
 // SHARED memory system — one L2, one MSHR file, one prefetcher, one
 // DRAM backend — by stepping M core simulators in per-cycle lockstep.
 // Each tenant keeps its own L1 and vector subsystem (one core per
-// requestor), and every miss a tenant files is requestor-tagged on the
-// opaque dram.Request ID path, so the backend can shard statistics and
-// apply per-tenant QoS scheduling without any interface widening.
+// requestor), and every request a tenant creates names it
+// (dram.Request.Tenant), so the backend can shard statistics and apply
+// per-tenant QoS scheduling.
 //
 // A 1-tenant group is the single-requestor simulator exactly: tenant 0
 // is built by core.NewMemSystem, its address window starts at 0, its
-// tag is the identity, and Run performs the same step/finish/drain
-// sequence core.Simulate does — the golden-stats equivalence asserted
-// in this package's tests.
+// requests are tenant 0's as in any single-requestor run, and Run
+// performs the same step/finish/drain sequence core.Simulate does — the
+// golden-stats equivalence asserted in this package's tests.
 package tenant
 
 import (
@@ -188,7 +188,7 @@ func (g *Group) TenantStatsOf(i int) *dram.TenantStats {
 // AttachTracer wires the cycle-stamped event tracer into the shared
 // memory system (backend + MSHR file + prefetcher) and into every
 // tenant's core pipeline (issue→commit spans and causal flow events);
-// events separate per tenant through their requestor tags.
+// events separate per tenant through each request's Tenant.
 func (g *Group) AttachTracer(tr *stats.Tracer) {
 	g.mems[0].AttachTracer(tr)
 	for i, s := range g.sims {

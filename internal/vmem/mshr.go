@@ -30,11 +30,10 @@ import (
 // consumer needing a completion time that the conservative lower bound
 // can no longer rule out, and the end-of-run drain.
 //
-// A file of size 1 runs in blocking mode: every Register flushes
-// immediately and returns an already-resolved handle, reproducing the
-// blocking model's Submit call sequence — and therefore its cycle
-// counts — bit for bit. That equivalence is the refactor's safety net
-// and is asserted over the full benchmark suite in internal/core.
+// The blocking model has no file: it is Timing.SubmitMisses, one Submit
+// per instruction, and a file starts at two registers. Every miss goes
+// down exactly one of the two paths (Timing.Complete picks by whether a
+// file is attached).
 
 // MSHRStats counts the file's activity. MLP and batch spans are the
 // headline metrics: how many line misses were outstanding when a new
@@ -99,10 +98,12 @@ type mshrEntry struct {
 	at       int64 // arrival of the primary miss (after any full-stall)
 	done     int64 // valid once resolved
 	resolved bool
+	tenant   uint8 // the requestor of the miss (dram.Request.Tenant)
 
 	// prefetch marks an entry the stream prefetcher allocated; it
-	// holds a real MSHR but gates nothing until a demand touches its
-	// line. demanded/demandAt record the first demand touch so the
+	// holds a real MSHR, on behalf of the tenant whose access trained
+	// it, but gates nothing until a demand touches its line.
+	// demanded/demandAt record the first demand touch so the
 	// fill can be classified PrefetchHit (done <= demandAt) or
 	// PrefetchLate once its completion is known; classified keeps the
 	// split from double counting.
@@ -124,7 +125,6 @@ type mshrEntry struct {
 type MSHRFile struct {
 	tim      Timing
 	cap      int
-	blocking bool
 	lineMask uint64
 	minLat   int64 // lower bound on any read's Done-At
 
@@ -141,8 +141,7 @@ type MSHRFile struct {
 	// that nothing scans the file per miss: the unresolved entries, the
 	// unresolved prefetches among them, and the earliest completion among
 	// the resolved ones (noDone when none), short of which free has
-	// nothing to drop. A blocking file keeps nothing in entries and
-	// leaves all three alone.
+	// nothing to drop.
 	unresolved, pfLive int
 	minDone            int64
 
@@ -153,13 +152,6 @@ type MSHRFile struct {
 	ptrSlab    slab[*mshrEntry]
 	idSlab     slab[uint64]
 
-	// tenant is the requestor tag of the RegisterFor call in progress:
-	// every entry ID and write-back the call files carries it in the
-	// ID's top byte (dram.TagTenant), so a shared backend can route
-	// per-tenant accounting and QoS off the opaque ID path. 0 between
-	// calls and for single-requestor use — the identity tag.
-	tenant int
-
 	// pf/l2 attach the stream prefetcher (AttachPrefetcher): pf turns
 	// the demand miss stream into predicted lines, and the file fills
 	// them into l2 and injects them into the pending batch. Both nil
@@ -167,7 +159,7 @@ type MSHRFile struct {
 	pf *Prefetcher
 	l2 *cache.Cache
 
-	trainBuf []uint64 // scratch: this Register's training lines
+	trainBuf []trainLine // scratch: this Register's training lines
 
 	tr *stats.Tracer // event tracer, nil = off
 	st MSHRStats
@@ -200,11 +192,14 @@ func (s *slab[T]) take(n int) []T {
 	return w
 }
 
-// NewMSHRFile builds a file of n MSHRs over the Timing's main memory
-// (its Backend, or the flat MemLatency model when Backend is nil).
-// n <= 1 selects blocking mode. The tim.MSHR field of the argument is
-// ignored; the file is the thing that field points at.
+// NewMSHRFile builds a file of n >= 2 MSHRs over the Timing's main
+// memory (its Backend, or the flat MemLatency model when Backend is
+// nil). The tim.MSHR field of the argument is ignored; the file is the
+// thing that field points at.
 func NewMSHRFile(tim Timing, n int) *MSHRFile {
+	if n < 2 {
+		panic("vmem: an MSHR file has at least 2 registers; fewer is the blocking model, which has no file (Timing.SubmitMisses)")
+	}
 	tim.MSHR = nil
 	lineBytes := cache.L2LineBytes
 	minLat := tim.MemLatency
@@ -215,13 +210,9 @@ func NewMSHRFile(tim Timing, n int) *MSHRFile {
 	if minLat < 1 {
 		minLat = 1
 	}
-	if n < 1 {
-		n = 1
-	}
 	f := &MSHRFile{
 		tim:      tim,
 		cap:      n,
-		blocking: n <= 1,
 		lineMask: uint64(lineBytes - 1),
 		minLat:   minLat,
 		byLine:   map[uint64]*mshrEntry{},
@@ -241,35 +232,29 @@ func (f *MSHRFile) SetTracer(t *stats.Tracer) { f.tr = t }
 // miss-to-fill histogram and the trace.
 func (f *MSHRFile) resolve(e *mshrEntry, done int64) {
 	e.done, e.resolved = done, true
-	if !f.blocking {
-		f.unresolved--
-		if e.prefetch {
-			f.pfLive--
-		}
-		f.minDone = min(f.minDone, done)
+	f.unresolved--
+	if e.prefetch {
+		f.pfLive--
 	}
+	f.minDone = min(f.minDone, done)
 	f.st.Fill.Observe(done - e.at)
 	if f.tr != nil {
 		f.tr.Emit(stats.Event{Cycle: e.at, Dur: done - e.at, Cat: "mshr", Name: "fill",
-			Addr: e.line, ID: e.id, Tenant: dram.TenantOf(e.id)})
+			Addr: e.line, ID: e.id, Tenant: int(e.tenant)})
 		// Close the entry's causal flow chain at the fill cycle; the
 		// core opened it ('s') at the issuing instruction.
 		f.tr.Emit(stats.Event{Cycle: done, Cat: "dep", Name: "mem", Ph: 'f',
-			ID: e.id, Tenant: dram.TenantOf(e.id)})
+			ID: e.id, Tenant: int(e.tenant)})
 	}
 	f.classifyPrefetch(e)
 }
 
 // AttachPrefetcher wires a stream prefetcher into the file: l2 is the
 // cache the predicted lines fill into (via the normal allocate path,
-// dirty victims riding the pending batch as posted write-backs). Only
-// legal on a non-blocking file — a blocking file submits every batch
-// synchronously, so there is no pending batch for a prefetch to ride,
-// and the bit-exact blocking equivalence would be lost.
+// dirty victims riding the pending batch as posted write-backs). The
+// blocking model has no pending batch for a prefetch to ride, which is
+// why the prefetcher attaches to a file and not to a Timing.
 func (f *MSHRFile) AttachPrefetcher(p *Prefetcher, l2 *cache.Cache) {
-	if f.blocking {
-		panic("vmem: the stream prefetcher rides the lazy MSHR batch; it needs a non-blocking file (>= 2 MSHRs)")
-	}
 	if p == nil || l2 == nil {
 		panic("vmem: AttachPrefetcher needs a prefetcher and an L2")
 	}
@@ -294,10 +279,6 @@ func (f *MSHRFile) PrefetchStats() PrefetchStats {
 
 // Cap is the file's MSHR count.
 func (f *MSHRFile) Cap() int { return f.cap }
-
-// Blocking reports whether the file runs in the bit-exact blocking
-// compatibility mode (a single MSHR).
-func (f *MSHRFile) Blocking() bool { return f.blocking }
 
 // Stats exposes the accumulated counters.
 func (f *MSHRFile) Stats() *MSHRStats { return &f.st }
@@ -327,10 +308,12 @@ func (f *MSHRFile) free(t int64) {
 	f.entries = live
 }
 
-// newEntry carves the entry of a miss to line arriving at cycle at.
-func (f *MSHRFile) newEntry(line uint64, at int64, prefetch bool) *mshrEntry {
+// newEntry carves the entry of tenant's miss to line arriving at cycle
+// at. IDs come from the file's one counter, so they are unique across
+// the tenants sharing it.
+func (f *MSHRFile) newEntry(line uint64, at int64, prefetch bool, tenant uint8) *mshrEntry {
 	e := &f.entrySlab.take(1)[0]
-	e.line, e.id, e.at, e.prefetch = line, dram.TagTenant(f.nextID, f.tenant), at, prefetch
+	e.line, e.id, e.at, e.prefetch, e.tenant = line, f.nextID, at, prefetch, tenant
 	f.nextID++
 	return e
 }
@@ -386,10 +369,10 @@ func (f *MSHRFile) flush() {
 	f.flushGen++
 }
 
-// allocate finds room for a new primary miss arriving at cycle at,
-// flushing and then waiting on the oldest fill when the file is full,
-// and returns the entry and its (possibly stalled) arrival cycle.
-func (f *MSHRFile) allocate(addr uint64, at int64) (*mshrEntry, int64) {
+// allocate finds room for tenant's new primary miss arriving at cycle
+// at, flushing and then waiting on the oldest fill when the file is
+// full, and returns the entry and its (possibly stalled) arrival cycle.
+func (f *MSHRFile) allocate(addr uint64, at int64, tenant uint8) (*mshrEntry, int64) {
 	f.free(at)
 	if len(f.entries) >= f.cap {
 		f.st.FullStalls++
@@ -407,13 +390,13 @@ func (f *MSHRFile) allocate(addr uint64, at int64) (*mshrEntry, int64) {
 			f.free(at)
 		}
 	}
-	e := f.newEntry(addr&^f.lineMask, at, false)
+	e := f.newEntry(addr&^f.lineMask, at, false, tenant)
 	f.track(e)
 	f.st.Allocs++
 	if f.tr != nil {
-		f.tr.Emit(stats.Event{Cycle: at, Cat: "mshr", Name: "alloc", Addr: e.line, ID: e.id, Tenant: f.tenant})
+		f.tr.Emit(stats.Event{Cycle: at, Cat: "mshr", Name: "alloc", Addr: e.line, ID: e.id, Tenant: int(e.tenant)})
 		f.tr.Emit(stats.Event{Cycle: at, Cat: "dep", Name: "mem", Ph: 't',
-			ID: e.id, Tenant: f.tenant})
+			ID: e.id, Tenant: int(e.tenant)})
 	}
 	occ := f.unresolved // already counts the just-tracked entry
 	f.st.OccSum += uint64(occ)
@@ -425,14 +408,23 @@ func (f *MSHRFile) allocate(addr uint64, at int64) (*mshrEntry, int64) {
 
 // PFTouch records one demand access that hit a prefetched L2 line (the
 // cache's Result.Prefetched): Line is the L2 line address, At the cycle
-// the access wants its data. The vmem subsystems collect them per
-// instruction and pass them to Complete/Register, which resolves each
-// into the PrefetchHit / PrefetchLate split — and, for a fill still in
-// flight, merges the instruction onto the prefetch's MSHR entry as a
-// secondary miss so the handle waits for the real completion.
+// the access wants its data, Tenant the requestor touching it (as on
+// dram.Request). The vmem subsystems collect them per instruction and
+// pass them to Complete/Register, which resolves each into the
+// PrefetchHit / PrefetchLate split — and, for a fill still in flight,
+// merges the instruction onto the prefetch's MSHR entry as a secondary
+// miss so the handle waits for the real completion.
 type PFTouch struct {
-	Line uint64
-	At   int64
+	Line   uint64
+	At     int64
+	Tenant uint8
+}
+
+// trainLine is one demand line about to train the stream table, with the
+// tenant the resulting prefetches are filed under.
+type trainLine struct {
+	line   uint64
+	tenant uint8
 }
 
 // Register files one instruction's miss batch — line-fill reads and
@@ -441,10 +433,10 @@ type PFTouch struct {
 // pending-completion handle. occDone is the completion cycle of the
 // instruction's port/bank occupancy and cache hits; the handle's Done
 // folds it in. Secondary misses to a line already in flight merge into
-// its entry instead of re-submitting the line. In blocking mode the
-// batch is submitted immediately and the returned handle is already
-// resolved (a blocking file never has a prefetcher, so pfTouch is
-// always empty there).
+// its entry instead of re-submitting the line. Every request and touch
+// carries its tenant; entries, write-backs and the prefetches the
+// instruction trains keep it, so a shared backend can shard stats and
+// schedule per tenant.
 //
 // With a prefetcher attached, the demand lines just filed (misses and
 // prefetched-line touches alike) train the stream table, and every
@@ -452,53 +444,12 @@ type PFTouch struct {
 // after the demands, so a prefetch can never steal an MSHR from the
 // instruction that triggered it.
 func (f *MSHRFile) Register(batch []dram.Request, pfTouch []PFTouch, occDone int64) *Pending {
-	return f.RegisterFor(0, batch, pfTouch, occDone)
-}
-
-// RegisterFor is Register for a tagged requestor: every entry and
-// write-back the call files carries tenant in its ID's top byte, so
-// the backend can shard stats and schedule per tenant. Tenant 0 is
-// Register exactly.
-func (f *MSHRFile) RegisterFor(tenant int, batch []dram.Request, pfTouch []PFTouch, occDone int64) *Pending {
-	f.tenant = tenant
 	p := &f.handleSlab.take(1)[0]
 	p.file, p.base = f, occDone
 	// Every read of the batch and every touch adds at most one entry, so
 	// the windows below are never appended past.
 	n := len(batch) + len(pfTouch)
 	p.entries, p.fresh = f.ptrSlab.take(n)[:0], f.idSlab.take(n)[:0]
-	if f.blocking {
-		// Blocking mode files the whole instruction atomically, submits
-		// it at once and leaves nothing live between instructions —
-		// never merging, so the Submit call sequence is exactly the
-		// blocking model's.
-		for _, r := range batch {
-			if r.Write {
-				r.ID = dram.TagTenant(0, f.tenant)
-				f.pending = append(f.pending, r)
-				f.st.Writebacks++
-				continue
-			}
-			e := f.newEntry(r.Addr&^f.lineMask, r.At, false)
-			f.st.Allocs++
-			if f.tr != nil {
-				f.tr.Emit(stats.Event{Cycle: r.At, Cat: "mshr", Name: "alloc", Addr: e.line, ID: e.id, Tenant: f.tenant})
-				f.tr.Emit(stats.Event{Cycle: r.At, Cat: "dep", Name: "mem", Ph: 't',
-					ID: e.id, Tenant: f.tenant})
-			}
-			r.ID = e.id
-			f.pending = append(f.pending, r)
-			f.pendByID[e.id] = e
-			p.entries = append(p.entries, e)
-			p.fresh = append(p.fresh, e.id)
-		}
-		if len(f.pending) > 0 {
-			f.span = 1
-			f.flush()
-		}
-		p.force()
-		return p
-	}
 	// One instruction counts once toward each flush batch it feeds: a
 	// mid-instruction flush (MSHR full) starts a new batch, which the
 	// rest of the instruction's requests then join.
@@ -512,7 +463,6 @@ func (f *MSHRFile) RegisterFor(tenant int, batch []dram.Request, pfTouch []PFTou
 	f.trainBuf = f.trainBuf[:0]
 	for _, r := range batch {
 		if r.Write {
-			r.ID = dram.TagTenant(0, f.tenant)
 			f.pending = append(f.pending, r)
 			f.st.Writebacks++
 			contribute()
@@ -520,7 +470,7 @@ func (f *MSHRFile) RegisterFor(tenant int, batch []dram.Request, pfTouch []PFTou
 		}
 		line := r.Addr &^ f.lineMask
 		if f.pf != nil {
-			f.trainBuf = append(f.trainBuf, line)
+			f.trainBuf = append(f.trainBuf, trainLine{line, r.Tenant})
 		}
 		if e := f.byLine[line]; e != nil && (!e.resolved || e.done > r.At) {
 			// Secondary miss: the line's fill is already in flight (or
@@ -533,7 +483,7 @@ func (f *MSHRFile) RegisterFor(tenant int, batch []dram.Request, pfTouch []PFTou
 			// outcome); it only reuses the in-flight fill's timing.
 			f.st.Merges++
 			if f.tr != nil {
-				f.tr.Emit(stats.Event{Cycle: r.At, Cat: "mshr", Name: "merge", Addr: line, ID: e.id, Tenant: f.tenant})
+				f.tr.Emit(stats.Event{Cycle: r.At, Cat: "mshr", Name: "merge", Addr: line, ID: e.id, Tenant: int(r.Tenant)})
 			}
 			if e.prefetch && !e.demanded {
 				e.classified = true
@@ -542,7 +492,7 @@ func (f *MSHRFile) RegisterFor(tenant int, batch []dram.Request, pfTouch []PFTou
 			p.entries = append(p.entries, e)
 			continue
 		}
-		e, at := f.allocate(r.Addr, r.At)
+		e, at := f.allocate(r.Addr, r.At, r.Tenant)
 		if at > r.At {
 			// The allocation waited on a full file; bank the stall so the
 			// CPI classifier can charge the head's wait to MSHRFull
@@ -560,13 +510,12 @@ func (f *MSHRFile) RegisterFor(tenant int, batch []dram.Request, pfTouch []PFTou
 		f.touchPrefetched(p, t)
 	}
 	if f.pf != nil {
-		for _, line := range f.trainBuf {
-			at := occDone
+		for _, t := range f.trainBuf {
 			if f.tr != nil {
-				f.tr.Emit(stats.Event{Cycle: at, Cat: "pf", Name: "train", Addr: line, Tenant: f.tenant})
+				f.tr.Emit(stats.Event{Cycle: occDone, Cat: "pf", Name: "train", Addr: t.line, Tenant: int(t.tenant)})
 			}
-			for _, cand := range f.pf.Observe(line) {
-				f.injectPrefetch(cand, at)
+			for _, cand := range f.pf.Observe(t.line) {
+				f.injectPrefetch(cand, occDone, t.tenant)
 			}
 		}
 	}
@@ -584,7 +533,7 @@ func (f *MSHRFile) touchPrefetched(p *Pending, t PFTouch) {
 	if f.pf == nil {
 		return
 	}
-	f.trainBuf = append(f.trainBuf, line)
+	f.trainBuf = append(f.trainBuf, trainLine{line, t.Tenant})
 	e := f.byLine[line]
 	if e == nil || !e.prefetch {
 		// The fill landed long ago and its entry was recycled.
@@ -654,12 +603,13 @@ func (f *MSHRFile) classifyPrefetch(e *mshrEntry) {
 }
 
 // injectPrefetch files one predicted line as a prefetch-tagged MSHR
-// entry whose fill request joins the pending batch. Prefetches are
+// entry, under the tenant whose access trained it, whose fill request
+// joins the pending batch. Prefetches are
 // best-effort by design: a line already cached or in flight is
 // filtered, and a prediction that would need to stall — no free MSHR,
 // or a dirty victim bound for a write queue with no room — is dropped
 // on the floor rather than ever back-pressuring the demand pipeline.
-func (f *MSHRFile) injectPrefetch(line uint64, at int64) {
+func (f *MSHRFile) injectPrefetch(line uint64, at int64, tenant uint8) {
 	line &^= f.lineMask
 	if f.l2.Contains(line) {
 		f.pf.st.Filtered++
@@ -673,7 +623,7 @@ func (f *MSHRFile) injectPrefetch(line uint64, at int64) {
 	if len(f.entries) >= f.cap || f.pfLive >= f.prefetchQuota() {
 		f.pf.st.DroppedMSHR++
 		if f.tr != nil {
-			f.tr.Emit(stats.Event{Cycle: at, Cat: "pf", Name: "drop_mshr", Addr: line, Tenant: f.tenant})
+			f.tr.Emit(stats.Event{Cycle: at, Cat: "pf", Name: "drop_mshr", Addr: line, Tenant: int(tenant)})
 		}
 		return
 	}
@@ -681,27 +631,27 @@ func (f *MSHRFile) injectPrefetch(line uint64, at int64) {
 		f.tim.Backend != nil && !f.tim.Backend.WriteRoom(victim) {
 		f.pf.st.DroppedWQ++
 		if f.tr != nil {
-			f.tr.Emit(stats.Event{Cycle: at, Cat: "pf", Name: "drop_wq", Addr: line, Tenant: f.tenant})
+			f.tr.Emit(stats.Event{Cycle: at, Cat: "pf", Name: "drop_wq", Addr: line, Tenant: int(tenant)})
 		}
 		return
 	}
 	res := f.l2.FillPrefetch(line)
-	e := f.newEntry(line, at, true)
+	e := f.newEntry(line, at, true, tenant)
 	f.track(e)
-	f.pending = append(f.pending, dram.Request{Addr: line, At: at, ID: e.id, Prefetch: true})
+	f.pending = append(f.pending, dram.Request{Addr: line, At: at, ID: e.id, Prefetch: true, Tenant: tenant})
 	f.pendByID[e.id] = e
 	if res.Writeback && f.tim.Backend != nil {
 		f.pending = append(f.pending, dram.Request{Addr: res.VictimAddr, Write: true, At: at,
-			ID: dram.TagTenant(0, f.tenant), Prefetch: true})
+			Prefetch: true, Tenant: tenant})
 		f.st.Writebacks++
 	}
 	f.pf.st.Issued++
 	if f.tr != nil {
-		f.tr.Emit(stats.Event{Cycle: at, Cat: "pf", Name: "fire", Addr: line, ID: e.id, Tenant: f.tenant})
+		f.tr.Emit(stats.Event{Cycle: at, Cat: "pf", Name: "fire", Addr: line, ID: e.id, Tenant: int(tenant)})
 		// Prefetch-originated chains start here rather than at a core
 		// instruction; the MSHR fill closes them like any demand chain.
 		f.tr.Emit(stats.Event{Cycle: at, Cat: "dep", Name: "mem", Ph: 's',
-			ID: e.id, Tenant: f.tenant})
+			ID: e.id, Tenant: int(tenant)})
 	}
 }
 
@@ -712,7 +662,7 @@ func (f *MSHRFile) Drain() { f.flush() }
 // Pending is the completion handle of one instruction's outstanding
 // misses: the issue side returns it, the scoreboard queries it. Handles
 // come from the file's slab and their entries/fresh windows from its
-// pointer and ID slabs, sized at RegisterFor to the most the
+// pointer and ID slabs, sized at Register to the most the
 // instruction can file; like entries they are never reused, because
 // the core decides how long it keeps one.
 type Pending struct {

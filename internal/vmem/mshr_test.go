@@ -47,50 +47,6 @@ func mshrTiming(b dram.Backend) Timing {
 	return Timing{L2Latency: 20, MemLatency: 100, Backend: b}
 }
 
-// TestBlockingModeMatchesSubmitMisses: a 1-entry file must reproduce
-// the blocking path's completion times and Submit call sequence
-// exactly — the equivalence net under every full-simulation check.
-func TestBlockingModeMatchesSubmitMisses(t *testing.T) {
-	batches := [][]dram.Request{
-		{{Addr: 0x1000, At: 10}},
-		{{Addr: 0x2000, At: 40}, {Addr: 0x2080, At: 41}, {Addr: 0x9000, Write: true, At: 41}},
-		{{Addr: 0x1000, At: 300}}, // same line again: blocking re-submits
-	}
-	legacy := &countingBackend{}
-	filed := &countingBackend{}
-	tmLegacy := mshrTiming(legacy)
-	fileTim := mshrTiming(filed)
-	file := NewMSHRFile(fileTim, 1)
-	if !file.Blocking() {
-		t.Fatal("a 1-entry file must run in blocking mode")
-	}
-	fileTim.MSHR = file
-	for i, b := range batches {
-		want := tmLegacy.SubmitMisses(append([]dram.Request(nil), b...), 50)
-		got, pend := fileTim.Complete(append([]dram.Request(nil), b...), nil, 50)
-		if pend != nil {
-			t.Fatalf("batch %d: blocking mode returned a live handle", i)
-		}
-		if got != want {
-			t.Fatalf("batch %d: blocking file done %d != SubmitMisses %d", i, got, want)
-		}
-	}
-	if len(filed.batches) != len(legacy.batches) {
-		t.Fatalf("Submit calls %d != legacy %d", len(filed.batches), len(legacy.batches))
-	}
-	for i := range filed.batches {
-		if len(filed.batches[i]) != len(legacy.batches[i]) {
-			t.Fatalf("batch %d sizes differ: %d vs %d", i, len(filed.batches[i]), len(legacy.batches[i]))
-		}
-		for j := range filed.batches[i] {
-			a, b := filed.batches[i][j], legacy.batches[i][j]
-			if a.Addr != b.Addr || a.Write != b.Write || a.At != b.At {
-				t.Fatalf("batch %d request %d differs: %+v vs %+v", i, j, a, b)
-			}
-		}
-	}
-}
-
 // TestSecondaryMissMerges: a second instruction missing a line already
 // in flight must wait on the existing MSHR, never re-submit the line.
 func TestSecondaryMissMerges(t *testing.T) {

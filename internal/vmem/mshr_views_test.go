@@ -107,8 +107,15 @@ func TestMSHRViewsMatchScan(t *testing.T) {
 				if len(recent) > 32 {
 					recent = recent[len(recent)-32:]
 				}
-				handles = append(handles, f.RegisterFor(rng.Intn(3), batch, touch, now+20))
-				check(step, "RegisterFor")
+				ten := uint8(rng.Intn(3))
+				for i := range batch {
+					batch[i].Tenant = ten
+				}
+				for i := range touch {
+					touch[i].Tenant = ten
+				}
+				handles = append(handles, f.Register(batch, touch, now+20))
+				check(step, "Register")
 			case k < 10 && len(handles) > 0:
 				handles[rng.Intn(len(handles))].ReadyBy(now)
 				check(step, "ReadyBy")
@@ -127,19 +134,6 @@ func TestMSHRViewsMatchScan(t *testing.T) {
 			t.Errorf("mshr%d: the mix missed a path it is there for: %d merges, %d full-stalls, %d write-backs, %d prefetches issued, %d touched",
 				mshrs, st.Merges, st.FullStalls, st.Writebacks, pf.Issued, pf.Hits+pf.Late)
 		}
-	}
-}
-
-// TestBlockingFileLeavesViewsAlone: a one-entry file resolves entries
-// that never joined a live set; counting them would underflow the views.
-func TestBlockingFileLeavesViewsAlone(t *testing.T) {
-	f := NewMSHRFile(mshrTiming(hbmBackend(t)), 1)
-	for i := 0; i < 4; i++ {
-		f.Register([]dram.Request{{Addr: uint64(i) * lineB, At: int64(10 * i)}}, nil, int64(10*i+20))
-	}
-	if f.Outstanding() != 0 || f.pfLive != 0 || f.minDone != math.MaxInt64 || len(f.entries) != 0 {
-		t.Fatalf("blocking file moved its views: outstanding %d, prefetch-live %d, min done %d, %d live",
-			f.Outstanding(), f.pfLive, f.minDone, len(f.entries))
 	}
 }
 
@@ -165,14 +159,14 @@ func (r *missRound) run() {
 		}
 		h := &r.handles[i%len(r.handles)]
 		(*h).ReadyBy(r.now) // nil on the first lap: ready
-		*h = r.f.RegisterFor(0, r.reqs[:], nil, r.now+20)
+		*h = r.f.Register(r.reqs[:], nil, r.now+20)
 		r.now += 8
 	}
 	r.f.Drain()
 }
 
 // TestRegisterFlushSteadyStateAllocs pins what the slabs are for: a
-// warmed RegisterFor/flush round allocates on slab refill only — one
+// warmed Register/flush round allocates on slab refill only — one
 // entry slab, one pointer and one ID window slab and a quarter of a
 // handle slab per 256 misses — where the parent allocated an entry, a
 // handle and two slices per instruction.
@@ -190,7 +184,7 @@ func TestRegisterFlushSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkRegisterFlush tracks the miss path's host cost: one op is a
-// round of 256 misses — RegisterFor, the flush's Submit on the
+// round of 256 misses — Register, the flush's Submit on the
 // 8-channel part, resolve, free — and its allocations are slab refills.
 func BenchmarkRegisterFlush(b *testing.B) {
 	r := &missRound{f: NewMSHRFile(mshrTiming(hbmBackend(b)), 16)}

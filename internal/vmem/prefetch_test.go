@@ -386,14 +386,19 @@ func TestPrefetchNeverGatesDemandHandle(t *testing.T) {
 	}
 }
 
-// TestAttachPrefetcherRejectsBlocking: the prefetcher cannot ride a
-// blocking file.
+// TestAttachPrefetcherRejectsBlocking: the prefetcher cannot ride the
+// blocking model, because there is no file of one register to attach it
+// to — NewMSHRFile refuses to build one.
 func TestAttachPrefetcherRejectsBlocking(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("attaching a prefetcher to a blocking file must panic")
-		}
-	}()
-	f := NewMSHRFile(mshrTiming(&countingBackend{}), 1)
-	f.AttachPrefetcher(NewPrefetcher(PrefetchConfig{Streams: 4}, lineB), cache.New(cache.L2Config(20)))
+	for _, n := range []int{0, 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewMSHRFile(_, %d) must panic: the blocking model has no file", n)
+				}
+			}()
+			f := NewMSHRFile(mshrTiming(&countingBackend{}), n)
+			f.AttachPrefetcher(NewPrefetcher(PrefetchConfig{Streams: 4}, lineB), cache.New(cache.L2Config(20)))
+		}()
+	}
 }

@@ -9,12 +9,14 @@
 // instruction against its port/bank resources and the shared L2 cache
 // model. Issue and completion are split: Issue returns the cycle the
 // instruction's port/bank occupancy and cache hits finish plus a
-// Pending handle for any outstanding line misses, which register in the
-// shared MSHR file (mshr.go) so main-memory batches span several
-// in-flight instructions. Without an MSHR file the subsystems fall back
-// to the blocking model and Issue's cycle is final. Resource state
-// persists across instructions, so back-to-back vector memory
-// operations contend realistically.
+// Pending handle for any outstanding line misses. There are two miss
+// models and each is one path: the blocking model is Timing.SubmitMisses
+// — the instruction's misses go to main memory as one batch and Issue's
+// cycle is final — and the non-blocking model registers them in the
+// shared MSHR file (mshr.go), so main-memory batches span several
+// in-flight instructions. Timing.Complete is where the two part.
+// Resource state persists across instructions, so back-to-back vector
+// memory operations contend realistically.
 package vmem
 
 import (
@@ -37,11 +39,10 @@ type Timing struct {
 	// whole memory parallelism at once.
 	Backend dram.Backend
 
-	// MSHRs requests a non-blocking miss pipeline: core.NewMemSystem
-	// builds an MSHR file of this size and wires it into MSHR. 0 keeps
-	// the legacy blocking path (no file at all); 1 routes through the
-	// file in its bit-exact blocking mode — the equivalence net; >= 2
-	// decouples issue from completion.
+	// MSHRs requests a non-blocking miss pipeline: for 2 or more
+	// core.NewMemSystem builds an MSHR file of this size and wires it
+	// into MSHR, decoupling issue from completion. 0 or 1 is the
+	// blocking model, which has no file.
 	MSHRs int
 
 	// MSHR is the miss-status holding register file shared by the
@@ -60,11 +61,11 @@ type Timing struct {
 	PFStreams int
 	PFDegree  int
 
-	// Tenant is the requestor tag this timing context files misses
-	// under when the memory system is shared between several front
-	// ends: every request's opaque ID carries it to the backend (see
-	// dram.TagTenant). 0 — the single-requestor default — tags to the
-	// identity, leaving the classic path bit-identical.
+	// Tenant is the requestor this timing context files misses under
+	// when the memory system is shared between several front ends
+	// (below dram.MaxTenants): the subsystems stamp it on every request
+	// and prefetched-line touch they create (dram.Request.Tenant). 0 is
+	// the single-requestor default.
 	Tenant int
 
 	// VA, when non-nil, is this requestor's virtual address space: the
@@ -90,25 +91,16 @@ func (tm Timing) Xl(a uint64) uint64 {
 // DefaultTiming is the paper's base system (§5.3) over a 100-cycle DRAM.
 func DefaultTiming() Timing { return Timing{L2Latency: 20, MemLatency: 100} }
 
-// SubmitMisses presents one instruction's collected misses (and any
-// dirty-victim write-backs) to the main memory as a single batch and
-// returns the latest read completion, or t0 when every request was a
-// posted write. With no Backend each read costs the flat MemLatency;
-// posted write-backs are free, matching the seed model where they were
-// not represented at all.
+// SubmitMisses is the blocking model: it presents one instruction's
+// collected misses (and any dirty-victim write-backs) to the main memory
+// as a single batch and returns the latest read completion, or t0 when
+// every request was a posted write. With no Backend each read costs the
+// flat MemLatency; posted write-backs are free, matching the seed model
+// where they were not represented at all.
 func (tm Timing) SubmitMisses(batch []dram.Request, t0 int64) int64 {
 	done := t0
 	if len(batch) == 0 {
 		return done
-	}
-	if tm.Tenant > 0 {
-		// Blocking path of a shared backend: the subsystems build their
-		// batches with zero IDs (no MSHR entries to route back to), so
-		// the requestor tag is stamped here for the backend's per-tenant
-		// accounting and QoS scheduling.
-		for i := range batch {
-			batch[i].ID = dram.TagTenant(batch[i].ID, tm.Tenant)
-		}
 	}
 	if tm.Backend == nil {
 		for _, r := range batch {
@@ -131,14 +123,13 @@ func (tm Timing) SubmitMisses(batch []dram.Request, t0 int64) int64 {
 }
 
 // Complete finishes one instruction's miss batch under the configured
-// miss pipeline: with no MSHR file the batch is submitted synchronously
+// miss model: with no MSHR file the batch is submitted synchronously
 // and the final completion returned (the blocking model); with a file
 // the batch registers and the caller receives a Pending handle — nil
-// when the completion is already final (blocking-mode file, or nothing
-// missed). pfTouch lists the instruction's demand touches of
-// prefetched L2 lines (always empty without a prefetcher, which also
-// requires the file). occDone is the completion of the instruction's
-// port/bank occupancy and cache hits.
+// when the completion is already final (nothing missed). pfTouch lists
+// the instruction's demand touches of prefetched L2 lines (always empty
+// without a prefetcher, which also requires the file). occDone is the
+// completion of the instruction's port/bank occupancy and cache hits.
 func (tm Timing) Complete(batch []dram.Request, pfTouch []PFTouch, occDone int64) (int64, *Pending) {
 	if tm.MSHR == nil {
 		return tm.SubmitMisses(batch, occDone), nil
@@ -146,10 +137,7 @@ func (tm Timing) Complete(batch []dram.Request, pfTouch []PFTouch, occDone int64
 	if len(batch) == 0 && len(pfTouch) == 0 {
 		return occDone, nil
 	}
-	p := tm.MSHR.RegisterFor(tm.Tenant, batch, pfTouch, occDone)
-	if tm.MSHR.Blocking() {
-		return p.Done(), nil
-	}
+	p := tm.MSHR.Register(batch, pfTouch, occDone)
 	if len(p.entries) == 0 {
 		// Nothing outstanding (every touched prefetch had already
 		// landed): the occupancy time is final.
@@ -261,6 +249,7 @@ func (m *MultiBanked) Issue(in *isa.Inst, t0 int64) (int64, *Pending) {
 	m.scratch = in.ElemAddrs(m.scratch[:0])
 	m.batch = m.batch[:0]
 	m.pfBuf = m.pfBuf[:0]
+	ten := uint8(m.tim.Tenant)
 	done := t0
 	for _, el := range m.scratch {
 		m.st.Elements++
@@ -292,13 +281,13 @@ func (m *MultiBanked) Issue(in *isa.Inst, t0 int64) (int64, *Pending) {
 			res := m.access(addr, in.IsStore)
 			if !res.Hit {
 				m.st.Misses++
-				m.batch = append(m.batch, dram.Request{Addr: addr, At: ct})
+				m.batch = append(m.batch, dram.Request{Addr: addr, At: ct, Tenant: ten})
 			}
 			if res.Prefetched {
-				m.pfBuf = append(m.pfBuf, PFTouch{Line: m.l2.LineAddr(addr), At: ct})
+				m.pfBuf = append(m.pfBuf, PFTouch{Line: m.l2.LineAddr(addr), At: ct, Tenant: ten})
 			}
 			if res.Writeback && m.tim.Backend != nil {
-				m.batch = append(m.batch, dram.Request{Addr: res.VictimAddr, Write: true, At: ct})
+				m.batch = append(m.batch, dram.Request{Addr: res.VictimAddr, Write: true, At: ct, Tenant: ten})
 			}
 			if ct > done {
 				done = ct
@@ -359,6 +348,7 @@ func (v *VectorCache) Issue(in *isa.Inst, t0 int64) (int64, *Pending) {
 	v.st.Instructions++
 	v.batch = v.batch[:0]
 	v.pfBuf = v.pfBuf[:0]
+	ten := uint8(v.tim.Tenant)
 	done := t0
 	access := func(addr uint64, words int, elems int) {
 		t := t0
@@ -373,12 +363,12 @@ func (v *VectorCache) Issue(in *isa.Inst, t0 int64) (int64, *Pending) {
 		if missed := v.lookup(addr, uint64(words*8), in.IsStore, ct); len(missed) > 0 {
 			v.st.Misses++
 			for _, a := range missed {
-				v.batch = append(v.batch, dram.Request{Addr: a, At: ct})
+				v.batch = append(v.batch, dram.Request{Addr: a, At: ct, Tenant: ten})
 			}
 		}
 		if v.tim.Backend != nil {
 			for _, a := range v.wbBuf {
-				v.batch = append(v.batch, dram.Request{Addr: a, Write: true, At: ct})
+				v.batch = append(v.batch, dram.Request{Addr: a, Write: true, At: ct, Tenant: ten})
 			}
 		}
 		if ct > done {
@@ -464,7 +454,7 @@ func (v *VectorCache) lookup(addr, bytes uint64, store bool, ct int64) []uint64 
 			v.missBuf = append(v.missBuf, pa)
 		}
 		if res.Prefetched {
-			v.pfBuf = append(v.pfBuf, PFTouch{Line: pa, At: ct})
+			v.pfBuf = append(v.pfBuf, PFTouch{Line: pa, At: ct, Tenant: uint8(v.tim.Tenant)})
 		}
 		if res.Writeback {
 			v.wbBuf = append(v.wbBuf, res.VictimAddr)
