@@ -1,7 +1,7 @@
 # The verify target is the tier-1 gate: CI runs it, and it is the
 # command to run before sending a change.
 
-.PHONY: verify build test test-race bench perf perf-compare perf-pairs loc wheel rpsweep ifsweep vasweep enginebench cpisweep stats trace tenants fmt-check vet
+.PHONY: verify build test test-race bench perf perf-compare perf-pairs loc wheel rpsweep ifsweep vasweep cpisweep stats trace tenants fmt-check vet
 
 # J is the sweep parallelism the sweep targets pass to momexp; override
 # with `make rpsweep J=1` to force a serial run.
@@ -116,11 +116,6 @@ ifsweep:
 # the banked part, where each 4 KiB page maps wholly to one channel.
 vasweep:
 	go run ./cmd/momexp -vasweep -engine wheel -j $(J) -q
-
-# enginebench measures wheel-vs-step host throughput on the full-size
-# motionsearch HBM rows and the golden matrix, writing BENCH_PR8.json.
-enginebench:
-	go run ./cmd/momexp -enginebench BENCH_PR8.json -q
 
 # cpisweep regenerates the CPI-stack cycle-attribution table
 # (EXPERIMENTS.md's reference table) over the extended full-size suite

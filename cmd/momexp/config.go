@@ -14,7 +14,6 @@ import (
 type sweepOptions struct {
 	Engine    string   // simulation engine: step (per-cycle oracle) or wheel
 	J         int      // sweep worker goroutines (0 = one per CPU)
-	Reps      int      // -enginebench repetitions per cell (0 = default 3)
 	Selectors []string // selector flags given a non-zero value
 	Backend   bool     // any of -dram/-dmap/.../-mshr/-pf/-va was set
 }
@@ -24,14 +23,12 @@ type sweepOptions struct {
 type runPlan struct {
 	Mode     engine.Mode
 	Workers  int
-	Reps     int
 	Selector *selector
 }
 
 // resolveSweep validates the options. Every combination that would
-// drop a flag on the floor is an error: two selectors, backend flags
-// with a selector that fixes its own, -reps without the benchmark that
-// reads it, -engine or -j with the benchmark that owns both.
+// drop a flag on the floor is an error: two selectors, or backend flags
+// with a selector that fixes its own.
 func resolveSweep(o sweepOptions) (runPlan, error) {
 	mode, err := engine.ParseMode(o.Engine)
 	if err != nil {
@@ -40,13 +37,7 @@ func resolveSweep(o sweepOptions) (runPlan, error) {
 	if o.J < 0 {
 		return runPlan{}, fmt.Errorf("-j must not be negative (got %d; 0 = one worker per CPU)", o.J)
 	}
-	if o.Reps < 0 {
-		return runPlan{}, fmt.Errorf("-reps must not be negative (got %d)", o.Reps)
-	}
-	p := runPlan{Mode: mode, Workers: experiments.AutoWorkers(o.J), Reps: o.Reps}
-	if p.Reps == 0 {
-		p.Reps = 3
-	}
+	p := runPlan{Mode: mode, Workers: experiments.AutoWorkers(o.J)}
 	if len(o.Selectors) > 1 {
 		return runPlan{}, fmt.Errorf("-%s and -%s each select the whole run; give one", o.Selectors[0], o.Selectors[1])
 	}
@@ -55,18 +46,8 @@ func resolveSweep(o sweepOptions) (runPlan, error) {
 			return runPlan{}, fmt.Errorf("unknown selector -%s", o.Selectors[0])
 		}
 	}
-	sel := p.Selector
-	if sel != nil && sel.owns != "" && o.Backend {
+	if sel := p.Selector; sel != nil && sel.owns != "" && o.Backend {
 		return runPlan{}, fmt.Errorf("-%s %s", sel.name, sel.owns)
-	}
-	bench := sel != nil && sel.bench
-	switch {
-	case bench && o.Engine != "":
-		return runPlan{}, fmt.Errorf("-%s always measures both engines; drop -engine", sel.name)
-	case bench && o.J != 0:
-		return runPlan{}, fmt.Errorf("-%s times one cell at a time; drop -j", sel.name)
-	case !bench && o.Reps != 0:
-		return runPlan{}, fmt.Errorf("-reps only applies to -enginebench")
 	}
 	return p, nil
 }

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
+
+	"repro/internal/dram"
 )
 
 // TestResolveSweepRejections: every flag combination that used to run
@@ -18,13 +21,8 @@ func TestResolveSweepRejections(t *testing.T) {
 		{"one sweep on the wheel", sweepOptions{Engine: "wheel", J: 4, Selectors: []string{"rpsweep"}}, nil},
 		{"figure on a chosen backend", sweepOptions{Selectors: []string{"fig"}, Backend: true}, nil},
 		{"statsjson on the wheel", sweepOptions{Engine: "wheel", J: 2, Selectors: []string{"statsjson"}}, nil},
-		{"enginebench with reps", sweepOptions{Reps: 5, Selectors: []string{"enginebench"}}, nil},
 		{"two sweeps", sweepOptions{Selectors: []string{"mshrsweep", "pfsweep"}}, []string{"-mshrsweep", "-pfsweep"}},
 		{"figure and sweep", sweepOptions{Selectors: []string{"fig", "rpsweep"}}, []string{"-fig", "-rpsweep"}},
-		{"reps without enginebench", sweepOptions{Reps: 5}, []string{"-reps", "-enginebench"}},
-		{"reps with a sweep", sweepOptions{Reps: 5, Selectors: []string{"latdist"}}, []string{"-reps", "-enginebench"}},
-		{"enginebench with engine", sweepOptions{Engine: "step", Selectors: []string{"enginebench"}}, []string{"-enginebench", "drop -engine"}},
-		{"enginebench with workers", sweepOptions{J: 2, Selectors: []string{"enginebench"}}, []string{"-enginebench", "drop -j"}},
 		{"unknown selector", sweepOptions{Selectors: []string{"nosuchsweep"}}, []string{"-nosuchsweep"}},
 	} {
 		_, err := resolveSweep(tc.o)
@@ -72,6 +70,28 @@ func TestSelectorTable(t *testing.T) {
 		seen[s.name] = true
 		if s.inDefault && s.arg != noArg {
 			t.Errorf("-%s takes an argument the default run cannot supply", s.name)
+		}
+	}
+}
+
+// TestKnobFlagsRegisteredWhenTheRowSaysSo: momexp's backend flags are
+// exactly the rows of dram.KnobTable marked Momexp, each with the row's
+// default and help text — and the two options that went with
+// -enginebench stay gone.
+func TestKnobFlagsRegisteredWhenTheRowSaysSo(t *testing.T) {
+	for i := range dram.KnobTable {
+		r := &dram.KnobTable[i]
+		f := flag.Lookup(r.Flag)
+		if (f != nil) != r.Momexp {
+			t.Errorf("%s: registered = %v, the row says %v", r, f != nil, r.Momexp)
+		}
+		if f != nil && f.Usage != r.Help {
+			t.Errorf("-%s registered with help %q, want the row's %q", r.Flag, f.Usage, r.Help)
+		}
+	}
+	for _, gone := range []string{"enginebench", "reps"} {
+		if flag.Lookup(gone) != nil {
+			t.Errorf("-%s is still a flag", gone)
 		}
 	}
 }

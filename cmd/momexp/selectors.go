@@ -10,12 +10,11 @@ import (
 	"repro/internal/kernels"
 )
 
-// session is what a selector runs against: the configured runner, the
-// -enginebench rep count, and whether the command line set backend
-// flags (the default run then skips the sweeps that own theirs).
+// session is what a selector runs against: the configured runner, and
+// whether the command line set backend flags (the default run then
+// skips the sweeps that own theirs).
 type session struct {
 	r       *experiments.Runner
-	reps    int
 	backend bool
 }
 
@@ -50,10 +49,7 @@ type selector struct {
 	// inDefault puts the selector in the no-selector run, in table
 	// order, after the paper's own tables and figures.
 	inDefault bool
-	// bench marks the one selector that times both engines itself: it
-	// takes -reps and refuses -engine and -j.
-	bench bool
-	run   func(x *session, arg string) error
+	run       func(x *session, arg string) error
 }
 
 const ownBackends = "compares its own backend configurations; drop -dram/-dmap/-dsched/-mshr/-pf"
@@ -108,20 +104,6 @@ var selectors = []selector{
 				return err
 			}
 			fmt.Printf("wrote %d configuration snapshots to %s\n", len(rep.Configs), path)
-			return nil
-		}},
-	{name: "enginebench", arg: fileArg, help: "measure wheel-vs-step host throughput and write the report to this file as JSON",
-		owns: "compares the engines on its own configurations; drop -dram/-dmap/-dsched/-mshr/-pf", bench: true,
-		run: func(x *session, path string) error {
-			rep := experiments.EngineBench(x.reps, x.r.Progress)
-			if err := writeReport(path, rep); err != nil {
-				return err
-			}
-			for _, row := range rep.Rows {
-				fmt.Printf("%-44s %12d cycles  step %8.3fms  wheel %8.3fms  %5.2fx\n",
-					row.Config, row.Cycles, float64(row.StepNs)/1e6, float64(row.WheelNs)/1e6, row.Speedup)
-			}
-			fmt.Printf("wrote %d engine-bench rows (best of %d reps) to %s\n", len(rep.Rows), rep.Reps, path)
 			return nil
 		}},
 }

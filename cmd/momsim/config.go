@@ -1,102 +1,117 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/dram/policy"
 	"repro/internal/engine"
 	"repro/internal/kernels"
 	"repro/internal/vm"
 	"repro/internal/vmem"
 )
 
-// options mirrors the command-line flags; resolve validates them into a
-// runnable configuration so flag handling is testable without flag.Parse.
+// options mirrors the command-line flags; parseArgs reads them and
+// resolve validates them into a runnable configuration, so flag
+// handling is testable without the process's own command line.
 type options struct {
-	Bench  string
-	ISA    string
-	Mem    string
-	DRAM   string
-	DMap   string
-	DSched string
-	DProf  string
-	RP     string
-	DChan  int
-	DWQ    int
-	DWQL   int
-	DWQI   int
-	DWin   int
-	MSHR   int
-	PF     int
-	PFD    int
-	PFQ    int
-	PFDec  int
+	Bench string
+	ISA   string
+	Mem   string
+	DRAM  string // backend kind: fixed, sdram
+
+	// The backend knobs, from the flags dram.KnobTable declares. Tenants
+	// runs that many instances of the kernel trace through one shared
+	// L2/MSHR/DRAM (1 = the classic single-requestor simulator).
+	dram.Selection
+	// BackendGiven: -dram, -mlat or a knob flag was set explicitly —
+	// refused with -mem ideal, which would ignore it.
+	BackendGiven bool
+
 	L2Lat  int64
 	MemLat int64
 	Gshare bool
 	Engine string // simulation engine: step (per-cycle oracle) or wheel
-
-	// Multi-tenant front end: Tenants runs that many instances of the
-	// kernel trace through one shared L2/MSHR/DRAM (1 = the classic
-	// single-requestor simulator); QoS turns on per-tenant credit
-	// scheduling in the sdram channel scheduler.
-	Tenants int
-	QoS     bool
-
-	// VA turns on per-requestor virtual address translation and names
-	// the physical placement policy: first, color, colo ("" = off).
-	VA string
+	Verify bool   // check the kernel output against the scalar reference
 
 	// Observability outputs: Trace writes a Chrome trace-event JSON
 	// file (TraceBuf sizes the event ring; 0 = default), StatsJSON
 	// writes the registry snapshot, CPIStack prints the cycle
-	// attribution report, and Sample/SampleJSON record a per-interval
-	// time series of every registered counter.
+	// attribution report, Sample/SampleJSON record a per-interval
+	// time series of every registered counter, and CPUProfile/MemProfile
+	// write host profiles of the simulator itself.
 	Trace      string
 	StatsJSON  string
 	TraceBuf   int
 	CPIStack   bool
 	Sample     int64
 	SampleJSON string
+	CPUProfile string
+	MemProfile string
 }
 
-// defaultOptions matches the flag defaults.
-func defaultOptions() options {
-	return options{
-		Bench: "mpeg2encode", ISA: "mom3d", Mem: "vcache3d",
-		DRAM: "fixed", DMap: "line", DSched: "frfcfs", DProf: "ddr", RP: "open",
-		L2Lat: 20, MemLat: 100, Tenants: 1,
+// parseArgs declares momsim's flags on fs — the backend knobs by
+// ranging over dram.KnobTable, the single-spelling flags by hand — and
+// reads args into options. Explicitly-set knobs the chosen backend
+// would silently ignore are refused here (shared policy with momexp).
+func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	fs.StringVar(&o.Bench, "bench", "mpeg2encode", "benchmark: mpeg2encode, mpeg2decode, jpegencode, jpegdecode, gsmencode, motionsearch")
+	fs.StringVar(&o.ISA, "isa", "mom3d", "ISA variant: mmx, mom, mom3d")
+	fs.StringVar(&o.Mem, "mem", "vcache3d", "memory system: ideal, multibanked, vcache, vcache3d")
+	fs.StringVar(&o.DRAM, "dram", "fixed", "main-memory backend: fixed, sdram")
+	knobs := dram.RegisterFlags(fs, false)
+	fs.Int64Var(&o.L2Lat, "l2", 20, "L2 cache latency in cycles")
+	fs.Int64Var(&o.MemLat, "mlat", 100, "fixed backend: main memory latency beyond L2 in cycles")
+	fs.BoolVar(&o.Gshare, "gshare", false, "use a gshare branch predictor instead of perfect prediction")
+	fs.StringVar(&o.Engine, "engine", "", "simulation engine: step (per-cycle oracle) or wheel (event-driven, bit-identical)")
+	fs.BoolVar(&o.Verify, "verify", true, "check the kernel output against the scalar reference")
+	fs.StringVar(&o.Trace, "trace", "", "write a cycle-stamped Chrome trace-event JSON to this file")
+	fs.StringVar(&o.StatsJSON, "statsjson", "", "write the stats-registry snapshot as JSON to this file")
+	fs.IntVar(&o.TraceBuf, "tracebuf", 0, "trace event-ring capacity; oldest events drop first (0 = default)")
+	fs.BoolVar(&o.CPIStack, "cpistack", false, "print the CPI stack: every core cycle attributed to one stall reason")
+	fs.Int64Var(&o.Sample, "sample", 0, "interval time-series sampling period in cycles (0 = off; needs -samplejson)")
+	fs.StringVar(&o.SampleJSON, "samplejson", "", "write the interval time series as JSON to this file")
+	fs.StringVar(&o.CPUProfile, "cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
+	fs.StringVar(&o.MemProfile, "memprofile", "", "write a host heap profile, taken at exit, to this file")
+	if err := fs.Parse(args); err != nil {
+		return o, err
 	}
+	mlat := false
+	o.BackendGiven = knobs.Given()
+	fs.Visit(func(f *flag.Flag) {
+		mlat = mlat || f.Name == "mlat"
+		o.BackendGiven = o.BackendGiven || f.Name == "mlat" || f.Name == "dram"
+	})
+	if mlat && strings.ToLower(o.DRAM) == "sdram" {
+		return o, fmt.Errorf("-mlat applies to the fixed backend only; drop it with -dram sdram")
+	}
+	var err error
+	o.Selection, err = knobs.Read(o.DRAM)
+	return o, err
 }
 
-// runConfig is everything one simulation needs.
+// runConfig is everything one simulation needs: the options as given
+// (Tenants, QoS and the observability outputs are read from them
+// directly) and what resolve built from them.
 type runConfig struct {
+	options
 	Bench   kernels.Benchmark
 	Variant kernels.Variant
 	Core    core.Config
 	MemKind core.MemKind
 	Timing  vmem.Timing
-	Tenants int         // concurrent requestors (1 = single-requestor path)
-	QoS     bool        // per-tenant credit scheduling in the sdram controller
 	Engine  engine.Mode // per-cycle oracle or the event-wheel engine
 	VM      *vm.VM      // address-translation layer (nil = translation off)
-
-	Trace      string // Chrome trace-event JSON output path ("" = off)
-	StatsJSON  string // registry-snapshot JSON output path ("" = off)
-	TraceBuf   int    // trace ring capacity in events (0 = default)
-	CPIStack   bool   // print the CPI-stack cycle attribution report
-	Sample     int64  // interval time-series sampling period in cycles (0 = off)
-	SampleJSON string // time-series JSON output path ("" = off)
 }
 
 // resolve validates the options, building the benchmark, processor,
 // memory-system and DRAM-backend configuration or reporting which flag
 // value is unknown.
 func resolve(o options) (runConfig, error) {
-	var rc runConfig
+	rc := runConfig{options: o}
 	bm, ok := kernels.ByName(o.Bench)
 	if !ok {
 		return rc, fmt.Errorf("unknown benchmark %q (mpeg2encode, mpeg2decode, jpegencode, jpegdecode, gsmencode, motionsearch)", o.Bench)
@@ -109,33 +124,25 @@ func resolve(o options) (runConfig, error) {
 	if err != nil {
 		return rc, err
 	}
-	rp, err := policy.Parse(o.RP)
-	if err != nil {
-		return rc, err
+	if o.L2Lat < 0 {
+		return rc, fmt.Errorf("-l2 is a latency in cycles and must not be negative (got %d)", o.L2Lat)
 	}
-	if o.Tenants < 1 || o.Tenants > dram.MaxTenants {
+	if o.MemLat < 0 {
+		return rc, fmt.Errorf("-mlat is a latency in cycles and must not be negative (got %d)", o.MemLat)
+	}
+	if o.Tenants < 1 {
 		return rc, fmt.Errorf("-tenants must be 1..%d (got %d)", dram.MaxTenants, o.Tenants)
-	}
-	if o.QoS && o.Tenants < 2 {
-		return rc, fmt.Errorf("-qos partitions the channel between requestors; it needs -tenants >= 2")
-	}
-	if o.QoS && strings.ToLower(o.DRAM) != "sdram" {
-		return rc, fmt.Errorf("-qos is a channel-scheduler feature; it requires -dram sdram")
 	}
 	if o.Tenants > 1 && memKind == core.MemIdeal {
 		return rc, fmt.Errorf("-tenants needs a shared cache hierarchy to contend for; it has no effect with -mem ideal")
 	}
 	// The backend only learns the tenant count when it matters to it:
 	// a multi-tenant run (stat shards and, with QoS, credit scheduling).
-	tn := 0
-	if o.Tenants > 1 {
-		tn = o.Tenants
+	sel := o.Selection
+	if o.Tenants == 1 {
+		sel.Tenants = 0
 	}
-	knobs := dram.Knobs{Channels: o.DChan, WQDrain: o.DWQ, Window: o.DWin,
-		WQLow: o.DWQL, WQIdle: int64(o.DWQI), MSHRs: o.MSHR,
-		PFStreams: o.PF, PFDegree: o.PFD, PFQ: o.PFQ, PFDecay: o.PFDec,
-		Tenants: tn, QoS: o.QoS, RP: rp}
-	backend, err := dram.BuildOpts(o.DRAM, o.DMap, o.DSched, o.DProf, knobs, o.MemLat)
+	backend, err := sel.Build(o.DRAM, o.MemLat)
 	if err != nil {
 		return rc, err
 	}
@@ -147,11 +154,17 @@ func resolve(o options) (runConfig, error) {
 			return rc, err
 		}
 	}
-	if memKind == core.MemIdeal && o.MSHR != 0 {
+	if memKind == core.MemIdeal && o.MSHRs != 0 {
 		return rc, fmt.Errorf("-mshr needs a cache hierarchy; it has no effect with -mem ideal")
 	}
-	if memKind == core.MemIdeal && o.PF != 0 {
+	if memKind == core.MemIdeal && o.PFStreams != 0 {
 		return rc, fmt.Errorf("-pf needs a cache hierarchy; it has no effect with -mem ideal")
+	}
+	// Ideal memory has no cache hierarchy, so neither a DRAM backend
+	// nor a memory latency ever applies; reject explicit flags rather
+	// than ignore them.
+	if memKind == core.MemIdeal && o.BackendGiven {
+		return rc, fmt.Errorf("-dram, -mlat and the backend knobs have no effect with -mem ideal")
 	}
 	if o.TraceBuf < 0 {
 		return rc, fmt.Errorf("-tracebuf must not be negative (got %d)", o.TraceBuf)
@@ -185,15 +198,12 @@ func resolve(o options) (runConfig, error) {
 	rc.Core = cfg
 	rc.MemKind = memKind
 	rc.Timing = vmem.Timing{L2Latency: o.L2Lat, MemLatency: o.MemLat, Backend: backend,
-		MSHRs: o.MSHR, PFStreams: o.PF, PFDegree: o.PFD}
+		MSHRs: o.MSHRs, PFStreams: o.PFStreams, PFDegree: o.PFDegree}
 	if rc.VM != nil && o.Tenants == 1 {
 		// The multi-tenant path hands the VM to the tenant group instead,
 		// which wires Space(i) into tenant i's Timing view.
 		rc.Timing.VA = rc.VM.Space(0)
 	}
-	rc.Tenants, rc.QoS = o.Tenants, o.QoS
-	rc.Trace, rc.StatsJSON, rc.TraceBuf = o.Trace, o.StatsJSON, o.TraceBuf
-	rc.CPIStack, rc.Sample, rc.SampleJSON = o.CPIStack, o.Sample, o.SampleJSON
 	return rc, nil
 }
 

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"flag"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -9,6 +12,23 @@ import (
 	"repro/internal/dram/policy"
 	"repro/internal/kernels"
 )
+
+// parseLine reads a command line the way main does, without the
+// process's flag set.
+func parseLine(args ...string) (options, error) {
+	fs := flag.NewFlagSet("momsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return parseArgs(fs, args)
+}
+
+// defaultOptions is what an empty command line selects.
+func defaultOptions() options {
+	o, err := parseLine()
+	if err != nil {
+		panic(err)
+	}
+	return o
+}
 
 func TestResolveDefaults(t *testing.T) {
 	rc, err := resolve(defaultOptions())
@@ -34,7 +54,7 @@ func TestResolveDefaults(t *testing.T) {
 
 func TestResolveSDRAM(t *testing.T) {
 	o := defaultOptions()
-	o.DRAM, o.DMap, o.DSched = "sdram", "bank", "fcfs"
+	o.DRAM, o.Mapping, o.Sched = "sdram", "bank", "fcfs"
 	rc, err := resolve(o)
 	if err != nil {
 		t.Fatalf("resolve(sdram): %v", err)
@@ -46,7 +66,7 @@ func TestResolveSDRAM(t *testing.T) {
 
 func TestResolveSDRAMKnobs(t *testing.T) {
 	o := defaultOptions()
-	o.DRAM, o.DProf, o.DChan, o.DWQ, o.DWin = "sdram", "hbm", 4, 6, 16
+	o.DRAM, o.Prof, o.Channels, o.WQDrain, o.Window = "sdram", "hbm", 4, 6, 16
 	rc, err := resolve(o)
 	if err != nil {
 		t.Fatalf("resolve(sdram knobs): %v", err)
@@ -66,7 +86,7 @@ func TestResolveSDRAMKnobs(t *testing.T) {
 
 func TestResolveMSHR(t *testing.T) {
 	o := defaultOptions()
-	o.MSHR = 8
+	o.MSHRs = 8
 	rc, err := resolve(o)
 	if err != nil {
 		t.Fatalf("resolve(mshr): %v", err)
@@ -80,7 +100,7 @@ func TestResolveMSHR(t *testing.T) {
 	}
 	// -mshr works on the sdram backend too.
 	o = defaultOptions()
-	o.DRAM, o.MSHR = "sdram", 16
+	o.DRAM, o.MSHRs = "sdram", 16
 	if rc, err = resolve(o); err != nil || rc.Timing.MSHRs != 16 {
 		t.Errorf("sdram Timing.MSHRs = %d (err %v), want 16", rc.Timing.MSHRs, err)
 	}
@@ -88,7 +108,7 @@ func TestResolveMSHR(t *testing.T) {
 
 func TestResolvePrefetch(t *testing.T) {
 	o := defaultOptions()
-	o.MSHR, o.PF, o.PFD = 16, 8, 2
+	o.MSHRs, o.PFStreams, o.PFDegree = 16, 8, 2
 	rc, err := resolve(o)
 	if err != nil {
 		t.Fatalf("resolve(pf): %v", err)
@@ -98,7 +118,7 @@ func TestResolvePrefetch(t *testing.T) {
 	}
 	// The degree default is applied by the model layer, not resolve.
 	o = defaultOptions()
-	o.MSHR, o.PF = 8, 4
+	o.MSHRs, o.PFStreams = 8, 4
 	if rc, err = resolve(o); err != nil || rc.Timing.PFStreams != 4 || rc.Timing.PFDegree != 0 {
 		t.Errorf("pf without pfd: %+v (err %v)", rc.Timing, err)
 	}
@@ -110,7 +130,7 @@ func TestResolvePrefetch(t *testing.T) {
 
 func TestResolveRowPolicy(t *testing.T) {
 	o := defaultOptions()
-	o.DRAM, o.RP = "sdram", "history"
+	o.DRAM, o.RP = "sdram", policy.Spec{Kind: policy.History}
 	rc, err := resolve(o)
 	if err != nil {
 		t.Fatalf("resolve(rp history): %v", err)
@@ -124,7 +144,7 @@ func TestResolveRowPolicy(t *testing.T) {
 	}
 	// The timer takes its idle gap through the same flag.
 	o = defaultOptions()
-	o.DRAM, o.RP = "sdram", "timer:77"
+	o.DRAM, o.RP = "sdram", policy.Spec{Kind: policy.Timer, Idle: 77}
 	if rc, err = resolve(o); err != nil {
 		t.Fatalf("resolve(rp timer:77): %v", err)
 	}
@@ -140,7 +160,7 @@ func TestResolveRowPolicy(t *testing.T) {
 
 func TestResolvePrefetchQueueCap(t *testing.T) {
 	o := defaultOptions()
-	o.DRAM, o.MSHR, o.PF, o.PFQ = "sdram", 16, 8, 4
+	o.DRAM, o.MSHRs, o.PFStreams, o.PFQ = "sdram", 16, 8, 4
 	rc, err := resolve(o)
 	if err != nil {
 		t.Fatalf("resolve(pfq): %v", err)
@@ -162,7 +182,7 @@ func TestResolvePrefetchQueueCap(t *testing.T) {
 
 func TestResolveWriteDrainKnobs(t *testing.T) {
 	o := defaultOptions()
-	o.DRAM, o.DWQ, o.DWQL, o.DWQI = "sdram", 8, 2, 50
+	o.DRAM, o.WQDrain, o.WQLow, o.WQIdle = "sdram", 8, 2, 50
 	rc, err := resolve(o)
 	if err != nil {
 		t.Fatalf("resolve(write-drain knobs): %v", err)
@@ -210,63 +230,150 @@ func TestResolveObservability(t *testing.T) {
 	}
 }
 
+// TestResolveRejectsUnknownValues: each command line is refused, by
+// parseArgs or by resolve, with one message naming what is wrong.
 func TestResolveRejectsUnknownValues(t *testing.T) {
 	cases := []struct {
 		name string
-		mut  func(*options)
+		args string
 		want string // substring the error must mention
 	}{
-		{"bench", func(o *options) { o.Bench = "quake3" }, "benchmark"},
-		{"isa", func(o *options) { o.ISA = "avx512" }, "ISA"},
-		{"mem", func(o *options) { o.Mem = "dcache" }, "memory system"},
-		{"dram", func(o *options) { o.DRAM = "hbm" }, "dram backend"},
-		{"dmap", func(o *options) { o.DRAM = "sdram"; o.DMap = "xor" }, "mapping"},
-		{"dsched", func(o *options) { o.DRAM = "sdram"; o.DSched = "rr" }, "scheduler"},
-		{"dmap-fixed", func(o *options) { o.DMap = "xor" }, "mapping"},
-		{"dsched-fixed", func(o *options) { o.DSched = "rr" }, "scheduler"},
-		{"dprof", func(o *options) { o.DRAM = "sdram"; o.DProf = "lpddr" }, "profile"},
-		{"dprof-fixed", func(o *options) { o.DProf = "lpddr" }, "profile"},
-		{"dchan", func(o *options) { o.DRAM = "sdram"; o.DChan = 3 }, "channel"},
-		{"dchan-negative", func(o *options) { o.DRAM = "sdram"; o.DChan = -4 }, "knobs"},
-		{"dwin-negative", func(o *options) { o.DRAM = "sdram"; o.DWin = -1 }, "knobs"},
-		{"mshr-negative", func(o *options) { o.MSHR = -2 }, "knobs"},
-		{"mshr-ideal", func(o *options) { o.Mem = "ideal"; o.MSHR = 8 }, "-mshr"},
-		{"pf-negative", func(o *options) { o.PF = -1 }, "knobs"},
-		{"pf-no-mshr", func(o *options) { o.PF = 8 }, "mshr"},
-		{"pf-blocking-mshr", func(o *options) { o.MSHR = 1; o.PF = 8 }, "mshr"},
-		{"pfd-no-pf", func(o *options) { o.MSHR = 8; o.PFD = 4 }, "stream count"},
-		{"pf-ideal", func(o *options) { o.Mem = "ideal"; o.MSHR = 8; o.PF = 8 }, "-mshr"},
-		{"dwql-above-drain", func(o *options) { o.DRAM = "sdram"; o.DWQ = 4; o.DWQL = 6 }, "watermark"},
-		{"rp-unknown", func(o *options) { o.DRAM = "sdram"; o.RP = "lru" }, "row policy"},
-		{"rp-timer-zero", func(o *options) { o.DRAM = "sdram"; o.RP = "timer:0" }, "idle gap"},
-		{"rp-arg-on-open", func(o *options) { o.DRAM = "sdram"; o.RP = "open:5" }, "parameter"},
-		{"pfq-no-pf", func(o *options) { o.DRAM = "sdram"; o.MSHR = 8; o.PFQ = 4 }, "stream count"},
-		{"pfq-negative", func(o *options) { o.DRAM = "sdram"; o.MSHR = 8; o.PF = 4; o.PFQ = -1 }, "knobs"},
-		{"tenants-zero", func(o *options) { o.Tenants = 0 }, "-tenants must be 1..256"},
-		{"tenants-past-the-request-field", func(o *options) { o.Tenants = 257 }, "-tenants must be 1..256"},
-		{"tracebuf-negative", func(o *options) { o.Trace = "t.json"; o.TraceBuf = -1 }, "-tracebuf"},
-		{"tracebuf-no-trace", func(o *options) { o.TraceBuf = 4096 }, "-trace"},
-		{"trace-eq-statsjson", func(o *options) { o.Trace = "out.json"; o.StatsJSON = "out.json" }, "distinct"},
-		{"sample-negative", func(o *options) { o.Sample = -1 }, "-sample"},
-		{"sample-no-file", func(o *options) { o.Sample = 1000 }, "-samplejson"},
-		{"samplejson-no-sample", func(o *options) { o.SampleJSON = "ts.json" }, "-sample"},
-		{"samplejson-eq-trace", func(o *options) {
-			o.Sample, o.SampleJSON, o.Trace = 1000, "out.json", "out.json"
-		}, "distinct"},
-		{"samplejson-eq-statsjson", func(o *options) {
-			o.Sample, o.SampleJSON, o.StatsJSON = 1000, "out.json", "out.json"
-		}, "distinct"},
+		{"bench", "-bench quake3", "benchmark"},
+		{"isa", "-isa avx512", "ISA"},
+		{"mem", "-mem dcache", "memory system"},
+		{"dram", "-dram hbm", "dram backend"},
+		{"dmap", "-dram sdram -dmap xor", "mapping"},
+		{"dsched", "-dram sdram -dsched rr", "scheduler"},
+		{"dmap-fixed", "-dmap xor", "-dmap configures the banked controller; it requires -dram sdram"},
+		{"dsched-fixed", "-dsched frfcfs", "-dsched configures"},
+		{"dprof", "-dram sdram -dprof lpddr", "profile"},
+		{"dprof-fixed", "-dprof ddr", "-dprof configures"},
+		{"dchan", "-dram sdram -dchan 3", "-dchan / <n>ch: 3 is out of range (want 1..64, a power of two"},
+		{"dchan-negative", "-dram sdram -dchan -4", "-dchan / <n>ch"},
+		{"dwin-negative", "-dram sdram -dwin -1", "-dwin / win<n>"},
+		{"mshr-negative", "-mshr -2", "-mshr / mshr<n>"},
+		{"mshr-ideal", "-mem ideal -mshr 8", "-mshr"},
+		{"pf-negative", "-pf -1", "-pf / pf<n>"},
+		{"pf-no-mshr", "-pf 8", "needs -mshr / mshr<n> of at least 2"},
+		{"pf-blocking-mshr", "-mshr 1 -pf 8", "needs -mshr / mshr<n> of at least 2"},
+		{"pfd-no-pf", "-mshr 8 -pfd 4", "-pfd / pf<n>d<m> needs -pf / pf<n>"},
+		{"pf-ideal", "-mem ideal -mshr 8 -pf 8", "-mshr"},
+		{"dwql-above-drain", "-dram sdram -dwq 4 -dwql 6", "watermark"},
+		{"rp-unknown", "-dram sdram -rp lru", "row policy"},
+		{"rp-timer-zero", "-dram sdram -rp timer:0", "idle gap"},
+		{"rp-arg-on-open", "-dram sdram -rp open:5", "parameter"},
+		{"pfq-no-pf", "-dram sdram -mshr 8 -pfq 4", "-pfq / pfq<n> needs -pf / pf<n>"},
+		{"pfq-negative", "-dram sdram -mshr 8 -pf 4 -pfq -1", "-pfq / pfq<n>"},
+		{"qos-one-tenant", "-dram sdram -qos", "-qos / qos needs -tenants / tn<n> of at least 2"},
+		{"qos-fixed", "-tenants 2 -qos", "-qos configures"},
+		{"mlat-sdram", "-dram sdram -mlat 50", "-mlat applies to the fixed backend only"},
+		{"va-unknown", "-va best", "placement policy"},
+		{"tenants-zero", "-tenants 0", "-tenants must be 1..256"},
+		{"tenants-past-the-request-field", "-tenants 257", "-tenants / tn<n>: 257 is out of range (want 1..256"},
+		{"dram-ideal", "-mem ideal -dram fixed", "-mem ideal"},
+		{"knob-ideal", "-mem ideal -dram sdram -dmap bank", "-mem ideal"},
+		{"tracebuf-negative", "-trace t.json -tracebuf -1", "-tracebuf"},
+		{"tracebuf-no-trace", "-tracebuf 4096", "-trace"},
+		{"trace-eq-statsjson", "-trace out.json -statsjson out.json", "distinct"},
+		{"sample-negative", "-sample -1", "-sample"},
+		{"sample-no-file", "-sample 1000", "-samplejson"},
+		{"samplejson-no-sample", "-samplejson ts.json", "-sample"},
+		{"samplejson-eq-trace", "-sample 1000 -samplejson out.json -trace out.json", "distinct"},
+		{"samplejson-eq-statsjson", "-sample 1000 -samplejson out.json -statsjson out.json", "distinct"},
+		// Every count has an upper bound the model can build: these used
+		// to die in NewSDRAM's makeslice or run the host out of memory,
+		// and a negative latency used to run and report a faster machine.
+		{"dchan-huge", "-dram sdram -dchan 4611686018427387904", "-dchan / <n>ch: 4611686018427387904 is out of range"},
+		{"dchan-oom", "-dram sdram -dchan 1073741824", "want 1..64"},
+		{"dwq-oom", "-dram sdram -dwq 2147483647", "-dwq / wq<n>: 2147483647 is out of range (want 1..1024"},
+		{"pf-oom", "-mshr 8 -pf 2147483647", "-pf / pf<n>: 2147483647 is out of range (want 1..1024"},
+		{"mshr-oom", "-mshr 2147483647", "-mshr / mshr<n>"},
+		{"dwin-oom", "-dram sdram -dwin 2147483647", "-dwin / win<n>"},
+		{"pfd-oom", "-mshr 8 -pf 4 -pfd 2147483647", "-pfd / pf<n>d<m>"},
+		{"pfq-oom", "-dram sdram -mshr 8 -pf 4 -pfq 2147483647", "-pfq / pfq<n>"},
+		{"pfdecay-oom", "-dram sdram -mshr 8 -pf 4 -pfdecay 2147483647", "-pfdecay / pfdec<n>"},
+		{"dwql-below-off", "-dram sdram -dwql -2", "or -1 / wql0 for explicitly off"},
+		{"l2-negative", "-l2 -100", "-l2"},
+		{"mlat-negative", "-mlat -1", "-mlat"},
 	}
 	for _, c := range cases {
-		o := defaultOptions()
-		c.mut(&o)
-		_, err := resolve(o)
+		o, err := parseLine(strings.Fields(c.args)...)
 		if err == nil {
-			t.Errorf("%s: resolve accepted an unknown value", c.name)
+			_, err = resolve(o)
+		}
+		if err == nil {
+			t.Errorf("%s: %q was accepted", c.name, c.args)
 			continue
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestKnobFlagsAllRegistered: every row of dram.KnobTable is a momsim
+// flag with the row's default and help text.
+func TestKnobFlagsAllRegistered(t *testing.T) {
+	fs := flag.NewFlagSet("momsim", flag.ContinueOnError)
+	if _, err := parseArgs(fs, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := range dram.KnobTable {
+		r := &dram.KnobTable[i]
+		f := fs.Lookup(r.Flag)
+		if f == nil {
+			t.Errorf("%s is not a momsim flag", r)
+			continue
+		}
+		if def := f.DefValue; f.Usage != r.Help || def != r.Def && !(r.Def == "" && (def == "0" || def == "false")) {
+			t.Errorf("-%s registered with default %q and help %q, want the row's %q and %q", r.Flag, def, f.Usage, r.Def, r.Help)
+		}
+	}
+}
+
+// TestFlagsMatchSpec: flag ≡ spec. For every row and every value worth
+// trying (a count's minimum, maximum and an interior value, every name),
+// the knobs momsim reads from the command line equal the knobs parsed
+// from the spec that command line formats to, and resolve accepts them.
+func TestFlagsMatchSpec(t *testing.T) {
+	byFlag := map[string]*dram.Knob{}
+	for i := range dram.KnobTable {
+		byFlag[dram.KnobTable[i].Flag] = &dram.KnobTable[i]
+	}
+	for i := range dram.KnobTable {
+		r := &dram.KnobTable[i]
+		vals := strings.Split(strings.Replace(r.Names, "timer[:<n>]", "timer:77", 1), "|")
+		switch {
+		case r.Max > 0: // a count; 8 is inside every range and a power of two
+			vals = []string{fmt.Sprint(r.Min), "8", fmt.Sprint(r.Max)}
+		case r.Names == "": // a switch
+			vals = []string{"true"}
+		}
+		for _, v := range vals {
+			// Whatever the row needs rides along, at the least value it
+			// needs; the drain watermark sits below the drain threshold.
+			args := []string{"-dram", "sdram", "-" + r.Flag + "=" + v}
+			for k := r; k.Needs != ""; k = byFlag[k.Needs] {
+				args = append(args, fmt.Sprintf("-%s=%d", k.Needs, max(k.NeedsMin, 1)))
+			}
+			if r.Flag == "dwql" {
+				args = append(args, "-dwq=1024")
+			}
+			o, err := parseLine(args...)
+			if err != nil {
+				t.Errorf("%v: %v", args, err)
+				continue
+			}
+			spec := o.Selection.Spec(o.DRAM)
+			_, knobs, err := dram.ParseSpecFull(spec, o.MemLat)
+			if err != nil {
+				t.Errorf("%v formats to %q, which does not parse: %v", args, spec, err)
+			} else if knobs != o.Knobs {
+				t.Errorf("%v reads as %+v but its spec %q as %+v", args, o.Knobs, spec, knobs)
+			}
+			if _, err := resolve(o); err != nil {
+				t.Errorf("%v: %v", args, err)
+			}
 		}
 	}
 }

@@ -5,12 +5,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dram"
+	"repro/internal/dram/policy"
 	"repro/internal/engine"
 )
-
-// maxTenants is dram.MaxTenants under a name the fuzz target's dram
-// parameter does not shadow.
-const maxTenants = dram.MaxTenants
 
 // FuzzResolve drives momsim's flag resolution with arbitrary values.
 // resolve is the single validation funnel between flag.Parse and the
@@ -29,7 +26,7 @@ func FuzzResolve(f *testing.F) {
 			trace, statsjson, tracebuf, pfdec, tenants, qos, eng)
 	}
 	d := defaultOptions()
-	add(d.Bench, d.ISA, d.Mem, d.DRAM, d.DMap, d.DSched, d.DProf, d.RP,
+	add(d.Bench, d.ISA, d.Mem, d.DRAM, d.Mapping, d.Sched, "ddr", "open",
 		0, 0, 0, 0, 0, 0, 0, 0, 0, d.L2Lat, d.MemLat, "", "", 0, 0, d.Tenants, false, d.Engine)
 	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "hbm", "history",
 		4, 8, 2, 50, 16, 16, 8, 4, 4, 20, 100, "t.json", "s.json", 1024, 0, 1, false, "wheel")
@@ -65,19 +62,35 @@ func FuzzResolve(f *testing.F) {
 		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 0, 1, false, "Wheel") // engine names are case-sensitive: rejected
 	add("gsmencode", "mom3d", "vcache3d", "fixed", "line", "frfcfs", "ddr", "open",
 		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 0, 257, false, "") // more tenants than a request can name: rejected
+	// Counts past what the model can build, and latencies below zero:
+	// each used to panic in NewSDRAM, exhaust the host or run. Rejected.
+	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "", "open",
+		4611686018427387904, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 0, 1, false, "")
+	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "", "open",
+		1073741824, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 0, 1, false, "")
+	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "", "open",
+		0, 2147483647, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 0, 1, false, "")
+	add("gsmencode", "mom3d", "vcache3d", "fixed", "line", "frfcfs", "", "open",
+		0, 0, 0, 0, 0, 8, 2147483647, 0, 0, 20, 100, "", "", 0, 0, 1, false, "")
+	add("gsmencode", "mom3d", "vcache3d", "fixed", "line", "frfcfs", "", "open",
+		0, 0, 0, 0, 0, 0, 0, 0, 0, -100, 100, "", "", 0, 0, 1, false, "")
 
-	f.Fuzz(func(t *testing.T, bench, isa, mem, dram, dmap, dsched, dprof, rp string,
+	f.Fuzz(func(t *testing.T, bench, isa, mem, kind, dmap, dsched, dprof, rp string,
 		dchan, dwq, dwql, dwqi, dwin, mshr, pf, pfd, pfq int, l2, mlat int64,
 		traceOut, statsOut string, tracebuf, pfdec, tenants int, qos bool,
 		eng string) {
+		rpSpec, err := policy.Parse(rp)
+		if err != nil {
+			return
+		}
 		rc, err := resolve(options{
-			Bench: bench, ISA: isa, Mem: mem,
-			DRAM: dram, DMap: dmap, DSched: dsched, DProf: dprof, RP: rp,
-			DChan: dchan, DWQ: dwq, DWQL: dwql, DWQI: dwqi, DWin: dwin,
-			MSHR: mshr, PF: pf, PFD: pfd, PFQ: pfq,
+			Bench: bench, ISA: isa, Mem: mem, DRAM: kind,
+			Selection: dram.Selection{Mapping: dmap, Sched: dsched, Prof: dprof, Knobs: dram.Knobs{
+				Channels: dchan, WQDrain: dwq, WQLow: dwql, WQIdle: dwqi, Window: dwin,
+				MSHRs: mshr, PFStreams: pf, PFDegree: pfd, PFQ: pfq, PFDecay: pfdec,
+				Tenants: tenants, QoS: qos, RP: rpSpec}},
 			L2Lat: l2, MemLat: mlat,
-			Trace: traceOut, StatsJSON: statsOut, TraceBuf: tracebuf,
-			PFDec: pfdec, Tenants: tenants, QoS: qos, Engine: eng,
+			Trace: traceOut, StatsJSON: statsOut, TraceBuf: tracebuf, Engine: eng,
 		})
 		if err != nil {
 			return
@@ -100,14 +113,17 @@ func FuzzResolve(f *testing.F) {
 		if rc.Timing.Backend == nil {
 			t.Fatal("accepted configuration has no DRAM backend")
 		}
+		if rc.Timing.L2Latency < 0 || rc.Timing.MemLatency < 0 {
+			t.Fatalf("accepted a negative latency: %+v", rc.Timing)
+		}
 		if rc.Timing.PFStreams > 0 && rc.Timing.MSHRs < 2 {
 			t.Fatalf("accepted a prefetcher over a blocking pipeline: %+v", rc.Timing)
 		}
 		if rc.MemKind == core.MemIdeal && (rc.Timing.MSHRs != 0 || rc.Timing.PFStreams != 0) {
 			t.Fatalf("accepted mshr/pf with ideal memory: %+v", rc.Timing)
 		}
-		if rc.Tenants < 1 || rc.Tenants > maxTenants {
-			t.Fatalf("accepted a tenant count outside 1..%d: %d", maxTenants, rc.Tenants)
+		if rc.Tenants < 1 || rc.Tenants > dram.MaxTenants {
+			t.Fatalf("accepted a tenant count outside 1..%d: %d", dram.MaxTenants, rc.Tenants)
 		}
 		if rc.QoS && rc.Tenants < 2 {
 			t.Fatal("accepted -qos without at least 2 tenants")

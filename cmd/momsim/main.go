@@ -21,7 +21,9 @@
 // lines join the lazy MSHR batch as prefetch entries that never stall
 // the demand pipeline — the channel scheduler services demand reads
 // first, and -pfq caps how many speculative reads may sit in one
-// channel's read queue.
+// channel's read queue. These backend flags are the rows of
+// dram.KnobTable, which also holds each one's legal range and the spec
+// token it formats to; a value outside its range is a usage error.
 //
 // Multi-tenant traffic: -tenants M runs M concurrent instances of the
 // kernel through ONE shared L2 + MSHR file + DRAM backend (each tenant
@@ -82,81 +84,16 @@ import (
 )
 
 func main() {
-	def := defaultOptions()
-	benchName := flag.String("bench", def.Bench, "benchmark: mpeg2encode, mpeg2decode, jpegencode, jpegdecode, gsmencode, motionsearch")
-	isaName := flag.String("isa", def.ISA, "ISA variant: mmx, mom, mom3d")
-	memName := flag.String("mem", def.Mem, "memory system: ideal, multibanked, vcache, vcache3d")
-	dramName := flag.String("dram", def.DRAM, "main-memory backend: fixed, sdram")
-	dmap := flag.String("dmap", def.DMap, "sdram address mapping: line, bank, row")
-	dsched := flag.String("dsched", def.DSched, "sdram scheduler: fcfs, frfcfs")
-	dprof := flag.String("dprof", def.DProf, "sdram timing profile: ddr (commodity DIMM), hbm (die-stacked)")
-	dchan := flag.Int("dchan", 0, "sdram channel count override (power of two; 0 = profile default)")
-	dwq := flag.Int("dwq", 0, "sdram write-queue drain threshold override (0 = profile default)")
-	dwql := flag.Int("dwql", 0, "sdram write-queue partial-drain low watermark (0 = profile default, -1 = drain fully)")
-	dwqi := flag.Int("dwqi", 0, "sdram idle-bus opportunistic write-drain gap in cycles (0 = profile default, -1 = off)")
-	dwin := flag.Int("dwin", 0, "sdram FR-FCFS reorder-window override (0 = profile default)")
-	rp := flag.String("rp", def.RP, "sdram per-bank row policy: open, close, timer[:<idle>], history")
-	mshr := flag.Int("mshr", 0, "MSHR count for the non-blocking memory pipeline (0 or 1 = the blocking model)")
-	pf := flag.Int("pf", 0, "stream-prefetcher stream-table entries (0 = off; needs -mshr >= 2)")
-	pfd := flag.Int("pfd", 0, "stream-prefetcher degree: lines kept in flight per stream (0 = default 4)")
-	pfq := flag.Int("pfq", 0, "sdram per-channel cap on prefetch reads in flight (0 = half the read queue)")
-	pfdecay := flag.Int("pfdecay", 0, "sdram demand-first latch decay: deferral-free cycles before speculative reads regain FR-FCFS standing (0 = sticky latch)")
-	tenants := flag.Int("tenants", def.Tenants, "concurrent requestors sharing L2/MSHR/DRAM, each running its own instance of the kernel (1 = single-requestor simulator)")
-	va := flag.String("va", "", "per-requestor virtual address translation with this placement policy: first, color, colo (default: translation off)")
-	qos := flag.Bool("qos", false, "per-tenant credit scheduling in the sdram channel scheduler (needs -tenants >= 2)")
-	l2lat := flag.Int64("l2", def.L2Lat, "L2 cache latency in cycles")
-	memLat := flag.Int64("mlat", def.MemLat, "fixed backend: main memory latency beyond L2 in cycles")
-	gshare := flag.Bool("gshare", false, "use a gshare branch predictor instead of perfect prediction")
-	engineName := flag.String("engine", "", "simulation engine: step (per-cycle oracle) or wheel (event-driven, bit-identical)")
-	verify := flag.Bool("verify", true, "check the kernel output against the scalar reference")
-	traceFile := flag.String("trace", "", "write a cycle-stamped Chrome trace-event JSON to this file")
-	statsFile := flag.String("statsjson", "", "write the stats-registry snapshot as JSON to this file")
-	traceBuf := flag.Int("tracebuf", 0, "trace event-ring capacity; oldest events drop first (0 = default)")
-	cpistack := flag.Bool("cpistack", false, "print the CPI stack: every core cycle attributed to one stall reason")
-	sample := flag.Int64("sample", 0, "interval time-series sampling period in cycles (0 = off; needs -samplejson)")
-	sampleFile := flag.String("samplejson", "", "write the interval time series as JSON to this file")
-	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
-	memprofile := flag.String("memprofile", "", "write a host heap profile, taken at exit, to this file")
-	flag.Parse()
-
-	// Reject explicitly-set knobs the chosen backend would silently
-	// ignore (shared policy with momexp).
-	dramKnobSet, dramSet, mlatSet := false, false, false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "dmap", "dsched", "dprof", "dchan", "dwq", "dwql", "dwqi", "dwin", "rp", "pfq", "pfdecay", "qos":
-			dramKnobSet = true
-		case "dram":
-			dramSet = true
-		case "mlat":
-			mlatSet = true
-		}
-	})
-	if err := dram.ValidateFlagCombo(*dramName, dramKnobSet, mlatSet); err != nil {
-		fail("%v", err)
-	}
-
-	rc, err := resolve(options{
-		Bench: *benchName, ISA: *isaName, Mem: *memName,
-		DRAM: *dramName, DMap: *dmap, DSched: *dsched, DProf: *dprof, RP: *rp,
-		DChan: *dchan, DWQ: *dwq, DWQL: *dwql, DWQI: *dwqi, DWin: *dwin,
-		MSHR: *mshr, PF: *pf, PFD: *pfd, PFQ: *pfq, PFDec: *pfdecay,
-		Tenants: *tenants, QoS: *qos, VA: *va,
-		L2Lat: *l2lat, MemLat: *memLat, Gshare: *gshare, Engine: *engineName,
-		Trace: *traceFile, StatsJSON: *statsFile, TraceBuf: *traceBuf,
-		CPIStack: *cpistack, Sample: *sample, SampleJSON: *sampleFile,
-	})
+	o, err := parseArgs(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		fail("%v", err)
 	}
-	// Ideal memory has no cache hierarchy, so neither a DRAM backend
-	// nor a memory latency ever applies; reject explicit flags rather
-	// than ignore them.
-	if rc.MemKind == core.MemIdeal && (dramSet || dramKnobSet || mlatSet) {
-		fail("-dram/-dmap/-dsched/-mlat have no effect with -mem ideal")
+	rc, err := resolve(o)
+	if err != nil {
+		fail("%v", err)
 	}
 
-	stopProfiles, err := stats.StartProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := stats.StartProfiles(rc.CPUProfile, rc.MemProfile)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -165,7 +102,7 @@ func main() {
 	var rec trace.Recorder
 	var digest []byte
 	stream, tst := rec.Record(func(sink trace.Sink) { digest = rc.Bench.Run(rc.Variant, sink) })
-	if *verify {
+	if rc.Verify {
 		ref := rc.Bench.Reference()
 		if string(digest) != string(ref) {
 			fail("kernel output does not match the scalar reference")
@@ -209,12 +146,12 @@ func main() {
 		fmt.Printf("benchmark:   %s (%s, %s)\n", rc.Bench.Name, rc.Variant, rc.MemKind)
 	} else {
 		fmt.Printf("benchmark:   %s (%s, %s, L2=%d cycles, dram=%s)\n",
-			rc.Bench.Name, rc.Variant, rc.MemKind, *l2lat, rc.Timing.Backend.Name())
+			rc.Bench.Name, rc.Variant, rc.MemKind, rc.Timing.L2Latency, rc.Timing.Backend.Name())
 	}
 	fmt.Printf("instructions: %d  cycles: %d  IPC: %.3f\n", st.Committed, st.Cycles, st.IPC())
 	fmt.Printf("engine:      %s, host %.3fs, %s simulated cycles/s\n",
 		rc.Engine, wall.Seconds(), fmtCPS(st.Cycles, wall))
-	if *verify {
+	if rc.Verify {
 		fmt.Println("output verified against the scalar reference")
 	}
 	fmt.Println()

@@ -1,10 +1,22 @@
 package dram
 
 import (
+	"flag"
 	"testing"
 
 	"repro/internal/dram/policy"
 )
+
+// Build and FormatSpec are the flag-level forms these tests were written
+// against: a backend, or its spec, from kind, mapping and scheduler on
+// the default profile with no knobs set.
+func Build(kind, mapping, sched string, fixedLatency int64) (Backend, error) {
+	return (&Selection{Mapping: mapping, Sched: sched}).Build(kind, fixedLatency)
+}
+
+func FormatSpec(kind, mapping, sched string) string {
+	return FormatSpecOpts(kind, mapping, sched, "", Knobs{})
+}
 
 // testConfig is a tiny single-channel part with refresh disabled so
 // individual command latencies are exactly predictable. The zero-valued
@@ -329,24 +341,29 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestValidateFlagCombo: an explicitly set flag the chosen kind would
+// silently ignore is refused, whatever its value.
 func TestValidateFlagCombo(t *testing.T) {
 	cases := []struct {
-		kind             string
-		knobSet, mlatSet bool
-		ok               bool
+		kind string
+		args []string
+		ok   bool
 	}{
-		{"fixed", false, false, true},
-		{"fixed", false, true, true},
-		{"fixed", true, false, false},
-		{"sdram", true, false, true},
-		{"SDRAM", true, false, true}, // case-insensitive like Build
-		{"sdram", false, true, false},
+		{"fixed", nil, true},
+		{"fixed", []string{"-mshr", "8"}, true},
+		{"fixed", []string{"-dmap", "line"}, false},
+		{"", []string{"-qos"}, false},
+		{"sdram", []string{"-dchan", "4"}, true},
+		{"SDRAM", []string{"-rp", "close"}, true}, // case-insensitive like Build
 	}
 	for _, c := range cases {
-		err := ValidateFlagCombo(c.kind, c.knobSet, c.mlatSet)
-		if (err == nil) != c.ok {
-			t.Errorf("ValidateFlagCombo(%q,%v,%v) = %v, want ok=%v",
-				c.kind, c.knobSet, c.mlatSet, err, c.ok)
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		f := RegisterFlags(fs, false)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Read(c.kind); (err == nil) != c.ok {
+			t.Errorf("-dram %q %v: Read = %v, want ok=%v", c.kind, c.args, err, c.ok)
 		}
 	}
 }

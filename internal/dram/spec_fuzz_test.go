@@ -64,6 +64,16 @@ func FuzzParseSpec(f *testing.F) {
 		"sdram/tn-3",        // rejected: ditto
 		"sdram/mshr8/pfdec", // rejected: pfdec with no count
 		"sdram/tn257",       // rejected: more tenants than a request can name
+		// Rejected: counts past what the model can build (these panicked
+		// in NewSDRAM or exhausted the host before the table's ranges).
+		"sdram/4611686018427387904ch",
+		"sdram/1073741824ch",
+		"sdram/wq2147483647",
+		"fixed/mshr8/pf2147483647",
+		"fixed/mshr2147483647",
+		"sdram/mshr8/pf4d2147483647/pfq2147483647",
+		"sdram/1024ch/wq1024/win1024/mshr1024/pf1024d64", // every count at its maximum but the channels past theirs
+		"sdram/64ch/wq1024/wql1023/wqi1048576/win1024/mshr1024/pf1024d64/pfq1024/pfdec1048576/tn256/qos", // accepted: every count at its maximum
 	} {
 		f.Add(seed)
 	}

@@ -28,6 +28,21 @@ func TestSpecRejectsUnknownTokens(t *testing.T) {
 		{"sdram/line/rr", "rr"},                     // unknown scheduler
 		{"sdram/line/frfcfs/lpddr", "lpddr"},        // unknown profile
 		{"sdram/line/frfcfs/wq4/wql9", "watermark"}, // low watermark above the threshold
+		// Every count has an upper bound the model can build; one message
+		// per refusal names the flag, the token and the range. The first
+		// used to die in NewSDRAM's makeslice, the rest to exhaust the host.
+		{"sdram/4611686018427387904ch", "-dchan / <n>ch: 4611686018427387904 is out of range (want 1..64, a power of two"},
+		{"sdram/1073741824ch", "-dchan / <n>ch"},
+		{"sdram/128ch", "want 1..64"},
+		{"sdram/wq2147483647", "-dwq / wq<n>: 2147483647 is out of range (want 1..1024"},
+		{"sdram/wq8/wql1024", "-dwql / wql<n>: 1024 is out of range (want 1..1023, or -1 / wql0 for explicitly off"},
+		{"sdram/wqi2147483647", "-dwqi / wqi<n>"},
+		{"sdram/win2147483647", "-dwin / win<n>: 2147483647 is out of range (want 1..1024"},
+		{"fixed/mshr2147483647", "-mshr / mshr<n>: 2147483647 is out of range (want 1..1024"},
+		{"fixed/mshr8/pf2147483647", "-pf / pf<n>: 2147483647 is out of range (want 1..1024"},
+		{"fixed/mshr8/pf4d2147483647", "-pfd / pf<n>d<m>: 2147483647 is out of range (want 1..64"},
+		{"sdram/mshr8/pf4/pfq2147483647", "-pfq / pfq<n>: 2147483647 is out of range (want 1..1024"},
+		{"sdram/mshr8/pf4/pfdec2147483647", "-pfdecay / pfdec<n>: 2147483647 is out of range (want 1..1048576"},
 	}
 	for _, c := range cases {
 		if _, _, err := ParseSpecFull(c.spec, 100); err == nil {
@@ -114,14 +129,14 @@ func TestSpecTenantKnobs(t *testing.T) {
 		spec string
 		want string
 	}{
-		{"sdram/line/frfcfs/qos", "tenant count"},        // qos without tn
+		{"sdram/line/frfcfs/qos", "-tenants / tn<n>"},    // qos without tn
 		{"sdram/line/frfcfs/tn1/qos", "at least 2"},      // qos on one tenant
-		{"sdram/line/frfcfs/pfdec200", "stream count"},   // pfdec without pf
+		{"sdram/line/frfcfs/pfdec200", "-pf / pf<n>"},    // pfdec without pf
 		{"fixed/qos", "sdram"},                           // controller token on fixed
 		{"fixed/pfdec100", "sdram"},                      // ditto
 		{"sdram/line/frfcfs/tn0", "tn0"},                 // malformed value
-		{"sdram/line/frfcfs/tn257", "256 requestors"},    // more than Request.Tenant can name
-		{"fixed/tn257", "256 requestors"},                // on every kind
+		{"sdram/line/frfcfs/tn257", "1..256"},            // more than Request.Tenant can name
+		{"fixed/tn257", "1..256"},                        // on every kind
 		{"sdram/line/frfcfs/mshr8/pf4/pfdec0", "pfdec0"}, // ditto
 	}
 	for _, c := range rejects {

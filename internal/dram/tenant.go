@@ -9,8 +9,9 @@ import "repro/internal/stats"
 // bounds check every per-tenant table is indexed through.
 
 // MaxTenants is how many requestors Request.Tenant can tell apart. The
-// places a tenant count enters (BuildOpts for "tn<n>", momsim's
-// -tenants, core.NewTenantMemSystems) refuse more.
+// places a tenant count enters (the tenants row of KnobTable, checked by
+// Selection.Build for flag and spec alike, and
+// core.NewTenantMemSystems) refuse more.
 const MaxTenants = 1 << 8
 
 // TenantStats is one requestor's shard of the backend's activity:

@@ -54,25 +54,3 @@ func TestSweepsParallelMatchSerial(t *testing.T) {
 		})
 	}
 }
-
-// TestEngineBenchSmallShape holds the report generator's shape on a
-// 1-rep run: one row per motionsearch ISA variant plus the golden
-// aggregate, every row with identical cycles under both engines (the
-// generator panics on divergence) and positive timings.
-func TestEngineBenchSmallShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full-size motionsearch rows twice per engine")
-	}
-	rep := EngineBench(1, nil)
-	if len(rep.Rows) != len(benchVariants)+1 {
-		t.Fatalf("rows = %d, want %d", len(rep.Rows), len(benchVariants)+1)
-	}
-	for _, row := range rep.Rows {
-		if row.Cycles <= 0 || row.StepNs <= 0 || row.WheelNs <= 0 {
-			t.Errorf("%s: non-positive measurement %+v", row.Config, row)
-		}
-		if row.Speedup <= 0 {
-			t.Errorf("%s: speedup %f", row.Config, row.Speedup)
-		}
-	}
-}
