@@ -1,7 +1,7 @@
 # The verify target is the tier-1 gate: CI runs it, and it is the
 # command to run before sending a change.
 
-.PHONY: verify build test test-race bench perf perf-compare perf-pairs loc wheel rpsweep ifsweep vasweep cpisweep stats trace tenants fmt-check vet
+.PHONY: verify build test test-race bench perf perf-compare perf-pairs loc loc-check wheel rpsweep ifsweep vasweep cpisweep stats trace tenants fmt-check vet
 
 # J is the sweep parallelism the sweep targets pass to momexp; override
 # with `make rpsweep J=1` to force a serial run.
@@ -60,6 +60,14 @@ perf-pairs:
 # bench/ (plain `wc -l`; *_test.go excluded).
 loc:
 	@scripts/loc.sh
+
+# loc-check is loc as a gate: it fails when the total without bench/
+# exceeds LOC_CEILING, the figure the last PR left behind, so a PR that
+# grows the tree has to raise the number in its own diff (and a PR that
+# shrinks it should lower it).
+LOC_CEILING = 17064
+loc-check:
+	@scripts/loc.sh $(LOC_CEILING)
 
 # stats smokes the observability layer end to end: a tiny run with the
 # registry exporter on, then the pretty-printed snapshot so a reader

@@ -104,7 +104,7 @@ type runConfig struct {
 	MemKind core.MemKind
 	Timing  vmem.Timing
 	Engine  engine.Mode // per-cycle oracle or the event-wheel engine
-	VM      *vm.VM      // address-translation layer (nil = translation off)
+	VM      *vm.VM      // address-translation layer (nil = translation off); the group wires Space(i) into tenant i
 }
 
 // resolve validates the options, building the benchmark, processor,
@@ -199,11 +199,6 @@ func resolve(o options) (runConfig, error) {
 	rc.MemKind = memKind
 	rc.Timing = vmem.Timing{L2Latency: o.L2Lat, MemLatency: o.MemLat, Backend: backend,
 		MSHRs: o.MSHRs, PFStreams: o.PFStreams, PFDegree: o.PFDegree}
-	if rc.VM != nil && o.Tenants == 1 {
-		// The multi-tenant path hands the VM to the tenant group instead,
-		// which wires Space(i) into tenant i's Timing view.
-		rc.Timing.VA = rc.VM.Space(0)
-	}
 	return rc, nil
 }
 

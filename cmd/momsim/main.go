@@ -29,7 +29,9 @@
 // kernel through ONE shared L2 + MSHR file + DRAM backend (each tenant
 // keeps its own core, L1 and vector subsystem), stepping the cores in
 // per-cycle lockstep and reporting per-tenant IPC and DRAM read
-// latency. -qos turns on per-tenant credit scheduling in the sdram
+// latency. Every run is a tenant.Group — a solo run (-tenants 1, the
+// default) is a group of one — so there is one construction, one drive
+// loop and one end-of-run drain; only the report differs. -qos turns on per-tenant credit scheduling in the sdram
 // channel scheduler so a streaming tenant cannot starve a
 // latency-sensitive one; -pfdecay N lets the demand-first latch decay
 // after N deferral-free cycles so phased workloads recover full
@@ -67,15 +69,16 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/dram/policy"
-	"repro/internal/engine"
 	"repro/internal/kernels"
 	"repro/internal/power"
 	"repro/internal/stats"
@@ -92,44 +95,43 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-
 	stopProfiles, err := stats.StartProfiles(rc.CPUProfile, rc.MemProfile)
 	if err != nil {
 		fail("%v", err)
 	}
 	defer stopProfiles()
+	if err := run(os.Stdout, rc); err != nil {
+		fail("%v", err)
+	}
+}
 
+// run simulates the machine rc describes — rc.Tenants instances of the
+// kernel trace as one tenant group, a group of one for a solo run — and
+// writes the report to w and the files rc names.
+func run(w io.Writer, rc runConfig) error {
 	var rec trace.Recorder
 	var digest []byte
 	stream, tst := rec.Record(func(sink trace.Sink) { digest = rc.Bench.Run(rc.Variant, sink) })
-	if rc.Verify {
-		ref := rc.Bench.Reference()
-		if string(digest) != string(ref) {
-			fail("kernel output does not match the scalar reference")
-		}
+	if rc.Verify && string(digest) != string(rc.Bench.Reference()) {
+		return errors.New("kernel output does not match the scalar reference")
 	}
-
-	if rc.Tenants > 1 {
-		runTenants(rc, stream, tst)
-		return
+	streams := make([]*trace.Stream, rc.Tenants)
+	for i := range streams {
+		streams[i] = stream
 	}
-
-	ms := core.NewMemSystem(rc.MemKind, rc.Timing, rc.Core.Lanes, rc.Variant == kernels.MMX && rc.MemKind != core.MemIdeal)
-	sim := core.NewStreamSim(rc.Core, ms, stream, 0)
+	g := tenant.New(tenant.Options{
+		Core: rc.Core, Kind: rc.MemKind, Tim: rc.Timing, Lanes: rc.Core.Lanes,
+		BankL1:  rc.Variant == kernels.MMX && rc.MemKind != core.MemIdeal,
+		Streams: streams, Engine: rc.Engine, VM: rc.VM,
+	})
+	// The registry is wired before the run: its counters are closures
+	// over the live structs, so the sampler can read deltas mid-flight.
+	reg := stats.NewRegistry()
+	g.Register(reg)
 	var tracer *stats.Tracer
 	if rc.Trace != "" {
 		tracer = stats.NewTracer(rc.TraceBuf)
-		ms.AttachTracer(tracer)
-		sim.SetTracer(tracer, 0)
-	}
-	// The registry is wired before the run: its counters are closures
-	// over the live structs, so the end-of-run snapshot is identical to
-	// the old post-run registration — and the sampler can read deltas
-	// mid-flight.
-	reg := stats.NewRegistry()
-	sim.StatsRef().Register(reg)
-	ms.Register(reg)
-	if tracer != nil {
+		g.AttachTracer(tracer)
 		reg.Gauge("trace.dropped", func() int64 { return int64(tracer.Dropped()) })
 	}
 	var sampler *stats.Sampler
@@ -138,155 +140,157 @@ func main() {
 	}
 
 	start := time.Now()
-	st := runSim(sim, rc.Engine, sampler)
-	ms.Drain()
+	g.RunSampled(sampler)
 	wall := time.Since(start)
-
-	if rc.MemKind == core.MemIdeal {
-		fmt.Printf("benchmark:   %s (%s, %s)\n", rc.Bench.Name, rc.Variant, rc.MemKind)
+	// The group runs in lockstep, so the longest tenant's cycle count is
+	// the simulated time the host paid for.
+	var cycles int64
+	for i := 0; i < g.N(); i++ {
+		cycles = max(cycles, g.Stats(i).Cycles)
+	}
+	engineLine := fmt.Sprintf("engine:      %s, host %.3fs, %s simulated cycles/s\n",
+		rc.Engine, wall.Seconds(), fmtCPS(cycles, wall))
+	if g.N() == 1 {
+		reportSolo(w, rc, g, tst, engineLine)
 	} else {
-		fmt.Printf("benchmark:   %s (%s, %s, L2=%d cycles, dram=%s)\n",
+		reportTenants(w, rc, g, tst, engineLine)
+	}
+
+	if rc.StatsJSON != "" {
+		registerHost(reg, cycles, wall)
+		if err := writeFile(rc.StatsJSON, reg.Snapshot().WriteJSON); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "stats: wrote %d registered stats to %s\n", len(reg.Names()), rc.StatsJSON)
+	}
+	if sampler != nil {
+		if err := writeFile(rc.SampleJSON, sampler.WriteJSON); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "samples: wrote %d intervals (every %d cycles) to %s\n",
+			len(sampler.Rows()), sampler.Interval(), rc.SampleJSON)
+	}
+	if tracer != nil {
+		if err := writeFile(rc.Trace, tracer.WriteChromeJSON); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "trace: wrote %d events to %s (%d emitted, %d dropped by the ring)\n",
+			tracer.Len(), rc.Trace, tracer.Total(), tracer.Dropped())
+		if d := tracer.Dropped(); d > 0 {
+			fmt.Fprintf(w, "warning: the trace ring overwrote %d events (oldest first); raise -tracebuf to keep the whole run\n", d)
+		}
+	}
+	return nil
+}
+
+// reportSolo is the single-requestor report: the one tenant's pipeline,
+// its memory system layer by layer, and the backend.
+func reportSolo(w io.Writer, rc runConfig, g *tenant.Group, tst *trace.Stats, engineLine string) {
+	ms, st := g.Mem(0), g.Stats(0)
+	if rc.MemKind == core.MemIdeal {
+		fmt.Fprintf(w, "benchmark:   %s (%s, %s)\n", rc.Bench.Name, rc.Variant, rc.MemKind)
+	} else {
+		fmt.Fprintf(w, "benchmark:   %s (%s, %s, L2=%d cycles, dram=%s)\n",
 			rc.Bench.Name, rc.Variant, rc.MemKind, rc.Timing.L2Latency, rc.Timing.Backend.Name())
 	}
-	fmt.Printf("instructions: %d  cycles: %d  IPC: %.3f\n", st.Committed, st.Cycles, st.IPC())
-	fmt.Printf("engine:      %s, host %.3fs, %s simulated cycles/s\n",
-		rc.Engine, wall.Seconds(), fmtCPS(st.Cycles, wall))
+	fmt.Fprintf(w, "instructions: %d  cycles: %d  IPC: %.3f\n", st.Committed, st.Cycles, st.IPC())
+	fmt.Fprint(w, engineLine)
 	if rc.Verify {
-		fmt.Println("output verified against the scalar reference")
+		fmt.Fprintln(w, "output verified against the scalar reference")
 	}
-	fmt.Println()
-	fmt.Print(tst.String())
-	fmt.Println()
+	fmt.Fprintln(w)
+	fmt.Fprint(w, tst.String())
+	fmt.Fprintln(w)
 	vs := ms.VM.Stats()
-	fmt.Printf("vector memory: %d instructions, %d accesses, %d words, %d misses\n",
+	fmt.Fprintf(w, "vector memory: %d instructions, %d accesses, %d words, %d misses\n",
 		vs.Instructions, vs.Accesses, vs.Words, vs.Misses)
 	if vs.Accesses > 0 {
-		fmt.Printf("effective bandwidth: %.2f words/access\n", vs.EffectiveBandwidth())
+		fmt.Fprintf(w, "effective bandwidth: %.2f words/access\n", vs.EffectiveBandwidth())
 	}
 	if vs.Conflicts > 0 {
-		fmt.Printf("bank conflicts: %d\n", vs.Conflicts)
+		fmt.Fprintf(w, "bank conflicts: %d\n", vs.Conflicts)
 	}
 	if vs.Invalidates > 0 {
-		fmt.Printf("L1 coherence invalidations: %d\n", vs.Invalidates)
+		fmt.Fprintf(w, "L1 coherence invalidations: %d\n", vs.Invalidates)
 	}
-	fmt.Printf("L2 activity: %d accesses (%d from scalar misses)\n", ms.L2Activity(), ms.ScalarL2Accesses)
-	fmt.Printf("forwarded loads: %d\n", st.Forwarded)
+	fmt.Fprintf(w, "L2 activity: %d accesses (%d from scalar misses)\n", ms.L2Activity(), ms.ScalarL2Accesses)
+	fmt.Fprintf(w, "forwarded loads: %d\n", st.Forwarded)
 	if f := ms.MSHR(); f != nil {
 		fs := f.Stats()
-		fmt.Printf("mshr file (%d entries): %d primary misses, %d merges, MLP %.2f (max %d)\n",
+		fmt.Fprintf(w, "mshr file (%d entries): %d primary misses, %d merges, MLP %.2f (max %d)\n",
 			f.Cap(), fs.Allocs, fs.Merges, fs.MLP(), fs.OccMax)
-		fmt.Printf("mshr batches: %d flushes, avg %.2f requests spanning %.2f instructions (max %d); %d full stalls (%d cycles)\n",
+		fmt.Fprintf(w, "mshr batches: %d flushes, avg %.2f requests spanning %.2f instructions (max %d); %d full stalls (%d cycles)\n",
 			fs.Flushes, fs.AvgBatch(), fs.AvgSpan(), fs.SpanMax, fs.FullStalls, fs.StallCycles)
 		if fs.Fill.Count() > 0 {
-			fmt.Printf("mshr miss-to-fill latency: %s\n", fs.Fill)
+			fmt.Fprintf(w, "mshr miss-to-fill latency: %s\n", fs.Fill)
 		}
-		fmt.Printf("early retirement: %d instructions graduated with misses in flight, %d store-buffer stalls\n",
+		fmt.Fprintf(w, "early retirement: %d instructions graduated with misses in flight, %d store-buffer stalls\n",
 			st.EarlyRetired, st.StallSB)
 	}
 	if p := ms.Prefetcher(); p != nil {
 		ps := ms.PrefetchStats()
 		pc := p.Config()
-		fmt.Printf("prefetcher (%d streams, degree %d): %d trains, %d streams tracked, %d lines issued (%d filtered, %d dropped mshr-full, %d dropped wq-full)\n",
+		fmt.Fprintf(w, "prefetcher (%d streams, degree %d): %d trains, %d streams tracked, %d lines issued (%d filtered, %d dropped mshr-full, %d dropped wq-full)\n",
 			pc.Streams, pc.Degree, ps.Trains, ps.Streams, ps.Issued, ps.Filtered, ps.DroppedMSHR, ps.DroppedWQ)
-		fmt.Printf("prefetch outcome: %d hits, %d late, %d useless, accuracy %.2f\n",
+		fmt.Fprintf(w, "prefetch outcome: %d hits, %d late, %d useless, accuracy %.2f\n",
 			ps.Hits, ps.Late, ps.Useless, ps.Accuracy())
 	}
-	// Drain any posted writes so the report accounts for all traffic.
-	if sd, ok := ms.DRAM().(*dram.SDRAM); ok {
-		sd.Flush()
-	}
 	if ds := ms.DRAM().Stats(); ds.Accesses > 0 {
-		fmt.Printf("dram (%s): %d requests, %.2f bytes/cycle\n",
+		fmt.Fprintf(w, "dram (%s): %d requests, %.2f bytes/cycle\n",
 			ms.DRAM().Name(), ds.Accesses, ds.AchievedBandwidth())
 		if ds.ReadWait.Count() > 0 {
-			fmt.Printf("dram read queue-wait:   %s\n", ds.ReadWait)
-			fmt.Printf("dram read service time: %s\n", ds.ReadService)
+			fmt.Fprintf(w, "dram read queue-wait:   %s\n", ds.ReadWait)
+			fmt.Fprintf(w, "dram read service time: %s\n", ds.ReadService)
 		}
 		// Row-buffer and queue metrics only exist on the banked model.
 		if sd, ok := ms.DRAM().(*dram.SDRAM); ok {
-			fmt.Printf("dram rows: hit rate %.3f (%d hit / %d miss / %d conflict), %d refreshes\n",
+			fmt.Fprintf(w, "dram rows: hit rate %.3f (%d hit / %d miss / %d conflict), %d refreshes\n",
 				ds.RowHitRate(), ds.RowHits, ds.RowMisses, ds.RowConflicts, ds.Refreshes)
 			if cfg := sd.Config(); cfg.RowPolicy != (policy.Spec{}) || ds.RowClosedEarly > 0 {
-				fmt.Printf("dram row policy (%s): %d closed early, %d reopened, %d predictor flips\n",
+				fmt.Fprintf(w, "dram row policy (%s): %d closed early, %d reopened, %d predictor flips\n",
 					cfg.RowPolicy, ds.RowClosedEarly, ds.RowReopened, ds.PredictorFlips)
 			}
-			fmt.Printf("dram queue: avg %.2f (max %d), %d stall cycles, bank-level parallelism %.2f, bus utilization %.2f\n",
+			fmt.Fprintf(w, "dram queue: avg %.2f (max %d), %d stall cycles, bank-level parallelism %.2f, bus utilization %.2f\n",
 				ds.AvgQueueOccupancy(), ds.QueueMax, ds.StallCycles, ds.BankLevelParallelism(), ds.BusUtilization())
-			fmt.Printf("dram batches: %d posted writes (%d drains, %d partial, %d opportunistic), %d window promotions (row-hit or demand-first)\n",
+			fmt.Fprintf(w, "dram batches: %d posted writes (%d drains, %d partial, %d opportunistic), %d window promotions (row-hit or demand-first)\n",
 				ds.Writes, ds.WriteDrains, ds.PartialDrains, ds.OppDrains, ds.Reordered)
 			if ds.PrefetchReads > 0 {
-				fmt.Printf("dram prefetch reads: %d (%d deferred by the pfq%d cap)\n",
+				fmt.Fprintf(w, "dram prefetch reads: %d (%d deferred by the pfq%d cap)\n",
 					ds.PrefetchReads, ds.PrefetchDeferred, sd.Config().PFQCap)
 			}
 			if ds.WriteReadStall > 0 {
-				fmt.Printf("dram write-induced read stall: %d bus cycles\n", ds.WriteReadStall)
+				fmt.Fprintf(w, "dram write-induced read stall: %d bus cycles\n", ds.WriteReadStall)
 			}
 		}
 	}
 	if sp := ms.Tim.VA; sp != nil {
 		ss := sp.Stats()
 		vts, vws := sp.VM().TLBStats(), sp.VM().WalkStats()
-		fmt.Printf("vm (%s placement): %d pages mapped, L1 TLB %d hit / %d miss, L2 TLB %d hit / %d miss, %d walks (%d coalesced), %d demand faults\n",
+		fmt.Fprintf(w, "vm (%s placement): %d pages mapped, L1 TLB %d hit / %d miss, L2 TLB %d hit / %d miss, %d walks (%d coalesced), %d demand faults\n",
 			sp.VM().Config().Policy, ss.PagesMapped, ss.L1Hits, ss.L1Misses,
 			vts.L2Hits, vts.L2Misses, vws.Walks, vws.Coalesced, ss.Faults)
 		if vws.Latency.Count() > 0 {
-			fmt.Printf("vm walk latency: %s\n", vws.Latency)
+			fmt.Fprintf(w, "vm walk latency: %s\n", vws.Latency)
 		}
 	}
 	if rc.MemKind != core.MemIdeal {
 		bd := power.Estimate(power.DefaultParams(), st.Cycles, vs, ms.ScalarL2Accesses, tst.D3MoveElems)
-		fmt.Printf("memory subsystem power: %.2f W (L2 %.2f, 3D RF %.3f)\n", bd.Total(), bd.L2Watts, bd.D3Watts)
+		fmt.Fprintf(w, "memory subsystem power: %.2f W (L2 %.2f, 3D RF %.3f)\n", bd.Total(), bd.L2Watts, bd.D3Watts)
 	}
 	if st.Mispredicts > 0 {
-		fmt.Printf("branch mispredicts: %d\n", st.Mispredicts)
+		fmt.Fprintf(w, "branch mispredicts: %d\n", st.Mispredicts)
 	}
 	if rc.CPIStack {
-		printCPIStack("", st)
+		printCPIStack(w, "", st)
 	}
-
-	if rc.StatsJSON != "" {
-		registerHost(reg, st.Cycles, wall)
-		writeStatsJSON(rc.StatsJSON, reg)
-	}
-	if sampler != nil {
-		writeSampleJSON(rc.SampleJSON, sampler)
-	}
-	if tracer != nil {
-		writeTraceJSON(rc.Trace, tracer)
-	}
-}
-
-// runSim drives one simulator to completion under the chosen engine,
-// sampling the registry at every interval boundary the engine crosses
-// (the wheel can land past a boundary; the row is stamped with the
-// cycle actually reached).
-func runSim(sim *core.Sim, mode engine.Mode, sampler *stats.Sampler) *core.Stats {
-	var next int64
-	if sampler != nil {
-		next = sampler.Interval()
-	}
-	for sim.Running() {
-		if mode == engine.Wheel {
-			sim.Advance()
-		} else {
-			sim.Step()
-		}
-		if sampler != nil && sim.Now() >= next {
-			sampler.Sample(sim.Now())
-			for next <= sim.Now() {
-				next += sampler.Interval()
-			}
-		}
-	}
-	return sim.Finish()
 }
 
 // printCPIStack renders the cycle-attribution report: every bucket with
 // its share of the run, and the conservation line the stack guarantees.
 // indent prefixes each line for the per-tenant report.
-func printCPIStack(indent string, st *core.Stats) {
+func printCPIStack(w io.Writer, indent string, st *core.Stats) {
 	c := &st.CPI
-	fmt.Printf("%scpi stack: %d cycles attributed (sum %d)\n", indent, st.Cycles, c.Sum())
+	fmt.Fprintf(w, "%scpi stack: %d cycles attributed (sum %d)\n", indent, st.Cycles, c.Sum())
 	rows := []struct {
 		name string
 		n    uint64
@@ -300,7 +304,7 @@ func printCPIStack(indent string, st *core.Stats) {
 		if r.n == 0 {
 			continue
 		}
-		fmt.Printf("%s  %-10s %12d  %5.1f%%\n", indent, r.name, r.n,
+		fmt.Fprintf(w, "%s  %-10s %12d  %5.1f%%\n", indent, r.name, r.n,
 			100*float64(r.n)/float64(st.Cycles))
 	}
 }
@@ -327,159 +331,70 @@ func registerHost(reg *stats.Registry, cycles int64, wall time.Duration) {
 	reg.Gauge("host.sim_cycles_per_sec", func() int64 { return cps })
 }
 
-// runTenants is the multi-requestor path: rc.Tenants instances of the
-// kernel trace contend for one shared memory system, stepped in
-// per-cycle lockstep by the tenant group.
-func runTenants(rc runConfig, stream *trace.Stream, tst *trace.Stats) {
-	streams := make([]*trace.Stream, rc.Tenants)
-	for i := range streams {
-		streams[i] = stream
-	}
-	g := tenant.New(tenant.Options{
-		Core: rc.Core, Kind: rc.MemKind, Tim: rc.Timing, Lanes: rc.Core.Lanes,
-		BankL1:  rc.Variant == kernels.MMX && rc.MemKind != core.MemIdeal,
-		Streams: streams, Engine: rc.Engine, VM: rc.VM,
-	})
-	var tracer *stats.Tracer
-	if rc.Trace != "" {
-		tracer = stats.NewTracer(rc.TraceBuf)
-		g.AttachTracer(tracer)
-	}
-	reg := stats.NewRegistry()
-	g.Register(reg)
-	if tracer != nil {
-		reg.Gauge("trace.dropped", func() int64 { return int64(tracer.Dropped()) })
-	}
-	var sampler *stats.Sampler
-	if rc.Sample > 0 {
-		sampler = stats.NewSampler(reg, rc.Sample)
-	}
-	start := time.Now()
-	if sampler != nil {
-		g.RunSampled(sampler)
-	} else {
-		g.Run()
-	}
-	wall := time.Since(start)
-	// The group runs in lockstep, so the longest tenant's cycle count is
-	// the simulated time the host paid for.
-	var cycles int64
-	for i := 0; i < g.N(); i++ {
-		cycles = max(cycles, g.Stats(i).Cycles)
-	}
-
+// reportTenants is the multi-requestor report: every tenant's pipeline
+// and backend shard, then the shared totals.
+func reportTenants(w io.Writer, rc runConfig, g *tenant.Group, tst *trace.Stats, engineLine string) {
 	qosTag := ""
 	if rc.QoS {
 		qosTag = ", qos"
 	}
-	fmt.Printf("benchmark:   %s (%s, %s, dram=%s, %d tenants%s)\n",
+	fmt.Fprintf(w, "benchmark:   %s (%s, %s, dram=%s, %d tenants%s)\n",
 		rc.Bench.Name, rc.Variant, rc.MemKind, rc.Timing.Backend.Name(), g.N(), qosTag)
-	fmt.Printf("engine:      %s, host %.3fs, %s simulated cycles/s\n",
-		rc.Engine, wall.Seconds(), fmtCPS(cycles, wall))
+	fmt.Fprint(w, engineLine)
 	for i := 0; i < g.N(); i++ {
 		st := g.Stats(i)
-		fmt.Printf("tenant %d: %d instructions, %d cycles, IPC %.3f\n",
+		fmt.Fprintf(w, "tenant %d: %d instructions, %d cycles, IPC %.3f\n",
 			i, st.Committed, st.Cycles, st.IPC())
 		if ts := g.TenantStatsOf(i); ts != nil {
-			fmt.Printf("  dram: %d reads (%d prefetch), %d writes, %d bytes, %d qos-deferred\n",
+			fmt.Fprintf(w, "  dram: %d reads (%d prefetch), %d writes, %d bytes, %d qos-deferred\n",
 				ts.Reads, ts.PrefetchReads, ts.Writes, ts.Bytes, ts.QoSDeferred)
 			if ts.ReadLatency.Count() > 0 {
-				fmt.Printf("  dram read latency: %s\n", ts.ReadLatency)
+				fmt.Fprintf(w, "  dram read latency: %s\n", ts.ReadLatency)
 			}
 		}
 		if sp := g.Mem(i).Tim.VA; sp != nil {
 			ss := sp.Stats()
-			fmt.Printf("  vm: %d pages mapped, L1 TLB %d hit / %d miss, %d demand faults\n",
+			fmt.Fprintf(w, "  vm: %d pages mapped, L1 TLB %d hit / %d miss, %d demand faults\n",
 				ss.PagesMapped, ss.L1Hits, ss.L1Misses, ss.Faults)
 		}
 		if rc.CPIStack {
-			printCPIStack("  ", st)
+			printCPIStack(w, "  ", st)
 		}
 	}
-	fmt.Println()
-	fmt.Print(tst.String())
-	// Drain any posted writes so the shared totals account for all
-	// traffic every tenant generated.
-	if sd, ok := rc.Timing.Backend.(*dram.SDRAM); ok {
-		sd.Flush()
-	}
+	fmt.Fprintln(w)
+	fmt.Fprint(w, tst.String())
 	if ds := rc.Timing.Backend.Stats(); ds.Accesses > 0 {
-		fmt.Printf("\ndram (%s, shared): %d requests, %.2f bytes/cycle\n",
+		fmt.Fprintf(w, "\ndram (%s, shared): %d requests, %.2f bytes/cycle\n",
 			rc.Timing.Backend.Name(), ds.Accesses, ds.AchievedBandwidth())
 		if ds.QoSDeferred > 0 || rc.QoS {
-			fmt.Printf("dram qos: %d reads deferred past a tenant's credit\n", ds.QoSDeferred)
+			fmt.Fprintf(w, "dram qos: %d reads deferred past a tenant's credit\n", ds.QoSDeferred)
 		}
 		if ds.DemandFirstLapses > 0 {
-			fmt.Printf("dram demand-first latch: %d decay lapses\n", ds.DemandFirstLapses)
+			fmt.Fprintf(w, "dram demand-first latch: %d decay lapses\n", ds.DemandFirstLapses)
 		}
 	}
 	if rc.VM != nil {
 		vts, vws := rc.VM.TLBStats(), rc.VM.WalkStats()
-		fmt.Printf("\nvm (%s placement, shared): L2 TLB %d hit / %d miss, %d walks (%d coalesced), %d free pages\n",
+		fmt.Fprintf(w, "\nvm (%s placement, shared): L2 TLB %d hit / %d miss, %d walks (%d coalesced), %d free pages\n",
 			rc.VM.Config().Policy, vts.L2Hits, vts.L2Misses, vws.Walks, vws.Coalesced, rc.VM.FreePages())
 	}
-
-	if rc.StatsJSON != "" {
-		registerHost(reg, cycles, wall)
-		writeStatsJSON(rc.StatsJSON, reg)
-	}
-	if sampler != nil {
-		writeSampleJSON(rc.SampleJSON, sampler)
-	}
-	if tracer != nil {
-		writeTraceJSON(rc.Trace, tracer)
-	}
 }
 
-// writeStatsJSON dumps the registry snapshot; shared by the single- and
-// multi-tenant paths.
-func writeStatsJSON(path string, reg *stats.Registry) {
+// writeFile creates path and has write fill it: the one tail of the
+// -statsjson, -samplejson and -trace outputs.
+func writeFile(path string, write func(io.Writer) error) error {
 	fh, err := os.Create(path)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
-	if err := reg.Snapshot().WriteJSON(fh); err != nil {
-		fail("writing %s: %v", path, err)
-	}
-	if err := fh.Close(); err != nil {
-		fail("writing %s: %v", path, err)
-	}
-	fmt.Printf("stats: wrote %d registered stats to %s\n", len(reg.Names()), path)
-}
-
-// writeTraceJSON dumps the tracer ring as Chrome trace-event JSON.
-func writeTraceJSON(path string, tracer *stats.Tracer) {
-	fh, err := os.Create(path)
-	if err != nil {
-		fail("%v", err)
-	}
-	if err := tracer.WriteChromeJSON(fh); err != nil {
-		fail("writing %s: %v", path, err)
+	if err := write(fh); err != nil {
+		fh.Close()
+		return fmt.Errorf("writing %s: %v", path, err)
 	}
 	if err := fh.Close(); err != nil {
-		fail("writing %s: %v", path, err)
+		return fmt.Errorf("writing %s: %v", path, err)
 	}
-	fmt.Printf("trace: wrote %d events to %s (%d emitted, %d dropped by the ring)\n",
-		tracer.Len(), path, tracer.Total(), tracer.Dropped())
-	if d := tracer.Dropped(); d > 0 {
-		fmt.Printf("warning: the trace ring overwrote %d events (oldest first); raise -tracebuf to keep the whole run\n", d)
-	}
-}
-
-// writeSampleJSON dumps the interval time series recorded by -sample.
-func writeSampleJSON(path string, sampler *stats.Sampler) {
-	fh, err := os.Create(path)
-	if err != nil {
-		fail("%v", err)
-	}
-	if err := sampler.WriteJSON(fh); err != nil {
-		fail("writing %s: %v", path, err)
-	}
-	if err := fh.Close(); err != nil {
-		fail("writing %s: %v", path, err)
-	}
-	fmt.Printf("samples: wrote %d intervals (every %d cycles) to %s\n",
-		len(sampler.Rows()), sampler.Interval(), path)
+	return nil
 }
 
 func fail(format string, args ...any) {

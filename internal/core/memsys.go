@@ -68,7 +68,41 @@ type MemSystem struct {
 // count (the vector cache port width in words); bankL1 enables L1 port
 // banking (the MMX multi-banked configuration).
 func NewMemSystem(kind MemKind, tim vmem.Timing, lanes int, bankL1 bool) *MemSystem {
-	m := &MemSystem{Kind: kind, Tim: tim}
+	if kind == MemIdeal {
+		return newFrontEnd(kind, tim, lanes, bankL1, nil)
+	}
+	l2 := cache.New(cache.L2Config(tim.L2Latency))
+	// Every L2 miss becomes one backend request per L2 line, so the
+	// backend must agree on the transfer granularity.
+	if tim.Backend != nil && tim.Backend.LineBytes() != l2.Config().LineSize {
+		panic(fmt.Sprintf("dram line bytes %d != L2 line size %d",
+			tim.Backend.LineBytes(), l2.Config().LineSize))
+	}
+	if tim.MSHRs >= 2 {
+		// One MSHR file serves the vector subsystem and the scalar miss
+		// path: both sit behind the same L2, so their misses share the
+		// same outstanding-line budget and the same Submit batches.
+		tim.MSHR = vmem.NewMSHRFile(tim, tim.MSHRs)
+	}
+	if tim.PFStreams > 0 {
+		// The stream prefetcher needs the lazy batch to ride: reject
+		// configurations the CLIs should already have screened out.
+		if tim.MSHRs < 2 {
+			panic("core: the stream prefetcher (PFStreams > 0) requires a non-blocking MSHR file (MSHRs >= 2)")
+		}
+		pf := vmem.NewPrefetcher(vmem.PrefetchConfig{Streams: tim.PFStreams, Degree: tim.PFDegree},
+			l2.Config().LineSize)
+		tim.MSHR.AttachPrefetcher(pf, l2)
+	}
+	return newFrontEnd(kind, tim, lanes, bankL1, l2)
+}
+
+// newFrontEnd builds one requestor's private half of a memory system —
+// its L1, vector subsystem and scalar path — in front of the shared
+// half tim and l2 carry (the MSHR file, prefetcher and backend ride in
+// tim). Every tenant's view, tenant 0's included, is built here.
+func newFrontEnd(kind MemKind, tim vmem.Timing, lanes int, bankL1 bool, l2 *cache.Cache) *MemSystem {
+	m := &MemSystem{Kind: kind, Tim: tim, L2: l2}
 	if kind == MemIdeal {
 		// The ideal memory bypasses the cache hierarchy the translation
 		// layer models; the CLIs reject -va with ideal memory, and the
@@ -78,29 +112,6 @@ func NewMemSystem(kind MemKind, tim vmem.Timing, lanes int, bankL1 bool) *MemSys
 		return m
 	}
 	m.L1 = cache.New(cache.L1Config())
-	m.L2 = cache.New(cache.L2Config(tim.L2Latency))
-	// Every L2 miss becomes one backend request per L2 line, so the
-	// backend must agree on the transfer granularity.
-	if tim.Backend != nil && tim.Backend.LineBytes() != m.L2.Config().LineSize {
-		panic(fmt.Sprintf("dram line bytes %d != L2 line size %d",
-			tim.Backend.LineBytes(), m.L2.Config().LineSize))
-	}
-	if tim.MSHRs >= 2 {
-		// One MSHR file serves the vector subsystem and the scalar miss
-		// path: both sit behind the same L2, so their misses share the
-		// same outstanding-line budget and the same Submit batches.
-		m.Tim.MSHR = vmem.NewMSHRFile(tim, tim.MSHRs)
-	}
-	if tim.PFStreams > 0 {
-		// The stream prefetcher needs the lazy batch to ride: reject
-		// configurations the CLIs should already have screened out.
-		if tim.MSHRs < 2 {
-			panic("core: the stream prefetcher (PFStreams > 0) requires a non-blocking MSHR file (MSHRs >= 2)")
-		}
-		pf := vmem.NewPrefetcher(vmem.PrefetchConfig{Streams: tim.PFStreams, Degree: tim.PFDegree},
-			m.L2.Config().LineSize)
-		m.Tim.MSHR.AttachPrefetcher(pf, m.L2)
-	}
 	switch kind {
 	case MemMultiBanked:
 		m.VM = vmem.NewMultiBanked(m.L2, m.L1, m.Tim, 4, 8)
@@ -121,9 +132,9 @@ func NewMemSystem(kind MemKind, tim vmem.Timing, lanes int, bankL1 bool) *MemSys
 // and scalar path (mirroring one core per requestor). Tenant i's
 // Timing carries Tenant=i, so every request it creates is stamped with
 // its requestor (dram.Request.Tenant) all the way into the backend —
-// which is what bounds n at dram.MaxTenants. Tenant 0's view
-// is constructed by NewMemSystem itself, so a 1-tenant system is the
-// single-requestor system, bit for bit.
+// which is what bounds n at dram.MaxTenants. Tenant 0's view is
+// NewMemSystem's, so a 1-tenant system is the single-requestor system,
+// bit for bit.
 //
 // vmsys, when non-nil, gives tenant i the virtual address space
 // vmsys.Space(i): real per-tenant address spaces over one shared
@@ -141,31 +152,12 @@ func NewTenantMemSystems(kind MemKind, tim vmem.Timing, lanes int, bankL1 bool, 
 	mems := make([]*MemSystem, n)
 	mems[0] = NewMemSystem(kind, tim, lanes, bankL1)
 	for i := 1; i < n; i++ {
-		m := &MemSystem{Kind: kind, Tim: mems[0].Tim}
-		m.Tim.Tenant = i
+		t := mems[0].Tim // the shared half: L2 below, MSHR file, prefetcher, backend
+		t.Tenant = i
 		if vmsys != nil {
-			m.Tim.VA = vmsys.Space(i)
+			t.VA = vmsys.Space(i)
 		}
-		if kind == MemIdeal {
-			m.Tim.VA = nil
-			m.VM = vmem.NewIdeal()
-			mems[i] = m
-			continue
-		}
-		m.L1 = cache.New(cache.L1Config())
-		m.L2 = mems[0].L2 // shared: all tenants contend for the same lines
-		switch kind {
-		case MemMultiBanked:
-			m.VM = vmem.NewMultiBanked(m.L2, m.L1, m.Tim, 4, 8)
-		case MemVectorCache:
-			m.VM = vmem.NewVectorCache(m.L2, m.L1, m.Tim, lanes, false)
-		case MemVectorCache3D:
-			m.VM = vmem.NewVectorCache(m.L2, m.L1, m.Tim, lanes, true)
-		}
-		if bankL1 {
-			m.l1Banks = make([]int64, 8)
-		}
-		mems[i] = m
+		mems[i] = newFrontEnd(kind, t, lanes, bankL1, mems[0].L2)
 	}
 	return mems
 }
@@ -278,10 +270,16 @@ func (m *MemSystem) PrefetchStats() vmem.PrefetchStats {
 }
 
 // Drain submits any misses and write-backs still sitting in the MSHR
-// file's pending batch, so end-of-run statistics (and the dram write
-// queue) account for all traffic the run generated.
+// file's pending batch, then has the backend retire the writes it still
+// holds posted (the banked controller's write queues), so end-of-run
+// statistics account for all traffic the run generated. It is the one
+// end-of-run flush: idempotent, and a no-op on a backend with nothing
+// to flush.
 func (m *MemSystem) Drain() {
 	if m.Tim.MSHR != nil {
 		m.Tim.MSHR.Drain()
+	}
+	if b, ok := m.Tim.Backend.(interface{ Flush() }); ok {
+		b.Flush()
 	}
 }

@@ -35,14 +35,18 @@ func (s *Stats) Register(reg *stats.Registry) {
 // not instantiate (no caches under MemIdeal, no MSHR file in blocking
 // mode, no prefetcher, flat memory) simply contribute no names.
 func (m *MemSystem) Register(reg *stats.Registry) {
-	if m.L1 != nil {
-		reg.AddStruct("cache.l1", &m.L1.Stats)
-	}
+	m.RegisterShared(reg)
+	m.RegisterFrontEnd(reg, "")
+}
+
+// RegisterShared wires the structures every requestor shares — L2, MSHR
+// file, prefetcher, backend, and the translation layer's L2 TLB and
+// walk counters — under their classic names. Call it once per machine,
+// on any tenant's view.
+func (m *MemSystem) RegisterShared(reg *stats.Registry) {
 	if m.L2 != nil {
 		reg.AddStruct("cache.l2", &m.L2.Stats)
 	}
-	reg.AddStruct("vmem", m.VM.Stats())
-	reg.Counter("vmem.scalar_l2_accesses", func() uint64 { return m.ScalarL2Accesses })
 	if f := m.MSHR(); f != nil {
 		reg.AddStruct("vmem.mshr", f.Stats())
 		if pf := f.Prefetcher(); pf != nil {
@@ -56,13 +60,23 @@ func (m *MemSystem) Register(reg *stats.Registry) {
 		reg.AddStruct("dram", b.Stats())
 	}
 	if sp := m.Tim.VA; sp != nil {
-		// Single-requestor view: the shared L2 TLB/walk counters and
-		// this space's private L1/fault counters share the vm.tlb
-		// prefix (the field names split l1_* from l2_*). Multi-tenant
-		// registration lives in internal/tenant, which prefixes each
-		// space with its tenant name.
 		sp.VM().RegisterShared(reg)
-		sp.Register(reg, "vm.tlb")
+	}
+}
+
+// RegisterFrontEnd wires this requestor's private structures — L1,
+// vector subsystem, scalar path, and its address space's L1 TLB and
+// fault counters — under prefix: "" for the only requestor (vm.tlb
+// then holds the private l1_* beside the shared l2_* fields), and
+// "tenant.<i>." for one of several.
+func (m *MemSystem) RegisterFrontEnd(reg *stats.Registry, prefix string) {
+	if m.L1 != nil {
+		reg.AddStruct(prefix+"cache.l1", &m.L1.Stats)
+	}
+	reg.AddStruct(prefix+"vmem", m.VM.Stats())
+	reg.Counter(prefix+"vmem.scalar_l2_accesses", func() uint64 { return m.ScalarL2Accesses })
+	if sp := m.Tim.VA; sp != nil {
+		sp.Register(reg, prefix+"vm.tlb")
 	}
 }
 

@@ -230,6 +230,12 @@ func (s *Sim) classLimit(c isa.RegClass) int {
 
 // Simulate runs the dynamic instruction stream to completion and returns
 // the statistics. The memory system accumulates its own counters.
+//
+// Simulate, SimulateMode and SimulateStream are the REFERENCE run: the
+// commands and the experiment runner run every machine, a solo one
+// included, as a tenant.Group, and internal/tenant's equivalence tests
+// hold a group of one to what these return. They stay for those tests
+// and as the two-line API examples/quickstart shows.
 func Simulate(cfg Config, mem *MemSystem, insts []isa.Inst) *Stats {
 	return SimulateMode(cfg, mem, insts, engine.Step)
 }
@@ -242,9 +248,10 @@ func NewSim(cfg Config, mem *MemSystem, insts []isa.Inst) *Sim {
 
 // NewStreamSim builds a simulator over a stream it only reads, advanced
 // one cycle at a time via Step, or one step and a jump over dead cycles
-// via Advance. SimulateStream is the single-requestor wrapper; the
-// tenant front end steps several Sims in lockstep against a shared
-// memory system, possibly all over one stream, each with its own base.
+// via Advance. The tenant front end steps one Sim per requestor in
+// lockstep against a shared memory system, possibly all over one
+// stream, each with its own base; SimulateStream is the reference loop
+// a group of one is checked against.
 func NewStreamSim(cfg Config, mem *MemSystem, stream *trace.Stream, base uint64) *Sim {
 	s := &Sim{cfg: cfg, mem: mem, stream: *stream, base: base,
 		rob:      make([]robEntry, cfg.Window),

@@ -79,7 +79,8 @@ func SimulateMode(cfg Config, mem *MemSystem, insts []isa.Inst, mode engine.Mode
 }
 
 // SimulateStream runs a recorded stream, which it only reads, to
-// completion under the given engine.
+// completion under the given engine: the reference for tenant.Group's
+// lockstep loop (see Simulate).
 func SimulateStream(cfg Config, mem *MemSystem, stream *trace.Stream, mode engine.Mode) *Stats {
 	s := NewStreamSim(cfg, mem, stream, 0)
 	if mode == engine.Wheel {
@@ -460,9 +461,7 @@ func (s *Sim) issueBoundPark(e *robEntry) (bool, bool) {
 // scan converts into a jump instead of an executed no-op step.
 func (s *Sim) Advance() {
 	s.Step()
-	if !s.Running() || s.issueNoSkip {
-		// An issue-side verdict of "re-check next cycle" already rules
-		// out a skip, so the wake-up scan isn't even worth its call.
+	if !s.Running() {
 		return
 	}
 	if t := s.NextWake(); t > s.now {
@@ -475,10 +474,18 @@ func (s *Sim) Advance() {
 // MSHR flush triggered by a poll, the no-progress panic). Returning
 // now means the next cycle cannot be skipped.
 func (s *Sim) NextWake() int64 {
-	now := s.now
 	if s.issueNoSkip {
-		return now // an active entry needs a per-cycle re-check
+		// An active entry needs a per-cycle re-check: an issue-side
+		// verdict of "next cycle" already rules out a skip, so the
+		// wake-up scan isn't even worth its call (this wrapper inlines
+		// into Advance and the tenant group's round).
+		return s.now
 	}
+	return s.nextWake()
+}
+
+func (s *Sim) nextWake() int64 {
+	now := s.now
 
 	// NextWake only ever needs the earliest candidate, so wake-ups
 	// accumulate into a plain minimum rather than a heap. Seeded with

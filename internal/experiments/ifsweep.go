@@ -6,12 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/tenant"
-	"repro/internal/trace"
-	"repro/internal/vm"
-	"repro/internal/vmem"
 )
 
 // IFMixes are the tenant mixes the interference sweep runs: the
@@ -54,44 +49,17 @@ func (r *Runner) SimTenants(mix []string, l2lat int64, spec string) *TenantResul
 	if r.Progress != nil {
 		r.Progress(key.simKey())
 	}
-	backend, knobs, err := buildBackend(spec)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	if knobs.Tenants != len(mix) {
-		panic(fmt.Sprintf("experiments: spec %q carries tn%d for a %d-tenant mix", spec, knobs.Tenants, len(mix)))
-	}
-	// Every tenant of one benchmark reads the same stored stream in
-	// place; the group gives each its own address window.
-	streams := make([]*trace.Stream, len(mix))
-	for i, bench := range mix {
-		streams[i] = r.traceFor(bench, mom3DVariant).tr
-	}
-	cfg := coreConfigFor(mom3DVariant)
-	tim := vmem.Timing{L2Latency: l2lat, MemLatency: flatMemLatency, Backend: backend,
-		MSHRs: knobs.MSHRs, PFStreams: knobs.PFStreams, PFDegree: knobs.PFDegree}
-	var vmsys *vm.VM
-	if knobs.VA != "" {
-		if vmsys, err = core.NewVM(knobs.VA, len(mix), backend); err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
-	}
-	g := tenant.New(tenant.Options{Core: cfg, Kind: mom3DVCKind, Tim: tim,
-		Lanes: cfg.Lanes, Streams: streams, Engine: r.Engine, VM: vmsys})
+	g := r.machine(key.simKey(), mix)
 	start := time.Now()
 	g.Run()
 	res := &TenantResult{Mix: mix, Cycles: make([]int64, g.N()),
-		HostNs: time.Since(start).Nanoseconds()}
+		HostNs: time.Since(start).Nanoseconds(), DRAM: *g.Mem(0).DRAM().Stats()}
 	for i := 0; i < g.N(); i++ {
 		res.Cycles[i] = g.Stats(i).Cycles
 		if ts := g.TenantStatsOf(i); ts != nil {
 			res.Shards = append(res.Shards, *ts)
 		}
 	}
-	if sd, ok := backend.(*dram.SDRAM); ok {
-		sd.Flush()
-	}
-	res.DRAM = *backend.Stats()
 	r.tenantResults[key] = res
 	return res
 }

@@ -7,10 +7,8 @@ import (
 )
 
 // MSHRCounts lists the -mshr values the non-blocking-pipeline sweep
-// crosses. 1 is the blocking model again (a file starts at two
-// registers), so its column reads the block column's cell; it stays
-// because the full-size render is pinned by digest.
-var MSHRCounts = []int{1, 4, 8, 16}
+// crosses against the blocking model (a file starts at two registers).
+var MSHRCounts = []int{4, 8, 16}
 
 // MSHRBenches are the streaming kernels the sweep runs: the two
 // workloads that still generate main-memory traffic at full size
@@ -29,12 +27,8 @@ var MSHRProfiles = []string{"", "hbm"}
 // line-level parallelism (a dvload spans up to 16 lines) and keeps
 // rising as batches span multiple instructions.
 func MSHRSweep(r *Runner) *Table {
+	// mshrs(0) is the blocking machine: no file, no token.
 	mshrs := func(n int) func(Row) string {
-		if n < 2 {
-			// Below two registers there is no file: mshr0 and mshr1 are the
-			// blocking machine, named without a token so they share a cell.
-			n = 0
-		}
 		return at(func(k *dram.Knobs) { k.MSHRs = n })
 	}
 	last := MSHRCounts[len(MSHRCounts)-1]
@@ -43,8 +37,7 @@ func MSHRSweep(r *Runner) *Table {
 		Head:  fmt.Sprintf("%-14s %-4s", "benchmark", "prof"),
 		Rows:  benchProfRows(MSHRBenches, MSHRProfiles, dram.Knobs{}),
 		Cols:  []Col{{fmt.Sprintf(" %10s", "block cyc"), mshrs(0), " %10d", cycles}},
-		Mid: "note: mshr1 is the blocking compatibility mode — its cycles must equal the block column\n" +
-			"(the refactor's equivalence net). MLP and batch spans at the largest file:\n",
+		Mid:   "MLP and batch spans at the largest file:\n",
 		Detail: []Col{
 			{"", mshrs(last), fmt.Sprintf(" mshr%d: MLP %%.2f, %%.2f instructions/batch", last),
 				func(c Result) []any { return []any{c.Sim.MSHR.MLP(), c.Sim.MSHR.AvgSpan()} }},

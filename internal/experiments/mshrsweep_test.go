@@ -38,9 +38,10 @@ func TestMSHRSweepShape(t *testing.T) {
 				t.Errorf("%s/mshr%d: cycles %d", name, n, c)
 			}
 		}
-		// The mshr1 column is the blocking machine: the same cell.
-		if MSHRCounts[0] == 1 && row[1].Sim != row[0].Sim {
-			t.Errorf("%s: the mshr1 column does not read the block column's cell", name)
+		// The detail line reads cells the grid already ran: the largest
+		// file's and the blocking machine's.
+		if d := row[1+len(MSHRCounts):]; d[0].Sim != row[len(MSHRCounts)].Sim || d[1].Sim != row[0].Sim {
+			t.Errorf("%s: the detail columns do not read the grid's cells", name)
 		}
 	}
 	out := RenderMSHRSweep(tab)
@@ -49,15 +50,15 @@ func TestMSHRSweepShape(t *testing.T) {
 	}
 }
 
-// TestMSHRSweepSharesBlockingCell: the mshr1 column is a machine the
-// block column already simulated (no file below two registers), so the
-// sweep's 4 rows cost 4 cells each — block, mshr4, mshr8, mshr16 — not 5.
+// TestMSHRSweepSharesBlockingCell: the detail line's blocking-bandwidth
+// and largest-file columns are machines the grid already simulated, so
+// the sweep's 4 rows cost 4 cells each — block, mshr4, mshr8, mshr16.
 func TestMSHRSweepSharesBlockingCell(t *testing.T) {
 	r := mshrRunner()
 	calls := 0
 	r.Progress = func(SimKey) { calls++ }
 	MSHRSweep(r)
-	if want := len(MSHRBenches) * len(MSHRProfiles) * len(MSHRCounts); calls != want {
+	if want := len(MSHRBenches) * len(MSHRProfiles) * (1 + len(MSHRCounts)); calls != want {
 		t.Errorf("MSHRSweep simulated %d cells, want %d", calls, want)
 	}
 }

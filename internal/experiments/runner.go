@@ -14,7 +14,9 @@ import (
 	"repro/internal/engine"
 	"repro/internal/kernels"
 	"repro/internal/stats"
+	"repro/internal/tenant"
 	"repro/internal/trace"
+	"repro/internal/vm"
 	"repro/internal/vmem"
 )
 
@@ -189,15 +191,52 @@ func (r *Runner) Sim(bench string, v kernels.Variant, mem core.MemKind, l2lat in
 // `-dram fixed` stops being bit-identical to the seed model.
 const flatMemLatency = 100
 
-// buildBackend constructs a fresh backend from a spec string; each
-// simulation needs its own because backends are stateful. The returned
-// knobs carry the vmem-level mshr<n> setting the backend itself does
-// not consume.
-func buildBackend(spec string) (dram.Backend, dram.Knobs, error) {
-	if spec == "" {
-		return nil, dram.Knobs{}, nil
+// machine builds one cell as a tenant group: mix[i] is tenant i's
+// benchmark (one name is a solo run, a group of one), every tenant on
+// key's ISA variant and memory system, over a fresh backend — they are
+// stateful — built from key.DRAM (nil, the seed's flat latency, for "").
+// This is the only construction site: a spec that does not parse, a
+// placement policy the VM refuses, or a tn<n> token that disagrees with
+// the cell panics here with the cell's key.
+func (r *Runner) machine(key SimKey, mix []string) *tenant.Group {
+	fail := func(err any) { panic(fmt.Sprintf("experiments: %+v: %v", key, err)) }
+	var backend dram.Backend
+	var knobs dram.Knobs
+	var err error
+	if key.DRAM != "" {
+		if backend, knobs, err = dram.ParseSpecFull(key.DRAM, flatMemLatency); err != nil {
+			fail(err)
+		}
 	}
-	return dram.ParseSpecFull(spec, flatMemLatency)
+	// A solo cell carries no tn token: under tn1 the same machine would
+	// be simulated again as a second memo entry.
+	n, want := len(mix), 0
+	if n > 1 {
+		want = n
+	}
+	if knobs.Tenants != want {
+		fail(fmt.Sprintf("spec %q carries tn%d for a %d-tenant mix", key.DRAM, knobs.Tenants, n))
+	}
+	var vmsys *vm.VM
+	if knobs.VA != "" {
+		if vmsys, err = core.NewVM(knobs.VA, n, backend); err != nil {
+			fail(err)
+		}
+	}
+	// Every tenant of one benchmark reads the same stored stream in
+	// place; the group gives each its own address window.
+	streams := make([]*trace.Stream, n)
+	for i, bench := range mix {
+		streams[i] = r.traceFor(bench, key.Variant).tr
+	}
+	cfg := coreConfigFor(key.Variant)
+	return tenant.New(tenant.Options{Core: cfg, Kind: key.Mem, Lanes: cfg.Lanes,
+		Tim: vmem.Timing{L2Latency: key.L2Lat, MemLatency: flatMemLatency, Backend: backend,
+			MSHRs: knobs.MSHRs, PFStreams: knobs.PFStreams, PFDegree: knobs.PFDegree},
+		// In the MMX configuration the "multi-banked" realistic memory banks
+		// the L1 data cache ports (there is no vector subsystem to bank).
+		BankL1:  key.Variant == kernels.MMX && key.Mem != core.MemIdeal,
+		Streams: streams, Engine: r.Engine, VM: vmsys})
 }
 
 // SimDRAM runs (or recalls) one simulation over an explicit DRAM
@@ -210,53 +249,30 @@ func (r *Runner) SimDRAM(bench string, v kernels.Variant, mem core.MemKind, l2la
 	if r.Progress != nil {
 		r.Progress(key)
 	}
-	backend, knobs, err := buildBackend(spec)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	tp := r.traceFor(bench, v)
-	cfg := coreConfigFor(v)
-	tim := vmem.Timing{L2Latency: l2lat, MemLatency: flatMemLatency, Backend: backend,
-		MSHRs: knobs.MSHRs, PFStreams: knobs.PFStreams, PFDegree: knobs.PFDegree}
-	if knobs.VA != "" {
-		vmsys, err := core.NewVM(knobs.VA, 1, backend)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
-		tim.VA = vmsys.Space(0)
-	}
-	// In the MMX configuration the "multi-banked" realistic memory banks
-	// the L1 data cache ports (there is no vector subsystem to bank).
-	bankL1 := v == kernels.MMX && mem != core.MemIdeal
-	ms := core.NewMemSystem(mem, tim, cfg.Lanes, bankL1)
+	g := r.machine(key, []string{bench})
 	start := time.Now()
-	st := core.SimulateStream(cfg, ms, tp.tr, r.Engine)
+	g.Run()
 	hostNs := time.Since(start).Nanoseconds()
+	ms := g.Mem(0)
 	res := &SimResult{
 		Key:      key,
-		Core:     st,
+		Core:     g.Stats(0),
 		VM:       *ms.VM.Stats(),
 		ScalarL2: ms.ScalarL2Accesses,
 		Activity: ms.L2Activity(),
-		Trace:    tp.st,
+		Trace:    r.traceFor(bench, v).st,
+		HostNs:   hostNs,
 	}
-	if backend != nil {
-		// Drain any posted writes so the copied statistics account for
-		// all traffic the run generated.
-		if sd, ok := backend.(*dram.SDRAM); ok {
-			sd.Flush()
-		}
-		res.DRAM = *backend.Stats()
+	if b := ms.DRAM(); b != nil {
+		res.DRAM = *b.Stats()
 	}
 	if f := ms.MSHR(); f != nil {
 		res.MSHR = *f.Stats()
 		res.PF = f.PrefetchStats()
 	}
 	reg := stats.NewRegistry()
-	st.Register(reg)
-	ms.Register(reg)
+	g.Register(reg)
 	res.Snap = reg.Snapshot()
-	res.HostNs = hostNs
 	r.results[key] = res
 	return res
 }

@@ -7,11 +7,14 @@
 // (dram.Request.Tenant), so the backend can shard statistics and apply
 // per-tenant QoS scheduling.
 //
-// A 1-tenant group is the single-requestor simulator exactly: tenant 0
-// is built by core.NewMemSystem, its address window starts at 0, its
-// requests are tenant 0's as in any single-requestor run, and Run
-// performs the same step/finish/drain sequence core.Simulate does — the
-// golden-stats equivalence asserted in this package's tests.
+// The group is the one way a machine is run: momsim and the experiment
+// runner build one for every run, and a solo run is a group of one. A
+// 1-tenant group is the single-requestor simulator exactly: tenant 0 is
+// built by core.NewMemSystem, its address window starts at 0, its
+// requests are tenant 0's, Run performs the step/finish/drain sequence
+// of the reference loop core.SimulateStream, and Register gives it the
+// classic unprefixed names — the equivalence, down to the whole registry
+// snapshot, asserted in this package's tests.
 package tenant
 
 import (
@@ -65,7 +68,7 @@ type Options struct {
 type Group struct {
 	mems  []*core.MemSystem
 	sims  []*core.Sim
-	stats []*core.Stats
+	stats []core.Stats // copied out of the Sims when the run ends
 	wheel bool
 	done  bool
 }
@@ -86,7 +89,7 @@ func New(o Options) *Group {
 	g := &Group{
 		mems:  core.NewTenantMemSystems(o.Kind, o.Tim, o.Lanes, o.BankL1, n, o.VM),
 		sims:  make([]*core.Sim, n),
-		stats: make([]*core.Stats, n),
+		stats: make([]core.Stats, n),
 	}
 	if ta, ok := o.Tim.Backend.(dram.TenantAware); ok && n > 1 {
 		ta.EnableTenantStats(n)
@@ -106,18 +109,32 @@ func New(o Options) *Group {
 
 // Run steps every tenant one cycle per round, in tenant order, until
 // all traces retire, then settles each tenant's cycle count and drains
-// the shared memory system once. Lockstep keeps the interleaving
+// the shared memory system once — the MSHR file's pending batch, then
+// the backend's posted writes — so every counter read afterwards covers
+// all the traffic the run generated. Lockstep keeps the interleaving
 // deterministic: within a cycle, tenant i's accesses always reach the
 // shared structures before tenant i+1's.
-func (g *Group) Run() {
+func (g *Group) Run() { g.RunSampled(nil) }
+
+// RunSampled is Run with an interval sampler (nil = none): after every
+// lockstep round it samples the registry whenever the group clock has
+// crossed the next interval boundary, stamping each row with the cycle
+// the engine actually reached (under the wheel a round can jump far past
+// a boundary; the row records the landing cycle, so both engines produce
+// one row per crossed boundary).
+func (g *Group) RunSampled(s *stats.Sampler) {
 	if g.done {
 		return
 	}
+	var next int64
+	if s != nil {
+		next = s.Interval()
+	}
 	for {
 		any := false
-		for _, s := range g.sims {
-			if s.Running() {
-				s.Step()
+		for _, sim := range g.sims {
+			if sim.Running() {
+				sim.Step()
 				any = true
 			}
 		}
@@ -127,9 +144,27 @@ func (g *Group) Run() {
 		if g.wheel {
 			g.skipRound()
 		}
+		if s == nil {
+			continue
+		}
+		// The group clock is the furthest any tenant reached; finished
+		// tenants' clocks freeze, running ones move in lockstep.
+		now := int64(0)
+		for _, sim := range g.sims {
+			now = max(now, sim.Now())
+		}
+		if now >= next {
+			s.Sample(now)
+			for next <= now {
+				next += s.Interval()
+			}
+		}
 	}
-	for i, s := range g.sims {
-		g.stats[i] = s.Finish()
+	// Copies: Finish points into the Sim, and a caller that keeps a
+	// tenant's result must not keep the window, its fill handles' slabs
+	// and the whole memory system with it.
+	for i, sim := range g.sims {
+		g.stats[i] = *sim.Finish()
 	}
 	g.mems[0].Drain()
 	g.done = true
@@ -151,12 +186,14 @@ func (g *Group) skipRound() {
 			continue
 		}
 		w := s.NextWake()
+		if w <= s.Now() {
+			// This tenant acts next cycle, and every running clock reads
+			// the same cycle: there is nothing to skip (Advance's shortcut).
+			return
+		}
 		if t < 0 || w < t {
 			t = w
 		}
-	}
-	if t < 0 {
-		return
 	}
 	for _, s := range g.sims {
 		if s.Running() {
@@ -172,8 +209,9 @@ func (g *Group) N() int { return len(g.sims) }
 // owns the shared structures (L2, MSHR file, backend).
 func (g *Group) Mem(i int) *core.MemSystem { return g.mems[i] }
 
-// Stats returns tenant i's core statistics (nil before Run).
-func (g *Group) Stats(i int) *core.Stats { return g.stats[i] }
+// Stats returns tenant i's core statistics: a copy taken when Run ended
+// (zero before), so keeping it keeps nothing of the machine reachable.
+func (g *Group) Stats(i int) *core.Stats { return &g.stats[i] }
 
 // TenantStatsOf returns tenant i's backend stat shard, or nil when the
 // backend cannot shard (no backend, or a single-tenant group).
@@ -196,97 +234,24 @@ func (g *Group) AttachTracer(tr *stats.Tracer) {
 	}
 }
 
-// RunSampled is Run with an interval sampler: after every lockstep
-// round it samples the registry whenever the group clock has crossed
-// the next interval boundary, stamping each row with the cycle the
-// engine actually reached (under the wheel a round can jump far past a
-// boundary; the row records the landing cycle, so both engines produce
-// one row per crossed boundary). A nil sampler degenerates to Run.
-func (g *Group) RunSampled(s *stats.Sampler) {
-	if s == nil {
-		g.Run()
-		return
-	}
-	if g.done {
-		return
-	}
-	next := s.Interval()
-	for {
-		any := false
-		for _, sim := range g.sims {
-			if sim.Running() {
-				sim.Step()
-				any = true
-			}
-		}
-		if !any {
-			break
-		}
-		if g.wheel {
-			g.skipRound()
-		}
-		// The group clock is the furthest any tenant reached; finished
-		// tenants' clocks freeze, running ones move in lockstep.
-		now := int64(0)
-		for _, sim := range g.sims {
-			if t := sim.Now(); t > now {
-				now = t
-			}
-		}
-		if now >= next {
-			s.Sample(now)
-			for next <= now {
-				next += s.Interval()
-			}
-		}
-	}
-	for i, sim := range g.sims {
-		g.stats[i] = sim.Finish()
-	}
-	g.mems[0].Drain()
-	g.done = true
-}
-
 // Register wires the whole group into a stats registry: the shared
 // structures once under their classic names (cache.l2, vmem.mshr,
-// vmem.prefetch, dram — so multi-tenant snapshots stay comparable to
-// single-requestor ones), and each tenant's private shards under
-// tenant.<i>.* (core, cache.l1, vmem, and the backend's per-tenant
-// read-latency/bandwidth shard as tenant.<i>.dram).
+// vmem.prefetch, dram, the shared half of vm.*), and each tenant's
+// private shards — core, cache.l1, vmem, vm.tlb — under tenant.<i>.*,
+// with the backend's per-tenant read-latency/bandwidth shard as
+// tenant.<i>.dram. The only tenant of a group of one gets no prefix: its
+// snapshot is the single-requestor simulator's, name for name.
 func (g *Group) Register(reg *stats.Registry) {
-	m0 := g.mems[0]
-	if m0.L2 != nil {
-		reg.AddStruct("cache.l2", &m0.L2.Stats)
-	}
-	if f := m0.MSHR(); f != nil {
-		reg.AddStruct("vmem.mshr", f.Stats())
-		if pf := f.Prefetcher(); pf != nil {
-			reg.AddStruct("vmem.prefetch", pf.Stats())
-			// Useless is derived from the L2's eviction accounting at
-			// read time; sync it into the live struct on every snapshot.
-			reg.OnSnapshot(func() { m0.PrefetchStats() })
+	g.mems[0].RegisterShared(reg)
+	for i, m := range g.mems {
+		p := ""
+		if g.N() > 1 {
+			p = fmt.Sprintf("tenant.%d.", i)
 		}
-	}
-	if b := m0.DRAM(); b != nil {
-		reg.AddStruct("dram", b.Stats())
-	}
-	if sp0 := m0.Tim.VA; sp0 != nil {
-		sp0.VM().RegisterShared(reg) // shared L2 TLB + walk counters
-	}
-	for i := range g.sims {
-		p := fmt.Sprintf("tenant.%d", i)
-		reg.AddStruct(p+".core", g.sims[i].StatsRef())
-		m := g.mems[i]
-		if m.L1 != nil {
-			reg.AddStruct(p+".cache.l1", &m.L1.Stats)
-		}
-		reg.AddStruct(p+".vmem", m.VM.Stats())
-		reg.Counter(p+".vmem.scalar_l2_accesses", func() uint64 { return m.ScalarL2Accesses })
-		if sp := m.Tim.VA; sp != nil {
-			sp.Register(reg, p+".vm.tlb")
-		}
+		reg.AddStruct(p+"core", g.sims[i].StatsRef())
+		m.RegisterFrontEnd(reg, p)
 		if ts := g.TenantStatsOf(i); ts != nil {
-			reg.AddStruct(p+".dram", ts)
+			reg.AddStruct(p+"dram", ts)
 		}
 	}
 }

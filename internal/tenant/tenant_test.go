@@ -15,26 +15,45 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dram"
+	"repro/internal/engine"
 	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/stats"
 	"repro/internal/tenant"
 	"repro/internal/trace"
+	"repro/internal/vm"
 	"repro/internal/vmem"
 )
 
-// equivSpecs are the backend configurations the equivalence tests
-// cross: the golden table's three, plus the prefetcher riding the
-// non-blocking file.
-var equivSpecs = []string{
-	"fixed",
-	"sdram/line/frfcfs",
-	"sdram/line/frfcfs/mshr8",
-	"sdram/line/frfcfs/mshr8/pf4",
+// equivMachines are the machines the equivalence test crosses with the
+// small kernels: the golden table's three backends and the prefetcher
+// riding the non-blocking file on the paper's best configuration, then
+// the three front ends NewMemSystem builds differently — address
+// translation, the MMX core over banked L1 ports, ideal memory. The
+// last row runs the default-size motionsearch instead: the only stream
+// here that still holds posted writes when it ends, so the only one on
+// which the end-of-run flush has something to do.
+var equivMachines = []struct {
+	spec string
+	v    kernels.Variant
+	kind core.MemKind
+	full bool
+}{
+	{spec: "fixed", v: kernels.MOM3D, kind: core.MemVectorCache3D},
+	{spec: "sdram/line/frfcfs", v: kernels.MOM3D, kind: core.MemVectorCache3D},
+	{spec: "sdram/line/frfcfs/mshr8", v: kernels.MOM3D, kind: core.MemVectorCache3D},
+	{spec: "sdram/line/frfcfs/mshr8/pf4", v: kernels.MOM3D, kind: core.MemVectorCache3D},
+	{spec: "sdram/bank/frfcfs/mshr8/vacolor", v: kernels.MOM3D, kind: core.MemVectorCache3D},
+	{spec: "sdram/line/frfcfs", v: kernels.MMX, kind: core.MemMultiBanked},
+	{spec: "fixed", v: kernels.MOM, kind: core.MemIdeal},
+	{spec: "sdram/line/frfcfs", v: kernels.MOM3D, kind: core.MemVectorCache3D, full: true},
 }
 
 func traceOf(bm kernels.Benchmark, v kernels.Variant) []isa.Inst {
@@ -43,54 +62,175 @@ func traceOf(bm kernels.Benchmark, v kernels.Variant) []isa.Inst {
 	return tr.Insts
 }
 
-func timingFor(t *testing.T, spec string) vmem.Timing {
+// machineFor builds a fresh backend, and the translation layer when the
+// spec asks for one, for an n-requestor machine.
+func machineFor(t *testing.T, spec string, n int) (vmem.Timing, *vm.VM) {
 	t.Helper()
 	backend, knobs, err := dram.ParseSpecFull(spec, 100)
 	if err != nil {
 		t.Fatalf("spec %q: %v", spec, err)
 	}
+	var vmsys *vm.VM
+	if knobs.VA != "" {
+		if vmsys, err = core.NewVM(knobs.VA, n, backend); err != nil {
+			t.Fatalf("spec %q: %v", spec, err)
+		}
+	}
 	return vmem.Timing{L2Latency: 20, MemLatency: 100, Backend: backend,
-		MSHRs: knobs.MSHRs, PFStreams: knobs.PFStreams, PFDegree: knobs.PFDegree}
+		MSHRs: knobs.MSHRs, PFStreams: knobs.PFStreams, PFDegree: knobs.PFDegree}, vmsys
 }
 
-// TestSingleTenantMatchesSimulate: a 1-tenant group reproduces
-// core.Simulate exactly — core stats, vector-memory stats and the whole
-// backend counter block — on every backend configuration.
+func timingFor(t *testing.T, spec string) vmem.Timing {
+	t.Helper()
+	tim, _ := machineFor(t, spec, 1)
+	return tim
+}
+
+// TestSingleTenantMatchesSimulate: a 1-tenant group is the reference
+// single-requestor run exactly. Under both engines its whole registry
+// snapshot — every name and every value — equals the one
+// core.SimulateStream leaves behind (with the posted writes flushed by
+// hand, so the reference does not lean on the Drain it shares with the
+// group), and RunSampled records the rows a hand-written Step/Advance
+// loop with momsim's old boundary rule records: one row per crossed
+// boundary, stamped with the landing cycle.
 func TestSingleTenantMatchesSimulate(t *testing.T) {
-	benches := []kernels.Benchmark{
+	small := []kernels.Benchmark{
 		kernels.GSMEncode(kernels.SmallGSMEncConfig()),
 		kernels.MotionSearch(kernels.SmallMotionSearchConfig()),
 	}
-	for _, bm := range benches {
-		for _, spec := range equivSpecs {
-			insts := traceOf(bm, kernels.MOM3D)
-			cfg := core.MOMCore()
-
-			simTim := timingFor(t, spec)
-			simMS := core.NewMemSystem(core.MemVectorCache3D, simTim, cfg.Lanes, false)
-			want := core.Simulate(cfg, simMS, insts)
-
-			tenTim := timingFor(t, spec)
-			g := tenant.New(tenant.Options{Core: cfg, Kind: core.MemVectorCache3D,
-				Tim: tenTim, Lanes: cfg.Lanes, Traces: [][]isa.Inst{insts}})
-			g.Run()
-
-			key := fmt.Sprintf("%s/%s", bm.Name, spec)
-			if !reflect.DeepEqual(*want, *g.Stats(0)) {
-				t.Errorf("%s: core stats diverged\n  simulate %+v\n  tenant   %+v", key, *want, *g.Stats(0))
+	full, ok := kernels.ByName("motionsearch")
+	if !ok {
+		t.Fatal("motionsearch missing from the suite")
+	}
+	const every = 500
+	for _, m := range equivMachines {
+		benches := small
+		if m.full {
+			benches = []kernels.Benchmark{full}
+		}
+		cfg := core.MOMCore()
+		if m.v == kernels.MMX {
+			cfg = core.MMXCore()
+		}
+		bankL1 := m.v == kernels.MMX && m.kind != core.MemIdeal
+		// solo is the single-requestor machine built by hand.
+		solo := func() *core.MemSystem {
+			tim, vmsys := machineFor(t, m.spec, 1)
+			if vmsys != nil {
+				tim.VA = vmsys.Space(0)
 			}
-			if !reflect.DeepEqual(*simMS.VM.Stats(), *g.Mem(0).VM.Stats()) {
-				t.Errorf("%s: vmem stats diverged", key)
-			}
-			if !reflect.DeepEqual(*simTim.Backend.Stats(), *tenTim.Backend.Stats()) {
-				t.Errorf("%s: backend stats diverged\n  simulate %+v\n  tenant   %+v",
-					key, *simTim.Backend.Stats(), *tenTim.Backend.Stats())
-			}
-			if g.TenantStatsOf(0) != nil {
-				t.Errorf("%s: a single-tenant group must not shard backend stats", key)
+			return core.NewMemSystem(m.kind, tim, cfg.Lanes, bankL1)
+		}
+		for _, bm := range benches {
+			stream := trace.Compact(traceOf(bm, m.v))
+			for _, mode := range []engine.Mode{engine.Step, engine.Wheel} {
+				key := fmt.Sprintf("%s/%s/%s/%s/%s", bm.Name, m.v, m.kind, m.spec, mode)
+
+				ms := solo()
+				want := core.SimulateStream(cfg, ms, stream, mode)
+				if sd, ok := ms.DRAM().(*dram.SDRAM); ok {
+					sd.Flush()
+				}
+				wantReg := stats.NewRegistry()
+				want.Register(wantReg)
+				ms.Register(wantReg)
+
+				ms = solo()
+				sim := core.NewStreamSim(cfg, ms, stream, 0)
+				loopReg := stats.NewRegistry()
+				sim.StatsRef().Register(loopReg)
+				ms.Register(loopReg)
+				wantRows := stats.NewSampler(loopReg, every)
+				for next := int64(every); sim.Running(); {
+					if mode == engine.Wheel {
+						sim.Advance()
+					} else {
+						sim.Step()
+					}
+					if sim.Now() >= next {
+						wantRows.Sample(sim.Now())
+						for next <= sim.Now() {
+							next += every
+						}
+					}
+				}
+
+				tim, vmsys := machineFor(t, m.spec, 1)
+				g := tenant.New(tenant.Options{Core: cfg, Kind: m.kind, Tim: tim, Lanes: cfg.Lanes,
+					BankL1: bankL1, Streams: []*trace.Stream{stream}, Engine: mode, VM: vmsys})
+				reg := stats.NewRegistry()
+				g.Register(reg)
+				rows := stats.NewSampler(reg, every)
+				g.RunSampled(rows)
+
+				if !reflect.DeepEqual(*want, *g.Stats(0)) {
+					t.Errorf("%s: core stats diverged\n  simulate %+v\n  tenant   %+v", key, *want, *g.Stats(0))
+				}
+				if diff := snapshotDiff(wantReg.Snapshot(), reg.Snapshot()); diff != "" {
+					t.Errorf("%s: registry snapshot diverged (simulate vs tenant):\n%s", key, diff)
+				}
+				if len(rows.Rows()) == 0 || !reflect.DeepEqual(wantRows.Rows(), rows.Rows()) {
+					t.Errorf("%s: RunSampled recorded %d rows, the hand-stepped loop %d, or they differ",
+						key, len(rows.Rows()), len(wantRows.Rows()))
+				}
+				if g.TenantStatsOf(0) != nil {
+					t.Errorf("%s: a single-tenant group must not shard backend stats", key)
+				}
 			}
 		}
 	}
+}
+
+// snapshotDiff lists every registered name on which two snapshots
+// disagree, or that only one of them holds.
+func snapshotDiff(want, got stats.Snapshot) string {
+	var b strings.Builder
+	mapDiff(&b, want.Counters, got.Counters)
+	mapDiff(&b, want.Gauges, got.Gauges)
+	mapDiff(&b, want.Hists, got.Hists)
+	return b.String()
+}
+
+func mapDiff[V any](b *strings.Builder, want, got map[string]V) {
+	for n, w := range want {
+		if g, ok := got[n]; !ok {
+			fmt.Fprintf(b, "  %s: missing (want %v)\n", n, w)
+		} else if !reflect.DeepEqual(w, g) {
+			fmt.Fprintf(b, "  %s: want %v, got %v\n", n, w, g)
+		}
+	}
+	for n, g := range got {
+		if _, ok := want[n]; !ok {
+			fmt.Fprintf(b, "  %s: unexpected (got %v)\n", n, g)
+		}
+	}
+}
+
+// TestGroupResultDoesNotPinTheMachine: the statistics a group hands out
+// are what the experiment runner memoizes per cell, so holding them must
+// not keep the group — its Sims' windows, the memory system and its
+// cache arrays — reachable. (Finish returns a pointer into the Sim; the
+// group keeps copies.)
+func TestGroupResultDoesNotPinTheMachine(t *testing.T) {
+	cfg := core.MOMCore()
+	g := tenant.New(tenant.Options{Core: cfg, Kind: core.MemVectorCache3D, Tim: timingFor(t, "fixed"),
+		Lanes: cfg.Lanes, Traces: [][]isa.Inst{traceOf(kernels.GSMEncode(kernels.SmallGSMEncConfig()), kernels.MOM3D)}})
+	freed := make(chan struct{})
+	runtime.SetFinalizer(g.Mem(0), func(*core.MemSystem) { close(freed) })
+	g.Run()
+	st := g.Stats(0)
+	g = nil
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(st)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatalf("the memory system is still reachable from the group's stats (%d cycles)", st.Cycles)
 }
 
 // TestSingleTenantMatchesGolden regenerates the pinned golden-stats
