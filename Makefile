@@ -65,7 +65,7 @@ loc:
 # exceeds LOC_CEILING, the figure the last PR left behind, so a PR that
 # grows the tree has to raise the number in its own diff (and a PR that
 # shrinks it should lower it).
-LOC_CEILING = 17064
+LOC_CEILING = 17208
 loc-check:
 	@scripts/loc.sh $(LOC_CEILING)
 
@@ -92,7 +92,9 @@ trace:
 # bit-identity tests in internal/core with the mid-run engine switch,
 # the independent sleeper check and the ready-latch monotonicity check
 # beside them, the multi-tenant
-# lockstep equivalence and the tenants-alias-one-stream check (address
+# equivalence (per-tenant wake-ups ≡ per-cycle lockstep, whole snapshot
+# and every sampler row, every sleeper caught up at every MSHR flush)
+# and the tenants-alias-one-stream check (address
 # windows ≡ the rebased copies they replaced), the sweep-level
 # parallel/serial and wheel/step byte-identity checks
 # (TestSweepsParallelMatchSerial ranges over every sweep) — the trace
@@ -102,7 +104,7 @@ trace:
 # -race).
 wheel:
 	go test -race -count=1 \
-		-run 'TestRing|TestWheelMatchesStep|TestEngineSwitchMidRun|TestSleepersAreNeverReady|TestReadyLatchIsMonotone|Match(es)?Serial|TestIFSweepWheelMatchesStep|TestTenantsAliasOneStream|TestFullSizeMatchesNaiveScanDigests' \
+		-run 'TestRing|TestWheelMatchesStep|TestEngineSwitchMidRun|TestSleepersAre(NeverReady|CaughtUpAtEveryFlush)|TestSampledRowsMatchStepAtTheirCycle|TestReadyLatchIsMonotone|Match(es)?Serial|TestIFSweepWheelMatchesStep|TestTenantsAliasOneStream|TestFullSizeMatchesNaiveScanDigests' \
 		./internal/engine/ ./internal/core/ ./internal/tenant/ ./internal/experiments/ ./cmd/momexp/
 
 # rpsweep regenerates the full-size per-bank row-policy matrix

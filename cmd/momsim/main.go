@@ -27,8 +27,9 @@
 //
 // Multi-tenant traffic: -tenants M runs M concurrent instances of the
 // kernel through ONE shared L2 + MSHR file + DRAM backend (each tenant
-// keeps its own core, L1 and vector subsystem), stepping the cores in
-// per-cycle lockstep and reporting per-tenant IPC and DRAM read
+// keeps its own core, L1 and vector subsystem), stepping the cores
+// cycle by cycle in tenant order — under the wheel, only those with
+// something to do — and reporting per-tenant IPC and DRAM read
 // latency. Every run is a tenant.Group — a solo run (-tenants 1, the
 // default) is a group of one — so there is one construction, one drive
 // loop and one end-of-run drain; only the report differs. -qos turns on per-tenant credit scheduling in the sdram
@@ -142,14 +143,14 @@ func run(w io.Writer, rc runConfig) error {
 	start := time.Now()
 	g.RunSampled(sampler)
 	wall := time.Since(start)
-	// The group runs in lockstep, so the longest tenant's cycle count is
+	// The tenants share one clock, so the longest tenant's cycle count is
 	// the simulated time the host paid for.
 	var cycles int64
 	for i := 0; i < g.N(); i++ {
 		cycles = max(cycles, g.Stats(i).Cycles)
 	}
-	engineLine := fmt.Sprintf("engine:      %s, host %.3fs, %s simulated cycles/s\n",
-		rc.Engine, wall.Seconds(), fmtCPS(cycles, wall))
+	engineLine := fmt.Sprintf("engine:      %s, host %.3fs, %s simulated cycles/s, %d steps of %d tenant-cycles\n",
+		rc.Engine, wall.Seconds(), fmtCPS(cycles, wall), g.Steps(), g.TenantCycles())
 	if g.N() == 1 {
 		reportSolo(w, rc, g, tst, engineLine)
 	} else {
@@ -157,7 +158,7 @@ func run(w io.Writer, rc runConfig) error {
 	}
 
 	if rc.StatsJSON != "" {
-		registerHost(reg, cycles, wall)
+		registerHost(reg, cycles, wall, g)
 		if err := writeFile(rc.StatsJSON, reg.Snapshot().WriteJSON); err != nil {
 			return err
 		}
@@ -318,10 +319,11 @@ func fmtCPS(cycles int64, wall time.Duration) string {
 }
 
 // registerHost publishes host-performance figures — wall-clock
-// nanoseconds of the simulation loop and simulated cycles per host
-// second — under host.* so sweep tooling can read engine throughput
-// straight out of the stats snapshot.
-func registerHost(reg *stats.Registry, cycles int64, wall time.Duration) {
+// nanoseconds of the simulation loop, simulated cycles per host second,
+// and the Step calls the engine made of the tenant-cycles simulated —
+// under host.* so sweep tooling can read engine throughput and
+// efficiency straight out of the stats snapshot.
+func registerHost(reg *stats.Registry, cycles int64, wall time.Duration, g *tenant.Group) {
 	ns := wall.Nanoseconds()
 	cps := int64(0)
 	if ns > 0 {
@@ -329,6 +331,8 @@ func registerHost(reg *stats.Registry, cycles int64, wall time.Duration) {
 	}
 	reg.Gauge("host.wall_ns", func() int64 { return ns })
 	reg.Gauge("host.sim_cycles_per_sec", func() int64 { return cps })
+	reg.Gauge("host.steps", g.Steps)
+	reg.Gauge("host.tenant_cycles", g.TenantCycles)
 }
 
 // reportTenants is the multi-requestor report: every tenant's pipeline

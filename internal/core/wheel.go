@@ -80,7 +80,7 @@ func SimulateMode(cfg Config, mem *MemSystem, insts []isa.Inst, mode engine.Mode
 
 // SimulateStream runs a recorded stream, which it only reads, to
 // completion under the given engine: the reference for tenant.Group's
-// lockstep loop (see Simulate).
+// loop (see Simulate).
 func SimulateStream(cfg Config, mem *MemSystem, stream *trace.Stream, mode engine.Mode) *Stats {
 	s := NewStreamSim(cfg, mem, stream, 0)
 	if mode == engine.Wheel {
@@ -101,9 +101,9 @@ func SimulateStream(cfg Config, mem *MemSystem, stream *trace.Stream, mode engin
 }
 
 // SetEngine has nothing left to select: the engine of a hand-stepped
-// Sim is whichever of Step and Advance (or, in a lockstep group,
-// NextWake/SkipTo around shared Step rounds) the caller drives the
-// clock with, and a caller may change its mind at any cycle. The
+// Sim is whichever of Step and Advance (or, in a tenant group, SkipTo
+// and Step at the cycles NextWake names) the caller drives the clock
+// with, and a caller may change its mind at any cycle. The
 // method stays for callers that announce a mode before the run.
 func (s *Sim) SetEngine(engine.Mode) {}
 

@@ -280,7 +280,7 @@ func (r *Runner) SimDRAM(bench string, v kernels.Variant, mem core.MemKind, l2la
 // HostPerf sums the simulation wall clock and simulated cycles across
 // every memoized run — single-requestor and multi-tenant — for the
 // front end's host-performance summary line. Multi-tenant runs count
-// the slowest tenant's cycles: the group runs in lockstep, so that is
+// the slowest tenant's cycles: the tenants share one clock, so that is
 // the simulated time the host paid for.
 func (r *Runner) HostPerf() (ns, cycles int64) {
 	for _, res := range r.results {

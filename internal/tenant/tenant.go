@@ -1,9 +1,13 @@
 // Package tenant is the multi-requestor front end: it runs M
 // independent kernel traces (or M instances of one kernel) through a
 // SHARED memory system — one L2, one MSHR file, one prefetcher, one
-// DRAM backend — by stepping M core simulators in per-cycle lockstep.
-// Each tenant keeps its own L1 and vector subsystem (one core per
-// requestor), and every request a tenant creates names it
+// DRAM backend — by stepping M core simulators round by round, one
+// simulated cycle per round, in tenant order. Under the per-cycle engine
+// every running tenant steps every cycle; under the wheel each tenant
+// carries its own due cycle and a round steps only the tenants that are
+// due, which leaves every counter where per-cycle lockstep puts it (see
+// RunSampled). Each tenant keeps its own L1 and vector subsystem (one
+// core per requestor), and every request a tenant creates names it
 // (dram.Request.Tenant), so the backend can shard statistics and apply
 // per-tenant QoS scheduling.
 //
@@ -19,6 +23,7 @@ package tenant
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/dram"
@@ -48,7 +53,7 @@ type Options struct {
 	Lanes   int
 	BankL1  bool
 	Streams []*trace.Stream
-	Engine  engine.Mode // simulation engine; Wheel skips rounds no tenant can act in
+	Engine  engine.Mode // simulation engine; Wheel steps a tenant only at its own wake-ups
 
 	// Traces is the tenants as materialised traces, for callers that
 	// hold no stream: New compacts each (trace.Compact) when Streams is
@@ -64,14 +69,35 @@ type Options struct {
 	VM *vm.VM
 }
 
-// Group is M core simulators in lockstep over one shared memory system.
+// Group is M core simulators over one shared memory system.
 type Group struct {
 	mems  []*core.MemSystem
-	sims  []*core.Sim
-	stats []core.Stats // copied out of the Sims when the run ends
+	seats []seat
+	// stats are copied out of the Sims when the run ends — not into seats:
+	// Stats hands out pointers into this slice, and one into seats would
+	// keep every Sim, and through it the machine, reachable.
+	stats []core.Stats
 	wheel bool
 	done  bool
+
+	// The round in progress: its cycle and the seat being stepped, for
+	// catchUp, which runs inside that seat's Step. Fields rather than
+	// variables of RunSampled a closure captures: those cost a group of
+	// one 5–10 %.
+	now int64
+	cur int
+
+	steps, cycles int64 // Step calls made; tenant-cycles they stand for
 }
+
+// seat is one tenant's place in the round: its simulator and the cycle
+// its next Step is due — never once it has retired its trace.
+type seat struct {
+	sim *core.Sim
+	due int64
+}
+
+const never = math.MaxInt64
 
 // New builds the group: shared memory system, one steppable simulator
 // per tenant over that tenant's stream and address window.
@@ -88,8 +114,9 @@ func New(o Options) *Group {
 	}
 	g := &Group{
 		mems:  core.NewTenantMemSystems(o.Kind, o.Tim, o.Lanes, o.BankL1, n, o.VM),
-		sims:  make([]*core.Sim, n),
+		seats: make([]seat, n),
 		stats: make([]core.Stats, n),
+		wheel: o.Engine == engine.Wheel,
 	}
 	if ta, ok := o.Tim.Backend.(dram.TenantAware); ok && n > 1 {
 		ta.EnableTenantStats(n)
@@ -101,109 +128,137 @@ func New(o Options) *Group {
 			// fake the isolation real page tables provide.
 			base = uint64(i) << RebaseShift
 		}
-		g.sims[i] = core.NewStreamSim(o.Core, g.mems[i], st, base)
+		g.seats[i].sim = core.NewStreamSim(o.Core, g.mems[i], st, base)
 	}
-	g.wheel = o.Engine == engine.Wheel
+	if f := g.mems[0].MSHR(); f != nil && g.wheel && n > 1 {
+		f.BeforeFlush(g.catchUp)
+	}
 	return g
 }
 
-// Run steps every tenant one cycle per round, in tenant order, until
-// all traces retire, then settles each tenant's cycle count and drains
-// the shared memory system once — the MSHR file's pending batch, then
-// the backend's posted writes — so every counter read afterwards covers
-// all the traffic the run generated. Lockstep keeps the interleaving
+// Run steps the tenants round by round, in tenant order, until all
+// traces retire, then settles each tenant's cycle count and drains the
+// shared memory system once — the MSHR file's pending batch, then the
+// backend's posted writes — so every counter read afterwards covers all
+// the traffic the run generated. The rounds keep the interleaving
 // deterministic: within a cycle, tenant i's accesses always reach the
 // shared structures before tenant i+1's.
 func (g *Group) Run() { g.RunSampled(nil) }
 
-// RunSampled is Run with an interval sampler (nil = none): after every
-// lockstep round it samples the registry whenever the group clock has
-// crossed the next interval boundary, stamping each row with the cycle
-// the engine actually reached (under the wheel a round can jump far past
-// a boundary; the row records the landing cycle, so both engines produce
-// one row per crossed boundary).
+// RunSampled is Run with an interval sampler (nil = none): whenever the
+// group clock has crossed the next interval boundary it samples the
+// registry, stamping the row with the cycle the clock actually reached
+// (under the wheel it can land far past a boundary; the row records the
+// landing cycle, so both engines produce one row per crossed boundary).
+//
+// A round at cycle t steps, in tenant order, the tenants that are due —
+// SkipTo(t), which bulk-charges the cycles slept through, then Step —
+// and the group clock moves to the earliest due cycle. Under engine.Step
+// a tenant is due again at t+1: per-cycle lockstep. Under the wheel it is
+// due at the NextWake it reports right after its own Step, so a tenant
+// with nothing to do is not stepped.
+//
+// Why sleeping is sound — every counter lands where lockstep puts it:
+//
+//   - The Steps not made are no-ops. NextWake is a lower bound on the
+//     first cycle a Step could do anything (wheel.go), and what other
+//     tenants do meanwhile — the rest of this round included — only moves
+//     a sleeper's bounds later: a fill completes no earlier than arrival
+//     plus the backend's minimum latency, and contention adds to that. A
+//     wake-up that has become early is the no-op Step lockstep executes.
+//   - A sleeper touches no shared structure, so every awake tenant's
+//     accesses reach the L2, MSHR file, prefetcher, walker and backend at
+//     the same cycles in the same within-cycle order.
+//   - What remains of a no-op Step is its CPI charge, which SkipTo makes
+//     in bulk from the verdict at the sleeper's own clock. The one input
+//     of that verdict another tenant can change is what MSHRFile.flush
+//     resolves (resolved and qosDelay, which TakeQoSYield turns into the
+//     qos_yield / mshr_full / dram_wait split), so catchUp runs before a
+//     flush resolves anything: the cycles up to the flush are charged on
+//     the state before it, the cycles after it, later, on what it left.
+//   - A sampler row reads the CPI stacks, so every running tenant is
+//     brought to the row's cycle first; no tenant acts in between.
 func (g *Group) RunSampled(s *stats.Sampler) {
 	if g.done {
 		return
 	}
-	var next int64
+	boundary := int64(never)
 	if s != nil {
-		next = s.Interval()
+		boundary = s.Interval()
 	}
-	for {
-		any := false
-		for _, sim := range g.sims {
-			if sim.Running() {
-				sim.Step()
-				any = true
+	for running := len(g.seats); running > 0; {
+		t, next := g.now, int64(never)
+		for i := range g.seats {
+			st := &g.seats[i]
+			if st.due <= t {
+				g.cur = i
+				if st.sim.Now() < t {
+					st.sim.SkipTo(t)
+				}
+				st.sim.Step()
+				g.steps++
+				switch {
+				case !st.sim.Running():
+					st.due = never
+					running--
+				case g.wheel:
+					st.due = st.sim.NextWake()
+				default:
+					st.due = t + 1
+				}
 			}
+			next = min(next, st.due)
 		}
-		if !any {
-			break
+		if next == never {
+			next = t + 1 // the round that retired the last tenant
 		}
-		if g.wheel {
-			g.skipRound()
-		}
-		if s == nil {
-			continue
-		}
-		// The group clock is the furthest any tenant reached; finished
-		// tenants' clocks freeze, running ones move in lockstep.
-		now := int64(0)
-		for _, sim := range g.sims {
-			now = max(now, sim.Now())
-		}
-		if now >= next {
-			s.Sample(now)
-			for next <= now {
-				next += s.Interval()
+		g.now = next
+		if next >= boundary {
+			g.cur = -1 // between rounds: no seat has executed cycle next
+			g.catchUp()
+			s.Sample(next)
+			for boundary <= next {
+				boundary += s.Interval()
 			}
 		}
 	}
 	// Copies: Finish points into the Sim, and a caller that keeps a
 	// tenant's result must not keep the window, its fill handles' slabs
 	// and the whole memory system with it.
-	for i, sim := range g.sims {
+	for i := range g.seats {
+		sim := g.seats[i].sim
+		g.cycles += sim.Now()
 		g.stats[i] = *sim.Finish()
 	}
 	g.mems[0].Drain()
 	g.done = true
 }
 
-// skipRound advances the whole group past cycles no tenant can act in:
-// the lockstep barrier becomes an event — the group jumps to the
-// EARLIEST wake-up any running tenant reports, and every running clock
-// jumps together, so the within-cycle tenant ordering (and with it the
-// shared-structure interleaving) is untouched. Each tenant's wake-up
-// is sound against the shared memory system because contention only
-// pushes completion bounds later, never earlier, and a skipped
-// tenant's lazy-poll cycles are exactly the ones its own bound proves
-// unobservable.
-func (g *Group) skipRound() {
-	t := int64(-1)
-	for _, s := range g.sims {
-		if !s.Running() {
-			continue
-		}
-		w := s.NextWake()
-		if w <= s.Now() {
-			// This tenant acts next cycle, and every running clock reads
-			// the same cycle: there is nothing to skip (Advance's shortcut).
-			return
-		}
-		if t < 0 || w < t {
-			t = w
-		}
-	}
-	for _, s := range g.sims {
-		if s.Running() {
-			s.SkipTo(t)
+// catchUp brings every running tenant's clock to where lockstep has it
+// while seat g.cur executes cycle g.now: the seats ahead of it in the
+// round have executed that cycle, the seats behind it have not. A retired
+// tenant's clock stays where it stopped.
+func (g *Group) catchUp() {
+	for i := range g.seats {
+		st := &g.seats[i]
+		switch {
+		case st.due == never || i == g.cur:
+		case i < g.cur:
+			st.sim.SkipTo(g.now + 1)
+		default:
+			st.sim.SkipTo(g.now)
 		}
 	}
 }
 
+// Steps is the Step calls the run made; TenantCycles is what per-cycle
+// lockstep makes of it: every tenant's clock when its trace retired,
+// summed. The difference is the wheel's saving.
+func (g *Group) Steps() int64        { return g.steps }
+func (g *Group) TenantCycles() int64 { return g.cycles }
+
 // N is the tenant count.
-func (g *Group) N() int { return len(g.sims) }
+func (g *Group) N() int { return len(g.seats) }
 
 // Mem returns tenant i's view of the memory system. Index 0's view
 // owns the shared structures (L2, MSHR file, backend).
@@ -229,8 +284,8 @@ func (g *Group) TenantStatsOf(i int) *dram.TenantStats {
 // events separate per tenant through each request's Tenant.
 func (g *Group) AttachTracer(tr *stats.Tracer) {
 	g.mems[0].AttachTracer(tr)
-	for i, s := range g.sims {
-		s.SetTracer(tr, i)
+	for i := range g.seats {
+		g.seats[i].sim.SetTracer(tr, i)
 	}
 }
 
@@ -248,7 +303,7 @@ func (g *Group) Register(reg *stats.Registry) {
 		if g.N() > 1 {
 			p = fmt.Sprintf("tenant.%d.", i)
 		}
-		reg.AddStruct(p+"core", g.sims[i].StatsRef())
+		reg.AddStruct(p+"core", g.seats[i].sim.StatsRef())
 		m.RegisterFrontEnd(reg, p)
 		if ts := g.TenantStatsOf(i); ts != nil {
 			reg.AddStruct(p+"dram", ts)

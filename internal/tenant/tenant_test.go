@@ -64,7 +64,7 @@ func traceOf(bm kernels.Benchmark, v kernels.Variant) []isa.Inst {
 
 // machineFor builds a fresh backend, and the translation layer when the
 // spec asks for one, for an n-requestor machine.
-func machineFor(t *testing.T, spec string, n int) (vmem.Timing, *vm.VM) {
+func machineFor(t testing.TB, spec string, n int) (vmem.Timing, *vm.VM) {
 	t.Helper()
 	backend, knobs, err := dram.ParseSpecFull(spec, 100)
 	if err != nil {
@@ -80,7 +80,7 @@ func machineFor(t *testing.T, spec string, n int) (vmem.Timing, *vm.VM) {
 		MSHRs: knobs.MSHRs, PFStreams: knobs.PFStreams, PFDegree: knobs.PFDegree}, vmsys
 }
 
-func timingFor(t *testing.T, spec string) vmem.Timing {
+func timingFor(t testing.TB, spec string) vmem.Timing {
 	t.Helper()
 	tim, _ := machineFor(t, spec, 1)
 	return tim

@@ -1,127 +1,202 @@
 package tenant_test
 
-// Wheel-vs-step equivalence for the multi-tenant front end: the
-// event-wheel group — which replaces the per-cycle lockstep barrier
-// with a jump to the earliest wake-up any tenant reports — must
-// reproduce the per-cycle group's every counter bit for bit: per-tenant
-// core stats, per-tenant vector-memory stats, the shared backend block
-// and the per-tenant backend shards.
+// Wheel-vs-step equivalence for the multi-tenant front end: the wheel
+// group — which steps a tenant only at its own wake-ups, so that tenants'
+// clocks differ for most of a run — must reproduce the per-cycle group's
+// every counter bit for bit: the whole registry snapshot (per-tenant
+// core, cache, vmem and vm shards, the shared L2, MSHR file, prefetcher
+// and backend, the per-tenant backend shards) and each tenant's
+// core.Stats — in fewer Step calls.
 
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dram"
 	"repro/internal/engine"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/stats"
 	"repro/internal/tenant"
-	"repro/internal/vmem"
 )
 
+// runGroup runs traces as one group on a fresh machine built from spec,
+// registered before the run (as momsim wires it, so a sampler can read
+// the registry mid-flight) and sampled every `every` cycles (0 = not).
+func runGroup(t testing.TB, spec string, traces [][]isa.Inst, mode engine.Mode, every int64) (*tenant.Group, *stats.Registry, *stats.Sampler) {
+	t.Helper()
+	cfg := core.MOMCore()
+	tim, vmsys := machineFor(t, spec, len(traces))
+	g := tenant.New(tenant.Options{Core: cfg, Kind: core.MemVectorCache3D, Tim: tim,
+		Lanes: cfg.Lanes, Traces: traces, Engine: mode, VM: vmsys})
+	reg := stats.NewRegistry()
+	g.Register(reg)
+	var sampler *stats.Sampler
+	if every > 0 {
+		sampler = stats.NewSampler(reg, every)
+	}
+	g.RunSampled(sampler)
+	return g, reg, sampler
+}
+
+// requireSameRun compares a per-cycle run of a machine with a wheel run
+// of it: each tenant's core.Stats, the whole registry snapshot, and the
+// step counts — the per-cycle engine makes one Step per tenant-cycle,
+// the wheel no more, of the same tenant-cycles.
+func requireSameRun(t testing.TB, key string, step, wheel *tenant.Group, stepSnap, wheelSnap stats.Snapshot) {
+	t.Helper()
+	for i := 0; i < step.N(); i++ {
+		if !reflect.DeepEqual(*step.Stats(i), *wheel.Stats(i)) {
+			t.Errorf("%s tenant %d: core stats diverged\n  step  %+v\n  wheel %+v", key, i, *step.Stats(i), *wheel.Stats(i))
+		}
+	}
+	if diff := snapshotDiff(stepSnap, wheelSnap); diff != "" {
+		t.Errorf("%s: registry snapshot diverged (step vs wheel):\n%s", key, diff)
+	}
+	if step.Steps() != step.TenantCycles() || wheel.TenantCycles() != step.TenantCycles() || wheel.Steps() > wheel.TenantCycles() {
+		t.Errorf("%s: %d steps of %d tenant-cycles under step, %d of %d under the wheel",
+			key, step.Steps(), step.TenantCycles(), wheel.Steps(), wheel.TenantCycles())
+	}
+}
+
+// requireWheelMatchesStep runs the mix under both engines and returns
+// the (common) snapshot. On these mixes the wheel must make strictly
+// fewer Steps than lockstep: one that steps as often is equivalent for
+// the wrong reason.
+func requireWheelMatchesStep(t *testing.T, name, spec string, traces [][]isa.Inst) stats.Snapshot {
+	t.Helper()
+	step, stepReg, _ := runGroup(t, spec, traces, engine.Step, 0)
+	wheel, wheelReg, _ := runGroup(t, spec, traces, engine.Wheel, 0)
+	key := name + "/" + spec
+	snap := stepReg.Snapshot()
+	requireSameRun(t, key, step, wheel, snap, wheelReg.Snapshot())
+	if wheel.Steps() >= wheel.TenantCycles() {
+		t.Errorf("%s: the wheel made %d steps of %d tenant-cycles: it skipped nothing", key, wheel.Steps(), wheel.TenantCycles())
+	}
+	return snap
+}
+
 func TestWheelMatchesStepTenants(t *testing.T) {
-	ms := kernels.MotionSearch(kernels.SmallMotionSearchConfig())
-	gsm := kernels.GSMEncode(kernels.SmallGSMEncConfig())
-	jpg := kernels.JPEGEncode(kernels.SmallJPEGEncConfig())
+	ms := traceOf(kernels.MotionSearch(kernels.SmallMotionSearchConfig()), kernels.MOM3D)
+	gsm := traceOf(kernels.GSMEncode(kernels.SmallGSMEncConfig()), kernels.MOM3D)
+	jpg := traceOf(kernels.JPEGEncode(kernels.SmallJPEGEncConfig()), kernels.MOM3D)
+	mpg := traceOf(kernels.MPEG2Encode(kernels.SmallMPEG2EncConfig()), kernels.MOM3D)
 
 	cases := []struct {
 		name   string
 		traces [][]isa.Inst
 		spec   string
 	}{
-		{"2x-motionsearch", [][]isa.Inst{traceOf(ms, kernels.MOM3D), traceOf(ms, kernels.MOM3D)}, "sdram/line/frfcfs"},
-		{"mixed-2", [][]isa.Inst{traceOf(ms, kernels.MOM3D), traceOf(gsm, kernels.MOM3D)}, "sdram/line/frfcfs/mshr8"},
-		{"mixed-3-pf", [][]isa.Inst{traceOf(ms, kernels.MOM3D), traceOf(gsm, kernels.MOM3D), traceOf(jpg, kernels.MOM3D)}, "sdram/line/frfcfs/mshr8/pf4"},
-		{"qos-2", [][]isa.Inst{traceOf(ms, kernels.MOM3D), traceOf(gsm, kernels.MOM3D)}, "sdram/line/frfcfs/tn2/qos"},
-		{"hbm-2", [][]isa.Inst{traceOf(ms, kernels.MOM3D), traceOf(gsm, kernels.MOM3D)}, "sdram/line/frfcfs/hbm"},
+		{"2x-motionsearch", [][]isa.Inst{ms, ms}, "sdram/line/frfcfs"},
+		{"mixed-2", [][]isa.Inst{ms, gsm}, "sdram/line/frfcfs/mshr8"},
+		{"mixed-3-pf", [][]isa.Inst{ms, gsm, jpg}, "sdram/line/frfcfs/mshr8/pf4"},
+		{"qos-2", [][]isa.Inst{ms, gsm}, "sdram/line/frfcfs/tn2/qos"},
+		{"hbm-2", [][]isa.Inst{ms, gsm}, "sdram/line/frfcfs/hbm"},
+		// The first tenant retires after ~2K cycles, the others after
+		// ~15K: most rounds run past a retired seat.
+		{"early-finisher", [][]isa.Inst{ms, mpg, jpg}, "sdram/line/frfcfs/mshr8/tn3/qos"},
 	}
 	for _, tc := range cases {
-		cfg := core.MOMCore()
-		run := func(mode engine.Mode) *tenant.Group {
-			g := tenant.New(tenant.Options{Core: cfg, Kind: core.MemVectorCache3D,
-				Tim: timingFor(t, tc.spec), Lanes: cfg.Lanes,
-				Traces: tc.traces, Engine: mode})
-			g.Run()
-			return g
-		}
-		step := run(engine.Step)
-		wheel := run(engine.Wheel)
-		for i := 0; i < step.N(); i++ {
-			key := fmt.Sprintf("%s/%s tenant %d", tc.name, tc.spec, i)
-			if !reflect.DeepEqual(*step.Stats(i), *wheel.Stats(i)) {
-				t.Errorf("%s: core stats diverged\n  step  %+v\n  wheel %+v",
-					key, *step.Stats(i), *wheel.Stats(i))
-			}
-			if !reflect.DeepEqual(*step.Mem(i).VM.Stats(), *wheel.Mem(i).VM.Stats()) {
-				t.Errorf("%s: vmem stats diverged", key)
-			}
-			ss, ws := step.TenantStatsOf(i), wheel.TenantStatsOf(i)
-			if (ss == nil) != (ws == nil) {
-				t.Fatalf("%s: shard presence diverged", key)
-			}
-			if ss != nil && !reflect.DeepEqual(*ss, *ws) {
-				t.Errorf("%s: backend shard diverged\n  step  %+v\n  wheel %+v", key, *ss, *ws)
-			}
-		}
-		sb := step.Mem(0).Tim.Backend
-		wb := wheel.Mem(0).Tim.Backend
-		if sb != nil && !reflect.DeepEqual(*sb.Stats(), *wb.Stats()) {
-			t.Errorf("%s/%s: shared backend stats diverged\n  step  %+v\n  wheel %+v",
-				tc.name, tc.spec, *sb.Stats(), *wb.Stats())
-		}
+		requireWheelMatchesStep(t, tc.name, tc.spec, tc.traces)
+	}
+	if testing.Short() {
+		return
+	}
+	// QoS over the non-blocking file at full size: the one row on which
+	// sleepers' bulk CPI charges drain QoS-yield budgets other tenants'
+	// flushes stamp (see TestSleepersAreCaughtUpAtEveryFlush).
+	bm, ok := kernels.ByName("motionsearch")
+	if !ok {
+		t.Fatal("motionsearch missing from the suite")
+	}
+	full := traceOf(bm, kernels.MOM3D)
+	snap := requireWheelMatchesStep(t, "4x-full-qos-mshr", "sdram/bank/frfcfs/mshr8/tn4/qos", [][]isa.Inst{full, full, full, full})
+	var yield uint64
+	for i := 0; i < 4; i++ {
+		yield += snap.Counters[fmt.Sprintf("tenant.%d.core.cpi.qos_yield", i)]
+	}
+	if yield == 0 {
+		t.Error("4x-full-qos-mshr: no cycle was charged to core.cpi.qos_yield: the row pins nothing about QoS budgets")
 	}
 }
 
 // TestWheelMatchesStepTenantsVA extends the equivalence to real address
 // spaces: under the wheel a tenant's page-table walk completes lazily at
-// its next poll, racing the group's skip rounds and the shared MSHR
+// its next poll, racing the other tenants' wake-ups and the shared MSHR
 // fill wake-ups, and the shared L2 TLB orders insertions across tenants
-// — the full registry snapshot (core, caches, vmem, dram shards and
-// every vm.tlb/vm.walk counter) must still match the per-cycle lockstep
-// group bit for bit.
+// — every vm.tlb/vm.walk counter included.
 func TestWheelMatchesStepTenantsVA(t *testing.T) {
-	ms := kernels.MotionSearch(kernels.SmallMotionSearchConfig())
-	gsm := kernels.GSMEncode(kernels.SmallGSMEncConfig())
-
-	cases := []struct {
+	ms := traceOf(kernels.MotionSearch(kernels.SmallMotionSearchConfig()), kernels.MOM3D)
+	gsm := traceOf(kernels.GSMEncode(kernels.SmallGSMEncConfig()), kernels.MOM3D)
+	for _, tc := range []struct {
 		name   string
 		traces [][]isa.Inst
 		spec   string
 	}{
-		{"va-2", [][]isa.Inst{traceOf(ms, kernels.MOM3D), traceOf(gsm, kernels.MOM3D)}, "sdram/bank/frfcfs/tn2/va"},
-		{"vacolor-2-mshr", [][]isa.Inst{traceOf(ms, kernels.MOM3D), traceOf(gsm, kernels.MOM3D)}, "sdram/bank/frfcfs/tn2/mshr8/vacolor"},
-		{"vacolo-2-qos", [][]isa.Inst{traceOf(ms, kernels.MOM3D), traceOf(gsm, kernels.MOM3D)}, "sdram/bank/frfcfs/tn2/qos/vacolo"},
-		{"va-3-pf", [][]isa.Inst{traceOf(ms, kernels.MOM3D), traceOf(ms, kernels.MOM3D), traceOf(gsm, kernels.MOM3D)}, "sdram/bank/frfcfs/tn3/mshr8/pf4/vacolor"},
+		{"va-2", [][]isa.Inst{ms, gsm}, "sdram/bank/frfcfs/tn2/va"},
+		{"vacolor-2-mshr", [][]isa.Inst{ms, gsm}, "sdram/bank/frfcfs/tn2/mshr8/vacolor"},
+		{"vacolo-2-qos", [][]isa.Inst{ms, gsm}, "sdram/bank/frfcfs/tn2/qos/vacolo"},
+		{"va-3-pf", [][]isa.Inst{ms, ms, gsm}, "sdram/bank/frfcfs/tn3/mshr8/pf4/vacolor"},
+	} {
+		requireWheelMatchesStep(t, tc.name, tc.spec, tc.traces)
 	}
-	for _, tc := range cases {
-		cfg := core.MOMCore()
-		run := func(mode engine.Mode) string {
-			// Backend AND VM must be fresh per run: both are stateful.
-			backend, knobs, err := dram.ParseSpecFull(tc.spec, 100)
-			if err != nil {
-				t.Fatalf("spec %q: %v", tc.spec, err)
-			}
-			tim := vmem.Timing{L2Latency: 20, MemLatency: 100, Backend: backend,
-				MSHRs: knobs.MSHRs, PFStreams: knobs.PFStreams, PFDegree: knobs.PFDegree}
-			vmsys, err := core.NewVM(knobs.VA, len(tc.traces), backend)
-			if err != nil {
-				t.Fatalf("spec %q: %v", tc.spec, err)
-			}
-			g := tenant.New(tenant.Options{Core: cfg, Kind: core.MemVectorCache3D,
-				Tim: tim, Lanes: cfg.Lanes, Traces: tc.traces, Engine: mode, VM: vmsys})
-			g.Run()
-			reg := stats.NewRegistry()
-			g.Register(reg)
-			return reg.Snapshot().String()
+}
+
+// TestSampledRowsMatchStepAtTheirCycle: under the wheel the tenants'
+// clocks differ when the group clock crosses a sampling boundary, and
+// the row must still hold what per-cycle lockstep holds at the row's
+// stamp cycle — every counter and gauge, the lagging tenants' CPI stacks
+// included. The reference is the per-cycle engine sampled every cycle;
+// the wheel's rows are one per crossed boundary, and sampling leaves the
+// final snapshot where an unsampled run leaves it.
+func TestSampledRowsMatchStepAtTheirCycle(t *testing.T) {
+	traces := [][]isa.Inst{
+		traceOf(kernels.MotionSearch(kernels.SmallMotionSearchConfig()), kernels.MOM3D),
+		traceOf(kernels.GSMEncode(kernels.SmallGSMEncConfig()), kernels.MOM3D),
+		traceOf(kernels.JPEGDecode(kernels.SmallJPEGDecConfig()), kernels.MOM3D),
+	}
+	const spec, every = "sdram/line/frfcfs/mshr8/pf4/tn3/qos", 100
+	// Row c-1 of the reference holds what lockstep counted in cycle c-1.
+	_, _, ref := runGroup(t, spec, traces, engine.Step, 1)
+	end := ref.Rows()[len(ref.Rows())-1].Cycle
+	if int64(len(ref.Rows())) != end {
+		t.Fatalf("the per-cycle reference holds %d rows for %d cycles", len(ref.Rows()), end)
+	}
+
+	_, reg, rows := runGroup(t, spec, traces, engine.Wheel, every)
+	if len(rows.Rows()) == 0 {
+		t.Fatal("the wheel run recorded no rows")
+	}
+	want, got := map[string]uint64{}, map[string]uint64{}
+	c, lastInterval := int64(0), int64(0)
+	for _, row := range rows.Rows() {
+		if iv := row.Cycle / every; iv <= lastInterval {
+			t.Fatalf("row at cycle %d: interval %d follows interval %d — not one row per crossed boundary", row.Cycle, iv, lastInterval)
+		} else {
+			lastInterval = iv
 		}
-		step := run(engine.Step)
-		wheel := run(engine.Wheel)
-		if step != wheel {
-			t.Errorf("%s/%s: wheel snapshot diverged from step\n--- step ---\n%s--- wheel ---\n%s",
-				tc.name, tc.spec, step, wheel)
+		for ; c < row.Cycle; c++ {
+			for n, d := range ref.Rows()[c].Counters {
+				want[n] += d
+			}
 		}
+		for n, d := range row.Counters {
+			got[n] += d
+		}
+		var b strings.Builder
+		mapDiff(&b, want, got)
+		mapDiff(&b, ref.Rows()[c-1].Gauges, row.Gauges)
+		if b.Len() > 0 {
+			t.Fatalf("row at cycle %d differs from lockstep at that cycle:\n%s", row.Cycle, b.String())
+		}
+	}
+	if lastInterval != end/every {
+		t.Errorf("the last row is in interval %d, the run ended in interval %d", lastInterval, end/every)
+	}
+	_, plain, _ := runGroup(t, spec, traces, engine.Wheel, 0)
+	if diff := snapshotDiff(plain.Snapshot(), reg.Snapshot()); diff != "" {
+		t.Errorf("sampling moved the final snapshot:\n%s", diff)
 	}
 }

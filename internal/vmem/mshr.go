@@ -161,6 +161,8 @@ type MSHRFile struct {
 
 	trainBuf []trainLine // scratch: this Register's training lines
 
+	beforeFlush func() // runs before a flush resolves anything, nil = off
+
 	tr *stats.Tracer // event tracer, nil = off
 	st MSHRStats
 }
@@ -227,6 +229,14 @@ func NewMSHRFile(tim Timing, n int) *MSHRFile {
 // SetTracer attaches a cycle-stamped event tracer (nil turns tracing
 // off, the default).
 func (f *MSHRFile) SetTracer(t *stats.Tracer) { f.tr = t }
+
+// BeforeFlush installs fn (nil = none) to run at the top of every flush
+// that has a batch to submit, before any entry resolves. Resolution is
+// the one thing a flush changes that a requestor which is not running
+// can observe — resolved and qosDelay, through TakeQoSYield — so a
+// driver that lets requestors' clocks lag (tenant.Group under the wheel)
+// brings them up to the flush cycle here.
+func (f *MSHRFile) BeforeFlush(fn func()) { f.beforeFlush = fn }
 
 // resolve settles one entry's fill completion, feeding the
 // miss-to-fill histogram and the trace.
@@ -334,6 +344,9 @@ func (f *MSHRFile) track(e *mshrEntry) {
 func (f *MSHRFile) flush() {
 	if len(f.pending) == 0 {
 		return
+	}
+	if f.beforeFlush != nil {
+		f.beforeFlush()
 	}
 	f.st.Flushes++
 	f.st.FlushedReqs += uint64(len(f.pending))
