@@ -73,15 +73,28 @@ func goldenMatrix(benches []string) []SimKey {
 // ComputeBenchReport runs the golden matrix over r's suite — momexp
 // passes a runner over GoldenSuite, labelled "golden-small" — on r's
 // engine and workers, and collects every configuration's registry
-// snapshot.
+// snapshot. The snapshots live in a memo of their own: no other result
+// carries a registry.
 func ComputeBenchReport(r *Runner, suite string) *BenchReport {
 	cells := goldenMatrix(r.Benchmarks())
-	r.prewarm(cells)
+	snaps := map[SimKey]*stats.Snapshot{}
+	prewarm(r, cells, snaps, snapshot)
 	rep := &BenchReport{Suite: suite, Configs: map[string]stats.Snapshot{}}
 	for _, k := range cells {
-		rep.Configs[fmt.Sprintf("%s/%s/%s", k.Bench, k.Variant, k.DRAM)] = r.simKey(k).Snap
+		rep.Configs[fmt.Sprintf("%s/%s/%s", k.Bench, k.Variant, k.DRAM)] = *recall(r, snaps, k, snapshot)
 	}
 	return rep
+}
+
+// snapshot builds and runs one cell and reads its whole registry — the
+// package's only registry.
+func snapshot(r *Runner, k SimKey) *stats.Snapshot {
+	g := r.machine(k)
+	g.Run()
+	reg := stats.NewRegistry()
+	g.Register(reg)
+	s := reg.Snapshot()
+	return &s
 }
 
 // WriteJSON writes the report as indented, deterministically-ordered

@@ -36,7 +36,7 @@ func DRAMSweep(r *Runner) *Table {
 	for _, m := range DRAMMappings {
 		spec := on(sdramSpec(m, "frfcfs", "", dram.Knobs{}))
 		s.Cols = append(s.Cols, Col{fmt.Sprintf(" %10s %8s", m+" cyc", "rowhit"), spec, " %10d %8.3f",
-			func(c Result) []any { return []any{c.Sim.Cycles(), c.Sim.DRAM.RowHitRate()} }})
+			func(c Result) []any { return []any{c.Sim.Core.Cycles, c.Sim.DRAM.RowHitRate()} }})
 		s.Detail = append(s.Detail, Col{"", spec, "  " + m + " %.2f B/c blp %.2f", func(c Result) []any {
 			return []any{c.Sim.DRAM.AchievedBandwidth(), c.Sim.DRAM.BankLevelParallelism()}
 		}})
@@ -72,7 +72,7 @@ func DRAMChannelScaling(r *Runner) *Table {
 		}
 		s.Cols = append(s.Cols, Col{fmt.Sprintf(" %11s %8s %6s", fmt.Sprintf("%dch", ch), "B/cyc", "util"),
 			at(func(k *dram.Knobs) { k.Channels = knob }), " %11d %8.2f %6.2f", func(c Result) []any {
-				return []any{c.Sim.Cycles(), c.Sim.DRAM.AchievedBandwidth(), c.Sim.DRAM.BusUtilization()}
+				return []any{c.Sim.Core.Cycles, c.Sim.DRAM.AchievedBandwidth(), c.Sim.DRAM.BusUtilization()}
 			}})
 	}
 	return s.Run(r)

@@ -23,17 +23,17 @@ func TestDRAMSweepShape(t *testing.T) {
 		if len(row) != 2+2*len(DRAMMappings) {
 			t.Fatalf("%s: per-mapping columns missing", bench)
 		}
-		fixed := row[0].Sim.Cycles()
+		fixed := row[0].Sim.Core.Cycles
 		for j, m := range DRAMMappings {
 			res := row[1+j].Sim
-			if res.Cycles() <= 0 {
-				t.Errorf("%s/%s: cycles %d", bench, m, res.Cycles())
+			if res.Core.Cycles <= 0 {
+				t.Errorf("%s/%s: cycles %d", bench, m, res.Core.Cycles)
 			}
 			hit := res.DRAM.RowHitRate()
 			if hit < 0 || hit > 1 {
 				t.Errorf("%s/%s: row hit rate %f out of range", bench, m, hit)
 			}
-			if res.Cycles() != fixed {
+			if res.Core.Cycles != fixed {
 				sawDiff = true
 			}
 			bestHit = max(bestHit, hit)
@@ -68,9 +68,9 @@ func TestChannelScalingSweepShape(t *testing.T) {
 			t.Fatalf("%s: missing columns", tab.Rows[i].Bench)
 		}
 		for j, c := range row {
-			if c.Sim.Cycles() <= 0 || c.Sim.DRAM.AchievedBandwidth() <= 0 {
+			if c.Sim.Core.Cycles <= 0 || c.Sim.DRAM.AchievedBandwidth() <= 0 {
 				t.Errorf("%s/%dch: cycles %d bw %f", tab.Rows[i].Bench, DRAMChannels[j],
-					c.Sim.Cycles(), c.Sim.DRAM.AchievedBandwidth())
+					c.Sim.Core.Cycles, c.Sim.DRAM.AchievedBandwidth())
 			}
 		}
 	}
@@ -87,13 +87,13 @@ func TestChannelScalingFullGSM(t *testing.T) {
 	// suite and the simulation is deterministic, so the comparison is
 	// exact.
 	r := NewRunnerWith([]kernels.Benchmark{kernels.GSMEncode(kernels.DefaultGSMEncConfig())})
-	one := r.SimDRAM("gsmencode", kernels.MOM3D, core.MemVectorCache3D, baseLat, "sdram/line/frfcfs/1ch")
-	four := r.SimDRAM("gsmencode", kernels.MOM3D, core.MemVectorCache3D, baseLat, "sdram/line/frfcfs/4ch")
+	one := r.cell(bestKey("gsmencode", "sdram/line/frfcfs/1ch"))
+	four := r.cell(bestKey("gsmencode", "sdram/line/frfcfs/4ch"))
 	if b1, b4 := one.DRAM.AchievedBandwidth(), four.DRAM.AchievedBandwidth(); b4 <= b1 {
 		t.Errorf("4-channel bandwidth %.2f B/cyc not above 1-channel %.2f", b4, b1)
 	}
-	if four.Cycles() > one.Cycles() {
-		t.Errorf("4-channel run slower: %d vs %d cycles", four.Cycles(), one.Cycles())
+	if four.Core.Cycles > one.Core.Cycles {
+		t.Errorf("4-channel run slower: %d vs %d cycles", four.Core.Cycles, one.Core.Cycles)
 	}
 }
 
@@ -102,10 +102,10 @@ func TestFixedSpecMatchesSeedModel(t *testing.T) {
 	// model cycle-for-cycle.
 	r := smallRunner()
 	for _, bench := range r.Benchmarks() {
-		seed := r.SimDRAM(bench, kernels.MOM3D, core.MemVectorCache3D, baseLat, "")
-		fixed := r.SimDRAM(bench, kernels.MOM3D, core.MemVectorCache3D, baseLat, "fixed")
-		if seed.Cycles() != fixed.Cycles() {
-			t.Errorf("%s: fixed backend %d cycles vs seed model %d", bench, fixed.Cycles(), seed.Cycles())
+		seed := r.cell(bestKey(bench, ""))
+		fixed := r.cell(bestKey(bench, "fixed"))
+		if seed.Core.Cycles != fixed.Core.Cycles {
+			t.Errorf("%s: fixed backend %d cycles vs seed model %d", bench, fixed.Core.Cycles, seed.Core.Cycles)
 		}
 	}
 }

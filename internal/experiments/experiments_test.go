@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/kernels"
 )
 
@@ -30,6 +33,37 @@ func TestSimMemoization(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Errorf("progress calls = %d, want 1", calls)
+	}
+}
+
+// TestCellResultDoesNotPinTheMachine: the memo keeps every result for
+// the runner's life, so a result — its stats copies, DRAM shards and
+// histograms — must keep nothing of its machine reachable, for a solo
+// cell and a mix alike.
+func TestCellResultDoesNotPinTheMachine(t *testing.T) {
+	r := mshrRunner()
+	for _, key := range []SimKey{
+		bestKey("motionsearch", "sdram/line/frfcfs/mshr8/pf8d2/va"),
+		bestKey("motionsearch+gsmencode", ifBaseSpec+"/tn2/mshr8"),
+	} {
+		g := r.machine(key)
+		freed := make(chan struct{})
+		runtime.SetFinalizer(g.Mem(0), func(*core.MemSystem) { close(freed) })
+		res := r.result(key, g)
+		g = nil
+		pinned := true
+		for i := 0; i < 10 && pinned; i++ {
+			runtime.GC()
+			select {
+			case <-freed:
+				pinned = false
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		if pinned {
+			t.Errorf("%s: the memory system is still reachable from the result", key.DRAM)
+		}
+		runtime.KeepAlive(res)
 	}
 }
 

@@ -81,9 +81,9 @@ func Figure3(r *Runner) *Figure {
 	mb := Series{Name: "MOM multi-banked"}
 	vc := Series{Name: "MOM vector cache"}
 	for _, bench := range f.Benchmarks {
-		ideal := float64(r.MOMIdeal(bench).Cycles())
-		mb.Values = append(mb.Values, float64(r.MOMMultiBanked(bench).Cycles())/ideal)
-		vc.Values = append(vc.Values, float64(r.MOMVectorCache(bench).Cycles())/ideal)
+		ideal := float64(r.MOMIdeal(bench).Core.Cycles)
+		mb.Values = append(mb.Values, float64(r.MOMMultiBanked(bench).Core.Cycles)/ideal)
+		vc.Values = append(vc.Values, float64(r.MOMVectorCache(bench).Core.Cycles)/ideal)
 	}
 	f.Series = []Series{mb, vc}
 	return f
@@ -151,12 +151,12 @@ func Figure9(r *Runner) *Figure {
 	momVC := Series{Name: "MOM vector cache"}
 	d3VC := Series{Name: "MOM+3D vcache"}
 	for _, bench := range f.Benchmarks {
-		ideal := float64(r.MOMIdeal(bench).Cycles())
-		mmxMB.Values = append(mmxMB.Values, float64(r.MMXMultiBanked(bench).Cycles())/ideal)
-		mmxID.Values = append(mmxID.Values, float64(r.MMXIdeal(bench).Cycles())/ideal)
-		momMB.Values = append(momMB.Values, float64(r.MOMMultiBanked(bench).Cycles())/ideal)
-		momVC.Values = append(momVC.Values, float64(r.MOMVectorCache(bench).Cycles())/ideal)
-		d3VC.Values = append(d3VC.Values, float64(r.MOM3DVectorCache(bench).Cycles())/ideal)
+		ideal := float64(r.MOMIdeal(bench).Core.Cycles)
+		mmxMB.Values = append(mmxMB.Values, float64(r.MMXMultiBanked(bench).Core.Cycles)/ideal)
+		mmxID.Values = append(mmxID.Values, float64(r.MMXIdeal(bench).Core.Cycles)/ideal)
+		momMB.Values = append(momMB.Values, float64(r.MOMMultiBanked(bench).Core.Cycles)/ideal)
+		momVC.Values = append(momVC.Values, float64(r.MOMVectorCache(bench).Core.Cycles)/ideal)
+		d3VC.Values = append(d3VC.Values, float64(r.MOM3DVectorCache(bench).Core.Cycles)/ideal)
 	}
 	f.Series = []Series{mmxMB, mmxID, momMB, momVC, d3VC}
 	return f
@@ -197,8 +197,8 @@ func Figure10(r *Runner) *Figure {
 		for _, lat := range lats {
 			s := Series{Name: fmt.Sprintf("%s @%d", variant.name, lat)}
 			for _, bench := range benches {
-				base := float64(r.Sim(bench, momVariant, momVCKind, 20).Cycles())
-				s.Values = append(s.Values, float64(variant.sim(bench, lat).Cycles())/base)
+				base := float64(r.Sim(bench, momVariant, momVCKind, 20).Core.Cycles)
+				s.Values = append(s.Values, float64(variant.sim(bench, lat).Core.Cycles)/base)
 			}
 			f.Series = append(f.Series, s)
 		}
@@ -223,11 +223,11 @@ func Figure11(r *Runner) *Figure {
 	d3rf := Series{Name: "(3D RF share)"}
 	for _, bench := range f.Benchmarks {
 		rm := r.MOMMultiBanked(bench)
-		mb.Values = append(mb.Values, power.Estimate(p, rm.Cycles(), &rm.VM, rm.ScalarL2, 0).Total())
+		mb.Values = append(mb.Values, power.Estimate(p, rm.Core.Cycles, &rm.VM, rm.ScalarL2, 0).Total())
 		rv := r.MOMVectorCache(bench)
-		vc.Values = append(vc.Values, power.Estimate(p, rv.Cycles(), &rv.VM, rv.ScalarL2, 0).Total())
+		vc.Values = append(vc.Values, power.Estimate(p, rv.Core.Cycles, &rv.VM, rv.ScalarL2, 0).Total())
 		rd := r.MOM3DVectorCache(bench)
-		bd := power.Estimate(p, rd.Cycles(), &rd.VM, rd.ScalarL2, rd.Trace.D3MoveElems)
+		bd := power.Estimate(p, rd.Core.Cycles, &rd.VM, rd.ScalarL2, rd.Trace.D3MoveElems)
 		d3.Values = append(d3.Values, bd.Total())
 		d3rf.Values = append(d3rf.Values, bd.D3Watts)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 
 	"repro/internal/dram"
 )
@@ -27,50 +26,13 @@ var IFMixes = [][]string{
 // the interference measured is the controller's, not the MSHR file's.
 const ifBaseSpec = "sdram/line/frfcfs"
 
-// TenantResult is the outcome of one multi-tenant simulation.
-type TenantResult struct {
-	Mix    []string // tenant i ran Mix[i]
-	Cycles []int64  // tenant i's execution time
-	Shards []dram.TenantStats
-	DRAM   dram.Stats
-	HostNs int64 // wall clock of the lockstep run alone
-}
-
-// SimTenants runs one multi-tenant simulation: mix[i] is tenant i's
-// benchmark, all on the MOM+3D vector-cache configuration, through the
-// shared backend the spec describes (which must carry a tn<len(mix)>
-// token so the controller shards its stats and, with /qos, schedules
-// per tenant).
-func (r *Runner) SimTenants(mix []string, l2lat int64, spec string) *TenantResult {
-	key := tenantCell{strings.Join(mix, "+"), l2lat, spec}
-	if res, ok := r.tenantResults[key]; ok {
-		return res
-	}
-	if r.Progress != nil {
-		r.Progress(key.simKey())
-	}
-	g := r.machine(key.simKey(), mix)
-	start := time.Now()
-	g.Run()
-	res := &TenantResult{Mix: mix, Cycles: make([]int64, g.N()),
-		HostNs: time.Since(start).Nanoseconds(), DRAM: *g.Mem(0).DRAM().Stats()}
-	for i := 0; i < g.N(); i++ {
-		res.Cycles[i] = g.Stats(i).Cycles
-		if ts := g.TenantStatsOf(i); ts != nil {
-			res.Shards = append(res.Shards, *ts)
-		}
-	}
-	r.tenantResults[key] = res
-	return res
-}
-
 // IFSweepRow compares one tenant mix with and without QoS scheduling
 // against each tenant's solo run on the same backend configuration.
 type IFSweepRow struct {
 	Mix   []string
 	Solo  []int64 // tenant i's cycles alone on a private part
-	Base  *TenantResult
-	QoS   *TenantResult
+	Base  *SimResult
+	QoS   *SimResult
 	Defer uint64 // scheduling turns yielded under QoS
 }
 
@@ -107,8 +69,8 @@ func IFSweep(r *Runner) []IFSweepRow {
 	var rows []IFSweepRow
 	for i, mix := range IFMixes {
 		base, qos := t.Cells[2*i][0], t.Cells[2*i+1][0]
-		rows = append(rows, IFSweepRow{Mix: mix, Solo: base.Solo, Base: base.Tenants,
-			QoS: qos.Tenants, Defer: qos.Tenants.DRAM.QoSDeferred})
+		rows = append(rows, IFSweepRow{Mix: mix, Solo: base.Solo, Base: base.Sim,
+			QoS: qos.Sim, Defer: qos.Sim.DRAM.QoSDeferred})
 	}
 	return rows
 }
@@ -122,7 +84,7 @@ func shared(mapping string) func(Row) string {
 // fairness is the shared head of a mix-matrix line: every tenant's
 // slowdown, the worst of them, and Jain's index over them.
 func fairness(c Result) []any {
-	sl := slowdowns(c.Tenants.Cycles, c.Solo)
+	sl := slowdowns(c.Sim.Cycles, c.Solo)
 	var cells []string
 	for _, s := range sl {
 		cells = append(cells, fmt.Sprintf("%.2f", s))
@@ -138,7 +100,7 @@ func ifSweep(mixes [][]string) *Sweep {
 		Head:  fmt.Sprintf("%-38s", "mix"),
 		Cols: []Col{{fmt.Sprintf(" %-24s %6s %6s %6s %6s", "tenant slowdowns vs solo", "max", "jain", "B/cyc", "defer"),
 			shared("line"), " %-24s %6.3f %6.3f %6.2f %6d", func(c Result) []any {
-				return append(fairness(c), c.Tenants.DRAM.AchievedBandwidth(), c.Tenants.DRAM.QoSDeferred)
+				return append(fairness(c), c.Sim.DRAM.AchievedBandwidth(), c.Sim.DRAM.QoSDeferred)
 			}}},
 		Note: "slowdown = shared-part cycles / solo cycles on the same backend; max is the worst\n" +
 			"tenant (the QoS target), jain is Jain's fairness index over the slowdowns, defer\n" +
@@ -184,7 +146,7 @@ func RenderIFSweep(rows []IFSweepRow) string {
 	var cells [][]Result
 	for _, w := range rows {
 		mixes = append(mixes, w.Mix)
-		cells = append(cells, []Result{{Tenants: w.Base, Solo: w.Solo}}, []Result{{Tenants: w.QoS, Solo: w.Solo}})
+		cells = append(cells, []Result{{Sim: w.Base, Solo: w.Solo}}, []Result{{Sim: w.QoS, Solo: w.Solo}})
 	}
 	return (&Table{ifSweep(mixes), cells}).Render()
 }

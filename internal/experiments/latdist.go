@@ -37,10 +37,10 @@ type LatDistRow struct {
 }
 
 // LatDist measures the read-latency distributions of each timing
-// profile on the streaming kernel, read straight from the registry
-// snapshot the runner takes after every simulation. Translation is on
-// (first-touch placement) so the walk-latency distribution sits next
-// to the DRAM ones it feeds.
+// profile on the streaming kernel, read from the histograms the cell's
+// result carries (TestLatDistMatchesRegistry holds them to the registry
+// names above). Translation is on (first-touch placement) so the
+// walk-latency distribution sits next to the DRAM ones it feeds.
 func LatDist(r *Runner) []LatDistRow {
 	s := &Sweep{Cols: []Col{{Spec: at(func(k *dram.Knobs) { k.MSHRs, k.VA = latDistMSHRs, "first" })}}}
 	for _, prof := range LatDistProfiles {
@@ -52,11 +52,11 @@ func LatDist(r *Runner) []LatDistRow {
 		rows = append(rows, LatDistRow{
 			Profile: LatDistProfiles[i],
 			Spec:    res.Key.DRAM,
-			Cycles:  res.Cycles(),
-			Wait:    res.Snap.Hists["dram.read_wait"],
-			Service: res.Snap.Hists["dram.read_service"],
-			Fill:    res.Snap.Hists["vmem.mshr.fill"],
-			Walk:    res.Snap.Hists["vm.walk.latency"],
+			Cycles:  res.Core.Cycles,
+			Wait:    res.DRAM.ReadWait.Snapshot(),
+			Service: res.DRAM.ReadService.Snapshot(),
+			Fill:    res.MSHR.Fill.Snapshot(),
+			Walk:    res.Walk.Snapshot(),
 		})
 	}
 	return rows

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/kernels"
+	"repro/internal/stats"
 )
 
 // latDistRunner keeps the distribution test fast: motionsearch is the
@@ -48,6 +50,29 @@ func TestLatDistShape(t *testing.T) {
 	// DIMM's; the service distribution must reflect that.
 	if rows[1].Service.Mean() >= rows[0].Service.Mean() {
 		t.Errorf("hbm service mean %.1f >= ddr %.1f", rows[1].Service.Mean(), rows[0].Service.Mean())
+	}
+}
+
+// TestLatDistMatchesRegistry: the distributions LatDist reads from a
+// result's copies are the ones the registry exports under their names —
+// for each profile, the same cell built by machine, run and registered
+// by hand.
+func TestLatDistMatchesRegistry(t *testing.T) {
+	r := latDistRunner()
+	for _, row := range LatDist(r) {
+		g := r.machine(bestKey(LatDistBench, row.Spec))
+		g.Run()
+		reg := stats.NewRegistry()
+		g.Register(reg)
+		hists := reg.Snapshot().Hists
+		for name, got := range map[string]stats.HistSnapshot{
+			"dram.read_wait": row.Wait, "dram.read_service": row.Service,
+			"vmem.mshr.fill": row.Fill, "vm.walk.latency": row.Walk,
+		} {
+			if want := hists[name]; want.Count == 0 || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: LatDist read %v, the registry holds %v", row.Profile, name, got, want)
+			}
+		}
 	}
 }
 

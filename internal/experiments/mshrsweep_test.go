@@ -29,12 +29,12 @@ func TestMSHRSweepShape(t *testing.T) {
 		if len(row) < 1+len(MSHRCounts) {
 			t.Fatalf("%s: per-count columns missing", name)
 		}
-		block := row[0].Sim.Cycles()
+		block := row[0].Sim.Core.Cycles
 		if block <= 0 {
 			t.Errorf("%s: blocking cycles %d", name, block)
 		}
 		for j, n := range MSHRCounts {
-			if c := row[1+j].Sim.Cycles(); c <= 0 {
+			if c := row[1+j].Sim.Core.Cycles; c <= 0 {
 				t.Errorf("%s/mshr%d: cycles %d", name, n, c)
 			}
 		}
@@ -72,8 +72,8 @@ func TestRunnerResolvesExtendedBenchmarks(t *testing.T) {
 			t.Fatalf("unexpected benchmark %q in order", b)
 		}
 	}
-	res := r.SimDRAM("motionsearch", kernels.MOM3D, mom3DVCKind, baseLat, "sdram/line/frfcfs/mshr8")
-	if res.Cycles() <= 0 {
+	res := r.cell(bestKey("motionsearch", "sdram/line/frfcfs/mshr8"))
+	if res.Core.Cycles <= 0 {
 		t.Fatal("extended benchmark did not simulate")
 	}
 	if res.MSHR.Allocs == 0 {

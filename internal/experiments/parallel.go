@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -30,62 +29,44 @@ func AutoWorkers(j int) int {
 // engine.
 func (r *Runner) child() *Runner {
 	return &Runner{
-		benches:       r.benches,
-		order:         r.order,
-		results:       map[SimKey]*SimResult{},
-		tenantResults: map[tenantCell]*TenantResult{},
-		store:         r.store,
-		DRAMSpec:      r.DRAMSpec,
-		Engine:        r.Engine,
+		benches:  r.benches,
+		order:    r.order,
+		results:  map[SimKey]*SimResult{},
+		store:    r.store,
+		DRAMSpec: r.DRAMSpec,
+		Engine:   r.Engine,
 	}
-}
-
-// tenantCell is one multi-tenant simulation: the memo key of SimTenants
-// and a prewarm request. mix is the tenants' benchmarks joined with
-// "+", which cannot appear in a benchmark name.
-type tenantCell struct {
-	mix   string
-	l2lat int64
-	spec  string
-}
-
-// simKey is the cell as Progress reports it.
-func (c tenantCell) simKey() SimKey {
-	return SimKey{Bench: c.mix, Variant: mom3DVariant, Mem: mom3DVCKind, L2Lat: c.l2lat, DRAM: c.spec}
 }
 
 // prewarm simulates the given cells across r.Workers goroutines and
 // installs the results into the memo, so a sweep's serial loop replays
 // from cache. With Workers <= 1 it is a no-op: the sweep computes each
 // cell lazily, exactly as before the pool existed.
-func (r *Runner) prewarm(cells []SimKey) {
-	prewarm(r, cells, r.results, func(k SimKey) SimKey { return k }, (*Runner).simKey)
-}
+func (r *Runner) prewarm(cells []SimKey) { prewarm(r, cells, r.results, (*Runner).simulate) }
 
-// simKey is SimDRAM by memo key.
-func (r *Runner) simKey(k SimKey) *SimResult {
-	return r.SimDRAM(k.Bench, k.Variant, k.Mem, k.L2Lat, k.DRAM)
-}
-
-// prewarmTenants is prewarm for the multi-tenant cells of the
-// interference and placement sweeps.
-func (r *Runner) prewarmTenants(cells []tenantCell) {
-	prewarm(r, cells, r.tenantResults, tenantCell.simKey,
-		func(c *Runner, k tenantCell) *TenantResult {
-			return c.SimTenants(strings.Split(k.mix, "+"), k.l2lat, k.spec)
-		})
+// recall is the pool's serial half: memo's entry for k, simulated by sim
+// on r — and reported to Progress — the first time k is asked for.
+func recall[V any](r *Runner, memo map[SimKey]*V, k SimKey, sim func(*Runner, SimKey) *V) *V {
+	if v := memo[k]; v != nil {
+		return v
+	}
+	if r.Progress != nil {
+		r.Progress(k)
+	}
+	memo[k] = sim(r, k)
+	return memo[k]
 }
 
 // prewarm is the one worker pool: sim runs every cell the memo lacks on
 // per-worker clones of r. A panic inside a cell is recovered in its
 // worker and raised again here, on the calling goroutine, with the
 // cell's key — where a sweep's caller can recover it and name the cell.
-func prewarm[K comparable, V any](r *Runner, cells []K, memo map[K]*V, label func(K) SimKey, sim func(*Runner, K) *V) {
+func prewarm[V any](r *Runner, cells []SimKey, memo map[SimKey]*V, sim func(*Runner, SimKey) *V) {
 	if r.Workers <= 1 {
 		return
 	}
-	var todo []K
-	seen := map[K]bool{}
+	var todo []SimKey
+	seen := map[SimKey]bool{}
 	for _, k := range cells {
 		if seen[k] || memo[k] != nil {
 			continue
@@ -93,7 +74,7 @@ func prewarm[K comparable, V any](r *Runner, cells []K, memo map[K]*V, label fun
 		seen[k] = true
 		todo = append(todo, k)
 		if r.Progress != nil {
-			r.Progress(label(k))
+			r.Progress(k)
 		}
 	}
 	if len(todo) < 2 {

@@ -21,8 +21,8 @@ func TestPFSweepShape(t *testing.T) {
 		}
 		for j, c := range PFConfigs {
 			res := row[j].Sim
-			if res.Cycles() <= 0 {
-				t.Errorf("%s/pf%dd%d: cycles %d", name, c.Streams, c.Degree, res.Cycles())
+			if res.Core.Cycles <= 0 {
+				t.Errorf("%s/pf%dd%d: cycles %d", name, c.Streams, c.Degree, res.Core.Cycles)
 			}
 			if c.Streams == 0 && res.PF.Issued != 0 {
 				t.Errorf("%s: prefetch-off column issued %d prefetches", name, res.PF.Issued)
@@ -30,7 +30,7 @@ func TestPFSweepShape(t *testing.T) {
 		}
 		// The off column is the equivalence anchor: it must match the
 		// plain (no pf segment) configuration of the same pipeline.
-		plain := r.simKey(bestKey(w.Bench, sdramSpec("line", "frfcfs", w.Prof, dram.Knobs{MSHRs: PFMSHRs})))
+		plain := r.cell(bestKey(w.Bench, sdramSpec("line", "frfcfs", w.Prof, dram.Knobs{MSHRs: PFMSHRs})))
 		if row[0].Sim != plain {
 			t.Errorf("%s: off column %q is not the plain mshr pipeline's memo entry %q",
 				name, row[0].Sim.Key.DRAM, plain.Key.DRAM)

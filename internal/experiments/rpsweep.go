@@ -79,7 +79,7 @@ func RPSweep(r *Runner) *Table {
 		spec := at(func(k *dram.Knobs) { k.RP = rp })
 		s.Cols = append(s.Cols, Col{fmt.Sprintf(" %9s %6s %6s", "rp"+p, "B/cyc", "rowhit"), spec, " %9d %6.2f %6.3f",
 			func(c Result) []any {
-				return []any{c.Sim.Cycles(), c.Sim.DRAM.AchievedBandwidth(), c.Sim.DRAM.RowHitRate()}
+				return []any{c.Sim.Core.Cycles, c.Sim.DRAM.AchievedBandwidth(), c.Sim.DRAM.RowHitRate()}
 			}})
 		s.Detail = append(s.Detail, Col{"", spec, "  rp" + p + ": %d/%d/%d (%d def)", func(c Result) []any {
 			d := c.Sim.DRAM

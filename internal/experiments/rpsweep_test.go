@@ -24,7 +24,7 @@ func TestRPSweepShape(t *testing.T) {
 			t.Fatalf("%s: per-policy columns missing", name)
 		}
 		for j, p := range RPPolicies {
-			if c := row[j].Sim.Cycles(); c <= 0 {
+			if c := row[j].Sim.Core.Cycles; c <= 0 {
 				t.Errorf("%s/rp%s: cycles %d", name, p, c)
 			}
 			// Demand-only rows carry no speculative traffic to defer.
@@ -38,7 +38,7 @@ func TestRPSweepShape(t *testing.T) {
 		}
 		// The rpopen point is the plain (no rp token) pipeline of the
 		// row's traffic shape: same memo entry, not a second spelling.
-		plain := r.simKey(bestKey(w.Bench, sdramSpec("line", "frfcfs", w.Prof, w.Knobs)))
+		plain := r.cell(bestKey(w.Bench, sdramSpec("line", "frfcfs", w.Prof, w.Knobs)))
 		if row[openIdx].Sim != plain {
 			t.Errorf("%s: rpopen column is not the plain pipeline's memo entry (%q vs %q)",
 				name, row[openIdx].Sim.Key.DRAM, plain.Key.DRAM)

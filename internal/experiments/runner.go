@@ -6,6 +6,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -20,9 +22,11 @@ import (
 	"repro/internal/vmem"
 )
 
-// SimKey identifies one simulation configuration. DRAM is the
-// main-memory backend spec ("" for the seed's flat latency, "fixed",
-// or "sdram/<mapping>/<scheduler>").
+// SimKey identifies one cell: one simulation configuration. Bench is a
+// benchmark, or a tenant mix — the tenants' benchmarks joined with "+",
+// which cannot appear in a benchmark name. DRAM is the main-memory
+// backend spec ("" for the seed's flat latency, "fixed", or
+// "sdram/<mapping>/<scheduler>"; a mix's carries tn<tenants>).
 type SimKey struct {
 	Bench   string
 	Variant kernels.Variant
@@ -31,33 +35,28 @@ type SimKey struct {
 	DRAM    string
 }
 
-// SimResult is the outcome of one simulation, with the memory-system
-// counters copied out.
+// SimResult is the outcome of one cell, its counters copied out once:
+// these copies are what the figures, the sweeps and LatDist read. Core,
+// VM, ScalarL2, Activity and Trace are tenant 0's (a solo run's only
+// tenant); the rest belong to the shared memory system.
 type SimResult struct {
 	Key      SimKey
 	Core     *core.Stats
+	Cycles   []int64 // tenant i's execution time
 	VM       vmem.Stats
 	ScalarL2 uint64
 	Activity uint64 // total L2 accesses (Table 4)
 	Trace    *trace.Stats
 	DRAM     dram.Stats         // zero-valued under the flat model
+	Shards   []dram.TenantStats // tenant i's share of DRAM; nil for a solo run
 	MSHR     vmem.MSHRStats     // zero-valued under the blocking model
 	PF       vmem.PrefetchStats // zero-valued with the prefetcher off
-
-	// Snap is the stats-registry snapshot of the run: every registered
-	// counter, gauge and histogram under the unified naming scheme
-	// (core.*, cache.*, vmem.*, dram.*). The struct copies above remain
-	// for the figure builders; exporters should prefer the snapshot.
-	Snap stats.Snapshot
+	Walk     *stats.Histogram   // vm.walk.latency; nil without translation
 
 	// HostNs is the wall-clock cost of the simulation loop alone (trace
-	// generation and stat collection excluded). It is NOT part of Snap:
-	// the golden-matrix snapshots must stay byte-stable across hosts.
+	// generation and stat collection excluded).
 	HostNs int64
 }
-
-// Cycles is shorthand for the simulated execution time.
-func (r *SimResult) Cycles() int64 { return r.Core.Cycles }
 
 // Runner generates traces and runs simulations, memoizing results so the
 // figures can share configurations. Every (benchmark, variant) stream is
@@ -66,16 +65,15 @@ type Runner struct {
 	benches map[string]kernels.Benchmark // immutable after construction
 	order   []string
 
-	results       map[SimKey]*SimResult
-	tenantResults map[tenantCell]*TenantResult
-	store         *traceStore // shared with the worker clones child() makes
+	results map[SimKey]*SimResult
+	store   *traceStore // shared with the worker clones child() makes
 
 	// Progress, if non-nil, is called before each new simulation.
 	Progress func(key SimKey)
 
-	// DRAMSpec is the main-memory backend every Sim call uses unless a
-	// caller overrides it with SimDRAM: "" (the seed's flat latency),
-	// "fixed", or "sdram/<mapping>/<scheduler>".
+	// DRAMSpec is the main-memory backend Sim uses: "" (the seed's flat
+	// latency), "fixed", or "sdram/<mapping>/<scheduler>". A cell's
+	// SimKey names its own.
 	DRAMSpec string
 
 	// Engine selects the simulation engine for every run: the per-cycle
@@ -119,10 +117,9 @@ func NewRunner() *Runner { return NewRunnerWith(kernels.All()) }
 // benchmarks).
 func NewRunnerWith(bms []kernels.Benchmark) *Runner {
 	r := &Runner{
-		benches:       map[string]kernels.Benchmark{},
-		results:       map[SimKey]*SimResult{},
-		tenantResults: map[tenantCell]*TenantResult{},
-		store:         &traceStore{streams: map[streamKey]*stream{}},
+		benches: map[string]kernels.Benchmark{},
+		results: map[SimKey]*SimResult{},
+		store:   &traceStore{streams: map[streamKey]*stream{}},
 	}
 	for _, bm := range bms {
 		r.benches[bm.Name] = bm
@@ -180,10 +177,10 @@ func coreConfigFor(v kernels.Variant) core.Config {
 	return core.MOMCore()
 }
 
-// Sim runs (or recalls) one simulation over the runner's default DRAM
-// backend.
+// Sim runs (or recalls) one benchmark over the runner's default DRAM
+// backend: the figures' shorthand for cell.
 func (r *Runner) Sim(bench string, v kernels.Variant, mem core.MemKind, l2lat int64) *SimResult {
-	return r.SimDRAM(bench, v, mem, l2lat, r.DRAMSpec)
+	return r.cell(SimKey{Bench: bench, Variant: v, Mem: mem, L2Lat: l2lat, DRAM: r.DRAMSpec})
 }
 
 // flatMemLatency is the seed's main-memory latency beyond L2. The
@@ -191,15 +188,16 @@ func (r *Runner) Sim(bench string, v kernels.Variant, mem core.MemKind, l2lat in
 // `-dram fixed` stops being bit-identical to the seed model.
 const flatMemLatency = 100
 
-// machine builds one cell as a tenant group: mix[i] is tenant i's
-// benchmark (one name is a solo run, a group of one), every tenant on
-// key's ISA variant and memory system, over a fresh backend — they are
-// stateful — built from key.DRAM (nil, the seed's flat latency, for "").
-// This is the only construction site: a spec that does not parse, a
-// placement policy the VM refuses, or a tn<n> token that disagrees with
-// the cell panics here with the cell's key.
-func (r *Runner) machine(key SimKey, mix []string) *tenant.Group {
+// machine builds one cell as a tenant group: tenant i runs the i-th
+// benchmark of key.Bench's mix (one name is a solo run, a group of one),
+// every tenant on key's ISA variant and memory system, over a fresh
+// backend — they are stateful — built from key.DRAM (nil, the seed's
+// flat latency, for ""). This is the only construction site: a spec that
+// does not parse, a placement policy the VM refuses, or a tn<n> token
+// that disagrees with the mix panics here with the cell's key.
+func (r *Runner) machine(key SimKey) *tenant.Group {
 	fail := func(err any) { panic(fmt.Sprintf("experiments: %+v: %v", key, err)) }
+	mix := strings.Split(key.Bench, "+")
 	var backend dram.Backend
 	var knobs dram.Knobs
 	var err error
@@ -239,30 +237,29 @@ func (r *Runner) machine(key SimKey, mix []string) *tenant.Group {
 		Streams: streams, Engine: r.Engine, VM: vmsys})
 }
 
-// SimDRAM runs (or recalls) one simulation over an explicit DRAM
-// backend spec.
-func (r *Runner) SimDRAM(bench string, v kernels.Variant, mem core.MemKind, l2lat int64, spec string) *SimResult {
-	key := SimKey{Bench: bench, Variant: v, Mem: mem, L2Lat: l2lat, DRAM: spec}
-	if res, ok := r.results[key]; ok {
-		return res
-	}
-	if r.Progress != nil {
-		r.Progress(key)
-	}
-	g := r.machine(key, []string{bench})
+// cell runs (or recalls) the simulation key names, solo run or mix.
+func (r *Runner) cell(key SimKey) *SimResult { return recall(r, r.results, key, (*Runner).simulate) }
+
+// simulate builds and runs the machine key names.
+func (r *Runner) simulate(key SimKey) *SimResult { return r.result(key, r.machine(key)) }
+
+// result runs g, the machine key names, and copies out what the figures
+// and sweeps read — copies and standalone histograms only, so a memoized
+// result keeps nothing of the machine reachable.
+func (r *Runner) result(key SimKey, g *tenant.Group) *SimResult {
 	start := time.Now()
 	g.Run()
-	hostNs := time.Since(start).Nanoseconds()
-	ms := g.Mem(0)
-	res := &SimResult{
-		Key:      key,
-		Core:     g.Stats(0),
-		VM:       *ms.VM.Stats(),
-		ScalarL2: ms.ScalarL2Accesses,
-		Activity: ms.L2Activity(),
-		Trace:    r.traceFor(bench, v).st,
-		HostNs:   hostNs,
+	res := &SimResult{Key: key, HostNs: time.Since(start).Nanoseconds(), Cycles: make([]int64, g.N())}
+	for i := range res.Cycles {
+		res.Cycles[i] = g.Stats(i).Cycles
+		if ts := g.TenantStatsOf(i); ts != nil {
+			res.Shards = append(res.Shards, *ts)
+		}
 	}
+	ms := g.Mem(0)
+	first, _, _ := strings.Cut(key.Bench, "+")
+	res.Core, res.VM, res.Trace = g.Stats(0), *ms.VM.Stats(), r.traceFor(first, key.Variant).st
+	res.ScalarL2, res.Activity = ms.ScalarL2Accesses, ms.L2Activity()
 	if b := ms.DRAM(); b != nil {
 		res.DRAM = *b.Stats()
 	}
@@ -270,30 +267,20 @@ func (r *Runner) SimDRAM(bench string, v kernels.Variant, mem core.MemKind, l2la
 		res.MSHR = *f.Stats()
 		res.PF = f.PrefetchStats()
 	}
-	reg := stats.NewRegistry()
-	g.Register(reg)
-	res.Snap = reg.Snapshot()
-	r.results[key] = res
+	if sp := ms.Tim.VA; sp != nil {
+		res.Walk = sp.VM().WalkStats().Latency
+	}
 	return res
 }
 
 // HostPerf sums the simulation wall clock and simulated cycles across
-// every memoized run — single-requestor and multi-tenant — for the
-// front end's host-performance summary line. Multi-tenant runs count
-// the slowest tenant's cycles: the tenants share one clock, so that is
-// the simulated time the host paid for.
+// every memoized cell for the front end's host-performance summary
+// line. A mix counts its slowest tenant's cycles: the tenants share one
+// clock, so that is the simulated time the host paid for.
 func (r *Runner) HostPerf() (ns, cycles int64) {
 	for _, res := range r.results {
 		ns += res.HostNs
-		cycles += res.Core.Cycles
-	}
-	for _, res := range r.tenantResults {
-		ns += res.HostNs
-		var maxCyc int64
-		for _, c := range res.Cycles {
-			maxCyc = max(maxCyc, c)
-		}
-		cycles += maxCyc
+		cycles += slices.Max(res.Cycles)
 	}
 	return ns, cycles
 }

@@ -16,13 +16,11 @@ import (
 // driver ever enumerates, every sweep honours Runner.Workers, and two
 // sweeps that name the same machine share its simulation.
 
-// Result is what one cell's simulation produced: Sim when the row runs
-// a benchmark; Tenants, plus every tenant's cycles alone, when it runs a
-// mix.
+// Result is what one cell's simulation produced, plus, when the row
+// runs a mix, every tenant's cycles alone.
 type Result struct {
-	Sim     *SimResult
-	Tenants *TenantResult
-	Solo    []int64
+	Sim  *SimResult
+	Solo []int64
 }
 
 // Row is one line of a sweep: the label columns as they print, what
@@ -117,46 +115,41 @@ func benchProfRows(benches, profs []string, k dram.Knobs) []Row {
 }
 
 // Typed getters the grids share.
-func cycles(c Result) []any { return []any{c.Sim.Cycles()} }
+func cycles(c Result) []any { return []any{c.Sim.Core.Cycles} }
 func cyclesBW(c Result) []any {
-	return []any{c.Sim.Cycles(), c.Sim.DRAM.AchievedBandwidth()}
+	return []any{c.Sim.Core.Cycles, c.Sim.DRAM.AchievedBandwidth()}
 }
 
 // Run simulates the sweep on r: one enumeration of rows × columns, one
-// prewarm of the cells it found, one gather.
+// prewarm of the cells it found, one gather. The mixes' solo baselines
+// head the list, the order the pool has always reported them in.
 func (s *Sweep) Run(r *Runner) *Table {
 	cols := append(s.Cols[:len(s.Cols):len(s.Cols)], s.Detail...)
-	specs := make([][]string, len(s.Rows))
-	var sims []SimKey
-	var mixes []tenantCell
-	for i, w := range s.Rows {
+	var cells []SimKey
+	for _, w := range s.Rows {
 		for _, bench := range w.Mix {
-			sims = append(sims, bestKey(bench, w.Solo))
-		}
-		for _, c := range cols {
-			spec := c.Spec(w)
-			specs[i] = append(specs[i], spec)
-			if w.Mix == nil {
-				sims = append(sims, bestKey(w.Bench, spec))
-			} else {
-				mixes = append(mixes, tenantCell{strings.Join(w.Mix, "+"), baseLat, spec})
-			}
+			cells = append(cells, bestKey(bench, w.Solo))
 		}
 	}
-	r.prewarm(sims)
-	r.prewarmTenants(mixes)
+	grid := len(cells)
+	for _, w := range s.Rows {
+		bench := w.Bench
+		if w.Mix != nil {
+			bench = strings.Join(w.Mix, "+")
+		}
+		for _, c := range cols {
+			cells = append(cells, bestKey(bench, c.Spec(w)))
+		}
+	}
+	r.prewarm(cells)
 	t := &Table{Sweep: s, Cells: make([][]Result, len(s.Rows))}
 	for i, w := range s.Rows {
 		var solo []int64
 		for _, bench := range w.Mix {
-			solo = append(solo, r.simKey(bestKey(bench, w.Solo)).Cycles())
+			solo = append(solo, r.cell(bestKey(bench, w.Solo)).Core.Cycles)
 		}
-		for _, spec := range specs[i] {
-			if w.Mix == nil {
-				t.Cells[i] = append(t.Cells[i], Result{Sim: r.simKey(bestKey(w.Bench, spec))})
-			} else {
-				t.Cells[i] = append(t.Cells[i], Result{Tenants: r.SimTenants(w.Mix, baseLat, spec), Solo: solo})
-			}
+		for _, k := range cells[grid+i*len(cols):][:len(cols)] {
+			t.Cells[i] = append(t.Cells[i], Result{Sim: r.cell(k), Solo: solo})
 		}
 	}
 	return t

@@ -30,7 +30,7 @@ func WQSweep(r *Runner) *Table {
 			Spec: at(func(k *dram.Knobs) { k.WQDrain = n }),
 			Fmt:  " %9d %6.2f %6d",
 			Get: func(c Result) []any {
-				return []any{c.Sim.Cycles(), c.Sim.DRAM.AchievedBandwidth(), c.Sim.DRAM.WriteDrains}
+				return []any{c.Sim.Core.Cycles, c.Sim.DRAM.AchievedBandwidth(), c.Sim.DRAM.WriteDrains}
 			},
 		})
 	}

@@ -152,9 +152,9 @@ func ComputeHeadline(r *Runner) Headline {
 	for _, bench := range r.Benchmarks() {
 		mom := r.MOMVectorCache(bench)
 		d3 := r.MOM3DVectorCache(bench)
-		speedups = append(speedups, float64(mom.Cycles())/float64(d3.Cycles())-1)
-		pm := power.Estimate(p, mom.Cycles(), &mom.VM, mom.ScalarL2, 0).L2Watts
-		pd := power.Estimate(p, d3.Cycles(), &d3.VM, d3.ScalarL2, d3.Trace.D3MoveElems).L2Watts
+		speedups = append(speedups, float64(mom.Core.Cycles)/float64(d3.Core.Cycles)-1)
+		pm := power.Estimate(p, mom.Core.Cycles, &mom.VM, mom.ScalarL2, 0).L2Watts
+		pd := power.Estimate(p, d3.Core.Cycles, &d3.VM, d3.ScalarL2, d3.Trace.D3MoveElems).L2Watts
 		if pm > 0 {
 			powerSaves = append(powerSaves, 1-pd/pm)
 		}

@@ -118,13 +118,14 @@ func TestSharedTracesAreReadOnly(t *testing.T) {
 		c := r.child()
 		c.Engine = mode
 		for _, bench := range r.Benchmarks() {
-			c.SimDRAM(bench, kernels.MMX, core.MemMultiBanked, baseLat, "")
-			c.SimDRAM(bench, kernels.MOM, core.MemVectorCache, baseLat, "sdram/line/frfcfs/mshr8/pf8d4")
-			c.SimDRAM(bench, kernels.MOM3D, core.MemVectorCache3D, baseLat, "sdram/bank/frfcfs/vacolor")
+			c.cell(SimKey{Bench: bench, Variant: kernels.MMX, Mem: core.MemMultiBanked, L2Lat: baseLat})
+			c.cell(SimKey{Bench: bench, Variant: kernels.MOM, Mem: core.MemVectorCache, L2Lat: baseLat,
+				DRAM: "sdram/line/frfcfs/mshr8/pf8d4"})
+			c.cell(bestKey(bench, "sdram/bank/frfcfs/vacolor"))
 		}
 		for _, mix := range IFMixes {
-			c.SimTenants(mix, baseLat, fmt.Sprintf("sdram/line/frfcfs/tn%d/qos", len(mix)))
-			c.SimTenants(mix, baseLat, fmt.Sprintf("sdram/bank/frfcfs/tn%d/vacolor", len(mix)))
+			c.cell(bestKey(strings.Join(mix, "+"), fmt.Sprintf("sdram/line/frfcfs/tn%d/qos", len(mix))))
+			c.cell(bestKey(strings.Join(mix, "+"), fmt.Sprintf("sdram/bank/frfcfs/tn%d/vacolor", len(mix))))
 		}
 	}
 
@@ -155,9 +156,9 @@ func TestPrewarmPanicSurfacesOnCaller(t *testing.T) {
 		},
 		"tenant cell": {
 			func(r *Runner) {
-				r.prewarmTenants([]tenantCell{
-					{mix: "gsmencode+gsmencode", l2lat: baseLat, spec: ifBaseSpec + "/tn2"},
-					{mix: "gsmencode+gsmencode", l2lat: baseLat, spec: ifBaseSpec + "/tn4"},
+				r.prewarm([]SimKey{
+					bestKey("gsmencode+gsmencode", ifBaseSpec+"/tn2"),
+					bestKey("gsmencode+gsmencode", ifBaseSpec+"/tn4"),
 				})
 			},
 			[]string{"gsmencode+gsmencode", "tn4 for a 2-tenant mix"},
@@ -173,9 +174,8 @@ func TestPrewarmPanicSurfacesOnCaller(t *testing.T) {
 						t.Errorf("recovered %q, want it to contain %q", msg, w)
 					}
 				}
-				if len(r.results)+len(r.tenantResults) != 1 {
-					t.Errorf("memo holds %d cells, want the one that ran before the failure",
-						len(r.results)+len(r.tenantResults))
+				if len(r.results) != 1 {
+					t.Errorf("memo holds %d cells, want the one that ran before the failure", len(r.results))
 				}
 			}()
 			tc.run(r)

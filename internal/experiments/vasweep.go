@@ -43,7 +43,7 @@ func VASweep(r *Runner) *Table {
 		Head:  fmt.Sprintf("%-38s", "mix (policy)"),
 		Cols: []Col{{fmt.Sprintf(" %-24s %6s %6s %6s %6s", "tenant slowdowns vs solo", "max", "jain", "B/cyc", "row%"),
 			shared("bank"), " %-24s %6.3f %6.3f %6.2f %6.1f", func(c Result) []any {
-				return append(fairness(c), c.Tenants.DRAM.AchievedBandwidth(), 100*c.Tenants.DRAM.RowHitRate())
+				return append(fairness(c), c.Sim.DRAM.AchievedBandwidth(), 100*c.Sim.DRAM.RowHitRate())
 			}}},
 		Note: "slowdown = shared-pool cycles / solo cycles under the same placement policy; the\n" +
 			"bank mapping keeps each 4 KiB page on one channel, so placement is the whole\n" +

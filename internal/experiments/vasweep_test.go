@@ -15,10 +15,10 @@ func TestVASweepShape(t *testing.T) {
 		w, c := tab.Rows[i], row[0]
 		name := strings.TrimSpace(w.Label)
 		n := len(w.Mix)
-		if len(c.Solo) != n || len(c.Tenants.Cycles) != n {
+		if len(c.Solo) != n || len(c.Sim.Cycles) != n {
 			t.Fatalf("%s: per-tenant columns missing", name)
 		}
-		if len(c.Tenants.Shards) != n {
+		if len(c.Sim.Shards) != n {
 			t.Fatalf("%s: backend stat shards missing", name)
 		}
 		for j := 0; j < n; j++ {
@@ -27,15 +27,15 @@ func TestVASweepShape(t *testing.T) {
 			}
 			// Contending for the shared pool, channels and rows can never
 			// beat running alone under the same placement policy.
-			if c.Tenants.Cycles[j] < c.Solo[j] {
+			if c.Sim.Cycles[j] < c.Solo[j] {
 				t.Errorf("%s tenant %d: shared run faster than solo (%d vs %d)",
-					name, j, c.Tenants.Cycles[j], c.Solo[j])
+					name, j, c.Sim.Cycles[j], c.Solo[j])
 			}
-			if c.Tenants.Shards[j].Reads == 0 {
+			if c.Sim.Shards[j].Reads == 0 {
 				t.Errorf("%s tenant %d: shard saw no reads", name, j)
 			}
 		}
-		sl := slowdowns(c.Tenants.Cycles, c.Solo)
+		sl := slowdowns(c.Sim.Cycles, c.Solo)
 		if j := jain(sl); j <= 0 || j > 1.0000001 {
 			t.Errorf("%s: Jain index %f out of (0,1]", name, j)
 		}
@@ -45,10 +45,10 @@ func TestVASweepShape(t *testing.T) {
 	// reaching the controller.
 	differs := false
 	for i := 0; i+len(VAPolicies) <= len(tab.Cells); i += len(VAPolicies) {
-		base := tab.Cells[i][0].Tenants // first-fit cell of this mix
+		base := tab.Cells[i][0].Sim // first-fit cell of this mix
 		for _, other := range tab.Cells[i+1 : i+len(VAPolicies)] {
 			for j := range base.Cycles {
-				if base.Cycles[j] != other[0].Tenants.Cycles[j] {
+				if base.Cycles[j] != other[0].Sim.Cycles[j] {
 					differs = true
 				}
 			}
