@@ -66,15 +66,20 @@ type MemSystem struct {
 
 // NewMemSystem builds a memory system. lanes is the processor's lane
 // count (the vector cache port width in words); bankL1 enables L1 port
-// banking (the MMX multi-banked configuration).
+// banking (the MMX multi-banked configuration). A Timing without a
+// Backend gets the seed's flat latency, dram.NewFixed(tim.MemLatency):
+// below this constructor main memory is always a backend.
 func NewMemSystem(kind MemKind, tim vmem.Timing, lanes int, bankL1 bool) *MemSystem {
+	if tim.Backend == nil {
+		tim.Backend = dram.NewFixed(tim.MemLatency)
+	}
 	if kind == MemIdeal {
 		return newFrontEnd(kind, tim, lanes, bankL1, nil)
 	}
 	l2 := cache.New(cache.L2Config(tim.L2Latency))
 	// Every L2 miss becomes one backend request per L2 line, so the
 	// backend must agree on the transfer granularity.
-	if tim.Backend != nil && tim.Backend.LineBytes() != l2.Config().LineSize {
+	if tim.Backend.LineBytes() != l2.Config().LineSize {
 		panic(fmt.Sprintf("dram line bytes %d != L2 line size %d",
 			tim.Backend.LineBytes(), l2.Config().LineSize))
 	}
@@ -227,7 +232,7 @@ func (m *MemSystem) ScalarAccess(in *isa.Inst, t int64) (int64, *vmem.Pending) {
 	m.scalarBatch = m.scalarBatch[:0]
 	ten := uint8(m.Tim.Tenant)
 	m.scalarBatch = append(m.scalarBatch, dram.Request{Addr: addr, At: done, Tenant: ten})
-	if res.Writeback && m.Tim.Backend != nil {
+	if res.Writeback {
 		m.scalarBatch = append(m.scalarBatch, dram.Request{Addr: res.VictimAddr, Write: true, At: done, Tenant: ten})
 	}
 	return m.Tim.Complete(m.scalarBatch, m.scalarPF[:0], done)
@@ -240,7 +245,7 @@ func (m *MemSystem) L2Activity() uint64 {
 }
 
 // DRAM returns the main-memory backend shared by the vector and scalar
-// paths, or nil when the flat MemLatency model is in use.
+// paths (dram.Fixed when the Timing named none).
 func (m *MemSystem) DRAM() dram.Backend {
 	return m.Tim.Backend
 }

@@ -5,8 +5,34 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dram"
+	"repro/internal/engine"
+	"repro/internal/kernels"
 	"repro/internal/vmem"
 )
+
+// TestFlatDefaultIsFixed: a Timing that names no backend gets the seed's
+// flat latency as dram.NewFixed(MemLatency) — the one main-memory model
+// below NewMemSystem — so it must export the same whole-registry snapshot
+// as the same Timing naming that backend, on every memory system, both
+// miss models and both engines.
+func TestFlatDefaultIsFixed(t *testing.T) {
+	for _, kind := range []MemKind{MemIdeal, MemMultiBanked, MemVectorCache, MemVectorCache3D} {
+		for _, mshrs := range []int{0, 8} {
+			for _, mode := range []engine.Mode{engine.Step, engine.Wheel} {
+				flat := vmem.Timing{L2Latency: 20, MemLatency: 100, MSHRs: mshrs}
+				fixed := flat
+				fixed.Backend = dram.NewFixed(100)
+				got := timSnapshot(t, GSMEnc(), kernels.MOM3D, kind, flat, nil, runOn(mode))
+				want := timSnapshot(t, GSMEnc(), kernels.MOM3D, kind, fixed, nil, runOn(mode))
+				if got != want {
+					t.Errorf("%v/mshr%d/%v: no backend named diverged from dram.NewFixed(100)\n--- default ---\n%s--- fixed ---\n%s",
+						kind, mshrs, mode, got, want)
+				}
+			}
+		}
+	}
+}
 
 // TestTenantCountBounds: a tenant count a dram.Request cannot name is a
 // construction error that says what the limit is (the CLIs and spec

@@ -33,7 +33,7 @@ func (s *Stats) Register(reg *stats.Registry) {
 // Register wires every stat struct the memory system owns into reg
 // under the package naming scheme. Subsystems the configuration does
 // not instantiate (no caches under MemIdeal, no MSHR file in blocking
-// mode, no prefetcher, flat memory) simply contribute no names.
+// mode, no prefetcher) simply contribute no names.
 func (m *MemSystem) Register(reg *stats.Registry) {
 	m.RegisterShared(reg)
 	m.RegisterFrontEnd(reg, "")
@@ -56,9 +56,7 @@ func (m *MemSystem) RegisterShared(reg *stats.Registry) {
 			reg.OnSnapshot(func() { m.PrefetchStats() })
 		}
 	}
-	if b := m.DRAM(); b != nil {
-		reg.AddStruct("dram", b.Stats())
-	}
+	reg.AddStruct("dram", m.DRAM().Stats())
 	if sp := m.Tim.VA; sp != nil {
 		sp.VM().RegisterShared(reg)
 	}

@@ -50,7 +50,12 @@ func TestWheelMatchesStepGolden(t *testing.T) {
 func engineSnapshot(t *testing.T, bm kernels.Benchmark, v kernels.Variant,
 	kind MemKind, spec string, mut func(*Config), mode engine.Mode) string {
 	t.Helper()
-	return driveSnapshot(t, bm, v, kind, spec, mut, func(s *Sim) {
+	return driveSnapshot(t, bm, v, kind, spec, mut, runOn(mode))
+}
+
+// runOn is the drive of a whole run on one engine.
+func runOn(mode engine.Mode) func(*Sim) {
+	return func(s *Sim) {
 		for s.Running() {
 			if mode == engine.Wheel {
 				s.Advance()
@@ -58,7 +63,7 @@ func engineSnapshot(t *testing.T, bm kernels.Benchmark, v kernels.Variant,
 				s.Step()
 			}
 		}
-	})
+	}
 }
 
 // driveSnapshot is engineSnapshot with the clock in the caller's hands:
@@ -66,15 +71,6 @@ func engineSnapshot(t *testing.T, bm kernels.Benchmark, v kernels.Variant,
 func driveSnapshot(t *testing.T, bm kernels.Benchmark, v kernels.Variant,
 	kind MemKind, spec string, mut func(*Config), drive func(*Sim)) string {
 	t.Helper()
-	tr := &trace.Trace{}
-	bm.Run(v, tr)
-	cfg := MOMCore()
-	if v == kernels.MMX {
-		cfg = MMXCore()
-	}
-	if mut != nil {
-		mut(&cfg)
-	}
 	var backend dram.Backend
 	var knobs dram.Knobs
 	if spec != "" {
@@ -93,14 +89,27 @@ func driveSnapshot(t *testing.T, bm kernels.Benchmark, v kernels.Variant,
 		}
 		tim.VA = vmsys.Space(0)
 	}
+	return timSnapshot(t, bm, v, kind, tim, mut, drive)
+}
+
+// timSnapshot is driveSnapshot over a Timing the caller built.
+func timSnapshot(t *testing.T, bm kernels.Benchmark, v kernels.Variant,
+	kind MemKind, tim vmem.Timing, mut func(*Config), drive func(*Sim)) string {
+	t.Helper()
+	tr := &trace.Trace{}
+	bm.Run(v, tr)
+	cfg := MOMCore()
+	if v == kernels.MMX {
+		cfg = MMXCore()
+	}
+	if mut != nil {
+		mut(&cfg)
+	}
 	ms := NewMemSystem(kind, tim, cfg.Lanes, v == kernels.MMX && kind != MemIdeal)
 	s := NewSim(cfg, ms, tr.Insts)
 	drive(s)
 	st := s.Finish()
-	ms.Drain()
-	if sd, ok := backend.(*dram.SDRAM); ok {
-		sd.Flush()
-	}
+	ms.Drain() // the banked part's posted writes included
 	reg := stats.NewRegistry()
 	st.Register(reg)
 	ms.Register(reg)
@@ -124,7 +133,7 @@ func requireEngineMatch(t *testing.T, name string, bm kernels.Benchmark,
 // every registered counter, gauge and histogram to match bit for bit.
 func TestWheelMatchesStepSnapshots(t *testing.T) {
 	specs := []string{
-		"", // flat latency, nil backend
+		"", // no backend named: NewMemSystem's dram.Fixed
 		"fixed",
 		"sdram/line/frfcfs",
 		"sdram/bank/fcfs/ddr",
@@ -216,8 +225,9 @@ func TestWheelMatchesStepStoreBuffer(t *testing.T) {
 }
 
 // sleeperSpecs are the backends the mid-run tests cross: the flat
-// latency (nil backend), the non-blocking pipeline over the banked
-// part, and a deep MSHR file with the stream prefetcher riding it.
+// latency (the dram.Fixed NewMemSystem builds when none is named), the
+// non-blocking pipeline over the banked part, and a deep MSHR file with
+// the stream prefetcher riding it.
 var sleeperSpecs = []string{"", "sdram/line/frfcfs/mshr8", "sdram/line/frfcfs/mshr64/pf8d4"}
 
 // TestEngineSwitchMidRun changes engine every n cycles, in both

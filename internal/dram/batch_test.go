@@ -353,38 +353,50 @@ func TestSubmitArrivalOrderMatchesStableSort(t *testing.T) {
 // fanned over all eight channels of the HBM part, a few posted writes,
 // arrivals in issue order — with the clock moved past its completions.
 type submitRound struct {
-	s     *SDRAM
+	b     Backend
 	batch [64]Request
 	at    int64
 	line  uint64
 }
 
-func newSubmitRound() *submitRound { return &submitRound{s: NewSDRAM(PresetHBM.Config())} }
+func newSubmitRound() *submitRound { return &submitRound{b: NewSDRAM(PresetHBM.Config())} }
 
 func (r *submitRound) run() {
 	for i := range r.batch {
 		r.batch[i] = Request{Addr: r.line * 128, Write: i%16 == 15, At: r.at + int64(i/4), ID: uint64(i + 1)}
 		r.line = (r.line*5 + 1) % (1 << 20) // every line of a 128 MB window once, rows and banks mixed
 	}
-	for _, c := range r.s.Submit(r.batch[:]) {
+	for _, c := range r.b.Submit(r.batch[:]) {
 		r.at = max(r.at, c.Done)
 	}
 }
 
+// fixedSink keeps NewFixed's result on the heap, where the machine keeps it.
+var fixedSink *Fixed
+
 // TestSubmitSteadyStateDoesNotAllocate: once the per-Submit scratch
-// has seen its batch size, scheduling a batch on the 8-channel part
-// allocates nothing — ordering nine index lists by arrival included,
-// which cost three allocations each under sort.SliceStable.
+// has seen its batch size, scheduling a batch allocates nothing — on the
+// 8-channel part, ordering nine index lists by arrival included (three
+// allocations each under sort.SliceStable), and on the flat backend every
+// machine without a named one runs. Building the flat backend costs one
+// allocation: it is built once per simulated cell, and a histogram or
+// completion slice of its own would add one per cell to every paper
+// figure's run.
 func TestSubmitSteadyStateDoesNotAllocate(t *testing.T) {
-	r := newSubmitRound()
-	if r.s.Config().Channels != 8 {
-		t.Fatalf("the HBM preset has %d channels, want the 8-channel part", r.s.Config().Channels)
+	if ch := PresetHBM.Config().Channels; ch != 8 {
+		t.Fatalf("the HBM preset has %d channels, want the 8-channel part", ch)
 	}
-	for i := 0; i < 16; i++ {
-		r.run() // warm: scratch, write queues and policy state reach size
+	for _, b := range []Backend{NewSDRAM(PresetHBM.Config()), NewFixed(100)} {
+		r := &submitRound{b: b}
+		for i := 0; i < 16; i++ {
+			r.run() // warm: scratch, write queues and policy state reach size
+		}
+		if n := testing.AllocsPerRun(200, r.run); n != 0 {
+			t.Errorf("%s: a warmed Submit allocates %.0f times per batch, want 0", b.Name(), n)
+		}
 	}
-	if n := testing.AllocsPerRun(200, r.run); n != 0 {
-		t.Fatalf("a warmed Submit allocates %.0f times per batch, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { fixedSink = NewFixed(100) }); n > 1 {
+		t.Errorf("NewFixed allocates %.0f times, want 1", n)
 	}
 }
 

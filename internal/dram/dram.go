@@ -98,8 +98,7 @@ type Completion struct {
 // back-to-back batches contend realistically.
 //
 // The returned slice is owned by the backend and only valid until the
-// next Submit or Reset call; callers that retain completions must copy
-// them.
+// next Submit call; callers that retain completions must copy them.
 type Backend interface {
 	// Name identifies the backend in reports.
 	Name() string
@@ -125,8 +124,6 @@ type Backend interface {
 	// victim would land on a saturated write queue. Backends without a
 	// write queue always have room.
 	WriteRoom(addr uint64) bool
-	// Reset clears all timing state and counters.
-	Reset()
 }
 
 // Stats aggregates a backend's activity.
@@ -221,8 +218,8 @@ type Stats struct {
 	ReadService *stats.Histogram
 }
 
-// initHists allocates the latency histograms once; the Reset paths
-// clear them in place so pointers held by a stats registry stay live.
+// initHists allocates the latency histograms once; SDRAM.Reset clears
+// them in place so pointers held by a stats registry stay live.
 func (s *Stats) initHists() {
 	if s.ReadWait == nil {
 		s.ReadWait = stats.NewHistogram()
@@ -310,21 +307,31 @@ func (s *Stats) observe(t0, done int64, lineBytes int) {
 // Fixed is the seed's flat-latency memory: every request completes a
 // constant number of cycles after it arrives, with unbounded bandwidth.
 // Requests in a batch are independent, so Submit is bit-identical to
-// the seed's one-at-a-time model.
+// the seed's one-at-a-time model. It is the main memory of every
+// machine built without a Backend (core.NewMemSystem), so it is built
+// once per simulated cell, as one allocation: the struct holds its two
+// histograms and the first backing array of its completions.
 type Fixed struct {
 	Latency   int64
 	lineBytes int
 	st        Stats
+	wait, svc stats.Histogram // st.ReadWait, st.ReadService
 	tst       []TenantStats
 	tr        *stats.Tracer
 	comps     []Completion
+	buf       [fixedBatch]Completion
 }
+
+// fixedBatch is the completion capacity a Fixed starts with: a 16-element
+// 3D load on the vector cache missing two lines per element, plus a
+// write-back per fill. A larger batch (an MSHR flush) grows comps.
+const fixedBatch = 64
 
 // NewFixed returns a flat-latency backend (the seed's 100-cycle DRAM
 // when latency is 100). Its line size is the shared L2 line constant.
 func NewFixed(latency int64) *Fixed {
 	f := &Fixed{Latency: latency, lineBytes: lineBytes}
-	f.st.initHists()
+	f.st.ReadWait, f.st.ReadService, f.comps = &f.wait, &f.svc, f.buf[:0]
 	return f
 }
 
@@ -344,14 +351,6 @@ func (f *Fixed) MinReadLatency() int64 { return f.Latency }
 // WriteRoom implements Backend: the flat model has no write queue, so
 // a posted write always has room.
 func (f *Fixed) WriteRoom(uint64) bool { return true }
-
-// Reset implements Backend.
-func (f *Fixed) Reset() {
-	f.st.reset()
-	for i := range f.tst {
-		f.tst[i].reset()
-	}
-}
 
 // SetTracer implements Traceable.
 func (f *Fixed) SetTracer(t *stats.Tracer) { f.tr = t }

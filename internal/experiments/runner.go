@@ -47,7 +47,7 @@ type SimResult struct {
 	ScalarL2 uint64
 	Activity uint64 // total L2 accesses (Table 4)
 	Trace    *trace.Stats
-	DRAM     dram.Stats         // zero-valued under the flat model
+	DRAM     dram.Stats         // the backend's, dram.Fixed's for a "" or "fixed" cell
 	Shards   []dram.TenantStats // tenant i's share of DRAM; nil for a solo run
 	MSHR     vmem.MSHRStats     // zero-valued under the blocking model
 	PF       vmem.PrefetchStats // zero-valued with the prefetcher off
@@ -183,18 +183,19 @@ func (r *Runner) Sim(bench string, v kernels.Variant, mem core.MemKind, l2lat in
 	return r.cell(SimKey{Bench: bench, Variant: v, Mem: mem, L2Lat: l2lat, DRAM: r.DRAMSpec})
 }
 
-// flatMemLatency is the seed's main-memory latency beyond L2. The
-// "fixed" spec and the nil-backend Timing must use the same value or
-// `-dram fixed` stops being bit-identical to the seed model.
+// flatMemLatency is the seed's main-memory latency beyond L2, the
+// dram.Fixed latency of both a "fixed" cell and a "" cell (whose Timing
+// names no backend, so core.NewMemSystem builds it from MemLatency).
 const flatMemLatency = 100
 
 // machine builds one cell as a tenant group: tenant i runs the i-th
 // benchmark of key.Bench's mix (one name is a solo run, a group of one),
 // every tenant on key's ISA variant and memory system, over a fresh
-// backend — they are stateful — built from key.DRAM (nil, the seed's
-// flat latency, for ""). This is the only construction site: a spec that
-// does not parse, a placement policy the VM refuses, or a tn<n> token
-// that disagrees with the mix panics here with the cell's key.
+// backend — they are stateful — built from key.DRAM (left to
+// core.NewMemSystem, the seed's flat latency, for ""). This is the only
+// construction site: a spec that does not parse, a placement policy the
+// VM refuses, or a tn<n> token that disagrees with the mix panics here
+// with the cell's key.
 func (r *Runner) machine(key SimKey) *tenant.Group {
 	fail := func(err any) { panic(fmt.Sprintf("experiments: %+v: %v", key, err)) }
 	mix := strings.Split(key.Bench, "+")
@@ -260,9 +261,7 @@ func (r *Runner) result(key SimKey, g *tenant.Group) *SimResult {
 	first, _, _ := strings.Cut(key.Bench, "+")
 	res.Core, res.VM, res.Trace = g.Stats(0), *ms.VM.Stats(), r.traceFor(first, key.Variant).st
 	res.ScalarL2, res.Activity = ms.ScalarL2Accesses, ms.L2Activity()
-	if b := ms.DRAM(); b != nil {
-		res.DRAM = *b.Stats()
-	}
+	res.DRAM = *ms.DRAM().Stats()
 	if f := ms.MSHR(); f != nil {
 		res.MSHR = *f.Stats()
 		res.PF = f.PrefetchStats()

@@ -118,7 +118,7 @@ func New(o Options) *Group {
 		stats: make([]core.Stats, n),
 		wheel: o.Engine == engine.Wheel,
 	}
-	if ta, ok := o.Tim.Backend.(dram.TenantAware); ok && n > 1 {
+	if ta, ok := g.mems[0].DRAM().(dram.TenantAware); ok && n > 1 {
 		ta.EnableTenantStats(n)
 	}
 	for i, st := range streams {
@@ -268,10 +268,10 @@ func (g *Group) Mem(i int) *core.MemSystem { return g.mems[i] }
 // (zero before), so keeping it keeps nothing of the machine reachable.
 func (g *Group) Stats(i int) *core.Stats { return &g.stats[i] }
 
-// TenantStatsOf returns tenant i's backend stat shard, or nil when the
-// backend cannot shard (no backend, or a single-tenant group).
+// TenantStatsOf returns tenant i's backend stat shard, or nil when there
+// is none (a single-tenant group, or a backend that cannot shard).
 func (g *Group) TenantStatsOf(i int) *dram.TenantStats {
-	ta, ok := g.mems[0].Tim.Backend.(dram.TenantAware)
+	ta, ok := g.mems[0].DRAM().(dram.TenantAware)
 	if !ok || g.N() < 2 {
 		return nil
 	}

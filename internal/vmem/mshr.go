@@ -194,29 +194,19 @@ func (s *slab[T]) take(n int) []T {
 	return w
 }
 
-// NewMSHRFile builds a file of n >= 2 MSHRs over the Timing's main
-// memory (its Backend, or the flat MemLatency model when Backend is
-// nil). The tim.MSHR field of the argument is ignored; the file is the
-// thing that field points at.
+// NewMSHRFile builds a file of n >= 2 MSHRs over the Timing's Backend.
+// The tim.MSHR field of the argument is ignored; the file is the thing
+// that field points at.
 func NewMSHRFile(tim Timing, n int) *MSHRFile {
 	if n < 2 {
 		panic("vmem: an MSHR file has at least 2 registers; fewer is the blocking model, which has no file (Timing.SubmitMisses)")
 	}
 	tim.MSHR = nil
-	lineBytes := cache.L2LineBytes
-	minLat := tim.MemLatency
-	if tim.Backend != nil {
-		lineBytes = tim.Backend.LineBytes()
-		minLat = tim.Backend.MinReadLatency()
-	}
-	if minLat < 1 {
-		minLat = 1
-	}
 	f := &MSHRFile{
 		tim:      tim,
 		cap:      n,
-		lineMask: uint64(lineBytes - 1),
-		minLat:   minLat,
+		lineMask: uint64(tim.Backend.LineBytes() - 1),
+		minLat:   max(tim.Backend.MinReadLatency(), 1),
 		byLine:   map[uint64]*mshrEntry{},
 		pendByID: map[uint64]*mshrEntry{},
 		nextID:   1, // 0 tags write-backs, which never resolve an entry
@@ -354,26 +344,13 @@ func (f *MSHRFile) flush() {
 	if f.span > f.st.SpanMax {
 		f.st.SpanMax = f.span
 	}
-	if f.tim.Backend != nil {
-		for _, c := range f.tim.Backend.Submit(f.pending) {
-			if c.Write {
-				continue
-			}
-			if e := f.pendByID[c.ID]; e != nil {
-				e.qosDelay = c.QoSDelay
-				f.resolve(e, c.Done)
-			}
+	for _, c := range f.tim.Backend.Submit(f.pending) {
+		if c.Write {
+			continue
 		}
-	} else {
-		// The seed's flat model: every read costs MemLatency, posted
-		// write-backs are free.
-		for _, r := range f.pending {
-			if r.Write {
-				continue
-			}
-			if e := f.pendByID[r.ID]; e != nil {
-				f.resolve(e, r.At+f.tim.MemLatency)
-			}
+		if e := f.pendByID[c.ID]; e != nil {
+			e.qosDelay = c.QoSDelay
+			f.resolve(e, c.Done)
 		}
 	}
 	f.pending = f.pending[:0]
@@ -640,8 +617,7 @@ func (f *MSHRFile) injectPrefetch(line uint64, at int64, tenant uint8) {
 		}
 		return
 	}
-	if victim, dirty, _ := f.l2.PeekVictim(line); dirty &&
-		f.tim.Backend != nil && !f.tim.Backend.WriteRoom(victim) {
+	if victim, dirty, _ := f.l2.PeekVictim(line); dirty && !f.tim.Backend.WriteRoom(victim) {
 		f.pf.st.DroppedWQ++
 		if f.tr != nil {
 			f.tr.Emit(stats.Event{Cycle: at, Cat: "pf", Name: "drop_wq", Addr: line, Tenant: int(tenant)})
@@ -653,7 +629,7 @@ func (f *MSHRFile) injectPrefetch(line uint64, at int64, tenant uint8) {
 	f.track(e)
 	f.pending = append(f.pending, dram.Request{Addr: line, At: at, ID: e.id, Prefetch: true, Tenant: tenant})
 	f.pendByID[e.id] = e
-	if res.Writeback && f.tim.Backend != nil {
+	if res.Writeback {
 		f.pending = append(f.pending, dram.Request{Addr: res.VictimAddr, Write: true, At: at,
 			Prefetch: true, Tenant: tenant})
 		f.st.Writebacks++

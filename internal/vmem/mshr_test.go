@@ -20,7 +20,6 @@ func (c *countingBackend) Stats() *dram.Stats    { return &c.st }
 func (c *countingBackend) LineBytes() int        { return cache.L2LineBytes }
 func (c *countingBackend) MinReadLatency() int64 { return 100 }
 func (c *countingBackend) WriteRoom(uint64) bool { return true }
-func (c *countingBackend) Reset()                { c.batches = nil }
 func (c *countingBackend) Submit(batch []dram.Request) []dram.Completion {
 	c.batches = append(c.batches, append([]dram.Request(nil), batch...))
 	c.comps = c.comps[:0]
@@ -44,7 +43,7 @@ func (c *countingBackend) reads() []dram.Request {
 }
 
 func mshrTiming(b dram.Backend) Timing {
-	return Timing{L2Latency: 20, MemLatency: 100, Backend: b}
+	return Timing{L2Latency: 20, Backend: b}
 }
 
 // TestSecondaryMissMerges: a second instruction missing a line already
@@ -165,16 +164,5 @@ func TestWritebackRidesPendingBatch(t *testing.T) {
 	}
 	if writes != 1 {
 		t.Fatalf("writes submitted = %d, want 1", writes)
-	}
-}
-
-// TestMSHRFileFlatModel: with no backend the file runs over the seed's
-// flat MemLatency, matching SubmitMisses.
-func TestMSHRFileFlatModel(t *testing.T) {
-	tim := Timing{L2Latency: 20, MemLatency: 100}
-	f := NewMSHRFile(tim, 4)
-	p := f.Register([]dram.Request{{Addr: 0x1000, At: 30}}, nil, 50)
-	if got, want := p.Done(), tim.SubmitMisses([]dram.Request{{Addr: 0x1000, At: 30}}, 50); got != want {
-		t.Fatalf("flat-model done = %d, want %d", got, want)
 	}
 }

@@ -9,12 +9,14 @@
 // instruction against its port/bank resources and the shared L2 cache
 // model. Issue and completion are split: Issue returns the cycle the
 // instruction's port/bank occupancy and cache hits finish plus a
-// Pending handle for any outstanding line misses. There are two miss
-// models and each is one path: the blocking model is Timing.SubmitMisses
-// — the instruction's misses go to main memory as one batch and Issue's
-// cycle is final — and the non-blocking model registers them in the
-// shared MSHR file (mshr.go), so main-memory batches span several
-// in-flight instructions. Timing.Complete is where the two part.
+// Pending handle for any outstanding line misses. Main memory is always
+// a dram.Backend (Timing.Backend; the seed's flat latency is dram.Fixed).
+// There are two miss models and each is one path: the blocking model is
+// Timing.SubmitMisses — the instruction's misses go to the backend as
+// one batch and Issue's cycle is final — and the non-blocking model
+// registers them in the shared MSHR file (mshr.go), so main-memory
+// batches span several in-flight instructions. Timing.Complete is where
+// the two part.
 // Resource state persists across instructions, so back-to-back vector
 // memory operations contend realistically.
 package vmem
@@ -28,15 +30,19 @@ import (
 
 // Timing holds the memory latencies the subsystems compose.
 type Timing struct {
-	L2Latency  int64 // L2 access latency (20 in the base system)
-	MemLatency int64 // additional main-memory latency on an L2 miss
+	L2Latency int64 // L2 access latency (20 in the base system)
 
-	// Backend, when non-nil, models the main memory behind the L2 and
-	// replaces the flat MemLatency: every L2 miss becomes a dram
-	// request whose completion depends on row-buffer and bank state.
-	// The subsystems collect one instruction's misses into a batch and
+	// MemLatency is the seed's flat main-memory latency beyond the L2:
+	// core.NewMemSystem builds Backend as dram.NewFixed(MemLatency) when
+	// none is given. Nothing else reads it.
+	MemLatency int64
+
+	// Backend is the main memory behind the L2: every L2 miss becomes a
+	// dram request, and every dirty victim a posted write. The
+	// subsystems collect one instruction's misses into a batch and
 	// Submit them together, so the controller sees the instruction's
-	// whole memory parallelism at once.
+	// whole memory parallelism at once. The subsystems and the MSHR file
+	// require it; core.NewMemSystem fills it in.
 	Backend dram.Backend
 
 	// MSHRs requests a non-blocking miss pipeline: for 2 or more
@@ -88,28 +94,17 @@ func (tm Timing) Xl(a uint64) uint64 {
 	return a
 }
 
-// DefaultTiming is the paper's base system (§5.3) over a 100-cycle DRAM.
+// DefaultTiming is the paper's base system (§5.3) over a 100-cycle DRAM,
+// which core.NewMemSystem builds as dram.NewFixed(100).
 func DefaultTiming() Timing { return Timing{L2Latency: 20, MemLatency: 100} }
 
 // SubmitMisses is the blocking model: it presents one instruction's
 // collected misses (and any dirty-victim write-backs) to the main memory
 // as a single batch and returns the latest read completion, or t0 when
-// every request was a posted write. With no Backend each read costs the
-// flat MemLatency; posted write-backs are free, matching the seed model
-// where they were not represented at all.
+// every request was a posted write.
 func (tm Timing) SubmitMisses(batch []dram.Request, t0 int64) int64 {
 	done := t0
 	if len(batch) == 0 {
-		return done
-	}
-	if tm.Backend == nil {
-		for _, r := range batch {
-			if !r.Write {
-				if d := r.At + tm.MemLatency; d > done {
-					done = d
-				}
-			}
-		}
 		return done
 	}
 	for _, c := range tm.Backend.Submit(batch) {
@@ -286,7 +281,7 @@ func (m *MultiBanked) Issue(in *isa.Inst, t0 int64) (int64, *Pending) {
 			if res.Prefetched {
 				m.pfBuf = append(m.pfBuf, PFTouch{Line: m.l2.LineAddr(addr), At: ct, Tenant: ten})
 			}
-			if res.Writeback && m.tim.Backend != nil {
+			if res.Writeback {
 				m.batch = append(m.batch, dram.Request{Addr: res.VictimAddr, Write: true, At: ct, Tenant: ten})
 			}
 			if ct > done {
@@ -366,10 +361,8 @@ func (v *VectorCache) Issue(in *isa.Inst, t0 int64) (int64, *Pending) {
 				v.batch = append(v.batch, dram.Request{Addr: a, At: ct, Tenant: ten})
 			}
 		}
-		if v.tim.Backend != nil {
-			for _, a := range v.wbBuf {
-				v.batch = append(v.batch, dram.Request{Addr: a, Write: true, At: ct, Tenant: ten})
-			}
+		for _, a := range v.wbBuf {
+			v.batch = append(v.batch, dram.Request{Addr: a, Write: true, At: ct, Tenant: ten})
 		}
 		if ct > done {
 			done = ct

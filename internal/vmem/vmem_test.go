@@ -10,7 +10,7 @@ import (
 
 func l2() *cache.Cache { return cache.New(cache.L2Config(20)) }
 
-func tim() Timing { return Timing{L2Latency: 20, MemLatency: 100} }
+func tim() Timing { return Timing{L2Latency: 20, Backend: dram.NewFixed(100)} }
 
 func momLoad(addr uint64, vl int, stride int64) *isa.Inst {
 	return &isa.Inst{Op: isa.OpVLoad, Kind: isa.KindMOMMem, Addr: addr, VL: vl, Stride: stride}
@@ -188,7 +188,6 @@ func (r *recordingBackend) Stats() *dram.Stats    { return &r.st }
 func (r *recordingBackend) LineBytes() int        { return cache.L2LineBytes }
 func (r *recordingBackend) MinReadLatency() int64 { return 100 }
 func (r *recordingBackend) WriteRoom(uint64) bool { return true }
-func (r *recordingBackend) Reset()                { r.batches = nil }
 func (r *recordingBackend) Submit(batch []dram.Request) []dram.Completion {
 	cp := append([]dram.Request(nil), batch...)
 	r.batches = append(r.batches, cp)
@@ -204,7 +203,7 @@ func (r *recordingBackend) Submit(batch []dram.Request) []dram.Completion {
 // instruction's whole memory parallelism at once.
 func TestInstructionMissesFormOneBatch(t *testing.T) {
 	rb := &recordingBackend{}
-	v := NewVectorCache(l2(), nil, Timing{L2Latency: 20, MemLatency: 100, Backend: rb}, 4, false)
+	v := NewVectorCache(l2(), nil, Timing{L2Latency: 20, Backend: rb}, 4, false)
 	// 32 consecutive words from a cold cache: two 128-byte lines miss.
 	done, _ := v.Issue(momLoad(0, 32, 8), 0)
 	if len(rb.batches) != 1 {
@@ -236,7 +235,7 @@ func TestInstructionMissesFormOneBatch(t *testing.T) {
 // multi-banked subsystem.
 func TestMultiBankedMissesFormOneBatch(t *testing.T) {
 	rb := &recordingBackend{}
-	m := NewMultiBanked(l2(), nil, Timing{L2Latency: 20, MemLatency: 100, Backend: rb}, 4, 8)
+	m := NewMultiBanked(l2(), nil, Timing{L2Latency: 20, Backend: rb}, 4, 8)
 	m.Issue(momLoad(0, 8, 64), 0) // stride 64B: 4 lines touched, all cold
 	if len(rb.batches) != 1 {
 		t.Fatalf("Submit calls = %d, want 1 per instruction", len(rb.batches))
@@ -253,7 +252,7 @@ func TestDirtyVictimWritebackRidesBatch(t *testing.T) {
 	l2c := cache.New(cache.Config{Name: "L2", Size: 4 * cache.L2LineBytes,
 		LineSize: cache.L2LineBytes, Ways: 1, WriteBack: true, Latency: 20})
 	rb := &recordingBackend{}
-	v := NewVectorCache(l2c, nil, Timing{L2Latency: 20, MemLatency: 100, Backend: rb}, 4, false)
+	v := NewVectorCache(l2c, nil, Timing{L2Latency: 20, Backend: rb}, 4, false)
 
 	// Dirty a line, then force its eviction with a conflicting fill
 	// (direct-mapped: same set every 4 lines).
