@@ -84,22 +84,25 @@ func measureGoldenSpecs(t *testing.T, transform func(string) string) map[string]
 	return measureGoldenEngine(t, transform, engine.Step)
 }
 
+// goldenVariants pairs each ISA variant with the memory system the
+// golden matrix runs it on.
+var goldenVariants = []struct {
+	v    kernels.Variant
+	kind MemKind
+}{
+	{kernels.MOM3D, MemVectorCache3D},
+	{kernels.MOM, MemVectorCache},
+	{kernels.MMX, MemMultiBanked},
+}
+
 // measureGoldenEngine additionally selects the simulation engine, so
 // the wheel can regenerate the same table through the same registry
 // read-out path.
 func measureGoldenEngine(t *testing.T, transform func(string) string, mode engine.Mode) map[string]goldenRow {
 	t.Helper()
-	variants := []struct {
-		v    kernels.Variant
-		kind MemKind
-	}{
-		{kernels.MOM3D, MemVectorCache3D},
-		{kernels.MOM, MemVectorCache},
-		{kernels.MMX, MemMultiBanked},
-	}
 	out := map[string]goldenRow{}
 	for _, bm := range equivBenches() {
-		for _, vk := range variants {
+		for _, vk := range goldenVariants {
 			tr := &trace.Trace{}
 			bm.Run(vk.v, tr)
 			for _, spec := range goldenSpecs {

@@ -168,6 +168,7 @@ type Sim struct {
 	stream          trace.Stream
 	base            uint64
 	next            int // next trace index to dispatch
+	nextAddr        int // entry of stream.Addrs the next op with AddrBit takes
 	lastCommitCycle int64
 
 	// issued is the one materialised instruction, filled at fire time
@@ -272,7 +273,7 @@ func NewStreamSim(cfg Config, mem *MemSystem, stream *trace.Stream, base uint64)
 // Running reports whether another Step would do work: trace left to
 // dispatch or instructions still in the window.
 func (s *Sim) Running() bool {
-	return s.next < len(s.stream.Dyn) || s.count > 0
+	return s.next < len(s.stream.Ops) || s.count > 0
 }
 
 // Now returns the core's current cycle — the sampling driver reads it
@@ -295,7 +296,7 @@ func (s *Sim) Step() {
 	s.now++
 	if s.now-s.lastCommitCycle > noProgressLimit {
 		panic(fmt.Sprintf("core: no commit progress at cycle %d (trace pos %d/%d, rob %d)",
-			s.now, s.next, len(s.stream.Dyn), s.count))
+			s.now, s.next, len(s.stream.Ops), s.count))
 	}
 }
 
@@ -609,10 +610,10 @@ func (s *Sim) dispatch() {
 	if s.now < s.fetchResumeAt {
 		return
 	}
-	static, dyn := s.stream.Static, s.stream.Dyn
-	for n := 0; n < s.cfg.FetchWidth && s.next < len(dyn); n++ {
-		d := &dyn[s.next]
-		in := &static[d.Static]
+	static, ops := s.stream.Static, s.stream.Ops
+	for n := 0; n < s.cfg.FetchWidth && s.next < len(ops); n++ {
+		op := ops[s.next]
+		in := &static[op&trace.StaticMask]
 		if s.count == s.cfg.Window {
 			s.stats.StallROB++
 			break
@@ -625,17 +626,23 @@ func (s *Sim) dispatch() {
 			s.stats.StallRegs++
 			break
 		}
+		var addr uint64
+		if op&trace.AddrBit != 0 {
+			addr = s.stream.Addrs[s.nextAddr]
+			s.nextAddr++
+		}
 		seq := uint64(s.next)
-		s.insert(in, seq, d.Addr)
+		s.insert(in, seq, addr)
 		s.next++
 		if in.Kind == isa.KindBranch {
-			if s.cfg.UseGshare && s.predict(d.Taken) != d.Taken {
+			taken := op&trace.TakenBit != 0
+			if s.cfg.UseGshare && s.predict(taken) != taken {
 				s.stats.Mispredicts++
 				s.mispredictPend = true
 				s.mispredictSeq = seq
 				break
 			}
-			if d.Taken {
+			if taken {
 				break // fetch break on taken branches
 			}
 		}
@@ -645,7 +652,7 @@ func (s *Sim) dispatch() {
 // nextStatic is the template of the next instruction to dispatch: all
 // the dispatch gates read.
 func (s *Sim) nextStatic() *isa.Inst {
-	return &s.stream.Static[s.stream.Dyn[s.next].Static]
+	return &s.stream.Static[s.stream.Ops[s.next]&trace.StaticMask]
 }
 
 func (s *Sim) regsAvailable(in *isa.Inst) bool {

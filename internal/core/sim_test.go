@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/isa"
+	"repro/internal/kernels"
+	"repro/internal/trace"
 	"repro/internal/vmem"
 )
 
@@ -256,4 +259,31 @@ func TestSimulateResultDoesNotPinTheMachine(t *testing.T) {
 		}
 	}
 	t.Fatalf("the memory system is still reachable from the returned stats (%d cycles)", st.Cycles)
+}
+
+// Dispatch takes an address from the stream exactly when the op word
+// says the instruction has one, whatever its kind: a cursor that skipped
+// or repeated an entry would hand every later memory instruction its
+// neighbour's address. Over every golden-suite stream under both engines
+// the cursor must end exactly at the end of Addrs.
+func TestDispatchReadsEveryAddressOnce(t *testing.T) {
+	var rec trace.Recorder
+	for _, bm := range equivBenches() {
+		for _, vk := range goldenVariants {
+			s, _ := rec.Record(func(sink trace.Sink) { bm.Run(vk.v, sink) })
+			cfg := MOMCore()
+			if vk.v == kernels.MMX {
+				cfg = MMXCore()
+			}
+			for _, mode := range []engine.Mode{engine.Step, engine.Wheel} {
+				ms := NewMemSystem(vk.kind, vmem.DefaultTiming(), cfg.Lanes, vk.v == kernels.MMX)
+				sim := NewStreamSim(cfg, ms, s, 0)
+				runOn(mode)(sim)
+				if sim.nextAddr != len(s.Addrs) {
+					t.Errorf("%s/%s [%v]: dispatch read %d addresses, the stream holds %d",
+						bm.Name, vk.v, mode, sim.nextAddr, len(s.Addrs))
+				}
+			}
+		}
+	}
 }

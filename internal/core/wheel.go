@@ -536,7 +536,7 @@ func (s *Sim) nextWake() int64 {
 		if e := s.entry(s.mispredictSeq); e != nil && e.issued {
 			sched(e.done)
 		}
-	} else if s.next < len(s.stream.Dyn) {
+	} else if s.next < len(s.stream.Ops) {
 		if now < s.fetchResumeAt {
 			sched(s.fetchResumeAt)
 		} else {
@@ -598,7 +598,7 @@ func (s *Sim) SkipTo(t int64) {
 			s.stats.StallSB += uint64(n)
 		}
 	}
-	if !s.mispredictPend && s.now >= s.fetchResumeAt && s.next < len(s.stream.Dyn) {
+	if !s.mispredictPend && s.now >= s.fetchResumeAt && s.next < len(s.stream.Ops) {
 		in := s.nextStatic()
 		switch {
 		case s.count == s.cfg.Window:

@@ -87,11 +87,11 @@ type Runner struct {
 }
 
 // traceStore is the runner-lifetime trace cache. The five paper kernels
-// are 2.05 M instructions over 8,386 static ones = 33.5 MB (all 18
-// extended streams: 3.25 M over 19,501 = 53.7 MB), so nothing is ever
-// evicted. One lock covers lookup and generation: generating is a small
-// share of any sweep, and a worker that waits for another's stream
-// would otherwise have generated a copy of it.
+// are 2.05 M instructions (0.83 M with an address) over 8,386 static
+// ones = 15.6 MB (all 18 extended streams: 3.25 M over 19,501 = 25.8
+// MB), so nothing is ever evicted. One lock covers lookup and generation:
+// generating is a small share of any sweep, and a worker that waits for
+// another's stream would otherwise have generated a copy of it.
 type traceStore struct {
 	mu      sync.Mutex
 	streams map[streamKey]*stream
@@ -133,12 +133,12 @@ func (r *Runner) Benchmarks() []string { return r.order }
 
 // TraceStats reports what the trace store holds: the streams generated
 // (each exactly once), their dynamic and static instructions, and the
-// bytes the two tables of every stream occupy.
+// bytes the three tables of every stream occupy.
 func (r *Runner) TraceStats() (streams, insts, static int, bytes int64) {
 	r.store.mu.Lock()
 	defer r.store.mu.Unlock()
 	for _, s := range r.store.streams {
-		insts += len(s.tr.Dyn)
+		insts += len(s.tr.Ops)
 		static += len(s.tr.Static)
 		bytes += s.tr.Bytes()
 	}

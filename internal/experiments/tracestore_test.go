@@ -11,7 +11,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/isa"
 	"repro/internal/kernels"
-	"repro/internal/trace"
 )
 
 // paperEvaluation runs everything momexp's default run computes short
@@ -36,15 +35,17 @@ func TestTraceStoreGeneratesEachStreamOnce(t *testing.T) {
 	if streams != 15 {
 		t.Errorf("paper evaluation generated %d streams, want 15", streams)
 	}
-	var dyn, tmpl int
+	var ops, addrs, tmpl int
 	for _, s := range r.store.streams {
-		dyn += len(s.tr.Dyn)
+		ops += len(s.tr.Ops)
+		addrs += len(s.tr.Addrs)
 		tmpl += len(s.tr.Static)
 	}
-	held := int64(dyn)*int64(unsafe.Sizeof(trace.Dyn{})) + int64(tmpl)*int64(unsafe.Sizeof(isa.Inst{}))
-	if insts != dyn || static != tmpl || bytes != held {
-		t.Errorf("TraceStats = %d instructions over %d static, %d bytes; the store holds %d over %d, %d bytes",
-			insts, static, bytes, dyn, tmpl, held)
+	held := int64(ops)*int64(unsafe.Sizeof(uint32(0))) + int64(addrs)*int64(unsafe.Sizeof(uint64(0))) +
+		int64(tmpl)*int64(unsafe.Sizeof(isa.Inst{}))
+	if insts != ops || static != tmpl || bytes != held {
+		t.Errorf("TraceStats = %d instructions over %d static, %d bytes; the store holds %d (%d addresses) over %d, %d bytes",
+			insts, static, bytes, ops, addrs, tmpl, held)
 	}
 
 	r = mshrRunner()
@@ -86,13 +87,14 @@ func rawBytes[T any](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(zero)))
 }
 
-// hashStreams fingerprints the bytes of every stored stream, the
-// dynamic records and the static table both.
+// hashStreams fingerprints the bytes of every stored stream, all three
+// tables.
 func hashStreams(r *Runner) map[streamKey][sha256.Size]byte {
 	sums := map[streamKey][sha256.Size]byte{}
 	for k, s := range r.store.streams {
 		h := sha256.New()
-		h.Write(rawBytes(s.tr.Dyn))
+		h.Write(rawBytes(s.tr.Ops))
+		h.Write(rawBytes(s.tr.Addrs))
 		h.Write(rawBytes(s.tr.Static))
 		sums[k] = [sha256.Size]byte(h.Sum(nil))
 	}

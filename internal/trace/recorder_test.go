@@ -24,22 +24,25 @@ func emit(n int, tag int64) func(Sink) {
 	}
 }
 
-// checkStream holds a recorded stream to the recorder's contract: both
-// tables of exact size, program order with continuous Seq, every entry
+// checkStream holds a recorded stream to the recorder's contract: all
+// three tables of exact size, program order with continuous Seq, every entry
 // and every static instruction of this generation, and a folded Stats
 // that counted each entry once.
 func checkStream(t *testing.T, s *Stream, st *Stats, n int, tag int64) {
 	t.Helper()
-	if len(s.Dyn) != n || cap(s.Dyn) != n {
-		t.Fatalf("recorded len %d cap %d, want both %d", len(s.Dyn), cap(s.Dyn), n)
+	if len(s.Ops) != n || cap(s.Ops) != n {
+		t.Fatalf("recorded len %d cap %d, want both %d", len(s.Ops), cap(s.Ops), n)
+	}
+	if want := n / 3; len(s.Addrs) != want || cap(s.Addrs) != want {
+		t.Fatalf("address table len %d cap %d, want both %d", len(s.Addrs), cap(s.Addrs), want)
 	}
 	if want := min(n, 2); len(s.Static) != want || cap(s.Static) != want {
 		t.Fatalf("static table len %d cap %d, want both %d", len(s.Static), cap(s.Static), want)
 	}
 	var gen Trace
 	emit(n, tag)(&gen)
-	for i := range gen.Insts {
-		if got := s.At(i); got != gen.Insts[i] {
+	for i, got := range s.All() {
+		if got != gen.Insts[i] {
 			t.Fatalf("inst %d of %d: %+v, want %+v", i, n, got, gen.Insts[i])
 		}
 	}
@@ -49,13 +52,19 @@ func checkStream(t *testing.T, s *Stream, st *Stats, n int, tag int64) {
 	}
 }
 
+// chunksFor is the number of staging chunks n entries take.
+func chunksFor(n int) int { return (n + recorderChunk - 1) / recorderChunk }
+
 func TestRecorderSizes(t *testing.T) {
-	for _, n := range []int{0, 1, recorderChunk - 1, recorderChunk, recorderChunk + 1, 3*recorderChunk + 17} {
+	for _, n := range []int{0, 1, recorderChunk - 1, recorderChunk, recorderChunk + 1, 3*recorderChunk + 17, 3 * recorderChunk} {
 		var r Recorder
 		s, st := r.Record(emit(n, 7))
 		checkStream(t, s, st, n, 7)
-		if want := (n + recorderChunk - 1) / recorderChunk; len(r.chunks) != want {
-			t.Errorf("%d instructions staged in %d chunks, want %d", n, len(r.chunks), want)
+		if want := chunksFor(n); len(r.ops.chunks) != want {
+			t.Errorf("%d instructions staged in %d op chunks, want %d", n, len(r.ops.chunks), want)
+		}
+		if want := chunksFor(n / 3); len(r.addrs.chunks) != want {
+			t.Errorf("%d addresses staged in %d chunks, want %d", n/3, len(r.addrs.chunks), want)
 		}
 	}
 }
@@ -69,7 +78,7 @@ func TestRecorderReusesStagingWithoutCrossTalk(t *testing.T) {
 	var r Recorder
 	nA, nB := 2*recorderChunk+100, recorderChunk+5
 	a, stA := r.Record(emit(nA, 1))
-	staging := slices.Clone(r.chunks)
+	ops, addrs := slices.Clone(r.ops.chunks), slices.Clone(r.addrs.chunks)
 
 	func() {
 		defer func() { recover() }()
@@ -81,8 +90,9 @@ func TestRecorderReusesStagingWithoutCrossTalk(t *testing.T) {
 	b, stB := r.Record(emit(nB, 2))
 	checkStream(t, a, stA, nA, 1)
 	checkStream(t, b, stB, nB, 2)
-	if !slices.Equal(staging, r.chunks) {
-		t.Errorf("later generations did not reuse the staging: %d chunks before, %d after", len(staging), len(r.chunks))
+	if !slices.Equal(ops, r.ops.chunks) || !slices.Equal(addrs, r.addrs.chunks) {
+		t.Errorf("later generations did not reuse the staging: %d+%d chunks before, %d+%d after",
+			len(ops), len(addrs), len(r.ops.chunks), len(r.addrs.chunks))
 	}
 
 	empty, stE := r.Record(emit(0, 0))

@@ -2,43 +2,61 @@ package trace
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 	"unsafe"
 
 	"repro/internal/isa"
 )
 
-// Dyn is the dynamic half of one instruction: what executing it added
-// to the program text.
-type Dyn struct {
-	Addr   uint64 // effective base address (memory kinds)
-	Static uint32 // index of the instruction's template in Stream.Static
-	Taken  bool   // branch outcome
-}
+// The bits of an op word (Stream.Ops). The low 30 bits index the
+// instruction's template, so a stream holds at most 2^30 static
+// instructions. No check guards that limit: TestStaticTableIsSmall
+// holds every stream of the extended suite to 4,096.
+const (
+	TakenBit   uint32 = 1 << 31     // the instruction's branch outcome
+	AddrBit    uint32 = 1 << 30     // the instruction has the next entry of Addrs
+	StaticMask        = AddrBit - 1 // the template index: op & StaticMask
+)
 
 // Stream is a recorded trace in the layout of the ATOM traces the paper
-// replayed: the program once, then one 16-byte record per dynamic
-// instruction. Static holds each distinct instruction with Seq, Addr
-// and Taken zero (every other field, Imm and IsStore included, is a
-// property of the program); instruction i is Static[Dyn[i].Static] with
-// Seq i and Dyn[i]'s address and outcome. Both slices are read-only
-// once built: every simulation of the stream reads them in place.
+// replayed: the program once, then what executing it added — one op
+// word per dynamic instruction, and an address for each that has one.
+// Static holds each distinct instruction with Seq, Addr and Taken zero
+// (every other field, Imm and IsStore included, is a property of the
+// program). Ops[i] is instruction i's template index, with TakenBit set
+// when it was taken and AddrBit when its address is non-zero; Addrs
+// holds those addresses in program order, so instruction i's address is
+// Addrs[k], k the number of earlier ops with AddrBit. All three tables
+// are read-only once built: every simulation of the stream reads them
+// in place.
 type Stream struct {
 	Static []isa.Inst
-	Dyn    []Dyn
+	Ops    []uint32
+	Addrs  []uint64
 }
 
-// At materialises dynamic instruction i.
-func (s *Stream) At(i int) isa.Inst {
-	d := s.Dyn[i]
-	in := s.Static[d.Static]
-	in.Seq, in.Addr, in.Taken = uint64(i), d.Addr, d.Taken
-	return in
+// All yields the stream's instructions in program order, each
+// materialised with its index as Seq.
+func (s *Stream) All() iter.Seq2[int, isa.Inst] {
+	return func(yield func(int, isa.Inst) bool) {
+		addrs := s.Addrs
+		for i, op := range s.Ops {
+			in := s.Static[op&StaticMask]
+			in.Seq, in.Taken = uint64(i), op&TakenBit != 0
+			if op&AddrBit != 0 {
+				in.Addr, addrs = addrs[0], addrs[1:]
+			}
+			if !yield(i, in) {
+				return
+			}
+		}
+	}
 }
 
-// Bytes is the memory the stream's two tables occupy.
+// Bytes is the memory the stream's three tables occupy.
 func (s *Stream) Bytes() int64 {
-	return int64(len(s.Dyn))*int64(unsafe.Sizeof(Dyn{})) +
+	return int64(len(s.Ops))*4 + int64(len(s.Addrs))*8 +
 		int64(len(s.Static))*int64(unsafe.Sizeof(isa.Inst{}))
 }
 
@@ -47,10 +65,20 @@ func (s *Stream) Bytes() int64 {
 // the instruction's index panics: a Stream has nowhere to keep it.
 func Compact(insts []isa.Inst) *Stream {
 	var t interner
-	s := &Stream{Dyn: make([]Dyn, len(insts))}
+	naddr := 0
+	for i := range insts {
+		if insts[i].Addr != 0 {
+			naddr++
+		}
+	}
+	s := &Stream{Ops: make([]uint32, len(insts)), Addrs: make([]uint64, 0, naddr)}
 	for i := range insts {
 		in := insts[i]
-		s.Dyn[i] = t.split(&in, i)
+		op, addr := t.split(&in, i)
+		s.Ops[i] = op
+		if op&AddrBit != 0 {
+			s.Addrs = append(s.Addrs, addr)
+		}
 	}
 	s.Static = slices.Clip(t.static)
 	return s
@@ -71,21 +99,26 @@ type interner struct {
 	front  [1 << frontBits]uint32 // static index + 1; 0 is empty
 }
 
-// split strips instruction i of its dynamic facts, which it returns
-// with the index of what remains of *in in the static table.
-func (t *interner) split(in *isa.Inst, i int) Dyn {
+// split strips instruction i of its dynamic facts and returns its op
+// word — the index of what remains of *in in the static table, with
+// the outcome and address bits — and its address.
+func (t *interner) split(in *isa.Inst, i int) (op uint32, addr uint64) {
 	if in.Seq != uint64(i) {
 		panic(fmt.Sprintf("trace: instruction %d of a stream carries Seq %d", i, in.Seq))
 	}
-	d := Dyn{Addr: in.Addr, Taken: in.Taken}
+	if addr = in.Addr; addr != 0 {
+		op |= AddrBit
+	}
+	if in.Taken {
+		op |= TakenBit
+	}
 	in.Seq, in.Addr, in.Taken = 0, 0, false
 
 	h := uint64(in.Op) | uint64(in.Dst)<<8 | uint64(in.Src1)<<24 | uint64(in.Src2)<<40
 	h ^= uint64(in.Imm)<<13 ^ uint64(in.Stride)<<29 ^ uint64(in.VL)<<56
 	slot := &t.front[h*0x9E3779B97F4A7C15>>(64-frontBits)]
 	if j := *slot; j != 0 && t.static[j-1] == *in {
-		d.Static = j - 1
-		return d
+		return op | (j - 1), addr
 	}
 	j, ok := t.index[*in]
 	if !ok {
@@ -97,53 +130,74 @@ func (t *interner) split(in *isa.Inst, i int) Dyn {
 		t.index[*in] = j
 	}
 	*slot = j + 1
-	d.Static = j
-	return d
+	return op | j, addr
 }
 
-// recorderChunk is the Recorder's staging granularity in instructions:
-// 64 KiB of Dyn records.
-const recorderChunk = 4096
+// recorderChunk is the Recorder's staging granularity in entries: 128
+// KiB of op words, 256 KiB of addresses. Each chunk is one malloc, paid
+// once per Recorder: 20 for the longest stream of the paper suite.
+const recorderChunk = 32768
+
+// staging holds one table of the stream being recorded in fixed-size
+// chunks that never move, so growing it copies nothing.
+type staging[T any] struct {
+	chunks []*[recorderChunk]T
+	n      int // entries staged by the current Record
+}
+
+func (g *staging[T]) add(v T) {
+	c, i := g.n/recorderChunk, g.n%recorderChunk
+	if c == len(g.chunks) {
+		g.chunks = append(g.chunks, new([recorderChunk]T))
+	}
+	g.chunks[c][i] = v
+	g.n++
+}
+
+// table copies the staged entries into a slice of exactly their number.
+func (g *staging[T]) table() []T {
+	t := make([]T, g.n)
+	for c := 0; c*recorderChunk < g.n; c++ {
+		copy(t[c*recorderChunk:], g.chunks[c][:])
+	}
+	return t
+}
 
 // Recorder is the sink whole streams are generated through. It interns
-// each instruction's static half, stages the dynamic half in fixed-size
-// chunks that never move, accumulates the stream's Stats in the same
-// Emit, and copies the finished tables once into slices of exactly
-// their size. The staging outlives the stream, so a Recorder that
-// records stream after stream allocates only the streams themselves.
-// The zero value is ready to use.
+// each instruction's static half, stages the op words and addresses in
+// chunks, accumulates the stream's Stats in the same Emit, and copies
+// the finished tables once into slices of exactly their size. The
+// staging outlives the stream, so a Recorder that records stream after
+// stream allocates only the streams themselves. The zero value is ready
+// to use.
 type Recorder struct {
-	tab    interner
-	chunks []*[recorderChunk]Dyn
-	n      int // instructions staged by the current Record
-	st     *Stats
+	tab   interner
+	ops   staging[uint32]
+	addrs staging[uint64]
+	st    *Stats
 }
 
 // Emit stages one instruction and accumulates it, implementing Sink for
 // the generator Record runs.
 func (r *Recorder) Emit(in isa.Inst) {
-	c, i := r.n/recorderChunk, r.n%recorderChunk
-	if c == len(r.chunks) {
-		r.chunks = append(r.chunks, new([recorderChunk]Dyn))
-	}
 	r.st.add(&in)
-	r.chunks[c][i] = r.tab.split(&in, r.n)
-	r.n++
+	op, addr := r.tab.split(&in, r.ops.n)
+	r.ops.add(op)
+	if op&AddrBit != 0 {
+		r.addrs.add(addr)
+	}
 }
 
 // Record runs gen with the recorder as its sink and returns the stream
-// gen emitted (both tables len == cap) and its statistics. It starts
+// gen emitted (every table len == cap) and its statistics. It starts
 // empty whatever an earlier gen that panicked left staged.
 func (r *Recorder) Record(gen func(Sink)) (*Stream, *Stats) {
-	r.n, r.st = 0, NewStats()
+	r.ops.n, r.addrs.n, r.st = 0, 0, NewStats()
 	r.tab.static = r.tab.static[:0]
 	clear(r.tab.index)
 	clear(r.tab.front[:])
 	gen(r)
-	s := &Stream{Static: make([]isa.Inst, len(r.tab.static)), Dyn: make([]Dyn, r.n)}
+	s := &Stream{Static: make([]isa.Inst, len(r.tab.static)), Ops: r.ops.table(), Addrs: r.addrs.table()}
 	copy(s.Static, r.tab.static)
-	for c := 0; c*recorderChunk < r.n; c++ {
-		copy(s.Dyn[c*recorderChunk:], r.chunks[c][:])
-	}
 	return s, r.st
 }

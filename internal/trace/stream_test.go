@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -31,10 +32,12 @@ func fuzzTrace(tmpl isa.Inst, dyn []byte) []isa.Inst {
 	return insts
 }
 
-// Compact then At is the identity on any trace whose Seq is the index,
-// whatever the fields hold; the static table is exactly the distinct
-// instructions modulo Seq/Addr/Taken, stripped of those three; and a
-// Seq that is not the index is refused, wherever it sits.
+// Compact then All is the identity on any trace whose Seq is the index,
+// whatever the fields hold — an address or an outcome on any kind, a
+// zero address on a memory kind; the static table is exactly the
+// distinct instructions modulo Seq/Addr/Taken, stripped of those three;
+// Addrs holds exactly the non-zero addresses; and a Seq that is not the
+// index is refused, wherever it sits.
 func FuzzStreamRoundTrip(f *testing.F) {
 	loop := []byte{0, 0x85, 0x0a, 0xff, 0, 0x85, 0x0a, 0xff, 0x12, 0x13, 0, 0x85, 0x0a, 0xff}
 	for k := uint8(0); k < numKinds; k++ {
@@ -42,6 +45,11 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		f.Add(uint8(isa.OpLoad)+k, k, regs, int64(-(1 << 40)), int64(-640), 16, 16, -8, k, loop)
 	}
 	f.Add(uint8(0), uint8(0), uint64(0), int64(0), int64(0), 0, 0, 0, uint8(0), []byte{})
+	// A non-memory instruction with an address, a memory instruction at
+	// address 0, a taken instruction that is no branch.
+	f.Add(uint8(isa.OpIAdd), uint8(isa.KindScalar), uint64(0), int64(0), int64(8), 0, 0, 0, uint8(0), []byte{0x10, 0x20, 0x30})
+	f.Add(uint8(isa.OpLoad), uint8(isa.KindScalarMem), uint64(0), int64(4), int64(0), 0, 0, 0, uint8(0), []byte{0, 0, 0})
+	f.Add(uint8(isa.OpIAdd), uint8(isa.KindScalar), uint64(0), int64(0), int64(0), 0, 0, 0, uint8(0), []byte{0x80, 0, 0x80})
 
 	f.Fuzz(func(t *testing.T, op, kind uint8, regs uint64, imm, stride int64, vl, width, ptrStep int, flags uint8, dyn []byte) {
 		insts := fuzzTrace(isa.Inst{Op: isa.Op(op), Kind: isa.Kind(kind % numKinds),
@@ -49,16 +57,30 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			Imm: imm, VL: vl, Stride: stride, Width: width, PtrStep: ptrStep,
 			Back: flags&1 != 0, IsStore: flags&2 != 0}, dyn)
 		s := Compact(insts)
-		if len(s.Dyn) != len(insts) {
-			t.Fatalf("stream of %d instructions from a trace of %d", len(s.Dyn), len(insts))
+		if len(s.Ops) != len(insts) {
+			t.Fatalf("stream of %d instructions from a trace of %d", len(s.Ops), len(insts))
+		}
+		n := 0
+		for i, got := range s.All() {
+			if got != insts[i] {
+				t.Fatalf("instruction %d materialises as %+v, want %+v", i, got, insts[i])
+			}
+			n++
+		}
+		if n != len(insts) {
+			t.Fatalf("All yielded %d instructions of %d", n, len(insts))
 		}
 		distinct := map[isa.Inst]bool{}
-		for i, in := range insts {
-			if got := s.At(i); got != in {
-				t.Fatalf("At(%d) = %+v, want %+v", i, got, in)
+		var addrs []uint64
+		for _, in := range insts {
+			if in.Addr != 0 {
+				addrs = append(addrs, in.Addr)
 			}
 			in.Seq, in.Addr, in.Taken = 0, 0, false
 			distinct[in] = true
+		}
+		if !slices.Equal(s.Addrs, addrs) {
+			t.Fatalf("Addrs holds %d entries, the trace has %d non-zero addresses", len(s.Addrs), len(addrs))
 		}
 		if len(s.Static) != len(distinct) {
 			t.Fatalf("%d static instructions, the trace has %d distinct", len(s.Static), len(distinct))
