@@ -65,7 +65,7 @@ loc:
 # exceeds LOC_CEILING, the figure the last PR left behind, so a PR that
 # grows the tree has to raise the number in its own diff (and a PR that
 # shrinks it should lower it).
-LOC_CEILING = 17175
+LOC_CEILING = 17116
 loc-check:
 	@scripts/loc.sh $(LOC_CEILING)
 
@@ -90,8 +90,8 @@ trace:
 # wheel runs the wheel-vs-step equivalence suite under the race
 # detector: the wake ring, the golden-table and per-feature
 # bit-identity tests in internal/core with the mid-run engine switch,
-# the independent sleeper check and the ready-latch monotonicity check
-# beside them, the multi-tenant
+# the independent sleeper check, the ready-latch monotonicity check and
+# the poll-free-walk check beside them, the multi-tenant
 # equivalence (per-tenant wake-ups ≡ per-cycle lockstep, whole snapshot
 # and every sampler row, every sleeper caught up at every MSHR flush)
 # and the tenants-alias-one-stream check (address
@@ -104,7 +104,7 @@ trace:
 # -race).
 wheel:
 	go test -race -count=1 \
-		-run 'TestRing|TestWheelMatchesStep|TestEngineSwitchMidRun|TestSleepersAre(NeverReady|CaughtUpAtEveryFlush)|TestSampledRowsMatchStepAtTheirCycle|TestReadyLatchIsMonotone|Match(es)?Serial|TestIFSweepWheelMatchesStep|TestTenantsAliasOneStream|TestFullSizeMatchesNaiveScanDigests' \
+		-run 'TestRing|TestWheelMatchesStep|TestEngineSwitchMidRun|TestSleepersAre(NeverReady|CaughtUpAtEveryFlush)|TestSampledRowsMatchStepAtTheirCycle|TestReadyLatchIsMonotone|TestPollFreeWalkDoesNotFlush|Match(es)?Serial|TestIFSweepWheelMatchesStep|TestTenantsAliasOneStream|TestFullSizeMatchesNaiveScanDigests' \
 		./internal/engine/ ./internal/core/ ./internal/tenant/ ./internal/experiments/ ./cmd/momexp/
 
 # rpsweep regenerates the full-size per-bank row-policy matrix

@@ -11,10 +11,10 @@ import "repro/internal/vmem"
 // Attribution is head-of-window blame, the classic CPI-stack
 // methodology: a cycle with a commit is productive (Busy); otherwise
 // the oldest instruction is the pipeline's bottleneck and the cycle is
-// charged to whatever blocks it. The classifier is a pure function of
-// the same state the issue/commit predicates read — it performs no
-// lazy ReadyBy polls (only the poll-free Settled/Bound/StallUntil
-// peeks), so classification never perturbs MSHR batch accumulation or
+// charged to whatever blocks it. The classifier asks the very questions
+// issue and commit do — firstBlocker without polls, sbBlocked — and so
+// performs no lazy ReadyBy poll (only the poll-free Settled/Bound/
+// StallUntil peeks): classification never perturbs MSHR batching or
 // TLB state, and the step and wheel engines observe identical charges:
 // executed cycles classify on bit-identical state, and a SkipTo window
 // bulk-charges its frozen verdict — every predicate the classifier
@@ -103,8 +103,7 @@ func (s *Sim) chargeCPI(n uint64, committed bool) {
 		// steady state here (commit evaluated it this cycle); the only
 		// other way in is the issue edge — the head issued after commit
 		// ran, with a same-cycle completion — which retires next cycle.
-		if e.pend != nil && !e.pend.Settled(s.now) && e.in.IsStore &&
-			s.cfg.StoreBuf > 0 && len(s.postedStores) >= s.cfg.StoreBuf {
+		if s.sbBlocked(e) {
 			c.StoreBuf += n
 			return
 		}
@@ -114,73 +113,31 @@ func (s *Sim) chargeCPI(n uint64, committed bool) {
 	s.classifyUnissued(e, n)
 }
 
-// classifyUnissued blames an unissued head on its first blocker,
-// walking the dependence list exactly as issueBoundPark does — the
-// poll-free mirror of readyBound, so classification cannot flush the
-// MSHR file or touch TLB state.
+// classifyUnissued blames an unissued head on its first blocker, found
+// by the poll-free readiness walk, so classification cannot flush the
+// MSHR file or touch TLB state. It leaves the ready latch alone.
 func (s *Sim) classifyUnissued(e *robEntry, n uint64) {
 	c := &s.stats.CPI
-	at := s.now
-	for i := 0; i < e.ndeps; i++ {
-		d := e.deps[i]
-		p := s.entry(d.seq)
-		if p == nil {
-			h := s.scoreboard(d.seq)
-			if h == nil || d.usePtr {
-				continue // value in the register file
-			}
-			if t, exact := h.Bound(); !exact || t > at {
-				s.chargeMem(h, n)
-				return
-			}
-			continue
-		}
-		if !p.issued {
-			c.Dep += n
-			return
-		}
-		t := p.done
-		if d.usePtr {
-			t = p.donePtr
-		}
-		if t > at {
-			if p.missed {
-				s.chargeMem(p.pend, n)
-			} else {
-				c.Dep += n
-			}
-			return
-		}
-		if !d.usePtr && p.pend != nil {
-			if t, exact := p.pend.Bound(); !exact || t > at {
-				s.chargeMem(p.pend, n)
+	b, blocked := s.firstBlocker(e, false)
+	switch {
+	case b.h != nil:
+		s.chargeMem(b.h, n)
+	case b.p != nil && b.p.missed:
+		s.chargeMem(b.p.pend, n)
+	case blocked:
+		c.Dep += n
+	default:
+		// Operands ready: the head is either stalled in issue on address
+		// translation (an in-flight transaction with a future ready cycle)
+		// or contending for issue bandwidth / a busy unit.
+		if sp := s.mem.Tim.VA; sp != nil {
+			if until, ok := sp.StallUntil(e.seq); ok && until > s.now {
+				c.TLBWalk += n
 				return
 			}
 		}
+		c.Issue += n
 	}
-	if e.in.Kind.IsMem() && !e.in.IsStore {
-		for _, st := range s.stores {
-			if st.seq >= e.seq {
-				break
-			}
-			if st.lo < e.hi && e.lo < st.hi {
-				if p := s.entry(st.seq); p != nil && !p.issued {
-					c.Dep += n
-					return
-				}
-			}
-		}
-	}
-	// Operands ready: the head is either stalled in issue on address
-	// translation (an in-flight transaction with a future ready cycle)
-	// or contending for issue bandwidth / a busy unit.
-	if sp := s.mem.Tim.VA; sp != nil {
-		if until, ok := sp.StallUntil(e.seq); ok && until > at {
-			c.TLBWalk += n
-			return
-		}
-	}
-	c.Issue += n
 }
 
 // missSig is a cheap monotonic fingerprint of the memory system's miss

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/trace"
@@ -51,6 +52,45 @@ func TestLSQStallCounted(t *testing.T) {
 	}
 	if st.StallLSQ == 0 {
 		t.Error("expected LSQ stalls with 64 cold-missing loads")
+	}
+}
+
+// TestDispatchStallPrecedence pins the order of the dispatch gates,
+// which a stall-counter check of "> 0" does not: a cycle both a full ROB
+// and a full LSQ refuse is charged to the ROB. Every instruction is a
+// load behind one long-latency vector load, so the window and the LSQ
+// hold the same entries; with Window == LSQ they fill on the same
+// cycles, and only the ROB may be charged. With a larger window only the
+// LSQ fills.
+func TestDispatchStallPrecedence(t *testing.T) {
+	insts := []isa.Inst{{Op: isa.OpVLoad, Kind: isa.KindMOMMem,
+		Dst: isa.V(1), VL: 16, Stride: 4096, Addr: 0x100000}}
+	for i := 0; i < 64; i++ {
+		insts = append(insts, isa.Inst{Op: isa.OpLoad, Kind: isa.KindScalarMem,
+			Dst: isa.R(1 + i%8), Imm: 8, Addr: uint64(0x200000 + i*64)})
+	}
+	seqify(insts)
+	for _, tc := range []struct {
+		name        string
+		window, lsq int
+		robFull     bool
+	}{
+		{"both-full", 8, 8, true},
+		{"lsq-only", 32, 8, false},
+	} {
+		for _, mode := range []engine.Mode{engine.Step, engine.Wheel} {
+			cfg := MOMCore()
+			cfg.Window, cfg.LSQ = tc.window, tc.lsq
+			mem := NewMemSystem(MemVectorCache, vmem.DefaultTiming(), 4, false)
+			st := SimulateMode(cfg, mem, insts, mode)
+			if st.Committed != uint64(len(insts)) {
+				t.Fatalf("%s/%v: committed %d of %d", tc.name, mode, st.Committed, len(insts))
+			}
+			if (st.StallROB > 0) != tc.robFull || (st.StallLSQ > 0) == tc.robFull {
+				t.Errorf("%s/%v: StallROB %d, StallLSQ %d: want only the ROB charged: %v",
+					tc.name, mode, st.StallROB, st.StallLSQ, tc.robFull)
+			}
+		}
 	}
 }
 

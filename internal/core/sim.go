@@ -97,8 +97,9 @@ type robEntry struct {
 	waiterNext uint64
 
 	// ready latches the verdict that nothing blocks the entry's issue
-	// (readyBound or issueBoundPark answered ready): the verdict is
-	// monotone, so later turns skip the walk — see wheel.go.
+	// (the readiness walk found no blocker for readyBound or
+	// issueBoundPark): the verdict is monotone, so later turns skip the
+	// walk — see wheel.go.
 	ready bool
 }
 
@@ -408,17 +409,15 @@ func (s *Sim) commit() bool {
 		if !e.issued || e.done > s.now {
 			break
 		}
-		in := e.in
-		outstanding := e.pend != nil && !e.pend.Settled(s.now)
-		if outstanding && in.IsStore && s.cfg.StoreBuf > 0 &&
-			len(s.postedStores) >= s.cfg.StoreBuf {
-			// Store buffer full: force the oldest posted store toward
-			// resolution (ReadyBy flushes once its lower bound passes)
-			// and retry next cycle.
+		if s.sbBlocked(e) {
+			// Force the oldest posted store toward resolution (ReadyBy
+			// flushes once its lower bound passes) and retry next cycle.
 			s.stats.StallSB++
 			s.postedStores[0].ReadyBy(s.now)
 			break
 		}
+		in := e.in
+		outstanding := e.pend != nil && !e.pend.Settled(s.now)
 		// Release rename state. A destination still waiting on memory
 		// keeps its mapping: the scoreboard owns it until the fill
 		// lands (prunePending clears it).
@@ -451,6 +450,14 @@ func (s *Sim) commit() bool {
 		n++
 	}
 	return n > 0
+}
+
+// sbBlocked reports whether the completed entry e is a store the full
+// store buffer refuses: its fill is still outstanding, so retiring it
+// would post one store more than the buffer holds.
+func (s *Sim) sbBlocked(e *robEntry) bool {
+	return e.in.IsStore && s.cfg.StoreBuf > 0 && len(s.postedStores) >= s.cfg.StoreBuf &&
+		!e.pend.Settled(s.now) // a nil handle is settled
 }
 
 // release frees one rename mapping at commit. keepMapping leaves the
@@ -614,16 +621,8 @@ func (s *Sim) dispatch() {
 	for n := 0; n < s.cfg.FetchWidth && s.next < len(ops); n++ {
 		op := ops[s.next]
 		in := &static[op&trace.StaticMask]
-		if s.count == s.cfg.Window {
-			s.stats.StallROB++
-			break
-		}
-		if in.Kind.IsMem() && s.lsqCount == s.cfg.LSQ {
-			s.stats.StallLSQ++
-			break
-		}
-		if !s.regsAvailable(in) {
-			s.stats.StallRegs++
+		if c := s.dispatchStall(in); c != nil {
+			*c++
 			break
 		}
 		var addr uint64
@@ -653,6 +652,21 @@ func (s *Sim) dispatch() {
 // the dispatch gates read.
 func (s *Sim) nextStatic() *isa.Inst {
 	return &s.stream.Static[s.stream.Ops[s.next]&trace.StaticMask]
+}
+
+// dispatchStall returns the stall counter of the first dispatch gate
+// that keeps in out of the window — a full ROB, then a full LSQ, then
+// no free rename register — or nil when every gate is open.
+func (s *Sim) dispatchStall(in *isa.Inst) *uint64 {
+	switch {
+	case s.count == s.cfg.Window:
+		return &s.stats.StallROB
+	case in.Kind.IsMem() && s.lsqCount == s.cfg.LSQ:
+		return &s.stats.StallLSQ
+	case !s.regsAvailable(in):
+		return &s.stats.StallRegs
+	}
+	return nil
 }
 
 func (s *Sim) regsAvailable(in *isa.Inst) bool {

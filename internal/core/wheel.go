@@ -7,14 +7,15 @@ import (
 	"repro/internal/engine"
 	"repro/internal/isa"
 	"repro/internal/trace"
+	"repro/internal/vmem"
 )
 
 // This file holds the issue stage's scan and, built on it, the event-
 // wheel engine: the machinery that lets a Sim jump over cycles in which
 // Step would provably do nothing, while staying bit-identical to
 // executing every cycle — including the stall counters Step charges
-// every idle cycle and the exact cycles at which readyBound's ReadyBy
-// polls force MSHR batch flushes.
+// every idle cycle and the exact cycles at which the readiness walk's
+// ReadyBy polls (firstBlocker with poll set) force MSHR batch flushes.
 //
 // Two structures carry it. First, the issue scan is event-driven under
 // both engines: each queue only evaluates its active list — entries
@@ -308,8 +309,8 @@ func (s *Sim) evaluate(q queue, seq uint64, width int, issued *int, fire func(e 
 		}
 		return !asleep
 	}
-	if ok, wake, wseq := s.readyBound(e); !ok {
-		if s.park(e, wake, wseq) {
+	if b, blocked := s.readyBound(e); blocked {
+		if s.park(e, b.wake, b.seq) {
 			return false
 		}
 		s.issueNoSkip = true // bound not in the future: re-poll next cycle
@@ -333,122 +334,107 @@ func (s *Sim) evaluate(q queue, seq uint64, width int, issued *int, fire func(e 
 	return false
 }
 
-// readyBound reports whether every operand of e is available and, for
-// loads, whether all older overlapping stores have issued — the one
-// place issue readiness is evaluated with polls: the walk
-// short-circuits at the first blocker, and its lazy ReadyBy polls are
-// what flush MSHR batches. On a blocked verdict it reports the first
-// cycle the verdict could flip on its own — the blocker's completion
-// or flush bound — or maxWake plus the seq of the unissued entry whose
-// issue is the only event that can unblock it.
-func (s *Sim) readyBound(e *robEntry) (bool, int64, uint64) {
-	if e.ready {
-		return true, 0, 0
-	}
-	for i := 0; i < e.ndeps; i++ {
-		d := e.deps[i]
+// blocker names what holds an unissued entry: the unissued entry seq,
+// whose issue alone can unblock it (wake is maxWake); an executing
+// producer p, until its completion wake; or a fill handle h, until its
+// bound wake.
+type blocker struct {
+	wake int64
+	seq  uint64
+	p    *robEntry
+	h    *vmem.Pending
+}
+
+// firstBlocker is the one readiness walk: e's operands in order, then,
+// for a load, the older overlapping stores (once a store has issued, the
+// LSQ forwarding/merge network supplies its data to younger loads). It
+// stops at the first condition that holds e and reports it with true;
+// false means nothing does. With poll set a fill is asked through ReadyBy,
+// whose lazy poll is what flushes MSHR batches; without it through the
+// poll-free Bound alone, which cannot flush or resolve anything.
+func (s *Sim) firstBlocker(e *robEntry, poll bool) (blocker, bool) {
+	for _, d := range e.deps[:e.ndeps] {
 		p := s.entry(d.seq)
 		if p == nil {
-			// Committed — but a producer that retired early may still
-			// be filling the register from memory; the scoreboard keeps
-			// the true dependency alive. (ReadyBy resolves the MSHR
-			// batch lazily: it answers false for free while the
-			// minimum-latency bound rules completion out.)
-			if h := s.scoreboard(d.seq); h != nil && !d.usePtr && !h.ReadyBy(s.now) {
-				b, _ := h.Bound()
-				return false, b, 0
+			// Committed — but a producer that retired early may still be
+			// filling the register from memory; the scoreboard keeps the
+			// true dependency alive.
+			if h := s.scoreboard(d.seq); h != nil && !d.usePtr {
+				if b, held := s.fillHolds(h, poll); held {
+					return blocker{wake: b, h: h}, true
+				}
 			}
 			continue // value in the register file
 		}
 		if !p.issued {
-			return false, maxWake, d.seq
+			return blocker{wake: maxWake, seq: d.seq}, true
 		}
 		t := p.done
 		if d.usePtr {
 			t = p.donePtr
 		}
 		if t > s.now {
-			return false, t, 0
+			return blocker{wake: t, p: p}, true
 		}
-		if !d.usePtr && p.pend != nil && !p.pend.ReadyBy(s.now) {
-			b, _ := p.pend.Bound()
-			return false, b, 0
+		if !d.usePtr && p.pend != nil {
+			if b, held := s.fillHolds(p.pend, poll); held {
+				return blocker{wake: b, h: p.pend}, true
+			}
 		}
 	}
 	if e.in.Kind.IsMem() && !e.in.IsStore {
-		// A load waits only for un-issued older overlapping stores: once
-		// a store has issued, the LSQ forwarding/merge network supplies
-		// its data to younger loads.
 		for _, st := range s.stores {
 			if st.seq >= e.seq {
 				break
 			}
 			if st.lo < e.hi && e.lo < st.hi {
 				if p := s.entry(st.seq); p != nil && !p.issued {
-					return false, maxWake, st.seq
+					return blocker{wake: maxWake, seq: st.seq}, true
 				}
 			}
 		}
 	}
-	e.ready = true
-	return true, 0, 0
+	return blocker{}, false
+}
+
+// fillHolds reports fill h's bound and whether h may still withhold its
+// data at now: by ReadyBy's answer when polling (false for free while the
+// bound rules completion out), else until the bound is exact and passed.
+func (s *Sim) fillHolds(h *vmem.Pending, poll bool) (int64, bool) {
+	if poll && h.ReadyBy(s.now) {
+		return 0, false
+	}
+	b, exact := h.Bound()
+	return b, poll || !exact || b > s.now
+}
+
+// readyBound is the readiness walk with polls, behind the ready latch:
+// what holds e, whose wake is the first cycle the verdict could flip on
+// its own (maxWake: only the issue of entry seq can flip it), if any.
+func (s *Sim) readyBound(e *robEntry) (blocker, bool) {
+	if !e.ready {
+		if b, blocked := s.firstBlocker(e, true); blocked {
+			return b, true
+		}
+		e.ready = true
+	}
+	return blocker{}, false
 }
 
 // issueBoundPark is readyBound without the polls — an entry that gets
 // no turn this cycle must not flush — parking the entry on its first
-// blocking condition. For unresolved fill handles it uses the poll-free
-// lower bound, which is exactly the cycle a per-cycle poll would first
-// flush, so the wake-up lands the scan (and its flush) on that cycle. It
-// returns (ready, asleep): ready means nothing blocks at now; asleep
-// means the entry parked with a registered wake-up. Neither means the
-// bound was not in the future — the caller keeps the entry active.
+// blocker. An unresolved fill's poll-free bound is exactly the cycle a
+// per-cycle poll would first flush, so the wake-up lands the scan (and
+// its flush) on that cycle. It returns (ready, asleep): ready means
+// nothing blocks at now; asleep means the entry parked with a
+// registered wake-up. Neither means the bound was not in the future —
+// the caller keeps the entry active.
 func (s *Sim) issueBoundPark(e *robEntry) (bool, bool) {
 	if e.ready {
 		return true, false
 	}
-	now := s.now
-	for i := 0; i < e.ndeps; i++ {
-		d := e.deps[i]
-		p := s.entry(d.seq)
-		if p == nil {
-			h := s.scoreboard(d.seq)
-			if h == nil || d.usePtr {
-				continue // value in the register file
-			}
-			t, exact := h.Bound()
-			if !exact || t > now {
-				return false, s.park(e, t, 0)
-			}
-			continue
-		}
-		if !p.issued {
-			return false, s.park(e, maxWake, d.seq)
-		}
-		t := p.done
-		if d.usePtr {
-			t = p.donePtr
-		}
-		if t > now {
-			return false, s.park(e, t, 0)
-		}
-		if !d.usePtr && p.pend != nil {
-			t, exact := p.pend.Bound()
-			if !exact || t > now {
-				return false, s.park(e, t, 0)
-			}
-		}
-	}
-	if e.in.Kind.IsMem() && !e.in.IsStore {
-		for _, st := range s.stores {
-			if st.seq >= e.seq {
-				break
-			}
-			if st.lo < e.hi && e.lo < st.hi {
-				if p := s.entry(st.seq); p != nil && !p.issued {
-					return false, s.park(e, maxWake, st.seq)
-				}
-			}
-		}
+	if b, blocked := s.firstBlocker(e, false); blocked {
+		return false, s.park(e, b.wake, b.seq)
 	}
 	e.ready = true
 	return true, false
@@ -507,21 +493,18 @@ func (s *Sim) nextWake() int64 {
 	if s.count > 0 {
 		e := &s.rob[s.head]
 		if e.issued {
-			if e.done > now {
+			switch {
+			case e.done > now:
 				sched(e.done)
-			} else {
-				outstanding := e.pend != nil && !e.pend.Settled(now)
-				if outstanding && e.in.IsStore && s.cfg.StoreBuf > 0 &&
-					len(s.postedStores) >= s.cfg.StoreBuf {
-					b, _ := e.pend.Bound()
+			case s.sbBlocked(e):
+				b, _ := e.pend.Bound()
+				sched(b)
+				for _, h := range s.postedStores {
+					b, _ := h.Bound()
 					sched(b)
-					for _, h := range s.postedStores {
-						b, _ := h.Bound()
-						sched(b)
-					}
-				} else {
-					return now // head retires next cycle
 				}
+			default:
+				return now // head retires next cycle
 			}
 		}
 		// An unissued head is covered by the issue scan below.
@@ -540,10 +523,7 @@ func (s *Sim) nextWake() int64 {
 		if now < s.fetchResumeAt {
 			sched(s.fetchResumeAt)
 		} else {
-			in := s.nextStatic()
-			if s.count != s.cfg.Window &&
-				!(in.Kind.IsMem() && s.lsqCount == s.cfg.LSQ) &&
-				s.regsAvailable(in) {
+			if s.dispatchStall(s.nextStatic()) == nil {
 				return now // dispatch inserts next cycle
 			}
 			// Resource-stalled: only a commit frees the window / LSQ /
@@ -573,11 +553,11 @@ func (s *Sim) nextWake() int64 {
 }
 
 // SkipTo advances the clock to cycle t without stepping, charging the
-// per-cycle stall statistics the skipped Steps would have charged. The
-// caller must have established via NextWake that every cycle in
-// (s.now, t) is a no-op; the predicates below are then frozen across
-// the window, because any cycle at which one could flip is itself a
-// NextWake candidate.
+// skipped Steps' stalls from the verdicts Step's commit and dispatch
+// read (sbBlocked, dispatchStall) and the CPI stack's. NextWake must
+// have shown every cycle in (s.now, t) a no-op; the verdicts are then
+// frozen across the window, because any cycle at which one could flip
+// is itself a NextWake candidate.
 func (s *Sim) SkipTo(t int64) {
 	n := t - s.now
 	if n <= 0 {
@@ -590,23 +570,13 @@ func (s *Sim) SkipTo(t int64) {
 	// skipped, so committed is false by construction.
 	s.chargeCPI(uint64(n), false)
 	if s.count > 0 {
-		e := &s.rob[s.head]
-		outstanding := e.issued && e.done <= s.now &&
-			e.pend != nil && !e.pend.Settled(s.now)
-		if outstanding && e.in.IsStore && s.cfg.StoreBuf > 0 &&
-			len(s.postedStores) >= s.cfg.StoreBuf {
+		if e := &s.rob[s.head]; e.issued && e.done <= s.now && s.sbBlocked(e) {
 			s.stats.StallSB += uint64(n)
 		}
 	}
 	if !s.mispredictPend && s.now >= s.fetchResumeAt && s.next < len(s.stream.Ops) {
-		in := s.nextStatic()
-		switch {
-		case s.count == s.cfg.Window:
-			s.stats.StallROB += uint64(n)
-		case in.Kind.IsMem() && s.lsqCount == s.cfg.LSQ:
-			s.stats.StallLSQ += uint64(n)
-		case !s.regsAvailable(in):
-			s.stats.StallRegs += uint64(n)
+		if c := s.dispatchStall(s.nextStatic()); c != nil {
+			*c += uint64(n)
 		}
 	}
 	s.now = t

@@ -212,8 +212,9 @@ func TestWheelMatchesStepGshare(t *testing.T) {
 }
 
 // TestWheelMatchesStepStoreBuffer pins the store-buffer-full skip path
-// (bulk StallSB charging plus the oldest-posted-store flush poll) with
-// a 1-entry buffer, the configuration TestStoreBufferBounds uses.
+// (sbBlocked's verdict bulk-charged by SkipTo, plus the oldest posted
+// store's flush poll) with a 1-entry buffer, the configuration
+// TestStoreBufferBounds uses.
 func TestWheelMatchesStepStoreBuffer(t *testing.T) {
 	sb1 := func(c *Config) { c.StoreBuf = 1 }
 	for _, bm := range []kernels.Benchmark{GSMEnc(), MPEG2Enc()} {
@@ -267,9 +268,9 @@ func TestEngineSwitchMidRun(t *testing.T) {
 // TestSleepersAreNeverReady checks the issue scan's parking from the
 // outside. It hand-steps with Step() only and, after every cycle,
 // classifies every valid unissued ROB entry from the raw fields —
-// calling neither readyBound nor issueBoundPark, and reading fill
-// handles through the poll-free Bound only, so the check cannot flush
-// a batch the run would not. Each entry must be in exactly one place:
+// never calling firstBlocker, the readiness walk under test, and
+// reading fill handles through the poll-free Bound only, so the check
+// cannot flush a batch the run would not. Each entry must be in exactly one place:
 // on its queue's active list (once), on the waiter chain of an older
 // entry that has not issued, or asleep — and then something must be
 // holding it that time alone resolves no earlier than the cycle its
@@ -283,6 +284,48 @@ func TestSleepersAreNeverReady(t *testing.T) {
 			checkSleepers(t, name, s)
 		}
 	})
+}
+
+// TestPollFreeWalkDoesNotFlush holds firstBlocker's poll-free mode to
+// its contract: the walk the CPI classifier and issueBoundPark run on
+// entries that get no turn must not flush an MSHR batch the run would
+// not. After every Step it walks every valid unissued entry without
+// polls and requires the MSHR file's flush counters unmoved and no
+// ready latch set. Mutation-checked: a poll-free walk that asks
+// ReadyBy fails here within the first cells.
+func TestPollFreeWalkDoesNotFlush(t *testing.T) {
+	walked := 0
+	forEachSleeperCell(t, func(name string, s *Sim) {
+		f := s.mem.Tim.MSHR
+		for s.Running() && !t.Failed() {
+			s.Step()
+			var before vmem.MSHRStats
+			if f != nil {
+				before = *f.Stats()
+			}
+			for i := range s.rob {
+				e := &s.rob[i]
+				if !e.valid || e.issued {
+					continue
+				}
+				ready := e.ready
+				s.firstBlocker(e, false)
+				walked++
+				if e.ready != ready {
+					t.Errorf("%s cycle %d: the poll-free walk set seq %d's ready latch", name, s.now-1, e.seq)
+				}
+			}
+			if f != nil {
+				if st := f.Stats(); st.Flushes != before.Flushes || st.FlushedReqs != before.FlushedReqs {
+					t.Errorf("%s cycle %d: the poll-free walk flushed the MSHR file (flushes %d -> %d, requests %d -> %d)",
+						name, s.now-1, before.Flushes, st.Flushes, before.FlushedReqs, st.FlushedReqs)
+				}
+			}
+		}
+	})
+	if walked == 0 {
+		t.Error("no unissued entry was ever walked: the check saw nothing")
+	}
 }
 
 // forEachSleeperCell builds every cell the raw-ROB-field checks cross —
@@ -395,11 +438,11 @@ func checkSleepers(t *testing.T, name string, s *Sim) {
 // poll-free readiness walk at the cycle just executed and at every later
 // one until it issues — so skipping the walk for a latched entry skips
 // nothing that could have answered otherwise. Like checkSleepers the
-// walk is written against raw ROB fields, calls neither readyBound nor
-// issueBoundPark, and reads fill handles through Bound alone. Both
-// engines: the wheel lands on fewer cycles, but a verdict that holds at
-// every one of them held in between (the walk only compares against a
-// clock that moves forward). Mutation-checked: latching where
+// walk is written against raw ROB fields, never calls firstBlocker,
+// and reads fill handles through Bound alone. Both engines: the wheel
+// lands on fewer cycles, but a verdict that holds at every one of them
+// held in between (the walk only compares against a clock that moves
+// forward). Mutation-checked: latching where
 // issueBoundPark's park refuses (a bound not in the future, but the
 // entry not ready) fails here within the first cells.
 func TestReadyLatchIsMonotone(t *testing.T) {
