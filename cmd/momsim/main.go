@@ -42,8 +42,9 @@
 // virtual address space over one shared physical pool — multi-level
 // page tables walked on TLB misses (a private L1 TLB per requestor
 // over a shared L2 TLB), with the miss and walk latency charged as
-// issue-stage stalls. The policy names how the buddy allocator places
-// pages: first (first-fit), color (round-robin a tenant's pages across
+// issue-stage stalls. Pages are claimed from the pool on first touch
+// and never freed; the policy names where each claim lands: first
+// (the lowest free page), color (round-robin a tenant's pages across
 // DRAM channels) or colo (pack each tenant contiguously for row-hit
 // locality). With -tenants the spaces replace the address-window
 // rebasing, so isolation comes from the page tables themselves.

@@ -27,7 +27,10 @@ var updateGolden = flag.Bool("update-golden", false,
 // reportLines are the pinned command lines: the default machine, the
 // three front ends built differently (banked L1 ports, ideal memory,
 // address translation), the whole non-blocking backend under the wheel,
-// and a multi-tenant run. stats also pins the line's -statsjson export.
+// a multi-tenant run, and the colo and color placements over tenant
+// groups on the bank mapping (the only mapping under which coloring
+// finds a page on the channel it asks for). stats also pins the line's
+// -statsjson export.
 var reportLines = []struct {
 	name  string
 	args  string
@@ -39,6 +42,8 @@ var reportLines = []struct {
 	{name: "sdram_mshr16_pf8_rphistory_wheel", args: "-dram sdram -mshr 16 -pf 8 -rp history -cpistack -engine wheel"},
 	{name: "sdram_vacolor", args: "-dram sdram -va color"},
 	{name: "tenants2_qos_vafirst", args: "-bench motionsearch -dram sdram -tenants 2 -qos -va first -cpistack", stats: true},
+	{name: "tenants3_bank_vacolo_wheel", args: "-bench motionsearch -dram sdram -dmap bank -tenants 3 -va colo -engine wheel", stats: true},
+	{name: "tenants2_bank_vacolor_wheel", args: "-bench motionsearch -dram sdram -dmap bank -tenants 2 -va color -engine wheel"},
 }
 
 // TestReportMatchesGolden runs each pinned command line through run, the

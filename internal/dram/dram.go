@@ -218,24 +218,11 @@ type Stats struct {
 	ReadService *stats.Histogram
 }
 
-// initHists allocates the latency histograms once; SDRAM.Reset clears
-// them in place so pointers held by a stats registry stay live.
+// initHists allocates the latency histograms, once, when NewSDRAM builds
+// the part: a controller serves one run and is never reset, so the
+// pointers a stats registry holds stay the live ones.
 func (s *Stats) initHists() {
-	if s.ReadWait == nil {
-		s.ReadWait = stats.NewHistogram()
-	}
-	if s.ReadService == nil {
-		s.ReadService = stats.NewHistogram()
-	}
-}
-
-// reset zeroes every counter while keeping the histogram identities.
-func (s *Stats) reset() {
-	rw, rs := s.ReadWait, s.ReadService
-	*s = Stats{}
-	rw.Reset()
-	rs.Reset()
-	s.ReadWait, s.ReadService = rw, rs
+	s.ReadWait, s.ReadService = stats.NewHistogram(), stats.NewHistogram()
 }
 
 // Traceable is implemented by backends that accept a cycle-stamped

@@ -189,7 +189,7 @@ func TestRefreshClosesRows(t *testing.T) {
 	}
 	// A request landing inside the refresh window waits it out and then
 	// re-activates the (closed) row.
-	s.Reset()
+	s = NewSDRAM(cfg)
 	access(s, 0, 0)
 	if got, want := access(s, 128, 105), int64(120+10+5+4); got != want {
 		t.Fatalf("in-refresh access: done = %d, want %d", got, want)
@@ -361,15 +361,5 @@ func TestValidateFlagCombo(t *testing.T) {
 		if _, err := f.Read(c.kind); (err == nil) != c.ok {
 			t.Errorf("-dram %q %v: Read = %v, want ok=%v", c.kind, c.args, err, c.ok)
 		}
-	}
-}
-
-func TestResetClearsTimingState(t *testing.T) {
-	s := NewSDRAM(testConfig())
-	access(s, 0, 0)
-	s.Reset()
-	// After reset the bank is idle again: same latency as a cold start.
-	if got := access(s, 0, 0); got != 19 {
-		t.Fatalf("post-reset access: done = %d, want 19", got)
 	}
 }

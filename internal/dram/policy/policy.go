@@ -138,8 +138,6 @@ type RowPolicy interface {
 	// (auto-precharge), and a positive n precharges once the bank has
 	// sat idle n cycles.
 	CloseAfter(bank int) int64
-	// Reset clears all per-bank state.
-	Reset()
 }
 
 // New builds the spec's policy over a part with the given number of
@@ -152,7 +150,9 @@ func (s Spec) New(banks int) RowPolicy {
 		return timerPolicy{idle: s.Idle}
 	case History:
 		h := &historyPolicy{ctr: make([]uint8, banks)}
-		h.Reset()
+		for i := range h.ctr {
+			h.ctr[i] = historyInit
+		}
 		return h
 	}
 	return openPolicy{}
@@ -164,7 +164,6 @@ type openPolicy struct{}
 func (openPolicy) Kind() Kind           { return Open }
 func (openPolicy) Train(int, bool) bool { return false }
 func (openPolicy) CloseAfter(int) int64 { return KeepOpen }
-func (openPolicy) Reset()               {}
 
 // closePolicy is the static close page: auto-precharge after every
 // burst.
@@ -173,7 +172,6 @@ type closePolicy struct{}
 func (closePolicy) Kind() Kind           { return Close }
 func (closePolicy) Train(int, bool) bool { return false }
 func (closePolicy) CloseAfter(int) int64 { return 0 }
-func (closePolicy) Reset()               {}
 
 // timerPolicy keeps rows open for a fixed idle gap.
 type timerPolicy struct{ idle int64 }
@@ -181,7 +179,6 @@ type timerPolicy struct{ idle int64 }
 func (timerPolicy) Kind() Kind             { return Timer }
 func (timerPolicy) Train(int, bool) bool   { return false }
 func (t timerPolicy) CloseAfter(int) int64 { return t.idle }
-func (timerPolicy) Reset()                 {}
 
 // historyPolicy is the live/dead predictor: a 2-bit saturating counter
 // per bank. Counters at or above historyLive predict "live" (keep the
@@ -189,9 +186,9 @@ func (timerPolicy) Reset()                 {}
 // increments, a different-row observation decrements.
 type historyPolicy struct{ ctr []uint8 }
 
-// historyLive is the decision threshold, and historyInit the reset
-// state: weakly live, so an untrained bank behaves like the open-page
-// default until its stream says otherwise.
+// historyLive is the decision threshold, and historyInit every bank's
+// initial state: weakly live, so an untrained bank behaves like the
+// open-page default until its stream says otherwise.
 const (
 	historyLive = 2
 	historyInit = 2
@@ -219,10 +216,4 @@ func (h *historyPolicy) CloseAfter(bank int) int64 {
 		return KeepOpen
 	}
 	return 0
-}
-
-func (h *historyPolicy) Reset() {
-	for i := range h.ctr {
-		h.ctr[i] = historyInit
-	}
 }

@@ -156,19 +156,6 @@ func TestHistoryPerBankIsolation(t *testing.T) {
 	}
 }
 
-// TestHistoryReset: Reset restores the weakly-live initial state.
-func TestHistoryReset(t *testing.T) {
-	p := Spec{Kind: History}.New(1)
-	seq(t, p, 0, []bool{false, false, false})
-	if d := p.CloseAfter(0); d != 0 {
-		t.Fatalf("trained-dead decision = %d, want 0", d)
-	}
-	p.Reset()
-	if d := p.CloseAfter(0); d != KeepOpen {
-		t.Fatalf("post-reset decision = %d, want KeepOpen", d)
-	}
-}
-
 // TestSpecNew: every kind constructs and reports itself.
 func TestSpecNew(t *testing.T) {
 	for _, s := range []Spec{

@@ -215,7 +215,7 @@ func TestPrefetchQueueCapDefers(t *testing.T) {
 		t.Fatalf("deferred = %d, want 1", s.Stats().PrefetchDeferred)
 	}
 	// Demand reads never touch the cap.
-	s.Reset()
+	s = NewSDRAM(cfg)
 	comps = s.Submit([]Request{{Addr: 0, At: 0}, {Addr: 128, At: 0}})
 	if s.Stats().PrefetchDeferred != 0 {
 		t.Fatalf("demand reads deferred: %+v", s.Stats())

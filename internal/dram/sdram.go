@@ -339,9 +339,20 @@ func NewSDRAM(cfg Config) *SDRAM {
 		s.tenants = cfg.Tenants
 	}
 	s.chans = make([]channel, cfg.Channels)
+	for c := range s.chans {
+		s.chans[c] = channel{
+			banks:       make([]bank, cfg.Ranks*cfg.Banks),
+			nextRefresh: cfg.TREFI,
+			inflight:    make(doneSet, 0, cfg.QueueDepth),
+			pfInflight:  make(doneSet, 0, cfg.QueueDepth),
+			writeQ:      make([]Request, 0, cfg.WQDepth),
+		}
+		if cfg.QoS {
+			s.chans[c].tenInflight = make([]doneSet, cfg.Tenants)
+		}
+	}
 	s.perChan = make([][]int, cfg.Channels)
 	s.st.initHists()
-	s.Reset()
 	return s
 }
 
@@ -402,27 +413,6 @@ func (s *SDRAM) ChannelCount() int { return s.cfg.Channels }
 
 // SetTracer implements Traceable.
 func (s *SDRAM) SetTracer(t *stats.Tracer) { s.tr = t }
-
-// Reset implements Backend.
-func (s *SDRAM) Reset() {
-	s.st.reset()
-	for i := range s.tst {
-		s.tst[i].reset()
-	}
-	s.rp.Reset()
-	for c := range s.chans {
-		s.chans[c] = channel{
-			banks:       make([]bank, s.cfg.Ranks*s.cfg.Banks),
-			nextRefresh: s.cfg.TREFI,
-			inflight:    make(doneSet, 0, s.cfg.QueueDepth),
-			pfInflight:  make(doneSet, 0, s.cfg.QueueDepth),
-			writeQ:      make([]Request, 0, s.cfg.WQDepth),
-		}
-		if s.cfg.QoS {
-			s.chans[c].tenInflight = make([]doneSet, s.cfg.Tenants)
-		}
-	}
-}
 
 // EnableTenantStats implements TenantAware: allocate n per-requestor
 // stat shards. Recording into them is pure observation — it never

@@ -32,18 +32,7 @@ type TenantStats struct {
 	ReadLatency *stats.Histogram
 }
 
-func (t *TenantStats) init() {
-	if t.ReadLatency == nil {
-		t.ReadLatency = stats.NewHistogram()
-	}
-}
-
-func (t *TenantStats) reset() {
-	h := t.ReadLatency
-	*t = TenantStats{}
-	h.Reset()
-	t.ReadLatency = h
-}
+func (t *TenantStats) init() { t.ReadLatency = stats.NewHistogram() }
 
 // tenantSlot is the one bounds check per-tenant state is indexed
 // through — the stat shards of both backends and, on the SDRAM, each

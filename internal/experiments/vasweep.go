@@ -47,7 +47,7 @@ func VASweep(r *Runner) *Table {
 			}}},
 		Note: "slowdown = shared-pool cycles / solo cycles under the same placement policy; the\n" +
 			"bank mapping keeps each 4 KiB page on one channel, so placement is the whole\n" +
-			"story: first-fit interleaves tenants' demand faults wherever the buddy allocator\n" +
+			"story: first-fit interleaves tenants' demand faults wherever the page pool\n" +
 			"has room, color round-robins each tenant's pages across channels from a\n" +
 			"tenant-specific start, colo packs each tenant contiguously for row locality.\n",
 	}

@@ -62,15 +62,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Reset clears the histogram in place, preserving the pointer held by
-// any registry.
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	*h = Histogram{}
-}
-
 // HistBucket is one non-empty bucket of a snapshot: the inclusive
 // value range [Lo, Hi] and its observation count.
 type HistBucket struct {

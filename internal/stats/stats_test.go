@@ -234,7 +234,6 @@ func TestHistogramNilSafe(t *testing.T) {
 	if s := h.Snapshot(); s.Count != 0 {
 		t.Error("nil histogram snapshot not empty")
 	}
-	h.Reset() // must not panic
 }
 
 func TestHistogramQuantileMean(t *testing.T) {
@@ -264,20 +263,5 @@ func TestHistogramQuantileMean(t *testing.T) {
 	}
 	if q := (HistSnapshot{}).Quantile(0.5); q != 0 {
 		t.Errorf("empty quantile = %d, want 0", q)
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(7)
-	r := NewRegistry()
-	r.Hist("h", h)
-	h.Reset()
-	if got := r.Snapshot().Hists["h"].Count; got != 0 {
-		t.Errorf("after Reset count = %d, want 0 (registry must see the reset)", got)
-	}
-	h.Observe(3)
-	if got := r.Snapshot().Hists["h"].Count; got != 1 {
-		t.Errorf("after re-observe count = %d, want 1", got)
 	}
 }

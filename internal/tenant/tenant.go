@@ -64,8 +64,8 @@ type Options struct {
 	// VM.Space(i) over one shared physical pool instead of the
 	// tenant<<32 address window: traces run at their native virtual
 	// addresses, isolation comes from per-tenant page tables, and the
-	// buddy allocator's placement policy decides how the tenants'
-	// pages interleave across DRAM channels and rows.
+	// page pool's placement policy decides how the tenants' pages
+	// interleave across DRAM channels and rows.
 	VM *vm.VM
 }
 

@@ -13,7 +13,6 @@ type PageTable struct {
 	levels int
 	bits   uint
 	root   *ptNode
-	mapped uint64
 }
 
 type ptNode struct {
@@ -70,9 +69,9 @@ func (pt *PageTable) walk(vpn uint64, create bool) *ptNode {
 	return n
 }
 
-// Map installs vpn → ppn; mapping an already-mapped page panics (the
-// allocator owns physical pages, so silently replacing a translation
-// would leak one).
+// Map installs vpn → ppn; mapping an already-mapped page panics (each
+// mapping holds a page claimed from the pool, so silently replacing a
+// translation would leak one).
 func (pt *PageTable) Map(vpn, ppn uint64) {
 	leaf := pt.walk(vpn, true)
 	i := pt.index(vpn, pt.levels-1)
@@ -80,23 +79,6 @@ func (pt *PageTable) Map(vpn, ppn uint64) {
 		panic(fmt.Sprintf("vm: virtual page %#x is already mapped", vpn))
 	}
 	leaf.pte[i] = ppn + 1
-	pt.mapped++
-}
-
-// Unmap removes vpn's translation, returning the physical page it held.
-func (pt *PageTable) Unmap(vpn uint64) (ppn uint64, ok bool) {
-	leaf := pt.walk(vpn, false)
-	if leaf == nil {
-		return 0, false
-	}
-	i := pt.index(vpn, pt.levels-1)
-	if leaf.pte[i] == 0 {
-		return 0, false
-	}
-	ppn = leaf.pte[i] - 1
-	leaf.pte[i] = 0
-	pt.mapped--
-	return ppn, true
 }
 
 // Lookup resolves vpn without side effects.
@@ -111,6 +93,3 @@ func (pt *PageTable) Lookup(vpn uint64) (ppn uint64, ok bool) {
 	}
 	return leaf.pte[i] - 1, true
 }
-
-// Mapped is the live translation count.
-func (pt *PageTable) Mapped() uint64 { return pt.mapped }

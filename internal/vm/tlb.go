@@ -72,27 +72,3 @@ place:
 	set[victim] = tlbEntry{tag: tag, ppn: ppn, used: t.tick, valid: true}
 	return evicted
 }
-
-// Invalidate drops tag's entry (a shoot-down); it reports whether the
-// entry was present.
-func (t *TLB) Invalidate(tag uint64) bool {
-	set := t.set(tag)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i] = tlbEntry{}
-			return true
-		}
-	}
-	return false
-}
-
-// Entries counts the valid translations currently held.
-func (t *TLB) Entries() int {
-	n := 0
-	for i := range t.ent {
-		if t.ent[i].valid {
-			n++
-		}
-	}
-	return n
-}

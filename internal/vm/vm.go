@@ -1,18 +1,20 @@
 // Package vm gives each requestor a virtual address space: a
 // multi-level forward-mapped page table, a two-level TLB (a private L1
-// TLB per space over a shared L2 TLB), and a buddy allocator that
-// places physical pages under a pluggable policy — first-fit, page
-// coloring that spreads a tenant's pages round-robin across DRAM
-// channels, or deliberate co-location that keeps a tenant's pages
-// physically contiguous for row-hit locality.
+// TLB per space over a shared L2 TLB), and a physical page pool whose
+// pages are placed under a pluggable policy — first-fit, page coloring
+// that spreads a tenant's pages round-robin across DRAM channels, or
+// deliberate co-location that keeps a tenant's pages physically
+// contiguous for row-hit locality. Pages are claimed on first touch and
+// never freed: a machine runs once and is dropped, so nothing unmaps a
+// page or shoots a translation down.
 //
 // Timing rides the issue stage: before a memory instruction may issue,
 // every page it touches must translate. L1 TLB hits are free (the
 // lookup overlaps decode), L2 hits charge a fixed penalty, and misses
 // start a page-table walk of Levels × WalkLat cycles; the instruction
 // stalls in its issue queue until the slowest page resolves. Walks to
-// the same page coalesce, and a first touch under demand paging
-// allocates the page right there (a demand-zero fault).
+// the same page coalesce, and a first touch claims the page right
+// there (a demand-zero fault).
 //
 // The model is engine-agnostic by construction: Ready is an idempotent
 // transaction keyed by the instruction's sequence number, so the
@@ -88,11 +90,9 @@ type Config struct {
 	L2TLBLat int64 // issue-stall cycles on an L1 miss that hits the L2 TLB
 	WalkLat  int64 // cycles per page-table level on a full walk
 
-	PhysPages uint64 // physical pool size in pages (power of two)
-	PhysBase  uint64 // physical base address of the pool
+	PhysPages uint64 // physical pool size in pages, from address 0
 
 	Policy Policy
-	Demand bool // allocate pages on first touch (demand-zero faults)
 }
 
 // DefaultConfig is the x86-64-shaped default: 4 KiB pages, a 4-level
@@ -103,8 +103,7 @@ func DefaultConfig() Config {
 		PageBits: 12, Levels: 4, BitsPerLevel: 9,
 		L1Sets: 8, L1Ways: 4, L2Sets: 64, L2Ways: 8,
 		L2TLBLat: 4, WalkLat: 20,
-		PhysPages: 1 << 18, PhysBase: 0,
-		Demand: true,
+		PhysPages: 1 << 18,
 	}
 }
 
@@ -118,10 +117,9 @@ type TLBStats struct {
 // WalkStats counts page-table walks across all spaces. Latency is the
 // walk-start to TLB-fill distribution.
 type WalkStats struct {
-	Walks      uint64 // full walks started (L2 TLB misses)
-	Coalesced  uint64 // lookups that joined an in-flight walk
-	Shootdowns uint64 // TLB invalidations from unmapping
-	Latency    *stats.Histogram
+	Walks     uint64 // full walks started (L2 TLB misses)
+	Coalesced uint64 // lookups that joined an in-flight walk
+	Latency   *stats.Histogram
 }
 
 // SpaceStats is one space's private view: L1 TLB activity and paging.
@@ -129,17 +127,17 @@ type SpaceStats struct {
 	L1Hits      uint64
 	L1Misses    uint64
 	L1Evictions uint64
-	Faults      uint64 // demand-zero page allocations
-	PagesMapped uint64 // pages ever mapped (eager + demand)
+	Faults      uint64 // demand-zero page claims
+	PagesMapped uint64 // pages mapped (one per fault)
 }
 
 // VM owns the machinery shared by every address space: the L2 TLB, the
-// physical-page allocator and the channel geometry the coloring policy
+// physical page pool and the channel geometry the coloring policy
 // colors by.
 type VM struct {
 	cfg    Config
 	l2     *TLB
-	buddy  *Buddy
+	pool   *pool
 	spaces []*Space
 	nchan  int
 	chanOf func(addr uint64) int
@@ -160,7 +158,7 @@ func New(cfg Config, n int, cm ChannelMapper) *VM {
 	v := &VM{
 		cfg:   cfg,
 		l2:    NewTLB(cfg.L2Sets, cfg.L2Ways),
-		buddy: NewBuddy(cfg.PhysPages),
+		pool:  newPool(cfg.PhysPages),
 		nchan: 1,
 	}
 	v.wst.Latency = stats.NewHistogram()
@@ -197,8 +195,8 @@ func (v *VM) TLBStats() *TLBStats { return &v.st }
 // WalkStats exposes the walk counters and latency histogram.
 func (v *VM) WalkStats() *WalkStats { return &v.wst }
 
-// FreePages reports the allocator's remaining capacity.
-func (v *VM) FreePages() uint64 { return v.buddy.FreePages() }
+// FreePages reports the pool's unclaimed pages.
+func (v *VM) FreePages() uint64 { return v.pool.free }
 
 // SetTracer attaches a cycle-stamped event tracer (nil disables).
 func (v *VM) SetTracer(tr *stats.Tracer) { v.tr = tr }
@@ -219,7 +217,7 @@ func (v *VM) pageChannel(idx uint64) int {
 	if v.chanOf == nil {
 		return 0
 	}
-	return v.chanOf(v.cfg.PhysBase + idx<<v.cfg.PageBits)
+	return v.chanOf(idx << v.cfg.PageBits)
 }
 
 // walk is one in-flight (or completed but not yet observed) page-table
@@ -288,7 +286,7 @@ func (sp *Space) l2tag(vpn uint64) uint64 {
 // every page translated — the issue stage stalls the instruction until
 // then. The first call per seq runs the transaction: it probes the
 // TLBs for each page the access touches, starts (or joins) walks for
-// the misses, and under demand paging allocates unmapped pages.
+// the misses, and claims a physical page for each first touch.
 // Subsequent calls while stalled are pure time checks; the first call
 // at or after the ready cycle retires the transaction and processes
 // the walk fills. Idempotence per seq is what keeps the per-cycle and
@@ -405,14 +403,10 @@ func (sp *Space) finishWalk(vpn uint64, w *walk) {
 	delete(sp.walks, vpn)
 }
 
-// resolve looks vpn up in the page table, demand-allocating on a miss.
+// resolve looks vpn up in the page table, claiming a page on a miss.
 func (sp *Space) resolve(vpn uint64, now int64) uint64 {
 	if ppn, ok := sp.pt.Lookup(vpn); ok {
 		return ppn
-	}
-	if !sp.vm.cfg.Demand {
-		panic(fmt.Sprintf("vm: tenant %d touched unmapped virtual page %#x (demand paging off)",
-			sp.tenant, vpn<<sp.vm.cfg.PageBits))
 	}
 	ppn := sp.allocPage()
 	sp.pt.Map(vpn, ppn)
@@ -425,7 +419,7 @@ func (sp *Space) resolve(vpn uint64, now int64) uint64 {
 	return ppn
 }
 
-// allocPage picks a physical page under the placement policy.
+// allocPage claims a physical page under the placement policy.
 func (sp *Space) allocPage() uint64 {
 	v := sp.vm
 	var idx uint64
@@ -434,10 +428,7 @@ func (sp *Space) allocPage() uint64 {
 	case PolicyColor:
 		if v.nchan > 1 {
 			want := sp.nextColor
-			if p, found := v.buddy.FindPage(func(i uint64) bool { return v.pageChannel(i) == want }); found {
-				v.buddy.AllocPageAt(p)
-				idx, ok = p, true
-			}
+			idx, ok = v.pool.find(func(i uint64) bool { return v.pageChannel(i) == want })
 			sp.nextColor = (want + 1) % v.nchan
 		}
 	case PolicyColocate:
@@ -451,63 +442,20 @@ func (sp *Space) allocPage() uint64 {
 		if sp.haveLast {
 			next = sp.lastPage + 1
 		}
-		if v.buddy.AllocPageAt(next) {
-			idx, ok = next, true
-		} else if p, found := v.buddy.FindPage(func(i uint64) bool { return i > next }); found {
-			v.buddy.AllocPageAt(p)
-			idx, ok = p, true
+		if idx, ok = next, v.pool.claim(next); !ok {
+			idx, ok = v.pool.find(func(i uint64) bool { return i > next })
 		}
 	}
 	if !ok {
-		if idx, ok = v.buddy.AllocPage(); !ok {
+		// kernels.Extended's largest footprint times dram.MaxTenants fits
+		// the default pool (TestLargestFootprintFitsThePool): only a bug
+		// gets here.
+		if idx, ok = v.pool.find(nil); !ok {
 			panic("vm: physical page pool exhausted")
 		}
 	}
 	sp.lastPage, sp.haveLast = idx, true
 	return idx
-}
-
-// Alloc eagerly maps [va, va+bytes) under the placement policy (pages
-// already mapped are left alone). Demand paging makes this optional;
-// tests and non-demand configurations use it.
-func (sp *Space) Alloc(va, bytes uint64) {
-	if bytes == 0 {
-		return
-	}
-	pb := sp.vm.cfg.PageBits
-	for vpn := va >> pb; vpn <= (va+bytes-1)>>pb; vpn++ {
-		if _, ok := sp.pt.Lookup(vpn); ok {
-			continue
-		}
-		sp.pt.Map(vpn, sp.allocPage())
-		sp.st.PagesMapped++
-	}
-}
-
-// Free unmaps [va, va+bytes), returns the physical pages to the
-// allocator and shoots the translations out of both TLB levels.
-func (sp *Space) Free(va, bytes uint64) {
-	if bytes == 0 {
-		return
-	}
-	v := sp.vm
-	pb := v.cfg.PageBits
-	for vpn := va >> pb; vpn <= (va+bytes-1)>>pb; vpn++ {
-		ppn, ok := sp.pt.Unmap(vpn)
-		if !ok {
-			continue
-		}
-		v.buddy.FreePage(ppn)
-		sp.l1.Invalidate(vpn)
-		v.l2.Invalidate(sp.l2tag(vpn))
-		delete(sp.walks, vpn)
-		v.wst.Shootdowns++
-		if v.tr != nil {
-			v.tr.Emit(stats.Event{Cat: "vm", Name: "shootdown",
-				Addr: vpn << pb, Tenant: sp.tenant})
-		}
-	}
-	sp.haveXl = false
 }
 
 // Translate maps a virtual address to its physical address. The issue
@@ -518,40 +466,14 @@ func (sp *Space) Translate(va uint64) uint64 {
 	pb := sp.vm.cfg.PageBits
 	vpn := va >> pb
 	if sp.haveXl && vpn == sp.xlVPN {
-		return sp.vm.cfg.PhysBase + sp.xlPPN<<pb + va&(1<<pb-1)
+		return sp.xlPPN<<pb + va&(1<<pb-1)
 	}
 	ppn, ok := sp.pt.Lookup(vpn)
 	if !ok {
 		panic(fmt.Sprintf("vm: data path touched untranslated address %#x (tenant %d)", va, sp.tenant))
 	}
 	sp.xlVPN, sp.xlPPN, sp.haveXl = vpn, ppn, true
-	return sp.vm.cfg.PhysBase + ppn<<pb + va&(1<<pb-1)
-}
-
-// PageChannels reports how many of the space's mapped pages sit on
-// each DRAM channel — the placement fingerprint the vasweep checks.
-func (sp *Space) PageChannels() []int {
-	v := sp.vm
-	counts := make([]int, v.nchan)
-	var walkNode func(n *ptNode, level int)
-	walkNode = func(n *ptNode, level int) {
-		if n == nil {
-			return
-		}
-		if n.pte != nil {
-			for _, e := range n.pte {
-				if e != 0 {
-					counts[v.pageChannel(e-1)]++
-				}
-			}
-			return
-		}
-		for _, k := range n.kids {
-			walkNode(k, level+1)
-		}
-	}
-	walkNode(sp.pt.root, 0)
-	return counts
+	return ppn<<pb + va&(1<<pb-1)
 }
 
 // pagesOf collects the distinct virtual pages instruction in touches.

@@ -76,56 +76,6 @@ func TestWalkCoalescing(t *testing.T) {
 	}
 }
 
-// With demand paging off, touching an unmapped page is a model bug.
-func TestUnmappedAccessPanics(t *testing.T) {
-	cfg := testConfig()
-	cfg.Demand = false
-	v := New(cfg, 1, nil)
-	sp := v.Space(0)
-	sp.Alloc(0x1000, 0x1000)
-	if got := sp.Ready(scalarLoad(0x1800), 1, 0); got < 0 {
-		t.Fatal("mapped access failed")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unmapped access did not panic with demand paging off")
-		}
-	}()
-	sp.Ready(scalarLoad(0x8000), 2, 10)
-}
-
-// Freeing a range must shoot the translations out of both TLB levels:
-// the next touch walks again instead of using a stale entry, and the
-// physical pages return to the allocator.
-func TestShootdownOnFree(t *testing.T) {
-	v := New(testConfig(), 1, nil)
-	sp := v.Space(0)
-	in := scalarLoad(0x4000)
-	done := sp.Ready(in, 1, 0)
-	sp.Ready(in, 1, done) // retire: fills L1+L2
-	if v.l2.Entries() != 1 || sp.l1.Entries() != 1 {
-		t.Fatalf("TLBs not filled: l2=%d l1=%d", v.l2.Entries(), sp.l1.Entries())
-	}
-	free0 := v.FreePages()
-	sp.Free(0x4000, 8)
-	if v.wst.Shootdowns != 1 {
-		t.Fatalf("Shootdowns = %d, want 1", v.wst.Shootdowns)
-	}
-	if v.l2.Entries() != 0 || sp.l1.Entries() != 0 {
-		t.Fatalf("shoot-down left stale entries: l2=%d l1=%d", v.l2.Entries(), sp.l1.Entries())
-	}
-	if v.FreePages() != free0+1 {
-		t.Fatalf("page did not return to the allocator: %d -> %d", free0, v.FreePages())
-	}
-	// The re-touch must walk again (and may land on a different frame).
-	if d := sp.Ready(scalarLoad(0x4000), 2, 1000); d == 1000 {
-		t.Fatal("re-touch after shoot-down issued without a walk")
-	}
-	if v.wst.Walks != 2 {
-		t.Fatalf("Walks = %d, want 2", v.wst.Walks)
-	}
-}
-
 // An L1-capacity-evicted translation should still hit the bigger
 // shared L2 TLB, paying only the L2 penalty.
 func TestL2TLBHitPath(t *testing.T) {
@@ -164,25 +114,36 @@ func (fakeChans) ChannelCount() int         { return 4 }
 
 // The placement policies must actually differ: coloring spreads a
 // space's pages evenly over channels, co-location keeps them
-// physically contiguous, first-fit takes the lowest hole.
+// physically contiguous, first-fit takes the lowest hole. Pages fault
+// in through Ready, one first touch each.
 func TestPlacementPolicies(t *testing.T) {
-	alloc := func(p Policy) *Space {
+	fault := func(p Policy) *Space {
 		cfg := testConfig()
 		cfg.Policy = p
 		v := New(cfg, 1, fakeChans{})
 		sp := v.Space(0)
-		sp.Alloc(0, 16<<cfg.PageBits) // 16 pages
+		for vpn := uint64(0); vpn < 16; vpn++ {
+			sp.Ready(scalarLoad(vpn<<cfg.PageBits), vpn+1, 0)
+		}
+		if sp.st.Faults != 16 || v.FreePages() != cfg.PhysPages-16 {
+			t.Fatalf("%v: %d faults, %d free pages, want 16 and %d", p, sp.st.Faults, v.FreePages(), cfg.PhysPages-16)
+		}
 		return sp
 	}
 
-	colored := alloc(PolicyColor).PageChannels()
-	for ch, n := range colored {
+	colored := fault(PolicyColor)
+	perChan := make([]int, 4)
+	for vpn := uint64(0); vpn < 16; vpn++ {
+		ppn, _ := colored.pt.Lookup(vpn)
+		perChan[colored.vm.pageChannel(ppn)]++
+	}
+	for ch, n := range perChan {
 		if n != 4 {
-			t.Fatalf("coloring left channel %d with %d/16 pages: %v", ch, n, colored)
+			t.Fatalf("coloring left channel %d with %d/16 pages: %v", ch, n, perChan)
 		}
 	}
 
-	colo := alloc(PolicyColocate)
+	colo := fault(PolicyColocate)
 	for vpn := uint64(0); vpn < 16; vpn++ {
 		ppn, ok := colo.pt.Lookup(vpn)
 		if !ok || ppn != vpn {
@@ -190,7 +151,7 @@ func TestPlacementPolicies(t *testing.T) {
 		}
 	}
 
-	ff := alloc(PolicyFirstFit)
+	ff := fault(PolicyFirstFit)
 	if ppn, _ := ff.pt.Lookup(0); ppn != 0 {
 		t.Fatalf("first-fit did not start at the lowest page: %d", ppn)
 	}
@@ -201,8 +162,8 @@ func TestPlacementPolicies(t *testing.T) {
 func TestSpaceIsolation(t *testing.T) {
 	v := New(testConfig(), 2, nil)
 	a, b := v.Space(0), v.Space(1)
-	a.Alloc(0x4000, 8)
-	b.Alloc(0x4000, 8)
+	a.Ready(scalarLoad(0x4000), 1, 0)
+	b.Ready(scalarLoad(0x4000), 1, 0)
 	pa, pb := a.Translate(0x4000), b.Translate(0x4000)
 	if pa == pb {
 		t.Fatalf("two tenants share frame %#x for one virtual page", pa)
