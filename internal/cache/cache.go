@@ -69,24 +69,32 @@ func (s *Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
+// line is one cache line in 16 bytes. tag is the line number plus one,
+// so the zero line is invalid. meta is the LRU tick of the line's last
+// touch shifted above three flag bits. Ticks are unique within a cache
+// and an invalid line's meta is 0, so comparing metas orders lines
+// exactly as comparing ticks would.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// inL1 is the exclusive-bit of the coherence protocol: set when the
-	// line may also be cached in the L1, so vector writes know to
-	// invalidate it there.
-	inL1 bool
-	// pf marks a line installed by a prefetch and not yet touched by a
-	// demand access; the first demand access reports and clears it.
-	pf  bool
-	lru uint64
+	tag  uint64
+	meta uint64
 }
+
+const (
+	// metaPF marks a line installed by a prefetch and not yet touched by
+	// a demand access; the first demand access reports and clears it.
+	metaPF uint64 = 1 << iota
+	metaDirty
+	// metaInL1 is the exclusive-bit of the coherence protocol: set when
+	// the line may also be cached in the L1, so vector writes know to
+	// invalidate it there.
+	metaInL1
+	metaTickShift = iota
+)
 
 // Cache is one set-associative cache array.
 type Cache struct {
 	cfg       Config
-	sets      [][]line
+	lines     []line // set i is lines[i*Ways : (i+1)*Ways]
 	setMask   uint64
 	lineShift uint
 	tick      uint64
@@ -95,21 +103,15 @@ type Cache struct {
 
 // New builds a cache from its configuration.
 func New(cfg Config) *Cache {
-	nLines := cfg.Size / cfg.LineSize
-	nSets := nLines / cfg.Ways
+	nSets := cfg.Size / cfg.LineSize / cfg.Ways
 	if nSets == 0 || nSets&(nSets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", cfg.Name, nSets))
-	}
-	sets := make([][]line, nSets)
-	backing := make([]line, nLines)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	shift := uint(0)
 	for 1<<shift < cfg.LineSize {
 		shift++
 	}
-	return &Cache{cfg: cfg, sets: sets, setMask: uint64(nSets - 1), lineShift: shift}
+	return &Cache{cfg: cfg, lines: make([]line, nSets*cfg.Ways), setMask: uint64(nSets - 1), lineShift: shift}
 }
 
 // Config returns the cache's configuration.
@@ -119,10 +121,11 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift << c.lineShift }
 
 func (c *Cache) find(addr uint64) (set []line, way int) {
-	tag := addr >> c.lineShift
-	set = c.sets[tag&c.setMask]
+	ln := addr >> c.lineShift
+	i := int(ln&c.setMask) * c.cfg.Ways
+	set = c.lines[i : i+c.cfg.Ways]
 	for w := range set {
-		if set[w].valid && set[w].tag == tag {
+		if set[w].tag == ln+1 {
 			return set, w
 		}
 	}
@@ -150,62 +153,63 @@ type Result struct {
 func (c *Cache) Access(addr uint64, write, fromL1 bool) Result {
 	c.Stats.Accesses++
 	c.tick++
+	var flags uint64
+	if write && c.cfg.WriteBack {
+		flags |= metaDirty
+	}
+	if fromL1 {
+		flags |= metaInL1
+	}
 	set, w := c.find(addr)
 	if w >= 0 {
 		c.Stats.Hits++
-		set[w].lru = c.tick
-		if write {
-			set[w].dirty = c.cfg.WriteBack
-		}
-		if fromL1 {
-			set[w].inL1 = true
-		}
-		res := Result{Hit: true}
-		if set[w].pf {
-			set[w].pf = false
+		l := &set[w]
+		res := Result{Hit: true, Prefetched: l.meta&metaPF != 0}
+		if res.Prefetched {
 			c.Stats.PrefetchedHits++
-			res.Prefetched = true
 		}
+		l.meta = c.tick<<metaTickShift | l.meta&(metaDirty|metaInL1) | flags
 		return res
 	}
 	c.Stats.Misses++
 	if write && !c.cfg.WriteBack {
 		return Result{} // write-through, no write-allocate
 	}
-	res := c.allocate(set, addr, write && c.cfg.WriteBack, fromL1, false)
-	return res
+	return c.allocate(set, addr, flags)
 }
 
-// allocate installs the line containing addr into set, evicting the LRU
-// way, and reports any dirty victim. pf marks the fill as a prefetch.
-func (c *Cache) allocate(set []line, addr uint64, dirty, fromL1, pf bool) Result {
-	victim := c.victimWay(set)
+// allocate installs the line containing addr into set with the given
+// flag bits, evicting victimWay's choice, and reports any dirty victim.
+func (c *Cache) allocate(set []line, addr, flags uint64) Result {
+	v := &set[c.victimWay(set)]
 	res := Result{}
-	if set[victim].valid {
+	if v.tag != 0 {
 		c.Stats.Evictions++
-		if set[victim].pf {
+		if v.meta&metaPF != 0 {
 			c.Stats.PrefetchUseless++
 		}
-		if set[victim].dirty {
+		if v.meta&metaDirty != 0 {
 			c.Stats.Writebacks++
 			res.Writeback = true
-			res.VictimAddr = set[victim].tag << c.lineShift
+			res.VictimAddr = (v.tag - 1) << c.lineShift
 		}
 	}
-	set[victim] = line{tag: addr >> c.lineShift, valid: true, dirty: dirty,
-		inL1: fromL1, pf: pf, lru: c.tick}
+	*v = line{tag: addr>>c.lineShift + 1, meta: c.tick<<metaTickShift | flags}
 	return res
 }
 
 // victimWay picks the way a fill of this set would evict: the first
-// invalid way, else the LRU way.
+// invalid way among ways 1 and up, else the way with the smallest meta.
+// That is the LRU way, unless way 0 is invalid: its zero meta makes it
+// the oldest, so way 0 is taken last when a set fills up from empty.
+// Goldens depend on this order.
 func (c *Cache) victimWay(set []line) int {
 	victim := 0
 	for i := 1; i < len(set); i++ {
-		if !set[i].valid {
+		if set[i].tag == 0 {
 			return i
 		}
-		if set[i].lru < set[victim].lru {
+		if set[i].meta < set[victim].meta {
 			victim = i
 		}
 	}
@@ -227,7 +231,7 @@ func (c *Cache) FillPrefetch(addr uint64) Result {
 		return Result{Hit: true}
 	}
 	c.Stats.PrefetchFills++
-	return c.allocate(set, addr, false, false, true)
+	return c.allocate(set, addr, metaPF)
 }
 
 // PeekVictim reports, without side effects, what a fill of addr's line
@@ -241,11 +245,11 @@ func (c *Cache) PeekVictim(addr uint64) (victim uint64, dirty, present bool) {
 	if w >= 0 {
 		return 0, false, true
 	}
-	v := c.victimWay(set)
-	if !set[v].valid {
+	v := set[c.victimWay(set)]
+	if v.tag == 0 {
 		return 0, false, false
 	}
-	return set[v].tag << c.lineShift, set[v].dirty, false
+	return (v.tag - 1) << c.lineShift, v.meta&metaDirty != 0, false
 }
 
 // Contains reports whether the line holding addr is present (no LRU or
@@ -264,7 +268,7 @@ func (c *Cache) Invalidate(addr uint64) bool {
 		return false
 	}
 	c.Stats.Invalidates++
-	if set[w].pf {
+	if set[w].meta&metaPF != 0 {
 		c.Stats.PrefetchUseless++
 	}
 	set[w] = line{}
@@ -275,10 +279,10 @@ func (c *Cache) Invalidate(addr uint64) bool {
 // addr: true means a vector write must invalidate the L1 copy.
 func (c *Cache) ExclusiveInL1(addr uint64) bool {
 	set, w := c.find(addr)
-	if w < 0 || !set[w].inL1 {
+	if w < 0 || set[w].meta&metaInL1 == 0 {
 		return false
 	}
-	set[w].inL1 = false
+	set[w].meta &^= metaInL1
 	return true
 }
 

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -179,5 +181,200 @@ func TestHitRate(t *testing.T) {
 	c.Access(0, false, false)
 	if hr := c.Stats.HitRate(); hr != 0.5 {
 		t.Errorf("hit rate = %v", hr)
+	}
+}
+
+// refCache is the cache as it was stored before its lines were packed
+// into 16 bytes: a slice of sets, each a slice of 24-byte lines with one
+// bool per flag and the LRU tick in a field of its own. It is kept as
+// the reference TestPackedLinesMatchReference drives Cache against.
+type refCache struct {
+	cfg       Config
+	sets      [][]refLine
+	setMask   uint64
+	lineShift uint
+	tick      uint64
+	Stats     Stats
+}
+
+type refLine struct {
+	tag                    uint64
+	valid, dirty, inL1, pf bool
+	lru                    uint64
+}
+
+func newRef(cfg Config) *refCache {
+	nLines := cfg.Size / cfg.LineSize
+	nSets := nLines / cfg.Ways
+	sets := make([][]refLine, nSets)
+	backing := make([]refLine, nLines)
+	for i := range sets {
+		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
+	}
+	shift := uint(0)
+	for 1<<shift < cfg.LineSize {
+		shift++
+	}
+	return &refCache{cfg: cfg, sets: sets, setMask: uint64(nSets - 1), lineShift: shift}
+}
+
+func (c *refCache) find(addr uint64) (set []refLine, way int) {
+	tag := addr >> c.lineShift
+	set = c.sets[tag&c.setMask]
+	for w := range set {
+		if set[w].valid && set[w].tag == tag {
+			return set, w
+		}
+	}
+	return set, -1
+}
+
+func (c *refCache) Access(addr uint64, write, fromL1 bool) Result {
+	c.Stats.Accesses++
+	c.tick++
+	set, w := c.find(addr)
+	if w >= 0 {
+		c.Stats.Hits++
+		set[w].lru = c.tick
+		if write {
+			set[w].dirty = c.cfg.WriteBack
+		}
+		if fromL1 {
+			set[w].inL1 = true
+		}
+		res := Result{Hit: true}
+		if set[w].pf {
+			set[w].pf = false
+			c.Stats.PrefetchedHits++
+			res.Prefetched = true
+		}
+		return res
+	}
+	c.Stats.Misses++
+	if write && !c.cfg.WriteBack {
+		return Result{}
+	}
+	return c.allocate(set, addr, write && c.cfg.WriteBack, fromL1, false)
+}
+
+func (c *refCache) allocate(set []refLine, addr uint64, dirty, fromL1, pf bool) Result {
+	victim := c.victimWay(set)
+	res := Result{}
+	if set[victim].valid {
+		c.Stats.Evictions++
+		if set[victim].pf {
+			c.Stats.PrefetchUseless++
+		}
+		if set[victim].dirty {
+			c.Stats.Writebacks++
+			res.Writeback = true
+			res.VictimAddr = set[victim].tag << c.lineShift
+		}
+	}
+	set[victim] = refLine{tag: addr >> c.lineShift, valid: true, dirty: dirty,
+		inL1: fromL1, pf: pf, lru: c.tick}
+	return res
+}
+
+func (c *refCache) victimWay(set []refLine) int {
+	victim := 0
+	for i := 1; i < len(set); i++ {
+		if !set[i].valid {
+			return i
+		}
+		if set[i].lru < set[victim].lru {
+			victim = i
+		}
+	}
+	return victim
+}
+
+func (c *refCache) FillPrefetch(addr uint64) Result {
+	c.tick++
+	set, w := c.find(addr)
+	if w >= 0 {
+		return Result{Hit: true}
+	}
+	c.Stats.PrefetchFills++
+	return c.allocate(set, addr, false, false, true)
+}
+
+func (c *refCache) PeekVictim(addr uint64) (victim uint64, dirty, present bool) {
+	set, w := c.find(addr)
+	if w >= 0 {
+		return 0, false, true
+	}
+	v := c.victimWay(set)
+	if !set[v].valid {
+		return 0, false, false
+	}
+	return set[v].tag << c.lineShift, set[v].dirty, false
+}
+
+func (c *refCache) Contains(addr uint64) bool {
+	_, w := c.find(addr)
+	return w >= 0
+}
+
+func (c *refCache) Invalidate(addr uint64) bool {
+	set, w := c.find(addr)
+	if w < 0 {
+		return false
+	}
+	c.Stats.Invalidates++
+	if set[w].pf {
+		c.Stats.PrefetchUseless++
+	}
+	set[w] = refLine{}
+	return true
+}
+
+func (c *refCache) ExclusiveInL1(addr uint64) bool {
+	set, w := c.find(addr)
+	if w < 0 || !set[w].inL1 {
+		return false
+	}
+	set[w].inL1 = false
+	return true
+}
+
+// TestPackedLinesMatchReference drives Cache and refCache with the same
+// seeded random stream of every operation and compares each return value
+// and the whole Stats after every step. Addresses crowd eight sets with
+// three times as many lines as they hold, so evictions, dirty victims,
+// useless prefetches and refills of invalidated ways are all common.
+func TestPackedLinesMatchReference(t *testing.T) {
+	configs := []Config{L1Config(), L2Config(20),
+		{Name: "L2x4", Size: 4 * L2LineBytes, LineSize: L2LineBytes, Ways: 1, WriteBack: true, Latency: 20}}
+	for _, cfg := range configs {
+		for seed := int64(1); seed <= 4; seed++ {
+			c, ref := New(cfg), newRef(cfg)
+			r := rand.New(rand.NewSource(seed))
+			nSets := cfg.Size / cfg.LineSize / cfg.Ways
+			for step := 0; step < 20000; step++ {
+				addr := uint64(((r.Intn(3*cfg.Ways)*nSets+r.Intn(min(nSets, 8)))*cfg.LineSize + r.Intn(cfg.LineSize)))
+				var got, want string
+				switch op := r.Intn(10); {
+				case op < 5:
+					write, fromL1 := r.Intn(2) == 0, r.Intn(2) == 0
+					got = fmt.Sprint(c.Access(addr, write, fromL1))
+					want = fmt.Sprint(ref.Access(addr, write, fromL1))
+				case op == 5:
+					got, want = fmt.Sprint(c.FillPrefetch(addr)), fmt.Sprint(ref.FillPrefetch(addr))
+				case op == 6:
+					got, want = fmt.Sprint(c.Invalidate(addr)), fmt.Sprint(ref.Invalidate(addr))
+				case op == 7:
+					got, want = fmt.Sprint(c.ExclusiveInL1(addr)), fmt.Sprint(ref.ExclusiveInL1(addr))
+				case op == 8:
+					got, want = fmt.Sprint(c.PeekVictim(addr)), fmt.Sprint(ref.PeekVictim(addr))
+				default:
+					got, want = fmt.Sprint(c.Contains(addr)), fmt.Sprint(ref.Contains(addr))
+				}
+				if got != want || c.Stats != ref.Stats {
+					t.Fatalf("%s seed %d step %d addr %#x: got %s with %+v, reference %s with %+v",
+						cfg.Name, seed, step, addr, got, c.Stats, want, ref.Stats)
+				}
+			}
+		}
 	}
 }

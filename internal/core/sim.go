@@ -265,6 +265,16 @@ func NewStreamSim(cfg Config, mem *MemSystem, stream *trace.Stream, base uint64)
 	if cfg.Window > 0 && cfg.Window&(cfg.Window-1) == 0 {
 		s.robMask = uint64(cfg.Window - 1) // power-of-two window: slot() masks
 	}
+	// The three active lists and the scan's three scratch lists each hold
+	// distinct in-window seqs, so none outgrows the window: one
+	// allocation sizes them all for the run.
+	w, nq := cfg.Window, len(s.qActive)
+	lists := make([]uint64, (nq+3)*w)
+	carve := func(i int) []uint64 { return lists[i*w : i*w : (i+1)*w] }
+	for q := range s.qActive {
+		s.qActive[q] = carve(q)
+	}
+	s.scanBuf, s.midBuf, s.extrasBuf = carve(nq), carve(nq+1), carve(nq+2)
 	if cfg.UseGshare {
 		s.pht = make([]int8, 1<<cfg.GshareBits)
 	}

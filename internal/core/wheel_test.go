@@ -9,6 +9,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/vm"
 	"repro/internal/vmem"
 )
 
@@ -515,27 +516,54 @@ func checkLatched(t *testing.T, name string, s *Sim) int {
 // mpeg2encode on MOM over flat memory, whose stores made the parent
 // reallocate Sim.stores about 170 times in 10,000 cycles (commit popped
 // the list's front off its backing array, so every append past the
-// shrunken capacity moved it).
+// shrunken capacity moved it). The second cell translates every access:
+// MOM+3D on "sdram/bank/frfcfs/va", where each L2 TLB miss used to
+// allocate a walk and each stalled instruction a transaction and a copy
+// of its page list. The test-scale kernel touches three pages, which the
+// default TLBs hold after their first walks, so its TLBs have one entry
+// each and it keeps walking.
 func TestStepSteadyStateAllocs(t *testing.T) {
-	driveSnapshot(t, MPEG2Enc(), kernels.MOM, MemVectorCache, "", nil, func(s *Sim) {
-		steps := 0
-		run := func() {
-			for i := 0; i < 10000 && s.Running(); i++ {
+	pin := func(name string) func(*Sim) {
+		return func(s *Sim) {
+			sp := s.mem.Tim.VA
+			steps, walks := 0, uint64(0)
+			run := func() {
+				if sp != nil {
+					walks = sp.VM().WalkStats().Walks // at the start of the round
+				}
+				for i := 0; i < 10000 && s.Running(); i++ {
+					s.Step()
+					steps++
+				}
+			}
+			// AllocsPerRun's own warm-up round brings the active lists, the
+			// ring, the vmem scratch and the page table to size; the second
+			// round is measured.
+			n := testing.AllocsPerRun(1, run)
+			if steps != 20000 {
+				t.Fatalf("%s: the cell ran out after %d steps; the pin needs 10,000 warm and 10,000 measured", name, steps)
+			}
+			if n > 10 {
+				t.Errorf("%s: 10,000 steady-state Steps allocate %.0f times, want at most 1 per 1,000", name, n)
+			}
+			if sp != nil && sp.VM().WalkStats().Walks == walks {
+				t.Errorf("%s: no page-table walk in the measured Steps: the pin saw no translation", name)
+			}
+			for s.Running() {
 				s.Step()
-				steps++
 			}
 		}
-		// AllocsPerRun's own warm-up round brings the active lists, the
-		// ring and the vmem scratch to size; the second round is measured.
-		n := testing.AllocsPerRun(1, run)
-		if steps != 20000 {
-			t.Fatalf("the cell ran out after %d steps; the pin needs 10,000 warm and 10,000 measured", steps)
-		}
-		if n > 10 {
-			t.Errorf("10,000 steady-state Steps allocate %.0f times, want at most 1 per 1,000", n)
-		}
-		for s.Running() {
-			s.Step()
-		}
-	})
+	}
+	driveSnapshot(t, MPEG2Enc(), kernels.MOM, MemVectorCache, "", nil, pin("mpeg2encode/mom"))
+
+	const spec = "sdram/bank/frfcfs/va"
+	backend, _, err := dram.ParseSpecFull(spec, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := vm.DefaultConfig() // first-fit placement, as "va" asks
+	cfg.L1Sets, cfg.L1Ways, cfg.L2Sets, cfg.L2Ways = 1, 1, 1, 1
+	tim := vmem.Timing{L2Latency: 20, MemLatency: 100, Backend: backend,
+		VA: vm.New(cfg, 1, backend.(vm.ChannelMapper)).Space(0)}
+	timSnapshot(t, MPEG2Enc(), kernels.MOM3D, MemVectorCache3D, tim, nil, pin("mpeg2encode/mom3d/"+spec))
 }

@@ -21,7 +21,9 @@
 // per-cycle oracle (which re-polls a stalled instruction every cycle)
 // and the event wheel (which re-polls only at wake-ups) observe
 // identical TLB state transitions — each instruction touches LRU state
-// exactly once, at its first Ready call.
+// exactly once, at its first Ready call. A transaction is held as its
+// ready cycle alone; the pages it touches are recomputed from the
+// instruction when it retires, so a warmed space allocates nothing.
 package vm
 
 import (
@@ -172,8 +174,8 @@ func New(cfg Config, n int, cm ChannelMapper) *VM {
 			tenant:    i,
 			pt:        NewPageTable(cfg.Levels, cfg.BitsPerLevel),
 			l1:        NewTLB(cfg.L1Sets, cfg.L1Ways),
-			walks:     map[uint64]*walk{},
-			inflight:  map[uint64]*xact{},
+			walks:     map[uint64]walk{},
+			inflight:  map[uint64]int64{},
 			nextColor: i % v.nchan,
 		})
 	}
@@ -229,15 +231,6 @@ type walk struct {
 	ppn         uint64
 }
 
-// xact is one instruction's translation transaction: the cycle every
-// page it touches resolves by. Re-polls while stalled are pure time
-// checks against it, so the per-cycle oracle's every-cycle retries and
-// the wheel's sparse retries leave identical TLB state.
-type xact struct {
-	ready int64
-	pages []uint64
-}
-
 // Space is one requestor's virtual address space.
 type Space struct {
 	vm     *VM
@@ -246,8 +239,8 @@ type Space struct {
 	l1     *TLB
 	st     SpaceStats
 
-	walks    map[uint64]*walk
-	inflight map[uint64]*xact
+	walks    map[uint64]walk  // page-table walks in flight, by virtual page
+	inflight map[uint64]int64 // stalled instructions' ready cycles, by seq (see Ready)
 
 	nextColor int    // PolicyColor: channel for the next page
 	lastPage  uint64 // PolicyColocate: last allocated pool page
@@ -290,31 +283,34 @@ func (sp *Space) l2tag(vpn uint64) uint64 {
 // Subsequent calls while stalled are pure time checks; the first call
 // at or after the ready cycle retires the transaction and processes
 // the walk fills. Idempotence per seq is what keeps the per-cycle and
-// event-wheel engines bit-identical. in is only read during the call
-// (the core reuses it for its next memory issue); the transaction keeps
-// page numbers, never the pointer.
+// event-wheel engines bit-identical. A transaction is its ready cycle
+// alone: retirement recomputes the pages from in, so every call for
+// one seq must pass the same instruction (the core materialises it
+// from the same ROB entry each time). in is only read during the call;
+// the core reuses it for its next memory issue.
 func (sp *Space) Ready(in *isa.Inst, seq uint64, now int64) int64 {
-	if x, ok := sp.inflight[seq]; ok {
-		if now < x.ready {
-			return x.ready
-		}
-		for _, vpn := range x.pages {
+	ready, stalled := sp.inflight[seq]
+	if stalled && now < ready {
+		return ready
+	}
+	sp.pages = pagesOf(in, sp.pages, sp.vm.cfg.PageBits)
+	if stalled {
+		for _, vpn := range sp.pages {
 			if w, live := sp.walks[vpn]; live && w.done <= now {
 				sp.finishWalk(vpn, w)
 			}
 		}
 		delete(sp.inflight, seq)
-		return x.ready
+		return ready
 	}
-	sp.pages = pagesOf(in, sp.pages[:0], sp.vm.cfg.PageBits)
-	ready := now
+	ready = now
 	for _, vpn := range sp.pages {
 		if t := sp.lookupPage(vpn, now); t > ready {
 			ready = t
 		}
 	}
 	if ready > now {
-		sp.inflight[seq] = &xact{ready: ready, pages: append([]uint64(nil), sp.pages...)}
+		sp.inflight[seq] = ready
 		if sp.vm.tr != nil {
 			// Open a walk flow chain for this stalled instruction; the
 			// core closes it when the instruction finally issues. The high
@@ -331,11 +327,8 @@ func (sp *Space) Ready(in *isa.Inst, seq uint64, now int64) int64 {
 // ok=false when seq has none. It never probes the TLBs or retires the
 // transaction, so observers (the CPI classifier) can call it freely.
 func (sp *Space) StallUntil(seq uint64) (int64, bool) {
-	x, ok := sp.inflight[seq]
-	if !ok {
-		return 0, false
-	}
-	return x.ready, true
+	ready, ok := sp.inflight[seq]
+	return ready, ok
 }
 
 // InFlight reports whether instruction seq currently has a pending
@@ -375,7 +368,7 @@ func (sp *Space) lookupPage(vpn uint64, now int64) int64 {
 	}
 	v.st.L2Misses++
 	ppn := sp.resolve(vpn, now)
-	w := &walk{start: now, done: now + int64(v.cfg.Levels)*v.cfg.WalkLat, ppn: ppn}
+	w := walk{start: now, done: now + int64(v.cfg.Levels)*v.cfg.WalkLat, ppn: ppn}
 	sp.walks[vpn] = w
 	v.wst.Walks++
 	if v.tr != nil {
@@ -387,7 +380,7 @@ func (sp *Space) lookupPage(vpn uint64, now int64) int64 {
 
 // finishWalk fills both TLB levels with a completed walk's translation
 // and records its latency.
-func (sp *Space) finishWalk(vpn uint64, w *walk) {
+func (sp *Space) finishWalk(vpn uint64, w walk) {
 	v := sp.vm
 	if v.l2.Insert(sp.l2tag(vpn), w.ppn) {
 		v.st.L2Evictions++

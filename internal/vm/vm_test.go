@@ -184,3 +184,45 @@ func TestParsePolicy(t *testing.T) {
 		t.Fatal("ParsePolicy accepted garbage")
 	}
 }
+
+// TestReadySteadyStateDoesNotAllocate pins "a steady-state cycle
+// allocates nothing per event" on the translation path. A round issues
+// one instruction per page over 16 pages, twice what the test L2 TLB
+// holds, each touching its own page and the next. Each is polled the way
+// the per-cycle engine polls a stalled instruction: a first call that
+// starts a walk, a re-poll every cycle, and a last call at the ready
+// cycle that retires the transaction and fills the TLBs. The warm-up
+// round claims the pages and grows the page table; the measured rounds
+// walk every page again, because the TLBs cannot hold them.
+func TestReadySteadyStateDoesNotAllocate(t *testing.T) {
+	cfg := testConfig()
+	v := New(cfg, 1, nil)
+	sp := v.Space(0)
+	var ins []*isa.Inst
+	for p := uint64(0); p < 16; p++ {
+		ins = append(ins, &isa.Inst{Kind: isa.KindMOMMem, Addr: p<<cfg.PageBits + 64, VL: 2, Stride: 1 << cfg.PageBits})
+	}
+	now, seq := int64(0), uint64(0)
+	round := func() {
+		for _, in := range ins {
+			seq++
+			for ready := sp.Ready(in, seq, now); now < ready; {
+				now++
+				sp.Ready(in, seq, now)
+			}
+		}
+	}
+	round()
+	walks := v.wst.Walks
+	if n := testing.AllocsPerRun(4, round); n != 0 {
+		t.Errorf("a warmed round of Ready calls allocates %.1f times, want 0", n)
+	}
+	// AllocsPerRun runs one more round than it measures; each of the five
+	// walks all 17 pages the round touches.
+	if got := v.wst.Walks - walks; got != 5*17 {
+		t.Errorf("the rounds started %d walks, want one per page touched (%d): the pin did not stall", got, 5*17)
+	}
+	if len(sp.inflight) != 0 || len(sp.walks) != 0 {
+		t.Errorf("%d transactions and %d walks left in flight after the rounds", len(sp.inflight), len(sp.walks))
+	}
+}
