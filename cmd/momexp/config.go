@@ -3,16 +3,14 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/engine"
 	"repro/internal/experiments"
 )
 
-// sweepOptions mirror the engine/parallelism flags and what else the
-// command line chose; resolveSweep validates them into a runPlan so
-// flag handling is testable without flag.Parse (the same pattern as
-// momsim's resolve).
+// sweepOptions mirror the parallelism flag and what else the command
+// line chose; resolveSweep validates them into a runPlan so flag
+// handling is testable without flag.Parse (the same pattern as momsim's
+// resolve).
 type sweepOptions struct {
-	Engine    string   // simulation engine: step (per-cycle oracle) or wheel
 	J         int      // sweep worker goroutines (0 = one per CPU)
 	Selectors []string // selector flags given a non-zero value
 	Backend   bool     // any of -dram/-dmap/.../-mshr/-pf/-va was set
@@ -21,7 +19,6 @@ type sweepOptions struct {
 // runPlan is a validated command line: runner settings and the one
 // selector to run (nil = the default run).
 type runPlan struct {
-	Mode     engine.Mode
 	Workers  int
 	Selector *selector
 }
@@ -30,14 +27,10 @@ type runPlan struct {
 // drop a flag on the floor is an error: two selectors, or backend flags
 // with a selector that fixes its own.
 func resolveSweep(o sweepOptions) (runPlan, error) {
-	mode, err := engine.ParseMode(o.Engine)
-	if err != nil {
-		return runPlan{}, err
-	}
 	if o.J < 0 {
 		return runPlan{}, fmt.Errorf("-j must not be negative (got %d; 0 = one worker per CPU)", o.J)
 	}
-	p := runPlan{Mode: mode, Workers: experiments.AutoWorkers(o.J)}
+	p := runPlan{Workers: experiments.AutoWorkers(o.J)}
 	if len(o.Selectors) > 1 {
 		return runPlan{}, fmt.Errorf("-%s and -%s each select the whole run; give one", o.Selectors[0], o.Selectors[1])
 	}

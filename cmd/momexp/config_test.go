@@ -18,9 +18,9 @@ func TestResolveSweepRejections(t *testing.T) {
 		want []string // substrings of the error; nil = accepted
 	}{
 		{"default run", sweepOptions{}, nil},
-		{"one sweep on the wheel", sweepOptions{Engine: "wheel", J: 4, Selectors: []string{"rpsweep"}}, nil},
+		{"one sweep, four workers", sweepOptions{J: 4, Selectors: []string{"rpsweep"}}, nil},
 		{"figure on a chosen backend", sweepOptions{Selectors: []string{"fig"}, Backend: true}, nil},
-		{"statsjson on the wheel", sweepOptions{Engine: "wheel", J: 2, Selectors: []string{"statsjson"}}, nil},
+		{"statsjson, two workers", sweepOptions{J: 2, Selectors: []string{"statsjson"}}, nil},
 		{"two sweeps", sweepOptions{Selectors: []string{"mshrsweep", "pfsweep"}}, []string{"-mshrsweep", "-pfsweep"}},
 		{"figure and sweep", sweepOptions{Selectors: []string{"fig", "rpsweep"}}, []string{"-fig", "-rpsweep"}},
 		{"unknown selector", sweepOptions{Selectors: []string{"nosuchsweep"}}, []string{"-nosuchsweep"}},
@@ -77,7 +77,7 @@ func TestSelectorTable(t *testing.T) {
 // TestKnobFlagsRegisteredWhenTheRowSaysSo: momexp's backend flags are
 // exactly the rows of dram.KnobTable marked Momexp, each with the row's
 // default and help text — and the two options that went with
-// -enginebench stay gone.
+// -enginebench, and -engine itself, stay gone.
 func TestKnobFlagsRegisteredWhenTheRowSaysSo(t *testing.T) {
 	for i := range dram.KnobTable {
 		r := &dram.KnobTable[i]
@@ -89,7 +89,7 @@ func TestKnobFlagsRegisteredWhenTheRowSaysSo(t *testing.T) {
 			t.Errorf("-%s registered with help %q, want the row's %q", r.Flag, f.Usage, r.Help)
 		}
 	}
-	for _, gone := range []string{"enginebench", "reps"} {
+	for _, gone := range []string{"enginebench", "reps", "engine"} {
 		if flag.Lookup(gone) != nil {
 			t.Errorf("-%s is still a flag", gone)
 		}

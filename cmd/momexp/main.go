@@ -21,7 +21,7 @@
 //	momexp -mshr 8      ... with an 8-entry MSHR file (non-blocking pipeline; 0 or 1 = the blocking model)
 //	momexp -mshr 16 -pf 8  ... with a stream prefetcher riding the MSHR batch
 //	momexp -dram sdram -rp history  ... under the live/dead row predictor
-//	momexp -engine wheel -j 8  any of the above on the event-wheel engine, cells across 8 workers
+//	momexp -j 8         any of the above, cells across 8 workers
 //	momexp -q           suppress per-simulation progress
 //	momexp -cpuprofile cpu.pprof -memprofile mem.pprof  profile the simulator itself
 //
@@ -29,7 +29,8 @@
 // the table in selectors.go) pick what to print; every sweep fixes its
 // own backends and refuses explicit -dram/-mshr/... flags. The backend
 // flags are the rows of dram.KnobTable that momexp exposes (momsim's
-// package comment describes them).
+// package comment describes them). Every simulation runs on the
+// event-wheel engine, which prints what the per-cycle driver would.
 package main
 
 import (
@@ -38,6 +39,7 @@ import (
 	"os"
 
 	"repro/internal/dram"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/stats"
 )
@@ -47,7 +49,6 @@ import (
 var (
 	dramName   = flag.String("dram", "", "main-memory backend for all simulations: fixed, sdram (default: seed flat latency)")
 	knobs      = dram.RegisterFlags(flag.CommandLine, true)
-	engineName = flag.String("engine", "", "simulation engine for every run: step (per-cycle oracle) or wheel (event-driven, bit-identical)")
 	jWorkers   = flag.Int("j", 0, "worker goroutines the sweeps shard cells across (0 = one per CPU, 1 = serial)")
 	quiet      = flag.Bool("q", false, "suppress progress output")
 	cpuprofile = flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
@@ -65,7 +66,7 @@ func main() {
 
 	// Note the selectors given, and whether any backend flag was.
 	knobGiven := knobs.Given()
-	opts := sweepOptions{Engine: *engineName, J: *jWorkers, Backend: knobGiven}
+	opts := sweepOptions{J: *jWorkers, Backend: knobGiven}
 	flag.Visit(func(f *flag.Flag) {
 		opts.Backend = opts.Backend || f.Name == "dram"
 		if selectorByName(f.Name) != nil && f.Value.String() != f.DefValue {
@@ -78,8 +79,7 @@ func main() {
 	}
 
 	r := experiments.NewRunner()
-	r.Engine = plan.Mode
-	r.Workers = plan.Workers
+	r.Engine, r.Workers = engine.Wheel, plan.Workers
 	if !*quiet {
 		r.Progress = func(k experiments.SimKey) {
 			fmt.Fprintf(os.Stderr, "sim %-12s %-6s %-18s L2=%d %s\n", k.Bench, k.Variant, k.Mem, k.L2Lat, k.DRAM)
@@ -125,7 +125,7 @@ func main() {
 	if simNs, simCycles := r.HostPerf(); !*quiet && simNs > 0 {
 		streams, insts, static, bytes := r.TraceStats()
 		fmt.Fprintf(os.Stderr, "host: %s engine, %d workers, %.3fs simulating, %.0f simulated cycles/s; %d traces generated once each, %d instructions over %d static, %.1f B/inst, %.0f MB held\n",
-			plan.Mode, plan.Workers, float64(simNs)/1e9, float64(simCycles)/(float64(simNs)/1e9),
+			r.Engine, plan.Workers, float64(simNs)/1e9, float64(simCycles)/(float64(simNs)/1e9),
 			streams, insts, static, float64(bytes)/float64(insts), float64(bytes)/1e6)
 	}
 }

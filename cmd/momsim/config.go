@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/engine"
 	"repro/internal/kernels"
 	"repro/internal/vm"
 	"repro/internal/vmem"
@@ -33,8 +32,7 @@ type options struct {
 	L2Lat  int64
 	MemLat int64
 	Gshare bool
-	Engine string // simulation engine: step (per-cycle oracle) or wheel
-	Verify bool   // check the kernel output against the scalar reference
+	Verify bool // check the kernel output against the scalar reference
 
 	// Observability outputs: Trace writes a Chrome trace-event JSON
 	// file (TraceBuf sizes the event ring; 0 = default), StatsJSON
@@ -66,7 +64,6 @@ func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
 	fs.Int64Var(&o.L2Lat, "l2", 20, "L2 cache latency in cycles")
 	fs.Int64Var(&o.MemLat, "mlat", 100, "fixed backend: main memory latency beyond L2 in cycles")
 	fs.BoolVar(&o.Gshare, "gshare", false, "use a gshare branch predictor instead of perfect prediction")
-	fs.StringVar(&o.Engine, "engine", "", "simulation engine: step (per-cycle oracle) or wheel (event-driven, bit-identical)")
 	fs.BoolVar(&o.Verify, "verify", true, "check the kernel output against the scalar reference")
 	fs.StringVar(&o.Trace, "trace", "", "write a cycle-stamped Chrome trace-event JSON to this file")
 	fs.StringVar(&o.StatsJSON, "statsjson", "", "write the stats-registry snapshot as JSON to this file")
@@ -103,8 +100,7 @@ type runConfig struct {
 	Core    core.Config
 	MemKind core.MemKind
 	Timing  vmem.Timing
-	Engine  engine.Mode // per-cycle oracle or the event-wheel engine
-	VM      *vm.VM      // address-translation layer (nil = translation off); the group wires Space(i) into tenant i
+	VM      *vm.VM // address-translation layer (nil = translation off); the group wires Space(i) into tenant i
 }
 
 // resolve validates the options, building the benchmark, processor,
@@ -187,12 +183,7 @@ func resolve(o options) (runConfig, error) {
 	if o.SampleJSON != "" && (o.SampleJSON == o.Trace || o.SampleJSON == o.StatsJSON) {
 		return rc, fmt.Errorf("-samplejson collides with another output writing %q; pick distinct files", o.SampleJSON)
 	}
-	mode, err := engine.ParseMode(o.Engine)
-	if err != nil {
-		return rc, err
-	}
 	cfg.UseGshare = o.Gshare
-	rc.Engine = mode
 	rc.Bench = bm
 	rc.Variant = variant
 	rc.Core = cfg

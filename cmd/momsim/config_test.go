@@ -280,6 +280,8 @@ func TestResolveRejectsUnknownValues(t *testing.T) {
 		{"samplejson-no-sample", "-samplejson ts.json", "-sample"},
 		{"samplejson-eq-trace", "-sample 1000 -samplejson out.json -trace out.json", "distinct"},
 		{"samplejson-eq-statsjson", "-sample 1000 -samplejson out.json -statsjson out.json", "distinct"},
+		// Every run is on the wheel; the per-cycle driver is the tests' oracle.
+		{"engine-gone", "-engine wheel", "flag provided but not defined: -engine"},
 		// Every count has an upper bound the model can build: these used
 		// to die in NewSDRAM's makeslice or run the host out of memory,
 		// and a negative latency used to run and report a faster machine.

@@ -27,12 +27,13 @@
 //
 // Multi-tenant traffic: -tenants M runs M concurrent instances of the
 // kernel through ONE shared L2 + MSHR file + DRAM backend (each tenant
-// keeps its own core, L1 and vector subsystem), stepping the cores
-// cycle by cycle in tenant order — under the wheel, only those with
+// keeps its own core, L1 and vector subsystem), stepping the cores in
+// tenant order on one shared clock — each only at the cycles it has
 // something to do — and reporting per-tenant IPC and DRAM read
-// latency. Every run is a tenant.Group — a solo run (-tenants 1, the
-// default) is a group of one — so there is one construction, one drive
-// loop and one end-of-run drain; only the report differs. -qos turns on per-tenant credit scheduling in the sdram
+// latency. Every run is a tenant.Group on the event-wheel engine — a
+// solo run (-tenants 1, the default) is a group of one — so there is
+// one construction, one drive loop and one end-of-run drain; only the
+// report differs. -qos turns on per-tenant credit scheduling in the sdram
 // channel scheduler so a streaming tenant cannot starve a
 // latency-sensitive one; -pfdecay N lets the demand-first latch decay
 // after N deferral-free cycles so phased workloads recover full
@@ -63,9 +64,9 @@
 // registered as trace.dropped). -cpistack prints the CPI stack: every
 // core cycle attributed to exactly one stall reason (busy, issue,
 // exec, dep, mshr_full, store_buf, tlb_walk, dram_wait, qos_yield,
-// frontend, drain — the buckets sum to the cycle count exactly, on
-// both engines). -sample N -samplejson <file> records a time series:
-// every N cycles the stats registry is snapshotted and the
+// frontend, drain — the buckets sum to the cycle count exactly).
+// -sample N -samplejson <file> records a time series: at every
+// multiple of N cycles the stats registry is snapshotted and the
 // per-interval counter deltas (plus absolute gauges) append one row to
 // a deterministic JSON document.
 package main
@@ -81,6 +82,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/dram/policy"
+	"repro/internal/engine"
 	"repro/internal/kernels"
 	"repro/internal/power"
 	"repro/internal/stats"
@@ -124,7 +126,7 @@ func run(w io.Writer, rc runConfig) error {
 	g := tenant.New(tenant.Options{
 		Core: rc.Core, Kind: rc.MemKind, Tim: rc.Timing, Lanes: rc.Core.Lanes,
 		BankL1:  rc.Variant == kernels.MMX && rc.MemKind != core.MemIdeal,
-		Streams: streams, Engine: rc.Engine, VM: rc.VM,
+		Streams: streams, Engine: engine.Wheel, VM: rc.VM,
 	})
 	// The registry is wired before the run: its counters are closures
 	// over the live structs, so the sampler can read deltas mid-flight.
@@ -151,7 +153,7 @@ func run(w io.Writer, rc runConfig) error {
 		cycles = max(cycles, g.Stats(i).Cycles)
 	}
 	engineLine := fmt.Sprintf("engine:      %s, host %.3fs, %s simulated cycles/s, %d steps of %d tenant-cycles\n",
-		rc.Engine, wall.Seconds(), fmtCPS(cycles, wall), g.Steps(), g.TenantCycles())
+		engine.Wheel, wall.Seconds(), fmtCPS(cycles, wall), g.Steps(), g.TenantCycles())
 	if g.N() == 1 {
 		reportSolo(w, rc, g, tst, engineLine)
 	} else {

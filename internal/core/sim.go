@@ -287,9 +287,7 @@ func (s *Sim) Running() bool {
 	return s.next < len(s.stream.Ops) || s.count > 0
 }
 
-// Now returns the core's current cycle — the sampling driver reads it
-// to stamp interval rows at the cycle the engine actually reached
-// (the wheel can land past a boundary).
+// Now returns the core's current cycle: the next one Step executes.
 func (s *Sim) Now() int64 { return s.now }
 
 // Step advances the pipeline one cycle in the same stage order the

@@ -10,10 +10,9 @@
 // conservative: a subsystem may report a wake-up EARLIER than its next
 // state change (the consumer re-evaluates and re-parks), but never
 // later — so the per-cycle driver is the wheel with skipping off, and
-// skip-on ≡ skip-off is the oracle.
+// skip-on ≡ skip-off is the oracle. The commands always run the wheel;
+// Step is chosen from Go, where tests hold the wheel to it.
 package engine
-
-import "fmt"
 
 // Mode selects the simulation engine.
 type Mode int
@@ -27,17 +26,6 @@ const (
 	// to be bit-identical to Step.
 	Wheel
 )
-
-// ParseMode resolves a -engine flag value.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "", "step":
-		return Step, nil
-	case "wheel":
-		return Wheel, nil
-	}
-	return Step, fmt.Errorf("unknown engine %q (step, wheel)", s)
-}
 
 func (m Mode) String() string {
 	if m == Wheel {

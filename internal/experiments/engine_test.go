@@ -25,8 +25,8 @@ func TestIFSweepWheelMatchesStep(t *testing.T) {
 
 // TestSweepsParallelMatchSerial renders every sweep twice — serially
 // on the step oracle, then with four workers on the wheel — and wants
-// the same bytes: -j and -engine may change how long a table takes,
-// never what it says.
+// the same bytes: the worker count and the engine may change how long a
+// table takes, never what it says.
 func TestSweepsParallelMatchSerial(t *testing.T) {
 	for _, tc := range []struct {
 		name   string

@@ -100,11 +100,6 @@ func (b *Builder) Shl(dst, s1 isa.Reg, imm int64) {
 	b.emit(isa.Inst{Op: isa.OpIShl, Kind: isa.KindScalar, Dst: dst, Src1: s1, Imm: imm})
 }
 
-// Shr emits dst = s1 >> imm (logical).
-func (b *Builder) Shr(dst, s1 isa.Reg, imm int64) {
-	b.emit(isa.Inst{Op: isa.OpIShr, Kind: isa.KindScalar, Dst: dst, Src1: s1, Imm: imm})
-}
-
 // Sra emits dst = s1 >> imm (arithmetic).
 func (b *Builder) Sra(dst, s1 isa.Reg, imm int64) {
 	b.emit(isa.Inst{Op: isa.OpISra, Kind: isa.KindScalar, Dst: dst, Src1: s1, Imm: imm})
@@ -191,11 +186,6 @@ func (b *Builder) UImm(op isa.Op, dst, s1 isa.Reg, imm int64) {
 	b.emit(isa.Inst{Op: op, Kind: isa.KindUSIMD, Dst: dst, Src1: s1, Imm: imm})
 }
 
-// MovI2V moves a scalar register into the low word of a vector register.
-func (b *Builder) MovI2V(dst, src isa.Reg) {
-	b.emit(isa.Inst{Op: isa.OpVMovI2V, Kind: isa.KindUSIMD, Dst: dst, Src1: src})
-}
-
 // MovV2I moves element elem of vector register src to a scalar register.
 func (b *Builder) MovV2I(dst, src isa.Reg, elem int) {
 	b.emit(isa.Inst{Op: isa.OpVMovV2I, Kind: isa.KindScalar, Dst: dst, Src1: src, Imm: int64(elem)})
@@ -261,11 +251,6 @@ func (b *Builder) VSadAcc(acc, s1, s2 isa.Reg, vl int) {
 // VMacAcc emits acc += Σ_e dot16(s1[e], s2[e]) over vl elements.
 func (b *Builder) VMacAcc(acc, s1, s2 isa.Reg, vl int) {
 	b.emit(isa.Inst{Op: isa.OpVMacAcc, Kind: isa.KindMOM, Dst: acc, Src1: s1, Src2: s2, VL: vl})
-}
-
-// VAddWAcc emits acc += Σ_e Σ_w signed-word(s1[e][w]) over vl elements.
-func (b *Builder) VAddWAcc(acc, s1 isa.Reg, vl int) {
-	b.emit(isa.Inst{Op: isa.OpVAddWAcc, Kind: isa.KindMOM, Dst: acc, Src1: s1, VL: vl})
 }
 
 // AccClr clears an accumulator register.

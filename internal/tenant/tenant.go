@@ -145,18 +145,18 @@ func New(o Options) *Group {
 // shared structures before tenant i+1's.
 func (g *Group) Run() { g.RunSampled(nil) }
 
-// RunSampled is Run with an interval sampler (nil = none): whenever the
-// group clock has crossed the next interval boundary it samples the
-// registry, stamping the row with the cycle the clock actually reached
-// (under the wheel it can land far past a boundary; the row records the
-// landing cycle, so both engines produce one row per crossed boundary).
+// RunSampled is Run with an interval sampler (nil = none): it samples
+// the registry at every multiple of the interval the run reaches, so
+// both engines record the same rows at the same cycles.
 //
 // A round at cycle t steps, in tenant order, the tenants that are due —
 // SkipTo(t), which bulk-charges the cycles slept through, then Step —
-// and the group clock moves to the earliest due cycle. Under engine.Step
-// a tenant is due again at t+1: per-cycle lockstep. Under the wheel it is
-// due at the NextWake it reports right after its own Step, so a tenant
-// with nothing to do is not stepped.
+// and the group clock moves to the earliest due cycle or the next
+// sampling boundary, whichever comes first. Under engine.Step a tenant
+// is due again at t+1: per-cycle lockstep. Under the wheel it is due at
+// the NextWake it reports right after its own Step, so a tenant with
+// nothing to do is not stepped, and a round at a boundary every tenant
+// sleeps past steps no one.
 //
 // Why sleeping is sound — every counter lands where lockstep puts it:
 //
@@ -212,14 +212,12 @@ func (g *Group) RunSampled(s *stats.Sampler) {
 		if next == never {
 			next = t + 1 // the round that retired the last tenant
 		}
-		g.now = next
-		if next >= boundary {
-			g.cur = -1 // between rounds: no seat has executed cycle next
+		g.now = min(next, boundary)
+		if g.now == boundary {
+			g.cur = -1 // between rounds: no seat has executed cycle boundary
 			g.catchUp()
-			s.Sample(next)
-			for boundary <= next {
-				boundary += s.Interval()
-			}
+			s.Sample(boundary)
+			boundary += s.Interval()
 		}
 	}
 	// Copies: Finish points into the Sim, and a caller that keeps a

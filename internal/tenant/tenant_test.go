@@ -91,9 +91,9 @@ func timingFor(t testing.TB, spec string) vmem.Timing {
 // snapshot — every name and every value — equals the one
 // core.SimulateStream leaves behind (with the posted writes flushed by
 // hand, so the reference does not lean on the Drain it shares with the
-// group), and RunSampled records the rows a hand-written Step/Advance
-// loop with momsim's old boundary rule records: one row per crossed
-// boundary, stamped with the landing cycle.
+// group), and RunSampled records the rows a hand-written loop that
+// calls Step every cycle records: one row at every multiple of the
+// interval, under the wheel as under the per-cycle engine.
 func TestSingleTenantMatchesSimulate(t *testing.T) {
 	small := []kernels.Benchmark{
 		kernels.GSMEncode(kernels.SmallGSMEncConfig()),
@@ -142,17 +142,10 @@ func TestSingleTenantMatchesSimulate(t *testing.T) {
 				sim.StatsRef().Register(loopReg)
 				ms.Register(loopReg)
 				wantRows := stats.NewSampler(loopReg, every)
-				for next := int64(every); sim.Running(); {
-					if mode == engine.Wheel {
-						sim.Advance()
-					} else {
-						sim.Step()
-					}
-					if sim.Now() >= next {
+				for sim.Running() {
+					sim.Step()
+					if sim.Now()%every == 0 {
 						wantRows.Sample(sim.Now())
-						for next <= sim.Now() {
-							next += every
-						}
 					}
 				}
 
