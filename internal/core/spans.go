@@ -51,7 +51,8 @@ func (s *Sim) traceIssue(e *robEntry) {
 		// One chain per fresh MSHR entry this instruction allocated;
 		// the MSHR file continues each chain at its alloc cycle and
 		// closes it at the fill.
-		for _, id := range e.pend.FreshIDs() {
+		first, n := e.pend.FreshIDs()
+		for id := first; id < first+n; id++ {
 			s.tr.Emit(stats.Event{Cycle: s.now, Cat: "dep", Name: "mem", Ph: 's',
 				ID: id, Lane: lane, Tenant: s.trTenant})
 		}

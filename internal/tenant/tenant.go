@@ -172,10 +172,10 @@ func (g *Group) Run() { g.RunSampled(nil) }
 //   - What remains of a no-op Step is its CPI charge, which SkipTo makes
 //     in bulk from the verdict at the sleeper's own clock. The one input
 //     of that verdict another tenant can change is what MSHRFile.flush
-//     resolves (resolved and qosDelay, which TakeQoSYield turns into the
-//     qos_yield / mshr_full / dram_wait split), so catchUp runs before a
-//     flush resolves anything: the cycles up to the flush are charged on
-//     the state before it, the cycles after it, later, on what it left.
+//     settles into the handles (completions, and the QoS budget that
+//     TakeQoSYield splits into qos_yield / mshr_full / dram_wait), so
+//     catchUp runs before a flush resolves anything: the cycles up to
+//     it are charged on the state before it, the rest later, on what it left.
 //   - A sampler row reads the CPI stacks, so every running tenant is
 //     brought to the row's cycle first; no tenant acts in between.
 func (g *Group) RunSampled(s *stats.Sampler) {

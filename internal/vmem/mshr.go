@@ -2,6 +2,7 @@ package vmem
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/dram"
@@ -87,11 +88,13 @@ func (s *MSHRStats) AvgSpan() float64 {
 	return float64(s.SpanSum) / float64(s.Flushes)
 }
 
-// mshrEntry tracks one outstanding L2 line miss. Entries are carved
-// from the file's slab (MSHRFile.entrySlab), one allocation per slabLen
-// misses. Handles hold pointers to entries and outlive the file's live
-// set, so an entry is never handed out twice; the file merely drops
-// freed entries from its live set and a slab dies with its last handle.
+// mshrEntry tracks one outstanding L2 line miss. A file owns exactly as
+// many entries as it has registers, allocated with it: the live set
+// never holds more, and free returns each entry it drops to the spare
+// list newEntry takes from. Reuse is safe because no handle points at a
+// resolved entry — the flush that resolves it folds its fill into every
+// handle waiting on it (Pending.settle) — and free only drops resolved
+// ones.
 type mshrEntry struct {
 	line     uint64
 	id       uint64
@@ -114,8 +117,8 @@ type mshrEntry struct {
 
 	// qosDelay is the QoS credit-yield penalty the channel scheduler
 	// stamped on this fill's completion: cycles the request sat eligible
-	// but deferred so another tenant could use the channel. The CPI
-	// classifier drains it through the handle's TakeQoSYield cursor.
+	// but deferred so another tenant could use the channel. Every handle
+	// waiting on the fill folds it into its TakeQoSYield budget.
 	qosDelay int64
 }
 
@@ -145,12 +148,22 @@ type MSHRFile struct {
 	unresolved, pfLive int
 	minDone            int64
 
-	// Where entries, handles and each handle's entries/fresh windows come
-	// from (see slab).
-	entrySlab  slab[mshrEntry]
+	// spare holds the entries outside the live set (all of them at
+	// first), and handles come from a slab. Their entries windows are cut
+	// from windows, an arena of the current flush interval: a window is
+	// written while its handle is filed and read until the flush that
+	// settles it, so every flush rewinds the arena, cutting the handle
+	// Register is filling a fresh window, and the next interval reuses
+	// its memory.
+	spare      []*mshrEntry
 	handleSlab slab[Pending]
-	ptrSlab    slab[*mshrEntry]
-	idSlab     slab[uint64]
+	windows    []*mshrEntry
+
+	// The handles that may hold entries, which flush settles: those filed
+	// since the last flush that wait on an unresolved fill, and the one
+	// Register is filling (nil between calls).
+	open     []*Pending
+	building *Pending
 
 	// pf/l2 attach the stream prefetcher (AttachPrefetcher): pf turns
 	// the demand miss stream into predicted lines, and the file fills
@@ -167,8 +180,8 @@ type MSHRFile struct {
 	st MSHRStats
 }
 
-// slabLen is how many elements one slab allocation holds: 256 entries
-// are 14 KB, 256 handles 24 KB.
+// slabLen is how many elements one slab allocation holds: 256 handles
+// are 20 KB.
 const slabLen = 256
 
 // noDone is minDone with no resolved entry live.
@@ -176,11 +189,10 @@ const noDone = math.MaxInt64
 
 // slab hands out consecutive windows of zeroed elements, one allocation
 // per slabLen of them, so the miss path's steady state allocates only
-// on refill. Nothing is ever returned to a slab: handles keep pointers
-// into them long after the file has dropped the entry (the scoreboard
-// polls a graduated instruction's handle until its fill lands), so a
-// free list would need the reference count the garbage collector
-// already keeps per slab.
+// on refill. Nothing is ever returned to a slab: the core decides how
+// long it keeps a handle (the scoreboard polls a graduated
+// instruction's handle until its fill lands), so a free list would need
+// the reference count the garbage collector already keeps per slab.
 type slab[T any] struct{ rest []T }
 
 // take returns the next n elements, with capacity n: appending past
@@ -211,6 +223,11 @@ func NewMSHRFile(tim Timing, n int) *MSHRFile {
 		pendByID: map[uint64]*mshrEntry{},
 		nextID:   1, // 0 tags write-backs, which never resolve an entry
 		minDone:  noDone,
+		spare:    make([]*mshrEntry, n),
+	}
+	pool := make([]mshrEntry, n)
+	for i := range pool {
+		f.spare[i] = &pool[i]
 	}
 	f.st.Fill = stats.NewHistogram()
 	return f
@@ -223,9 +240,9 @@ func (f *MSHRFile) SetTracer(t *stats.Tracer) { f.tr = t }
 // BeforeFlush installs fn (nil = none) to run at the top of every flush
 // that has a batch to submit, before any entry resolves. Resolution is
 // the one thing a flush changes that a requestor which is not running
-// can observe — resolved and qosDelay, through TakeQoSYield — so a
-// driver that lets requestors' clocks lag (tenant.Group under the wheel)
-// brings them up to the flush cycle here.
+// can observe — what it settles into the handles, through Settled and
+// TakeQoSYield — so a driver that lets requestors' clocks lag
+// (tenant.Group under the wheel) brings them up to the flush cycle here.
 func (f *MSHRFile) BeforeFlush(fn func()) { f.beforeFlush = fn }
 
 // resolve settles one entry's fill completion, feeding the
@@ -283,12 +300,9 @@ func (f *MSHRFile) Cap() int { return f.cap }
 // Stats exposes the accumulated counters.
 func (f *MSHRFile) Stats() *MSHRStats { return &f.st }
 
-// Outstanding is the number of unresolved line misses in the file.
-func (f *MSHRFile) Outstanding() int { return f.unresolved }
-
-// free drops entries whose fill has completed by cycle t: none while t
-// is short of the earliest resolved completion, which is every call
-// but the few that cross one.
+// free drops entries whose fill has completed by cycle t, returning
+// them to the spare list: none while t is short of the earliest
+// resolved completion, which is every call but the few that cross one.
 func (f *MSHRFile) free(t int64) {
 	if t < f.minDone {
 		return
@@ -299,6 +313,7 @@ func (f *MSHRFile) free(t int64) {
 		if e.resolved {
 			if e.done <= t {
 				delete(f.byLine, e.line)
+				f.spare = append(f.spare, e)
 				continue
 			}
 			f.minDone = min(f.minDone, e.done)
@@ -308,12 +323,15 @@ func (f *MSHRFile) free(t int64) {
 	f.entries = live
 }
 
-// newEntry carves the entry of tenant's miss to line arriving at cycle
-// at. IDs come from the file's one counter, so they are unique across
-// the tenants sharing it.
+// newEntry takes a spare entry for tenant's miss to line arriving at
+// cycle at; the callers' capacity checks guarantee one. IDs come from
+// the file's one counter, so they are unique across the tenants sharing
+// it.
 func (f *MSHRFile) newEntry(line uint64, at int64, prefetch bool, tenant uint8) *mshrEntry {
-	e := &f.entrySlab.take(1)[0]
-	e.line, e.id, e.at, e.prefetch, e.tenant = line, f.nextID, at, prefetch, tenant
+	n := len(f.spare) - 1
+	e := f.spare[n]
+	f.spare = f.spare[:n]
+	*e = mshrEntry{line: line, id: f.nextID, at: at, prefetch: prefetch, tenant: tenant}
 	f.nextID++
 	return e
 }
@@ -328,9 +346,10 @@ func (f *MSHRFile) track(e *mshrEntry) {
 	}
 }
 
-// flush submits everything pending as one batch and resolves the
-// entries the completions belong to (matched by request ID — the
-// scheduler reorders the batch, so positional matching would lie).
+// flush submits everything pending as one batch, resolves the entries
+// the completions belong to (matched by request ID — the scheduler
+// reorders the batch, so positional matching would lie) and settles
+// every handle waiting on them. Afterwards no handle holds an entry.
 func (f *MSHRFile) flush() {
 	if len(f.pending) == 0 {
 		return
@@ -353,10 +372,26 @@ func (f *MSHRFile) flush() {
 			f.resolve(e, c.Done)
 		}
 	}
+	for _, p := range f.open {
+		p.settle()
+	}
+	f.open = f.open[:0]
+	f.windows = f.windows[:0]
+	if p := f.building; p != nil {
+		p.settle()
+		p.entries = f.window(cap(p.entries))
+	}
 	f.pending = f.pending[:0]
 	clear(f.pendByID)
 	f.span = 0
 	f.flushGen++
+}
+
+// window cuts an empty entries window with room for n from the arena.
+func (f *MSHRFile) window(n int) []*mshrEntry {
+	lo := len(f.windows)
+	f.windows = slices.Grow(f.windows, n)[:lo+n]
+	return f.windows[lo : lo : lo+n]
 }
 
 // allocate finds room for tenant's new primary miss arriving at cycle
@@ -436,10 +471,10 @@ type trainLine struct {
 func (f *MSHRFile) Register(batch []dram.Request, pfTouch []PFTouch, occDone int64) *Pending {
 	p := &f.handleSlab.take(1)[0]
 	p.file, p.base = f, occDone
-	// Every read of the batch and every touch adds at most one entry, so
-	// the windows below are never appended past.
-	n := len(batch) + len(pfTouch)
-	p.entries, p.fresh = f.ptrSlab.take(n)[:0], f.idSlab.take(n)[:0]
+	// Every read of the batch and every touch holds at most one entry, so
+	// the window is never appended past.
+	p.entries = f.window(len(batch) + len(pfTouch))
+	f.building = p
 	// One instruction counts once toward each flush batch it feeds: a
 	// mid-instruction flush (MSHR full) starts a new batch, which the
 	// rest of the instruction's requests then join.
@@ -479,7 +514,7 @@ func (f *MSHRFile) Register(batch []dram.Request, pfTouch []PFTouch, occDone int
 				e.classified = true
 			}
 			f.upgradePrefetch(e)
-			p.entries = append(p.entries, e)
+			p.wait(e)
 			continue
 		}
 		e, at := f.allocate(r.Addr, r.At, r.Tenant)
@@ -492,8 +527,11 @@ func (f *MSHRFile) Register(batch []dram.Request, pfTouch []PFTouch, occDone int
 		r.At, r.ID = at, e.id
 		f.pending = append(f.pending, r)
 		f.pendByID[e.id] = e
-		p.entries = append(p.entries, e)
-		p.fresh = append(p.fresh, e.id)
+		p.wait(e)
+		if p.freshN == 0 {
+			p.freshLo = e.id
+		}
+		p.freshN++
 		contribute()
 	}
 	for _, t := range pfTouch {
@@ -508,6 +546,10 @@ func (f *MSHRFile) Register(batch []dram.Request, pfTouch []PFTouch, occDone int
 				f.injectPrefetch(cand, occDone, t.tenant)
 			}
 		}
+	}
+	f.building = nil
+	if len(p.entries) > 0 {
+		f.open = append(f.open, p)
 	}
 	return p
 }
@@ -538,14 +580,14 @@ func (f *MSHRFile) touchPrefetched(p *Pending, t PFTouch) {
 			f.classifyPrefetch(e)
 		}
 		if e.done > t.At {
-			p.entries = append(p.entries, e)
+			p.wait(e)
 		}
 		return
 	}
 	// Fill still pending: the classification falls out of the flush
 	// that resolves it, and the instruction waits on the entry.
 	f.upgradePrefetch(e)
-	p.entries = append(p.entries, e)
+	p.wait(e)
 }
 
 // upgradePrefetch promotes a still-pending prefetch fill to demand
@@ -650,175 +692,130 @@ func (f *MSHRFile) Drain() { f.flush() }
 
 // Pending is the completion handle of one instruction's outstanding
 // misses: the issue side returns it, the scoreboard queries it. Handles
-// come from the file's slab and their entries/fresh windows from its
-// pointer and ID slabs, sized at Register to the most the
-// instruction can file; like entries they are never reused, because
-// the core decides how long it keeps one.
+// come from the file's slab and are never reused, because the core
+// decides how long it keeps one. A handle holds only unresolved
+// entries: a fill already resolved when the instruction waits on it is
+// folded into base and qos at once, and the flush that resolves the
+// rest folds them too (settle), so after any flush the handle holds
+// nothing and the file may reuse every entry it drops.
 type Pending struct {
-	file     *MSHRFile
-	entries  []*mshrEntry
-	base     int64
-	resolved bool
-	done     int64
+	file    *MSHRFile
+	entries []*mshrEntry // unresolved fills waited on, in an arena window
+	base    int64        // completion so far: occupancy and every fill folded in
 
-	// fresh holds the IDs of the entries this instruction's primary
-	// misses allocated (merged secondary misses excluded) — the flow
-	// chains the issuing instruction originates.
-	fresh []uint64
+	// waits records that the instruction waited on some fill, resolved
+	// or not: Timing.Complete returns no handle for one that did not.
+	waits bool
 
-	// fullStall and qosTaken are the CPI classifier's stall-attribution
-	// budgets. fullStall is the remaining cycles this instruction's
-	// allocations spent waiting on a full MSHR file; qosTaken is the
-	// cursor into the QoS-yield cycles stamped on resolved entries.
-	// Both drain monotonically, so charging n cycles one at a time and
-	// charging them in one bulk call consume identically — the property
-	// that keeps the step and wheel engines' CPI stacks bit-identical.
-	fullStall int64
-	qosTaken  int64
+	// freshLo and freshN are the IDs of the entries this instruction's
+	// primary misses allocated (merged secondary misses excluded), which
+	// one Register allocates consecutively — the flow chains the issuing
+	// instruction originates.
+	freshLo, freshN uint64
+
+	// fullStall and qos are the CPI classifier's stall-attribution
+	// budgets: the cycles this instruction's allocations spent waiting on
+	// a full MSHR file, and the QoS-yield cycles the channel scheduler
+	// stamped on the fills folded in so far (an unresolved fill's penalty
+	// is unknown). Both change only at Register and at flush points —
+	// never during classification — and drain monotonically, so charging
+	// n cycles one at a time and charging them in one bulk call consume
+	// identically: the property that keeps the step and wheel engines'
+	// CPI stacks bit-identical.
+	fullStall, qos int64
+}
+
+// wait makes the handle wait on e's fill: it holds e while the fill is
+// unresolved and folds it in at once otherwise.
+func (p *Pending) wait(e *mshrEntry) {
+	p.waits = true
+	if e.resolved {
+		p.fold(e)
+		return
+	}
+	p.entries = append(p.entries, e)
+}
+
+// fold adds a resolved fill to the handle's completion and QoS budget.
+func (p *Pending) fold(e *mshrEntry) {
+	p.base = max(p.base, e.done)
+	p.qos += e.qosDelay
+}
+
+// settle folds in every entry the handle holds, which the flush calling
+// it has just resolved. The window keeps its capacity, which flush
+// re-cuts for the handle Register is still filling.
+func (p *Pending) settle() {
+	for _, e := range p.entries {
+		p.fold(e)
+	}
+	p.entries = p.entries[:0]
 }
 
 // FreshIDs returns the MSHR entry IDs this instruction's primary
-// misses allocated, for originating causal flow chains. Merged
-// secondary misses are excluded — their chains belong to the
-// instruction that filed the primary miss. An empty result may be nil
-// or zero-length (a window of the ID slab); callers must only range
-// over it or take its length.
-func (p *Pending) FreshIDs() []uint64 { return p.fresh }
+// misses allocated, n of them from first on, for originating causal
+// flow chains. Merged secondary misses are excluded — their chains
+// belong to the instruction that filed the primary miss.
+func (p *Pending) FreshIDs() (first, n uint64) { return p.freshLo, p.freshN }
 
 // TakeFullStall consumes up to n cycles of the handle's MSHR
 // full-stall budget and returns how many were taken.
-func (p *Pending) TakeFullStall(n uint64) uint64 {
-	if p.fullStall <= 0 || n == 0 {
-		return 0
-	}
-	take := uint64(p.fullStall)
-	if take > n {
-		take = n
-	}
-	p.fullStall -= int64(take)
-	return take
-}
+func (p *Pending) TakeFullStall(n uint64) uint64 { return take(&p.fullStall, n) }
 
 // TakeQoSYield consumes up to n cycles of the QoS-yield budget the
 // channel scheduler stamped on this handle's resolved fills and
-// returns how many were taken. Only resolved entries contribute (an
-// unresolved fill's penalty is unknown), and resolution only happens
-// at flush points — never during classification — so the available
-// budget is constant across any window the classifier charges.
-func (p *Pending) TakeQoSYield(n uint64) uint64 {
-	if n == 0 {
-		return 0
-	}
-	var avail int64
-	for _, e := range p.entries {
-		if e.resolved {
-			avail += e.qosDelay
-		}
-	}
-	avail -= p.qosTaken
-	if avail <= 0 {
-		return 0
-	}
-	take := uint64(avail)
-	if take > n {
-		take = n
-	}
-	p.qosTaken += int64(take)
-	return take
-}
+// returns how many were taken.
+func (p *Pending) TakeQoSYield(n uint64) uint64 { return take(&p.qos, n) }
 
-// force resolves the handle from its entries, which must all be
-// resolved (true after any flush).
-func (p *Pending) force() int64 {
-	done := p.base
-	for _, e := range p.entries {
-		if e.done > done {
-			done = e.done
-		}
+// take consumes up to n cycles of a stall budget.
+func take(budget *int64, n uint64) uint64 {
+	if *budget <= 0 {
+		return 0
 	}
-	p.resolved, p.done = true, done
-	return done
+	t := min(uint64(*budget), n)
+	*budget -= int64(t)
+	return t
 }
 
 // Settled reports whether the completion is already known and has
 // passed, using only resolved state — it never forces a flush, so it
 // is safe to poll every cycle without perturbing batch accumulation.
 func (p *Pending) Settled(now int64) bool {
-	if p == nil {
-		return true
-	}
-	if !p.resolved {
-		for _, e := range p.entries {
-			if !e.resolved {
-				return false
-			}
-		}
-		p.force()
-	}
-	return p.done <= now
+	return p == nil || len(p.entries) == 0 && p.base <= now
 }
 
 // ReadyBy reports whether the memory completion is <= now, resolving
-// lazily: while the conservative lower bound (each unresolved miss
-// costs at least the backend's minimum read latency) still exceeds
-// now, it answers false without scheduling anything; once the bound is
+// lazily: while the conservative lower bound (Bound) still exceeds now,
+// it answers false without scheduling anything; once the bound is
 // reached it flushes the file and compares the exact time.
 func (p *Pending) ReadyBy(now int64) bool {
 	if p == nil {
 		return true
 	}
-	if p.resolved {
-		return p.done <= now
-	}
-	lb := p.base
-	unresolved := false
-	for _, e := range p.entries {
-		t := e.done
-		if !e.resolved {
-			unresolved = true
-			t = e.at + p.file.minLat
+	if len(p.entries) > 0 {
+		if lb, _ := p.Bound(); now < lb {
+			return false
 		}
-		if t > lb {
-			lb = t
-		}
+		p.file.flush()
 	}
-	if !unresolved {
-		p.force()
-		return p.done <= now
-	}
-	if now < lb {
-		return false
-	}
-	p.file.flush()
-	return p.force() <= now
+	return p.base <= now
 }
 
 // Bound returns a conservative lower bound on the completion cycle
-// and whether that bound is exact. It mirrors ReadyBy's arithmetic —
-// for an unresolved handle the bound is the first cycle a ReadyBy
-// poll would force a flush — but never flushes or resolves anything,
-// so the event-wheel engine can schedule wake-ups off it without
-// perturbing batch accumulation.
+// and whether that bound is exact: each unresolved fill costs at least
+// the backend's minimum read latency. For an unresolved handle the
+// bound is the first cycle a ReadyBy poll would force a flush, but
+// Bound never flushes or resolves anything, so the event-wheel engine
+// can schedule wake-ups off it without perturbing batch accumulation.
 func (p *Pending) Bound() (int64, bool) {
 	if p == nil {
 		return 0, true
 	}
-	if p.resolved {
-		return p.done, true
-	}
 	lb := p.base
-	exact := true
 	for _, e := range p.entries {
-		t := e.done
-		if !e.resolved {
-			exact = false
-			t = e.at + p.file.minLat
-		}
-		if t > lb {
-			lb = t
-		}
+		lb = max(lb, e.at+p.file.minLat)
 	}
-	return lb, exact
+	return lb, len(p.entries) == 0
 }
 
 // Done forces resolution and returns the exact completion cycle.
@@ -826,9 +823,8 @@ func (p *Pending) Done() int64 {
 	if p == nil {
 		return 0
 	}
-	if !p.resolved {
+	if len(p.entries) > 0 {
 		p.file.flush()
-		p.force()
 	}
-	return p.done
+	return p.base
 }

@@ -21,9 +21,9 @@ func hbmBackend(tb testing.TB) dram.Backend {
 }
 
 // scanViews recomputes from the live set what the file keeps
-// incrementally, the way Outstanding, prefetchLive and free's loop did
-// when each of them scanned: unresolved entries, unresolved prefetches
-// among them, and the earliest completion free could act on.
+// incrementally, the way the MLP sample, prefetchLive and free's loop
+// did when each of them scanned: unresolved entries, unresolved
+// prefetches among them, and the earliest completion free could act on.
 func scanViews(f *MSHRFile) (unresolved, pfLive int, minDone int64) {
 	minDone = math.MaxInt64
 	for _, e := range f.entries {
@@ -45,8 +45,8 @@ func scanViews(f *MSHRFile) (unresolved, pfLive int, minDone int64) {
 // training, merges), stores (dirty victims: write-backs), bursts wider
 // than the file (full-stalls), touches of prefetched lines — between
 // random ReadyBy/Done polls and drains, and after every call holds the
-// three incremental views to a from-scratch scan: Outstanding, the
-// prefetch quota's count, and the earliest resolved completion — that
+// three incremental views to a from-scratch scan: the unresolved count,
+// the prefetch quota's count, and the earliest resolved completion — that
 // is, for every t, whether free(t) has anything to drop.
 func TestMSHRViewsMatchScan(t *testing.T) {
 	for _, mshrs := range []int{2, 8, 64} {
@@ -56,9 +56,9 @@ func TestMSHRViewsMatchScan(t *testing.T) {
 		check := func(step int, what string) {
 			t.Helper()
 			unresolved, pfLive, minDone := scanViews(f)
-			if f.Outstanding() != unresolved || f.pfLive != pfLive || f.minDone != minDone {
-				t.Fatalf("mshr%d step %d after %s: views (outstanding %d, prefetch-live %d, min done %d) != scan (%d, %d, %d)",
-					mshrs, step, what, f.Outstanding(), f.pfLive, f.minDone, unresolved, pfLive, minDone)
+			if f.unresolved != unresolved || f.pfLive != pfLive || f.minDone != minDone {
+				t.Fatalf("mshr%d step %d after %s: views (unresolved %d, prefetch-live %d, min done %d) != scan (%d, %d, %d)",
+					mshrs, step, what, f.unresolved, f.pfLive, f.minDone, unresolved, pfLive, minDone)
 			}
 			drops := false
 			for _, e := range f.entries {
@@ -165,18 +165,18 @@ func (r *missRound) run() {
 	r.f.Drain()
 }
 
-// TestRegisterFlushSteadyStateAllocs pins what the slabs are for: a
-// warmed Register/flush round allocates on slab refill only — one
-// entry slab, one pointer and one ID window slab and a quarter of a
-// handle slab per 256 misses — where the parent allocated an entry, a
-// handle and two slices per instruction.
+// TestRegisterFlushSteadyStateAllocs pins what recycling is for: a
+// warmed round of 64 instructions allocates at most once — a quarter of
+// a handle slab — because entries come back from the spare list and
+// handles' windows from an arena each flush rewinds. Before, every 256
+// misses took an entry slab and a pointer and an ID window slab too.
 func TestRegisterFlushSteadyStateAllocs(t *testing.T) {
 	r := &missRound{f: NewMSHRFile(mshrTiming(hbmBackend(t)), 16)}
 	for i := 0; i < 8; i++ {
-		r.run() // warm: maps, the pending batch and the backend's scratch reach size
+		r.run() // warm: maps, the pending batch, the arena and the backend's scratch reach size
 	}
-	if n := testing.AllocsPerRun(50, r.run); n > roundMisses/64 {
-		t.Fatalf("a warmed round of %d misses allocates %.0f times, want at most one per 64 misses", roundMisses, n)
+	if n := testing.AllocsPerRun(50, r.run); n > 1 {
+		t.Fatalf("a warmed round of %d misses allocates %.2f times, want at most once", roundMisses, n)
 	}
 	if st := r.f.Stats(); st.FullStalls == 0 || st.Flushes == 0 {
 		t.Fatalf("the round is not the miss path: %d full-stalls, %d flushes", st.FullStalls, st.Flushes)
@@ -185,7 +185,8 @@ func TestRegisterFlushSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkRegisterFlush tracks the miss path's host cost: one op is a
 // round of 256 misses — Register, the flush's Submit on the
-// 8-channel part, resolve, free — and its allocations are slab refills.
+// 8-channel part, resolve, settle, free — and its only allocations are
+// handle-slab refills, a quarter of one per op.
 func BenchmarkRegisterFlush(b *testing.B) {
 	r := &missRound{f: NewMSHRFile(mshrTiming(hbmBackend(b)), 16)}
 	r.run()

@@ -133,7 +133,7 @@ func (tm Timing) Complete(batch []dram.Request, pfTouch []PFTouch, occDone int64
 		return occDone, nil
 	}
 	p := tm.MSHR.Register(batch, pfTouch, occDone)
-	if len(p.entries) == 0 {
+	if !p.waits {
 		// Nothing outstanding (every touched prefetch had already
 		// landed): the occupancy time is final.
 		return occDone, nil
