@@ -9,7 +9,10 @@
 // latencies.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Config describes one cache.
 type Config struct {
@@ -61,14 +64,6 @@ type Stats struct {
 	PrefetchUseless uint64
 }
 
-// HitRate returns hits/accesses (1 for an untouched cache).
-func (s *Stats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 1
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
 // line is one cache line in 16 bytes. tag is the line number plus one,
 // so the zero line is invalid. meta is the LRU tick of the line's last
 // touch shifted above three flag bits. Ticks are unique within a cache
@@ -101,7 +96,8 @@ type Cache struct {
 	Stats     Stats
 }
 
-// New builds a cache from its configuration.
+// New builds a cache from its configuration, on a released line array
+// of its geometry when there is one.
 func New(cfg Config) *Cache {
 	nSets := cfg.Size / cfg.LineSize / cfg.Ways
 	if nSets == 0 || nSets&(nSets-1) != 0 {
@@ -111,7 +107,35 @@ func New(cfg Config) *Cache {
 	for 1<<shift < cfg.LineSize {
 		shift++
 	}
-	return &Cache{cfg: cfg, lines: make([]line, nSets*cfg.Ways), setMask: uint64(nSets - 1), lineShift: shift}
+	c, n := &Cache{cfg: cfg, setMask: uint64(nSets - 1), lineShift: shift}, nSets*cfg.Ways
+	spareMu.Lock()
+	defer spareMu.Unlock()
+	if free := spare[n]; len(free) > 0 {
+		c.lines, spare[n] = free[len(free)-1], free[:len(free)-1]
+		clear(c.lines)
+	} else {
+		c.lines = make([]line, n)
+	}
+	return c
+}
+
+// spare holds up to 8 released line arrays per length for New. A locked
+// list, not a sync.Pool, so that allocation counts repeat exactly.
+var spareMu sync.Mutex
+var spare = map[int][][]line{}
+
+// Release hands the line array back for New. Stats stay readable; any
+// other use panics. Releasing twice, or a nil cache, does nothing.
+func (c *Cache) Release() {
+	if c == nil || c.lines == nil {
+		return
+	}
+	spareMu.Lock()
+	defer spareMu.Unlock()
+	if free := spare[len(c.lines)]; len(free) < 8 {
+		spare[len(c.lines)] = append(free, c.lines)
+	}
+	c.lines = nil
 }
 
 // Config returns the cache's configuration.
@@ -285,6 +309,3 @@ func (c *Cache) ExclusiveInL1(addr uint64) bool {
 	set[w].meta &^= metaInL1
 	return true
 }
-
-// Lines returns the number of lines the cache holds.
-func (c *Cache) Lines() int { return c.cfg.Size / c.cfg.LineSize }

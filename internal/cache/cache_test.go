@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -116,11 +117,11 @@ func TestExclusiveBit(t *testing.T) {
 
 func TestPaperConfigs(t *testing.T) {
 	l1 := New(L1Config())
-	if l1.Lines() != 64<<10/32 {
+	if len(l1.lines) != 64<<10/32 {
 		t.Error("L1 line count")
 	}
 	l2 := New(L2Config(20))
-	if l2.Lines() != 2<<20/128 {
+	if len(l2.lines) != 2<<20/128 {
 		t.Error("L2 line count")
 	}
 	if l2.Config().Latency != 20 || l1.Config().Latency != 1 {
@@ -169,18 +170,6 @@ func TestAgainstReferenceModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHitRate(t *testing.T) {
-	c := tiny()
-	if c.Stats.HitRate() != 1 {
-		t.Error("empty cache hit rate must be 1")
-	}
-	c.Access(0, false, false)
-	c.Access(0, false, false)
-	if hr := c.Stats.HitRate(); hr != 0.5 {
-		t.Errorf("hit rate = %v", hr)
 	}
 }
 
@@ -338,43 +327,106 @@ func (c *refCache) ExclusiveInL1(addr uint64) bool {
 	return true
 }
 
-// TestPackedLinesMatchReference drives Cache and refCache with the same
-// seeded random stream of every operation and compares each return value
-// and the whole Stats after every step. Addresses crowd eight sets with
-// three times as many lines as they hold, so evictions, dirty victims,
-// useless prefetches and refills of invalidated ways are all common.
-func TestPackedLinesMatchReference(t *testing.T) {
-	configs := []Config{L1Config(), L2Config(20),
-		{Name: "L2x4", Size: 4 * L2LineBytes, LineSize: L2LineBytes, Ways: 1, WriteBack: true, Latency: 20}}
-	for _, cfg := range configs {
-		for seed := int64(1); seed <= 4; seed++ {
-			c, ref := New(cfg), newRef(cfg)
-			r := rand.New(rand.NewSource(seed))
-			nSets := cfg.Size / cfg.LineSize / cfg.Ways
-			for step := 0; step < 20000; step++ {
-				addr := uint64(((r.Intn(3*cfg.Ways)*nSets+r.Intn(min(nSets, 8)))*cfg.LineSize + r.Intn(cfg.LineSize)))
-				var got, want string
-				switch op := r.Intn(10); {
-				case op < 5:
-					write, fromL1 := r.Intn(2) == 0, r.Intn(2) == 0
-					got = fmt.Sprint(c.Access(addr, write, fromL1))
-					want = fmt.Sprint(ref.Access(addr, write, fromL1))
-				case op == 5:
-					got, want = fmt.Sprint(c.FillPrefetch(addr)), fmt.Sprint(ref.FillPrefetch(addr))
-				case op == 6:
-					got, want = fmt.Sprint(c.Invalidate(addr)), fmt.Sprint(ref.Invalidate(addr))
-				case op == 7:
-					got, want = fmt.Sprint(c.ExclusiveInL1(addr)), fmt.Sprint(ref.ExclusiveInL1(addr))
-				case op == 8:
-					got, want = fmt.Sprint(c.PeekVictim(addr)), fmt.Sprint(ref.PeekVictim(addr))
-				default:
-					got, want = fmt.Sprint(c.Contains(addr)), fmt.Sprint(ref.Contains(addr))
-				}
-				if got != want || c.Stats != ref.Stats {
-					t.Fatalf("%s seed %d step %d addr %#x: got %s with %+v, reference %s with %+v",
-						cfg.Name, seed, step, addr, got, c.Stats, want, ref.Stats)
-				}
-			}
+// refConfigs are the geometries the reference tests cover: the paper's
+// two caches and a four-line, direct-mapped L2.
+var refConfigs = []Config{L1Config(), L2Config(20),
+	{Name: "L2x4", Size: 4 * L2LineBytes, LineSize: L2LineBytes, Ways: 1, WriteBack: true, Latency: 20}}
+
+// drive runs a seeded random stream of every operation through c and
+// ref and compares each return value and the whole Stats after every
+// step. Addresses crowd eight sets with three times as many lines as
+// they hold, so evictions, dirty victims, useless prefetches and refills
+// of invalidated ways are all common.
+func drive(t *testing.T, c *Cache, ref *refCache, seed int64) {
+	t.Helper()
+	cfg := c.cfg
+	r := rand.New(rand.NewSource(seed))
+	nSets := cfg.Size / cfg.LineSize / cfg.Ways
+	for step := 0; step < 20000; step++ {
+		addr := uint64(((r.Intn(3*cfg.Ways)*nSets+r.Intn(min(nSets, 8)))*cfg.LineSize + r.Intn(cfg.LineSize)))
+		var got, want string
+		switch op := r.Intn(10); {
+		case op < 5:
+			write, fromL1 := r.Intn(2) == 0, r.Intn(2) == 0
+			got = fmt.Sprint(c.Access(addr, write, fromL1))
+			want = fmt.Sprint(ref.Access(addr, write, fromL1))
+		case op == 5:
+			got, want = fmt.Sprint(c.FillPrefetch(addr)), fmt.Sprint(ref.FillPrefetch(addr))
+		case op == 6:
+			got, want = fmt.Sprint(c.Invalidate(addr)), fmt.Sprint(ref.Invalidate(addr))
+		case op == 7:
+			got, want = fmt.Sprint(c.ExclusiveInL1(addr)), fmt.Sprint(ref.ExclusiveInL1(addr))
+		case op == 8:
+			got, want = fmt.Sprint(c.PeekVictim(addr)), fmt.Sprint(ref.PeekVictim(addr))
+		default:
+			got, want = fmt.Sprint(c.Contains(addr)), fmt.Sprint(ref.Contains(addr))
 		}
+		if got != want || c.Stats != ref.Stats {
+			t.Fatalf("%s seed %d step %d addr %#x: got %s with %+v, reference %s with %+v",
+				cfg.Name, seed, step, addr, got, c.Stats, want, ref.Stats)
+		}
+	}
+}
+
+// TestPackedLinesMatchReference drives Cache beside refCache, the layout
+// it replaced, through four seeded streams per geometry.
+func TestPackedLinesMatchReference(t *testing.T) {
+	for _, cfg := range refConfigs {
+		for seed := int64(1); seed <= 4; seed++ {
+			drive(t, New(cfg), newRef(cfg), seed)
+		}
+	}
+}
+
+// TestRecycledCacheMatchesReference: a cache built on a released array
+// is a fresh cache. The array comes back cleared, a released cache
+// panics rather than read it, and a second Release of the same cache
+// does not put it on the free list twice, where two caches would share
+// it.
+func TestRecycledCacheMatchesReference(t *testing.T) {
+	for _, cfg := range refConfigs {
+		c := New(cfg)
+		drive(t, c, newRef(cfg), 1)
+		used := &c.lines[0]
+		c.Release()
+		c.Release()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a released cache answered a lookup", cfg.Name)
+				}
+			}()
+			c.Contains(0)
+		}()
+		c = New(cfg)
+		if &c.lines[0] != used {
+			t.Fatalf("%s: New did not reuse the released array", cfg.Name)
+		}
+		other := New(cfg)
+		if &other.lines[0] == used {
+			t.Fatalf("%s: two caches share one array after a double Release", cfg.Name)
+		}
+		drive(t, c, newRef(cfg), 2)
+		c.Release()
+		other.Release()
+	}
+}
+
+// TestNewReleaseSteadyStateAllocs holds New to the free list: once an L2
+// array has been released, a New/Release round allocates only the Cache.
+func TestNewReleaseSteadyStateAllocs(t *testing.T) {
+	round := func() { New(L2Config(20)).Release() }
+	round() // warm: the free list holds one array
+	if n := testing.AllocsPerRun(100, round); n > 1 {
+		t.Fatalf("a warmed New/Release round allocates %.1f times, want at most 1", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / 100; b >= 1<<10 {
+		t.Fatalf("a warmed New/Release round allocates %d bytes, want under 1 KiB", b)
 	}
 }

@@ -41,7 +41,7 @@ func simBenchPF(t *testing.T, tr *trace.Trace, v kernels.Variant, kind MemKind, 
 	}
 	var backend dram.Backend
 	if spec != "" {
-		b, err := dram.ParseSpec(spec, 100)
+		b, _, err := dram.ParseSpecFull(spec, 100)
 		if err != nil {
 			t.Fatalf("spec %q: %v", spec, err)
 		}

@@ -277,9 +277,9 @@ func TestPresetsAndSpecKnobs(t *testing.T) {
 	}
 	NewSDRAM(PresetHBM.Config()) // must not panic
 
-	b, err := ParseSpec("sdram/bank/fcfs/hbm/4ch/wq4/win2", 100)
+	b, _, err := ParseSpecFull("sdram/bank/fcfs/hbm/4ch/wq4/win2", 100)
 	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
+		t.Fatalf("ParseSpecFull: %v", err)
 	}
 	cfg := b.(*SDRAM).Config()
 	if cfg.Mapping != MapBank || cfg.Scheduler != FCFS || cfg.Channels != 4 ||
@@ -290,14 +290,14 @@ func TestPresetsAndSpecKnobs(t *testing.T) {
 	if got := FormatSpecOpts("sdram", "line", "frfcfs", "hbm", Knobs{Channels: 4}); got != "sdram/line/frfcfs/hbm/4ch" {
 		t.Fatalf("FormatSpecOpts = %q", got)
 	}
-	// Round trip through ParseSpec.
-	if _, err := ParseSpec(FormatSpecOpts("sdram", "line", "frfcfs", "hbm", Knobs{Channels: 4, WQDrain: 3, Window: 5}), 100); err != nil {
+	// Round trip through ParseSpecFull.
+	if _, _, err := ParseSpecFull(FormatSpecOpts("sdram", "line", "frfcfs", "hbm", Knobs{Channels: 4, WQDrain: 3, Window: 5}), 100); err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
 
 	// A drain threshold beyond the preset's depth grows the queue to fit.
-	if b, err := ParseSpec("sdram/line/frfcfs/ddr/wq99", 100); err != nil {
-		t.Fatalf("ParseSpec(wq99): %v", err)
+	if b, _, err := ParseSpecFull("sdram/line/frfcfs/ddr/wq99", 100); err != nil {
+		t.Fatalf("ParseSpecFull(wq99): %v", err)
 	} else if cfg := b.(*SDRAM).Config(); cfg.WQDrain != 99 || cfg.WQDepth != 99 {
 		t.Fatalf("wq99 config = drain %d depth %d, want 99/99", cfg.WQDrain, cfg.WQDepth)
 	}
@@ -307,8 +307,8 @@ func TestPresetsAndSpecKnobs(t *testing.T) {
 		"sdram/line/frfcfs/ddr/extra", // trailing junk
 		"sdram/line/frfcfs/lpddr",     // unknown profile
 	} {
-		if _, err := ParseSpec(bad, 100); err == nil {
-			t.Errorf("ParseSpec(%q) did not error", bad)
+		if _, _, err := ParseSpecFull(bad, 100); err == nil {
+			t.Errorf("ParseSpecFull(%q) did not error", bad)
 		}
 	}
 }

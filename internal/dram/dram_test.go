@@ -319,21 +319,21 @@ func TestSpecRoundTrip(t *testing.T) {
 		if spec != c.spec {
 			t.Errorf("FormatSpec(%s,%s,%s) = %q, want %q", c.kind, c.mapping, c.sched, spec, c.spec)
 		}
-		b, err := ParseSpec(spec, 100)
+		b, _, err := ParseSpecFull(spec, 100)
 		if err != nil {
-			t.Errorf("ParseSpec(%q): %v", spec, err)
+			t.Errorf("ParseSpecFull(%q): %v", spec, err)
 			continue
 		}
 		if b.Name() != c.name {
-			t.Errorf("ParseSpec(%q).Name() = %q, want %q", spec, b.Name(), c.name)
+			t.Errorf("ParseSpecFull(%q).Name() = %q, want %q", spec, b.Name(), c.name)
 		}
 	}
 	// Bare "sdram" gets the default mapping and scheduler.
-	if b, err := ParseSpec("sdram", 100); err != nil || b.Name() != "sdram(line,frfcfs,open)" {
-		t.Errorf("ParseSpec(sdram) = %v, %v", b, err)
+	if b, _, err := ParseSpecFull("sdram", 100); err != nil || b.Name() != "sdram(line,frfcfs,open)" {
+		t.Errorf("ParseSpecFull(sdram) = %v, %v", b, err)
 	}
-	if _, err := ParseSpec("sdram/diag/fcfs", 100); err == nil {
-		t.Error("ParseSpec accepted an unknown mapping")
+	if _, _, err := ParseSpecFull("sdram/diag/fcfs", 100); err == nil {
+		t.Error("ParseSpecFull accepted an unknown mapping")
 	}
 }
 

@@ -148,11 +148,11 @@ func TestHistoryPolicyMatchesOpenOnStreams(t *testing.T) {
 // same controller the bare spec does, and every policy token round-
 // trips through the knob grammar.
 func TestRowPolicySpecEquivalence(t *testing.T) {
-	base, err := ParseSpec("sdram/line/frfcfs", 100)
+	base, _, err := ParseSpecFull("sdram/line/frfcfs", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	open, err := ParseSpec("sdram/line/frfcfs/rpopen", 100)
+	open, _, err := ParseSpecFull("sdram/line/frfcfs/rpopen", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestRowPolicySpecEquivalence(t *testing.T) {
 		"sdram/bank/fcfs/rphistory":             {Kind: policy.History},
 		"sdram/line/frfcfs/hbm/rphistory/mshr8": {Kind: policy.History},
 	} {
-		b, err := ParseSpec(spec, 100)
+		b, _, err := ParseSpecFull(spec, 100)
 		if err != nil {
 			t.Errorf("%q: %v", spec, err)
 			continue
@@ -181,7 +181,7 @@ func TestRowPolicySpecEquivalence(t *testing.T) {
 	for _, bad := range []string{
 		"sdram/rplru", "sdram/rptimer:0", "sdram/rpopen:5", "fixed/rpopen",
 	} {
-		if _, err := ParseSpec(bad, 100); err == nil {
+		if _, _, err := ParseSpecFull(bad, 100); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
 	}

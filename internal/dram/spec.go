@@ -232,15 +232,7 @@ func grammar() string {
 	return b.String()
 }
 
-// ParseSpec builds a backend from a spec string; ParseSpecFull also
-// returns the parsed knobs so callers can pick up the settings the
-// backend itself does not consume.
-func ParseSpec(spec string, fixedLatency int64) (Backend, error) {
-	b, _, err := ParseSpecFull(spec, fixedLatency)
-	return b, err
-}
-
-// ParseSpecFull builds a backend from a spec string:
+// ParseSpecFull builds a backend from a spec string and returns its knobs:
 //
 //	fixed[/mshr<n>][/pf<n>[d<m>]][/tn<n>][/va|vacolor|vacolo]
 //	sdram[/mapping[/sched[/profile]]][/<n>ch][/wq<n>][/wql<n>]

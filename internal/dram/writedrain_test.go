@@ -122,11 +122,11 @@ func TestWriteReadStallCounted(t *testing.T) {
 // TestWriteDrainKnobValidation: the spec/flag layer rejects nonsense
 // watermark combinations instead of panicking later.
 func TestWriteDrainKnobValidation(t *testing.T) {
-	if _, err := ParseSpec("sdram/line/frfcfs/wq4/wql6", 100); err == nil ||
+	if _, _, err := ParseSpecFull("sdram/line/frfcfs/wq4/wql6", 100); err == nil ||
 		!strings.Contains(err.Error(), "watermark") {
 		t.Errorf("wql above wq accepted: %v", err)
 	}
-	b, err := ParseSpec("sdram/line/frfcfs/wq8/wql2/wqi50", 100)
+	b, _, err := ParseSpecFull("sdram/line/frfcfs/wq8/wql2/wqi50", 100)
 	if err != nil {
 		t.Fatalf("valid drain knobs rejected: %v", err)
 	}
@@ -140,14 +140,14 @@ func TestWriteDrainKnobValidation(t *testing.T) {
 // "wql0"/"wqi0" (flags -dwql -1 / -dwqi -1) must explicitly disable
 // them — and an unset knob must keep the preset's values.
 func TestWriteDrainExplicitOff(t *testing.T) {
-	def, err := ParseSpec("sdram/line/frfcfs", 100)
+	def, _, err := ParseSpecFull("sdram/line/frfcfs", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg := def.(*SDRAM).Config(); cfg.WQLow != 4 || cfg.WQIdle != 30 {
 		t.Fatalf("preset drains not on by default: %+v", cfg)
 	}
-	off, err := ParseSpec("sdram/line/frfcfs/wql0/wqi0", 100)
+	off, _, err := ParseSpecFull("sdram/line/frfcfs/wql0/wqi0", 100)
 	if err != nil {
 		t.Fatalf("explicit off rejected: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestWriteDrainExplicitOff(t *testing.T) {
 	}
 	// Zero on other count knobs stays invalid.
 	for _, bad := range []string{"sdram/wq0", "sdram/win0", "sdram/mshr0"} {
-		if _, err := ParseSpec(bad, 100); err == nil {
+		if _, _, err := ParseSpecFull(bad, 100); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
 	}

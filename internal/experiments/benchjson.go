@@ -94,6 +94,7 @@ func snapshot(r *Runner, k SimKey) *stats.Snapshot {
 	reg := stats.NewRegistry()
 	g.Register(reg)
 	s := reg.Snapshot()
+	g.Release()
 	return &s
 }
 

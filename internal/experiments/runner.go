@@ -244,9 +244,9 @@ func (r *Runner) cell(key SimKey) *SimResult { return recall(r, r.results, key, 
 // simulate builds and runs the machine key names.
 func (r *Runner) simulate(key SimKey) *SimResult { return r.result(key, r.machine(key)) }
 
-// result runs g, the machine key names, and copies out what the figures
-// and sweeps read — copies and standalone histograms only, so a memoized
-// result keeps nothing of the machine reachable.
+// result runs g, the machine key names, copies out what the figures and
+// sweeps read — copies and standalone histograms only, so a memoized
+// result keeps nothing of the machine reachable — and releases g.
 func (r *Runner) result(key SimKey, g *tenant.Group) *SimResult {
 	start := time.Now()
 	g.Run()
@@ -269,6 +269,7 @@ func (r *Runner) result(key SimKey, g *tenant.Group) *SimResult {
 	if sp := ms.Tim.VA; sp != nil {
 		res.Walk = sp.VM().WalkStats().Latency
 	}
+	g.Release()
 	return res
 }
 

@@ -232,6 +232,15 @@ func (g *Group) RunSampled(s *stats.Sampler) {
 	g.done = true
 }
 
+// Release hands the group's cache arrays to the next machine. Call it
+// only after Run: a released cache panics on its next access.
+func (g *Group) Release() {
+	for _, m := range g.mems {
+		m.L1.Release()
+		m.L2.Release() // shared, so released once: Release is idempotent
+	}
+}
+
 // catchUp brings every running tenant's clock to where lockstep has it
 // while seat g.cur executes cycle g.now: the seats ahead of it in the
 // round have executed that cycle, the seats behind it have not. A retired

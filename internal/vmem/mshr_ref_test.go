@@ -366,7 +366,7 @@ func TestMSHRFileMatchesReference(t *testing.T) {
 	}{
 		{"fixed", func() dram.Backend { return dram.NewFixed(100) }},
 		{"hbm-qos", func() dram.Backend {
-			b, err := dram.ParseSpec("sdram/line/frfcfs/hbm/1ch/tn3/qos", 100)
+			b, _, err := dram.ParseSpecFull("sdram/line/frfcfs/hbm/1ch/tn3/qos", 100)
 			if err != nil {
 				t.Fatal(err)
 			}

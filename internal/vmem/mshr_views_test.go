@@ -13,7 +13,7 @@ import (
 // with bank and bus contention the way a flat test backend's cannot.
 func hbmBackend(tb testing.TB) dram.Backend {
 	tb.Helper()
-	b, err := dram.ParseSpec("sdram/line/frfcfs/hbm", 100)
+	b, _, err := dram.ParseSpecFull("sdram/line/frfcfs/hbm", 100)
 	if err != nil {
 		tb.Fatal(err)
 	}
