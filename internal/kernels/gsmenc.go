@@ -97,7 +97,7 @@ func gsmencRun(cfg GSMEncConfig, v Variant, sink trace.Sink) []byte {
 		}
 	}
 
-	dg := &digest{}
+	dg := newDigest()
 	for f := 0; f < cfg.Frames; f++ {
 		fb := frameLen + f*frameLen // absolute sample index of the frame
 
@@ -195,7 +195,7 @@ func gsmencRun(cfg GSMEncConfig, v Variant, sink trace.Sink) []byte {
 			dg.u64(uint64(e.m.IntVal(rMax)))
 		}
 	}
-	return dg.buf
+	return dg.sum()
 }
 
 // gsmencExtractDot folds the two dword partial sums of vAcc and moves the
@@ -231,7 +231,7 @@ func gsmencRef(cfg GSMEncConfig) []byte {
 		}
 		return sum
 	}
-	dg := &digest{}
+	dg := newDigest()
 	for f := 0; f < cfg.Frames; f++ {
 		fb := frameLen + f*frameLen
 		for k := 0; k <= acfMaxLag; k++ {
@@ -250,5 +250,5 @@ func gsmencRef(cfg GSMEncConfig) []byte {
 			dg.u64(uint64(max))
 		}
 	}
-	return dg.buf
+	return dg.sum()
 }

@@ -154,10 +154,10 @@ func jpegdecRun(cfg JPEGDecConfig, v Variant, sink trace.Sink) []byte {
 		}
 	}
 
-	dg := &digest{}
-	dg.bytes(e.readBytes(imgA, n))
-	dg.bytes(e.readBytes(outA, 2*n))
-	return dg.buf
+	dg := newDigest()
+	dg.mem(e.m.Mem, imgA, n)
+	dg.mem(e.m.Mem, outA, 2*n)
+	return dg.sum()
 }
 
 func jpegdecRef(cfg JPEGDecConfig) []byte {
@@ -197,8 +197,8 @@ func jpegdecRef(cfg JPEGDecConfig) []byte {
 		out[2*i] = img[i]
 		out[2*i+1] = uint8((uint16(img[i]) + uint16(at(i+1)) + 1) >> 1)
 	}
-	dg := &digest{}
+	dg := newDigest()
 	dg.bytes(img)
 	dg.bytes(out)
-	return dg.buf
+	return dg.sum()
 }

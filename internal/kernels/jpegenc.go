@@ -41,7 +41,7 @@ func jpegencRun(cfg JPEGEncConfig, v Variant, sink trace.Sink) []byte {
 	e := newEnv(v, sink)
 
 	imgA := e.alloc(len(img.Pix), 64)
-	e.m.Mem.Write(imgA, img.Pix)
+	e.m.Mem.Load(imgA, img.Pix)
 	shiftA := e.alloc(blockBytes, 64) // level-shifted 16-bit block
 	coefA := e.alloc(blockBytes, 64)
 	nBlocks := (cfg.W / 8) * (cfg.H / 8)
@@ -111,9 +111,9 @@ func jpegencRun(cfg JPEGEncConfig, v Variant, sink trace.Sink) []byte {
 		}
 	}
 
-	dg := &digest{}
-	dg.bytes(e.readBytes(outA, nBlocks*blockBytes))
-	return dg.buf
+	dg := newDigest()
+	dg.mem(e.m.Mem, outA, nBlocks*blockBytes)
+	return dg.sum()
 }
 
 // jpegencBlockBody emits level shift, FDCT and quantization for the MOM
@@ -149,7 +149,7 @@ func jpegencRef(cfg JPEGEncConfig) []byte {
 			stream = append(stream, q[:]...)
 		}
 	}
-	dg := &digest{}
+	dg := newDigest()
 	dg.u16s(stream)
-	return dg.buf
+	return dg.sum()
 }

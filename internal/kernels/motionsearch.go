@@ -74,8 +74,8 @@ func motionSearchRun(cfg MotionSearchConfig, v Variant, sink trace.Sink) []byte 
 	curA := e.alloc(len(cur.Pix), 64)
 	refA := e.alloc(len(ref.Pix), 64)
 	reconA := e.alloc(cfg.W*cfg.H, 64)
-	e.m.Mem.Write(curA, cur.Pix)
-	e.m.Mem.Write(refA, ref.Pix)
+	e.m.Mem.Load(curA, cur.Pix)
+	e.m.Mem.Load(refA, ref.Pix)
 
 	var (
 		rCur   = isa.R(1)
@@ -90,7 +90,7 @@ func motionSearchRun(cfg MotionSearchConfig, v Variant, sink trace.Sink) []byte 
 	b := e.b
 	W := int64(cfg.W)
 
-	dg := &digest{}
+	dg := newDigest()
 	for y0 := 0; y0+16 <= cfg.H; y0 += 16 * cfg.Step {
 		for x0 := 0; x0+16 <= cfg.W; x0 += 16 * cfg.Step {
 			lo, hi := motionSearchRange(cfg, x0)
@@ -177,8 +177,8 @@ func motionSearchRun(cfg MotionSearchConfig, v Variant, sink trace.Sink) []byte 
 			dg.u32(uint32(int32(best)))
 		}
 	}
-	dg.bytes(e.readBytes(reconA, cfg.W*cfg.H))
-	return dg.buf
+	dg.mem(e.m.Mem, reconA, cfg.W*cfg.H)
+	return dg.sum()
 }
 
 // motionSearchUpdateMin emits the running-minimum update of the
@@ -194,7 +194,7 @@ func motionSearchUpdateMin(e *env, rSad, rMin, rPos, rCond isa.Reg, dx int) {
 func motionSearchRef(cfg MotionSearchConfig) []byte {
 	cur, ref := motionSearchFrames(cfg)
 	recon := make([]byte, cfg.W*cfg.H)
-	dg := &digest{}
+	dg := newDigest()
 	for y0 := 0; y0+16 <= cfg.H; y0 += 16 * cfg.Step {
 		for x0 := 0; x0+16 <= cfg.W; x0 += 16 * cfg.Step {
 			lo, hi := motionSearchRange(cfg, x0)
@@ -225,5 +225,5 @@ func motionSearchRef(cfg MotionSearchConfig) []byte {
 		}
 	}
 	dg.bytes(recon)
-	return dg.buf
+	return dg.sum()
 }

@@ -102,7 +102,7 @@ func mpeg2decRun(cfg MPEG2DecConfig, v Variant, sink trace.Sink) []byte {
 	e := newEnv(v, sink)
 
 	refA := e.alloc(len(ref.Pix), 64)
-	e.m.Mem.Write(refA, ref.Pix)
+	e.m.Mem.Load(refA, ref.Pix)
 	streamA := e.alloc(len(stream)*2, 64)
 	e.write16(streamA, stream)
 	dqA := e.alloc(blockBytes, 64)    // dequantized coefficients
@@ -143,9 +143,9 @@ func mpeg2decRun(cfg MPEG2DecConfig, v Variant, sink trace.Sink) []byte {
 		}
 	}
 
-	dg := &digest{}
-	dg.bytes(e.readBytes(outA, cfg.W*cfg.H))
-	return dg.buf
+	dg := newDigest()
+	dg.mem(e.m.Mem, outA, cfg.W*cfg.H)
+	return dg.sum()
 }
 
 // emitMCAdd emits prediction (optionally half-pel averaged), residual add
@@ -228,7 +228,7 @@ func mpeg2decRef(cfg MPEG2DecConfig) []byte {
 			mb++
 		}
 	}
-	dg := &digest{}
+	dg := newDigest()
 	dg.bytes(out)
-	return dg.buf
+	return dg.sum()
 }

@@ -66,8 +66,8 @@ func mpeg2encRun(cfg MPEG2EncConfig, v Variant, sink trace.Sink) []byte {
 
 	curA := e.alloc(len(cur.Pix), 64)
 	refA := e.alloc(len(ref.Pix), 64)
-	e.m.Mem.Write(curA, cur.Pix)
-	e.m.Mem.Write(refA, ref.Pix)
+	e.m.Mem.Load(curA, cur.Pix)
+	e.m.Mem.Load(refA, ref.Pix)
 	residA := e.alloc(blockBytes, 64)
 	coefA := e.alloc(blockBytes, 64)
 	nMB := (cfg.W / 16) * (cfg.H / 16)
@@ -92,7 +92,7 @@ func mpeg2encRun(cfg MPEG2EncConfig, v Variant, sink trace.Sink) []byte {
 	e.setBase(rRes, residA)
 	e.setBase(rCoef, coefA)
 
-	dg := &digest{}
+	dg := newDigest()
 	W := int64(cfg.W)
 	b := e.b
 	mb := 0
@@ -183,8 +183,8 @@ func mpeg2encRun(cfg MPEG2EncConfig, v Variant, sink trace.Sink) []byte {
 			mb++
 		}
 	}
-	dg.bytes(e.readBytes(outA, nMB*4*blockBytes))
-	return dg.buf
+	dg.mem(e.m.Mem, outA, nMB*4*blockBytes)
+	return dg.sum()
 }
 
 // mpeg2encUpdateMin emits the running-minimum update of the paper's
@@ -234,7 +234,7 @@ func emitResidual(e *env, rCur, rRef, rRes isa.Reg, W int64) {
 func mpeg2encRef(cfg MPEG2EncConfig) []byte {
 	cur, ref := mpeg2encFrames(cfg)
 	recips := quantRecips(&mpeg2QuantTable)
-	dg := &digest{}
+	dg := newDigest()
 	var stream []int16
 	for y0 := 0; y0+16 <= cfg.H; y0 += 16 {
 		for x0 := 0; x0+16 <= cfg.W; x0 += 16 {
@@ -284,5 +284,5 @@ func mpeg2encRef(cfg MPEG2EncConfig) []byte {
 		}
 	}
 	dg.u16s(stream)
-	return dg.buf
+	return dg.sum()
 }

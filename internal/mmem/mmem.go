@@ -89,6 +89,26 @@ func (m *Memory) Write(addr uint64, src []byte) {
 	}
 }
 
+// Load is Write for a buffer the caller gives up: every page src covers
+// whole becomes that span of src itself, and only the partial pages at
+// either end are copied. Stores to an adopted page land in src, so the
+// caller must not use src again.
+func (m *Memory) Load(addr uint64, src []byte) {
+	if m.pages == nil {
+		m.pages = make(map[uint64]*[pageSize]byte)
+	}
+	for len(src) > 0 {
+		n := min(pageSize-addr&pageMask, uint64(len(src)))
+		if n == pageSize {
+			m.pages[addr>>pageShift] = (*[pageSize]byte)(src)
+		} else {
+			m.Write(addr, src[:n])
+		}
+		src = src[n:]
+		addr += n
+	}
+}
+
 // ReadU16 reads a little-endian 16-bit value.
 func (m *Memory) ReadU16(addr uint64) uint16 {
 	var b [2]byte
@@ -129,12 +149,6 @@ func (m *Memory) WriteU64(addr uint64, v uint64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
 	m.Write(addr, b[:])
-}
-
-// Footprint returns the number of bytes of backing store currently
-// allocated (a multiple of the page size).
-func (m *Memory) Footprint() int {
-	return len(m.pages) * pageSize
 }
 
 // Allocator hands out non-overlapping address ranges from a memory image,

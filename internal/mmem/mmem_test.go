@@ -2,6 +2,7 @@ package mmem
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -17,6 +18,9 @@ func TestZeroValueReads(t *testing.T) {
 		if b != 0 {
 			t.Fatal("bulk read of unwritten memory must be zero")
 		}
+	}
+	if len(m.pages) != 0 {
+		t.Errorf("reads made %d pages, want none", len(m.pages))
 	}
 }
 
@@ -92,20 +96,54 @@ func TestZeroValueMemoryUsable(t *testing.T) {
 	}
 }
 
-func TestFootprint(t *testing.T) {
-	m := New()
-	if m.Footprint() != 0 {
-		t.Error("empty memory footprint must be 0")
+// Load must leave memory exactly as Write does — over the span and a
+// byte either side, after whole aligned pages, unaligned spans over one
+// to four pages, a span ending mid-page and a Load onto written pages —
+// and adopt each page the span covers whole. Every src has spare
+// capacity filled with other bytes, so aliasing a partial page instead
+// of copying it shows up past the span's end.
+func TestLoadMatchesWrite(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	spans := [][2]uint64{
+		{0, 2 * pageSize},                // aligned whole pages
+		{3*pageSize + 17, pageSize},      // unaligned, two pages
+		{5*pageSize + 5, 3*pageSize + 1}, // unaligned, four pages
+		{10 * pageSize, pageSize + 100},  // ends mid-page
+		{pageSize - 9, 2*pageSize + 20},  // onto written pages
+		{10*pageSize + 50, 60},           // inside one written page
 	}
-	m.WriteU8(0, 1)
-	m.WriteU8(pageSize*10, 1)
-	if m.Footprint() != 2*pageSize {
-		t.Errorf("footprint = %d, want %d", m.Footprint(), 2*pageSize)
+	for range 40 {
+		addr := rng.Uint64N(12 * pageSize)
+		if rng.IntN(2) == 0 {
+			addr &^= pageMask
+		}
+		spans = append(spans, [2]uint64{addr, 1 + rng.Uint64N(4*pageSize)})
 	}
-	// Reads must not allocate.
-	m.ReadU8(pageSize * 20)
-	if m.Footprint() != 2*pageSize {
-		t.Error("reads must not allocate pages")
+	loaded, written := New(), New()
+	for _, sp := range spans {
+		addr, n := sp[0], sp[1]
+		buf := make([]byte, n+pageSize)
+		for i := range buf {
+			buf[i] = byte(rng.Uint32())
+		}
+		src := buf[:n]
+		written.Write(addr, src)
+		loaded.Load(addr, src)
+
+		want, got := make([]byte, n+2), make([]byte, n+2)
+		written.Read(addr-1, want)
+		loaded.Read(addr-1, got)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("Load(%#x, %d bytes) reads back differently from Write", addr, n)
+		}
+		if len(loaded.pages) != len(written.pages) {
+			t.Fatalf("Load(%#x, %d bytes): %d pages, Write made %d", addr, n, len(loaded.pages), len(written.pages))
+		}
+		for k := (pageSize - addr&pageMask) & pageMask; k+pageSize <= n; k += pageSize {
+			if p := loaded.pages[(addr+k)>>pageShift]; &p[0] != &src[k] {
+				t.Fatalf("Load(%#x, %d bytes) copied the whole page at %#x instead of adopting it", addr, n, addr+k)
+			}
+		}
 	}
 }
 

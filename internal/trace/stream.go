@@ -91,11 +91,13 @@ const frontBits = 10
 
 // interner builds a stream's static table. A direct-mapped front cache
 // of table indices, checked with a full compare, answers for the
-// instructions of the loop being executed, so the map — which hashes
-// all 88 bytes of its key — is consulted only when a loop is entered.
+// instructions of the loop being executed; behind it an index keyed by
+// the front cache's hash chains, through next, the entries that share a
+// key. Entries are appended in first-seen order either way.
 type interner struct {
 	static []isa.Inst
-	index  map[isa.Inst]uint32
+	next   []uint32               // per entry: the older entry with its key, + 1; 0 ends the chain
+	index  map[uint64]uint32      // key → the newest entry with it, + 1
 	front  [1 << frontBits]uint32 // static index + 1; 0 is empty
 }
 
@@ -120,17 +122,21 @@ func (t *interner) split(in *isa.Inst, i int) (op uint32, addr uint64) {
 	if j := *slot; j != 0 && t.static[j-1] == *in {
 		return op | (j - 1), addr
 	}
-	j, ok := t.index[*in]
-	if !ok {
-		if t.index == nil {
-			t.index = map[isa.Inst]uint32{}
-		}
-		j = uint32(len(t.static))
-		t.static = append(t.static, *in)
-		t.index[*in] = j
+	j := t.index[h]
+	for j != 0 && t.static[j-1] != *in {
+		j = t.next[j-1]
 	}
-	*slot = j + 1
-	return op | j, addr
+	if j == 0 {
+		if t.index == nil {
+			t.index = map[uint64]uint32{}
+		}
+		t.static = append(t.static, *in)
+		t.next = append(t.next, t.index[h])
+		j = uint32(len(t.static))
+		t.index[h] = j
+	}
+	*slot = j
+	return op | (j - 1), addr
 }
 
 // recorderChunk is the Recorder's staging granularity in entries: 128
@@ -193,7 +199,7 @@ func (r *Recorder) Emit(in isa.Inst) {
 // empty whatever an earlier gen that panicked left staged.
 func (r *Recorder) Record(gen func(Sink)) (*Stream, *Stats) {
 	r.ops.n, r.addrs.n, r.st = 0, 0, NewStats()
-	r.tab.static = r.tab.static[:0]
+	r.tab.static, r.tab.next = r.tab.static[:0], r.tab.next[:0]
 	clear(r.tab.index)
 	clear(r.tab.front[:])
 	gen(r)

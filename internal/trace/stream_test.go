@@ -50,6 +50,9 @@ func FuzzStreamRoundTrip(f *testing.F) {
 	f.Add(uint8(isa.OpIAdd), uint8(isa.KindScalar), uint64(0), int64(0), int64(8), 0, 0, 0, uint8(0), []byte{0x10, 0x20, 0x30})
 	f.Add(uint8(isa.OpLoad), uint8(isa.KindScalarMem), uint64(0), int64(4), int64(0), 0, 0, 0, uint8(0), []byte{0, 0, 0})
 	f.Add(uint8(isa.OpIAdd), uint8(isa.KindScalar), uint64(0), int64(0), int64(0), 0, 0, 0, uint8(0), []byte{0x80, 0, 0x80})
+	// Two instructions that differ only in Kind, which the interner's key
+	// omits: one key, two static entries.
+	f.Add(uint8(isa.Op3DVLoad), uint8(isa.Kind3DLoad), uint64(0), int64(0), int64(16), 4, 2, 0, uint8(0), []byte{0, 0x06, 0, 0x06})
 
 	f.Fuzz(func(t *testing.T, op, kind uint8, regs uint64, imm, stride int64, vl, width, ptrStep int, flags uint8, dyn []byte) {
 		insts := fuzzTrace(isa.Inst{Op: isa.Op(op), Kind: isa.Kind(kind % numKinds),
@@ -103,4 +106,35 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		}()
 		Compact(insts)
 	})
+}
+
+// Instructions that differ only in a field the interner's key omits
+// share one index key, and the key's chain must tell them apart with
+// the full compare: distinct static entries, in first-seen order, and a
+// stream that materialises as the trace it was made of.
+func TestInternerChainsCollidingKeys(t *testing.T) {
+	base := isa.Inst{Op: isa.Op3DVLoad, Kind: isa.Kind3DLoad, Dst: isa.D(1), Src1: isa.R(2), VL: 8, Stride: 64, Width: 2}
+	variants := []isa.Inst{base, base, base, base, base, base, base}
+	variants[1].Kind = isa.KindMOMMem
+	variants[2].Ptr = isa.P(1)
+	variants[3].Width = 3
+	variants[4].PtrStep = -8
+	variants[5].Back = true
+	variants[6].IsStore = true
+	var insts []isa.Inst
+	for range 3 {
+		for _, in := range variants {
+			in.Seq = uint64(len(insts))
+			insts = append(insts, in)
+		}
+	}
+	s := Compact(insts)
+	if !slices.Equal(s.Static, variants) {
+		t.Fatalf("static table %+v, want the %d variants in first-seen order", s.Static, len(variants))
+	}
+	for i, got := range s.All() {
+		if got != insts[i] {
+			t.Fatalf("instruction %d materialises as %+v, want %+v", i, got, insts[i])
+		}
+	}
 }
