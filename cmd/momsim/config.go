@@ -112,9 +112,13 @@ func resolve(o options) (runConfig, error) {
 	if !ok {
 		return rc, fmt.Errorf("unknown benchmark %q (mpeg2encode, mpeg2decode, jpegencode, jpegdecode, gsmencode, motionsearch)", o.Bench)
 	}
-	variant, cfg, err := parseISA(o.ISA)
+	variant, err := kernels.ParseVariant(o.ISA)
 	if err != nil {
 		return rc, err
+	}
+	cfg := core.MOMCore()
+	if variant == kernels.MMX {
+		cfg = core.MMXCore()
 	}
 	memKind, err := parseMem(o.Mem)
 	if err != nil {
@@ -191,18 +195,6 @@ func resolve(o options) (runConfig, error) {
 	rc.Timing = vmem.Timing{L2Latency: o.L2Lat, MemLatency: o.MemLat, Backend: backend,
 		MSHRs: o.MSHRs, PFStreams: o.PFStreams, PFDegree: o.PFDegree}
 	return rc, nil
-}
-
-func parseISA(s string) (kernels.Variant, core.Config, error) {
-	switch strings.ToLower(s) {
-	case "mmx":
-		return kernels.MMX, core.MMXCore(), nil
-	case "mom":
-		return kernels.MOM, core.MOMCore(), nil
-	case "mom3d", "mom+3d":
-		return kernels.MOM3D, core.MOMCore(), nil
-	}
-	return 0, core.Config{}, fmt.Errorf("unknown ISA %q (mmx, mom, mom3d)", s)
 }
 
 func parseMem(s string) (core.MemKind, error) {

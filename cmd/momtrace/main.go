@@ -38,16 +38,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "momtrace: unknown benchmark %q\n", *benchName)
 		os.Exit(1)
 	}
-	var variant kernels.Variant
-	switch strings.ToLower(*isaName) {
-	case "mmx":
-		variant = kernels.MMX
-	case "mom":
-		variant = kernels.MOM
-	case "mom3d", "mom+3d":
-		variant = kernels.MOM3D
-	default:
-		fmt.Fprintf(os.Stderr, "momtrace: unknown ISA %q\n", *isaName)
+	variant, err := kernels.ParseVariant(*isaName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "momtrace: %v\n", err)
 		os.Exit(1)
 	}
 

@@ -79,9 +79,9 @@ func measureCPIEngine(t *testing.T, mode engine.Mode) map[string]CPIStack {
 				if buckets == 0 {
 					t.Fatalf("%s [%v]: no core.cpi.* counters registered", key, mode)
 				}
-				if sum != uint64(snap.Gauge("core.cycles")) {
+				if sum != uint64(snap.Gauges["core.cycles"]) {
 					t.Errorf("%s [%v]: registered core.cpi.* sum %d != core.cycles %d",
-						key, mode, sum, snap.Gauge("core.cycles"))
+						key, mode, sum, snap.Gauges["core.cycles"])
 				}
 				out[key] = st.CPI
 			}

@@ -130,17 +130,19 @@ func measureGoldenEngine(t *testing.T, transform func(string) string, mode engin
 				st.Register(reg)
 				ms.Register(reg)
 				snap := reg.Snapshot()
-				for _, name := range []string{"core.cycles", "core.committed",
-					"vmem.misses", "dram.accesses"} {
-					if !snap.Has(name) {
+				if _, ok := snap.Gauges["core.cycles"]; !ok {
+					t.Fatal(`registry snapshot missing "core.cycles"`)
+				}
+				for _, name := range []string{"core.committed", "vmem.misses", "dram.accesses"} {
+					if _, ok := snap.Counters[name]; !ok {
 						t.Fatalf("registry snapshot missing %q", name)
 					}
 				}
 				out[goldenKey(bm.Name, vk.v, spec)] = goldenRow{
-					Cycles:    snap.Gauge("core.cycles"),
-					Committed: snap.Counter("core.committed"),
-					VMMisses:  snap.Counter("vmem.misses"),
-					DRAMReqs:  snap.Counter("dram.accesses"),
+					Cycles:    snap.Gauges["core.cycles"],
+					Committed: snap.Counters["core.committed"],
+					VMMisses:  snap.Counters["vmem.misses"],
+					DRAMReqs:  snap.Counters["dram.accesses"],
 				}
 			}
 		}

@@ -52,18 +52,6 @@ const ptrMask = 1<<isa.PtrBits - 1
 // signed 64-bit integer.
 func (m *Machine) IntVal(r isa.Reg) int64 { return int64(m.Int[r.Index()]) }
 
-// SetInt sets a scalar integer register.
-func (m *Machine) SetInt(r isa.Reg, v int64) { m.Int[r.Index()] = uint64(v) }
-
-// VecElem returns element e of multimedia register r.
-func (m *Machine) VecElem(r isa.Reg, e int) uint64 { return m.Vec[r.Index()][e] }
-
-// AccVal returns the value of an accumulator register.
-func (m *Machine) AccVal(r isa.Reg) int64 { return m.Acc[r.Index()] }
-
-// PtrVal returns the current byte offset held in a 3D pointer register.
-func (m *Machine) PtrVal(r isa.Reg) int { return m.Ptr[r.Index()] }
-
 // Exec executes one dynamic instruction, updating the architectural state.
 // It returns an error for malformed instructions (wrong register class,
 // out-of-range vector length); such errors indicate kernel bugs, not data

@@ -42,7 +42,7 @@ func TestScalarALU(t *testing.T) {
 
 func TestScalarMemory(t *testing.T) {
 	m := newM()
-	m.SetInt(isa.R(1), 0x1234567890)
+	m.Int[1] = 0x1234567890
 	mustExec(t, m, isa.Inst{Op: isa.OpStore, Kind: isa.KindScalarMem, Src2: isa.R(1), Imm: 8, Addr: 0x100, IsStore: true})
 	mustExec(t, m, isa.Inst{Op: isa.OpLoad, Kind: isa.KindScalarMem, Dst: isa.R(2), Imm: 8, Addr: 0x100})
 	if m.IntVal(isa.R(2)) != 0x1234567890 {
@@ -133,19 +133,19 @@ func TestMOMMemoryStrided(t *testing.T) {
 func TestAccumulators(t *testing.T) {
 	m := newM()
 	for e := 0; e < 4; e++ {
-		m.Vec[1][e] = usimd.PackBytes([8]uint8{10, 10, 10, 10, 10, 10, 10, 10})
-		m.Vec[2][e] = usimd.PackBytes([8]uint8{7, 13, 7, 13, 7, 13, 7, 13})
+		m.Vec[1][e] = 0x0a0a0a0a0a0a0a0a
+		m.Vec[2][e] = 0x0d070d070d070d07
 	}
 	mustExec(t, m, isa.Inst{Op: isa.OpAccClr, Kind: isa.KindScalar, Dst: isa.A(0)})
 	mustExec(t, m, isa.Inst{Op: isa.OpVSadAcc, Kind: isa.KindMOM, Dst: isa.A(0), Src1: isa.V(1), Src2: isa.V(2), VL: 4})
 	// per element SAD = 8 * 3 = 24; 4 elements = 96
-	if m.AccVal(isa.A(0)) != 96 {
-		t.Errorf("vsadacc = %d, want 96", m.AccVal(isa.A(0)))
+	if m.Acc[0] != 96 {
+		t.Errorf("vsadacc = %d, want 96", m.Acc[0])
 	}
 	// Accumulation continues without clear.
 	mustExec(t, m, isa.Inst{Op: isa.OpVSadAcc, Kind: isa.KindMOM, Dst: isa.A(0), Src1: isa.V(1), Src2: isa.V(2), VL: 1})
-	if m.AccVal(isa.A(0)) != 120 {
-		t.Errorf("accumulate = %d, want 120", m.AccVal(isa.A(0)))
+	if m.Acc[0] != 120 {
+		t.Errorf("accumulate = %d, want 120", m.Acc[0])
 	}
 	mustExec(t, m, isa.Inst{Op: isa.OpAccMov, Kind: isa.KindScalar, Dst: isa.R(1), Src1: isa.A(0)})
 	if m.IntVal(isa.R(1)) != 120 {
@@ -153,14 +153,14 @@ func TestAccumulators(t *testing.T) {
 	}
 
 	// Dot product accumulate: elements of (1,2,3,4)·(2,2,2,2) = 20 each.
-	m.Vec[5][0] = usimd.PackWords([4]uint16{1, 2, 3, 4})
-	m.Vec[5][1] = usimd.PackWords([4]uint16{0xffff /* -1 */, 1, 0, 0})
-	m.Vec[6][0] = usimd.PackWords([4]uint16{2, 2, 2, 2})
-	m.Vec[6][1] = usimd.PackWords([4]uint16{5, 5, 0, 0})
+	m.Vec[5][0] = 0x0004000300020001
+	m.Vec[5][1] = 0x000000000001ffff
+	m.Vec[6][0] = 0x0002000200020002
+	m.Vec[6][1] = 0x0000000000050005
 	mustExec(t, m, isa.Inst{Op: isa.OpAccClr, Kind: isa.KindScalar, Dst: isa.A(1)})
 	mustExec(t, m, isa.Inst{Op: isa.OpVMacAcc, Kind: isa.KindMOM, Dst: isa.A(1), Src1: isa.V(5), Src2: isa.V(6), VL: 2})
-	if m.AccVal(isa.A(1)) != 20 { // 20 + (-5 + 5)
-		t.Errorf("vmacacc = %d, want 20", m.AccVal(isa.A(1)))
+	if m.Acc[1] != 20 { // 20 + (-5 + 5)
+		t.Errorf("vmacacc = %d, want 20", m.Acc[1])
 	}
 }
 
@@ -174,25 +174,25 @@ func TestD3LoadAndMove(t *testing.T) {
 	}
 	mustExec(t, m, isa.Inst{Op: isa.Op3DVLoad, Kind: isa.Kind3DLoad, Dst: isa.D(0),
 		VL: 4, Stride: 256, Width: 16, Addr: 0x1000})
-	if m.PtrVal(isa.P(0)) != 0 {
-		t.Errorf("pointer after front load = %d", m.PtrVal(isa.P(0)))
+	if m.Ptr[0] != 0 {
+		t.Errorf("pointer after front load = %d", m.Ptr[0])
 	}
 	// First slice: bytes 0..7 of each row.
 	mustExec(t, m, isa.Inst{Op: isa.Op3DVMov, Kind: isa.Kind3DMove, Dst: isa.V(1),
 		Src1: isa.D(0), Ptr: isa.P(0), PtrStep: 1, VL: 4})
-	want := usimd.PackBytes([8]uint8{0, 1, 2, 3, 4, 5, 6, 7})
+	want := uint64(0x0706050403020100)
 	for e := 0; e < 4; e++ {
 		if m.Vec[1][e] != want {
 			t.Errorf("slice0 elem %d = %x, want %x", e, m.Vec[1][e], want)
 		}
 	}
-	if m.PtrVal(isa.P(0)) != 1 {
-		t.Errorf("pointer after move = %d, want 1", m.PtrVal(isa.P(0)))
+	if m.Ptr[0] != 1 {
+		t.Errorf("pointer after move = %d, want 1", m.Ptr[0])
 	}
 	// Second slice at byte offset 1 (unaligned; shift&mask path).
 	mustExec(t, m, isa.Inst{Op: isa.Op3DVMov, Kind: isa.Kind3DMove, Dst: isa.V(2),
 		Src1: isa.D(0), Ptr: isa.P(0), PtrStep: 1, VL: 4})
-	want = usimd.PackBytes([8]uint8{1, 2, 3, 4, 5, 6, 7, 8})
+	want = 0x0807060504030201
 	if m.Vec[2][0] != want {
 		t.Errorf("slice1 = %x, want %x", m.Vec[2][0], want)
 	}
@@ -206,16 +206,16 @@ func TestD3BackPointerAndNegativeStep(t *testing.T) {
 	// Width 4 words = 32 bytes; back pointer starts at last sub-block (24).
 	mustExec(t, m, isa.Inst{Op: isa.Op3DVLoad, Kind: isa.Kind3DLoad, Dst: isa.D(1),
 		VL: 1, Stride: 0, Width: 4, Back: true, Addr: 0x100})
-	if m.PtrVal(isa.P(1)) != 24 {
-		t.Fatalf("back pointer = %d, want 24", m.PtrVal(isa.P(1)))
+	if m.Ptr[1] != 24 {
+		t.Fatalf("back pointer = %d, want 24", m.Ptr[1])
 	}
 	mustExec(t, m, isa.Inst{Op: isa.Op3DVMov, Kind: isa.Kind3DMove, Dst: isa.V(1),
 		Src1: isa.D(1), Ptr: isa.P(1), PtrStep: -8, VL: 1})
-	if m.Vec[1][0] != usimd.PackBytes([8]uint8{24, 25, 26, 27, 28, 29, 30, 31}) {
+	if m.Vec[1][0] != 0x1f1e1d1c1b1a1918 {
 		t.Errorf("back slice = %x", m.Vec[1][0])
 	}
-	if m.PtrVal(isa.P(1)) != 16 {
-		t.Errorf("pointer after -8 = %d, want 16", m.PtrVal(isa.P(1)))
+	if m.Ptr[1] != 16 {
+		t.Errorf("pointer after -8 = %d, want 16", m.Ptr[1])
 	}
 }
 
@@ -241,7 +241,7 @@ func TestD3SliceAtRegisterEnd(t *testing.T) {
 	m.Ptr[0] = 124
 	mustExec(t, m, isa.Inst{Op: isa.Op3DVMov, Kind: isa.Kind3DMove, Dst: isa.V(1),
 		Src1: isa.D(0), Ptr: isa.P(0), PtrStep: 0, VL: 1})
-	want := usimd.PackBytes([8]uint8{124, 125, 126, 127, 0, 0, 0, 0})
+	want := uint64(0x000000007f7e7d7c)
 	if m.Vec[1][0] != want {
 		t.Errorf("end slice = %x, want %x", m.Vec[1][0], want)
 	}
@@ -254,8 +254,8 @@ func TestD3PointerWraps(t *testing.T) {
 	m.Ptr[0] = 127
 	mustExec(t, m, isa.Inst{Op: isa.Op3DVMov, Kind: isa.Kind3DMove, Dst: isa.V(1),
 		Src1: isa.D(0), Ptr: isa.P(0), PtrStep: 2, VL: 1})
-	if m.PtrVal(isa.P(0)) != 1 {
-		t.Errorf("pointer wrap: %d, want 1", m.PtrVal(isa.P(0)))
+	if m.Ptr[0] != 1 {
+		t.Errorf("pointer wrap: %d, want 1", m.Ptr[0])
 	}
 }
 
@@ -280,7 +280,7 @@ func TestExecErrors(t *testing.T) {
 
 func TestSplatAndMoves(t *testing.T) {
 	m := newM()
-	m.SetInt(isa.R(1), 0xabcd)
+	m.Int[1] = 0xabcd
 	mustExec(t, m, isa.Inst{Op: isa.OpVSplatW, Kind: isa.KindMOM, Dst: isa.V(1), Src1: isa.R(1), VL: 3})
 	for e := 0; e < 3; e++ {
 		if m.Vec[1][e] != 0xabcdabcdabcdabcd {

@@ -56,9 +56,6 @@ func NewRing(span int) *Ring {
 	}
 }
 
-// Len reports the number of scheduled events.
-func (r *Ring) Len() int { return r.count + len(r.far) }
-
 // Schedule registers data to pop once now reaches cycle. A cycle
 // already in the past is clamped to the present.
 func (r *Ring) Schedule(cycle int64, data uint64) {

@@ -77,16 +77,16 @@ func TestBenchReportMatchesGolden(t *testing.T) {
 			t.Errorf("%s: missing from the report", key)
 			continue
 		}
-		if got := snap.Gauge("core.cycles"); got != g.Cycles {
+		if got := snap.Gauges["core.cycles"]; got != g.Cycles {
 			t.Errorf("%s: cycles = %d, golden %d", key, got, g.Cycles)
 		}
-		if got := snap.Counter("core.committed"); got != g.Committed {
+		if got := snap.Counters["core.committed"]; got != g.Committed {
 			t.Errorf("%s: committed = %d, golden %d", key, got, g.Committed)
 		}
-		if got := snap.Counter("vmem.misses"); got != g.VMMisses {
+		if got := snap.Counters["vmem.misses"]; got != g.VMMisses {
 			t.Errorf("%s: vmem.misses = %d, golden %d", key, got, g.VMMisses)
 		}
-		if got := snap.Counter("dram.accesses"); got != g.DRAMReqs {
+		if got := snap.Counters["dram.accesses"]; got != g.DRAMReqs {
 			t.Errorf("%s: dram.accesses = %d, golden %d", key, got, g.DRAMReqs)
 		}
 		for _, name := range benchReportKeys.counters {

@@ -51,15 +51,6 @@ func (c *cg) opi(op isa.Op, dst, s1 isa.Reg, imm int64) {
 	}
 }
 
-// splat broadcasts the low 16 bits of a scalar register.
-func (c *cg) splat(dst, src isa.Reg) {
-	if c.v == MMX {
-		c.b.SplatW(dst, src)
-	} else {
-		c.b.MSplatW(dst, src, isa.MOMElems)
-	}
-}
-
 // Vector register assignments for the shared code generators (see the
 // package comment for the full convention).
 var (

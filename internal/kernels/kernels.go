@@ -19,7 +19,6 @@
 //
 // Register conventions (shared by all kernels):
 //
-//	r31        builder loop scratch (prog.ScratchReg)
 //	r0..r19    kernel locals and address bases
 //	r20..r26   DCT/quant table bases (codegen.go)
 //	v0         packed zero
@@ -31,7 +30,9 @@ package kernels
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"hash"
+	"strings"
 
 	"repro/internal/emu"
 	"repro/internal/isa"
@@ -63,6 +64,20 @@ func (v Variant) String() string {
 		return "MOM+3D"
 	}
 	return "?"
+}
+
+// ParseVariant reads an ISA name as the commands spell it: mmx, mom,
+// mom3d or mom+3d, in any case.
+func ParseVariant(s string) (Variant, error) {
+	switch strings.ToLower(s) {
+	case "mmx":
+		return MMX, nil
+	case "mom":
+		return MOM, nil
+	case "mom3d", "mom+3d":
+		return MOM3D, nil
+	}
+	return 0, fmt.Errorf("unknown ISA %q (mmx, mom, mom3d)", s)
 }
 
 // Variants lists all ISA variants in presentation order.

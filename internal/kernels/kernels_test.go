@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -236,5 +237,25 @@ func TestAllRegistry(t *testing.T) {
 func TestVariantString(t *testing.T) {
 	if MMX.String() != "MMX" || MOM.String() != "MOM" || MOM3D.String() != "MOM+3D" {
 		t.Error("variant names wrong")
+	}
+}
+
+func TestParseVariant(t *testing.T) {
+	for s, want := range map[string]Variant{
+		"mmx": MMX, "mom": MOM, "mom3d": MOM3D, "mom+3d": MOM3D,
+		"MMX": MMX, "Mom": MOM, "MoM3D": MOM3D, "MOM+3D": MOM3D,
+	} {
+		if got, err := ParseVariant(s); err != nil || got != want {
+			t.Errorf("ParseVariant(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	_, err := ParseVariant("sse")
+	if err == nil {
+		t.Fatal(`ParseVariant("sse") accepted an unknown ISA`)
+	}
+	for _, name := range []string{"mmx", "mom", "mom3d"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-ISA error %q does not list %s", err, name)
+		}
 	}
 }

@@ -53,24 +53,6 @@ func NewFrame(w, h int) *Frame {
 	return &Frame{W: w, H: h, Stride: w, Pix: make([]uint8, w*h)}
 }
 
-// At returns the pixel at (x, y); out-of-range coordinates clamp to the
-// border (the behaviour of padded reference frames).
-func (f *Frame) At(x, y int) uint8 {
-	if x < 0 {
-		x = 0
-	}
-	if x >= f.W {
-		x = f.W - 1
-	}
-	if y < 0 {
-		y = 0
-	}
-	if y >= f.H {
-		y = f.H - 1
-	}
-	return f.Pix[y*f.Stride+x]
-}
-
 // texture is a smooth deterministic pattern: a sum of integer "plasma"
 // harmonics plus hashed fine-grain noise, all in integer arithmetic.
 func texture(x, y int, seed uint64) uint8 {
@@ -118,26 +100,6 @@ func AddNoise(f *Frame, amp int, seed uint64) {
 		}
 		f.Pix[i] = uint8(v)
 	}
-}
-
-// Image is an interleaved 8-bit RGB image (JPEG input layout).
-type Image struct {
-	W, H int
-	Pix  []uint8 // 3*W*H bytes, RGB interleaved, row-major
-}
-
-// NewImage generates a deterministic photographic-statistics RGB image.
-func NewImage(w, h int, seed uint64) *Image {
-	img := &Image{W: w, H: h, Pix: make([]uint8, 3*w*h)}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			base := 3 * (y*w + x)
-			img.Pix[base+0] = texture(x, y, seed)
-			img.Pix[base+1] = texture(x, y, seed^0x55aa)
-			img.Pix[base+2] = texture(x, y, seed^0xaa55)
-		}
-	}
-	return img
 }
 
 // Gray returns a single-channel image (for grayscale JPEG paths).

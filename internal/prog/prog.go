@@ -23,10 +23,6 @@ import (
 	"repro/internal/trace"
 )
 
-// ScratchReg is the scalar register the builder reserves for loop-control
-// temporaries (Loop / DownLoop). Kernels must not use it.
-var ScratchReg = isa.R(31)
-
 // Builder assembles, executes and records one dynamic instruction stream.
 type Builder struct {
 	m    *emu.Machine
@@ -39,12 +35,6 @@ type Builder struct {
 func New(m *emu.Machine, sink trace.Sink) *Builder {
 	return &Builder{m: m, sink: sink}
 }
-
-// Machine exposes the underlying emulator (for reading results back).
-func (b *Builder) Machine() *emu.Machine { return b.m }
-
-// Count returns the number of instructions emitted so far.
-func (b *Builder) Count() uint64 { return b.seq }
 
 func (b *Builder) emit(in isa.Inst) {
 	in.Seq = b.seq
@@ -75,26 +65,6 @@ func (b *Builder) Mov(dst, src isa.Reg) {
 	b.emit(isa.Inst{Op: isa.OpIMov, Kind: isa.KindScalar, Dst: dst, Src1: src})
 }
 
-// Add emits dst = s1 + s2.
-func (b *Builder) Add(dst, s1, s2 isa.Reg) {
-	b.emit(isa.Inst{Op: isa.OpIAdd, Kind: isa.KindScalar, Dst: dst, Src1: s1, Src2: s2})
-}
-
-// AddImm emits dst = s1 + imm.
-func (b *Builder) AddImm(dst, s1 isa.Reg, imm int64) {
-	b.emit(isa.Inst{Op: isa.OpIAddImm, Kind: isa.KindScalar, Dst: dst, Src1: s1, Imm: imm})
-}
-
-// Sub emits dst = s1 - s2.
-func (b *Builder) Sub(dst, s1, s2 isa.Reg) {
-	b.emit(isa.Inst{Op: isa.OpISub, Kind: isa.KindScalar, Dst: dst, Src1: s1, Src2: s2})
-}
-
-// Mul emits dst = s1 * s2.
-func (b *Builder) Mul(dst, s1, s2 isa.Reg) {
-	b.emit(isa.Inst{Op: isa.OpIMul, Kind: isa.KindScalar, Dst: dst, Src1: s1, Src2: s2})
-}
-
 // Shl emits dst = s1 << imm.
 func (b *Builder) Shl(dst, s1 isa.Reg, imm int64) {
 	b.emit(isa.Inst{Op: isa.OpIShl, Kind: isa.KindScalar, Dst: dst, Src1: s1, Imm: imm})
@@ -110,21 +80,6 @@ func (b *Builder) Slt(dst, s1, s2 isa.Reg) {
 	b.emit(isa.Inst{Op: isa.OpISlt, Kind: isa.KindScalar, Dst: dst, Src1: s1, Src2: s2})
 }
 
-// SltI emits dst = (s1 < imm).
-func (b *Builder) SltI(dst, s1 isa.Reg, imm int64) {
-	b.emit(isa.Inst{Op: isa.OpISltI, Kind: isa.KindScalar, Dst: dst, Src1: s1, Imm: imm})
-}
-
-// Min emits dst = min(s1, s2).
-func (b *Builder) Min(dst, s1, s2 isa.Reg) {
-	b.emit(isa.Inst{Op: isa.OpIMin, Kind: isa.KindScalar, Dst: dst, Src1: s1, Src2: s2})
-}
-
-// Max emits dst = max(s1, s2).
-func (b *Builder) Max(dst, s1, s2 isa.Reg) {
-	b.emit(isa.Inst{Op: isa.OpIMax, Kind: isa.KindScalar, Dst: dst, Src1: s1, Src2: s2})
-}
-
 // Control flow.
 
 // BrNZ emits a conditional branch on cond != 0 and returns the outcome so
@@ -135,31 +90,7 @@ func (b *Builder) BrNZ(cond isa.Reg) bool {
 	return taken
 }
 
-// Jump emits an unconditional control transfer.
-func (b *Builder) Jump() {
-	b.emit(isa.Inst{Op: isa.OpJump, Kind: isa.KindBranch, Taken: true})
-}
-
-// Loop runs body(i) for i in [0,n) with realistic loop overhead: the
-// counter lives in ctr and each iteration ends with an increment, a
-// compare into ScratchReg and a backward branch.
-func (b *Builder) Loop(ctr isa.Reg, n int, body func(i int)) {
-	b.MovImm(ctr, 0)
-	for i := 0; i < n; i++ {
-		body(i)
-		b.AddImm(ctr, ctr, 1)
-		b.SltI(ScratchReg, ctr, int64(n))
-		b.BrNZ(ScratchReg)
-	}
-}
-
 // Scalar memory. size is the access width in bytes (1, 2, 4, 8).
-
-// Load emits a zero-extending load of size bytes from base+off.
-func (b *Builder) Load(dst, base isa.Reg, off int64, size int) {
-	b.emit(isa.Inst{Op: isa.OpLoad, Kind: isa.KindScalarMem, Dst: dst, Src1: base,
-		Imm: int64(size), Addr: b.addr(base, off)})
-}
 
 // LoadS emits a sign-extending load of size bytes from base+off.
 func (b *Builder) LoadS(dst, base isa.Reg, off int64, size int) {

@@ -198,25 +198,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Counter returns the named counter's value (0 when absent; Has
-// distinguishes).
-func (s Snapshot) Counter(name string) uint64 { return s.Counters[name] }
-
-// Gauge returns the named gauge's value (0 when absent).
-func (s Snapshot) Gauge(name string) int64 { return s.Gauges[name] }
-
-// Has reports whether the snapshot holds the name in any taxonomy.
-func (s Snapshot) Has(name string) bool {
-	if _, ok := s.Counters[name]; ok {
-		return true
-	}
-	if _, ok := s.Gauges[name]; ok {
-		return true
-	}
-	_, ok := s.Hists[name]
-	return ok
-}
-
 // WriteJSON writes the snapshot as indented JSON. Map keys marshal
 // sorted, so the output is deterministic.
 func (s Snapshot) WriteJSON(w io.Writer) error {

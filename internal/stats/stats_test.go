@@ -50,31 +50,31 @@ func TestRegistryAddStruct(t *testing.T) {
 	r.AddStruct("x", &st)
 
 	snap := r.Snapshot()
-	if got := snap.Counter("x.hits"); got != 7 {
+	if got := snap.Counters["x.hits"]; got != 7 {
 		t.Errorf("x.hits = %d, want 7", got)
 	}
-	if got := snap.Counter("x.by_kind.1"); got != 11 {
+	if got := snap.Counters["x.by_kind.1"]; got != 11 {
 		t.Errorf("x.by_kind.1 = %d, want 11", got)
 	}
-	if got := snap.Gauge("x.cycles"); got != 99 {
+	if got := snap.Gauges["x.cycles"]; got != 99 {
 		t.Errorf("x.cycles = %d, want 99", got)
 	}
-	if got := snap.Gauge("x.occ_max"); got != 5 {
+	if got := snap.Gauges["x.occ_max"]; got != 5 {
 		t.Errorf("x.occ_max = %d, want 5", got)
 	}
 	if h, ok := snap.Hists["x.wait"]; !ok || h.Count != 1 {
 		t.Errorf("x.wait hist = %+v, want registered with count 1", h)
 	}
-	if snap.Has("x.nil_hist") {
+	if _, ok := snap.Hists["x.nil_hist"]; ok {
 		t.Error("nil histogram field should not register")
 	}
-	if snap.Has("x.hidden") {
+	if _, ok := snap.Counters["x.hidden"]; ok {
 		t.Error("unexported field should not register")
 	}
 
 	// Live wrapping: mutate the struct, the next snapshot sees it.
 	st.Hits = 100
-	if got := r.Snapshot().Counter("x.hits"); got != 100 {
+	if got := r.Snapshot().Counters["x.hits"]; got != 100 {
 		t.Errorf("after mutation x.hits = %d, want 100", got)
 	}
 }
@@ -106,7 +106,7 @@ func TestSnapshotHooksRun(t *testing.T) {
 	var derived uint64
 	r.Counter("d", func() uint64 { return derived })
 	r.OnSnapshot(func() { derived = 42 })
-	if got := r.Snapshot().Counter("d"); got != 42 {
+	if got := r.Snapshot().Counters["d"]; got != 42 {
 		t.Errorf("hooked counter = %d, want 42", got)
 	}
 }

@@ -37,42 +37,6 @@ func SetDword(x uint64, i int, v uint32) uint64 {
 	return x&^(0xffffffff<<sh) | uint64(v)<<sh
 }
 
-// PackBytes packs 8 bytes (b[0] least significant) into a uint64.
-func PackBytes(b [8]uint8) uint64 {
-	var x uint64
-	for i, v := range b {
-		x |= uint64(v) << (8 * uint(i))
-	}
-	return x
-}
-
-// UnpackBytes splits x into its 8 byte lanes.
-func UnpackBytes(x uint64) [8]uint8 {
-	var b [8]uint8
-	for i := range b {
-		b[i] = Byte(x, i)
-	}
-	return b
-}
-
-// PackWords packs 4 words (w[0] least significant) into a uint64.
-func PackWords(w [4]uint16) uint64 {
-	var x uint64
-	for i, v := range w {
-		x |= uint64(v) << (16 * uint(i))
-	}
-	return x
-}
-
-// UnpackWords splits x into its 4 word lanes.
-func UnpackWords(x uint64) [4]uint16 {
-	var w [4]uint16
-	for i := range w {
-		w[i] = Word(x, i)
-	}
-	return w
-}
-
 // Wrapping lane adds/subtracts.
 
 // PAddB adds byte lanes with wraparound.

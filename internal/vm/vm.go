@@ -254,9 +254,6 @@ type Space struct {
 	pages []uint64
 }
 
-// Tenant is the space's requestor index.
-func (sp *Space) Tenant() int { return sp.tenant }
-
 // VM returns the owning VM.
 func (sp *Space) VM() *VM { return sp.vm }
 

@@ -315,7 +315,6 @@ type VectorCache struct {
 	wide3D   bool
 	portFree int64
 	st       Stats
-	scratch  []isa.ElemAccess
 	missBuf  []uint64
 	wbBuf    []uint64
 	batch    []dram.Request
