@@ -22,7 +22,6 @@ type Config struct {
 
 	// Integer pipeline.
 	IntIssue int
-	IntFUs   int
 
 	// Multimedia pipeline. The MMX flavor has SIMDFUs independent
 	// single-op units; the MOM flavor has one unit of Lanes lanes that
@@ -33,7 +32,6 @@ type Config struct {
 
 	// Memory pipeline.
 	MemIssue int // memory instructions issued per cycle
-	L1Ports  int // scalar-side L1 ports
 
 	// StoreBuf bounds stores that have retired from the window while
 	// their line fill is still outstanding in the MSHR file (the
@@ -43,12 +41,10 @@ type Config struct {
 	// store before its memory completes.
 	StoreBuf int
 
-	// Physical register capacities (Table 3). In-flight writers per
-	// class are bounded by physical - logical.
+	// Physical register capacities (Table 3) of the two classes that
+	// gate dispatch: in-flight writers are bounded by physical - logical.
 	PhysVec, LogVec int
-	PhysAcc, LogAcc int
 	Phys3D, Log3D   int
-	PhysPtr, LogPtr int
 
 	// Branch handling: perfect prediction when UseGshare is false
 	// (trace-driven, loop-dominated media codes); otherwise a gshare
@@ -63,13 +59,11 @@ func MMXCore() Config {
 	return Config{
 		Name:       "MMX",
 		FetchWidth: 8, CommitWidth: 8, Window: 128, LSQ: 32,
-		IntIssue: 4, IntFUs: 4,
+		IntIssue:  4,
 		SIMDIssue: 4, SIMDFUs: 4, Lanes: 1,
-		MemIssue: 4, L1Ports: 4, StoreBuf: 16,
+		MemIssue: 4, StoreBuf: 16,
 		PhysVec: 80, LogVec: 32,
-		PhysAcc: 4, LogAcc: 2,
 		Phys3D: 4, Log3D: 2,
-		PhysPtr: 8, LogPtr: 2,
 		GshareBits: 12, MispredictPenalty: 8,
 	}
 }
@@ -80,13 +74,11 @@ func MOMCore() Config {
 	return Config{
 		Name:       "MOM",
 		FetchWidth: 8, CommitWidth: 8, Window: 128, LSQ: 32,
-		IntIssue: 4, IntFUs: 4,
+		IntIssue:  4,
 		SIMDIssue: 1, SIMDFUs: 1, Lanes: 4,
-		MemIssue: 2, L1Ports: 2, StoreBuf: 16,
+		MemIssue: 2, StoreBuf: 16,
 		PhysVec: 36, LogVec: 16,
-		PhysAcc: 4, LogAcc: 2,
 		Phys3D: 4, Log3D: 2,
-		PhysPtr: 8, LogPtr: 2,
 		GshareBits: 12, MispredictPenalty: 8,
 	}
 }

@@ -185,22 +185,10 @@ type Sim struct {
 	// registered wake-up and is never touched.
 	issueWake *engine.Ring
 	qActive   [qCount][]uint64
-	scanBuf   []uint64 // reusable rebuild buffer for issueQueue
-	midBuf    []uint64 // reusable mid-scan wake collector
-	extrasBuf []uint64 // reusable same-cycle merge list
-	// Issue-side skip verdict, rebuilt by each Step's scans so NextWake
-	// needs no walk of its own: issueNoSkip forces a real step next
-	// cycle (an active entry needs a per-cycle re-check); issueUnitBound
-	// is the earliest cycle a busy unit frees for a ready entry.
-	issueNoSkip    bool
-	issueUnitBound int64
-	// xlatWake is the walk-completion cycle of the memory entry the
-	// issue scan just refused for address translation (vm.Space.Ready
-	// in the future). noteRefusal folds it into issueUnitBound — the
-	// translation resolves at a fixed cycle, so the wheel may sleep
-	// until then — and clears it so a later refusal in the same scan
-	// cannot misread it.
-	xlatWake int64
+	// issueNoSkip is the issue side's skip verdict, rebuilt by each
+	// Step's scans so NextWake needs no walk of its own: it forces a
+	// real step next cycle (an active entry needs a per-cycle re-check).
+	issueNoSkip bool
 	// robMask is Window-1 when Window is a power of two, letting
 	// slot() mask instead of divide on the hottest path; 0 otherwise.
 	robMask uint64
@@ -260,21 +248,18 @@ func NewStreamSim(cfg Config, mem *MemSystem, stream *trace.Stream, base uint64)
 		storeBuf: make([]storeRec, 2*cfg.LSQ),
 		// Spans the common wake distance (memory latency plus queueing);
 		// rarer far-future bounds overflow to the ring's small heap.
-		issueWake:      engine.NewRing(1024),
-		issueUnitBound: maxWake}
+		issueWake: engine.NewRing(1024)}
 	if cfg.Window > 0 && cfg.Window&(cfg.Window-1) == 0 {
 		s.robMask = uint64(cfg.Window - 1) // power-of-two window: slot() masks
 	}
-	// The three active lists and the scan's three scratch lists each hold
-	// distinct in-window seqs, so none outgrows the window: one
-	// allocation sizes them all for the run.
-	w, nq := cfg.Window, len(s.qActive)
-	lists := make([]uint64, (nq+3)*w)
-	carve := func(i int) []uint64 { return lists[i*w : i*w : (i+1)*w] }
+	// Each active list holds distinct in-window seqs (a scan's evaluated
+	// slots included), so none outgrows the window: one allocation sizes
+	// all three for the run.
+	w := cfg.Window
+	lists := make([]uint64, len(s.qActive)*w)
 	for q := range s.qActive {
-		s.qActive[q] = carve(q)
+		s.qActive[q] = lists[q*w : q*w : (q+1)*w]
 	}
-	s.scanBuf, s.midBuf, s.extrasBuf = carve(nq), carve(nq+1), carve(nq+2)
 	if cfg.UseGshare {
 		s.pht = make([]int8, 1<<cfg.GshareBits)
 	}
@@ -484,100 +469,81 @@ func (s *Sim) release(r isa.Reg, seq uint64, keepMapping bool) {
 }
 
 // issue selects ready instructions oldest-first from each queue, bounded
-// by the per-queue issue widths and functional unit structure.
+// by the per-queue issue widths and functional unit structure. Each
+// queue's fire grants e its unit and returns (done, 0), or refuses it
+// and returns (0, retry): the cycle the unit frees, which nothing can
+// move earlier, so the scan parks e there (see wheel.go).
 func (s *Sim) issue() {
 	// Reset this step's issue-side skip verdict; the scans below,
 	// wakeWaiters, and insert re-establish it (see wheel.go).
 	s.issueNoSkip = false
-	s.issueUnitBound = maxWake
 	s.drainWakes() // move entries whose timed wake-up is due back to active
 
 	// Integer pipeline.
-	s.issueQueue(qInt, s.cfg.IntIssue, func(e *robEntry) (int64, bool) {
-		return s.now + int64(e.in.Op.Class().Latency()), true
+	s.issueQueue(qInt, s.cfg.IntIssue, func(e *robEntry) (int64, int64) {
+		return s.now + int64(e.in.Op.Class().Latency()), 0
 	})
 
 	// Multimedia pipeline.
 	momStyle := s.cfg.SIMDFUs == 1 && s.cfg.Lanes > 1
-	s.issueQueue(qSIMD, s.cfg.SIMDIssue, func(e *robEntry) (int64, bool) {
+	s.issueQueue(qSIMD, s.cfg.SIMDIssue, func(e *robEntry) (int64, int64) {
 		lat := int64(e.in.Op.Class().Latency())
 		if !momStyle {
-			return s.now + lat, true
+			return s.now + lat, 0
 		}
 		if s.simdBusyUntil > s.now {
-			return 0, false
+			return 0, s.simdBusyUntil
 		}
 		occ := simdOccupancy(e.in, s.cfg.Lanes)
 		s.simdBusyUntil = s.now + occ
-		return s.now + occ - 1 + lat, true
+		return s.now + occ - 1 + lat, 0
 	})
 
-	// Memory pipeline.
-	l1Used := 0
-	s.issueQueue(qMem, s.cfg.MemIssue, func(e *robEntry) (int64, bool) {
+	// Memory pipeline. Every issue slot has its own L1 port (Table 2
+	// sets as many ports as memory issue slots).
+	s.issueQueue(qMem, s.cfg.MemIssue, func(e *robEntry) (int64, int64) {
 		if e.in.Op == isa.Op3DVMov {
 			// A register-file transfer: Lanes elements/cycle over the
 			// dedicated 3D datapath; the pointer update resolves in one
 			// cycle.
 			if s.moverBusyUntil > s.now {
-				return 0, false
+				return 0, s.moverBusyUntil
 			}
 			occ := simdOccupancy(e.in, s.cfg.Lanes)
 			s.moverBusyUntil = s.now + occ
 			e.donePtr = s.now + 1
-			return s.now + occ - 1 + int64(e.in.Op.Class().Latency()), true
+			return s.now + occ - 1 + int64(e.in.Op.Class().Latency()), 0
 		}
 		if !e.in.IsStore && s.forwardable(e) {
 			// Store-to-load forwarding: the load's bytes are entirely
 			// covered by an older in-flight store, so the LSQ supplies
 			// them without a cache access.
 			s.stats.Forwarded++
-			return s.now + 2, true
+			return s.now + 2, 0
 		}
-		if e.in.Kind.IsVectorMem() {
-			// Address translation gates issue: every page the access
-			// touches must resolve before the subsystem may fire. The
-			// stall is an idempotent transaction keyed by seq, so the
-			// per-cycle retries here and the wheel's sparse retries
-			// leave identical TLB state (see internal/vm).
-			in := s.materialise(e)
-			if sp := s.mem.Tim.VA; sp != nil {
-				if s.tr != nil && sp.InFlight(e.seq) {
-					e.hadWalk = true // peek before Ready retires the transaction
-				}
-				if until := sp.Ready(in, e.seq, s.now); until > s.now {
-					s.xlatWake = until
-					return 0, false
-				}
-			}
-			sig := s.missSig()
-			done, pend := s.mem.VM.Issue(in, s.now)
-			e.pend = pend
-			e.missed = pend != nil || s.missSig() != sig
-			return done, true
-		}
-		if l1Used >= s.cfg.L1Ports {
-			return 0, false
-		}
-		// Translation after the port check: a translation-stalled access
-		// holds no L1 port, and once both pass the access always issues,
-		// so the transaction retires exactly once.
+		// Address translation gates issue: every page the access touches
+		// must resolve before the access may fire. The stall is an
+		// idempotent transaction keyed by seq that resolves at a fixed
+		// cycle, so the retry there retires it exactly once (see
+		// internal/vm).
 		in := s.materialise(e)
 		if sp := s.mem.Tim.VA; sp != nil {
 			if s.tr != nil && sp.InFlight(e.seq) {
-				e.hadWalk = true
+				e.hadWalk = true // peek before Ready retires the transaction
 			}
 			if until := sp.Ready(in, e.seq, s.now); until > s.now {
-				s.xlatWake = until
-				return 0, false
+				return 0, until
 			}
 		}
-		l1Used++
 		sig := s.missSig()
-		done, pend := s.mem.ScalarAccess(in, s.now)
-		e.pend = pend
-		e.missed = pend != nil || s.missSig() != sig
-		return done, true
+		var done int64
+		if e.in.Kind.IsVectorMem() {
+			done, e.pend = s.mem.VM.Issue(in, s.now)
+		} else {
+			done, e.pend = s.mem.ScalarAccess(in, s.now)
+		}
+		e.missed = e.pend != nil || s.missSig() != sig
+		return done, 0
 	})
 }
 

@@ -21,9 +21,10 @@ import (
 // both engines: each queue only evaluates its active list — entries
 // with a pending reason to re-check. A blocked entry parks with a
 // registered wake-up: a cycle bound on the sim's persistent issueWake
-// ring (the blocker's completion or flush bound), or a link on the
-// blocking entry's waiter chain when only that entry's own issue can
-// unblock it. Sleeping entries are never touched, which is what makes
+// ring (the blocker's completion or flush bound, or the free cycle of
+// the unit that refused a ready entry), or a link on the blocking
+// entry's waiter chain when only that entry's own issue can unblock
+// it. Sleeping entries are never touched, which is what makes
 // an executed step cheap. Second — the wheel engine alone — after a
 // Step, NextWake collects a conservative wake-up from every pollable
 // subsystem (commit head, store buffer, dispatch gates, active
@@ -51,6 +52,14 @@ import (
 //     in-order commit cannot retire past an unissued entry, so no
 //     chained slot is recycled while the chain is live. (There is no
 //     squash path — mispredicts only stall fetch.)
+//   - A refused grant waits on its unit's free cycle, fixed when the
+//     unit refuses: the MOM SIMD unit and the 3D mover each hold one
+//     busy-until cycle that only an issue on the unit moves, and the
+//     unit refuses every issue until then; a translation stall ends
+//     at its transaction's ready cycle, which never moves
+//     (internal/vm). Every entry a unit refused wakes at that one
+//     cycle and the scan sorts them, so the oldest gets the unit, as
+//     it would had each been re-checked every cycle.
 //
 // Why the ready latch is sound — a ready verdict never flips back, so
 // robEntry.ready lets every later turn skip the walk (a ready entry can
@@ -195,106 +204,39 @@ func (s *Sim) wakeWaiters(p *robEntry, q queue) {
 	}
 }
 
-// noteRefusal records why fire refused a ready entry: a busy single
-// unit contributes its free time as a wake-up bound; anything else
-// (port or width contention — other entries issued) conservatively
-// forces a real step next cycle.
-func (s *Sim) noteRefusal(q queue, e *robEntry) {
-	switch {
-	case q == qSIMD && s.cfg.SIMDFUs == 1 && s.cfg.Lanes > 1 && s.simdBusyUntil > s.now:
-		if s.simdBusyUntil < s.issueUnitBound {
-			s.issueUnitBound = s.simdBusyUntil
-		}
-	case q == qMem && e.in.Op == isa.Op3DVMov && s.moverBusyUntil > s.now:
-		if s.moverBusyUntil < s.issueUnitBound {
-			s.issueUnitBound = s.moverBusyUntil
-		}
-	case q == qMem && s.xlatWake > s.now:
-		// A translation stall: the TLB miss resolves at a fixed walk
-		// (or L2 TLB) completion cycle, so the entry needs no per-cycle
-		// re-check — sleeping until the bound is sound because a
-		// transaction's ready cycle never moves earlier.
-		if s.xlatWake < s.issueUnitBound {
-			s.issueUnitBound = s.xlatWake
-		}
-		s.xlatWake = 0
-	default:
-		s.issueNoSkip = true
-	}
-}
-
 // issueQueue scans one queue's active list oldest-first, issuing up to
-// width entries for which fire() grants a slot and returns a completion
-// cycle. The list is sorted so width goes to the oldest ready entries,
-// as an in-order pass over the whole queue would allocate it. Entries
-// woken mid-scan by a blocker issuing are merged back into the scan in
-// seq order: a waiter is always younger than its blocker, so such a
-// pass would evaluate it after the blocker issues — in the same cycle
-// — and this scan must too.
-func (s *Sim) issueQueue(q queue, width int, fire func(e *robEntry) (int64, bool)) {
+// width entries for which fire grants a unit. The list is sorted so
+// width goes to the oldest ready entries, as an in-order pass over the
+// whole queue would allocate it; survivors compact in place behind the
+// cursor.
+func (s *Sim) issueQueue(q queue, width int, fire func(e *robEntry) (int64, int64)) {
 	act := s.qActive[q]
-	if len(act) == 0 {
-		return
-	}
-	s.qActive[q] = s.midBuf[:0] // detach: mid-scan wakes collect separately
 	slices.Sort(act)
-	issued := 0
-
-	// Fast path: until an issue wakes same-cycle waiters, survivors
-	// compact in place (k never passes i) and nothing is copied.
-	k, i := 0, 0
-	for ; i < len(act) && len(s.qActive[q]) == 0; i++ {
-		if s.evaluate(q, act[i], width, &issued, fire) {
-			act[k] = act[i]
-			k++
+	issued, kept := 0, 0
+	for i := 0; i < len(act); i++ {
+		seq := act[i]
+		keep := s.evaluate(q, seq, width, &issued, fire)
+		if woken := s.qActive[q]; len(woken) > len(act) {
+			// The issue woke waiters in this queue, appended behind the
+			// cursor. A waiter is younger than its blocker, hence than
+			// every entry scanned so far, so an in-order pass would
+			// reach it this cycle: re-sort the unscanned tail.
+			act = woken
+			slices.Sort(act[i+1:])
+		}
+		if keep {
+			act[kept] = seq
+			kept++
 		}
 	}
-	if len(s.qActive[q]) == 0 {
-		s.midBuf = s.qActive[q]
-		s.qActive[q] = act[:k]
-		return
-	}
-
-	// Merge path: waiters woken mid-scan are always younger than their
-	// blocker, hence younger than every already-kept survivor, so a
-	// two-cursor merge over the remaining act entries and the woken
-	// extras preserves in-order evaluation.
-	extras := s.extrasBuf[:0]
-	out := append(s.scanBuf[:0], act[:k]...)
-	j := 0
-	for {
-		if woken := s.qActive[q]; len(woken) > 0 {
-			extras = append(extras, woken...)
-			s.qActive[q] = woken[:0]
-			slices.Sort(extras[j:])
-		}
-		var seq uint64
-		switch {
-		case j < len(extras) && (i >= len(act) || extras[j] < act[i]):
-			seq = extras[j]
-			j++
-		case i < len(act):
-			seq = act[i]
-			i++
-		default:
-			// Recycle all three detached backings for the next scan.
-			s.midBuf = s.qActive[q]
-			s.extrasBuf = extras[:0]
-			s.scanBuf = act[:0]
-			s.qActive[q] = out
-			return
-		}
-		if s.evaluate(q, seq, width, &issued, fire) {
-			out = append(out, seq)
-		}
-	}
+	s.qActive[q] = act[:kept]
 }
 
 // evaluate gives the entry seq its turn in queue q's scan — issuing it
 // if it is ready, width remains and fire grants the unit, parking it if
 // a registered wake-up covers what blocks it — and reports whether it
 // stays on the active list for the next cycle's scan.
-func (s *Sim) evaluate(q queue, seq uint64, width int, issued *int, fire func(e *robEntry) (int64, bool)) bool {
+func (s *Sim) evaluate(q queue, seq uint64, width int, issued *int, fire func(e *robEntry) (int64, int64)) bool {
 	e := s.entry(seq)
 	if e == nil || e.issued {
 		return false
@@ -316,10 +258,12 @@ func (s *Sim) evaluate(q queue, seq uint64, width int, issued *int, fire func(e 
 		s.issueNoSkip = true // bound not in the future: re-poll next cycle
 		return true
 	}
-	done, ok := fire(e)
-	if !ok {
-		s.noteRefusal(q, e) // ready, but the unit refused the grant
-		return true
+	done, retry := fire(e)
+	if retry != 0 {
+		// Ready, but the unit refused the grant until retry: a future
+		// cycle nothing can move earlier, so the entry sleeps until then.
+		s.park(e, retry, 0)
+		return false
 	}
 	e.issued = true
 	e.done = done
@@ -536,12 +480,8 @@ func (s *Sim) nextWake() int64 {
 	// (and by insert and wakeWaiters, which park new or woken entries
 	// or flag them for a next-cycle re-check — issueNoSkip, handled at
 	// the top), so no walk is needed here: every entry still on an
-	// active list has already flagged itself or contributed a unit
-	// bound.
-	if s.issueUnitBound != maxWake {
-		sched(s.issueUnitBound)
-	}
-	// The earliest sleeping entry's timed wake-up.
+	// active list has already flagged itself, and every other one
+	// sleeps — on a chain, or until its timed wake-up: the earliest.
 	if t, ok := s.issueWake.NextCycle(); ok {
 		sched(t)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/engine"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -167,11 +168,12 @@ func TestWheelMatchesStepSnapshots(t *testing.T) {
 }
 
 // TestWheelMatchesStepVA pins the address-translation issue path under
-// the wheel: TLB-miss stalls park the issue stage on a walk-completion
-// bound (xlatWake), and under mshr the walk's lazy completion races the
-// MSHR fill wake-ups — the step oracle observes both every cycle, the
-// wheel only at event boundaries, so every registered counter matching
-// bit for bit proves the translation transactions retire identically.
+// the wheel: a TLB-miss stall parks the refused entry until its walk
+// completes, and under mshr the walk's lazy completion races the MSHR
+// fill wake-ups — the step oracle executes every cycle between them,
+// the wheel only the event boundaries, so every registered counter
+// matching bit for bit proves the translation transactions retire
+// identically.
 func TestWheelMatchesStepVA(t *testing.T) {
 	specs := []string{
 		"sdram/bank/frfcfs/va",
@@ -190,8 +192,8 @@ func TestWheelMatchesStepVA(t *testing.T) {
 			name := fmt.Sprintf("%s/mom3d/%s", bm.Name, spec)
 			requireEngineMatch(t, name, bm, kernels.MOM3D, MemVectorCache3D, spec, nil)
 		}
-		// The scalar issue path charges the TLB stall after the L1 port
-		// check; MMX exercises it with banked L1 ports, MOM without 3D.
+		// The scalar issue path's TLB stall: MMX over the multi-banked
+		// L1, MOM without 3D.
 		requireEngineMatch(t, bm.Name+"/mom/va", bm, kernels.MOM, MemVectorCache,
 			"sdram/bank/frfcfs/mshr8/vacolor", nil)
 		requireEngineMatch(t, bm.Name+"/mmx/va", bm, kernels.MMX, MemMultiBanked,
@@ -223,6 +225,33 @@ func TestWheelMatchesStepStoreBuffer(t *testing.T) {
 			MemVectorCache3D, "sdram/line/frfcfs/mshr8", sb1)
 		requireEngineMatch(t, bm.Name+"/sb1/pf", bm, kernels.MOM3D,
 			MemVectorCache3D, "sdram/line/frfcfs/hbm/mshr16/pf8d2", sb1)
+	}
+}
+
+// TestMidScanWakeTakesWidthInOrder pins the order in which a scan
+// evaluates an entry woken mid-scan. A load chained on an older store
+// that it overlaps wakes when the store issues; being older than a ready
+// disjoint load behind it, it must take the cycle's last memory issue
+// slot (MOM issues two) ahead of that load, as an in-order pass over
+// the whole queue would.
+func TestMidScanWakeTakesWidthInOrder(t *testing.T) {
+	insts := seqify([]isa.Inst{
+		{Op: isa.OpStore, Kind: isa.KindScalarMem, Imm: 8, Addr: 0x100, IsStore: true},
+		{Op: isa.OpLoadS, Kind: isa.KindScalarMem, Dst: isa.R(1), Imm: 8, Addr: 0x100},
+		{Op: isa.OpLoadS, Kind: isa.KindScalarMem, Dst: isa.R(2), Imm: 8, Addr: 0x200},
+	})
+	s := NewSim(MOMCore(), idealMem(), insts)
+	s.Step() // dispatch
+	store, waiter, younger := s.entry(0), s.entry(1), s.entry(2)
+	if store == nil || waiter == nil || younger == nil || !waiter.enlisted || !younger.active {
+		t.Fatal("after dispatch the overlapping load must wait on the store's chain and the disjoint load be active")
+	}
+	for !store.issued && s.now < 10 {
+		s.Step()
+	}
+	if !store.issued || !waiter.issued || younger.issued {
+		t.Errorf("the cycle the store issued: woken load issued %v, younger ready load issued %v; want true, false",
+			waiter.issued, younger.issued)
 	}
 }
 
@@ -276,8 +305,11 @@ func TestEngineSwitchMidRun(t *testing.T) {
 // entry that has not issued, or asleep — and then something must be
 // holding it that time alone resolves no earlier than the cycle its
 // wake-up is registered for: a producer still executing, or a fill
-// whose lower bound lies ahead. An entry asleep with nothing holding
-// it is an instruction the scan would never look at again.
+// whose lower bound lies ahead, or — for an entry whose operands are
+// ready — the unit that refused it, still busy past that cycle (a SIMD
+// unit or 3D mover occupied, a translation stall unresolved). An entry
+// asleep with nothing holding it is an instruction the scan would never
+// look at again.
 func TestSleepersAreNeverReady(t *testing.T) {
 	forEachSleeperCell(t, func(name string, s *Sim) {
 		for s.Running() && !t.Failed() {
@@ -428,10 +460,27 @@ func checkSleepers(t *testing.T, name string, s *Sim) {
 				}
 			}
 		}
-		if !blocked {
+		if !blocked && !unitHolds(s, e, at) {
 			t.Errorf("%s cycle %d: seq %d is asleep and nothing holds it: it is ready and will never be scanned", name, at, e.seq)
 		}
 	}
+}
+
+// unitHolds reports whether the unit that refused a ready entry still
+// holds it past the executed cycle at: the single MOM SIMD unit for the
+// SIMD queue, the 3D mover for a 3dvmov, a translation stall for any
+// other memory access.
+func unitHolds(s *Sim, e *robEntry, at int64) bool {
+	switch {
+	case e.q == qSIMD:
+		return s.simdBusyUntil > at
+	case e.in.Op == isa.Op3DVMov:
+		return s.moverBusyUntil > at
+	case e.q == qMem && s.mem.Tim.VA != nil:
+		until, ok := s.mem.Tim.VA.StallUntil(e.seq)
+		return ok && until > at
+	}
+	return false
 }
 
 // TestReadyLatchIsMonotone holds robEntry.ready to the property that

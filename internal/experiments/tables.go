@@ -64,12 +64,13 @@ func Table2() string {
 	row("fetch rate", mmx.FetchWidth, mom.FetchWidth)
 	row("graduation window", mmx.Window, mom.Window)
 	row("load/store queue", mmx.LSQ, mom.LSQ)
+	// The model gives each integer slot its own unit, each memory slot its own L1 port.
 	row("INTEGER issue", mmx.IntIssue, mom.IntIssue)
-	row("INTEGER FUs", mmx.IntFUs, mom.IntFUs)
+	row("INTEGER FUs", mmx.IntIssue, mom.IntIssue)
 	row("SIMD issue", mmx.SIMDIssue, mom.SIMDIssue)
 	row("SIMD FUs", fmt.Sprintf("%d", mmx.SIMDFUs), fmt.Sprintf("%dx%d", mom.SIMDFUs, mom.Lanes))
 	row("memory issue", mmx.MemIssue, mom.MemIssue)
-	row("L1 memory ports", mmx.L1Ports, mom.L1Ports)
+	row("L1 memory ports", mmx.MemIssue, mom.MemIssue)
 	row("L2 vector ports", "n/a", fmt.Sprintf("1x%d", mom.Lanes))
 	return b.String()
 }
