@@ -10,11 +10,18 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/trace"
 	"repro/internal/vmem"
 )
+
+// simulate runs insts to completion cycle by cycle through the
+// reference loop.
+func simulate(cfg core.Config, mem *core.MemSystem, insts []isa.Inst) *core.Stats {
+	return core.SimulateStream(cfg, mem, trace.Compact(insts), engine.Step)
+}
 
 func mpeg2encTrace(v kernels.Variant) *trace.Trace {
 	tr := &trace.Trace{}
@@ -32,7 +39,7 @@ func BenchmarkAblationLanes(b *testing.B) {
 				cfg := core.MOMCore()
 				cfg.Lanes = lanes
 				ms := core.NewMemSystem(core.MemVectorCache, vmem.DefaultTiming(), lanes, false)
-				st := core.Simulate(cfg, ms, tr.Insts)
+				st := simulate(cfg, ms, tr.Insts)
 				b.ReportMetric(float64(st.Cycles), "cycles")
 			}
 		})
@@ -50,7 +57,7 @@ func BenchmarkAblationWindow(b *testing.B) {
 				cfg := core.MOMCore()
 				cfg.Window = window
 				ms := core.NewMemSystem(core.MemVectorCache3D, vmem.DefaultTiming(), cfg.Lanes, false)
-				st := core.Simulate(cfg, ms, tr.Insts)
+				st := simulate(cfg, ms, tr.Insts)
 				b.ReportMetric(float64(st.Cycles), "cycles")
 			}
 		})
@@ -71,7 +78,7 @@ func BenchmarkAblationGshare(b *testing.B) {
 				cfg := core.MOMCore()
 				cfg.UseGshare = gshare
 				ms := core.NewMemSystem(core.MemVectorCache3D, vmem.DefaultTiming(), cfg.Lanes, false)
-				st := core.Simulate(cfg, ms, tr.Insts)
+				st := simulate(cfg, ms, tr.Insts)
 				b.ReportMetric(float64(st.Cycles), "cycles")
 				b.ReportMetric(float64(st.Mispredicts), "mispredicts")
 			}
@@ -97,7 +104,7 @@ func BenchmarkAblation3DWidth(b *testing.B) {
 					}
 				}
 				ms := core.NewMemSystem(core.MemVectorCache3D, vmem.DefaultTiming(), 4, false)
-				st := core.Simulate(core.MOMCore(), ms, cp)
+				st := simulate(core.MOMCore(), ms, cp)
 				b.ReportMetric(float64(st.Cycles), "cycles")
 				b.ReportMetric(float64(ms.VM.Stats().Words), "L2-words")
 			}

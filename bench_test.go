@@ -135,7 +135,7 @@ func BenchmarkCycleSimulator(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ms := core.NewMemSystem(core.MemVectorCache3D, vmem.DefaultTiming(), 4, false)
-		st := core.Simulate(core.MOMCore(), ms, tr.Insts)
+		st := simulate(core.MOMCore(), ms, tr.Insts)
 		b.ReportMetric(float64(st.Cycles), "cycles")
 	}
 }

@@ -32,6 +32,10 @@ func main() {
 	skip := flag.Int("skip", 0, "skip this many instructions before dumping")
 	jsonFile := flag.String("json", "", "write the instruction-mix profile as JSON to this file")
 	flag.Parse()
+	if *skip < 0 || *dump < 0 {
+		fmt.Fprintf(os.Stderr, "momtrace: -skip %d -dump %d: an instruction count cannot be negative\n", *skip, *dump)
+		os.Exit(1)
+	}
 
 	bm, ok := kernels.ByName(*benchName)
 	if !ok {
@@ -44,9 +48,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	tr := &trace.Trace{}
-	st := trace.NewStats()
-	bm.Run(variant, trace.Multi{tr, st})
+	var rec trace.Recorder
+	stream, st := rec.Record(func(sink trace.Sink) { bm.Run(variant, sink) })
 
 	fmt.Printf("%s / %s\n", bm.Name, variant)
 	fmt.Print(st.String())
@@ -88,12 +91,13 @@ func main() {
 
 	if *dump > 0 {
 		fmt.Println()
-		end := *skip + *dump
-		if end > tr.Len() {
-			end = tr.Len()
-		}
-		for i := *skip; i < end; i++ {
-			fmt.Printf("%8d  %s\n", tr.Insts[i].Seq, tr.Insts[i].String())
+		for i, in := range stream.All() {
+			if i >= *skip+*dump {
+				break
+			}
+			if i >= *skip {
+				fmt.Printf("%8d  %s\n", in.Seq, in.String())
+			}
 		}
 	}
 

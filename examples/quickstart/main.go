@@ -1,6 +1,6 @@
 // Quickstart: assemble a tiny 3D-vectorized program with the trace
-// builder, execute it on the functional emulator, and time it on the
-// cycle simulator — the whole library in ~80 lines.
+// builder, execute it on the functional emulator while recording its
+// stream, and time the stream on the cycle simulator.
 //
 // The program loads a 4x32-byte matrix into a 3D register with one
 // dvload, slices it into MOM registers with 3dvmov at one-byte offsets
@@ -10,17 +10,38 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/emu"
+	"repro/internal/engine"
 	"repro/internal/isa"
 	"repro/internal/mmem"
 	"repro/internal/prog"
+	"repro/internal/tenant"
 	"repro/internal/trace"
 	"repro/internal/vmem"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run records the program, times it, and reports both to w.
+func run(w io.Writer) {
+	stream, st, sad := record()
+	fmt.Fprintf(w, "emulated SAD total: %d\n", sad)
+	fmt.Fprintf(w, "trace: %d instructions, %d memory bytes\n", st.Total, st.MemBytes)
+
+	g := machine(stream)
+	g.Run()
+	stats := g.Stats(0)
+	fmt.Fprintf(w, "simulated: %d cycles, IPC %.2f\n", stats.Cycles, stats.IPC())
+	fmt.Fprintf(w, "L2 accesses: %d (one wide access per dvload row)\n", g.Mem(0).L2Activity())
+}
+
+// record assembles and executes the program, and returns its stream,
+// the stream's statistics and the SAD total the emulator computed.
+func record() (*trace.Stream, *trace.Stats, int64) {
 	// Architectural memory with a recognizable 4-row matrix.
 	mem := mmem.New()
 	const base, stride = 0x1000, 64
@@ -30,28 +51,27 @@ func main() {
 		}
 	}
 
-	// Build the dynamic trace; every emitted instruction also executes.
 	m := emu.New(mem)
-	tr := &trace.Trace{}
-	st := trace.NewStats()
-	b := prog.New(m, trace.Multi{tr, st})
+	var rec trace.Recorder
+	stream, st := rec.Record(func(sink trace.Sink) {
+		b := prog.New(m, sink)
+		b.MovImm(isa.R(1), base)
+		b.DVLoad(isa.D(0), isa.R(1), 0, stride, 4 /*rows*/, 4 /*words wide*/, false, 8)
+		b.AccClr(isa.A(0))
+		for slice := 0; slice < 8; slice++ {
+			b.DVMov(isa.V(1), isa.D(0), 1, 4) // 8-byte slice of each row, ptr++
+			b.VSadAcc(isa.A(0), isa.V(1), isa.V(2), 4)
+		}
+		b.AccMov(isa.R(2), isa.A(0))
+	})
+	return stream, st, m.IntVal(isa.R(2))
+}
 
-	b.MovImm(isa.R(1), base)
-	b.DVLoad(isa.D(0), isa.R(1), 0, stride, 4 /*rows*/, 4 /*words wide*/, false, 8)
-	b.AccClr(isa.A(0))
-	for slice := 0; slice < 8; slice++ {
-		b.DVMov(isa.V(1), isa.D(0), 1, 4) // 8-byte slice of each row, ptr++
-		b.VSadAcc(isa.A(0), isa.V(1), isa.V(2), 4)
-	}
-	b.AccMov(isa.R(2), isa.A(0))
-
-	fmt.Printf("emulated SAD total: %d\n", m.IntVal(isa.R(2)))
-	fmt.Printf("trace: %d instructions, %d memory bytes\n", st.Total, st.MemBytes)
-
-	// Time the same trace on the MOM processor over the vector cache
-	// with the 3D register file datapath.
-	ms := core.NewMemSystem(core.MemVectorCache3D, vmem.DefaultTiming(), 4, false)
-	stats := core.Simulate(core.MOMCore(), ms, tr.Insts)
-	fmt.Printf("simulated: %d cycles, IPC %.2f\n", stats.Cycles, stats.IPC())
-	fmt.Printf("L2 accesses: %d (one wide access per dvload row)\n", ms.L2Activity())
+// machine is the MOM processor over the vector cache with the 3D
+// register file datapath: a group of one on the event wheel, as every
+// run the commands make is.
+func machine(stream *trace.Stream) *tenant.Group {
+	cfg := core.MOMCore()
+	return tenant.New(tenant.Options{Core: cfg, Kind: core.MemVectorCache3D, Lanes: cfg.Lanes,
+		Tim: vmem.DefaultTiming(), Streams: []*trace.Stream{stream}, Engine: engine.Wheel})
 }

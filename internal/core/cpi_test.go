@@ -55,7 +55,7 @@ func measureCPIEngine(t *testing.T, mode engine.Mode) map[string]CPIStack {
 				tim := vmem.Timing{L2Latency: 20, MemLatency: 100,
 					Backend: backend, MSHRs: knobs.MSHRs}
 				ms := NewMemSystem(vk.kind, tim, cfg.Lanes, vk.v == kernels.MMX)
-				st := SimulateMode(cfg, ms, tr.Insts, mode)
+				st := simulateMode(cfg, ms, tr.Insts, mode)
 				key := goldenKey(bm.Name, vk.v, spec)
 
 				if got, want := st.CPI.Sum(), uint64(st.Cycles); got != want {

@@ -117,7 +117,7 @@ func measureGoldenEngine(t *testing.T, transform func(string) string, mode engin
 				tim := vmem.Timing{L2Latency: 20, MemLatency: 100,
 					Backend: backend, MSHRs: knobs.MSHRs}
 				ms := NewMemSystem(vk.kind, tim, cfg.Lanes, vk.v == kernels.MMX)
-				st := SimulateMode(cfg, ms, tr.Insts, mode)
+				st := simulateMode(cfg, ms, tr.Insts, mode)
 				if sd, ok := backend.(*dram.SDRAM); ok {
 					sd.Flush()
 				}

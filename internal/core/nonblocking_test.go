@@ -50,7 +50,7 @@ func simBenchPF(t *testing.T, tr *trace.Trace, v kernels.Variant, kind MemKind, 
 	tim := vmem.Timing{L2Latency: 20, MemLatency: 100, Backend: backend, MSHRs: mshrs,
 		PFStreams: pfStreams, PFDegree: pfDegree}
 	ms := NewMemSystem(kind, tim, cfg.Lanes, v == kernels.MMX && kind != MemIdeal)
-	return Simulate(cfg, ms, tr.Insts), ms
+	return simulate(cfg, ms, tr.Insts), ms
 }
 
 // TestMSHR1IsTheBlockingModel: there are two miss models, and the knob
@@ -115,7 +115,7 @@ func TestPrefetchPipelineEndToEnd(t *testing.T) {
 	}
 	if got := ms.DRAM().Stats().PrefetchReads; got != st.Issued {
 		// Every issued prefetch read reaches the backend by end-of-run
-		// (Simulate drains the file).
+		// (SimulateStream drains the file).
 		t.Errorf("dram prefetch reads %d != issued %d", got, st.Issued)
 	}
 	if st.Hits+st.Late+st.Useless > st.Issued {
@@ -187,7 +187,7 @@ func TestScoreboardStallsOnTrueDependency(t *testing.T) {
 	run := func(dependent bool) *Stats {
 		tim := vmem.Timing{L2Latency: 20, MemLatency: 100, MSHRs: 8}
 		ms := NewMemSystem(MemVectorCache, tim, 4, false)
-		return Simulate(MMXCore(), ms, mk(dependent))
+		return simulate(MMXCore(), ms, mk(dependent))
 	}
 	dep := run(true)
 	indep := run(false)
@@ -220,7 +220,7 @@ func TestStoreBufferBounds(t *testing.T) {
 	cfg.StoreBuf = 1
 	tim := vmem.Timing{L2Latency: 20, MemLatency: 100, MSHRs: 8}
 	ms := NewMemSystem(MemVectorCache, tim, 4, false)
-	st := Simulate(cfg, ms, insts)
+	st := simulate(cfg, ms, insts)
 	if st.Committed != 16 {
 		t.Fatalf("committed %d", st.Committed)
 	}

@@ -12,7 +12,7 @@ import (
 
 // TestEmptyTrace: simulating nothing is zero cycles and doesn't hang.
 func TestEmptyTrace(t *testing.T) {
-	st := Simulate(MOMCore(), idealMem(), nil)
+	st := simulate(MOMCore(), idealMem(), nil)
 	if st.Committed != 0 {
 		t.Error("nothing to commit")
 	}
@@ -29,7 +29,7 @@ func TestROBStallCounted(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		insts = append(insts, add(1+i%4, 5, 6))
 	}
-	st := Simulate(MOMCore(), NewMemSystem(MemVectorCache, vmem.DefaultTiming(), 4, false), seqify(insts))
+	st := simulate(MOMCore(), NewMemSystem(MemVectorCache, vmem.DefaultTiming(), 4, false), seqify(insts))
 	if st.Committed != 401 {
 		t.Fatalf("committed %d", st.Committed)
 	}
@@ -46,7 +46,7 @@ func TestLSQStallCounted(t *testing.T) {
 			Dst: isa.R(1 + i%8), Imm: 8, Addr: uint64(0x200000 + i*4096)})
 	}
 	cfg := MMXCore()
-	st := Simulate(cfg, NewMemSystem(MemVectorCache, vmem.DefaultTiming(), 4, true), seqify(insts))
+	st := simulate(cfg, NewMemSystem(MemVectorCache, vmem.DefaultTiming(), 4, true), seqify(insts))
 	if st.Committed != 64 {
 		t.Fatalf("committed %d", st.Committed)
 	}
@@ -82,7 +82,7 @@ func TestDispatchStallPrecedence(t *testing.T) {
 			cfg := MOMCore()
 			cfg.Window, cfg.LSQ = tc.window, tc.lsq
 			mem := NewMemSystem(MemVectorCache, vmem.DefaultTiming(), 4, false)
-			st := SimulateMode(cfg, mem, insts, mode)
+			st := simulateMode(cfg, mem, insts, mode)
 			if st.Committed != uint64(len(insts)) {
 				t.Fatalf("%s/%v: committed %d of %d", tc.name, mode, st.Committed, len(insts))
 			}
@@ -102,7 +102,7 @@ func TestCommitWidthBounds(t *testing.T) {
 		insts = append(insts, add(i%8, 8+i%8, 16+i%8))
 	}
 	cfg := MMXCore()
-	st := Simulate(cfg, idealMem(), seqify(insts))
+	st := simulate(cfg, idealMem(), seqify(insts))
 	if st.Cycles < int64(len(insts)/cfg.CommitWidth) {
 		t.Errorf("cycles %d below the commit-width bound", st.Cycles)
 	}
@@ -121,7 +121,7 @@ func TestIdealNeverSlower(t *testing.T) {
 			bm.Run(v, tr)
 			cfg := MOMCore()
 			run := func(k MemKind) int64 {
-				return Simulate(cfg, NewMemSystem(k, vmem.DefaultTiming(), 4, false), tr.Insts).Cycles
+				return simulate(cfg, NewMemSystem(k, vmem.DefaultTiming(), 4, false), tr.Insts).Cycles
 			}
 			ideal := run(MemIdeal)
 			for _, k := range []MemKind{MemMultiBanked, MemVectorCache, MemVectorCache3D} {
@@ -141,7 +141,7 @@ func TestLatencyMonotonic(t *testing.T) {
 	prev := int64(0)
 	for _, lat := range []int64{10, 20, 40, 80} {
 		tim := vmem.Timing{L2Latency: lat, MemLatency: 100}
-		c := Simulate(MOMCore(), NewMemSystem(MemVectorCache, tim, 4, false), tr.Insts).Cycles
+		c := simulate(MOMCore(), NewMemSystem(MemVectorCache, tim, 4, false), tr.Insts).Cycles
 		if c < prev {
 			t.Errorf("latency %d: %d cycles < previous %d", lat, c, prev)
 		}
@@ -154,7 +154,7 @@ func TestDeterminism(t *testing.T) {
 	tr := &trace.Trace{}
 	kernels.MPEG2Decode(kernels.SmallMPEG2DecConfig()).Run(kernels.MOM3D, tr)
 	run := func() int64 {
-		return Simulate(MOMCore(),
+		return simulate(MOMCore(),
 			NewMemSystem(MemVectorCache3D, vmem.DefaultTiming(), 4, false), tr.Insts).Cycles
 	}
 	if run() != run() {
@@ -171,8 +171,8 @@ func TestWindowScalingHelps(t *testing.T) {
 	cfgSmall.Window = 32
 	cfgBig := MOMCore()
 	cfgBig.Window = 256
-	small := Simulate(cfgSmall, NewMemSystem(MemVectorCache3D, vmem.DefaultTiming(), 4, false), tr.Insts).Cycles
-	big := Simulate(cfgBig, NewMemSystem(MemVectorCache3D, vmem.DefaultTiming(), 4, false), tr.Insts).Cycles
+	small := simulate(cfgSmall, NewMemSystem(MemVectorCache3D, vmem.DefaultTiming(), 4, false), tr.Insts).Cycles
+	big := simulate(cfgBig, NewMemSystem(MemVectorCache3D, vmem.DefaultTiming(), 4, false), tr.Insts).Cycles
 	if big > small {
 		t.Errorf("window 256 (%d cycles) worse than window 32 (%d)", big, small)
 	}
@@ -183,7 +183,7 @@ func TestWindowScalingHelps(t *testing.T) {
 func TestForwardingCounted(t *testing.T) {
 	tr := &trace.Trace{}
 	kernels.JPEGEncode(kernels.SmallJPEGEncConfig()).Run(kernels.MOM, tr)
-	st := Simulate(MOMCore(), NewMemSystem(MemVectorCache, vmem.DefaultTiming(), 4, false), tr.Insts)
+	st := simulate(MOMCore(), NewMemSystem(MemVectorCache, vmem.DefaultTiming(), 4, false), tr.Insts)
 	if st.Forwarded == 0 {
 		t.Error("expected store-to-load forwarding in the DCT pipeline")
 	}

@@ -218,18 +218,6 @@ func (s *Sim) classLimit(c isa.RegClass) int {
 	return 1 << 30
 }
 
-// Simulate runs the dynamic instruction stream to completion and returns
-// the statistics. The memory system accumulates its own counters.
-//
-// Simulate, SimulateMode and SimulateStream are the REFERENCE run: the
-// commands and the experiment runner run every machine, a solo one
-// included, as a tenant.Group, and internal/tenant's equivalence tests
-// hold a group of one to what these return. They stay for those tests
-// and as the two-line API examples/quickstart shows.
-func Simulate(cfg Config, mem *MemSystem, insts []isa.Inst) *Stats {
-	return SimulateMode(cfg, mem, insts, engine.Step)
-}
-
 // NewSim is NewStreamSim for a caller holding a materialised trace: it
 // compacts insts (whose Seq must count from 0) and runs the copy.
 func NewSim(cfg Config, mem *MemSystem, insts []isa.Inst) *Sim {

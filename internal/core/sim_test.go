@@ -12,6 +12,17 @@ import (
 	"repro/internal/vmem"
 )
 
+// simulate runs insts to completion cycle by cycle through the
+// reference loop.
+func simulate(cfg Config, mem *MemSystem, insts []isa.Inst) *Stats {
+	return simulateMode(cfg, mem, insts, engine.Step)
+}
+
+// simulateMode is simulate under either engine.
+func simulateMode(cfg Config, mem *MemSystem, insts []isa.Inst, mode engine.Mode) *Stats {
+	return SimulateStream(cfg, mem, trace.Compact(insts), mode)
+}
+
 func idealMem() *MemSystem { return NewMemSystem(MemIdeal, vmem.DefaultTiming(), 4, false) }
 
 // seqify assigns sequence numbers in order.
@@ -31,7 +42,7 @@ func TestIndependentScalarIPC(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		insts = append(insts, add(i%8, 8+i%8, 16+i%8))
 	}
-	st := Simulate(MMXCore(), idealMem(), seqify(insts))
+	st := simulate(MMXCore(), idealMem(), seqify(insts))
 	if st.Committed != 4000 {
 		t.Fatalf("committed %d", st.Committed)
 	}
@@ -46,7 +57,7 @@ func TestDependenceChainSerializes(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		insts = append(insts, add(1, 1, 2)) // r1 = r1 + r2, serial chain
 	}
-	st := Simulate(MMXCore(), idealMem(), seqify(insts))
+	st := simulate(MMXCore(), idealMem(), seqify(insts))
 	if st.Cycles < 1000 {
 		t.Errorf("cycles = %d, a 1000-deep chain needs >= 1000 cycles", st.Cycles)
 	}
@@ -60,7 +71,7 @@ func TestTakenBranchFetchBreak(t *testing.T) {
 		insts = append(insts, add(1, 2, 3))
 		insts = append(insts, isa.Inst{Op: isa.OpBr, Kind: isa.KindBranch, Src1: isa.R(1), Taken: true})
 	}
-	st := Simulate(MMXCore(), idealMem(), seqify(insts))
+	st := simulate(MMXCore(), idealMem(), seqify(insts))
 	if ipc := st.IPC(); ipc > 2.05 {
 		t.Errorf("IPC = %.2f, fetch breaks must cap it at ~2", ipc)
 	}
@@ -73,7 +84,7 @@ func TestMOMOccupancy(t *testing.T) {
 		{Op: isa.OpPAddB, Kind: isa.KindMOM, Dst: isa.V(1), Src1: isa.V(2), Src2: isa.V(3), VL: 16},
 		{Op: isa.OpPAddB, Kind: isa.KindMOM, Dst: isa.V(4), Src1: isa.V(5), Src2: isa.V(6), VL: 16},
 	})
-	st := Simulate(MOMCore(), idealMem(), insts)
+	st := simulate(MOMCore(), idealMem(), insts)
 	// First issues at cycle 0 (occ 4, lat 1): done 4. Second issues at 4,
 	// done 8; commit at 8 -> ~9-10 cycles total.
 	if st.Cycles < 8 || st.Cycles > 12 {
@@ -88,7 +99,7 @@ func TestMMXParallelSIMD(t *testing.T) {
 		insts = append(insts, isa.Inst{Op: isa.OpPAddB, Kind: isa.KindUSIMD,
 			Dst: isa.V(i), Src1: isa.V(8 + i), Src2: isa.V(16 + i)})
 	}
-	st := Simulate(MMXCore(), idealMem(), seqify(insts))
+	st := simulate(MMXCore(), idealMem(), seqify(insts))
 	if st.Cycles > 5 {
 		t.Errorf("cycles = %d, four independent μSIMD ops should finish in ~3", st.Cycles)
 	}
@@ -127,8 +138,8 @@ func TestStoreLoadOrdering(t *testing.T) {
 		return seqify(insts)
 	}
 	cfg := MOMCore()
-	a := Simulate(cfg, NewMemSystem(MemVectorCache, vmem.DefaultTiming(), 4, false), mkVec(true))
-	b := Simulate(cfg, NewMemSystem(MemVectorCache, vmem.DefaultTiming(), 4, false), mkVec(false))
+	a := simulate(cfg, NewMemSystem(MemVectorCache, vmem.DefaultTiming(), 4, false), mkVec(true))
+	b := simulate(cfg, NewMemSystem(MemVectorCache, vmem.DefaultTiming(), 4, false), mkVec(false))
 	if a.Cycles <= b.Cycles {
 		t.Errorf("overlapping load (%d cycles) must be delayed past the disjoint case (%d)", a.Cycles, b.Cycles)
 	}
@@ -143,7 +154,7 @@ func TestRenameLimitStalls(t *testing.T) {
 		insts = append(insts, isa.Inst{Op: isa.OpVLoad, Kind: isa.KindMOMMem,
 			Dst: isa.V(i % 16), VL: 16, Stride: 176, Addr: uint64(0x10000 + i*4096)})
 	}
-	st := Simulate(MOMCore(), NewMemSystem(MemVectorCache, vmem.DefaultTiming(), 4, false), seqify(insts))
+	st := simulate(MOMCore(), NewMemSystem(MemVectorCache, vmem.DefaultTiming(), 4, false), seqify(insts))
 	if st.Committed != 64 {
 		t.Fatalf("committed %d", st.Committed)
 	}
@@ -159,7 +170,7 @@ func TestVectorMemoryCompletes(t *testing.T) {
 		{Op: isa.OpVSadAcc, Kind: isa.KindMOM, Dst: isa.A(0), Src1: isa.V(1), Src2: isa.V(2), VL: 16},
 	})
 	mem := NewMemSystem(MemVectorCache3D, vmem.DefaultTiming(), 4, false)
-	st := Simulate(MOMCore(), mem, insts)
+	st := simulate(MOMCore(), mem, insts)
 	if st.Committed != 3 {
 		t.Fatalf("committed %d", st.Committed)
 	}
@@ -185,7 +196,7 @@ func TestPointerChainFasterThanData(t *testing.T) {
 			Dst: isa.V(1 + i%8), Src1: isa.D(0), Ptr: isa.P(0), PtrStep: 1, VL: 4})
 	}
 	mem := NewMemSystem(MemIdeal, vmem.DefaultTiming(), 4, false)
-	st := Simulate(MOMCore(), mem, seqify(insts))
+	st := simulate(MOMCore(), mem, seqify(insts))
 	// 40 dvmovs at ~1/cycle plus setup; data-serialized would be ~120+.
 	if st.Cycles > 80 {
 		t.Errorf("cycles = %d, pointer chain must not serialize on data latency", st.Cycles)
@@ -202,12 +213,12 @@ func TestGshareAblation(t *testing.T) {
 	}
 	cfg := MMXCore()
 	cfg.UseGshare = true
-	st := Simulate(cfg, idealMem(), seqify(insts))
+	st := simulate(cfg, idealMem(), seqify(insts))
 	if st.Mispredicts > 400 {
 		t.Errorf("mispredicts = %d on a learnable pattern", st.Mispredicts)
 	}
 	// And the penalty must cost cycles relative to perfect prediction.
-	st2 := Simulate(MMXCore(), idealMem(), seqify(insts))
+	st2 := simulate(MMXCore(), idealMem(), seqify(insts))
 	if st.Cycles <= st2.Cycles {
 		t.Errorf("gshare (%d cycles) must not beat perfect prediction (%d)", st.Cycles, st2.Cycles)
 	}
@@ -228,7 +239,7 @@ func TestL2ActivityAccounting(t *testing.T) {
 		{Op: isa.OpVLoad, Kind: isa.KindMOMMem, Dst: isa.V(1), VL: 16, Stride: 176, Addr: 0x2000},
 		{Op: isa.OpLoad, Kind: isa.KindScalarMem, Dst: isa.R(1), Imm: 8, Addr: 0x80000},
 	})
-	Simulate(MOMCore(), mem, insts)
+	simulate(MOMCore(), mem, insts)
 	if mem.L2Activity() != mem.VM.Stats().Accesses+mem.ScalarL2Accesses {
 		t.Error("activity must be vector + scalar-miss accesses")
 	}
@@ -237,7 +248,7 @@ func TestL2ActivityAccounting(t *testing.T) {
 	}
 }
 
-// TestSimulateResultDoesNotPinTheMachine: the statistics Simulate
+// TestSimulateResultDoesNotPinTheMachine: the statistics SimulateStream
 // returns are what the experiment runner memoizes per cell, so they
 // must not keep the Sim — and through it the window, the memory system
 // and its cache arrays — reachable. (Finish returns a pointer into the
@@ -247,7 +258,7 @@ func TestSimulateResultDoesNotPinTheMachine(t *testing.T) {
 	ms := idealMem()
 	freed := make(chan struct{})
 	runtime.SetFinalizer(ms, func(*MemSystem) { close(freed) })
-	st := Simulate(MOMCore(), ms, seqify([]isa.Inst{add(1, 2, 3), add(4, 1, 1)}))
+	st := simulate(MOMCore(), ms, seqify([]isa.Inst{add(1, 2, 3), add(4, 1, 1)}))
 	ms = nil
 	for i := 0; i < 10; i++ {
 		runtime.GC()

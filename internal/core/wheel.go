@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/engine"
-	"repro/internal/isa"
 	"repro/internal/trace"
 	"repro/internal/vmem"
 )
@@ -81,16 +80,11 @@ import (
 // frozen output of one bit for bit (internal/experiments/testdata/
 // fullsize_digests.txt, core's golden_stats.txt).
 
-// SimulateMode is Simulate with an explicit engine selection: Step
-// executes every cycle, Wheel skips dead cycles between scheduled
-// wake-ups. Both produce bit-identical statistics.
-func SimulateMode(cfg Config, mem *MemSystem, insts []isa.Inst, mode engine.Mode) *Stats {
-	return SimulateStream(cfg, mem, trace.Compact(insts), mode)
-}
-
 // SimulateStream runs a recorded stream, which it only reads, to
-// completion under the given engine: the reference for tenant.Group's
-// loop (see Simulate).
+// completion under either engine, with bit-identical statistics. It is
+// the REFERENCE run: the commands and the experiment runner run every
+// machine, a solo one included, as a tenant.Group, and internal/tenant's
+// equivalence tests hold a group of one to what it returns.
 func SimulateStream(cfg Config, mem *MemSystem, stream *trace.Stream, mode engine.Mode) *Stats {
 	s := NewStreamSim(cfg, mem, stream, 0)
 	if mode == engine.Wheel {
@@ -103,18 +97,16 @@ func SimulateStream(cfg Config, mem *MemSystem, stream *trace.Stream, mode engin
 		}
 	}
 	// A copy: Finish points into the Sim, and a caller that keeps the
-	// result (the runner memoizes every cell's) must not keep the window,
-	// its fill handles' slabs and the whole memory system with it.
+	// result must not keep the window, its fill handles' slabs and the
+	// whole memory system with it.
 	st := *s.Finish()
 	mem.Drain()
 	return &st
 }
 
-// SetEngine has nothing left to select: the engine of a hand-stepped
-// Sim is whichever of Step and Advance (or, in a tenant group, SkipTo
-// and Step at the cycles NextWake names) the caller drives the clock
-// with, and a caller may change its mind at any cycle. The
-// method stays for callers that announce a mode before the run.
+// SetEngine does nothing: the engine of a hand-stepped Sim is whichever
+// of Step and Advance its caller drives the clock with, cycle by cycle.
+// Only bench/ still announces one.
 func (s *Sim) SetEngine(engine.Mode) {}
 
 // maxWake marks an entry blocked on another entry's issue rather than

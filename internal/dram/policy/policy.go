@@ -124,8 +124,6 @@ func Parse(s string) (Spec, error) {
 // in bank-access order. Implementations are not safe for concurrent
 // use, matching the rest of the simulator.
 type RowPolicy interface {
-	// Kind identifies the policy.
-	Kind() Kind
 	// Train observes the next access to a bank before it is serviced:
 	// sameRow reports whether it targets the row the bank's previous
 	// access used (the open-page oracle). It returns true when the
@@ -161,7 +159,6 @@ func (s Spec) New(banks int) RowPolicy {
 // openPolicy is the static open page: never close, nothing to learn.
 type openPolicy struct{}
 
-func (openPolicy) Kind() Kind           { return Open }
 func (openPolicy) Train(int, bool) bool { return false }
 func (openPolicy) CloseAfter(int) int64 { return KeepOpen }
 
@@ -169,14 +166,12 @@ func (openPolicy) CloseAfter(int) int64 { return KeepOpen }
 // burst.
 type closePolicy struct{}
 
-func (closePolicy) Kind() Kind           { return Close }
 func (closePolicy) Train(int, bool) bool { return false }
 func (closePolicy) CloseAfter(int) int64 { return 0 }
 
 // timerPolicy keeps rows open for a fixed idle gap.
 type timerPolicy struct{ idle int64 }
 
-func (timerPolicy) Kind() Kind             { return Timer }
 func (timerPolicy) Train(int, bool) bool   { return false }
 func (t timerPolicy) CloseAfter(int) int64 { return t.idle }
 
@@ -194,8 +189,6 @@ const (
 	historyInit = 2
 	historyMax  = 3
 )
-
-func (*historyPolicy) Kind() Kind { return History }
 
 func (h *historyPolicy) Train(bank int, sameRow bool) bool {
 	c := h.ctr[bank]

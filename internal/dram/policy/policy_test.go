@@ -1,6 +1,9 @@
 package policy
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestParseAndString pins the rp<name>[:<n>] grammar and its canonical
 // rendering.
@@ -156,14 +159,19 @@ func TestHistoryPerBankIsolation(t *testing.T) {
 	}
 }
 
-// TestSpecNew: every kind constructs and reports itself.
+// TestSpecNew: every kind constructs its own policy.
 func TestSpecNew(t *testing.T) {
-	for _, s := range []Spec{
-		{Kind: Open}, {Kind: Close}, {Kind: Timer, Idle: 10}, {Kind: History},
+	for _, c := range []struct {
+		s    Spec
+		want RowPolicy
+	}{
+		{Spec{Kind: Open}, openPolicy{}},
+		{Spec{Kind: Close}, closePolicy{}},
+		{Spec{Kind: Timer, Idle: 10}, timerPolicy{idle: 10}},
+		{Spec{Kind: History}, &historyPolicy{}},
 	} {
-		p := s.New(8)
-		if p.Kind() != s.Kind {
-			t.Errorf("%+v: Kind() = %v", s, p.Kind())
+		if p := c.s.New(8); reflect.TypeOf(p) != reflect.TypeOf(c.want) {
+			t.Errorf("%+v: New builds %T, want %T", c.s, p, c.want)
 		}
 	}
 }

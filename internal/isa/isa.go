@@ -27,15 +27,12 @@ const (
 	// PtrBits is the width of a 3D pointer register (byte offset within a
 	// 3D register element).
 	PtrBits = 7
-	// AccBits is the width of a MOM packed accumulator register.
-	AccBits = 192
 )
 
 // Logical register file sizes (Table 3 of the paper).
 const (
 	NumIntRegs    = 32 // scalar integer registers
 	NumVecRegsMMX = 32 // MMX-like configuration: 32 logical 64-bit registers
-	NumVecRegsMOM = 16 // MOM configuration: 16 logical 2D vector registers
 	NumAccRegs    = 2  // packed accumulator registers
 	Num3DRegs     = 2  // 3D vector registers (and their pointer registers)
 )
@@ -79,11 +76,8 @@ func (c RegClass) String() string {
 }
 
 // Reg is a logical register identifier: a class plus an index within that
-// class's register file.
+// class's register file. The zero Reg is the absent operand.
 type Reg uint16
-
-// NoReg is the absent-operand sentinel.
-const NoReg Reg = 0
 
 const regClassShift = 10
 
@@ -114,7 +108,7 @@ func (r Reg) Class() RegClass { return RegClass(r >> regClassShift) }
 // Index reports the register's index within its register file.
 func (r Reg) Index() int { return int(r & 0x3ff) }
 
-// Valid reports whether r names an actual register (not NoReg).
+// Valid reports whether r names an actual register (not the zero Reg).
 func (r Reg) Valid() bool { return r.Class() != RCNone }
 
 // String renders the register in assembly syntax.
@@ -209,7 +203,7 @@ type Inst struct {
 	Op   Op     // operation
 	Kind Kind   // pipeline class
 
-	Dst  Reg // destination register (NoReg for stores/branches)
+	Dst  Reg // destination register (zero for stores/branches)
 	Src1 Reg // first source
 	Src2 Reg // second source
 	Ptr  Reg // 3D pointer register (3dvmov reads and writes it)

@@ -34,11 +34,12 @@ func TestRegEncodingRoundTrip(t *testing.T) {
 			t.Errorf("%v: should be valid", c.r)
 		}
 	}
-	if NoReg.Valid() {
-		t.Error("NoReg must be invalid")
+	var none Reg
+	if none.Valid() {
+		t.Error("the zero Reg must be invalid")
 	}
-	if NoReg.String() != "-" {
-		t.Errorf("NoReg.String() = %q", NoReg.String())
+	if none.String() != "-" {
+		t.Errorf("the zero Reg's String() = %q", none.String())
 	}
 }
 

@@ -80,9 +80,6 @@ func ParseVariant(s string) (Variant, error) {
 	return 0, fmt.Errorf("unknown ISA %q (mmx, mom, mom3d)", s)
 }
 
-// Variants lists all ISA variants in presentation order.
-var Variants = []Variant{MMX, MOM, MOM3D}
-
 // Benchmark is one traced media workload.
 type Benchmark struct {
 	// Name is the Mediabench-style benchmark name.

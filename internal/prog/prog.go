@@ -31,7 +31,6 @@ type Builder struct {
 }
 
 // New returns a builder over machine m that sends the stream to sink.
-// Use trace.Multi to attach several sinks.
 func New(m *emu.Machine, sink trace.Sink) *Builder {
 	return &Builder{m: m, sink: sink}
 }

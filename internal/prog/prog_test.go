@@ -20,8 +20,8 @@ func TestSequenceNumbers(t *testing.T) {
 	b.MovImm(isa.R(1), 1)
 	b.MovImm(isa.R(2), 2)
 	b.Mov(isa.R(3), isa.R(1))
-	if b.seq != 3 || tr.Len() != 3 {
-		t.Fatalf("count = %d, trace = %d", b.seq, tr.Len())
+	if b.seq != 3 || len(tr.Insts) != 3 {
+		t.Fatalf("count = %d, trace = %d", b.seq, len(tr.Insts))
 	}
 	for i, in := range tr.Insts {
 		if in.Seq != uint64(i) {
@@ -128,16 +128,17 @@ func TestBuilderPanicsOnMalformed(t *testing.T) {
 
 func TestStatsSinkIntegration(t *testing.T) {
 	m := emu.New(mmem.New())
-	st := trace.NewStats()
-	tr := &trace.Trace{}
-	b := New(m, trace.Multi{tr, st})
-	b.MovImm(isa.R(1), 0x100)
-	b.MOMLoad(isa.V(1), isa.R(1), 0, 8, 4, 8)
-	b.DVLoad(isa.D(0), isa.R(1), 0, 16, 2, 2, false, 8)
-	b.DVMov(isa.V(2), isa.D(0), 1, 2)
-	b.DVMov(isa.V(3), isa.D(0), 1, 2)
-	if st.Total != 5 || tr.Len() != 5 {
-		t.Fatalf("fanout: stats %d, trace %d", st.Total, tr.Len())
+	var rec trace.Recorder
+	s, st := rec.Record(func(sink trace.Sink) {
+		b := New(m, sink)
+		b.MovImm(isa.R(1), 0x100)
+		b.MOMLoad(isa.V(1), isa.R(1), 0, 8, 4, 8)
+		b.DVLoad(isa.D(0), isa.R(1), 0, 16, 2, 2, false, 8)
+		b.DVMov(isa.V(2), isa.D(0), 1, 2)
+		b.DVMov(isa.V(3), isa.D(0), 1, 2)
+	})
+	if st.Total != 5 || len(s.Ops) != 5 {
+		t.Fatalf("recorded: stats %d, stream %d", st.Total, len(s.Ops))
 	}
 	d1, d2, d3, mx, has3 := st.Dims()
 	if !has3 {

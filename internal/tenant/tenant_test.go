@@ -4,7 +4,7 @@ package tenant_test
 // single-tenant equivalence: a 1-tenant group must be the
 // single-requestor simulator bit for bit — same steppable core, same
 // untouched trace, same memory system construction — proven both
-// against core.Simulate directly (every golden backend spec plus the
+// against core.SimulateStream directly (every golden backend spec plus the
 // prefetcher) and against the pinned golden-stats table itself. On top
 // of that: lockstep determinism, requestor-tag routing into the
 // backend's stat shards, and the QoS fairness bound at the system

@@ -60,8 +60,9 @@ func (s *Stream) Bytes() int64 {
 		int64(len(s.Static))*int64(unsafe.Sizeof(isa.Inst{}))
 }
 
-// Compact converts a materialised trace to a Stream, for the []isa.Inst
-// entry points (core.NewSim, tenant.Options.Traces). A Seq that is not
+// Compact converts a materialised trace to a Stream, for tests that
+// assemble instructions by hand and for the []isa.Inst entry points only
+// bench/ uses (core.NewSim, tenant.Options.Traces). A Seq that is not
 // the instruction's index panics: a Stream has nowhere to keep it.
 func Compact(insts []isa.Inst) *Stream {
 	var t interner

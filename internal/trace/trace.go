@@ -24,22 +24,8 @@ type Trace struct {
 // Emit appends one instruction, implementing Sink.
 func (t *Trace) Emit(in isa.Inst) { t.Insts = append(t.Insts, in) }
 
-// Len returns the number of dynamic instructions.
-func (t *Trace) Len() int { return len(t.Insts) }
-
-// Multi fans one stream out to several sinks.
-type Multi []Sink
-
-// Emit forwards the instruction to every sink.
-func (m Multi) Emit(in isa.Inst) {
-	for _, s := range m {
-		s.Emit(in)
-	}
-}
-
-// Stats accumulates stream statistics. It implements Sink and can be
-// attached alongside a Trace (or used alone, streaming, for very long
-// runs).
+// Stats accumulates stream statistics: Recorder folds them in as it
+// records, and as a Sink on its own a Stats counts without keeping.
 type Stats struct {
 	// Total is the dynamic instruction count.
 	Total uint64

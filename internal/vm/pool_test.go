@@ -171,7 +171,7 @@ func TestLargestFootprintFitsThePool(t *testing.T) {
 	var largest int
 	var which string
 	for _, bm := range kernels.Extended() {
-		for _, v := range kernels.Variants {
+		for _, v := range []kernels.Variant{kernels.MMX, kernels.MOM, kernels.MOM3D} {
 			s, _ := rec.Record(func(sink trace.Sink) { bm.Run(v, sink) })
 			pages := map[uint64]bool{}
 			var buf []uint64

@@ -166,8 +166,6 @@ func (s *Stats) EffectiveBandwidth() float64 {
 
 // System is one vector memory subsystem.
 type System interface {
-	// Name identifies the subsystem in reports.
-	Name() string
 	// Issue schedules all element accesses of a vector memory
 	// instruction beginning no earlier than cycle t0. The int64 is the
 	// cycle the instruction's port/bank occupancy and cache hits
@@ -192,9 +190,6 @@ type Ideal struct {
 
 // NewIdeal returns an ideal vector memory.
 func NewIdeal() *Ideal { return &Ideal{} }
-
-// Name implements System.
-func (i *Ideal) Name() string { return "ideal" }
 
 // Stats implements System.
 func (i *Ideal) Stats() *Stats { return &i.st }
@@ -231,9 +226,6 @@ func NewMultiBanked(l2, l1 *cache.Cache, tim Timing, nPorts, nBanks int) *MultiB
 		banks: make([]int64, nBanks),
 	}
 }
-
-// Name implements System.
-func (m *MultiBanked) Name() string { return "multibanked" }
 
 // Stats implements System.
 func (m *MultiBanked) Stats() *Stats { return &m.st }
@@ -324,14 +316,6 @@ type VectorCache struct {
 // NewVectorCache builds the vector cache subsystem over the shared L2.
 func NewVectorCache(l2, l1 *cache.Cache, tim Timing, lanes int, wide3D bool) *VectorCache {
 	return &VectorCache{l2: l2, l1: l1, tim: tim, lanes: lanes, wide3D: wide3D}
-}
-
-// Name implements System.
-func (v *VectorCache) Name() string {
-	if v.wide3D {
-		return "vectorcache+3D"
-	}
-	return "vectorcache"
 }
 
 // Stats implements System.

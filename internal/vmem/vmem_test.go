@@ -283,18 +283,3 @@ func TestDirtyVictimWritebackRidesBatch(t *testing.T) {
 		t.Fatalf("done = %d, want 220 (write-back must not gate)", done)
 	}
 }
-
-func TestSystemNames(t *testing.T) {
-	if NewIdeal().Name() != "ideal" {
-		t.Error("ideal name")
-	}
-	if NewMultiBanked(l2(), nil, tim(), 4, 8).Name() != "multibanked" {
-		t.Error("multibanked name")
-	}
-	if NewVectorCache(l2(), nil, tim(), 4, false).Name() != "vectorcache" {
-		t.Error("vectorcache name")
-	}
-	if NewVectorCache(l2(), nil, tim(), 4, true).Name() != "vectorcache+3D" {
-		t.Error("vectorcache+3D name")
-	}
-}

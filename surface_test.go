@@ -1,9 +1,15 @@
 package repro
 
-// The surface check: every exported function and method in the module
-// must be reached by some non-test file in the module, so dead API is
-// found by `go test ./...` rather than by reading. Test files neither
-// count as callers nor are checked.
+// The surface check: every exported function, method, type, constant
+// and package-level variable in the module, and every exported method
+// of an interface declared in it, must be reached by some non-test file
+// outside bench/, so dead API is found by `go test ./...` rather than
+// by reading. Test files neither count as references nor are checked.
+// bench/ is not checked either, and a reference from it is no reach:
+// it is a frozen harness that must not pin API the simulator no longer
+// needs, so what only bench/ reaches stays as an allowlist row. Struct
+// fields are out of scope: the stats registry and encoding/json read
+// them by reflection.
 
 import (
 	"fmt"
@@ -20,13 +26,25 @@ import (
 	"testing"
 )
 
-// surfaceAllowlist names the exported functions that stay without a
-// non-test caller, keyed as surfaceKey prints them. Every row needs a
-// reason; a row whose identifier gains a caller or disappears fails the
-// test as stale.
+// surfaceBenchOnly is the reason of every allowlist row whose
+// identifier only bench/ reaches and goes once bench/ no longer does.
+const surfaceBenchOnly = "only bench/ reaches it; ROADMAP item 4 moves bench/ off it, and then it goes"
+
+// surfaceAllowlist names the exported identifiers that stay without a
+// reference from a non-test file outside bench/, keyed as surfaceKey
+// prints them. Every row needs a reason; a row whose identifier gains a
+// reference or disappears fails the test as stale, and so does a
+// surfaceBenchOnly row bench/ no longer reaches.
 var surfaceAllowlist = map[string]string{
-	"repro/internal/trace.Stream.All":   "the reference decoder FuzzStreamRoundTrip and the recorder tests hold Compact and Recorder to",
-	"repro/internal/dram/knobtest.Pick": "knobtest is test support that only _test.go files import",
+	"repro/internal/core.SimulateStream": "the reference loop TestSingleTenantMatchesSimulate holds a group of one to, and the core tests' simulate helper runs",
+	"repro/internal/dram/knobtest.Pick":  "knobtest is test support that only _test.go files import",
+	"repro/internal/engine.Step":         "the zero Mode, which every Runner and tenant.Options that names no engine runs; tests and bench/ name it",
+
+	"repro/internal/core.NewSim":             surfaceBenchOnly,
+	"repro/internal/core.Sim.SetEngine":      surfaceBenchOnly,
+	"repro/internal/core.MemSystem.Register": surfaceBenchOnly,
+	"repro/internal/core.Stats.Register":     surfaceBenchOnly,
+	"repro/internal/trace.Trace":             surfaceBenchOnly,
 }
 
 // module is the non-test half of every package under one module root,
@@ -102,16 +120,71 @@ func loadModule(root, path string) (*module, error) {
 	return m, err
 }
 
-// surfaceKey names a function as package path, then receiver type name
-// for a method, then the function name.
-func surfaceKey(fn *types.Func) string {
-	if t := recvType(fn); t != nil {
-		return fmt.Sprintf("%s.%s.%s", fn.Pkg().Path(), t.Obj().Name(), fn.Name())
-	}
-	return fn.Pkg().Path() + "." + fn.Name()
+// inBench reports whether a package path lies under bench/.
+func (m *module) inBench(path string) bool {
+	return path == m.path+"/bench" || strings.HasPrefix(path, m.path+"/bench/")
 }
 
-// recvType is the type a method is declared on; nil for a function.
+// reach is how far the module's non-test files reach an object.
+type reach int
+
+const (
+	notReached   reach = iota
+	benchReached       // only bench/ refers to it
+	reached            // a file outside bench/ refers to it
+)
+
+// references maps every object a non-test file refers to, other than
+// through the receiver of a method declared on it, to its reach.
+func references(m *module) map[types.Object]reach {
+	refs := map[types.Object]reach{}
+	for path, files := range m.files {
+		r := reached
+		if m.inBench(path) {
+			r = benchReached
+		}
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv != nil {
+					ast.Inspect(n.Type, visit)
+					if n.Body != nil {
+						ast.Inspect(n.Body, visit)
+					}
+					return false
+				}
+			case *ast.Ident:
+				obj := m.info.Uses[n]
+				if fn, ok := obj.(*types.Func); ok {
+					obj = fn.Origin()
+				}
+				if obj != nil && refs[obj] < r {
+					refs[obj] = r
+				}
+			}
+			return true
+		}
+		for _, f := range files {
+			ast.Inspect(f, visit)
+		}
+	}
+	return refs
+}
+
+// surfaceKey names an object as package path, then the receiver or
+// interface type name for a method, then the object's name.
+func surfaceKey(obj types.Object) string {
+	if fn, ok := obj.(*types.Func); ok {
+		if t := recvType(fn); t != nil {
+			return fmt.Sprintf("%s.%s.%s", fn.Pkg().Path(), t.Obj().Name(), fn.Name())
+		}
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
+}
+
+// recvType is the type a method is declared on, an interface's
+// included; nil for a function.
 func recvType(fn *types.Func) *types.Named {
 	recv := fn.Signature().Recv()
 	if recv == nil {
@@ -121,42 +194,87 @@ func recvType(fn *types.Func) *types.Named {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	return t.(*types.Named)
+	named, _ := t.(*types.Named)
+	return named
 }
 
-// exempt reports whether fn is reached where no reference shows: fmt
-// calls String and Error, and a call through an interface reaches a
-// method that makes its type satisfy one of the module's interfaces.
-func exempt(fn *types.Func, ifaces []*types.Interface) bool {
+// methodReach is how far a method is reached where no reference shows:
+// fmt calls String and Error, and a call through one of the module's
+// interfaces, named or anonymous, reaches each method that makes a type
+// satisfy it — as far as the interface method itself is reached.
+func methodReach(fn *types.Func, ifaces []*types.Interface, refs map[types.Object]reach) reach {
 	t := recvType(fn)
-	if t == nil {
-		return false
+	if t == nil || types.IsInterface(t) {
+		return notReached
 	}
 	sig := fn.Signature()
 	if (fn.Name() == "String" || fn.Name() == "Error") && sig.Params().Len() == 0 &&
 		sig.Results().Len() == 1 && types.Identical(sig.Results().At(0).Type(), types.Typ[types.String]) {
-		return true
+		return reached
 	}
+	r := notReached
 	for _, iface := range ifaces {
 		for i := 0; i < iface.NumMethods(); i++ {
-			if iface.Method(i).Name() == fn.Name() && (types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface)) {
-				return true
+			im := iface.Method(i)
+			if im.Name() == fn.Name() && refs[im] > r && (types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface)) {
+				r = refs[im]
 			}
 		}
 	}
-	return false
+	return r
 }
 
-// unreachedSurface lists, as "key (file:line)", every exported function
-// and method of m that no non-test file references, less the exempt
-// ones; and the allowlist rows that are stale.
-func unreachedSurface(m *module, allow map[string]string) (unreached, stale []string) {
-	used := map[*types.Func]bool{}
-	for _, obj := range m.info.Uses {
-		if fn, ok := obj.(*types.Func); ok {
-			used[fn.Origin()] = true
+// declaredSurface lists the identifiers that declare the exported
+// functions, methods, types, constants and package-level variables of
+// every package outside bench/, and the exported methods of every
+// interface type declared at package level.
+func declaredSurface(m *module) []*ast.Ident {
+	var out []*ast.Ident
+	add := func(id *ast.Ident) {
+		if id.IsExported() {
+			out = append(out, id)
 		}
 	}
+	for path, files := range m.files {
+		if m.inBench(path) {
+			continue
+		}
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					add(d.Name)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							add(s.Name)
+							if it, ok := s.Type.(*ast.InterfaceType); ok {
+								for _, meth := range it.Methods.List {
+									for _, id := range meth.Names {
+										add(id)
+									}
+								}
+							}
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								add(id)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// unreachedSurface lists, as "key (file:line)", every exported
+// identifier of m that no non-test file outside bench/ reaches, less
+// the allowlisted ones — split into those nothing reaches and those
+// only bench/ does — and the allowlist rows that are stale.
+func unreachedSurface(m *module, allow map[string]string) (unreached, bench, stale []string) {
+	refs := references(m)
 	var ifaces []*types.Interface
 	for _, tv := range m.info.Types {
 		if i, ok := tv.Type.(*types.Interface); ok && tv.IsType() && i.NumMethods() > 0 {
@@ -164,28 +282,30 @@ func unreachedSurface(m *module, allow map[string]string) (unreached, stale []st
 		}
 	}
 	found := map[string]bool{}
-	for _, files := range m.files {
-		for _, f := range files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
-					continue
-				}
-				fn := m.info.Defs[fd.Name].(*types.Func)
-				key := surfaceKey(fn)
-				if _, ok := allow[key]; ok {
-					found[key] = true
-					if used[fn] {
-						stale = append(stale, key+": has a non-test caller")
-					}
-					continue
-				}
-				if used[fn] || exempt(fn, ifaces) {
-					continue
-				}
-				pos := m.fset.Position(fd.Name.Pos())
-				unreached = append(unreached, fmt.Sprintf("%s (%s:%d)", key, filepath.ToSlash(pos.Filename), pos.Line))
+	for _, id := range declaredSurface(m) {
+		obj := m.info.Defs[id]
+		r := refs[obj]
+		if fn, ok := obj.(*types.Func); ok {
+			r = max(r, methodReach(fn, ifaces, refs))
+		}
+		key := surfaceKey(obj)
+		if reason, ok := allow[key]; ok {
+			found[key] = true
+			switch {
+			case r == reached:
+				stale = append(stale, key+": a non-test file outside bench/ reaches it")
+			case r == notReached && reason == surfaceBenchOnly:
+				stale = append(stale, key+": bench/ no longer reaches it")
 			}
+			continue
+		}
+		pos := m.fset.Position(id.Pos())
+		entry := fmt.Sprintf("%s (%s:%d)", key, filepath.ToSlash(pos.Filename), pos.Line)
+		switch r {
+		case notReached:
+			unreached = append(unreached, entry)
+		case benchReached:
+			bench = append(bench, entry)
 		}
 	}
 	for key := range allow {
@@ -194,21 +314,25 @@ func unreachedSurface(m *module, allow map[string]string) (unreached, stale []st
 		}
 	}
 	sort.Strings(unreached)
+	sort.Strings(bench)
 	sort.Strings(stale)
-	return unreached, stale
+	return unreached, bench, stale
 }
 
-// TestExportedSurfaceIsReached fails on an exported function or method
-// that only tests, or nothing, call. Delete it, or unexport it if its
-// package still uses it.
+// TestExportedSurfaceIsReached fails on an exported identifier that
+// only tests, bench/, or nothing reach. Delete it, or unexport it if
+// its package still uses it.
 func TestExportedSurfaceIsReached(t *testing.T) {
 	m, err := loadModule(".", "repro")
 	if err != nil {
 		t.Fatal(err)
 	}
-	unreached, stale := unreachedSurface(m, surfaceAllowlist)
+	unreached, bench, stale := unreachedSurface(m, surfaceAllowlist)
 	for _, s := range unreached {
-		t.Errorf("no non-test caller: %s", s)
+		t.Errorf("no non-test reference: %s", s)
+	}
+	for _, s := range bench {
+		t.Errorf("only bench/ reaches (a surfaceBenchOnly row, or delete it): %s", s)
 	}
 	for _, s := range stale {
 		t.Errorf("stale allowlist row %s", s)
