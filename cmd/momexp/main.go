@@ -28,8 +28,9 @@
 // The selectors (-fig through -statsjson, one per run, in the order of
 // the table in selectors.go) pick what to print; every sweep fixes its
 // own backends and refuses explicit -dram/-mshr/... flags. The backend
-// flags are the rows of dram.KnobTable that momexp exposes (momsim's
-// package comment describes them). Every simulation runs on the
+// flags -dmap, -dsched, -dprof, -dchan, -rp, -mshr, -pf, -pfd and -va
+// are the rows of dram.KnobTable that momexp exposes (momsim's package
+// comment describes them). Every simulation runs on the
 // event-wheel engine, which prints what the per-cycle driver would.
 package main
 

@@ -66,7 +66,7 @@ func TestResolveSDRAM(t *testing.T) {
 
 func TestResolveSDRAMKnobs(t *testing.T) {
 	o := defaultOptions()
-	o.DRAM, o.Prof, o.Channels, o.WQDrain, o.Window = "sdram", "hbm", 4, 6, 16
+	o.DRAM, o.Prof, o.Channels = "sdram", "hbm", 4
 	rc, err := resolve(o)
 	if err != nil {
 		t.Fatalf("resolve(sdram knobs): %v", err)
@@ -76,7 +76,7 @@ func TestResolveSDRAMKnobs(t *testing.T) {
 		t.Fatalf("backend = %T, want *dram.SDRAM", rc.Timing.Backend)
 	}
 	cfg := sd.Config()
-	if cfg.Channels != 4 || cfg.WQDrain != 6 || cfg.ReorderWindow != 16 {
+	if cfg.Channels != 4 {
 		t.Errorf("knobs not applied: %+v", cfg)
 	}
 	if cfg.TRCD != dram.PresetHBM.Config().TRCD {
@@ -158,41 +158,6 @@ func TestResolveRowPolicy(t *testing.T) {
 	}
 }
 
-func TestResolvePrefetchQueueCap(t *testing.T) {
-	o := defaultOptions()
-	o.DRAM, o.MSHRs, o.PFStreams, o.PFQ = "sdram", 16, 8, 4
-	rc, err := resolve(o)
-	if err != nil {
-		t.Fatalf("resolve(pfq): %v", err)
-	}
-	cfg := rc.Timing.Backend.(*dram.SDRAM).Config()
-	if cfg.PFQCap != 4 {
-		t.Errorf("pfq cap not applied: %+v", cfg)
-	}
-	// Unset, the controller defaults to half the read queue.
-	o = defaultOptions()
-	o.DRAM = "sdram"
-	if rc, err = resolve(o); err != nil {
-		t.Fatalf("resolve(sdram): %v", err)
-	}
-	if cfg := rc.Timing.Backend.(*dram.SDRAM).Config(); cfg.PFQCap != cfg.QueueDepth/2 {
-		t.Errorf("pfq default = %d, want %d", cfg.PFQCap, cfg.QueueDepth/2)
-	}
-}
-
-func TestResolveWriteDrainKnobs(t *testing.T) {
-	o := defaultOptions()
-	o.DRAM, o.WQDrain, o.WQLow, o.WQIdle = "sdram", 8, 2, 50
-	rc, err := resolve(o)
-	if err != nil {
-		t.Fatalf("resolve(write-drain knobs): %v", err)
-	}
-	cfg := rc.Timing.Backend.(*dram.SDRAM).Config()
-	if cfg.WQDrain != 8 || cfg.WQLow != 2 || cfg.WQIdle != 50 {
-		t.Errorf("write-drain knobs not applied: %+v", cfg)
-	}
-}
-
 func TestResolveObservability(t *testing.T) {
 	o := defaultOptions()
 	o.Trace, o.StatsJSON, o.TraceBuf = "trace.json", "stats.json", 4096
@@ -250,7 +215,6 @@ func TestResolveRejectsUnknownValues(t *testing.T) {
 		{"dprof-fixed", "-dprof ddr", "-dprof configures"},
 		{"dchan", "-dram sdram -dchan 3", "-dchan / <n>ch: 3 is out of range (want 1..64, a power of two"},
 		{"dchan-negative", "-dram sdram -dchan -4", "-dchan / <n>ch"},
-		{"dwin-negative", "-dram sdram -dwin -1", "-dwin / win<n>"},
 		{"mshr-negative", "-mshr -2", "-mshr / mshr<n>"},
 		{"mshr-ideal", "-mem ideal -mshr 8", "-mshr"},
 		{"pf-negative", "-pf -1", "-pf / pf<n>"},
@@ -258,12 +222,9 @@ func TestResolveRejectsUnknownValues(t *testing.T) {
 		{"pf-blocking-mshr", "-mshr 1 -pf 8", "needs -mshr / mshr<n> of at least 2"},
 		{"pfd-no-pf", "-mshr 8 -pfd 4", "-pfd / pf<n>d<m> needs -pf / pf<n>"},
 		{"pf-ideal", "-mem ideal -mshr 8 -pf 8", "-mshr"},
-		{"dwql-above-drain", "-dram sdram -dwq 4 -dwql 6", "watermark"},
 		{"rp-unknown", "-dram sdram -rp lru", "row policy"},
 		{"rp-timer-zero", "-dram sdram -rp timer:0", "idle gap"},
 		{"rp-arg-on-open", "-dram sdram -rp open:5", "parameter"},
-		{"pfq-no-pf", "-dram sdram -mshr 8 -pfq 4", "-pfq / pfq<n> needs -pf / pf<n>"},
-		{"pfq-negative", "-dram sdram -mshr 8 -pf 4 -pfq -1", "-pfq / pfq<n>"},
 		{"qos-one-tenant", "-dram sdram -qos", "-qos / qos needs -tenants / tn<n> of at least 2"},
 		{"qos-fixed", "-tenants 2 -qos", "-qos configures"},
 		{"mlat-sdram", "-dram sdram -mlat 50", "-mlat applies to the fixed backend only"},
@@ -282,19 +243,18 @@ func TestResolveRejectsUnknownValues(t *testing.T) {
 		{"samplejson-eq-statsjson", "-sample 1000 -samplejson out.json -statsjson out.json", "distinct"},
 		// Every run is on the wheel; the per-cycle driver is the tests' oracle.
 		{"engine-gone", "-engine wheel", "flag provided but not defined: -engine"},
+		// The write-drain, reorder-window and prefetch-queue settings are
+		// the profiles' values, no longer flags.
+		{"dwq-gone", "-dram sdram -dwq 8", "flag provided but not defined: -dwq"},
+		{"pfdecay-gone", "-dram sdram -mshr 8 -pf 4 -pfdecay 200", "flag provided but not defined: -pfdecay"},
 		// Every count has an upper bound the model can build: these used
 		// to die in NewSDRAM's makeslice or run the host out of memory,
 		// and a negative latency used to run and report a faster machine.
 		{"dchan-huge", "-dram sdram -dchan 4611686018427387904", "-dchan / <n>ch: 4611686018427387904 is out of range"},
 		{"dchan-oom", "-dram sdram -dchan 1073741824", "want 1..64"},
-		{"dwq-oom", "-dram sdram -dwq 2147483647", "-dwq / wq<n>: 2147483647 is out of range (want 1..1024"},
 		{"pf-oom", "-mshr 8 -pf 2147483647", "-pf / pf<n>: 2147483647 is out of range (want 1..1024"},
 		{"mshr-oom", "-mshr 2147483647", "-mshr / mshr<n>"},
-		{"dwin-oom", "-dram sdram -dwin 2147483647", "-dwin / win<n>"},
 		{"pfd-oom", "-mshr 8 -pf 4 -pfd 2147483647", "-pfd / pf<n>d<m>"},
-		{"pfq-oom", "-dram sdram -mshr 8 -pf 4 -pfq 2147483647", "-pfq / pfq<n>"},
-		{"pfdecay-oom", "-dram sdram -mshr 8 -pf 4 -pfdecay 2147483647", "-pfdecay / pfdec<n>"},
-		{"dwql-below-off", "-dram sdram -dwql -2", "or -1 / wql0 for explicitly off"},
 		{"l2-negative", "-l2 -100", "-l2"},
 		{"mlat-negative", "-mlat -1", "-mlat"},
 	}
@@ -353,13 +313,10 @@ func TestFlagsMatchSpec(t *testing.T) {
 		}
 		for _, v := range vals {
 			// Whatever the row needs rides along, at the least value it
-			// needs; the drain watermark sits below the drain threshold.
+			// needs.
 			args := []string{"-dram", "sdram", "-" + r.Flag + "=" + v}
 			for k := r; k.Needs != ""; k = byFlag[k.Needs] {
 				args = append(args, fmt.Sprintf("-%s=%d", k.Needs, max(k.NeedsMin, 1)))
-			}
-			if r.Flag == "dwql" {
-				args = append(args, "-dwq=1024")
 			}
 			o, err := parseLine(args...)
 			if err != nil {

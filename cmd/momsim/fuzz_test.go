@@ -17,63 +17,63 @@ import (
 // replays known-interesting combinations as regular test cases.
 func FuzzResolve(f *testing.F) {
 	add := func(bench, isa, mem, dram, dmap, dsched, dprof, rp string,
-		dchan, dwq, dwql, dwqi, dwin, mshr, pf, pfd, pfq int, l2, mlat int64,
-		trace, statsjson string, tracebuf, pfdec, tenants int, qos bool) {
+		dchan, mshr, pf, pfd int, l2, mlat int64,
+		trace, statsjson string, tracebuf, tenants int, qos bool) {
 		f.Add(bench, isa, mem, dram, dmap, dsched, dprof, rp,
-			dchan, dwq, dwql, dwqi, dwin, mshr, pf, pfd, pfq, l2, mlat,
-			trace, statsjson, tracebuf, pfdec, tenants, qos)
+			dchan, mshr, pf, pfd, l2, mlat,
+			trace, statsjson, tracebuf, tenants, qos)
 	}
 	d := defaultOptions()
 	add(d.Bench, d.ISA, d.Mem, d.DRAM, d.Mapping, d.Sched, "ddr", "open",
-		0, 0, 0, 0, 0, 0, 0, 0, 0, d.L2Lat, d.MemLat, "", "", 0, 0, d.Tenants, false)
+		0, 0, 0, 0, d.L2Lat, d.MemLat, "", "", 0, d.Tenants, false)
 	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "hbm", "history",
-		4, 8, 2, 50, 16, 16, 8, 4, 4, 20, 100, "t.json", "s.json", 1024, 0, 1, false)
+		4, 16, 8, 4, 20, 100, "t.json", "s.json", 1024, 1, false)
 	add("motionsearch", "mom", "vcache", "sdram", "bank", "fcfs", "ddr", "timer:150",
-		0, 0, 0, 0, 0, 8, 0, 0, 0, 40, 100, "", "", 0, 0, 1, false)
+		0, 8, 0, 0, 40, 100, "", "", 0, 1, false)
 	add("jpegencode", "mmx", "multibanked", "fixed", "line", "frfcfs", "ddr", "open",
-		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "out.json", 0, 0, 1, false)
+		0, 0, 0, 0, 20, 100, "", "out.json", 0, 1, false)
 	add("mpeg2decode", "mom3d", "ideal", "fixed", "line", "frfcfs", "ddr", "open",
-		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 0, 1, false)
+		0, 0, 0, 0, 20, 100, "", "", 0, 1, false)
 	add("quake3", "avx512", "dcache", "hbm", "xor", "rr", "lpddr", "lru",
-		3, -1, 9, -2, -1, -5, 1, -1, -3, -20, -100, "x", "x", -7, -2, -4, true)
+		3, -5, 1, -1, -20, -100, "x", "x", -7, -4, true)
 	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "", "close",
-		0, 0, 0, 0, 0, 1, 8, 0, 0, 20, 100, "", "", 0, 0, 1, false) // pf over a blocking file: rejected
+		0, 1, 8, 0, 20, 100, "", "", 0, 1, false) // pf over a blocking file: rejected
 	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "", "timer:0",
-		0, 0, 0, 0, 0, 16, 8, 0, 0, 20, 100, "", "", 0, 0, 1, false) // zero timer gap: rejected
+		0, 16, 8, 0, 20, 100, "", "", 0, 1, false) // zero timer gap: rejected
 	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "", "open",
-		0, 0, 0, 0, 0, 16, 0, 0, 8, 20, 100, "", "", 0, 0, 1, false) // pfq without pf: rejected
+		0, 16, 0, 4, 20, 100, "", "", 0, 1, false) // pfd without pf: rejected
 	add("mpeg2encode", "mom3d", "vcache3d", "fixed", "line", "frfcfs", "ddr", "open",
-		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", -1, 0, 1, false) // negative tracebuf: rejected
+		0, 0, 0, 0, 20, 100, "", "", -1, 1, false) // negative tracebuf: rejected
 	add("mpeg2encode", "mom3d", "vcache3d", "fixed", "line", "frfcfs", "ddr", "open",
-		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 4096, 0, 1, false) // tracebuf without trace: rejected
+		0, 0, 0, 0, 20, 100, "", "", 4096, 1, false) // tracebuf without trace: rejected
 	add("mpeg2encode", "mom3d", "vcache3d", "fixed", "line", "frfcfs", "ddr", "open",
-		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "same.json", "same.json", 0, 0, 1, false) // colliding outputs: rejected
+		0, 0, 0, 0, 20, 100, "same.json", "same.json", 0, 1, false) // colliding outputs: rejected
 	add("motionsearch", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "ddr", "open",
-		0, 0, 0, 0, 0, 8, 4, 0, 0, 20, 100, "", "", 0, 200, 4, true) // the full multi-tenant config: accepted
+		0, 8, 4, 0, 20, 100, "", "", 0, 4, true) // the full multi-tenant config: accepted
 	add("motionsearch", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "ddr", "open",
-		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 0, 1, true) // qos with one tenant: rejected
+		0, 0, 0, 0, 20, 100, "", "", 0, 1, true) // qos with one tenant: rejected
 	add("motionsearch", "mom3d", "ideal", "fixed", "line", "frfcfs", "ddr", "open",
-		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 0, 4, false) // tenants on ideal memory: rejected
-	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "", "open",
-		0, 0, 0, 0, 0, 8, 0, 0, 0, 20, 100, "", "", 0, 200, 1, false) // pfdecay without pf: rejected
+		0, 0, 0, 0, 20, 100, "", "", 0, 4, false) // tenants on ideal memory: rejected
+	add("gsmencode", "mom3d", "ideal", "fixed", "line", "frfcfs", "", "open",
+		0, 8, 4, 0, 20, 100, "", "", 0, 1, false) // mshr/pf on ideal memory: rejected
 	add("gsmencode", "mom3d", "vcache3d", "fixed", "line", "frfcfs", "ddr", "open",
-		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 0, 257, false) // more tenants than a request can name: rejected
+		0, 0, 0, 0, 20, 100, "", "", 0, 257, false) // more tenants than a request can name: rejected
 	// Counts past what the model can build, and latencies below zero:
 	// each used to panic in NewSDRAM, exhaust the host or run. Rejected.
 	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "", "open",
-		4611686018427387904, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 0, 1, false)
+		4611686018427387904, 0, 0, 0, 20, 100, "", "", 0, 1, false)
 	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "", "open",
-		1073741824, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 0, 1, false)
+		1073741824, 0, 0, 0, 20, 100, "", "", 0, 1, false)
 	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "", "open",
-		0, 2147483647, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 0, 1, false)
+		0, 2147483647, 0, 0, 20, 100, "", "", 0, 1, false)
 	add("gsmencode", "mom3d", "vcache3d", "fixed", "line", "frfcfs", "", "open",
-		0, 0, 0, 0, 0, 8, 2147483647, 0, 0, 20, 100, "", "", 0, 0, 1, false)
+		0, 8, 2147483647, 0, 20, 100, "", "", 0, 1, false)
 	add("gsmencode", "mom3d", "vcache3d", "fixed", "line", "frfcfs", "", "open",
-		0, 0, 0, 0, 0, 0, 0, 0, 0, -100, 100, "", "", 0, 0, 1, false)
+		0, 0, 0, 0, -100, 100, "", "", 0, 1, false)
 
 	f.Fuzz(func(t *testing.T, bench, isa, mem, kind, dmap, dsched, dprof, rp string,
-		dchan, dwq, dwql, dwqi, dwin, mshr, pf, pfd, pfq int, l2, mlat int64,
-		traceOut, statsOut string, tracebuf, pfdec, tenants int, qos bool) {
+		dchan, mshr, pf, pfd int, l2, mlat int64,
+		traceOut, statsOut string, tracebuf, tenants int, qos bool) {
 		rpSpec, err := policy.Parse(rp)
 		if err != nil {
 			return
@@ -81,8 +81,7 @@ func FuzzResolve(f *testing.F) {
 		rc, err := resolve(options{
 			Bench: bench, ISA: isa, Mem: mem, DRAM: kind,
 			Selection: dram.Selection{Mapping: dmap, Sched: dsched, Prof: dprof, Knobs: dram.Knobs{
-				Channels: dchan, WQDrain: dwq, WQLow: dwql, WQIdle: dwqi, Window: dwin,
-				MSHRs: mshr, PFStreams: pf, PFDegree: pfd, PFQ: pfq, PFDecay: pfdec,
+				Channels: dchan, MSHRs: mshr, PFStreams: pf, PFDegree: pfd,
 				Tenants: tenants, QoS: qos, RP: rpSpec}},
 			L2Lat: l2, MemLat: mlat,
 			Trace: traceOut, StatsJSON: statsOut, TraceBuf: tracebuf,

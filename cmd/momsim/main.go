@@ -8,22 +8,21 @@
 // ISA variants: mmx, mom, mom3d. Memory systems: ideal, multibanked,
 // vcache, vcache3d. DRAM backends: fixed (flat latency), sdram (banked
 // controller; -dmap picks the address mapping, -dsched the scheduler,
-// -dprof the timing profile (ddr/hbm), and -dchan/-dwq/-dwql/-dwqi/
-// -dwin override the channel count, write-queue drain threshold, drain
-// low watermark, idle-drain gap and FR-FCFS reorder window). -rp picks
-// the per-bank row policy (open, close, timer[:<idle>], history — the
-// 2-bit live/dead predictor). -mshr N enables the non-blocking memory
-// pipeline: N miss-status holding registers decouple instruction issue
-// from memory completion (0 or 1 = the blocking model, which has no
-// file; 0 is the default). -pf N adds a
-// stream prefetcher over the MSHR file (N stream-table entries; -pfd
-// picks how many lines each stream keeps in flight): predicted L2
+// -dprof the timing profile (ddr/hbm), whose write-drain and
+// reorder-window settings it keeps, and -dchan overrides the channel
+// count). -rp picks the per-bank row policy (open, close,
+// timer[:<idle>], history — the 2-bit live/dead predictor). -mshr N
+// enables the non-blocking memory pipeline: N miss-status holding
+// registers decouple instruction issue from memory completion (0 or 1
+// = the blocking model, which has no file; 0 is the default). -pf N
+// adds a stream prefetcher over the MSHR file (N stream-table entries;
+// -pfd picks how many lines each stream keeps in flight): predicted L2
 // lines join the lazy MSHR batch as prefetch entries that never stall
 // the demand pipeline — the channel scheduler services demand reads
-// first, and -pfq caps how many speculative reads may sit in one
-// channel's read queue. These backend flags are the rows of
-// dram.KnobTable, which also holds each one's legal range and the spec
-// token it formats to; a value outside its range is a usage error.
+// first, and speculative reads hold at most half of one channel's read
+// queue. These backend flags are the rows of dram.KnobTable, which also
+// holds each one's legal range and the spec token it formats to; a
+// value outside its range is a usage error.
 //
 // Multi-tenant traffic: -tenants M runs M concurrent instances of the
 // kernel through ONE shared L2 + MSHR file + DRAM backend (each tenant
@@ -35,9 +34,7 @@
 // one construction, one drive loop and one end-of-run drain; only the
 // report differs. -qos turns on per-tenant credit scheduling in the sdram
 // channel scheduler so a streaming tenant cannot starve a
-// latency-sensitive one; -pfdecay N lets the demand-first latch decay
-// after N deferral-free cycles so phased workloads recover full
-// FR-FCFS standing for speculative reads.
+// latency-sensitive one.
 //
 // Address translation: -va <policy> gives every requestor its own
 // virtual address space over one shared physical pool — multi-level
@@ -375,9 +372,6 @@ func reportTenants(w io.Writer, rc runConfig, g *tenant.Group, tst *trace.Stats,
 			rc.Timing.Backend.Name(), ds.Accesses, ds.AchievedBandwidth())
 		if ds.QoSDeferred > 0 || rc.QoS {
 			fmt.Fprintf(w, "dram qos: %d reads deferred past a tenant's credit\n", ds.QoSDeferred)
-		}
-		if ds.DemandFirstLapses > 0 {
-			fmt.Fprintf(w, "dram demand-first latch: %d decay lapses\n", ds.DemandFirstLapses)
 		}
 	}
 	if rc.VM != nil {

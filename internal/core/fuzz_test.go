@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/dram"
@@ -29,12 +30,19 @@ func FuzzMachine(f *testing.F) {
 	}{{kernels.MOM3D, MemVectorCache3D}, {kernels.MOM, MemVectorCache}, {kernels.MMX, MemMultiBanked}, {kernels.MOM, MemMultiBanked}}
 
 	// One seed per table row at its maximum, on the banked part and the
-	// paper's machine.
+	// paper's machine; then one per row at its minimum, on each kernel
+	// and machine in turn.
 	f.Add([]byte{}, uint8(0), uint8(0), true)
-	for i := range dram.KnobTable {
-		pick := make([]byte, 2*len(dram.KnobTable))
-		pick[2*i], pick[2*i+1] = 0xFF, 0xFF
-		f.Add(pick, uint8(0), uint8(0), true)
+	for _, v := range []uint16{0xFFFF, 1} {
+		for i := range dram.KnobTable {
+			pick := make([]byte, 2*len(dram.KnobTable))
+			binary.LittleEndian.PutUint16(pick[2*i:], v)
+			var at uint8
+			if v == 1 {
+				at = uint8(i)
+			}
+			f.Add(pick, at, at, true)
+		}
 	}
 	f.Fuzz(func(t *testing.T, pick []byte, bench, machine uint8, sdram bool) {
 		kind := "fixed"

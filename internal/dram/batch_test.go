@@ -277,29 +277,41 @@ func TestPresetsAndSpecKnobs(t *testing.T) {
 	}
 	NewSDRAM(PresetHBM.Config()) // must not panic
 
-	b, _, err := ParseSpecFull("sdram/bank/fcfs/hbm/4ch/wq4/win2", 100)
+	b, _, err := ParseSpecFull("sdram/bank/fcfs/hbm/4ch", 100)
 	if err != nil {
 		t.Fatalf("ParseSpecFull: %v", err)
 	}
 	cfg := b.(*SDRAM).Config()
 	if cfg.Mapping != MapBank || cfg.Scheduler != FCFS || cfg.Channels != 4 ||
-		cfg.WQDrain != 4 || cfg.ReorderWindow != 2 || cfg.TRCD != PresetHBM.Config().TRCD {
+		cfg.TRCD != PresetHBM.Config().TRCD {
 		t.Fatalf("spec config = %+v", cfg)
 	}
+	// The write drains ship tuned on and the prefetch cap is half the
+	// read queue; the drain threshold and reorder window are the
+	// preset's, and a controller configured with others keeps them.
+	if cfg.WQLow != 4 || cfg.WQIdle != 30 || cfg.PFQCap != cfg.QueueDepth/2 {
+		t.Fatalf("preset drains = low %d idle %d, prefetch cap %d, want 4/30/%d",
+			cfg.WQLow, cfg.WQIdle, cfg.PFQCap, cfg.QueueDepth/2)
+	}
+	cfg.WQDrain, cfg.WQLow, cfg.ReorderWindow = 4, 0, 2
+	if got := NewSDRAM(cfg).Config(); got.WQDrain != 4 || got.ReorderWindow != 2 {
+		t.Fatalf("config = drain %d window %d, want 4/2", got.WQDrain, got.ReorderWindow)
+	}
 
-	if got := FormatSpecOpts("sdram", "line", "frfcfs", "hbm", Knobs{Channels: 4}); got != "sdram/line/frfcfs/hbm/4ch" {
-		t.Fatalf("FormatSpecOpts = %q", got)
+	spec := FormatSpecOpts("sdram", "line", "frfcfs", "hbm", Knobs{Channels: 4})
+	if spec != "sdram/line/frfcfs/hbm/4ch" {
+		t.Fatalf("FormatSpecOpts = %q", spec)
 	}
 	// Round trip through ParseSpecFull.
-	if _, _, err := ParseSpecFull(FormatSpecOpts("sdram", "line", "frfcfs", "hbm", Knobs{Channels: 4, WQDrain: 3, Window: 5}), 100); err != nil {
+	if _, _, err := ParseSpecFull(spec, 100); err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
 
-	// A drain threshold beyond the preset's depth grows the queue to fit.
-	if b, _, err := ParseSpecFull("sdram/line/frfcfs/ddr/wq99", 100); err != nil {
-		t.Fatalf("ParseSpecFull(wq99): %v", err)
-	} else if cfg := b.(*SDRAM).Config(); cfg.WQDrain != 99 || cfg.WQDepth != 99 {
-		t.Fatalf("wq99 config = drain %d depth %d, want 99/99", cfg.WQDrain, cfg.WQDepth)
+	// A drain threshold as deep as the write queue is legal.
+	cfg = DefaultConfig()
+	cfg.WQDepth, cfg.WQDrain = 99, 99
+	if got := NewSDRAM(cfg).Config(); got.WQDrain != 99 || got.WQDepth != 99 {
+		t.Fatalf("config = drain %d depth %d, want 99/99", got.WQDrain, got.WQDepth)
 	}
 
 	for _, bad := range []string{

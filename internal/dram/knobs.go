@@ -37,11 +37,9 @@ type Knob struct {
 
 	// Min..Max are a count's legal values, sized so that no slice is
 	// made from an unchecked flag; 0 always means "unset: keep the
-	// preset's or the model's default". Off admits -1 (spec
-	// "<Token>0"): the presets ship the feature on and this turns it
-	// off. Pow2 restricts the count to powers of two.
+	// preset's or the model's default". Pow2 restricts the count to
+	// powers of two.
 	Min, Max int
-	Off      bool
 	Pow2     bool
 
 	SDRAM    bool   // configures the banked controller: refused on any other kind
@@ -76,18 +74,6 @@ var KnobTable = []Knob{
 	{Flag: "dchan", Token: "ch", Suffix: true, Min: 1, Max: 64, Pow2: true, SDRAM: true, Momexp: true,
 		Help: "sdram channel count override (power of two; 0 = profile default)",
 		num:  func(s *Selection) *int { return &s.Channels }},
-	{Flag: "dwq", Token: "wq", Min: 1, Max: 1024, SDRAM: true, Momexp: true,
-		Help: "sdram write-queue drain threshold override (0 = profile default)",
-		num:  func(s *Selection) *int { return &s.WQDrain }},
-	{Flag: "dwql", Token: "wql", Min: 1, Max: 1023, Off: true, SDRAM: true, Momexp: true,
-		Help: "sdram write-queue partial-drain low watermark (0 = profile default, -1 = drain fully)",
-		num:  func(s *Selection) *int { return &s.WQLow }},
-	{Flag: "dwqi", Token: "wqi", Min: 1, Max: 1 << 20, Off: true, SDRAM: true, Momexp: true,
-		Help: "sdram idle-bus opportunistic write-drain gap in cycles (0 = profile default, -1 = off)",
-		num:  func(s *Selection) *int { return &s.WQIdle }},
-	{Flag: "dwin", Token: "win", Min: 1, Max: 1024, SDRAM: true, Momexp: true,
-		Help: "sdram FR-FCFS reorder-window override (0 = profile default)",
-		num:  func(s *Selection) *int { return &s.Window }},
 	{Flag: "rp", Token: "rp", Names: "open|close|timer[:<n>]|history", SDRAM: true, Momexp: true,
 		Help: "sdram per-bank row policy: open (the default), close, timer[:<idle>], history",
 		get: func(s *Selection) string {
@@ -97,12 +83,6 @@ var KnobTable = []Knob{
 			return s.RP.String()
 		},
 		set: func(s *Selection, v string) (err error) { s.RP, err = policy.Parse(v); return }},
-	{Flag: "pfq", Token: "pfq", Min: 1, Max: 1024, SDRAM: true, Needs: "pf", Momexp: true,
-		Help: "sdram per-channel cap on prefetch reads in flight (0 = half the read queue)",
-		num:  func(s *Selection) *int { return &s.PFQ }},
-	{Flag: "pfdecay", Token: "pfdec", Min: 1, Max: 1 << 20, SDRAM: true, Needs: "pf",
-		Help: "sdram demand-first latch decay: deferral-free cycles before speculative reads regain FR-FCFS standing (0 = sticky latch)",
-		num:  func(s *Selection) *int { return &s.PFDecay }},
 	{Flag: "qos", Token: "qos", SDRAM: true, Needs: "tenants", NeedsMin: 2,
 		Help: "per-tenant credit scheduling in the sdram channel scheduler (needs -tenants >= 2)",
 		on:   func(s *Selection) *bool { return &s.QoS }},
@@ -193,13 +173,10 @@ func (r *Knob) check(s *Selection) error {
 	}
 	if r.num != nil {
 		v := *r.num(s)
-		if off := v == -1 && r.Off; !off && (v < r.Min || v > r.Max || r.Pow2 && v&(v-1) != 0) {
+		if v < r.Min || v > r.Max || r.Pow2 && v&(v-1) != 0 {
 			want := fmt.Sprintf("%d..%d", r.Min, r.Max)
 			if r.Pow2 {
 				want += ", a power of two"
-			}
-			if r.Off {
-				want += fmt.Sprintf(", or -1 / %s0 for explicitly off", r.Token)
 			}
 			return fmt.Errorf("%s: %d is out of range (want %s; 0 = unset)", r, v, want)
 		}
@@ -210,22 +187,16 @@ func (r *Knob) check(s *Selection) error {
 	return nil
 }
 
-// parseCount reads a spec count: digits, positive unless the row has
-// an explicit off, which "<Token>0" spells and -1 stores.
-func parseCount(val string, off bool) (int, bool) {
+// parseCount reads a spec count: digits, positive.
+func parseCount(val string) (int, bool) {
 	v, err := strconv.Atoi(val)
-	if v == 0 && off {
-		v = -1
-	} else if v <= 0 {
-		return 0, false
-	}
-	return v, err == nil
+	return v, err == nil && v > 0
 }
 
 // parseKnob recognizes one knob segment of a spec. The row is the one
-// whose Token matches the most of tok, so "wql2" is never read as "wq"
-// with a bad count and "pfdec50" never as "pf"; the table's order does
-// not matter.
+// whose Token matches the most of tok, so a token that extends another
+// row's is never read as the shorter one with a bad count; the table's
+// order does not matter.
 func parseKnob(tok string, s *Selection) bool {
 	at := -1
 	for i := range KnobTable {
@@ -259,14 +230,14 @@ func parseKnob(tok string, s *Selection) bool {
 	if at+1 < len(KnobTable) && KnobTable[at+1].Joins {
 		j := &KnobTable[at+1]
 		if head, jval, found := strings.Cut(val, j.Token); found {
-			v, ok := parseCount(jval, j.Off)
+			v, ok := parseCount(jval)
 			if !ok {
 				return false
 			}
 			*j.num(s), val = v, head
 		}
 	}
-	v, ok := parseCount(val, r.Off)
+	v, ok := parseCount(val)
 	*r.num(s) = v
 	return ok
 }
@@ -297,7 +268,7 @@ func (s *Selection) Spec(kind string) string {
 		}
 		switch {
 		case r.num != nil:
-			b = strconv.AppendInt(b, int64(max(*r.num(s), 0)), 10) // -1, explicitly off, prints 0
+			b = strconv.AppendInt(b, int64(*r.num(s)), 10)
 		case r.get != nil:
 			if v := r.get(s); v != r.Bare {
 				b = append(b, strings.ToLower(v)...)

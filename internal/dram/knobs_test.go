@@ -10,8 +10,8 @@ import (
 // covered by all of them without being named in any.
 
 // rowValues lists a row's values worth trying, as its flag spells them:
-// a count's minimum, maximum, an interior value and its explicit off, a
-// switch's on, every name of a named value.
+// a count's minimum, maximum and an interior value, a switch's on, every
+// name of a named value.
 func rowValues(r *Knob) []string {
 	switch {
 	case r.num != nil:
@@ -19,11 +19,7 @@ func rowValues(r *Knob) []string {
 		for r.Pow2 && mid&(mid-1) != 0 {
 			mid &= mid - 1 // clear low bits down to a power of two
 		}
-		vals := []string{strconv.Itoa(r.Min), strconv.Itoa(mid), strconv.Itoa(r.Max)}
-		if r.Off {
-			vals = append(vals, "-1")
-		}
-		return vals
+		return []string{strconv.Itoa(r.Min), strconv.Itoa(mid), strconv.Itoa(r.Max)}
 	case r.on != nil:
 		return []string{"true"}
 	}
@@ -32,8 +28,7 @@ func rowValues(r *Knob) []string {
 }
 
 // selectionWith sets one row to v on top of the defaults, together with
-// whatever the row needs: the knobs its Needs chain names, and for the
-// drain low watermark a drain threshold above it.
+// whatever the row needs: the knobs its Needs chain names.
 func selectionWith(t *testing.T, r *Knob, v string) Selection {
 	t.Helper()
 	sel := Selection{Mapping: "line", Sched: "frfcfs"}
@@ -46,9 +41,6 @@ func selectionWith(t *testing.T, r *Knob, v string) Selection {
 			*need.num(&sel) = max(k.NeedsMin, 1)
 		}
 		k = need
-	}
-	if sel.WQLow > 0 {
-		sel.WQDrain = knobByFlag("dwq").Max
 	}
 	return sel
 }
@@ -113,10 +105,10 @@ func TestKnobRangesRefuse(t *testing.T) {
 	}
 }
 
-// TestKnobTokensNeverMisSplit: where one row's token is a prefix of
-// another's ("wq" of "wql", "pf" of "pfq" and "pfdec"), a segment of the
-// longer never lands in the shorter's knob — by construction, since
-// parseKnob takes the longest match, not by the order of the rows.
+// TestKnobTokensNeverMisSplit: no two rows share a token, and where one
+// row's token is a prefix of another's, a segment of the longer never
+// lands in the shorter's knob — by construction, since parseKnob takes
+// the longest match, not by the order of the rows.
 func TestKnobTokensNeverMisSplit(t *testing.T) {
 	seen := map[string]string{}
 	for i := range KnobTable {

@@ -35,8 +35,6 @@ func Pick(t testing.TB, pick []byte, sdram bool) dram.Selection {
 			val[r.Flag] = "true"
 		case r.Max == 0: // a named value
 			val[r.Flag] = names[min(v-1, len(names)-1)]
-		case v == 1 && r.Off:
-			val[r.Flag] = "-1"
 		default: // a count
 			n := r.Max
 			if v != 0xFFFF {
@@ -53,13 +51,6 @@ func Pick(t testing.TB, pick []byte, sdram bool) dram.Selection {
 			if have, _ := strconv.Atoi(val[k.Needs]); have < max(k.NeedsMin, 1) {
 				val[k.Needs] = strconv.Itoa(max(k.NeedsMin, 1))
 			}
-		}
-	}
-	// The one relation the rows do not carry: the drain low watermark
-	// sits below the drain threshold.
-	if low, _ := strconv.Atoi(val["dwql"]); low > 0 {
-		if drain, _ := strconv.Atoi(val["dwq"]); drain <= low {
-			val["dwq"] = strconv.Itoa(low + 1)
 		}
 	}
 	sel := dram.Selection{Mapping: "line", Sched: "frfcfs"}

@@ -1,7 +1,6 @@
 package dram
 
 import (
-	"math"
 	"slices"
 
 	"repro/internal/stats"
@@ -92,21 +91,14 @@ func (s *SDRAM) pfUnderCap(c *channel, t int64) bool {
 // completes (counted in PrefetchDeferred), so speculative traffic can
 // never crowd demand reads out of more than its share of the bounded
 // queue. Crossing the cap also latches the channel into demand-first
-// picking (see pick): sticky by default, or for PFDecay
-// cycles past the deferral when decay is configured — a channel whose
-// speculative stream stays under its share that long earns its full
-// FR-FCFS standing back. Demand reads pass through untouched.
+// picking for good (see pick). Demand reads pass through untouched.
 func (s *SDRAM) admitPrefetch(c *channel, t0 int64) int64 {
 	c.pfInflight.prune(t0)
 	if len(c.pfInflight) < s.cfg.PFQCap {
 		return t0
 	}
 	s.st.PrefetchDeferred++
-	if s.cfg.PFDecay > 0 {
-		c.demandUntil = max(c.demandUntil, t0+s.cfg.PFDecay)
-	} else {
-		c.demandUntil = math.MaxInt64
-	}
+	c.demandFirst = true
 	for len(c.pfInflight) >= s.cfg.PFQCap {
 		t0 = max(t0, c.pfInflight.popEarliest())
 	}
@@ -270,7 +262,6 @@ func (s *SDRAM) overShare(c *channel, d *decoded, r *Request) (load int, over bo
 // the oldest request. Latched, a speculative read competes only as a row
 // hit with cap room, behind every demand.
 func (s *SDRAM) pick(c *channel, batch []Request, window []int, p *choice) {
-	latched := c.demandUntil != 0
 	for i, k := range window {
 		d, r := &s.dec[k], &batch[k]
 		bk := &c.banks[d.bk]
@@ -285,7 +276,7 @@ func (s *SDRAM) pick(c *channel, batch []Request, window []int, p *choice) {
 			cand.ready = start + s.peekRowLatency(bk, d.row, start)
 		} else {
 			hit := s.rowOpenAt(c, bk, d.row, r.At)
-			cand.spec = latched && r.speculative()
+			cand.spec = c.demandFirst && r.speculative()
 			if cand.spec && !(hit && s.pfUnderCap(c, r.At)) {
 				continue
 			}
@@ -311,15 +302,6 @@ func (s *SDRAM) scheduleReads(ch int, batch []Request, pend []int) {
 	for len(pend) > 0 {
 		var p choice
 		if reorder {
-			// Speculative reads keep full FR-FCFS standing until the
-			// channel's speculative stream overruns its PFQCap share
-			// (the admitPrefetch deferral latch), and win it back once
-			// the latch decays: PFDecay quiet cycles with no further
-			// deferral unlatch the channel.
-			if !s.cfg.QoS && c.demandUntil != 0 && batch[pend[0]].At >= c.demandUntil {
-				c.demandUntil = 0
-				s.st.DemandFirstLapses++
-			}
 			s.pick(c, batch, pend[:min(len(pend), s.cfg.ReorderWindow)], &p)
 			// Account the QoS yields: every competing over-share read that
 			// arrived before an under-share winner gave up this scheduling

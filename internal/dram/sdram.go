@@ -137,14 +137,6 @@ type Config struct {
 	// queue depth; QueueDepth or more effectively disables the cap.
 	PFQCap int
 
-	// PFDecay, when positive, lets the demand-first latch decay: a
-	// channel that admitPrefetch latched into demand-first picking
-	// returns speculative reads to full FR-FCFS standing once PFDecay
-	// cycles pass without another deferral on that channel, so phased
-	// workloads recover speculation after a burst of prefetch pressure.
-	// 0 keeps the historical sticky latch.
-	PFDecay int64
-
 	// Tenants is the number of requestors sharing the part (0 or 1 =
 	// single requestor; see Request.Tenant). QoS turns on per-tenant
 	// credit scheduling in each channel: a tenant's reads are capped at
@@ -216,10 +208,9 @@ type channel struct {
 	nextRefresh int64   // next refresh epoch boundary
 	inflight    doneSet // queued reads
 	pfInflight  doneSet // queued speculative reads (PFQCap)
-	// demandUntil is the demand-first latch: while a pending read's
-	// arrival is below it the pick keeps demands ahead of speculation.
-	// 0 = unlatched; math.MaxInt64 = the sticky latch (PFDecay off).
-	demandUntil int64
+	// demandFirst is the demand-first latch: once set, the pick keeps
+	// demands ahead of speculation for the rest of the run.
+	demandFirst bool
 	tenInflight []doneSet // QoS: queued reads per tenant
 	writeQ      []Request // posted writes awaiting a threshold drain
 }
@@ -316,9 +307,6 @@ func NewSDRAM(cfg Config) *SDRAM {
 	}
 	if cfg.RowPolicy.Kind == policy.Timer && cfg.RowPolicy.Idle <= 0 {
 		panic("dram: timer row policy needs a positive idle gap")
-	}
-	if cfg.PFDecay < 0 {
-		panic("dram: demand-first decay must not be negative")
 	}
 	if cfg.Tenants < 0 {
 		panic("dram: tenant count must not be negative")

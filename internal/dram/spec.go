@@ -68,22 +68,11 @@ func (p Preset) Config() Config {
 // (ParseSpecFull returns the parsed knobs for that).
 type Knobs struct {
 	Channels int // channel count
-	WQDrain  int // write-queue drain threshold
-	Window   int // FR-FCFS reorder window
-
-	// WQLow and WQIdle override the partial-drain low watermark and the
-	// idle-bus opportunistic-drain gap. The presets ship both tuned on,
-	// so -1 explicitly disables the feature.
-	WQLow  int
-	WQIdle int
-
-	MSHRs int // vmem MSHR file size (0 or 1 = the blocking model)
+	MSHRs    int // vmem MSHR file size (0 or 1 = the blocking model)
 
 	// RP is the per-bank row policy; the zero value keeps the preset's
-	// static open page. PFQ caps per-channel prefetch read-queue
-	// occupancy (0 = the controller default of half the queue depth).
-	RP  policy.Spec
-	PFQ int
+	// static open page.
+	RP policy.Spec
 
 	// PFStreams/PFDegree size the vmem-level stream prefetcher:
 	// stream-table entries and lines kept in flight per stream. They
@@ -91,10 +80,6 @@ type Knobs struct {
 	// lazily-submitted MSHR batch.
 	PFStreams int
 	PFDegree  int
-
-	// PFDecay lets the demand-first latch decay after that many
-	// deferral-free cycles (Config.PFDecay); 0 keeps the sticky latch.
-	PFDecay int
 
 	// Tenants is the requestor count of a multi-tenant run; on sdram it
 	// additionally sizes the QoS credit scheduler. QoS turns on
@@ -112,31 +97,6 @@ func (k Knobs) apply(cfg Config) Config {
 	if k.Channels > 0 {
 		cfg.Channels = k.Channels
 	}
-	if k.WQDrain > 0 {
-		cfg.WQDrain = k.WQDrain
-		if cfg.WQDepth < cfg.WQDrain {
-			cfg.WQDepth = cfg.WQDrain
-		}
-		// A knob that shrinks the drain threshold below the preset's
-		// tuned watermark drops the watermark rather than erroring; an
-		// explicit wql knob is applied (and conflict-checked) below.
-		if cfg.WQLow >= cfg.WQDrain {
-			cfg.WQLow = 0
-		}
-	}
-	if k.Window > 0 {
-		cfg.ReorderWindow = k.Window
-	}
-	if k.WQLow > 0 {
-		cfg.WQLow = k.WQLow
-	} else if k.WQLow == -1 {
-		cfg.WQLow = 0 // explicit off: threshold drains empty the queue
-	}
-	if k.WQIdle > 0 {
-		cfg.WQIdle = int64(k.WQIdle)
-	} else if k.WQIdle == -1 {
-		cfg.WQIdle = 0 // explicit off: no idle-bus drains
-	}
 	if k.RP != (policy.Spec{}) {
 		// An explicit rpopen canonicalizes to the zero spec, so a
 		// configuration that names the default compares (and simulates)
@@ -146,12 +106,6 @@ func (k Knobs) apply(cfg Config) Config {
 		} else {
 			cfg.RowPolicy = k.RP
 		}
-	}
-	if k.PFQ > 0 {
-		cfg.PFQCap = k.PFQ
-	}
-	if k.PFDecay > 0 {
-		cfg.PFDecay = int64(k.PFDecay)
 	}
 	if k.Tenants > 0 {
 		cfg.Tenants = k.Tenants
@@ -201,9 +155,6 @@ func (s *Selection) Build(kind string, fixedLatency int64) (Backend, error) {
 	case "sdram":
 		cfg := s.apply(p.Config())
 		cfg.Mapping, cfg.Scheduler = m, sc
-		if cfg.WQLow != 0 && cfg.WQLow >= cfg.WQDrain {
-			return nil, fmt.Errorf("write-queue low watermark %d must be below the drain threshold %d", cfg.WQLow, cfg.WQDrain)
-		}
 		return NewSDRAM(cfg), nil
 	}
 	return nil, fmt.Errorf("unknown dram backend %q (fixed, sdram)", kind)
@@ -235,9 +186,8 @@ func grammar() string {
 // ParseSpecFull builds a backend from a spec string and returns its knobs:
 //
 //	fixed[/mshr<n>][/pf<n>[d<m>]][/tn<n>][/va|vacolor|vacolo]
-//	sdram[/mapping[/sched[/profile]]][/<n>ch][/wq<n>][/wql<n>]
-//	     [/wqi<n>][/win<n>][/rp<name>[:<n>]][/pfq<n>][/pfdec<n>]
-//	     [/qos][/mshr<n>][/pf<n>[d<m>]][/tn<n>][/va|vacolor|vacolo]
+//	sdram[/mapping[/sched[/profile]]][/<n>ch][/rp<name>[:<n>]][/qos]
+//	     [/mshr<n>][/pf<n>[d<m>]][/tn<n>][/va|vacolor|vacolo]
 //
 // This is the one statement of the grammar; KnobTable generates it.
 // Omitted sdram fields take their flags' defaults (line/frfcfs/ddr);

@@ -28,20 +28,20 @@ func FuzzParseSpec(f *testing.F) {
 		"sdram/line/frfcfs",
 		"sdram/bank/fcfs",
 		"sdram/row/frfcfs/hbm",
-		"sdram/line/frfcfs/hbm/4ch/wq8/wql2/wqi50/win16/mshr8/pf8d4",
+		"sdram/line/frfcfs/hbm/4ch/mshr8/pf8d4",
 		"sdram/line/frfcfs/mshr16/pf48d2",
 		"sdram/8ch",
 		"sdram/rpopen",
 		"sdram/rpclose/mshr8",
 		"sdram/line/frfcfs/rptimer:150",
 		"sdram/line/frfcfs/rptimer",
-		"sdram/rphistory/mshr64/pf48d2/pfq4",
+		"sdram/rphistory/mshr64/pf48d2",
 		"sdram/rphistory:3",   // rejected: only timer takes a parameter
 		"sdram/rptimer:0",     // rejected: non-positive idle gap
 		"sdram/rplru",         // rejected: unknown policy
 		"fixed/rpopen",        // rejected: controller knob on fixed
-		"sdram/mshr8/pfq2",    // rejected: pfq without pf
-		"sdram/mshr8/pf4/pfq", // rejected: pfq with no count
+		"sdram/mshr8/pfq2",    // rejected: a token the presets replaced
+		"sdram/mshr8/pf4/pfq", // rejected: ditto
 		"sdram/pf8",           // rejected: pf without mshr >= 2
 		"sdram/msrh8",         // rejected: misspelled knob
 		"sdram//frfcfs",       // rejected: empty positional token
@@ -53,27 +53,27 @@ func FuzzParseSpec(f *testing.F) {
 		"sdram/line/frfcfs/pf-1d2",
 		"sdram/line/frfcfs/mshr99999999999999999999",
 		"sdram/line/frfcfs/tn4/qos",
-		"sdram/line/frfcfs/mshr8/pf4/pfdec200/tn4/qos",
+		"sdram/line/frfcfs/mshr8/pf4/tn4/qos",
 		"fixed/tn2",
 		"sdram/qos",         // rejected: qos without tenants
 		"sdram/tn1/qos",     // rejected: qos needs at least 2 tenants
-		"sdram/pfdec100",    // rejected: pfdec without pf
+		"sdram/pfdec100",    // rejected: a token the presets replaced
 		"fixed/qos",         // rejected: controller token on fixed
-		"fixed/pfdec50",     // rejected: ditto
+		"fixed/pfdec50",     // rejected: ditto, on fixed
 		"sdram/tn0",         // rejected: malformed tenant count
 		"sdram/tn-3",        // rejected: ditto
-		"sdram/mshr8/pfdec", // rejected: pfdec with no count
+		"sdram/mshr8/pfdec", // rejected: ditto, with no count
 		"sdram/tn257",       // rejected: more tenants than a request can name
 		// Rejected: counts past what the model can build (these panicked
 		// in NewSDRAM or exhausted the host before the table's ranges).
 		"sdram/4611686018427387904ch",
 		"sdram/1073741824ch",
-		"sdram/wq2147483647",
+		"sdram/wq2147483647", // and a token the presets replaced
 		"fixed/mshr8/pf2147483647",
 		"fixed/mshr2147483647",
-		"sdram/mshr8/pf4d2147483647/pfq2147483647",
-		"sdram/1024ch/wq1024/win1024/mshr1024/pf1024d64", // every count at its maximum but the channels past theirs
-		"sdram/64ch/wq1024/wql1023/wqi1048576/win1024/mshr1024/pf1024d64/pfq1024/pfdec1048576/tn256/qos", // accepted: every count at its maximum
+		"sdram/mshr8/pf4d2147483647",
+		"sdram/1024ch/mshr1024/pf1024d64",         // every count at its maximum but the channels past theirs
+		"sdram/64ch/mshr1024/pf1024d64/tn256/qos", // accepted: every count at its maximum
 	} {
 		f.Add(seed)
 	}

@@ -1,9 +1,6 @@
 package dram
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestPartialDrainStopsAtLowWatermark: with WQLow set, a threshold
 // crossing only retires the queue's head down to the watermark —
@@ -116,52 +113,5 @@ func TestWriteReadStallCounted(t *testing.T) {
 	}
 	if st.WriteReadStall != 15 {
 		t.Fatalf("write-induced stall = %d cycles, want 15", st.WriteReadStall)
-	}
-}
-
-// TestWriteDrainKnobValidation: the spec/flag layer rejects nonsense
-// watermark combinations instead of panicking later.
-func TestWriteDrainKnobValidation(t *testing.T) {
-	if _, _, err := ParseSpecFull("sdram/line/frfcfs/wq4/wql6", 100); err == nil ||
-		!strings.Contains(err.Error(), "watermark") {
-		t.Errorf("wql above wq accepted: %v", err)
-	}
-	b, _, err := ParseSpecFull("sdram/line/frfcfs/wq8/wql2/wqi50", 100)
-	if err != nil {
-		t.Fatalf("valid drain knobs rejected: %v", err)
-	}
-	cfg := b.(*SDRAM).Config()
-	if cfg.WQDrain != 8 || cfg.WQLow != 2 || cfg.WQIdle != 50 {
-		t.Errorf("knobs not applied: %+v", cfg)
-	}
-}
-
-// TestWriteDrainExplicitOff: the presets ship the tuned drains on, so
-// "wql0"/"wqi0" (flags -dwql -1 / -dwqi -1) must explicitly disable
-// them — and an unset knob must keep the preset's values.
-func TestWriteDrainExplicitOff(t *testing.T) {
-	def, _, err := ParseSpecFull("sdram/line/frfcfs", 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg := def.(*SDRAM).Config(); cfg.WQLow != 4 || cfg.WQIdle != 30 {
-		t.Fatalf("preset drains not on by default: %+v", cfg)
-	}
-	off, _, err := ParseSpecFull("sdram/line/frfcfs/wql0/wqi0", 100)
-	if err != nil {
-		t.Fatalf("explicit off rejected: %v", err)
-	}
-	if cfg := off.(*SDRAM).Config(); cfg.WQLow != 0 || cfg.WQIdle != 0 {
-		t.Fatalf("wql0/wqi0 did not disable the drains: %+v", cfg)
-	}
-	// The off form round-trips through the canonical renderer.
-	if got := FormatSpecOpts("sdram", "line", "frfcfs", "", Knobs{WQLow: -1, WQIdle: -1}); got != "sdram/line/frfcfs/wql0/wqi0" {
-		t.Fatalf("FormatSpecOpts(off) = %q", got)
-	}
-	// Zero on other count knobs stays invalid.
-	for _, bad := range []string{"sdram/wq0", "sdram/win0", "sdram/mshr0"} {
-		if _, _, err := ParseSpecFull(bad, 100); err == nil {
-			t.Errorf("%q accepted", bad)
-		}
 	}
 }

@@ -15,22 +15,22 @@ import (
 // under -j and renders.
 
 // example:begin
-// WQSweep crosses write-queue drain thresholds with the streaming
-// kernels and both timing profiles behind an 8-entry MSHR file.
-func WQSweep(r *Runner) *Table {
+// StallSweep crosses MSHR file sizes with the streaming kernels and
+// both timing profiles, counting the misses that found the file full.
+func StallSweep(r *Runner) *Table {
 	s := &Sweep{
-		Title: "Write-queue sweep — drain threshold (MOM+3D, vector cache + 3D, sdram/line/frfcfs/wq<n>/mshr8)",
+		Title: "MSHR stall sweep — file size (MOM+3D, vector cache + 3D, sdram/line/frfcfs/mshr<n>)",
 		Head:  fmt.Sprintf("%-14s %-4s", "benchmark", "prof"),
-		Rows:  benchProfRows(MSHRBenches, MSHRProfiles, dram.Knobs{MSHRs: 8}),
-		Note:  "note: drains counts the write-queue drain episodes of the run.\n",
+		Rows:  benchProfRows(MSHRBenches, MSHRProfiles, dram.Knobs{}),
+		Note:  "note: full counts the misses that found every MSHR occupied.\n",
 	}
-	for _, n := range []int{8, 12, 16} {
+	for _, n := range []int{4, 8, 16} {
 		s.Cols = append(s.Cols, Col{
-			Head: fmt.Sprintf(" %9s %6s %6s", fmt.Sprintf("wq%d", n), "B/cyc", "drains"),
-			Spec: at(func(k *dram.Knobs) { k.WQDrain = n }),
-			Fmt:  " %9d %6.2f %6d",
+			Head: fmt.Sprintf(" %9s %5s %6s", fmt.Sprintf("mshr%d", n), "MLP", "full"),
+			Spec: at(func(k *dram.Knobs) { k.MSHRs = n }),
+			Fmt:  " %9d %5.2f %6d",
 			Get: func(c Result) []any {
-				return []any{c.Sim.Core.Cycles, c.Sim.DRAM.AchievedBandwidth(), c.Sim.DRAM.WriteDrains}
+				return []any{c.Sim.Core.Cycles, c.Sim.MSHR.MLP(), c.Sim.MSHR.FullStalls}
 			},
 		})
 	}
@@ -54,7 +54,7 @@ func TestSweepExampleMatchesDesign(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(doc), example) {
-		t.Error("DESIGN.md's \"Sweeps as data\" example is not the WQSweep compiled here; update one from the other")
+		t.Error("DESIGN.md's \"Sweeps as data\" example is not the StallSweep compiled here; update one from the other")
 	}
 	code := 0
 	for _, line := range strings.Split(example, "\n") {
@@ -72,14 +72,14 @@ func TestSweepExampleMatchesDesign(t *testing.T) {
 	par.Workers = 4
 	cells := 0
 	serial.Progress = func(SimKey) { cells++ }
-	want := WQSweep(serial).Render()
-	if got := WQSweep(par).Render(); got != want {
+	want := StallSweep(serial).Render()
+	if got := StallSweep(par).Render(); got != want {
 		t.Errorf("example sweep diverged under -j 4\nserial:\n%s\nparallel:\n%s", want, got)
 	}
 	if cells != 12 {
-		t.Errorf("example sweep simulated %d cells, want 2 kernels × 2 profiles × 3 thresholds", cells)
+		t.Errorf("example sweep simulated %d cells, want 2 kernels × 2 profiles × 3 file sizes", cells)
 	}
-	if !strings.Contains(want, "wq12") || !strings.Contains(want, "motionsearch   hbm") {
+	if !strings.Contains(want, "mshr8") || !strings.Contains(want, "motionsearch   hbm") {
 		t.Errorf("render lacks a column or row:\n%s", want)
 	}
 }

@@ -1,6 +1,7 @@
 package tenant_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -42,14 +43,17 @@ func FuzzGroup(f *testing.F) {
 		return streams[i]
 	}
 
-	// One seed per table row at its maximum, on the banked part, over a
-	// mix that covers every kernel across the seeds.
+	// One seed per table row at its maximum and one at its minimum, on
+	// the banked part, over a mix that covers every kernel across the
+	// seeds.
 	f.Add([]byte{}, uint16(0), uint8(0), true)
 	f.Add([]byte{}, uint16(1), uint8(2), false)
-	for i := range dram.KnobTable {
-		pick := make([]byte, 2*len(dram.KnobTable))
-		pick[2*i], pick[2*i+1] = 0xFF, 0xFF
-		f.Add(pick, uint16(7*i), uint8(i), true)
+	for _, v := range []uint16{0xFFFF, 1} {
+		for i := range dram.KnobTable {
+			pick := make([]byte, 2*len(dram.KnobTable))
+			binary.LittleEndian.PutUint16(pick[2*i:], v)
+			f.Add(pick, uint16(7*i), uint8(i), true)
+		}
 	}
 	f.Fuzz(func(t *testing.T, pick []byte, mix uint16, tenants uint8, sdram bool) {
 		kind := "fixed"
