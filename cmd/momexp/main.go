@@ -95,11 +95,7 @@ func main() {
 		err = fmt.Errorf("backend knobs configure the -dram backend; give -dram fixed or -dram sdram")
 	}
 	if err == nil && *dramName != "" {
-		// One build call validates backend kind, mapping, scheduler,
-		// profile and knobs; the runner would only panic on a bad spec
-		// much later.
-		_, err = sel.Build(*dramName, 100)
-		r.DRAMSpec = sel.Spec(*dramName)
+		err = r.SetDRAM(sel.Spec(*dramName))
 	}
 	if err != nil {
 		usage(err)

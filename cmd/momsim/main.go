@@ -256,7 +256,7 @@ func reportSolo(w io.Writer, rc runConfig, g *tenant.Group, tst *trace.Stats, en
 			fmt.Fprintf(w, "dram batches: %d posted writes (%d drains, %d partial, %d opportunistic), %d window promotions (row-hit or demand-first)\n",
 				ds.Writes, ds.WriteDrains, ds.PartialDrains, ds.OppDrains, ds.Reordered)
 			if ds.PrefetchReads > 0 {
-				fmt.Fprintf(w, "dram prefetch reads: %d (%d deferred by the pfq%d cap)\n",
+				fmt.Fprintf(w, "dram prefetch reads: %d (%d deferred by the prefetch-queue cap of %d)\n",
 					ds.PrefetchReads, ds.PrefetchDeferred, sd.Config().PFQCap)
 			}
 			if ds.WriteReadStall > 0 {
@@ -292,21 +292,12 @@ func reportSolo(w io.Writer, rc runConfig, g *tenant.Group, tst *trace.Stats, en
 func printCPIStack(w io.Writer, indent string, st *core.Stats) {
 	c := &st.CPI
 	fmt.Fprintf(w, "%scpi stack: %d cycles attributed (sum %d)\n", indent, st.Cycles, c.Sum())
-	rows := []struct {
-		name string
-		n    uint64
-	}{
-		{"busy", c.Busy}, {"issue", c.Issue}, {"exec", c.Exec}, {"dep", c.Dep},
-		{"mshr_full", c.MSHRFull}, {"store_buf", c.StoreBuf}, {"tlb_walk", c.TLBWalk},
-		{"dram_wait", c.DRAMWait}, {"qos_yield", c.QosYield},
-		{"frontend", c.Frontend}, {"drain", c.Drain},
-	}
-	for _, r := range rows {
-		if r.n == 0 {
+	for _, b := range c.Buckets() {
+		if b.N == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "%s  %-10s %12d  %5.1f%%\n", indent, r.name, r.n,
-			100*float64(r.n)/float64(st.Cycles))
+		fmt.Fprintf(w, "%s  %-10s %12d  %5.1f%%\n", indent, b.Name, b.N,
+			100*float64(b.N)/float64(st.Cycles))
 	}
 }
 

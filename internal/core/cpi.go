@@ -68,6 +68,23 @@ type CPIStack struct {
 	Drain uint64
 }
 
+// CPIBucket is one bucket of a CPI stack under its registry name.
+type CPIBucket struct {
+	Name string // snake_case suffix it registers under: core.cpi.<Name>
+	N    uint64
+}
+
+// Buckets returns the stack's buckets in presentation order (pipeline
+// first, memory system last), which is also their field order.
+func (c *CPIStack) Buckets() []CPIBucket {
+	return []CPIBucket{
+		{"busy", c.Busy}, {"issue", c.Issue}, {"exec", c.Exec}, {"dep", c.Dep},
+		{"mshr_full", c.MSHRFull}, {"store_buf", c.StoreBuf}, {"tlb_walk", c.TLBWalk},
+		{"dram_wait", c.DRAMWait}, {"qos_yield", c.QosYield},
+		{"frontend", c.Frontend}, {"drain", c.Drain},
+	}
+}
+
 // Sum is the total of every bucket; conservation demands it equal the
 // run's cycle count exactly.
 func (c *CPIStack) Sum() uint64 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -130,5 +131,28 @@ func TestCPIBucketsPlausible(t *testing.T) {
 	}
 	if mshr.CPI.DRAMWait == 0 {
 		t.Errorf("mshr8 pipeline: DRAMWait bucket empty: %+v", mshr.CPI)
+	}
+}
+
+// TestCPIBucketsMatchRegistry holds Buckets to stats.AddStruct: one
+// bucket per CPIStack field, in field order, named as the registry names
+// the field and carrying its value. The momsim report and the CPI sweep
+// read Buckets, and -statsjson reads the registry, so the two cannot
+// drift apart.
+func TestCPIBucketsMatchRegistry(t *testing.T) {
+	var c CPIStack
+	v := reflect.ValueOf(&c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(i + 1))
+	}
+	got := c.Buckets()
+	if len(got) != v.NumField() {
+		t.Fatalf("Buckets returns %d buckets, CPIStack has %d fields", len(got), v.NumField())
+	}
+	for i, b := range got {
+		want := stats.SnakeCase(v.Type().Field(i).Name)
+		if b.Name != want || b.N != uint64(i+1) {
+			t.Errorf("bucket %d = {%s %d}, want {%s %d}", i, b.Name, b.N, want, i+1)
+		}
 	}
 }

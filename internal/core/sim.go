@@ -706,27 +706,16 @@ func (s *Sim) insert(in *isa.Inst, seq, addr uint64) {
 	s.count++
 }
 
-// memRange returns the conservative [lo, hi) byte range an instruction
-// touches at effective address addr, used for store-to-load ordering.
+// memRange returns the conservative [lo, hi) byte range a memory
+// instruction touches at effective address addr, used for store-to-load
+// ordering.
 func memRange(in *isa.Inst, addr uint64) (lo, hi uint64) {
-	switch in.Kind {
-	case isa.KindScalarMem:
-		return addr, addr + uint64(in.Imm)
-	case isa.KindUSIMDMem:
-		return addr, addr + 8
-	case isa.KindMOMMem, isa.Kind3DLoad:
-		size := int64(isa.MOMElemBytes)
-		if in.Kind == isa.Kind3DLoad {
-			size = int64(in.Width) * 8
-		}
-		first := int64(addr)
-		last := first + int64(in.VL-1)*in.Stride
-		if last < first {
-			first, last = last, first
-		}
-		return uint64(first), uint64(last + size)
+	first := int64(in.ElemAddr(addr, 0))
+	last := int64(in.ElemAddr(addr, in.Elems()-1))
+	if last < first {
+		first, last = last, first
 	}
-	return 0, 0
+	return uint64(first), uint64(last + int64(in.ElemBytes()))
 }
 
 // predict consults the gshare pattern history table and updates it with

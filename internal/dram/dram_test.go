@@ -338,7 +338,9 @@ func TestSpecRoundTrip(t *testing.T) {
 }
 
 // TestValidateFlagCombo: an explicitly set flag the chosen kind would
-// silently ignore is refused, whatever its value.
+// silently ignore is refused, whatever its value, and so is a count
+// Selection.Spec could not print as a spec that parses: one out of its
+// row's range, or -pfd without the -pf it joins.
 func TestValidateFlagCombo(t *testing.T) {
 	cases := []struct {
 		kind string
@@ -351,6 +353,9 @@ func TestValidateFlagCombo(t *testing.T) {
 		{"", []string{"-qos"}, false},
 		{"sdram", []string{"-dchan", "4"}, true},
 		{"SDRAM", []string{"-rp", "close"}, true}, // case-insensitive like Build
+		{"sdram", []string{"-mshr", "-5"}, false},
+		{"sdram", []string{"-mshr", "8", "-pfd", "3"}, false},
+		{"sdram", []string{"-mshr", "8", "-pf", "4", "-pfd", "3"}, true},
 	}
 	for _, c := range cases {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)

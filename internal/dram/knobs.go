@@ -316,7 +316,9 @@ func (f *Flags) Given() (given bool) {
 
 // Read returns what the parsed command line selected for a backend of
 // the given kind. An explicitly set flag that kind would silently
-// ignore is refused, as is a named value that does not parse.
+// ignore is refused, as is a named value that does not parse and a
+// count outside its row's range or without the knob it needs, so what
+// Read returns prints (Selection.Spec) as a spec that parses.
 func (f *Flags) Read(kind string) (Selection, error) {
 	var err error
 	f.fs.Visit(func(fl *flag.Flag) {
@@ -327,6 +329,9 @@ func (f *Flags) Read(kind string) (Selection, error) {
 	for i, v := range f.raw {
 		if v != nil && *v != "" && err == nil {
 			err = KnobTable[i].Set(&f.sel, *v)
+		}
+		if err == nil {
+			err = KnobTable[i].check(&f.sel)
 		}
 	}
 	return f.sel, err

@@ -428,8 +428,7 @@ func (m *Machine) execMOMMem(in *isa.Inst) error {
 			return fmt.Errorf("emu: MOM load destination %v", in.Dst)
 		}
 		for e := 0; e < in.VL; e++ {
-			addr := in.Addr + uint64(int64(e)*in.Stride)
-			m.Vec[in.Dst.Index()][e] = m.Mem.ReadU64(addr)
+			m.Vec[in.Dst.Index()][e] = m.Mem.ReadU64(in.ElemAddr(in.Addr, e))
 		}
 		return nil
 	case isa.OpVStore:
@@ -437,8 +436,7 @@ func (m *Machine) execMOMMem(in *isa.Inst) error {
 			return fmt.Errorf("emu: MOM store source %v", in.Src2)
 		}
 		for e := 0; e < in.VL; e++ {
-			addr := in.Addr + uint64(int64(e)*in.Stride)
-			m.Mem.WriteU64(addr, m.Vec[in.Src2.Index()][e])
+			m.Mem.WriteU64(in.ElemAddr(in.Addr, e), m.Vec[in.Src2.Index()][e])
 		}
 		return nil
 	}
@@ -463,7 +461,7 @@ func (m *Machine) exec3DLoad(in *isa.Inst) error {
 	}
 	d := in.Dst.Index()
 	for e := 0; e < in.VL; e++ {
-		base := in.Addr + uint64(int64(e)*in.Stride)
+		base := in.ElemAddr(in.Addr, e)
 		for w := 0; w < in.Width; w++ {
 			m.D3[d][e][w] = m.Mem.ReadU64(base + uint64(w*8))
 		}

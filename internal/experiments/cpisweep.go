@@ -4,11 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"reflect"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/stats"
 )
 
 // This file emits the CPI-stack report (BENCH_PR10.json): whole-pipeline
@@ -39,25 +37,12 @@ type CPISweepReport struct {
 	Rows  []CPISweepRow `json:"rows"`
 }
 
-// cpiBuckets lists the stack's buckets in presentation order (pipeline
-// first, memory system last), with the snake_case registry suffix each
-// field registers under.
-var cpiBuckets = func() []struct{ field, key string } {
-	typ := reflect.TypeOf(core.CPIStack{})
-	out := make([]struct{ field, key string }, typ.NumField())
-	for i := range out {
-		name := typ.Field(i).Name
-		out[i] = struct{ field, key string }{name, stats.SnakeCase(name)}
-	}
-	return out
-}()
-
 // stackMap flattens a CPI stack into registry-suffix keys.
-func stackMap(c core.CPIStack) map[string]uint64 {
-	v := reflect.ValueOf(c)
-	m := make(map[string]uint64, len(cpiBuckets))
-	for i, b := range cpiBuckets {
-		m[b.key] = v.Field(i).Uint()
+func stackMap(c *core.CPIStack) map[string]uint64 {
+	buckets := c.Buckets()
+	m := make(map[string]uint64, len(buckets))
+	for _, b := range buckets {
+		m[b.Name] = b.N
 	}
 	return m
 }
@@ -81,7 +66,7 @@ func CPISweep(r *Runner, suite string) *CPISweepReport {
 			rep.Rows = append(rep.Rows, CPISweepRow{
 				Config: fmt.Sprintf("%s/%s/%s", res.Key.Bench, res.Key.Variant, res.Key.DRAM),
 				Cycles: res.Core.Cycles,
-				Stack:  stackMap(res.Core.CPI),
+				Stack:  stackMap(&res.Core.CPI),
 			})
 		}
 	}
@@ -93,11 +78,11 @@ func CPISweep(r *Runner, suite string) *CPISweepReport {
 // whole sweep leaves at zero are dropped so the blocking rows don't
 // drag eleven columns of zeros through the table.
 func RenderCPISweep(rep *CPISweepReport) string {
-	live := make([]struct{ field, key string }, 0, len(cpiBuckets))
-	for _, b := range cpiBuckets {
+	var live []string
+	for _, bk := range new(core.CPIStack).Buckets() {
 		for _, r := range rep.Rows {
-			if r.Stack[b.key] > 0 {
-				live = append(live, b)
+			if r.Stack[bk.Name] > 0 {
+				live = append(live, bk.Name)
 				break
 			}
 		}
@@ -106,14 +91,14 @@ func RenderCPISweep(rep *CPISweepReport) string {
 	fmt.Fprintf(&b, "CPI stacks — MOM+3D, vector cache + 3D, percent of run cycles per bucket (suite %s)\n", rep.Suite)
 	fmt.Fprintf(&b, "%-14s %-24s %9s |", "bench", "backend", "cycles")
 	for _, col := range live {
-		fmt.Fprintf(&b, " %9s", col.key)
+		fmt.Fprintf(&b, " %9s", col)
 	}
 	b.WriteByte('\n')
 	for _, r := range rep.Rows {
 		parts := strings.SplitN(r.Config, "/", 3)
 		fmt.Fprintf(&b, "%-14s %-24s %9d |", parts[0], parts[2], r.Cycles)
 		for _, col := range live {
-			fmt.Fprintf(&b, " %8.1f%%", 100*float64(r.Stack[col.key])/float64(r.Cycles))
+			fmt.Fprintf(&b, " %8.1f%%", 100*float64(r.Stack[col])/float64(r.Cycles))
 		}
 		b.WriteByte('\n')
 	}

@@ -112,12 +112,24 @@ func TestFixedSpecMatchesSeedModel(t *testing.T) {
 
 func TestRunnerDRAMSpecAppliesToSim(t *testing.T) {
 	r := smallRunner()
-	r.DRAMSpec = "sdram/bank/frfcfs"
+	if err := r.SetDRAM("sdram/bank/frfcfs"); err != nil {
+		t.Fatal(err)
+	}
 	res := r.Sim("gsmencode", kernels.MOM3D, core.MemVectorCache3D, baseLat)
 	if res.Key.DRAM != "sdram/bank/frfcfs" {
 		t.Fatalf("key DRAM spec = %q", res.Key.DRAM)
 	}
 	if res.DRAM.Accesses == 0 {
 		t.Fatal("sdram stats empty: backend was not threaded through")
+	}
+	// A spec the runner could only panic on later is an error now, and
+	// leaves the backend as it was.
+	for _, bad := range []string{"sdram/bank/frfcfs/msrh8", "sdram/tn2"} {
+		if err := r.SetDRAM(bad); err == nil {
+			t.Errorf("SetDRAM(%q) accepted", bad)
+		}
+	}
+	if res := r.Sim("gsmencode", kernels.MOM3D, core.MemVectorCache3D, baseLat); res.Key.DRAM != "sdram/bank/frfcfs" {
+		t.Errorf("after refused specs, key DRAM spec = %q", res.Key.DRAM)
 	}
 }

@@ -33,7 +33,7 @@ func (r *Runner) child() *Runner {
 		order:    r.order,
 		results:  map[SimKey]*SimResult{},
 		store:    r.store,
-		DRAMSpec: r.DRAMSpec,
+		dramSpec: r.dramSpec,
 		Engine:   r.Engine,
 	}
 }

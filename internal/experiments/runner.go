@@ -71,10 +71,8 @@ type Runner struct {
 	// Progress, if non-nil, is called before each new simulation.
 	Progress func(key SimKey)
 
-	// DRAMSpec is the main-memory backend Sim uses: "" (the seed's flat
-	// latency), "fixed", or "sdram/<mapping>/<scheduler>". A cell's
-	// SimKey names its own.
-	DRAMSpec string
+	// dramSpec is the backend Sim uses (SetDRAM); a cell's key names its own.
+	dramSpec string
 
 	// Engine selects the simulation engine for every run: the per-cycle
 	// oracle (the zero value) or the event-wheel engine. Results are
@@ -108,6 +106,25 @@ type streamKey struct {
 type stream struct {
 	tr *trace.Stream
 	st *trace.Stats
+}
+
+// SetDRAM sets the main-memory backend Sim runs every cell on: "" (the
+// seed's flat latency) or a spec dram.ParseSpecFull accepts, such as
+// "fixed" or "sdram/<mapping>/<scheduler>". A spec that does not parse,
+// or that carries a tn token (a runner's cells are solo), is refused and
+// leaves the runner as it was.
+func (r *Runner) SetDRAM(spec string) error {
+	if spec != "" {
+		_, knobs, err := dram.ParseSpecFull(spec, flatMemLatency)
+		if err != nil {
+			return err
+		}
+		if knobs.Tenants != 0 {
+			return fmt.Errorf("spec %q carries tn%d: a runner's cells are solo", spec, knobs.Tenants)
+		}
+	}
+	r.dramSpec = spec
+	return nil
 }
 
 // NewRunner builds a runner over the default benchmark suite.
@@ -180,7 +197,7 @@ func coreConfigFor(v kernels.Variant) core.Config {
 // Sim runs (or recalls) one benchmark over the runner's default DRAM
 // backend: the figures' shorthand for cell.
 func (r *Runner) Sim(bench string, v kernels.Variant, mem core.MemKind, l2lat int64) *SimResult {
-	return r.cell(SimKey{Bench: bench, Variant: v, Mem: mem, L2Lat: l2lat, DRAM: r.DRAMSpec})
+	return r.cell(SimKey{Bench: bench, Variant: v, Mem: mem, L2Lat: l2lat, DRAM: r.dramSpec})
 }
 
 // flatMemLatency is the seed's main-memory latency beyond L2, the
@@ -193,9 +210,10 @@ const flatMemLatency = 100
 // every tenant on key's ISA variant and memory system, over a fresh
 // backend — they are stateful — built from key.DRAM (left to
 // core.NewMemSystem, the seed's flat latency, for ""). This is the only
-// construction site: a spec that does not parse, a placement policy the
-// VM refuses, or a tn<n> token that disagrees with the mix panics here
-// with the cell's key.
+// construction site. SetDRAM refuses a bad spec of the caller's, so a
+// spec that does not parse, a placement policy the VM refuses, or a
+// tn<n> token that disagrees with the mix panics here, with the cell's
+// key, only from a spec a sweep composed itself.
 func (r *Runner) machine(key SimKey) *tenant.Group {
 	fail := func(err any) { panic(fmt.Sprintf("experiments: %+v: %v", key, err)) }
 	mix := strings.Split(key.Bench, "+")

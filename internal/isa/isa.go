@@ -15,8 +15,6 @@ import "fmt"
 const (
 	// MOMElems is the number of 64-bit elements in a MOM vector register.
 	MOMElems = 16
-	// MOMElemBytes is the width in bytes of one MOM register element.
-	MOMElemBytes = 8
 	// D3Elems is the number of elements in a 3D vector register.
 	D3Elems = 16
 	// D3ElemBytes is the width in bytes of one 3D register element
@@ -223,46 +221,39 @@ type Inst struct {
 	Taken   bool   // branch outcome
 }
 
-// Bytes reports the total number of bytes this instruction transfers
-// to or from memory (0 for non-memory instructions).
-func (in *Inst) Bytes() int {
+// Elems reports how many elements a memory instruction touches: VL for
+// MOM and 3D memory operations, 1 for scalar and μSIMD ones, 0 for an
+// instruction that does not access memory. With ElemBytes and ElemAddr
+// it is the one definition of an instruction's memory footprint.
+func (in *Inst) Elems() int {
 	switch in.Kind {
-	case KindScalarMem:
-		return int(in.Imm) // scalar ops carry their access size in Imm
-	case KindUSIMDMem:
-		return 8
-	case KindMOMMem:
-		return in.VL * MOMElemBytes
-	case Kind3DLoad:
-		return in.VL * in.Width * 8
+	case KindScalarMem, KindUSIMDMem:
+		return 1
+	case KindMOMMem, Kind3DLoad:
+		return in.VL
 	}
 	return 0
 }
 
-// ElemAddrs appends the per-element (address, size) pairs of a vector
-// memory instruction to dst and returns it. For scalar and μSIMD memory
-// operations it appends the single access.
-func (in *Inst) ElemAddrs(dst []ElemAccess) []ElemAccess {
+// ElemBytes reports the width of one element in bytes: the access size
+// a scalar operation carries in Imm, Width 64-bit words for a dvload,
+// one 64-bit word otherwise.
+func (in *Inst) ElemBytes() int {
 	switch in.Kind {
 	case KindScalarMem:
-		dst = append(dst, ElemAccess{Addr: in.Addr, Size: int(in.Imm)})
-	case KindUSIMDMem:
-		dst = append(dst, ElemAccess{Addr: in.Addr, Size: 8})
-	case KindMOMMem:
-		for e := 0; e < in.VL; e++ {
-			dst = append(dst, ElemAccess{Addr: in.Addr + uint64(int64(e)*in.Stride), Size: MOMElemBytes})
-		}
+		return int(in.Imm)
 	case Kind3DLoad:
-		for e := 0; e < in.VL; e++ {
-			dst = append(dst, ElemAccess{Addr: in.Addr + uint64(int64(e)*in.Stride), Size: in.Width * 8})
-		}
+		return in.Width * 8
 	}
-	return dst
+	return 8
 }
 
-// ElemAccess is one element-granularity memory access of a (possibly
-// vector) memory instruction.
-type ElemAccess struct {
-	Addr uint64
-	Size int // bytes
+// ElemAddr returns the address of element e when the instruction's base
+// is addr (its effective address, or a translation of it).
+func (in *Inst) ElemAddr(addr uint64, e int) uint64 {
+	return addr + uint64(int64(e)*in.Stride)
 }
+
+// Bytes reports the total number of bytes this instruction transfers
+// to or from memory (0 for non-memory instructions).
+func (in *Inst) Bytes() int { return in.Elems() * in.ElemBytes() }

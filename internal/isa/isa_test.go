@@ -74,19 +74,35 @@ func TestKindPredicates(t *testing.T) {
 	}
 }
 
+// access is one element of an instruction's memory footprint.
+type access struct {
+	addr uint64
+	size int
+}
+
+// footprint lists every element an instruction touches at its effective
+// address.
+func footprint(in *Inst) []access {
+	var got []access
+	for e := 0; e < in.Elems(); e++ {
+		got = append(got, access{in.ElemAddr(in.Addr, e), in.ElemBytes()})
+	}
+	return got
+}
+
 func TestElemAddrsMOM(t *testing.T) {
 	in := &Inst{
 		Op: OpVLoad, Kind: KindMOMMem,
 		Addr: 0x1000, VL: 4, Stride: 176,
 	}
-	got := in.ElemAddrs(nil)
+	got := footprint(in)
 	if len(got) != 4 {
 		t.Fatalf("len = %d, want 4", len(got))
 	}
 	for e, acc := range got {
 		want := uint64(0x1000 + e*176)
-		if acc.Addr != want || acc.Size != 8 {
-			t.Errorf("elem %d = {%#x,%d}, want {%#x,8}", e, acc.Addr, acc.Size, want)
+		if acc.addr != want || acc.size != 8 {
+			t.Errorf("elem %d = {%#x,%d}, want {%#x,8}", e, acc.addr, acc.size, want)
 		}
 	}
 	if in.Bytes() != 32 {
@@ -99,11 +115,11 @@ func TestElemAddrs3D(t *testing.T) {
 		Op: Op3DVLoad, Kind: Kind3DLoad,
 		Addr: 0x2000, VL: 8, Stride: 176, Width: 16,
 	}
-	got := in.ElemAddrs(nil)
+	got := footprint(in)
 	if len(got) != 8 {
 		t.Fatalf("len = %d, want 8", len(got))
 	}
-	if got[3].Addr != 0x2000+3*176 || got[3].Size != 128 {
+	if got[3].addr != 0x2000+3*176 || got[3].size != 128 {
 		t.Errorf("elem 3 = %+v", got[3])
 	}
 	if in.Bytes() != 8*128 {
@@ -113,20 +129,24 @@ func TestElemAddrs3D(t *testing.T) {
 
 func TestElemAddrsNegativeStride(t *testing.T) {
 	in := &Inst{Op: OpVLoad, Kind: KindMOMMem, Addr: 0x1000, VL: 2, Stride: -8}
-	got := in.ElemAddrs(nil)
-	if got[1].Addr != 0xff8 {
-		t.Errorf("elem 1 addr = %#x, want 0xff8", got[1].Addr)
+	got := footprint(in)
+	if got[1].addr != 0xff8 {
+		t.Errorf("elem 1 addr = %#x, want 0xff8", got[1].addr)
 	}
 }
 
 func TestElemAddrsScalar(t *testing.T) {
 	in := &Inst{Op: OpLoad, Kind: KindScalarMem, Addr: 0x42, Imm: 4}
-	got := in.ElemAddrs(nil)
-	if len(got) != 1 || got[0].Size != 4 || got[0].Addr != 0x42 {
+	got := footprint(in)
+	if len(got) != 1 || got[0].size != 4 || got[0].addr != 0x42 {
 		t.Errorf("got %+v", got)
 	}
 	if in.Bytes() != 4 {
 		t.Errorf("Bytes = %d, want 4", in.Bytes())
+	}
+	alu := &Inst{Op: OpIAdd, Kind: KindScalar, VL: 4}
+	if alu.Elems() != 0 || alu.Bytes() != 0 {
+		t.Errorf("ALU op: Elems = %d, Bytes = %d, want 0, 0", alu.Elems(), alu.Bytes())
 	}
 }
 

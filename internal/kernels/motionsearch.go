@@ -53,20 +53,6 @@ func motionSearchFrames(cfg MotionSearchConfig) (cur, ref *media.Frame) {
 	return cur, ref
 }
 
-// motionSearchRange clips the candidate displacement window [lo, hi]
-// for a macroblock at x0 so every candidate block stays in the frame.
-func motionSearchRange(cfg MotionSearchConfig, x0 int) (lo, hi int) {
-	lo = -cfg.Cands / 2
-	hi = lo + cfg.Cands - 1
-	if lo < -x0 {
-		lo = -x0
-	}
-	if hi > cfg.W-16-x0 {
-		hi = cfg.W - 16 - x0
-	}
-	return lo, hi
-}
-
 func motionSearchRun(cfg MotionSearchConfig, v Variant, sink trace.Sink) []byte {
 	cur, ref := motionSearchFrames(cfg)
 	e := newEnv(v, sink)
@@ -93,63 +79,19 @@ func motionSearchRun(cfg MotionSearchConfig, v Variant, sink trace.Sink) []byte 
 	dg := newDigest()
 	for y0 := 0; y0+16 <= cfg.H; y0 += 16 * cfg.Step {
 		for x0 := 0; x0+16 <= cfg.W; x0 += 16 * cfg.Step {
-			lo, hi := motionSearchRange(cfg, x0)
+			lo, hi := searchRange(cfg.Cands, cfg.W, x0)
 			e.setBase(rCur, curA+uint64(y0*cfg.W+x0))
 			e.setBase(rRef, refA+uint64(y0*cfg.W+x0+lo))
 			b.MovImm(rMin, 1<<30)
 			b.MovImm(rPos, int64(lo))
-
-			if v != MMX {
-				b.MOMLoad(vW0, rCur, 0, W, 16, 8)
-				b.MOMLoad(vW1, rCur, 8, W, 16, 8)
-			}
-			switch v {
-			case MMX:
-				for dx := lo; dx <= hi; dx++ {
-					i := int64(dx - lo)
-					b.U(isa.OpPXor, vT0, vT0, vT0)
-					for y := 0; y < 16; y++ {
-						o := int64(y) * W
-						b.MMXLoad(vB01, rCur, o, 8)
-						b.MMXLoad(vB23, rCur, o+8, 8)
-						b.MMXLoad(vB45, rRef, o+i, 8)
-						b.MMXLoad(vB67, rRef, o+i+8, 8)
-						b.U(isa.OpPSadBW, vB45, vB01, vB45)
-						b.U(isa.OpPSadBW, vB67, vB23, vB67)
-						b.U(isa.OpPAddD, vT0, vT0, vB45)
-						b.U(isa.OpPAddD, vT0, vT0, vB67)
-					}
-					b.MovV2I(rSad, vT0, 0)
-					motionSearchUpdateMin(e, rSad, rMin, rPos, rCond, dx)
+			loadSearchBlock(e, rCur, W)
+			// A 3-word (24-byte) dvload covers the hi-lo+16 bytes a
+			// row of up to 8 candidates spans.
+			sadRow(e, rCur, rRef, rSad, W, lo, hi, 3, func(dx int) {
+				if newMin(e, rSad, rMin, rCond) {
+					b.MovImm(rPos, int64(dx))
 				}
-			case MOM:
-				for dx := lo; dx <= hi; dx++ {
-					i := int64(dx - lo)
-					b.MOMLoad(vB01, rRef, i, W, 16, 8)
-					b.MOMLoad(vB23, rRef, i+8, W, 16, 8)
-					b.AccClr(isa.A(0))
-					b.VSadAcc(isa.A(0), vW0, vB01, 16)
-					b.VSadAcc(isa.A(0), vW1, vB23, 16)
-					b.AccMov(rSad, isa.A(0))
-					motionSearchUpdateMin(e, rSad, rMin, rPos, rCond, dx)
-				}
-			case MOM3D:
-				// One dvload of 24-byte-wide overlapped elements covers
-				// the whole horizontal window: candidate dx slices the
-				// 3D register at byte offset dx-lo (≤ 7), and the two
-				// 8-byte dvmov slices of each candidate reach at most
-				// byte 7+16 = 23.
-				b.DVLoad(isa.D(0), rRef, 0, W, 16, 3, false, 8)
-				for dx := lo; dx <= hi; dx++ {
-					b.DVMov(vB01, isa.D(0), 8, 16)  // slice at p, ptr -> p+8
-					b.DVMov(vB23, isa.D(0), -7, 16) // slice at p+8, ptr -> p+1
-					b.AccClr(isa.A(0))
-					b.VSadAcc(isa.A(0), vW0, vB01, 16)
-					b.VSadAcc(isa.A(0), vW1, vB23, 16)
-					b.AccMov(rSad, isa.A(0))
-					motionSearchUpdateMin(e, rSad, rMin, rPos, rCond, dx)
-				}
-			}
+			})
 
 			// Motion compensation: copy the winning candidate block into
 			// the reconstruction frame — the store stream that pushes
@@ -181,38 +123,16 @@ func motionSearchRun(cfg MotionSearchConfig, v Variant, sink trace.Sink) []byte 
 	return dg.sum()
 }
 
-// motionSearchUpdateMin emits the running-minimum update of the
-// full-search kernel.
-func motionSearchUpdateMin(e *env, rSad, rMin, rPos, rCond isa.Reg, dx int) {
-	e.b.Slt(rCond, rSad, rMin)
-	if e.b.BrNZ(rCond) {
-		e.b.Mov(rMin, rSad)
-		e.b.MovImm(rPos, int64(dx))
-	}
-}
-
 func motionSearchRef(cfg MotionSearchConfig) []byte {
 	cur, ref := motionSearchFrames(cfg)
 	recon := make([]byte, cfg.W*cfg.H)
 	dg := newDigest()
 	for y0 := 0; y0+16 <= cfg.H; y0 += 16 * cfg.Step {
 		for x0 := 0; x0+16 <= cfg.W; x0 += 16 * cfg.Step {
-			lo, hi := motionSearchRange(cfg, x0)
+			lo, hi := searchRange(cfg.Cands, cfg.W, x0)
 			min, pos := int32(1<<30), lo
 			for dx := lo; dx <= hi; dx++ {
-				var sad int32
-				for y := 0; y < 16; y++ {
-					for x := 0; x < 16; x++ {
-						a := int32(cur.Pix[(y0+y)*cfg.W+x0+x])
-						b := int32(ref.Pix[(y0+y)*cfg.W+x0+dx+x])
-						if a > b {
-							sad += a - b
-						} else {
-							sad += b - a
-						}
-					}
-				}
-				if sad < min {
+				if sad := refSAD(cur, ref, x0, y0, dx, 0); sad < min {
 					min, pos = sad, dx
 				}
 			}

@@ -46,20 +46,6 @@ func mpeg2encFrames(cfg MPEG2EncConfig) (cur, ref *media.Frame) {
 	return cur, ref
 }
 
-// searchRange returns the candidate displacement window [lo, hi] for a
-// macroblock at x0, clipped so every candidate block stays in the frame.
-func searchRange(cfg MPEG2EncConfig, x0 int) (lo, hi int) {
-	lo = -cfg.Cands / 2
-	hi = lo + cfg.Cands - 1
-	if lo < -x0 {
-		lo = -x0
-	}
-	if hi > cfg.W-16-x0 {
-		hi = cfg.W - 16 - x0
-	}
-	return lo, hi
-}
-
 func mpeg2encRun(cfg MPEG2EncConfig, v Variant, sink trace.Sink) []byte {
 	cur, ref := mpeg2encFrames(cfg)
 	e := newEnv(v, sink)
@@ -98,7 +84,7 @@ func mpeg2encRun(cfg MPEG2EncConfig, v Variant, sink trace.Sink) []byte {
 	mb := 0
 	for y0 := 0; y0+16 <= cfg.H; y0 += 16 {
 		for x0 := 0; x0+16 <= cfg.W; x0 += 16 {
-			lo, hi := searchRange(cfg, x0)
+			lo, hi := searchRange(cfg.Cands, cfg.W, x0)
 			maxDy := cfg.Rows - 1
 			if y0+16+maxDy > cfg.H {
 				maxDy = cfg.H - 16 - y0
@@ -107,58 +93,17 @@ func mpeg2encRun(cfg MPEG2EncConfig, v Variant, sink trace.Sink) []byte {
 			b.MovImm(rMin, 1<<30)
 			b.MovImm(rPos, int64(lo))
 			b.MovImm(rPosY, 0)
-
-			if v != MMX {
-				b.MOMLoad(vW0, rCur, 0, W, 16, 8)
-				b.MOMLoad(vW1, rCur, 8, W, 16, 8)
-			}
+			loadSearchBlock(e, rCur, W)
 			for dy := 0; dy <= maxDy; dy++ {
 				e.setBase(rRef, refA+uint64((y0+dy)*cfg.W+x0+lo))
-				switch v {
-				case MMX:
-					for dx := lo; dx <= hi; dx++ {
-						i := int64(dx - lo)
-						b.U(isa.OpPXor, vT0, vT0, vT0)
-						for y := 0; y < 16; y++ {
-							o := int64(y) * W
-							b.MMXLoad(vB01, rCur, o, 8)
-							b.MMXLoad(vB23, rCur, o+8, 8)
-							b.MMXLoad(vB45, rRef, o+i, 8)
-							b.MMXLoad(vB67, rRef, o+i+8, 8)
-							b.U(isa.OpPSadBW, vB45, vB01, vB45)
-							b.U(isa.OpPSadBW, vB67, vB23, vB67)
-							b.U(isa.OpPAddD, vT0, vT0, vB45)
-							b.U(isa.OpPAddD, vT0, vT0, vB67)
-						}
-						b.MovV2I(rSad, vT0, 0)
-						mpeg2encUpdateMin(e, rSad, rMin, rPos, rPosY, rCond, dx, dy)
+				// A 5-word (40-byte) dvload covers the hi-lo+16 bytes
+				// a row of up to 25 candidates spans.
+				sadRow(e, rCur, rRef, rSad, W, lo, hi, 5, func(dx int) {
+					if newMin(e, rSad, rMin, rCond) {
+						b.MovImm(rPos, int64(dx))
+						b.MovImm(rPosY, int64(dy))
 					}
-				case MOM:
-					for dx := lo; dx <= hi; dx++ {
-						i := int64(dx - lo)
-						b.MOMLoad(vB01, rRef, i, W, 16, 8)
-						b.MOMLoad(vB23, rRef, i+8, W, 16, 8)
-						b.AccClr(isa.A(0))
-						b.VSadAcc(isa.A(0), vW0, vB01, 16)
-						b.VSadAcc(isa.A(0), vW1, vB23, 16)
-						b.AccMov(rSad, isa.A(0))
-						mpeg2encUpdateMin(e, rSad, rMin, rPos, rPosY, rCond, dx, dy)
-					}
-				case MOM3D:
-					// One dvload per candidate row captures the whole
-					// horizontal window: 16 rows of 40 bytes cover
-					// (hi-lo)+16 <= 35 bytes of block data.
-					b.DVLoad(isa.D(0), rRef, 0, W, 16, 5, false, 8)
-					for dx := lo; dx <= hi; dx++ {
-						b.DVMov(vB01, isa.D(0), 8, 16)  // slice at p, ptr -> p+8
-						b.DVMov(vB23, isa.D(0), -7, 16) // slice at p+8, ptr -> p+1
-						b.AccClr(isa.A(0))
-						b.VSadAcc(isa.A(0), vW0, vB01, 16)
-						b.VSadAcc(isa.A(0), vW1, vB23, 16)
-						b.AccMov(rSad, isa.A(0))
-						mpeg2encUpdateMin(e, rSad, rMin, rPos, rPosY, rCond, dx, dy)
-					}
-				}
+				})
 			}
 
 			// Residual coding of the four 8x8 luminance blocks against
@@ -185,18 +130,6 @@ func mpeg2encRun(cfg MPEG2EncConfig, v Variant, sink trace.Sink) []byte {
 	}
 	dg.mem(e.m.Mem, outA, nMB*4*blockBytes)
 	return dg.sum()
-}
-
-// mpeg2encUpdateMin emits the running-minimum update of the paper's
-// full-search kernel: a compare, a conditional branch, and (when taken)
-// the bookkeeping of the new minimum.
-func mpeg2encUpdateMin(e *env, rSad, rMin, rPos, rPosY, rCond isa.Reg, dx, dy int) {
-	e.b.Slt(rCond, rSad, rMin)
-	if e.b.BrNZ(rCond) {
-		e.b.Mov(rMin, rSad)
-		e.b.MovImm(rPos, int64(dx))
-		e.b.MovImm(rPosY, int64(dy))
-	}
 }
 
 // emitResidual emits cur - ref of one 8x8 block (byte rows at stride W)
@@ -238,7 +171,7 @@ func mpeg2encRef(cfg MPEG2EncConfig) []byte {
 	var stream []int16
 	for y0 := 0; y0+16 <= cfg.H; y0 += 16 {
 		for x0 := 0; x0+16 <= cfg.W; x0 += 16 {
-			lo, hi := searchRange(cfg, x0)
+			lo, hi := searchRange(cfg.Cands, cfg.W, x0)
 			maxDy := cfg.Rows - 1
 			if y0+16+maxDy > cfg.H {
 				maxDy = cfg.H - 16 - y0
@@ -246,19 +179,7 @@ func mpeg2encRef(cfg MPEG2EncConfig) []byte {
 			min, pos, posY := int32(1<<30), lo, 0
 			for dy := 0; dy <= maxDy; dy++ {
 				for dx := lo; dx <= hi; dx++ {
-					var sad int32
-					for y := 0; y < 16; y++ {
-						for x := 0; x < 16; x++ {
-							a := int32(cur.Pix[(y0+y)*cfg.W+x0+x])
-							b := int32(ref.Pix[(y0+dy+y)*cfg.W+x0+dx+x])
-							if a > b {
-								sad += a - b
-							} else {
-								sad += b - a
-							}
-						}
-					}
-					if sad < min {
+					if sad := refSAD(cur, ref, x0, y0, dx, dy); sad < min {
 						min, pos, posY = sad, dx, dy
 					}
 				}

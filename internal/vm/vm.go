@@ -28,6 +28,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/stats"
@@ -469,35 +470,13 @@ func (sp *Space) Translate(va uint64) uint64 {
 // pagesOf collects the distinct virtual pages instruction in touches.
 func pagesOf(in *isa.Inst, dst []uint64, pageBits uint) []uint64 {
 	dst = dst[:0]
-	add := func(addr uint64, size int) {
-		if size < 1 {
-			size = 1
-		}
-		for vpn := addr >> pageBits; vpn <= (addr+uint64(size)-1)>>pageBits; vpn++ {
-			seen := false
-			for _, p := range dst {
-				if p == vpn {
-					seen = true
-					break
-				}
-			}
-			if !seen {
+	size := uint64(max(in.ElemBytes(), 1))
+	for e := 0; e < in.Elems(); e++ {
+		addr := in.ElemAddr(in.Addr, e)
+		for vpn := addr >> pageBits; vpn <= (addr+size-1)>>pageBits; vpn++ {
+			if !slices.Contains(dst, vpn) {
 				dst = append(dst, vpn)
 			}
-		}
-	}
-	switch in.Kind {
-	case isa.KindScalarMem:
-		add(in.Addr, int(in.Imm))
-	case isa.KindUSIMDMem:
-		add(in.Addr, 8)
-	case isa.KindMOMMem:
-		for e := 0; e < in.VL; e++ {
-			add(in.Addr+uint64(int64(e)*in.Stride), isa.MOMElemBytes)
-		}
-	case isa.Kind3DLoad:
-		for e := 0; e < in.VL; e++ {
-			add(in.Addr+uint64(int64(e)*in.Stride), in.Width*8)
 		}
 	}
 	return dst

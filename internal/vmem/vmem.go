@@ -207,15 +207,14 @@ func (i *Ideal) Issue(in *isa.Inst, t0 int64) (int64, *Pending) {
 // MultiBanked is the 4-port, 8-bank design of Fig 2-a: every element is a
 // single-word access that needs a free port and a conflict-free bank.
 type MultiBanked struct {
-	l2      *cache.Cache
-	l1      *cache.Cache // invalidation target for vector stores (may be nil)
-	tim     Timing
-	ports   []int64
-	banks   []int64
-	st      Stats
-	scratch []isa.ElemAccess
-	batch   []dram.Request
-	pfBuf   []PFTouch
+	l2    *cache.Cache
+	l1    *cache.Cache // invalidation target for vector stores (may be nil)
+	tim   Timing
+	ports []int64
+	banks []int64
+	st    Stats
+	batch []dram.Request
+	pfBuf []PFTouch
 }
 
 // NewMultiBanked builds the multi-banked subsystem over the shared L2.
@@ -233,17 +232,17 @@ func (m *MultiBanked) Stats() *Stats { return &m.st }
 // Issue implements System.
 func (m *MultiBanked) Issue(in *isa.Inst, t0 int64) (int64, *Pending) {
 	m.st.Instructions++
-	m.scratch = in.ElemAddrs(m.scratch[:0])
 	m.batch = m.batch[:0]
 	m.pfBuf = m.pfBuf[:0]
 	ten := uint8(m.tim.Tenant)
 	done := t0
-	for _, el := range m.scratch {
+	words := (in.ElemBytes() + 7) / 8
+	for e := 0; e < in.Elems(); e++ {
 		m.st.Elements++
 		// Elements wider than a word (3D loads on this subsystem) cost
 		// one bank access per word.
-		for w := 0; w < (el.Size+7)/8; w++ {
-			addr := m.tim.Xl(el.Addr + uint64(8*w))
+		for w := 0; w < words; w++ {
+			addr := m.tim.Xl(in.ElemAddr(in.Addr, e) + uint64(8*w))
 			bank := (addr >> 3) % uint64(len(m.banks))
 			// Earliest free port.
 			p := 0
@@ -357,8 +356,7 @@ func (v *VectorCache) Issue(in *isa.Inst, t0 int64) (int64, *Pending) {
 		// any span of up to a full line's width crossing at most one
 		// line boundary, written in parallel to one 3D register lane.
 		for e := 0; e < in.VL; e++ {
-			addr := in.Addr + uint64(int64(e)*in.Stride)
-			access(addr, in.Width, 1)
+			access(in.ElemAddr(in.Addr, e), in.Width, 1)
 			v.st.D3Words += uint64(in.Width)
 		}
 		// The whole instruction's misses form one controller batch.
@@ -371,7 +369,7 @@ func (v *VectorCache) Issue(in *isa.Inst, t0 int64) (int64, *Pending) {
 		// but kept well-defined): each element moves lanes words per
 		// access.
 		for e := 0; e < in.VL; e++ {
-			base := in.Addr + uint64(int64(e)*in.Stride)
+			base := in.ElemAddr(in.Addr, e)
 			for w := 0; w < in.Width; w += v.lanes {
 				n := in.Width - w
 				if n > v.lanes {
@@ -397,7 +395,7 @@ func (v *VectorCache) Issue(in *isa.Inst, t0 int64) (int64, *Pending) {
 		// Strided: one element per access — the vector cache cannot
 		// gather non-consecutive words in one cycle (§3.1).
 		for e := 0; e < in.VL; e++ {
-			access(in.Addr+uint64(int64(e)*in.Stride), 1, 1)
+			access(in.ElemAddr(in.Addr, e), 1, 1)
 		}
 	}
 	// The whole instruction's misses form one controller batch.
