@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/experiments"
+	"repro/internal/stats"
 )
 
 // sweepOptions mirror the parallelism flag and what else the command
@@ -14,6 +15,10 @@ type sweepOptions struct {
 	J         int      // sweep worker goroutines (0 = one per CPU)
 	Selectors []string // selector flags given a non-zero value
 	Backend   bool     // any of -dram/-dmap/.../-mshr/-pf/-va was set
+
+	// Outputs are the files the run writes: a selector's file argument
+	// and the two profiles.
+	Outputs []stats.Output
 }
 
 // runPlan is a validated command line: runner settings and the one
@@ -24,8 +29,8 @@ type runPlan struct {
 }
 
 // resolveSweep validates the options. Every combination that would
-// drop a flag on the floor is an error: two selectors, or backend flags
-// with a selector that fixes its own.
+// drop a flag or a file on the floor is an error: two selectors, backend
+// flags with a selector that fixes its own, or two outputs to one file.
 func resolveSweep(o sweepOptions) (runPlan, error) {
 	if o.J < 0 {
 		return runPlan{}, fmt.Errorf("-j must not be negative (got %d; 0 = one worker per CPU)", o.J)
@@ -41,6 +46,9 @@ func resolveSweep(o sweepOptions) (runPlan, error) {
 	}
 	if sel := p.Selector; sel != nil && sel.owns != "" && o.Backend {
 		return runPlan{}, fmt.Errorf("-%s %s", sel.name, sel.owns)
+	}
+	if err := stats.DistinctOutputs(o.Outputs...); err != nil {
+		return runPlan{}, err
 	}
 	return p, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dram"
+	"repro/internal/stats"
 )
 
 // TestResolveSweepRejections: every flag combination that used to run
@@ -24,6 +25,16 @@ func TestResolveSweepRejections(t *testing.T) {
 		{"two sweeps", sweepOptions{Selectors: []string{"mshrsweep", "pfsweep"}}, []string{"-mshrsweep", "-pfsweep"}},
 		{"figure and sweep", sweepOptions{Selectors: []string{"fig", "rpsweep"}}, []string{"-fig", "-rpsweep"}},
 		{"unknown selector", sweepOptions{Selectors: []string{"nosuchsweep"}}, []string{"-nosuchsweep"}},
+		{"profiles apart", sweepOptions{Outputs: profiles("cpu.pprof", "mem.pprof")}, nil},
+		{"profiles off", sweepOptions{Outputs: profiles("", "")}, nil},
+		{"one file for both profiles", sweepOptions{Outputs: profiles("p", "p")},
+			[]string{`-cpuprofile and -memprofile both write "p"; pick distinct files`}},
+		{"report is the cpu profile", sweepOptions{Selectors: []string{"statsjson"},
+			Outputs: append([]stats.Output{{Flag: "statsjson", Path: "x"}}, profiles("x", "")...)},
+			[]string{`-statsjson and -cpuprofile both write "x"`}},
+		{"report is the heap profile", sweepOptions{Selectors: []string{"cpisweep"},
+			Outputs: append([]stats.Output{{Flag: "cpisweep", Path: "x"}}, profiles("", "x")...)},
+			[]string{`-cpisweep and -memprofile both write "x"`}},
 	} {
 		_, err := resolveSweep(tc.o)
 		if tc.want == nil {
@@ -54,6 +65,12 @@ func TestResolveSweepRejections(t *testing.T) {
 			t.Errorf("-%s with backend flags: got %v, want its own refusal", s.name, err)
 		}
 	}
+}
+
+// profiles is the Outputs tail every command line has: the two profile
+// paths, "" when off.
+func profiles(cpu, mem string) []stats.Output {
+	return []stats.Output{{Flag: "cpuprofile", Path: cpu}, {Flag: "memprofile", Path: mem}}
 }
 
 // TestSelectorTable: the table generates the flags, so a row that

@@ -70,10 +70,15 @@ func main() {
 	opts := sweepOptions{J: *jWorkers, Backend: knobGiven}
 	flag.Visit(func(f *flag.Flag) {
 		opts.Backend = opts.Backend || f.Name == "dram"
-		if selectorByName(f.Name) != nil && f.Value.String() != f.DefValue {
+		if s := selectorByName(f.Name); s != nil && f.Value.String() != f.DefValue {
 			opts.Selectors = append(opts.Selectors, f.Name)
+			if s.arg == fileArg {
+				opts.Outputs = append(opts.Outputs, stats.Output{Flag: f.Name, Path: f.Value.String()})
+			}
 		}
 	})
+	opts.Outputs = append(opts.Outputs,
+		stats.Output{Flag: "cpuprofile", Path: *cpuprofile}, stats.Output{Flag: "memprofile", Path: *memprofile})
 	plan, err := resolveSweep(opts)
 	if err != nil {
 		usage(err)

@@ -3,11 +3,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/experiments"
 	"repro/internal/kernels"
+	"repro/internal/stats"
 )
 
 // session is what a selector runs against: the configured runner, and
@@ -87,7 +87,7 @@ var selectors = []selector{
 			// paper suite — its stack is the memory-dominated one — so the
 			// sweep runs over the extended suite on its own runner.
 			rep := experiments.CPISweep(x.over(kernels.Extended()), "extended")
-			if err := writeReport(path, rep); err != nil {
+			if err := stats.WriteFile(path, rep.WriteJSON); err != nil {
 				return err
 			}
 			fmt.Print(experiments.RenderCPISweep(rep))
@@ -100,7 +100,7 @@ var selectors = []selector{
 		owns: "runs the pinned golden matrix; drop -dram/-dmap/-dsched/-mshr/-pf",
 		run: func(x *session, path string) error {
 			rep := experiments.ComputeBenchReport(x.over(experiments.GoldenSuite()), "golden-small")
-			if err := writeReport(path, rep); err != nil {
+			if err := stats.WriteFile(path, rep.WriteJSON); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %d configuration snapshots to %s\n", len(rep.Configs), path)
@@ -138,23 +138,6 @@ func sweep[T any](run func(*experiments.Runner) T, render func(T) string) func(*
 		fmt.Print(render(run(x.r)))
 		return nil
 	}
-}
-
-// writeReport writes a JSON report to path; a failed close is a failed
-// write.
-func writeReport(path string, rep interface{ WriteJSON(io.Writer) error }) error {
-	fh, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(fh); err != nil {
-		fh.Close()
-		return fmt.Errorf("writing %s: %v", path, err)
-	}
-	if err := fh.Close(); err != nil {
-		return fmt.Errorf("writing %s: %v", path, err)
-	}
-	return nil
 }
 
 // paperOrder is the paper's own sequence of tables and figures, the

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/kernels"
+	"repro/internal/stats"
 	"repro/internal/vm"
 	"repro/internal/vmem"
 )
@@ -172,9 +173,6 @@ func resolve(o options) (runConfig, error) {
 	if o.TraceBuf > 0 && o.Trace == "" {
 		return rc, fmt.Errorf("-tracebuf sizes the -trace event ring; it has no effect without -trace")
 	}
-	if o.Trace != "" && o.Trace == o.StatsJSON {
-		return rc, fmt.Errorf("-trace and -statsjson both write %q; pick distinct files", o.Trace)
-	}
 	if o.Sample < 0 {
 		return rc, fmt.Errorf("-sample must not be negative (got %d)", o.Sample)
 	}
@@ -184,8 +182,14 @@ func resolve(o options) (runConfig, error) {
 	if o.SampleJSON != "" && o.Sample == 0 {
 		return rc, fmt.Errorf("-samplejson has no effect without -sample <cycles>")
 	}
-	if o.SampleJSON != "" && (o.SampleJSON == o.Trace || o.SampleJSON == o.StatsJSON) {
-		return rc, fmt.Errorf("-samplejson collides with another output writing %q; pick distinct files", o.SampleJSON)
+	if err := stats.DistinctOutputs(
+		stats.Output{Flag: "trace", Path: o.Trace},
+		stats.Output{Flag: "statsjson", Path: o.StatsJSON},
+		stats.Output{Flag: "samplejson", Path: o.SampleJSON},
+		stats.Output{Flag: "cpuprofile", Path: o.CPUProfile},
+		stats.Output{Flag: "memprofile", Path: o.MemProfile},
+	); err != nil {
+		return rc, err
 	}
 	cfg.UseGshare = o.Gshare
 	rc.Bench = bm

@@ -235,12 +235,18 @@ func TestResolveRejectsUnknownValues(t *testing.T) {
 		{"knob-ideal", "-mem ideal -dram sdram -dmap bank", "-mem ideal"},
 		{"tracebuf-negative", "-trace t.json -tracebuf -1", "-tracebuf"},
 		{"tracebuf-no-trace", "-tracebuf 4096", "-trace"},
-		{"trace-eq-statsjson", "-trace out.json -statsjson out.json", "distinct"},
+		{"trace-eq-statsjson", "-trace out.json -statsjson out.json", `-trace and -statsjson both write "out.json"; pick distinct files`},
 		{"sample-negative", "-sample -1", "-sample"},
 		{"sample-no-file", "-sample 1000", "-samplejson"},
 		{"samplejson-no-sample", "-samplejson ts.json", "-sample"},
-		{"samplejson-eq-trace", "-sample 1000 -samplejson out.json -trace out.json", "distinct"},
-		{"samplejson-eq-statsjson", "-sample 1000 -samplejson out.json -statsjson out.json", "distinct"},
+		{"samplejson-eq-trace", "-sample 1000 -samplejson out.json -trace out.json", "-trace and -samplejson both write"},
+		{"samplejson-eq-statsjson", "-sample 1000 -samplejson out.json -statsjson out.json", "-statsjson and -samplejson both write"},
+		// A profile sharing a path with another output would overwrite it
+		// after the report said it was written.
+		{"statsjson-eq-cpuprofile", "-bench gsmencode -statsjson x -cpuprofile x", `-statsjson and -cpuprofile both write "x"`},
+		{"cpuprofile-eq-memprofile", "-cpuprofile y -memprofile y", `-cpuprofile and -memprofile both write "y"`},
+		{"trace-eq-memprofile", "-trace t.json -memprofile t.json", "-trace and -memprofile both write"},
+		{"samplejson-eq-cpuprofile", "-sample 1000 -samplejson s.json -cpuprofile s.json", "-samplejson and -cpuprofile both write"},
 		// Every run is on the wheel; the per-cycle driver is the tests' oracle.
 		{"engine-gone", "-engine wheel", "flag provided but not defined: -engine"},
 		// The write-drain, reorder-window and prefetch-queue settings are

@@ -159,20 +159,20 @@ func run(w io.Writer, rc runConfig) error {
 
 	if rc.StatsJSON != "" {
 		registerHost(reg, cycles, wall, g)
-		if err := writeFile(rc.StatsJSON, reg.Snapshot().WriteJSON); err != nil {
+		if err := stats.WriteFile(rc.StatsJSON, reg.Snapshot().WriteJSON); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "stats: wrote %d registered stats to %s\n", len(reg.Names()), rc.StatsJSON)
 	}
 	if sampler != nil {
-		if err := writeFile(rc.SampleJSON, sampler.WriteJSON); err != nil {
+		if err := stats.WriteFile(rc.SampleJSON, sampler.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "samples: wrote %d intervals (every %d cycles) to %s\n",
 			len(sampler.Rows()), sampler.Interval(), rc.SampleJSON)
 	}
 	if tracer != nil {
-		if err := writeFile(rc.Trace, tracer.WriteChromeJSON); err != nil {
+		if err := stats.WriteFile(rc.Trace, tracer.WriteChromeJSON); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "trace: wrote %d events to %s (%d emitted, %d dropped by the ring)\n",
@@ -257,7 +257,7 @@ func reportSolo(w io.Writer, rc runConfig, g *tenant.Group, tst *trace.Stats, en
 				ds.Writes, ds.WriteDrains, ds.PartialDrains, ds.OppDrains, ds.Reordered)
 			if ds.PrefetchReads > 0 {
 				fmt.Fprintf(w, "dram prefetch reads: %d (%d deferred by the prefetch-queue cap of %d)\n",
-					ds.PrefetchReads, ds.PrefetchDeferred, sd.Config().PFQCap)
+					ds.PrefetchReads, ds.PrefetchDeferred, dram.PFQCap)
 			}
 			if ds.WriteReadStall > 0 {
 				fmt.Fprintf(w, "dram write-induced read stall: %d bus cycles\n", ds.WriteReadStall)
@@ -370,23 +370,6 @@ func reportTenants(w io.Writer, rc runConfig, g *tenant.Group, tst *trace.Stats,
 		fmt.Fprintf(w, "\nvm (%s placement, shared): L2 TLB %d hit / %d miss, %d walks (%d coalesced), %d free pages\n",
 			rc.VM.Config().Policy, vts.L2Hits, vts.L2Misses, vws.Walks, vws.Coalesced, rc.VM.FreePages())
 	}
-}
-
-// writeFile creates path and has write fill it: the one tail of the
-// -statsjson, -samplejson and -trace outputs.
-func writeFile(path string, write func(io.Writer) error) error {
-	fh, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(fh); err != nil {
-		fh.Close()
-		return fmt.Errorf("writing %s: %v", path, err)
-	}
-	if err := fh.Close(); err != nil {
-		return fmt.Errorf("writing %s: %v", path, err)
-	}
-	return nil
 }
 
 func fail(format string, args ...any) {

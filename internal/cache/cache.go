@@ -25,9 +25,8 @@ type Config struct {
 }
 
 // L2LineBytes is the L2 line size and therefore the transfer
-// granularity of every main-memory request: the DRAM backends derive
-// their line size from this same constant so the two can never drift
-// apart (core.NewMemSystem still cross-checks them at construction).
+// granularity of every main-memory request: the DRAM backends and the
+// MSHR file use this same constant, so the two cannot drift apart.
 const L2LineBytes = 128
 
 // L1Config returns the paper's L1 data cache configuration.

@@ -77,12 +77,6 @@ func NewMemSystem(kind MemKind, tim vmem.Timing, lanes int, bankL1 bool) *MemSys
 		return newFrontEnd(kind, tim, lanes, bankL1, nil)
 	}
 	l2 := cache.New(cache.L2Config(tim.L2Latency))
-	// Every L2 miss becomes one backend request per L2 line, so the
-	// backend must agree on the transfer granularity.
-	if tim.Backend.LineBytes() != l2.Config().LineSize {
-		panic(fmt.Sprintf("dram line bytes %d != L2 line size %d",
-			tim.Backend.LineBytes(), l2.Config().LineSize))
-	}
 	if tim.MSHRs >= 2 {
 		// One MSHR file serves the vector subsystem and the scalar miss
 		// path: both sit behind the same L2, so their misses share the

@@ -50,7 +50,6 @@ func TestSubmitSingleMatchesOneAtATime(t *testing.T) {
 // first under FR-FCFS with a reorder window.
 func TestFRFCFSPromotesRowHitInBatch(t *testing.T) {
 	cfg := testConfig() // 1 channel, 1 bank, open page
-	cfg.ReorderWindow = 8
 	s := NewSDRAM(cfg)
 	access(s, 0, 0) // opens row 0, done 19
 
@@ -85,6 +84,29 @@ func TestFRFCFSPromotesRowHitInBatch(t *testing.T) {
 	}
 	if f.Stats().Reordered != 0 {
 		t.Errorf("FCFS reordered = %d, want 0", f.Stats().Reordered)
+	}
+}
+
+// TestReorderWindowEdge: the window is eight pending reads deep. A row
+// hit queued behind seven conflicts is promoted; behind eight it is out
+// of sight, and by the time it comes into view the bank holds another
+// row.
+func TestReorderWindowEdge(t *testing.T) {
+	hitDone := func(conflicts int) int64 {
+		s := NewSDRAM(testConfig()) // 1 channel, 1 bank, open page
+		access(s, 0, 0)             // opens row 0, done 19
+		var batch []Request
+		for i := 1; i <= conflicts; i++ {
+			batch = append(batch, Request{Addr: uint64(i) * 1024, At: 30}) // row i
+		}
+		batch = append(batch, Request{Addr: 128, At: 30}) // row 0: a hit
+		return s.Submit(batch)[conflicts].Done
+	}
+	if got := hitDone(7); got != 39 {
+		t.Errorf("hit at the window's edge done = %d, want 39 (promoted)", got)
+	}
+	if got := hitDone(8); got <= 39 {
+		t.Errorf("hit beyond the window done = %d, want later than 39", got)
 	}
 }
 
@@ -157,19 +179,17 @@ func TestBusOccupancyNeverOverlaps(t *testing.T) {
 }
 
 // TestWriteQueuePostsAndDrains: writes are absorbed instantly (posted
-// ack at At+1), stay off the bus below the drain threshold, and a
-// threshold crossing flushes the whole queue through the banks.
+// ack at At+1), stay off the bus below the drain threshold of twelve,
+// and the twelfth write's crossing drives the queue's head through the
+// banks.
 func TestWriteQueuePostsAndDrains(t *testing.T) {
-	cfg := testConfig()
-	cfg.WQDepth, cfg.WQDrain = 8, 4
-	s := NewSDRAM(cfg)
+	s := NewSDRAM(testConfig())
 
-	comps := s.Submit([]Request{
-		{Addr: 0, Write: true, At: 0},
-		{Addr: 1024, Write: true, At: 1},
-		{Addr: 2048, Write: true, At: 2},
-	})
-	for i, c := range comps {
+	var batch []Request
+	for i := 0; i < 11; i++ {
+		batch = append(batch, Request{Addr: uint64(i) * 1024, Write: true, At: int64(i)})
+	}
+	for i, c := range s.Submit(batch) {
 		if c.Done != c.At+1 {
 			t.Fatalf("write %d: ack %d, want %d", i, c.Done, c.At+1)
 		}
@@ -178,16 +198,19 @@ func TestWriteQueuePostsAndDrains(t *testing.T) {
 	if st.WriteDrains != 0 || st.BusyCycles != 0 {
 		t.Fatalf("below threshold: drains %d busy %d, want 0/0", st.WriteDrains, st.BusyCycles)
 	}
-	// The fourth write crosses the threshold: all four burst.
-	s.Submit([]Request{{Addr: 3072, Write: true, At: 3}})
+	if s.WriteRoom(0) {
+		t.Fatal("eleven queued writes report room for a twelfth, which drains")
+	}
+	// The twelfth write crosses the threshold: eight burst.
+	s.Submit([]Request{{Addr: 11 * 1024, Write: true, At: 11}})
 	if st.WriteDrains != 1 {
 		t.Fatalf("drains = %d, want 1", st.WriteDrains)
 	}
-	if want := uint64(4 * 4); st.BusyCycles != want { // 4 writes × TBurst 4
+	if want := uint64(8 * 4); st.BusyCycles != want { // 8 writes × TBurst 4
 		t.Fatalf("busy cycles = %d, want %d", st.BusyCycles, want)
 	}
-	if st.Writes != 4 || st.Reads() != 0 {
-		t.Fatalf("writes %d reads %d, want 4/0", st.Writes, st.Reads())
+	if st.Writes != 12 || st.Reads() != 0 {
+		t.Fatalf("writes %d reads %d, want 12/0", st.Writes, st.Reads())
 	}
 }
 
@@ -229,7 +252,6 @@ func TestChannelScalingBandwidth(t *testing.T) {
 	run := func(channels int) float64 {
 		cfg := testConfig()
 		cfg.Channels, cfg.Banks = channels, 4
-		cfg.ReorderWindow = 8
 		s := NewSDRAM(cfg)
 		at := int64(0)
 		for b := 0; b < 32; b++ {
@@ -286,17 +308,6 @@ func TestPresetsAndSpecKnobs(t *testing.T) {
 		cfg.TRCD != PresetHBM.Config().TRCD {
 		t.Fatalf("spec config = %+v", cfg)
 	}
-	// The write drains ship tuned on and the prefetch cap is half the
-	// read queue; the drain threshold and reorder window are the
-	// preset's, and a controller configured with others keeps them.
-	if cfg.WQLow != 4 || cfg.WQIdle != 30 || cfg.PFQCap != cfg.QueueDepth/2 {
-		t.Fatalf("preset drains = low %d idle %d, prefetch cap %d, want 4/30/%d",
-			cfg.WQLow, cfg.WQIdle, cfg.PFQCap, cfg.QueueDepth/2)
-	}
-	cfg.WQDrain, cfg.WQLow, cfg.ReorderWindow = 4, 0, 2
-	if got := NewSDRAM(cfg).Config(); got.WQDrain != 4 || got.ReorderWindow != 2 {
-		t.Fatalf("config = drain %d window %d, want 4/2", got.WQDrain, got.ReorderWindow)
-	}
 
 	spec := FormatSpecOpts("sdram", "line", "frfcfs", "hbm", Knobs{Channels: 4})
 	if spec != "sdram/line/frfcfs/hbm/4ch" {
@@ -305,13 +316,6 @@ func TestPresetsAndSpecKnobs(t *testing.T) {
 	// Round trip through ParseSpecFull.
 	if _, _, err := ParseSpecFull(spec, 100); err != nil {
 		t.Fatalf("round trip: %v", err)
-	}
-
-	// A drain threshold as deep as the write queue is legal.
-	cfg = DefaultConfig()
-	cfg.WQDepth, cfg.WQDrain = 99, 99
-	if got := NewSDRAM(cfg).Config(); got.WQDrain != 99 || got.WQDepth != 99 {
-		t.Fatalf("config = drain %d depth %d, want 99/99", got.WQDrain, got.WQDepth)
 	}
 
 	for _, bad := range []string{

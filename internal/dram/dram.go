@@ -25,9 +25,8 @@ import (
 	"repro/internal/stats"
 )
 
-// lineBytes is the transfer granularity of every backend, tied to the
-// L2 line size so the NewMemSystem cross-check can never trip from a
-// config drift between the two packages.
+// lineBytes is the transfer granularity of every backend: one request
+// moves one L2 line.
 const lineBytes = cache.L2LineBytes
 
 // Request is one main-memory transaction: the line fill (Write false)
@@ -52,7 +51,7 @@ type Request struct {
 	// than one a demand miss generated. The statistics keep the two
 	// kinds apart, and the channel scheduler deprioritizes speculative
 	// reads: within the FR-FCFS window demands go first, and a
-	// per-channel occupancy cap (Config.PFQCap) bounds how many
+	// per-channel occupancy cap (PFQCap) bounds how many
 	// prefetch reads may hold queue slots at once.
 	//
 	// Demanded marks a prefetch a demand access merged onto before the
@@ -107,9 +106,6 @@ type Backend interface {
 	Submit(batch []Request) []Completion
 	// Stats exposes the accumulated counters.
 	Stats() *Stats
-	// LineBytes is the transfer granularity of one request; callers
-	// issue one request per cache line of this size.
-	LineBytes() int
 	// MinReadLatency is a lower bound on Done-At for any read the
 	// backend could ever service: no request completes faster than
 	// this, whatever the bank, queue and bus state. MSHR bookkeeping
@@ -159,7 +155,7 @@ type Stats struct {
 	// (the Prefetch-tagged reads); they are included in Accesses like
 	// any other read, so demand reads are Reads() - PrefetchReads.
 	// PrefetchDeferred counts the subset the per-channel occupancy cap
-	// (Config.PFQCap) held back until an earlier speculative read
+	// (PFQCap) held back until an earlier speculative read
 	// completed — the demand-priority scheduler's pressure valve.
 	PrefetchReads    uint64
 	PrefetchDeferred uint64
@@ -277,7 +273,7 @@ func (s *Stats) BusUtilization() float64 {
 	return float64(s.BusyCycles) / float64(s.LastDone-s.FirstArrival)
 }
 
-func (s *Stats) observe(t0, done int64, lineBytes int) {
+func (s *Stats) observe(t0, done int64) {
 	if s.Accesses == 0 || t0 < s.FirstArrival {
 		s.FirstArrival = t0
 	}
@@ -285,7 +281,7 @@ func (s *Stats) observe(t0, done int64, lineBytes int) {
 		s.LastDone = done
 	}
 	s.Accesses++
-	s.Bytes += uint64(lineBytes)
+	s.Bytes += lineBytes
 }
 
 // Fixed is the seed's flat-latency memory: every request completes a
@@ -297,7 +293,6 @@ func (s *Stats) observe(t0, done int64, lineBytes int) {
 // histograms and the first backing array of its completions.
 type Fixed struct {
 	Latency   int64
-	lineBytes int
 	st        Stats
 	wait, svc stats.Histogram // st.ReadWait, st.ReadService
 	tst       []TenantStats
@@ -312,9 +307,9 @@ type Fixed struct {
 const fixedBatch = 64
 
 // NewFixed returns a flat-latency backend (the seed's 100-cycle DRAM
-// when latency is 100). Its line size is the shared L2 line constant.
+// when latency is 100).
 func NewFixed(latency int64) *Fixed {
-	f := &Fixed{Latency: latency, lineBytes: lineBytes}
+	f := &Fixed{Latency: latency}
 	f.st.ReadWait, f.st.ReadService, f.comps = &f.wait, &f.svc, f.buf[:0]
 	return f
 }
@@ -324,9 +319,6 @@ func (f *Fixed) Name() string { return "fixed" }
 
 // Stats implements Backend.
 func (f *Fixed) Stats() *Stats { return &f.st }
-
-// LineBytes implements Backend.
-func (f *Fixed) LineBytes() int { return f.lineBytes }
 
 // MinReadLatency implements Backend: every request takes exactly
 // Latency.
@@ -366,7 +358,7 @@ func (f *Fixed) Submit(batch []Request) []Completion {
 		}
 		if slot := tenantSlot(r.Tenant, len(f.tst), &f.st); slot >= 0 {
 			ts := &f.tst[slot]
-			ts.Bytes += uint64(f.lineBytes)
+			ts.Bytes += lineBytes
 			if r.Write {
 				ts.Writes++
 			} else {
@@ -382,7 +374,7 @@ func (f *Fixed) Submit(batch []Request) []Completion {
 			f.tr.Emit(stats.Event{Cycle: r.At, Cat: "dram", Name: "issue", Addr: r.Addr, ID: r.ID, Tenant: ten})
 			f.tr.Emit(stats.Event{Cycle: done, Cat: "dram", Name: "complete", Addr: r.Addr, ID: r.ID, Tenant: ten})
 		}
-		f.st.observe(r.At, done, f.lineBytes)
+		f.st.observe(r.At, done)
 		f.comps = append(f.comps, Completion{Addr: r.Addr, Write: r.Write, At: r.At, Done: done, ID: r.ID})
 	}
 	return f.comps

@@ -24,11 +24,10 @@ func FormatSpec(kind, mapping, sched string) string {
 func testConfig() Config {
 	return Config{
 		Channels: 1, Ranks: 1, Banks: 1,
-		RowBytes: 1 << 10, RowsPerBank: 1 << 15, LineBytes: 128,
+		RowBytes: 1 << 10, RowsPerBank: 1 << 15,
 		TRCD: 10, TCAS: 5, TRP: 7, TBurst: 4,
 		TREFI: 0, TRFC: 0,
-		QueueDepth: 16,
-		Mapping:    MapLine, Scheduler: FRFCFS,
+		Mapping: MapLine, Scheduler: FRFCFS,
 	}
 }
 
@@ -232,22 +231,29 @@ func TestParseCaseInsensitive(t *testing.T) {
 }
 
 func TestQueueBackpressure(t *testing.T) {
-	cfg := testConfig()
-	cfg.QueueDepth = 1
-	s := NewSDRAM(cfg)
+	s := NewSDRAM(testConfig())
 
-	access(s, 0, 0) // done at 19, occupies the only queue slot
-	// The second request cannot enter the controller until cycle 19.
-	if got, want := access(s, 128, 0), int64(19+5+4); got != want {
-		t.Fatalf("queued access: done = %d, want %d", got, want)
+	// Sixteen reads of one line at cycle 0 fill the queue: a row miss
+	// done at 19, then hits 9 cycles apart as the bank frees.
+	for i := 0; i < 16; i++ {
+		access(s, 0, 0)
 	}
 	st := s.Stats()
+	if st.StallCycles != 0 || st.QueueMax != 16 {
+		t.Fatalf("sixteen reads: stall cycles %d, queue max %d, want 0 and 16", st.StallCycles, st.QueueMax)
+	}
+	// The seventeenth cannot enter the controller until the first
+	// completes at 19, then waits the bank out: 19+15*9+9.
+	if got, want := access(s, 0, 0), int64(19+16*9); got != want {
+		t.Fatalf("queued access: done = %d, want %d", got, want)
+	}
 	if st.StallCycles != 19 {
 		t.Fatalf("stall cycles = %d, want 19", st.StallCycles)
 	}
-	// A saturated depth-1 queue must report as full, not idle.
-	if st.QueueMax != 1 || st.AvgQueueOccupancy() != 1 {
-		t.Fatalf("queue max %d avg %f, want 1 and 1", st.QueueMax, st.AvgQueueOccupancy())
+	// A saturated queue must report as full, not idle: the seventeenth
+	// arrival samples sixteen.
+	if st.QueueMax != 16 || st.QueueSum != 16*17/2+16 {
+		t.Fatalf("queue max %d sum %d, want 16 and %d", st.QueueMax, st.QueueSum, 16*17/2+16)
 	}
 }
 
@@ -259,7 +265,7 @@ func TestStreamingRowHitRate(t *testing.T) {
 	s := NewSDRAM(cfg)
 	t0 := int64(0)
 	for i := 0; i < 1024; i++ {
-		t0 = access(s, uint64(i*cfg.LineBytes), t0)
+		t0 = access(s, uint64(i*lineBytes), t0)
 	}
 	if hr := s.Stats().RowHitRate(); hr < 0.9 {
 		t.Fatalf("streaming row hit rate = %f, want >= 0.9", hr)

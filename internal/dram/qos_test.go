@@ -7,11 +7,10 @@ import (
 )
 
 // qosTestConfig is the two-tenant contention part: single channel,
-// single bank (so every request contends), an 8-deep reorder window and
-// a 16-deep queue, giving each of the two tenants an 8-request credit.
+// single bank (so every request contends); the 16-deep queue gives each
+// of the two tenants an 8-request credit.
 func qosTestConfig(qos bool) Config {
 	cfg := testConfig()
-	cfg.ReorderWindow = 8
 	cfg.Tenants = 2
 	cfg.QoS = qos
 	return cfg
@@ -91,7 +90,7 @@ func TestQoSUnstarvesSparseTenant(t *testing.T) {
 func TestQoSOffIsBitIdentical(t *testing.T) {
 	batch := starvationBatch()
 
-	plain := NewSDRAM(func() Config { c := testConfig(); c.ReorderWindow = 8; return c }())
+	plain := NewSDRAM(testConfig())
 	var untagged []Request
 	for _, r := range batch {
 		r.Tenant = 0
@@ -124,17 +123,18 @@ func TestQoSOffIsBitIdentical(t *testing.T) {
 // TestQoSStrayTenantHoldsNoCredit: a read from a tenant the part was not
 // sized for is served, counted once in TenantMisroute, and booked against
 // nobody — tenants 0 and 1 are picked in the same order and yield the same
-// turns whether or not it is in the window. A `tenant % 2` wrap would file
-// tenant 5's read as tenant 1's load and push tenant 1 over its credit.
+// turns whether or not it is in the window. Tenant 0 floods twelve reads,
+// four past its credit, ahead of tenant 1's eight. A `tenant % 2` wrap would
+// file tenant 5's read as tenant 1's load, push tenant 1's eighth read over
+// its credit, and change the turns tenant 0's over-share reads yield.
 func TestQoSStrayTenantHoldsNoCredit(t *testing.T) {
-	cfg := qosTestConfig(true)
-	cfg.QueueDepth = 4 // a credit of two reads per tenant
+	cfg := qosTestConfig(true) // a credit of eight reads per tenant
 	var batch []Request
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 12; i++ {
 		batch = append(batch, Request{Addr: uint64(i) * 128, ID: uint64(i)}) // tenant 0, one row
 	}
-	for i := 0; i < 3; i++ {
-		batch = append(batch, Request{Addr: 1<<20 + uint64(i)*128, ID: uint64(10 + i), Tenant: 1})
+	for i := 0; i < 8; i++ {
+		batch = append(batch, Request{Addr: 1<<20 + uint64(i)*128, ID: uint64(20 + i), Tenant: 1})
 	}
 	stray := Request{Addr: 6 * 128, ID: 99, Tenant: 5} // oldest in the window, tenant 0's row
 

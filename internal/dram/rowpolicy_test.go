@@ -127,7 +127,7 @@ func TestHistoryPolicyMatchesOpenOnStreams(t *testing.T) {
 		t0 := int64(0)
 		var dones []int64
 		for i := 0; i < 512; i++ {
-			t0 = access(s, uint64(i*cfg.LineBytes), t0)
+			t0 = access(s, uint64(i*lineBytes), t0)
 			dones = append(dones, t0)
 		}
 		return dones, *s.Stats()
@@ -192,36 +192,54 @@ func pfReq(addr uint64, at int64) Request {
 	return Request{Addr: addr, At: at, Prefetch: true}
 }
 
+// capConfig is testConfig widened to 16 banks with a one-cycle burst,
+// so reads to distinct banks activate side by side and the bus orders
+// their data back to back.
+func capConfig() Config {
+	cfg := testConfig()
+	cfg.Banks, cfg.TBurst = 16, 1
+	return cfg
+}
+
+// nineReads is one read to each of banks 0..8 at cycle 0, speculative
+// or not: one more than the eight-read prefetch cap.
+func nineReads(prefetch bool) []Request {
+	var reqs []Request
+	for i := 0; i < 9; i++ {
+		reqs = append(reqs, Request{Addr: uint64(i) * 128, Prefetch: prefetch})
+	}
+	return reqs
+}
+
 // TestPrefetchQueueCapDefers: speculative reads beyond the per-channel
 // cap wait for an earlier prefetch to complete, and the deferrals are
 // counted.
 func TestPrefetchQueueCapDefers(t *testing.T) {
-	cfg := testConfig()
-	cfg.Banks = 4
-	cfg.PFQCap = 1
-	s := NewSDRAM(cfg)
-	// Two same-cycle prefetches to different banks: with a cap of one,
-	// the second must wait out the first's completion (19) before it
-	// can even occupy a slot.
-	comps := s.Submit([]Request{pfReq(0, 0), pfReq(128, 0)})
-	if comps[0].Done != 19 {
-		t.Fatalf("first prefetch done = %d, want 19", comps[0].Done)
+	s := NewSDRAM(capConfig())
+	// Nine same-cycle prefetches to different banks: the first eight
+	// have their data ready at 15 and burst 15..23; with a cap of eight
+	// the ninth must wait out the first's completion (16) before it can
+	// even occupy a slot.
+	comps := s.Submit(nineReads(true))
+	if comps[7].Done != 23 {
+		t.Fatalf("eighth prefetch done = %d, want 23", comps[7].Done)
 	}
-	// Deferred to 19, activate overlapped nothing: 19+10+5+4.
-	if want := int64(19 + 10 + 5 + 4); comps[1].Done != want {
-		t.Fatalf("capped prefetch done = %d, want %d", comps[1].Done, want)
+	// Deferred to 16, activate overlapped nothing: 16+10+5+1.
+	if want := int64(16 + 10 + 5 + 1); comps[8].Done != want {
+		t.Fatalf("capped prefetch done = %d, want %d", comps[8].Done, want)
 	}
 	if s.Stats().PrefetchDeferred != 1 {
 		t.Fatalf("deferred = %d, want 1", s.Stats().PrefetchDeferred)
 	}
-	// Demand reads never touch the cap.
-	s = NewSDRAM(cfg)
-	comps = s.Submit([]Request{{Addr: 0, At: 0}, {Addr: 128, At: 0}})
+	// Demand reads never touch the cap: the ninth bursts right after the
+	// eighth.
+	s = NewSDRAM(capConfig())
+	comps = s.Submit(nineReads(false))
 	if s.Stats().PrefetchDeferred != 0 {
 		t.Fatalf("demand reads deferred: %+v", s.Stats())
 	}
-	if comps[1].Done >= 19+10+5+4 {
-		t.Fatalf("demand read throttled like a prefetch: done %d", comps[1].Done)
+	if comps[8].Done != 24 {
+		t.Fatalf("demand read throttled like a prefetch: done %d, want 24", comps[8].Done)
 	}
 }
 
@@ -230,16 +248,10 @@ func TestPrefetchQueueCapDefers(t *testing.T) {
 // prefetches in the reorder window; prefetches a demand already merged
 // onto (Demanded) keep demand standing.
 func TestDemandPriorityAfterPressure(t *testing.T) {
-	mk := func() *SDRAM {
-		cfg := testConfig()
-		cfg.Banks = 4
-		cfg.PFQCap = 1
-		cfg.ReorderWindow = 8
-		return NewSDRAM(cfg)
-	}
+	mk := func() *SDRAM { return NewSDRAM(capConfig()) }
 	// Latch the channel into demand-first mode with cap pressure.
 	latch := func(s *SDRAM) {
-		s.Submit([]Request{pfReq(0, 0), pfReq(128, 0)})
+		s.Submit(nineReads(true))
 		if s.Stats().PrefetchDeferred == 0 {
 			t.Fatal("latch batch did not defer")
 		}
@@ -247,9 +259,9 @@ func TestDemandPriorityAfterPressure(t *testing.T) {
 
 	s := mk()
 	latch(s)
-	// An older prefetch and a younger demand on different idle banks:
+	// An older prefetch and a younger demand on idle banks 9 and 10:
 	// the demand is serviced first (its burst wins the bus).
-	comps := s.Submit([]Request{pfReq(256, 100), {Addr: 384, At: 101}})
+	comps := s.Submit([]Request{pfReq(1152, 100), {Addr: 1280, At: 101}})
 	if comps[1].Done >= comps[0].Done {
 		t.Fatalf("demand done %d not before older prefetch %d", comps[1].Done, comps[0].Done)
 	}
@@ -259,8 +271,8 @@ func TestDemandPriorityAfterPressure(t *testing.T) {
 	s = mk()
 	latch(s)
 	comps = s.Submit([]Request{
-		{Addr: 256, At: 100, Prefetch: true, Demanded: true},
-		{Addr: 384, At: 101},
+		{Addr: 1152, At: 100, Prefetch: true, Demanded: true},
+		{Addr: 1280, At: 101},
 	})
 	if comps[0].Done >= comps[1].Done {
 		t.Fatalf("demanded prefetch done %d not before younger demand %d", comps[0].Done, comps[1].Done)
@@ -269,7 +281,7 @@ func TestDemandPriorityAfterPressure(t *testing.T) {
 	// Without the latch (no cap pressure), speculative reads keep full
 	// FR-FCFS standing: arrival order between the same two requests.
 	s = mk()
-	comps = s.Submit([]Request{pfReq(256, 100), {Addr: 384, At: 101}})
+	comps = s.Submit([]Request{pfReq(1152, 100), {Addr: 1280, At: 101}})
 	if comps[0].Done >= comps[1].Done {
 		t.Fatalf("unlatched prefetch done %d not before younger demand %d", comps[0].Done, comps[1].Done)
 	}

@@ -65,12 +65,12 @@ func (s *SDRAM) admitRead(c *channel, t0 int64) int64 {
 	arrival := t0
 	c.inflight.prune(arrival)
 	// The arriving request occupies a slot.
-	occ := min(len(c.inflight)+1, s.cfg.QueueDepth)
+	occ := min(len(c.inflight)+1, queueDepth)
 	s.st.QueueSum += uint64(occ)
 	if occ > s.st.QueueMax {
 		s.st.QueueMax = occ
 	}
-	if len(c.inflight) >= s.cfg.QueueDepth {
+	if len(c.inflight) >= queueDepth {
 		arrival = c.inflight.popEarliest()
 		s.st.StallCycles += uint64(arrival - t0)
 	}
@@ -82,7 +82,7 @@ func (s *SDRAM) admitRead(c *channel, t0 int64) int64 {
 // occupancy bound admitPrefetch enforces, consulted by the pick before
 // it lets a speculative read compete.
 func (s *SDRAM) pfUnderCap(c *channel, t int64) bool {
-	return c.pfInflight.live(t) < s.cfg.PFQCap
+	return c.pfInflight.live(t) < PFQCap
 }
 
 // admitPrefetch applies the per-channel cap on speculative read-queue
@@ -94,12 +94,12 @@ func (s *SDRAM) pfUnderCap(c *channel, t int64) bool {
 // picking for good (see pick). Demand reads pass through untouched.
 func (s *SDRAM) admitPrefetch(c *channel, t0 int64) int64 {
 	c.pfInflight.prune(t0)
-	if len(c.pfInflight) < s.cfg.PFQCap {
+	if len(c.pfInflight) < PFQCap {
 		return t0
 	}
 	s.st.PrefetchDeferred++
 	c.demandFirst = true
-	for len(c.pfInflight) >= s.cfg.PFQCap {
+	for len(c.pfInflight) >= PFQCap {
 		t0 = max(t0, c.pfInflight.popEarliest())
 	}
 	return t0
@@ -108,7 +108,7 @@ func (s *SDRAM) admitPrefetch(c *channel, t0 int64) int64 {
 // qosCredit is the per-tenant share of a channel's read queue under
 // QoS scheduling: an even split, but never below one slot.
 func (s *SDRAM) qosCredit() int {
-	return max(s.cfg.QueueDepth/s.cfg.Tenants, 1)
+	return max(queueDepth/s.cfg.Tenants, 1)
 }
 
 // credit is the in-flight set of the tenant in slot ten on this channel —
@@ -159,7 +159,7 @@ func (s *SDRAM) serviceRead(d decoded, r *Request) int64 {
 	s.st.ReadService.Observe(done - arrival)
 	if ts := s.shard(d.ten); ts != nil {
 		ts.Reads++
-		ts.Bytes += uint64(s.cfg.LineBytes)
+		ts.Bytes += lineBytes
 		if r.speculative() {
 			ts.PrefetchReads++
 		}
@@ -169,7 +169,7 @@ func (s *SDRAM) serviceRead(d decoded, r *Request) int64 {
 		s.tr.Emit(stats.Event{Cycle: done, Cat: "dram", Name: "complete",
 			Addr: r.Addr, ID: r.ID, Lane: d.ch, Tenant: int(r.Tenant)})
 	}
-	s.st.observe(t0, done, s.cfg.LineBytes)
+	s.st.observe(t0, done)
 	return done
 }
 
@@ -291,18 +291,16 @@ func (s *SDRAM) pick(c *channel, batch []Request, window []int, p *choice) {
 
 // scheduleReads services one channel's pending reads, one pick at a
 // time: the first candidate (see candidate.before) among the first
-// ReorderWindow pending requests, the oldest request when the window
+// reorderWindow pending requests, the oldest request when the window
 // holds none. The pick is a pure reordering — it never delays the read
-// it picks, so the channel stays work-conserving. FCFS, or a window of
-// one, keeps strict arrival order. pend must be sorted by arrival and is
-// consumed.
+// it picks, so the channel stays work-conserving. FCFS keeps strict
+// arrival order. pend must be sorted by arrival and is consumed.
 func (s *SDRAM) scheduleReads(ch int, batch []Request, pend []int) {
 	c := &s.chans[ch]
-	reorder := s.cfg.Scheduler == FRFCFS && s.cfg.ReorderWindow > 1
 	for len(pend) > 0 {
 		var p choice
-		if reorder {
-			s.pick(c, batch, pend[:min(len(pend), s.cfg.ReorderWindow)], &p)
+		if s.cfg.Scheduler == FRFCFS {
+			s.pick(c, batch, pend[:min(len(pend), reorderWindow)], &p)
 			// Account the QoS yields: every competing over-share read that
 			// arrived before an under-share winner gave up this scheduling
 			// turn to it — the same read can yield several turns before it

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cache"
 	"repro/internal/dram/policy"
 	"repro/internal/stats"
 )
@@ -65,7 +64,7 @@ const (
 	// FRFCFS lets row management start as soon as the target bank is
 	// free, overlapping precharge/activate with other banks' bursts,
 	// and reorders the visible window: a row hit within the first
-	// ReorderWindow pending requests of a channel is serviced ahead of
+	// reorderWindow pending requests of a channel is serviced ahead of
 	// older conflicts.
 	FRFCFS
 )
@@ -92,17 +91,35 @@ func ParseScheduler(s string) (Scheduler, error) {
 	return 0, fmt.Errorf("unknown scheduler %q (fcfs, frfcfs)", s)
 }
 
+// The controller's queue sizing, the same for every part. wqLow and
+// wqIdle won the write-drain study in EXPERIMENTS.md: on write-heavy
+// motionsearch reconstruction they shave ~1.4k cycles (ddr), and ~1.9k
+// cycles with all write-induced read stall (hbm), off a controller that
+// drains the whole queue at the threshold and never on an idle bus.
+const (
+	queueDepth    = 16 // reads in flight per channel before an arrival waits for a slot
+	reorderWindow = 8  // pending reads of a channel the FR-FCFS pick sees
+	wqDrain       = 12 // posted writes that start a drain; the queue never holds more
+	wqLow         = 4  // writes a threshold drain leaves queued
+	wqIdle        = 30 // idle bus cycles after which a read first retires the writes that finish before it
+)
+
+// PFQCap bounds how many prefetch-tagged reads may occupy one channel's
+// read queue at once: a prefetch arriving at the cap is deferred until
+// the earliest in-flight prefetch on its channel completes, so
+// speculative traffic can never crowd demand reads out of more than
+// half the queue.
+const PFQCap = queueDepth / 2
+
 // Config describes one SDRAM part and its controller. All counts must
-// be powers of two (the controller knobs — queue depths and the reorder
-// window — may be any positive value) and all latencies are in CPU
-// cycles.
+// be powers of two and all latencies are in CPU cycles; every request
+// moves one L2 line (lineBytes).
 type Config struct {
 	Channels    int // independent channels, each with its own controller shard
 	Ranks       int // ranks per channel
 	Banks       int // banks per rank
 	RowBytes    int // row-buffer size per bank
 	RowsPerBank int // rows per bank (bounds the row field of MapRow)
-	LineBytes   int // bytes per request (the L2 line size)
 
 	TRCD   int64 // activate → column command
 	TCAS   int64 // column command → first data
@@ -112,35 +129,10 @@ type Config struct {
 	TREFI  int64 // refresh interval per channel (0 disables refresh)
 	TRFC   int64 // refresh duration (all banks of the channel stall)
 
-	QueueDepth    int // in-flight reads per channel before back-pressure
-	ReorderWindow int // FR-FCFS visible window (1 = arrival order only)
-	WQDepth       int // write-queue sizing; drain-at-threshold keeps occupancy below it
-	WQDrain       int // occupancy that triggers a write drain (≤ WQDepth)
-
-	// WQLow is the low watermark a threshold drain stops at: crossing
-	// WQDrain retires writes oldest-first until WQLow remain, instead
-	// of emptying the queue (0 keeps the full drain). WQIdle, when
-	// positive, enables opportunistic drains: a read arriving after the
-	// data bus has been idle for at least WQIdle cycles first retires
-	// any queued writes that finish (burst plus turnaround) before the
-	// read's arrival, so free bus time absorbs write traffic without
-	// ever delaying a read. Both default to off, preserving the
-	// drain-everything-at-threshold behaviour.
-	WQLow  int
-	WQIdle int64
-
-	// PFQCap bounds how many prefetch-tagged reads may occupy one
-	// channel's read queue at once: a prefetch arriving at the cap is
-	// deferred until the earliest in-flight prefetch on its channel
-	// completes, so speculative traffic can never crowd demand reads
-	// out of more than its share of the queue. 0 defaults to half the
-	// queue depth; QueueDepth or more effectively disables the cap.
-	PFQCap int
-
 	// Tenants is the number of requestors sharing the part (0 or 1 =
 	// single requestor; see Request.Tenant). QoS turns on per-tenant
 	// credit scheduling in each channel: a tenant's reads are capped at
-	// its share of the read queue (QueueDepth/Tenants, at least 1) and
+	// its share of the read queue (queueDepth/Tenants, at least 1) and
 	// the FR-FCFS pick services the least-loaded tenant first, so one
 	// streaming tenant cannot starve the rest. QoS requires Tenants ≥ 2.
 	Tenants int
@@ -159,19 +151,13 @@ type Config struct {
 // DefaultConfig is the commodity-DDR preset: a two-channel, two-rank,
 // four-bank part whose row-miss service time is comparable to the
 // seed's flat 100-cycle DRAM, so row hits run faster than the seed and
-// row conflicts slower. The write-drain watermark and idle-bus gap
-// ship tuned (WQLow 4, WQIdle 30): on write-heavy motionsearch
-// reconstruction they shave ~1.4k cycles (ddr) and ~1.9k cycles with
-// all write-induced read stall (hbm) — see the study in
-// EXPERIMENTS.md; a zero-valued Config still runs both off.
+// row conflicts slower.
 func DefaultConfig() Config {
 	return Config{
 		Channels: 2, Ranks: 2, Banks: 4,
-		RowBytes: 8 << 10, RowsPerBank: 1 << 15, LineBytes: cache.L2LineBytes,
+		RowBytes: 8 << 10, RowsPerBank: 1 << 15,
 		TRCD: 30, TCAS: 40, TRP: 30, TBurst: 8, TTurn: 4,
 		TREFI: 7800, TRFC: 120,
-		QueueDepth: 16, ReorderWindow: 8, WQDepth: 16, WQDrain: 12,
-		WQLow: 4, WQIdle: 30,
 		Mapping: MapLine, Scheduler: FRFCFS,
 	}
 }
@@ -258,52 +244,16 @@ func NewSDRAM(cfg Config) *SDRAM {
 	}{
 		{"channels", cfg.Channels}, {"ranks", cfg.Ranks}, {"banks", cfg.Banks},
 		{"row bytes", cfg.RowBytes}, {"rows per bank", cfg.RowsPerBank},
-		{"line bytes", cfg.LineBytes},
 	} {
 		if g.n <= 0 || g.n&(g.n-1) != 0 {
 			panic(fmt.Sprintf("dram: %s %d not a power of two", g.name, g.n))
 		}
 	}
-	if cfg.RowBytes < cfg.LineBytes {
+	if cfg.RowBytes < lineBytes {
 		panic("dram: row smaller than a line")
-	}
-	if cfg.QueueDepth <= 0 {
-		panic("dram: queue depth must be positive")
-	}
-	// Zero-valued controller knobs take defaults so configurations
-	// written before a knob existed keep their old behaviour.
-	if cfg.ReorderWindow == 0 {
-		cfg.ReorderWindow = 1 // arrival order only
-	}
-	if cfg.WQDepth == 0 {
-		cfg.WQDepth = cfg.QueueDepth
-	}
-	if cfg.WQDrain == 0 {
-		cfg.WQDrain = (cfg.WQDepth*3 + 3) / 4
-	}
-	if cfg.ReorderWindow < 0 {
-		panic("dram: reorder window must be positive")
-	}
-	if cfg.WQDepth < 0 || cfg.WQDrain < 0 || cfg.WQDrain > cfg.WQDepth {
-		panic("dram: write queue needs 0 < drain threshold <= depth")
-	}
-	if cfg.WQLow != 0 && (cfg.WQLow < 0 || cfg.WQLow >= cfg.WQDrain) {
-		panic("dram: write-queue low watermark needs 0 <= low < drain threshold")
-	}
-	if cfg.WQIdle < 0 {
-		panic("dram: write-queue idle-drain gap must not be negative")
 	}
 	if cfg.TREFI > 0 && cfg.TRFC >= cfg.TREFI {
 		panic("dram: refresh duration must be shorter than the refresh interval")
-	}
-	if cfg.PFQCap < 0 {
-		panic("dram: prefetch queue cap must not be negative")
-	}
-	if cfg.PFQCap == 0 {
-		cfg.PFQCap = cfg.QueueDepth / 2
-		if cfg.PFQCap < 1 {
-			cfg.PFQCap = 1
-		}
 	}
 	if cfg.RowPolicy.Kind == policy.Timer && cfg.RowPolicy.Idle <= 0 {
 		panic("dram: timer row policy needs a positive idle gap")
@@ -317,8 +267,8 @@ func NewSDRAM(cfg Config) *SDRAM {
 	s := &SDRAM{
 		cfg:       cfg,
 		rp:        cfg.RowPolicy.New(cfg.Channels * cfg.Ranks * cfg.Banks),
-		lineShift: log2(cfg.LineBytes),
-		colBits:   log2(cfg.RowBytes / cfg.LineBytes),
+		lineShift: log2(lineBytes),
+		colBits:   log2(cfg.RowBytes / lineBytes),
 		rowBits:   log2(cfg.RowsPerBank),
 		chanBits:  log2(cfg.Channels),
 		bankBits:  log2(cfg.Ranks * cfg.Banks),
@@ -331,9 +281,9 @@ func NewSDRAM(cfg Config) *SDRAM {
 		s.chans[c] = channel{
 			banks:       make([]bank, cfg.Ranks*cfg.Banks),
 			nextRefresh: cfg.TREFI,
-			inflight:    make(doneSet, 0, cfg.QueueDepth),
-			pfInflight:  make(doneSet, 0, cfg.QueueDepth),
-			writeQ:      make([]Request, 0, cfg.WQDepth),
+			inflight:    make(doneSet, 0, queueDepth),
+			pfInflight:  make(doneSet, 0, queueDepth),
+			writeQ:      make([]Request, 0, wqDrain),
 		}
 		if cfg.QoS {
 			s.chans[c].tenInflight = make([]doneSet, cfg.Tenants)
@@ -366,9 +316,6 @@ func (s *SDRAM) Name() string {
 // Stats implements Backend.
 func (s *SDRAM) Stats() *Stats { return &s.st }
 
-// LineBytes implements Backend.
-func (s *SDRAM) LineBytes() int { return s.cfg.LineBytes }
-
 // MinReadLatency implements Backend: even a row hit on an idle bank
 // pays the column access and the data burst.
 func (s *SDRAM) MinReadLatency() int64 { return s.cfg.TCAS + s.cfg.TBurst }
@@ -380,7 +327,7 @@ func (s *SDRAM) MinReadLatency() int64 { return s.cfg.TCAS + s.cfg.TBurst }
 // drained (or filled) by then.
 func (s *SDRAM) WriteRoom(addr uint64) bool {
 	ch, _, _ := s.decode(addr)
-	return len(s.chans[ch].writeQ)+1 < s.cfg.WQDrain
+	return len(s.chans[ch].writeQ)+1 < wqDrain
 }
 
 // Config returns the controller's configuration.
@@ -628,9 +575,8 @@ func (s *SDRAM) service(ci, bi int, row, arrival int64, r *Request) int64 {
 
 // drainWrites retires the channel's queued writes oldest-first starting
 // no earlier than cycle t, stopping when `keep` remain (0 empties the
-// queue; the low-watermark policy passes cfg.WQLow so a threshold
-// crossing only sheds the queue's head instead of serializing a full
-// flush in front of the next reads). Reads keep priority by
+// queue; a threshold crossing passes wqLow so it only sheds the queue's
+// head instead of serializing a full flush in front of the next reads). Reads keep priority by
 // construction: a batch's reads are scheduled before its writes
 // enqueue, so drains only delay later traffic through bank and bus
 // occupancy.
@@ -674,7 +620,7 @@ func (s *SDRAM) peekRowLatency(bk *bank, row, at int64) int64 {
 }
 
 // opportunisticDrain retires queued writes on a bus that has sat idle
-// for at least WQIdle cycles before a read arriving at `arrival`, but
+// for at least wqIdle cycles before a read arriving at `arrival`, but
 // only writes that cannot take the read's service slot: a write to the
 // read's own bank is never drained here (it would disturb the bank's
 // row buffer and turn the read's row hit into a conflict), and every
@@ -686,7 +632,7 @@ func (s *SDRAM) peekRowLatency(bk *bank, row, at int64) int64 {
 // fit, keeping queue order intact.
 func (s *SDRAM) opportunisticDrain(ci int, readBank int, arrival int64) {
 	c := &s.chans[ci]
-	if s.cfg.WQIdle <= 0 || len(c.writeQ) == 0 || c.busFree+s.cfg.WQIdle > arrival {
+	if len(c.writeQ) == 0 || c.busFree+wqIdle > arrival {
 		return
 	}
 	kept := c.writeQ[:0]
@@ -722,9 +668,8 @@ func (s *SDRAM) opportunisticDrain(ci int, readBank int, arrival int64) {
 }
 
 // postWrite absorbs write w, decoded to d, into its channel's write
-// queue and returns its acceptance cycle. Crossing the drain threshold
-// retires writes down to the low watermark (the whole queue when WQLow
-// is 0).
+// queue and returns its acceptance cycle. Reaching the drain threshold
+// retires writes down to the low watermark.
 func (s *SDRAM) postWrite(d decoded, w Request) int64 {
 	c := &s.chans[d.ch]
 	ack := w.At + 1 // posted: the queue accepts it next cycle
@@ -732,11 +677,11 @@ func (s *SDRAM) postWrite(d decoded, w Request) int64 {
 	s.st.Writes++
 	if ts := s.shard(d.ten); ts != nil {
 		ts.Writes++
-		ts.Bytes += uint64(s.cfg.LineBytes)
+		ts.Bytes += lineBytes
 	}
-	s.st.observe(w.At, ack, s.cfg.LineBytes)
-	if len(c.writeQ) >= s.cfg.WQDrain {
-		s.drainWrites(d.ch, ack, s.cfg.WQLow)
+	s.st.observe(w.At, ack)
+	if len(c.writeQ) >= wqDrain {
+		s.drainWrites(d.ch, ack, wqLow)
 	}
 	return ack
 }

@@ -46,11 +46,9 @@ func (p Preset) Config() Config {
 	if p == PresetHBM {
 		return Config{
 			Channels: 8, Ranks: 1, Banks: 8,
-			RowBytes: 2 << 10, RowsPerBank: 1 << 14, LineBytes: lineBytes,
+			RowBytes: 2 << 10, RowsPerBank: 1 << 14,
 			TRCD: 14, TCAS: 16, TRP: 14, TBurst: 16, TTurn: 2,
 			TREFI: 3900, TRFC: 140,
-			QueueDepth: 16, ReorderWindow: 8, WQDepth: 16, WQDrain: 12,
-			WQLow: 4, WQIdle: 30,
 			Mapping: MapLine, Scheduler: FRFCFS,
 		}
 	}

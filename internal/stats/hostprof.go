@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -29,7 +30,10 @@ func StartProfiles(cpuFile, memFile string) (stop func(), err error) {
 			err = cpu.Close()
 		}
 		if memFile != "" && err == nil {
-			err = writeHeapProfile(memFile)
+			err = WriteFile(memFile, func(w io.Writer) error {
+				runtime.GC()
+				return pprof.WriteHeapProfile(w)
+			})
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "profile: %v\n", err)
@@ -37,15 +41,38 @@ func StartProfiles(cpuFile, memFile string) (stop func(), err error) {
 	}, nil
 }
 
-func writeHeapProfile(path string) error {
+// WriteFile creates path and has write fill it; a failed close is a
+// failed write. Every file the commands write but the streamed CPU
+// profile ends here.
+func WriteFile(path string, write func(io.Writer) error) error {
 	fh, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(fh); err != nil {
+	if err := write(fh); err != nil {
 		fh.Close()
-		return err
+		return fmt.Errorf("writing %s: %v", path, err)
 	}
-	return fh.Close()
+	if err := fh.Close(); err != nil {
+		return fmt.Errorf("writing %s: %v", path, err)
+	}
+	return nil
+}
+
+// Output is one file a command writes: the flag naming it, without its
+// dash, and the path given ("" = not written).
+type Output struct{ Flag, Path string }
+
+// DistinctOutputs refuses a command line that names one file for two
+// outputs, which would leave only the last one written and still exit
+// 0. The error names the first repeated path and both its flags.
+func DistinctOutputs(outs ...Output) error {
+	for i, b := range outs {
+		for _, a := range outs[:i] {
+			if b.Path != "" && a.Path == b.Path {
+				return fmt.Errorf("-%s and -%s both write %q; pick distinct files", a.Flag, b.Flag, b.Path)
+			}
+		}
+	}
+	return nil
 }

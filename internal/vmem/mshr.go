@@ -217,7 +217,7 @@ func NewMSHRFile(tim Timing, n int) *MSHRFile {
 	f := &MSHRFile{
 		tim:      tim,
 		cap:      n,
-		lineMask: uint64(tim.Backend.LineBytes() - 1),
+		lineMask: cache.L2LineBytes - 1,
 		minLat:   max(tim.Backend.MinReadLatency(), 1),
 		byLine:   map[uint64]*mshrEntry{},
 		pendByID: map[uint64]*mshrEntry{},

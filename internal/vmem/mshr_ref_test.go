@@ -52,7 +52,7 @@ type refHandle struct {
 }
 
 func newRefFile(be dram.Backend, n int, pf *Prefetcher, l2 *cache.Cache) *refFile {
-	return &refFile{be: be, cap: n, lineMask: uint64(be.LineBytes() - 1),
+	return &refFile{be: be, cap: n, lineMask: cache.L2LineBytes - 1,
 		minLat: max(be.MinReadLatency(), 1), live: map[uint64]*refEntry{},
 		byID: map[uint64]*refEntry{}, nextID: 1, pf: pf, l2: l2,
 		st: MSHRStats{Fill: stats.NewHistogram()}}

@@ -3,7 +3,6 @@ package vmem
 import (
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/dram"
 )
 
@@ -17,7 +16,6 @@ type countingBackend struct {
 
 func (c *countingBackend) Name() string          { return "counting" }
 func (c *countingBackend) Stats() *dram.Stats    { return &c.st }
-func (c *countingBackend) LineBytes() int        { return cache.L2LineBytes }
 func (c *countingBackend) MinReadLatency() int64 { return 100 }
 func (c *countingBackend) WriteRoom(uint64) bool { return true }
 func (c *countingBackend) Submit(batch []dram.Request) []dram.Completion {

@@ -303,8 +303,6 @@ func TestPrefetchEvictedThenMissedCountsOnce(t *testing.T) {
 func TestPrefetchWQFullDrops(t *testing.T) {
 	cfg := dram.DefaultConfig()
 	cfg.Channels = 1
-	cfg.WQDepth, cfg.WQDrain = 4, 2 // room for one posted write before the threshold
-	cfg.WQLow, cfg.WQIdle = 0, 0    // the preset's tuned drains would sit above the tiny threshold
 	sd := dram.NewSDRAM(cfg)
 	f, l2 := pfFile(sd, 32, 4, 2)
 

@@ -185,7 +185,6 @@ type recordingBackend struct {
 
 func (r *recordingBackend) Name() string          { return "recording" }
 func (r *recordingBackend) Stats() *dram.Stats    { return &r.st }
-func (r *recordingBackend) LineBytes() int        { return cache.L2LineBytes }
 func (r *recordingBackend) MinReadLatency() int64 { return 100 }
 func (r *recordingBackend) WriteRoom(uint64) bool { return true }
 func (r *recordingBackend) Submit(batch []dram.Request) []dram.Completion {
