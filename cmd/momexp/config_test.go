@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -63,6 +64,33 @@ func TestResolveSweepRejections(t *testing.T) {
 			}
 		} else if err == nil || err.Error() != "-"+s.name+" "+s.owns {
 			t.Errorf("-%s with backend flags: got %v, want its own refusal", s.name, err)
+		}
+	}
+}
+
+// TestOutputsOpenBeforeTheRun: a report or profile that cannot be
+// created is refused, naming its flag, before anything is simulated
+// (momsim's test of the same name also checks what is created).
+func TestOutputsOpenBeforeTheRun(t *testing.T) {
+	gone := filepath.Join(t.TempDir(), "missing")
+	for _, c := range []struct {
+		name     string
+		reports  []stats.Output
+		cpu, mem string
+		want     string
+	}{
+		{"memprofile", nil, "", gone + "/m.prof", "-memprofile: open " + gone + "/m.prof: no such file or directory"},
+		{"cpuprofile", nil, gone + "/c.prof", "", "-cpuprofile: open " + gone + "/c.prof"},
+		{"statsjson", []stats.Output{{Flag: "statsjson", Path: gone + "/s.json"}}, "", "",
+			"-statsjson: open " + gone + "/s.json: no such file or directory"},
+		{"cpisweep", []stats.Output{{Flag: "cpisweep", Path: gone + "/c.json"}}, "", "", "-cpisweep: open " + gone + "/c.json"},
+	} {
+		stop, err := stats.StartProfiles(c.cpu, c.mem, c.reports...)
+		if err == nil {
+			stop()
+			t.Errorf("%s: accepted", c.name)
+		} else if !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s: error %q, want %q", c.name, err, c.want)
 		}
 	}
 }

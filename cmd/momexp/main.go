@@ -77,7 +77,8 @@ func main() {
 			}
 		}
 	})
-	opts.Outputs = append(opts.Outputs,
+	reports := opts.Outputs
+	opts.Outputs = append(reports,
 		stats.Output{Flag: "cpuprofile", Path: *cpuprofile}, stats.Output{Flag: "memprofile", Path: *memprofile})
 	plan, err := resolveSweep(opts)
 	if err != nil {
@@ -106,18 +107,20 @@ func main() {
 		usage(err)
 	}
 
-	stopProfiles, err := stats.StartProfiles(*cpuprofile, *memprofile)
+	stop, err := stats.StartProfiles(*cpuprofile, *memprofile, reports...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "momexp: %v\n", err)
 		os.Exit(1)
 	}
-	defer stopProfiles()
 
 	x := &session{r: r, backend: opts.Backend}
 	if sel := plan.Selector; sel != nil {
 		err = sel.run(x, flag.Lookup(sel.name).Value.String())
 	} else {
 		err = runDefault(x)
+	}
+	if err == nil {
+		err = stop()
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "momexp: %v\n", err)

@@ -182,13 +182,10 @@ func resolve(o options) (runConfig, error) {
 	if o.SampleJSON != "" && o.Sample == 0 {
 		return rc, fmt.Errorf("-samplejson has no effect without -sample <cycles>")
 	}
-	if err := stats.DistinctOutputs(
-		stats.Output{Flag: "trace", Path: o.Trace},
-		stats.Output{Flag: "statsjson", Path: o.StatsJSON},
-		stats.Output{Flag: "samplejson", Path: o.SampleJSON},
+	if err := stats.DistinctOutputs(append(o.reports(),
 		stats.Output{Flag: "cpuprofile", Path: o.CPUProfile},
 		stats.Output{Flag: "memprofile", Path: o.MemProfile},
-	); err != nil {
+	)...); err != nil {
 		return rc, err
 	}
 	cfg.UseGshare = o.Gshare
@@ -199,6 +196,12 @@ func resolve(o options) (runConfig, error) {
 	rc.Timing = vmem.Timing{L2Latency: o.L2Lat, MemLatency: o.MemLat, Backend: backend,
 		MSHRs: o.MSHRs, PFStreams: o.PFStreams, PFDegree: o.PFDegree}
 	return rc, nil
+}
+
+// reports are the files a run writes besides the two profiles.
+func (o options) reports() []stats.Output {
+	return []stats.Output{{Flag: "trace", Path: o.Trace}, {Flag: "statsjson", Path: o.StatsJSON},
+		{Flag: "samplejson", Path: o.SampleJSON}}
 }
 
 func parseMem(s string) (core.MemKind, error) {

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/dram/policy"
 	"repro/internal/kernels"
+	"repro/internal/stats"
 )
 
 // parseLine reads a command line the way main does, without the
@@ -276,6 +279,65 @@ func TestResolveRejectsUnknownValues(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestOutputsOpenBeforeTheRun: every file a command line names is
+// created before anything is simulated. One that cannot be created is
+// refused, naming its flag; the others exist, and stop writes the heap
+// profile.
+func TestOutputsOpenBeforeTheRun(t *testing.T) {
+	dir := t.TempDir()
+	gone := filepath.Join(dir, "missing")
+	for _, c := range []struct{ name, args, want string }{
+		{"memprofile", "-memprofile " + gone + "/m.prof", "-memprofile: open " + gone + "/m.prof: no such file or directory"},
+		{"cpuprofile", "-cpuprofile " + gone + "/c.prof", "-cpuprofile: open " + gone + "/c.prof"},
+		{"statsjson", "-statsjson " + gone + "/s.json", "-statsjson: open " + gone + "/s.json: no such file or directory"},
+		{"trace", "-trace " + gone + "/t.json", "-trace: open " + gone + "/t.json"},
+		{"samplejson", "-sample 100 -samplejson " + gone + "/ts.json", "-samplejson: open " + gone + "/ts.json"},
+	} {
+		o, err := parseLine(strings.Fields(c.args)...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		rc, err := resolve(o)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		stop, err := stats.StartProfiles(rc.CPUProfile, rc.MemProfile, rc.reports()...)
+		if err == nil {
+			stop()
+			t.Errorf("%s: %q was accepted", c.name, c.args)
+		} else if !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s: error %q, want %q", c.name, err, c.want)
+		}
+	}
+
+	files := []string{"t.json", "s.json", "ts.json", "c.prof", "m.prof"}
+	o, err := parseLine("-trace", filepath.Join(dir, files[0]), "-statsjson", filepath.Join(dir, files[1]),
+		"-sample", "100", "-samplejson", filepath.Join(dir, files[2]),
+		"-cpuprofile", filepath.Join(dir, files[3]), "-memprofile", filepath.Join(dir, files[4]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := resolve(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, err := stats.StartProfiles(rc.CPUProfile, rc.MemProfile, rc.reports()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+			t.Errorf("%s was not created before the run: %v", f, err)
+		}
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "m.prof")); err != nil || fi.Size() == 0 {
+		t.Errorf("stop wrote no heap profile: %v", err)
 	}
 }
 

@@ -96,12 +96,14 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	stopProfiles, err := stats.StartProfiles(rc.CPUProfile, rc.MemProfile)
+	stop, err := stats.StartProfiles(rc.CPUProfile, rc.MemProfile, rc.reports()...)
 	if err != nil {
 		fail("%v", err)
 	}
-	defer stopProfiles()
 	if err := run(os.Stdout, rc); err != nil {
+		fail("%v", err)
+	}
+	if err := stop(); err != nil {
 		fail("%v", err)
 	}
 }

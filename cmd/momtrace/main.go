@@ -17,11 +17,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -48,8 +50,17 @@ func main() {
 		os.Exit(1)
 	}
 
+	if err := stats.CreateOutputs(stats.Output{Flag: "json", Path: *jsonFile}); err != nil {
+		fmt.Fprintf(os.Stderr, "momtrace: %v\n", err)
+		os.Exit(1)
+	}
+
 	var rec trace.Recorder
 	stream, st := rec.Record(func(sink trace.Sink) { bm.Run(variant, sink) })
+	if *skip > 0 && *skip >= stream.Len() {
+		fmt.Fprintf(os.Stderr, "momtrace: -skip %d is past the stream's %d instructions\n", *skip, stream.Len())
+		os.Exit(1)
+	}
 
 	fmt.Printf("%s / %s\n", bm.Name, variant)
 	fmt.Print(st.String())
@@ -153,15 +164,9 @@ func writeJSON(path, bench, variant string, st *trace.Stats) error {
 			doc.Dims["slices_per_dvload"] = st.SlicesPerLoad()
 		}
 	}
-	fh, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(fh)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		fh.Close()
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	return fh.Close()
+	return stats.WriteFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(doc)
+	})
 }

@@ -164,12 +164,11 @@ type Sim struct {
 
 	// Stepping state, owned by Step so a Sim can be advanced one
 	// cycle at a time interleaved with other requestors. The stream is
-	// shared and read-only; base is the requestor's address window,
-	// added to every memory address at dispatch.
-	stream          trace.Stream
+	// shared and read-only: cur reads it, at the next instruction to
+	// dispatch. base is the requestor's address window, added to every
+	// memory address at dispatch.
+	cur             trace.Cursor
 	base            uint64
-	next            int // next trace index to dispatch
-	nextAddr        int // entry of stream.Addrs the next op with AddrBit takes
 	lastCommitCycle int64
 
 	// issued is the one materialised instruction, filled at fire time
@@ -231,7 +230,7 @@ func NewSim(cfg Config, mem *MemSystem, insts []isa.Inst) *Sim {
 // stream, each with its own base; SimulateStream is the reference loop
 // a group of one is checked against.
 func NewStreamSim(cfg Config, mem *MemSystem, stream *trace.Stream, base uint64) *Sim {
-	s := &Sim{cfg: cfg, mem: mem, stream: *stream, base: base,
+	s := &Sim{cfg: cfg, mem: mem, cur: stream.Cursor(), base: base,
 		rob:      make([]robEntry, cfg.Window),
 		storeBuf: make([]storeRec, 2*cfg.LSQ),
 		// Spans the common wake distance (memory latency plus queueing);
@@ -257,7 +256,7 @@ func NewStreamSim(cfg Config, mem *MemSystem, stream *trace.Stream, base uint64)
 // Running reports whether another Step would do work: trace left to
 // dispatch or instructions still in the window.
 func (s *Sim) Running() bool {
-	return s.next < len(s.stream.Ops) || s.count > 0
+	return s.cur.More() || s.count > 0
 }
 
 // Now returns the core's current cycle: the next one Step executes.
@@ -278,7 +277,7 @@ func (s *Sim) Step() {
 	s.now++
 	if s.now-s.lastCommitCycle > noProgressLimit {
 		panic(fmt.Sprintf("core: no commit progress at cycle %d (trace pos %d/%d, rob %d)",
-			s.now, s.next, len(s.stream.Ops), s.count))
+			s.now, s.cur.Pos(), s.cur.Len(), s.count))
 	}
 }
 
@@ -579,24 +578,15 @@ func (s *Sim) dispatch() {
 	if s.now < s.fetchResumeAt {
 		return
 	}
-	static, ops := s.stream.Static, s.stream.Ops
-	for n := 0; n < s.cfg.FetchWidth && s.next < len(ops); n++ {
-		op := ops[s.next]
-		in := &static[op&trace.StaticMask]
-		if c := s.dispatchStall(in); c != nil {
+	for n := 0; n < s.cfg.FetchWidth && s.cur.More(); n++ {
+		if c := s.dispatchStall(s.cur.Peek()); c != nil {
 			*c++
 			break
 		}
-		var addr uint64
-		if op&trace.AddrBit != 0 {
-			addr = s.stream.Addrs[s.nextAddr]
-			s.nextAddr++
-		}
-		seq := uint64(s.next)
+		seq := uint64(s.cur.Pos())
+		in, addr, taken := s.cur.Next()
 		s.insert(in, seq, addr)
-		s.next++
 		if in.Kind == isa.KindBranch {
-			taken := op&trace.TakenBit != 0
 			if s.cfg.UseGshare && s.predict(taken) != taken {
 				s.stats.Mispredicts++
 				s.mispredictPend = true
@@ -608,12 +598,6 @@ func (s *Sim) dispatch() {
 			}
 		}
 	}
-}
-
-// nextStatic is the template of the next instruction to dispatch: all
-// the dispatch gates read.
-func (s *Sim) nextStatic() *isa.Inst {
-	return &s.stream.Static[s.stream.Ops[s.next]&trace.StaticMask]
 }
 
 // dispatchStall returns the stall counter of the first dispatch gate

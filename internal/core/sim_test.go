@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -272,11 +273,12 @@ func TestSimulateResultDoesNotPinTheMachine(t *testing.T) {
 	t.Fatalf("the memory system is still reachable from the returned stats (%d cycles)", st.Cycles)
 }
 
-// Dispatch takes an address from the stream exactly when the op word
-// says the instruction has one, whatever its kind: a cursor that skipped
-// or repeated an entry would hand every later memory instruction its
-// neighbour's address. Over every golden-suite stream under both engines
-// the cursor must end exactly at the end of Addrs.
+// Dispatch reads every instruction of the stream once, through the
+// stream's one decoder: a dispatch that skipped or repeated one would
+// hand every later memory instruction its neighbour's address. Over
+// every golden-suite stream under both engines the Sim's cursor must
+// end where reading the stream straight through ends, every address
+// taken.
 func TestDispatchReadsEveryAddressOnce(t *testing.T) {
 	var rec trace.Recorder
 	for _, bm := range equivBenches() {
@@ -290,9 +292,13 @@ func TestDispatchReadsEveryAddressOnce(t *testing.T) {
 				ms := NewMemSystem(vk.kind, vmem.DefaultTiming(), cfg.Lanes, vk.v == kernels.MMX)
 				sim := NewStreamSim(cfg, ms, s, 0)
 				runOn(mode)(sim)
-				if sim.nextAddr != len(s.Addrs) {
-					t.Errorf("%s/%s [%v]: dispatch read %d addresses, the stream holds %d",
-						bm.Name, vk.v, mode, sim.nextAddr, len(s.Addrs))
+				end := s.Cursor()
+				for end.More() {
+					end.Next()
+				}
+				if !reflect.DeepEqual(sim.cur, end) {
+					t.Errorf("%s/%s [%v]: dispatch left the cursor at instruction %d of %d, or out of step with the %d addresses",
+						bm.Name, vk.v, mode, sim.cur.Pos(), s.Len(), len(s.Addrs))
 				}
 			}
 		}

@@ -455,11 +455,11 @@ func (s *Sim) nextWake() int64 {
 		if e := s.entry(s.mispredictSeq); e != nil && e.issued {
 			sched(e.done)
 		}
-	} else if s.next < len(s.stream.Ops) {
+	} else if s.cur.More() {
 		if now < s.fetchResumeAt {
 			sched(s.fetchResumeAt)
 		} else {
-			if s.dispatchStall(s.nextStatic()) == nil {
+			if s.dispatchStall(s.cur.Peek()) == nil {
 				return now // dispatch inserts next cycle
 			}
 			// Resource-stalled: only a commit frees the window / LSQ /
@@ -506,8 +506,8 @@ func (s *Sim) SkipTo(t int64) {
 			s.stats.StallSB += uint64(n)
 		}
 	}
-	if !s.mispredictPend && s.now >= s.fetchResumeAt && s.next < len(s.stream.Ops) {
-		if c := s.dispatchStall(s.nextStatic()); c != nil {
+	if !s.mispredictPend && s.now >= s.fetchResumeAt && s.cur.More() {
+		if c := s.dispatchStall(s.cur.Peek()); c != nil {
 			*c += uint64(n)
 		}
 	}

@@ -28,7 +28,7 @@ func BenchmarkCell(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/%s/%s", key.Bench, key.Variant, key.Mem), func(b *testing.B) {
 			r := NewRunner()
 			r.Engine = engine.Step
-			insts := int64(len(r.traceFor(key.Bench, key.Variant).tr.Ops))
+			insts := int64(r.traceFor(key.Bench, key.Variant).tr.Len())
 			b.ResetTimer()
 			var cycles int64
 			for i := 0; i < b.N; i++ {

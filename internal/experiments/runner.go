@@ -86,10 +86,12 @@ type Runner struct {
 
 // traceStore is the runner-lifetime trace cache. The five paper kernels
 // are 2.05 M instructions (0.83 M with an address) over 8,386 static
-// ones = 15.6 MB (all 18 extended streams: 3.25 M over 19,501 = 25.8
-// MB), so nothing is ever evicted. One lock covers lookup and generation:
-// generating is a small share of any sweep, and a worker that waits for
-// another's stream would otherwise have generated a copy of it.
+// ones = 8.2 MB in 2-byte op words and 4-byte addresses (all 18
+// extended streams: 3.25 M over 19,501 = 13.7 MB; 15.6 and 25.8 MB with
+// 4-byte op words and 8-byte addresses), so nothing is ever evicted.
+// One lock covers lookup and generation: generating is a small share of
+// any sweep, and a worker that waits for another's stream would
+// otherwise have generated a copy of it.
 type traceStore struct {
 	mu      sync.Mutex
 	streams map[streamKey]*stream
@@ -155,7 +157,7 @@ func (r *Runner) TraceStats() (streams, insts, static int, bytes int64) {
 	r.store.mu.Lock()
 	defer r.store.mu.Unlock()
 	for _, s := range r.store.streams {
-		insts += len(s.tr.Ops)
+		insts += s.tr.Len()
 		static += len(s.tr.Static)
 		bytes += s.tr.Bytes()
 	}

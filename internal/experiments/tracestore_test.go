@@ -9,8 +9,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/trace"
 )
 
 // paperEvaluation runs everything momexp's default run computes short
@@ -41,8 +41,9 @@ func TestTraceStoreGeneratesEachStreamOnce(t *testing.T) {
 		addrs += len(s.tr.Addrs)
 		tmpl += len(s.tr.Static)
 	}
-	held := int64(ops)*int64(unsafe.Sizeof(uint32(0))) + int64(addrs)*int64(unsafe.Sizeof(uint64(0))) +
-		int64(tmpl)*int64(unsafe.Sizeof(isa.Inst{}))
+	var tr trace.Stream
+	held := int64(ops)*int64(unsafe.Sizeof(tr.Ops[0])) + int64(addrs)*int64(unsafe.Sizeof(tr.Addrs[0])) +
+		int64(tmpl)*int64(unsafe.Sizeof(tr.Static[0]))
 	if insts != ops || static != tmpl || bytes != held {
 		t.Errorf("TraceStats = %d instructions over %d static, %d bytes; the store holds %d (%d addresses) over %d, %d bytes",
 			insts, static, bytes, ops, addrs, tmpl, held)

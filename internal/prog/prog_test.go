@@ -137,8 +137,8 @@ func TestStatsSinkIntegration(t *testing.T) {
 		b.DVMov(isa.V(2), isa.D(0), 1, 2)
 		b.DVMov(isa.V(3), isa.D(0), 1, 2)
 	})
-	if st.Total != 5 || len(s.Ops) != 5 {
-		t.Fatalf("recorded: stats %d, stream %d", st.Total, len(s.Ops))
+	if st.Total != 5 || s.Len() != 5 {
+		t.Fatalf("recorded: stats %d, stream %d", st.Total, s.Len())
 	}
 	d1, d2, d3, mx, has3 := st.Dims()
 	if !has3 {

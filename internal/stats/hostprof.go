@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -9,52 +10,88 @@ import (
 )
 
 // StartProfiles starts the host-side Go profiles behind the commands'
-// -cpuprofile and -memprofile flags ("" = off). The returned stop ends
-// the CPU profile and writes the heap profile, taken after a
-// collection; a file it cannot write is reported on standard error.
-func StartProfiles(cpuFile, memFile string) (stop func(), err error) {
-	var cpu *os.File
-	if cpuFile != "" {
-		if cpu, err = os.Create(cpuFile); err != nil {
-			return nil, err
-		}
-		if err = pprof.StartCPUProfile(cpu); err != nil {
-			cpu.Close()
-			return nil, err
+// -cpuprofile and -memprofile flags ("" = off). It first creates every
+// file the command writes — the reports given (CreateOutputs) and both
+// profiles — so an output that cannot be written fails before the run,
+// not after it. The returned stop ends the CPU profile and writes the
+// heap profile, taken after a collection; its error is the command's.
+func StartProfiles(cpuFile, memFile string, reports ...Output) (stop func() error, err error) {
+	if err := CreateOutputs(reports...); err != nil {
+		return nil, err
+	}
+	var cpu, mem *os.File
+	if memFile != "" {
+		if mem, err = os.Create(memFile); err != nil {
+			return nil, fmt.Errorf("-memprofile: %w", err)
 		}
 	}
-	return func() {
+	if cpuFile != "" {
+		if cpu, err = os.Create(cpuFile); err == nil {
+			err = pprof.StartCPUProfile(cpu)
+		}
+		if err != nil {
+			cpu.Close() // both may be nil: Close reports that, harmlessly
+			mem.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	return func() error {
 		var err error
 		if cpu != nil {
 			pprof.StopCPUProfile()
-			err = cpu.Close()
+			if err = cpu.Close(); err != nil {
+				err = fmt.Errorf("writing %s: %v", cpuFile, err)
+			}
 		}
-		if memFile != "" && err == nil {
-			err = WriteFile(memFile, func(w io.Writer) error {
+		if mem != nil {
+			err = errors.Join(err, fill(mem, func(w io.Writer) error {
 				runtime.GC()
 				return pprof.WriteHeapProfile(w)
-			})
+			}))
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "profile: %v\n", err)
-		}
+		return err
 	}, nil
 }
 
+// CreateOutputs creates, empty, each file outs name, so a command line
+// naming an output that cannot be written is refused before the run
+// rather than after it. The run then writes each with WriteFile. The
+// error names the output's flag.
+func CreateOutputs(outs ...Output) error {
+	for _, o := range outs {
+		if o.Path == "" {
+			continue
+		}
+		fh, err := os.Create(o.Path)
+		if err == nil {
+			err = fh.Close()
+		}
+		if err != nil {
+			return fmt.Errorf("-%s: %w", o.Flag, err)
+		}
+	}
+	return nil
+}
+
 // WriteFile creates path and has write fill it; a failed close is a
-// failed write. Every file the commands write but the streamed CPU
-// profile ends here.
+// failed write. Every file the commands write but the two profiles ends
+// here.
 func WriteFile(path string, write func(io.Writer) error) error {
 	fh, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := write(fh); err != nil {
-		fh.Close()
-		return fmt.Errorf("writing %s: %v", path, err)
+	return fill(fh, write)
+}
+
+// fill has write fill fh and closes it.
+func fill(fh *os.File, write func(io.Writer) error) error {
+	err := write(fh)
+	if cerr := fh.Close(); err == nil {
+		err = cerr
 	}
-	if err := fh.Close(); err != nil {
-		return fmt.Errorf("writing %s: %v", path, err)
+	if err != nil {
+		return fmt.Errorf("writing %s: %v", fh.Name(), err)
 	}
 	return nil
 }

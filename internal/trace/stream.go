@@ -9,14 +9,17 @@ import (
 	"repro/internal/isa"
 )
 
-// The bits of an op word (Stream.Ops). The low 30 bits index the
-// instruction's template, so a stream holds at most 2^30 static
-// instructions. No check guards that limit: TestStaticTableIsSmall
-// holds every stream of the extended suite to 4,096.
+// The bits of an op word (Stream.Ops). The low 14 bits index the
+// instruction's template, so a stream holds at most maxStatic static
+// instructions; the largest stream of the extended suite has 3,706.
+// An address is held in 32 bits: every kernel touches less than 6.3 MB
+// (0x10000–0x6027d8), the bound tenant.RebaseShift also assumes.
+// Compact and Recorder refuse a stream past either limit.
 const (
-	TakenBit   uint32 = 1 << 31     // the instruction's branch outcome
-	AddrBit    uint32 = 1 << 30     // the instruction has the next entry of Addrs
-	StaticMask        = AddrBit - 1 // the template index: op & StaticMask
+	takenBit   uint16 = 1 << 15     // the instruction's branch outcome
+	addrBit    uint16 = 1 << 14     // the instruction has the next entry of Addrs
+	staticMask        = addrBit - 1 // the template index: op & staticMask
+	maxStatic         = 1 << 14
 )
 
 // Stream is a recorded trace in the layout of the ATOM traces the paper
@@ -24,29 +27,28 @@ const (
 // word per dynamic instruction, and an address for each that has one.
 // Static holds each distinct instruction with Seq, Addr and Taken zero
 // (every other field, Imm and IsStore included, is a property of the
-// program). Ops[i] is instruction i's template index, with TakenBit set
-// when it was taken and AddrBit when its address is non-zero; Addrs
-// holds those addresses in program order, so instruction i's address is
-// Addrs[k], k the number of earlier ops with AddrBit. All three tables
-// are read-only once built: every simulation of the stream reads them
-// in place.
+// program). Ops[i] holds instruction i's template index, its outcome
+// and whether its address is non-zero; Addrs holds those addresses in
+// program order. A Cursor decodes them. All three tables are read-only
+// once built: every simulation of the stream reads them in place.
 type Stream struct {
 	Static []isa.Inst
-	Ops    []uint32
-	Addrs  []uint64
+	Ops    []uint16
+	Addrs  []uint32
 }
+
+// Len is the stream's length in dynamic instructions.
+func (s *Stream) Len() int { return len(s.Ops) }
 
 // All yields the stream's instructions in program order, each
 // materialised with its index as Seq.
 func (s *Stream) All() iter.Seq2[int, isa.Inst] {
 	return func(yield func(int, isa.Inst) bool) {
-		addrs := s.Addrs
-		for i, op := range s.Ops {
-			in := s.Static[op&StaticMask]
-			in.Seq, in.Taken = uint64(i), op&TakenBit != 0
-			if op&AddrBit != 0 {
-				in.Addr, addrs = addrs[0], addrs[1:]
-			}
+		for c := s.Cursor(); c.More(); {
+			i := c.Pos()
+			tmpl, addr, taken := c.Next()
+			in := *tmpl
+			in.Seq, in.Addr, in.Taken = uint64(i), addr, taken
 			if !yield(i, in) {
 				return
 			}
@@ -56,14 +58,57 @@ func (s *Stream) All() iter.Seq2[int, isa.Inst] {
 
 // Bytes is the memory the stream's three tables occupy.
 func (s *Stream) Bytes() int64 {
-	return int64(len(s.Ops))*4 + int64(len(s.Addrs))*8 +
-		int64(len(s.Static))*int64(unsafe.Sizeof(isa.Inst{}))
+	return int64(len(s.Ops))*int64(unsafe.Sizeof(s.Ops[0])) +
+		int64(len(s.Addrs))*int64(unsafe.Sizeof(s.Addrs[0])) +
+		int64(len(s.Static))*int64(unsafe.Sizeof(s.Static[0]))
+}
+
+// Cursor reads a stream in program order without materialising it: the
+// one decoder of the op words. It is a value a reader keeps and
+// advances; the tables it reads stay shared.
+type Cursor struct {
+	static []isa.Inst
+	ops    []uint16
+	addrs  []uint32
+	pos    int // the index of the next instruction
+	addr   int // the entry of addrs the next op with addrBit takes
+}
+
+// Cursor returns a cursor at the stream's first instruction.
+func (s *Stream) Cursor() Cursor {
+	return Cursor{static: s.Static, ops: s.Ops, addrs: s.Addrs}
+}
+
+// Pos is the index, and so the Seq, of the instruction Next reads next.
+func (c *Cursor) Pos() int { return c.pos }
+
+// Len is the length of the stream being read.
+func (c *Cursor) Len() int { return len(c.ops) }
+
+// More reports whether an instruction is left to read.
+func (c *Cursor) More() bool { return c.pos < len(c.ops) }
+
+// Peek is the template of the next instruction, which Next would
+// return, without reading it.
+func (c *Cursor) Peek() *isa.Inst { return &c.static[c.ops[c.pos]&staticMask] }
+
+// Next reads the next instruction: its template (the stream's own, to
+// be read and not written), its address and its branch outcome.
+func (c *Cursor) Next() (in *isa.Inst, addr uint64, taken bool) {
+	op := c.ops[c.pos]
+	c.pos++
+	if op&addrBit != 0 {
+		addr = uint64(c.addrs[c.addr])
+		c.addr++
+	}
+	return &c.static[op&staticMask], addr, op&takenBit != 0
 }
 
 // Compact converts a materialised trace to a Stream, for tests that
 // assemble instructions by hand and for the []isa.Inst entry points only
 // bench/ uses (core.NewSim, tenant.Options.Traces). A Seq that is not
-// the instruction's index panics: a Stream has nowhere to keep it.
+// the instruction's index panics: a Stream has nowhere to keep it. So
+// do an address of more than 32 bits and a 16,385th static instruction.
 func Compact(insts []isa.Inst) *Stream {
 	var t interner
 	naddr := 0
@@ -72,12 +117,12 @@ func Compact(insts []isa.Inst) *Stream {
 			naddr++
 		}
 	}
-	s := &Stream{Ops: make([]uint32, len(insts)), Addrs: make([]uint64, 0, naddr)}
+	s := &Stream{Ops: make([]uint16, len(insts)), Addrs: make([]uint32, 0, naddr)}
 	for i := range insts {
 		in := insts[i]
 		op, addr := t.split(&in, i)
 		s.Ops[i] = op
-		if op&AddrBit != 0 {
+		if op&addrBit != 0 {
 			s.Addrs = append(s.Addrs, addr)
 		}
 	}
@@ -104,16 +149,21 @@ type interner struct {
 
 // split strips instruction i of its dynamic facts and returns its op
 // word — the index of what remains of *in in the static table, with
-// the outcome and address bits — and its address.
-func (t *interner) split(in *isa.Inst, i int) (op uint32, addr uint64) {
+// the outcome and address bits — and its address. It refuses what a
+// stream cannot hold: a Seq that is not i, an address of more than 32
+// bits, more than maxStatic static instructions.
+func (t *interner) split(in *isa.Inst, i int) (op uint16, addr uint32) {
 	if in.Seq != uint64(i) {
 		panic(fmt.Sprintf("trace: instruction %d of a stream carries Seq %d", i, in.Seq))
 	}
-	if addr = in.Addr; addr != 0 {
-		op |= AddrBit
+	if in.Addr>>32 != 0 {
+		panic(fmt.Sprintf("trace: instruction %d of a stream has address %#x, beyond the 32 bits a stream holds", i, in.Addr))
+	}
+	if addr = uint32(in.Addr); addr != 0 {
+		op |= addrBit
 	}
 	if in.Taken {
-		op |= TakenBit
+		op |= takenBit
 	}
 	in.Seq, in.Addr, in.Taken = 0, 0, false
 
@@ -121,13 +171,17 @@ func (t *interner) split(in *isa.Inst, i int) (op uint32, addr uint64) {
 	h ^= uint64(in.Imm)<<13 ^ uint64(in.Stride)<<29 ^ uint64(in.VL)<<56
 	slot := &t.front[h*0x9E3779B97F4A7C15>>(64-frontBits)]
 	if j := *slot; j != 0 && t.static[j-1] == *in {
-		return op | (j - 1), addr
+		return op | uint16(j-1), addr
 	}
 	j := t.index[h]
 	for j != 0 && t.static[j-1] != *in {
 		j = t.next[j-1]
 	}
 	if j == 0 {
+		if len(t.static) == maxStatic {
+			panic(fmt.Sprintf("trace: instruction %d of a stream is its static instruction %d, past the %d a stream holds",
+				i, maxStatic+1, maxStatic))
+		}
 		if t.index == nil {
 			t.index = map[uint64]uint32{}
 		}
@@ -137,11 +191,11 @@ func (t *interner) split(in *isa.Inst, i int) (op uint32, addr uint64) {
 		t.index[h] = j
 	}
 	*slot = j
-	return op | (j - 1), addr
+	return op | uint16(j-1), addr
 }
 
-// recorderChunk is the Recorder's staging granularity in entries: 128
-// KiB of op words, 256 KiB of addresses. Each chunk is one malloc, paid
+// recorderChunk is the Recorder's staging granularity in entries: 64
+// KiB of op words, 128 KiB of addresses. Each chunk is one malloc, paid
 // once per Recorder: 20 for the longest stream of the paper suite.
 const recorderChunk = 32768
 
@@ -179,8 +233,8 @@ func (g *staging[T]) table() []T {
 // to use.
 type Recorder struct {
 	tab   interner
-	ops   staging[uint32]
-	addrs staging[uint64]
+	ops   staging[uint16]
+	addrs staging[uint32]
 	st    *Stats
 }
 
@@ -190,7 +244,7 @@ func (r *Recorder) Emit(in isa.Inst) {
 	r.st.add(&in)
 	op, addr := r.tab.split(&in, r.ops.n)
 	r.ops.add(op)
-	if op&AddrBit != 0 {
+	if op&addrBit != 0 {
 		r.addrs.add(addr)
 	}
 }

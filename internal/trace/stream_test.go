@@ -13,7 +13,8 @@ const numKinds = uint8(isa.Kind3DMove) + 1
 // in every field, and one dynamic instruction per byte of dyn. The
 // byte's low bits pick one of a few variations of the template, so the
 // trace revisits static instructions the way a loop does; the rest of
-// it, with the index, makes the address and the outcome.
+// it, with the index, makes the address — below 2^32, the most a stream
+// holds — and the outcome.
 func fuzzTrace(tmpl isa.Inst, dyn []byte) []isa.Inst {
 	insts := make([]isa.Inst, len(dyn))
 	for i, b := range dyn {
@@ -26,7 +27,7 @@ func fuzzTrace(tmpl isa.Inst, dyn []byte) []isa.Inst {
 		case 3:
 			in.Dst, in.Back = in.Dst^isa.Reg(v), !in.Back
 		}
-		in.Seq, in.Addr, in.Taken = uint64(i), uint64(tmpl.Stride)*uint64(i)^uint64(b)<<40, b&0x80 != 0
+		in.Seq, in.Addr, in.Taken = uint64(i), uint64(uint32(tmpl.Stride)*uint32(i)^uint32(b)<<24), b&0x80 != 0
 		insts[i] = in
 	}
 	return insts
@@ -37,7 +38,7 @@ func fuzzTrace(tmpl isa.Inst, dyn []byte) []isa.Inst {
 // zero address on a memory kind; the static table is exactly the
 // distinct instructions modulo Seq/Addr/Taken, stripped of those three;
 // Addrs holds exactly the non-zero addresses; and a Seq that is not the
-// index is refused, wherever it sits.
+// index, or an address at or beyond 2^32, is refused wherever it sits.
 func FuzzStreamRoundTrip(f *testing.F) {
 	loop := []byte{0, 0x85, 0x0a, 0xff, 0, 0x85, 0x0a, 0xff, 0x12, 0x13, 0, 0x85, 0x0a, 0xff}
 	for k := uint8(0); k < numKinds; k++ {
@@ -74,10 +75,10 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			t.Fatalf("All yielded %d instructions of %d", n, len(insts))
 		}
 		distinct := map[isa.Inst]bool{}
-		var addrs []uint64
+		var addrs []uint32
 		for _, in := range insts {
 			if in.Addr != 0 {
-				addrs = append(addrs, in.Addr)
+				addrs = append(addrs, uint32(in.Addr))
 			}
 			in.Seq, in.Addr, in.Taken = 0, 0, false
 			distinct[in] = true
@@ -98,14 +99,76 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			return
 		}
 		at := int(flags) % len(insts)
-		insts[at].Seq += 1 + uint64(op)
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("Compact accepted Seq %d at index %d", insts[at].Seq, at)
-			}
-		}()
-		Compact(insts)
+		bad := slices.Clone(insts)
+		bad[at].Seq += 1 + uint64(op)
+		if !panics(func() { Compact(bad) }) {
+			t.Fatalf("Compact accepted Seq %d at index %d", bad[at].Seq, at)
+		}
+		bad = slices.Clone(insts)
+		bad[at].Addr |= 1 << (32 + regs%32)
+		if !panics(func() { Compact(bad) }) {
+			t.Fatalf("Compact accepted address %#x at index %d", bad[at].Addr, at)
+		}
 	})
+}
+
+// panics reports whether f panicked.
+func panics(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
+}
+
+// A stream holds at most 16,384 static instructions and addresses below
+// 2^32. Both limits are met exactly and refused one past, by Compact and
+// by a Recorder alike; a stream at the limit reads back as its trace.
+func TestStreamLimits(t *testing.T) {
+	var rec Recorder
+	for _, c := range []struct {
+		name    string
+		static  int
+		addr    uint64
+		refused bool
+	}{
+		{"16,384 static instructions", maxStatic, 8, false},
+		{"16,385 static instructions", maxStatic + 1, 8, true},
+		{"the highest 32-bit address", 2, 1<<32 - 1, false},
+		{"an address at 2^32", 2, 1 << 32, true},
+	} {
+		// Each instruction is its own template; the last one loads addr.
+		insts := make([]isa.Inst, c.static)
+		for i := range insts {
+			insts[i] = isa.Inst{Seq: uint64(i), Op: isa.OpIAdd, Kind: isa.KindScalar, Imm: int64(i)}
+		}
+		last := &insts[c.static-1]
+		last.Op, last.Kind, last.Addr = isa.OpLoad, isa.KindScalarMem, c.addr
+		var s *Stream
+		if got := panics(func() { s = Compact(insts) }); got != c.refused {
+			t.Errorf("%s: Compact refused it: %v, want %v", c.name, got, c.refused)
+		}
+		var r *Stream
+		gen := func(sink Sink) {
+			for _, in := range insts {
+				sink.Emit(in)
+			}
+		}
+		if got := panics(func() { r, _ = rec.Record(gen) }); got != c.refused {
+			t.Errorf("%s: Recorder refused it: %v, want %v", c.name, got, c.refused)
+		}
+		for _, s := range []*Stream{s, r} {
+			if s == nil {
+				continue
+			}
+			if len(s.Static) != c.static {
+				t.Errorf("%s: %d static instructions, want %d", c.name, len(s.Static), c.static)
+			}
+			for i, got := range s.All() {
+				if got != insts[i] {
+					t.Fatalf("%s: instruction %d reads back as %+v, want %+v", c.name, i, got, insts[i])
+				}
+			}
+		}
+	}
 }
 
 // Instructions that differ only in a field the interner's key omits
