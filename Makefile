@@ -65,7 +65,7 @@ loc:
 # exceeds LOC_CEILING, the figure the last PR left behind, so a PR that
 # grows the tree has to raise the number in its own diff (and a PR that
 # shrinks it should lower it).
-LOC_CEILING = 16284
+LOC_CEILING = 16472
 loc-check:
 	@scripts/loc.sh $(LOC_CEILING)
 

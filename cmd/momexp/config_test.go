@@ -70,9 +70,11 @@ func TestResolveSweepRejections(t *testing.T) {
 
 // TestOutputsOpenBeforeTheRun: a report or profile that cannot be
 // created is refused, naming its flag, before anything is simulated
-// (momsim's test of the same name also checks what is created).
+// (momsim's test of the same name also checks what is created), and a
+// profile on a device that refuses its writes is an error from stop.
 func TestOutputsOpenBeforeTheRun(t *testing.T) {
 	gone := filepath.Join(t.TempDir(), "missing")
+	const full = "writing /dev/full: write /dev/full: no space left on device"
 	for _, c := range []struct {
 		name     string
 		reports  []stats.Output
@@ -84,10 +86,14 @@ func TestOutputsOpenBeforeTheRun(t *testing.T) {
 		{"statsjson", []stats.Output{{Flag: "statsjson", Path: gone + "/s.json"}}, "", "",
 			"-statsjson: open " + gone + "/s.json: no such file or directory"},
 		{"cpisweep", []stats.Output{{Flag: "cpisweep", Path: gone + "/c.json"}}, "", "", "-cpisweep: open " + gone + "/c.json"},
+		{"memprofile on a full device", nil, "", "/dev/full", full},
+		{"cpuprofile on a full device", nil, "/dev/full", "", full},
 	} {
 		stop, err := stats.StartProfiles(c.cpu, c.mem, c.reports...)
 		if err == nil {
-			stop()
+			err = stop()
+		}
+		if err == nil {
 			t.Errorf("%s: accepted", c.name)
 		} else if !strings.HasPrefix(err.Error(), c.want) {
 			t.Errorf("%s: error %q, want %q", c.name, err, c.want)

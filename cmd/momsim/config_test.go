@@ -285,11 +285,15 @@ func TestResolveRejectsUnknownValues(t *testing.T) {
 // TestOutputsOpenBeforeTheRun: every file a command line names is
 // created before anything is simulated. One that cannot be created is
 // refused, naming its flag; the others exist, and stop writes the heap
-// profile.
+// profile. A profile on a device that refuses its writes is an error
+// from stop, naming the file.
 func TestOutputsOpenBeforeTheRun(t *testing.T) {
 	dir := t.TempDir()
 	gone := filepath.Join(dir, "missing")
+	const full = "writing /dev/full: write /dev/full: no space left on device"
 	for _, c := range []struct{ name, args, want string }{
+		{"memprofile on a full device", "-memprofile /dev/full", full},
+		{"cpuprofile on a full device", "-cpuprofile /dev/full", full},
 		{"memprofile", "-memprofile " + gone + "/m.prof", "-memprofile: open " + gone + "/m.prof: no such file or directory"},
 		{"cpuprofile", "-cpuprofile " + gone + "/c.prof", "-cpuprofile: open " + gone + "/c.prof"},
 		{"statsjson", "-statsjson " + gone + "/s.json", "-statsjson: open " + gone + "/s.json: no such file or directory"},
@@ -306,7 +310,9 @@ func TestOutputsOpenBeforeTheRun(t *testing.T) {
 		}
 		stop, err := stats.StartProfiles(rc.CPUProfile, rc.MemProfile, rc.reports()...)
 		if err == nil {
-			stop()
+			err = stop()
+		}
+		if err == nil {
 			t.Errorf("%s: %q was accepted", c.name, c.args)
 		} else if !strings.HasPrefix(err.Error(), c.want) {
 			t.Errorf("%s: error %q, want %q", c.name, err, c.want)

@@ -374,3 +374,34 @@ func TestValidateFlagCombo(t *testing.T) {
 		}
 	}
 }
+
+// Validate refuses each configuration no controller can be built from,
+// with its own message, and accepts the test part and both presets.
+func TestConfigValidateRefuses(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"three banks", func(c *Config) { c.Banks = 3 }, "dram: banks 3 not a power of two"},
+		{"no channels", func(c *Config) { c.Channels = 0 }, "dram: channels 0 not a power of two"},
+		{"row under a line", func(c *Config) { c.RowBytes = lineBytes / 2 }, "dram: row of 64 bytes smaller than a 128-byte line"},
+		{"refresh outlasts its interval", func(c *Config) { c.TREFI, c.TRFC = 100, 100 },
+			"dram: refresh duration 100 must be shorter than the refresh interval 100"},
+		{"timer without an idle gap", func(c *Config) { c.RowPolicy = policy.Spec{Kind: policy.Timer} },
+			"dram: timer row policy needs a positive idle gap"},
+		{"negative tenants", func(c *Config) { c.Tenants = -1 }, "dram: tenant count -1 is negative"},
+		{"qos for one tenant", func(c *Config) { c.QoS, c.Tenants = true, 1 }, "dram: qos scheduling needs at least two tenants"},
+	} {
+		cfg := testConfig()
+		c.edit(&cfg)
+		if err := cfg.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Validate = %v, want %q", c.name, err, c.want)
+		}
+	}
+	for _, cfg := range []Config{testConfig(), PresetDDR.Config(), PresetHBM.Config()} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%+v refused: %v", cfg, err)
+		}
+	}
+}

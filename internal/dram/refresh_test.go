@@ -29,7 +29,7 @@ func refreshUpToRef(cfg Config, c *channel, st *Stats, t int64) {
 // TestRefreshClosedForm drives random channel states through the
 // closed-form refreshUpTo and the per-epoch reference, including the
 // deep-idle case (thousands of owed epochs) the closed form exists
-// for, and the TRFC > TREFI stacking regime the constructor forbids
+// for, and the TRFC > TREFI stacking regime Config.Validate refuses
 // but the formula still covers.
 func TestRefreshClosedForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))

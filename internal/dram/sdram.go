@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -235,9 +236,11 @@ type SDRAM struct {
 	wOrder  []int   // write batch indices
 }
 
-// NewSDRAM builds a controller from its configuration, panicking on an
-// invalid geometry (mirroring cache.New).
-func NewSDRAM(cfg Config) *SDRAM {
+// Validate refuses a configuration no controller can be built from: a
+// geometry that is not a power of two, a row shorter than a line, a
+// refresh that outlasts its interval, a timer row policy without an
+// idle gap, a negative tenant count, QoS with fewer than two tenants.
+func (cfg *Config) Validate() error {
 	for _, g := range []struct {
 		name string
 		n    int
@@ -246,24 +249,27 @@ func NewSDRAM(cfg Config) *SDRAM {
 		{"row bytes", cfg.RowBytes}, {"rows per bank", cfg.RowsPerBank},
 	} {
 		if g.n <= 0 || g.n&(g.n-1) != 0 {
-			panic(fmt.Sprintf("dram: %s %d not a power of two", g.name, g.n))
+			return fmt.Errorf("dram: %s %d not a power of two", g.name, g.n)
 		}
 	}
-	if cfg.RowBytes < lineBytes {
-		panic("dram: row smaller than a line")
+	switch {
+	case cfg.RowBytes < lineBytes:
+		return fmt.Errorf("dram: row of %d bytes smaller than a %d-byte line", cfg.RowBytes, lineBytes)
+	case cfg.TREFI > 0 && cfg.TRFC >= cfg.TREFI:
+		return fmt.Errorf("dram: refresh duration %d must be shorter than the refresh interval %d", cfg.TRFC, cfg.TREFI)
+	case cfg.RowPolicy.Kind == policy.Timer && cfg.RowPolicy.Idle <= 0:
+		return errors.New("dram: timer row policy needs a positive idle gap")
+	case cfg.Tenants < 0:
+		return fmt.Errorf("dram: tenant count %d is negative", cfg.Tenants)
+	case cfg.QoS && cfg.Tenants < 2:
+		return errors.New("dram: qos scheduling needs at least two tenants")
 	}
-	if cfg.TREFI > 0 && cfg.TRFC >= cfg.TREFI {
-		panic("dram: refresh duration must be shorter than the refresh interval")
-	}
-	if cfg.RowPolicy.Kind == policy.Timer && cfg.RowPolicy.Idle <= 0 {
-		panic("dram: timer row policy needs a positive idle gap")
-	}
-	if cfg.Tenants < 0 {
-		panic("dram: tenant count must not be negative")
-	}
-	if cfg.QoS && cfg.Tenants < 2 {
-		panic("dram: qos scheduling needs at least two tenants")
-	}
+	return nil
+}
+
+// NewSDRAM builds a controller from a configuration that Validate
+// accepts; Selection.Build, which every entry point ends in, checks it.
+func NewSDRAM(cfg Config) *SDRAM {
 	s := &SDRAM{
 		cfg:       cfg,
 		rp:        cfg.RowPolicy.New(cfg.Channels * cfg.Ranks * cfg.Banks),

@@ -117,7 +117,8 @@ func (k Knobs) apply(cfg Config) Config {
 // Build constructs the selected backend of the given kind. It is the
 // construction boundary of every entry point — both commands' flags and
 // ParseSpecFull end here — so a knob outside its KnobTable range, or
-// set without the knob it needs, is an error and never reaches NewSDRAM.
+// set without the knob it needs, and a configuration Config.Validate
+// refuses, is an error and never reaches NewSDRAM.
 func (s *Selection) Build(kind string, fixedLatency int64) (Backend, error) {
 	// Mapping, scheduler and profile are validated for every kind so a
 	// typo is diagnosed even when the fixed backend would ignore the
@@ -153,6 +154,9 @@ func (s *Selection) Build(kind string, fixedLatency int64) (Backend, error) {
 	case "sdram":
 		cfg := s.apply(p.Config())
 		cfg.Mapping, cfg.Scheduler = m, sc
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
 		return NewSDRAM(cfg), nil
 	}
 	return nil, fmt.Errorf("unknown dram backend %q (fixed, sdram)", kind)

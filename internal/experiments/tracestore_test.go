@@ -25,28 +25,33 @@ func paperEvaluation(r *Runner) {
 }
 
 // The store generates a stream the first time anything asks for it and
-// never again: the paper evaluation is 5 kernels × 3 variants, the
-// tenant sweeps are two MOM+3D streams however many mixes, policies and
-// tenants share them.
+// never again: the paper evaluation is 5 kernels × 3 variants but for
+// jpegdecode's MOM+3D, which is its MOM stream; the tenant sweeps are
+// two MOM+3D streams however many mixes, policies and tenants share
+// them.
 func TestTraceStoreGeneratesEachStreamOnce(t *testing.T) {
 	r := smallRunner()
 	paperEvaluation(r)
 	streams, insts, static, bytes := r.TraceStats()
-	if streams != 15 {
-		t.Errorf("paper evaluation generated %d streams, want 15", streams)
+	if streams != 14 {
+		t.Errorf("paper evaluation generated %d streams, want 14", streams)
 	}
-	var ops, addrs, tmpl int
+	var n, dict, spans, runs, addrs, tmpl int
 	for _, s := range r.store.streams {
-		ops += len(s.tr.Ops)
+		n += s.tr.Len()
+		dict += len(s.tr.Dict)
+		spans += len(s.tr.Spans)
+		runs += len(s.tr.Runs)
 		addrs += len(s.tr.Addrs)
 		tmpl += len(s.tr.Static)
 	}
 	var tr trace.Stream
-	held := int64(ops)*int64(unsafe.Sizeof(tr.Ops[0])) + int64(addrs)*int64(unsafe.Sizeof(tr.Addrs[0])) +
+	held := int64(dict)*int64(unsafe.Sizeof(tr.Dict[0])) + int64(spans)*int64(unsafe.Sizeof(tr.Spans[0])) +
+		int64(runs)*int64(unsafe.Sizeof(tr.Runs[0])) + int64(addrs)*int64(unsafe.Sizeof(tr.Addrs[0])) +
 		int64(tmpl)*int64(unsafe.Sizeof(tr.Static[0]))
-	if insts != ops || static != tmpl || bytes != held {
-		t.Errorf("TraceStats = %d instructions over %d static, %d bytes; the store holds %d (%d addresses) over %d, %d bytes",
-			insts, static, bytes, ops, addrs, tmpl, held)
+	if insts != n || static != tmpl || bytes != held {
+		t.Errorf("TraceStats = %d instructions over %d static, %d bytes; the store holds %d (%d dictionary words, "+
+			"%d spans, %d runs, %d addresses) over %d, %d bytes", insts, static, bytes, n, dict, spans, runs, addrs, tmpl, held)
 	}
 
 	r = mshrRunner()
@@ -54,6 +59,22 @@ func TestTraceStoreGeneratesEachStreamOnce(t *testing.T) {
 	VASweep(r)
 	if streams, _, _, _ := r.TraceStats(); streams != 2 {
 		t.Errorf("IFSweep + VASweep generated %d streams, want 2", streams)
+	}
+}
+
+// A benchmark without 3D patterns answers MOM and MOM+3D with one
+// stream; one with them keeps two.
+func TestStreamWithout3DServesBothMOMVariants(t *testing.T) {
+	r := smallRunner()
+	for _, bench := range r.Benchmarks() {
+		mom3D := r.traceFor(bench, kernels.MOM3D)
+		mom := r.traceFor(bench, kernels.MOM)
+		if has3D := r.benches[bench].Has3D; (mom == mom3D) == has3D {
+			t.Errorf("%s (Has3D %v): MOM and MOM+3D share a stream: %v", bench, has3D, mom == mom3D)
+		}
+	}
+	if streams, _, _, _ := r.TraceStats(); streams != 2*len(r.Benchmarks())-1 {
+		t.Errorf("the store keys %d streams, want %d", streams, 2*len(r.Benchmarks())-1)
 	}
 }
 
@@ -88,13 +109,15 @@ func rawBytes[T any](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(zero)))
 }
 
-// hashStreams fingerprints the bytes of every stored stream, all three
+// hashStreams fingerprints the bytes of every stored stream, all five
 // tables.
 func hashStreams(r *Runner) map[streamKey][sha256.Size]byte {
 	sums := map[streamKey][sha256.Size]byte{}
 	for k, s := range r.store.streams {
 		h := sha256.New()
-		h.Write(rawBytes(s.tr.Ops))
+		h.Write(rawBytes(s.tr.Dict))
+		h.Write(rawBytes(s.tr.Spans))
+		h.Write(rawBytes(s.tr.Runs))
 		h.Write(rawBytes(s.tr.Addrs))
 		h.Write(rawBytes(s.tr.Static))
 		sums[k] = [sha256.Size]byte(h.Sum(nil))

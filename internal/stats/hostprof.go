@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -14,7 +15,8 @@ import (
 // file the command writes — the reports given (CreateOutputs) and both
 // profiles — so an output that cannot be written fails before the run,
 // not after it. The returned stop ends the CPU profile and writes the
-// heap profile, taken after a collection; its error is the command's.
+// heap profile, taken after a collection; its error is the command's,
+// a write either profiler dropped included (errFile).
 func StartProfiles(cpuFile, memFile string, reports ...Output) (stop func() error, err error) {
 	if err := CreateOutputs(reports...); err != nil {
 		return nil, err
@@ -25,9 +27,11 @@ func StartProfiles(cpuFile, memFile string, reports ...Output) (stop func() erro
 			return nil, fmt.Errorf("-memprofile: %w", err)
 		}
 	}
+	cpuw := &errFile{}
 	if cpuFile != "" {
 		if cpu, err = os.Create(cpuFile); err == nil {
-			err = pprof.StartCPUProfile(cpu)
+			cpuw.File = cpu
+			err = pprof.StartCPUProfile(cpuw)
 		}
 		if err != nil {
 			cpu.Close() // both may be nil: Close reports that, harmlessly
@@ -39,9 +43,7 @@ func StartProfiles(cpuFile, memFile string, reports ...Output) (stop func() erro
 		var err error
 		if cpu != nil {
 			pprof.StopCPUProfile()
-			if err = cpu.Close(); err != nil {
-				err = fmt.Errorf("writing %s: %v", cpuFile, err)
-			}
+			err = cpuw.close(nil)
 		}
 		if mem != nil {
 			err = errors.Join(err, fill(mem, func(w io.Writer) error {
@@ -86,12 +88,29 @@ func WriteFile(path string, write func(io.Writer) error) error {
 
 // fill has write fill fh and closes it.
 func fill(fh *os.File, write func(io.Writer) error) error {
-	err := write(fh)
-	if cerr := fh.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("writing %s: %v", fh.Name(), err)
+	w := &errFile{File: fh}
+	return w.close(write(w))
+}
+
+// errFile is a file that keeps the first error a write to it returned,
+// for writers that drop it: the CPU profiler does, and so does the heap
+// profile's encoder.
+type errFile struct {
+	*os.File
+	err error
+}
+
+func (f *errFile) Write(b []byte) (int, error) {
+	n, err := f.File.Write(b)
+	f.err = cmp.Or(f.err, err)
+	return n, err
+}
+
+// close closes the file and returns the first of err, a write's error
+// and the close's, naming the file.
+func (f *errFile) close(err error) error {
+	if err = cmp.Or(err, f.err, f.Close()); err != nil {
+		return fmt.Errorf("writing %s: %v", f.Name(), err)
 	}
 	return nil
 }

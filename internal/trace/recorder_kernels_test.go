@@ -31,8 +31,8 @@ func TestRecorderMatchesTraceAndStats(t *testing.T) {
 			tr, st := &trace.Trace{}, trace.NewStats()
 			bm.Run(v, sinkFunc(func(in isa.Inst) { tr.Emit(in); st.Emit(in) }))
 			s, folded := rec.Record(func(sink trace.Sink) { bm.Run(v, sink) })
-			if len(s.Ops) != len(tr.Insts) {
-				t.Fatalf("%s/%s: recorded %d instructions, trace.Trace holds %d", bm.Name, v, len(s.Ops), len(tr.Insts))
+			if s.Len() != len(tr.Insts) {
+				t.Fatalf("%s/%s: recorded %d instructions, trace.Trace holds %d", bm.Name, v, s.Len(), len(tr.Insts))
 			}
 			for i, got := range s.All() {
 				if got != tr.Insts[i] {
@@ -43,9 +43,11 @@ func TestRecorderMatchesTraceAndStats(t *testing.T) {
 			if !reflect.DeepEqual(s, trace.Compact(tr.Insts)) {
 				t.Errorf("%s/%s: Recorder and Compact build different streams of one trace", bm.Name, v)
 			}
-			if len(s.Ops) != cap(s.Ops) || len(s.Addrs) != cap(s.Addrs) || len(s.Static) != cap(s.Static) {
-				t.Errorf("%s/%s: tables not exact-size: ops %d/%d, addrs %d/%d, static %d/%d", bm.Name, v,
-					len(s.Ops), cap(s.Ops), len(s.Addrs), cap(s.Addrs), len(s.Static), cap(s.Static))
+			if len(s.Dict) != cap(s.Dict) || len(s.Spans) != cap(s.Spans) || len(s.Runs) != cap(s.Runs) ||
+				len(s.Addrs) != cap(s.Addrs) || len(s.Static) != cap(s.Static) {
+				t.Errorf("%s/%s: tables not exact-size: dict %d/%d, spans %d/%d, runs %d/%d, addrs %d/%d, static %d/%d",
+					bm.Name, v, len(s.Dict), cap(s.Dict), len(s.Spans), cap(s.Spans), len(s.Runs), cap(s.Runs),
+					len(s.Addrs), cap(s.Addrs), len(s.Static), cap(s.Static))
 			}
 			if !reflect.DeepEqual(folded, st) {
 				t.Errorf("%s/%s: folded stats differ from a stand-alone trace.Stats\nfolded:\n%s\nstand-alone:\n%s",
@@ -61,8 +63,8 @@ func TestRecorderMatchesTraceAndStats(t *testing.T) {
 // every test green and silently re-inflate the store. Pin the full-size
 // extended suite: no stream above 4,096 static instructions, which keeps
 // the 16,384 a stream can hold out of reach, and the 18 together at most
-// 5 bytes per dynamic instruction (4.23 with 2-byte op words and 4-byte
-// addresses).
+// 3 bytes per dynamic instruction (4.23 with a flat table of 2-byte op
+// words and 4-byte addresses).
 func TestStaticTableIsSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates the 18 full-size streams")
@@ -80,8 +82,8 @@ func TestStaticTableIsSmall(t *testing.T) {
 			bytes += s.Bytes()
 		}
 	}
-	if perInst := float64(bytes) / float64(insts); perInst > 5 {
-		t.Errorf("extended suite holds %.2f B/inst (%d bytes, %d instructions), want at most 5", perInst, bytes, insts)
+	if perInst := float64(bytes) / float64(insts); perInst > 3 {
+		t.Errorf("extended suite holds %.2f B/inst (%d bytes, %d instructions), want at most 3", perInst, bytes, insts)
 	} else {
 		t.Logf("extended suite: %d instructions, %d bytes, %.2f B/inst", insts, bytes, perInst)
 	}

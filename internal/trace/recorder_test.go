@@ -24,20 +24,37 @@ func emit(n int, tag int64) func(Sink) {
 	}
 }
 
-// checkStream holds a recorded stream to the recorder's contract: all
-// three tables of exact size, program order with continuous Seq, every entry
+// checkStream holds a recorded stream to the recorder's contract: every
+// table of exact size, program order with continuous Seq, every entry
 // and every static instruction of this generation, and a folded Stats
-// that counted each entry once.
+// that counted each entry once. emit has no taken instruction, so its
+// runs are cut at maxRun words: ceil(n/maxRun) of them, at most three
+// distinct full ones (a run starts at each phase of the period of
+// three) and a shorter last one.
 func checkStream(t *testing.T, s *Stream, st *Stats, n int, tag int64) {
 	t.Helper()
-	if len(s.Ops) != n || cap(s.Ops) != n {
-		t.Fatalf("recorded len %d cap %d, want both %d", len(s.Ops), cap(s.Ops), n)
+	if s.Len() != n {
+		t.Fatalf("recorded %d instructions, want %d", s.Len(), n)
 	}
-	if want := n / 3; len(s.Addrs) != want || cap(s.Addrs) != want {
-		t.Fatalf("address table len %d cap %d, want both %d", len(s.Addrs), cap(s.Addrs), want)
+	full, tail := n/maxRun, n%maxRun
+	distinct := min(full, 3)
+	if tail != 0 {
+		distinct++
 	}
-	if want := min(n, 2); len(s.Static) != want || cap(s.Static) != want {
-		t.Fatalf("static table len %d cap %d, want both %d", len(s.Static), cap(s.Static), want)
+	for _, tab := range []struct {
+		name     string
+		len, cap int
+		want     int
+	}{
+		{"static", len(s.Static), cap(s.Static), min(n, 2)},
+		{"dictionary", len(s.Dict), cap(s.Dict), min(full, 3)*maxRun + tail},
+		{"span", len(s.Spans), cap(s.Spans), distinct + 1},
+		{"run", len(s.Runs), cap(s.Runs), (n+maxRun-1)/maxRun + 1},
+		{"address", len(s.Addrs), cap(s.Addrs), n / 3},
+	} {
+		if tab.len != tab.want || tab.cap != tab.want {
+			t.Fatalf("%s table len %d cap %d, want both %d", tab.name, tab.len, tab.cap, tab.want)
+		}
 	}
 	var gen Trace
 	emit(n, tag)(&gen)
@@ -56,29 +73,30 @@ func checkStream(t *testing.T, s *Stream, st *Stats, n int, tag int64) {
 func chunksFor(n int) int { return (n + recorderChunk - 1) / recorderChunk }
 
 func TestRecorderSizes(t *testing.T) {
-	for _, n := range []int{0, 1, recorderChunk - 1, recorderChunk, recorderChunk + 1, 3*recorderChunk + 17, 3 * recorderChunk} {
+	for _, n := range []int{0, 1, maxRun - 1, maxRun, maxRun + 1, recorderChunk - 1, recorderChunk, recorderChunk + 1,
+		3*recorderChunk + 17, 3 * recorderChunk, maxRun*recorderChunk + 1} {
 		var r Recorder
 		s, st := r.Record(emit(n, 7))
 		checkStream(t, s, st, n, 7)
-		if want := chunksFor(n); len(r.ops.chunks) != want {
-			t.Errorf("%d instructions staged in %d op chunks, want %d", n, len(r.ops.chunks), want)
+		if want := chunksFor((n + maxRun - 1) / maxRun); len(r.b.runs.ids.chunks) != want {
+			t.Errorf("%d instructions staged in %d run chunks, want %d", n, len(r.b.runs.ids.chunks), want)
 		}
-		if want := chunksFor(n / 3); len(r.addrs.chunks) != want {
-			t.Errorf("%d addresses staged in %d chunks, want %d", n/3, len(r.addrs.chunks), want)
+		if want := chunksFor(n / 3); len(r.b.addrs.chunks) != want {
+			t.Errorf("%d addresses staged in %d chunks, want %d", n/3, len(r.b.addrs.chunks), want)
 		}
 	}
 }
 
 // Generations through one recorder: each reuses the first's staging
 // (same chunks, none added), an earlier stream does not change when the
-// staging and the interning table are overwritten, and no stream or
-// statistics carry anything over — not even from a generation that
-// panicked half way.
+// staging, the dictionary and the interning table are overwritten, and
+// no stream or statistics carry anything over — not even from a
+// generation that panicked half way.
 func TestRecorderReusesStagingWithoutCrossTalk(t *testing.T) {
 	var r Recorder
-	nA, nB := 2*recorderChunk+100, recorderChunk+5
+	nA, nB := maxRun*recorderChunk+100, recorderChunk+5
 	a, stA := r.Record(emit(nA, 1))
-	ops, addrs := slices.Clone(r.ops.chunks), slices.Clone(r.addrs.chunks)
+	runs, addrs := slices.Clone(r.b.runs.ids.chunks), slices.Clone(r.b.addrs.chunks)
 
 	func() {
 		defer func() { recover() }()
@@ -90,9 +108,9 @@ func TestRecorderReusesStagingWithoutCrossTalk(t *testing.T) {
 	b, stB := r.Record(emit(nB, 2))
 	checkStream(t, a, stA, nA, 1)
 	checkStream(t, b, stB, nB, 2)
-	if !slices.Equal(ops, r.ops.chunks) || !slices.Equal(addrs, r.addrs.chunks) {
+	if !slices.Equal(runs, r.b.runs.ids.chunks) || !slices.Equal(addrs, r.b.addrs.chunks) {
 		t.Errorf("later generations did not reuse the staging: %d+%d chunks before, %d+%d after",
-			len(ops), len(addrs), len(r.ops.chunks), len(r.addrs.chunks))
+			len(runs), len(addrs), len(r.b.runs.ids.chunks), len(r.b.addrs.chunks))
 	}
 
 	empty, stE := r.Record(emit(0, 0))

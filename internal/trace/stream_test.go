@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -37,8 +38,10 @@ func fuzzTrace(tmpl isa.Inst, dyn []byte) []isa.Inst {
 // whatever the fields hold — an address or an outcome on any kind, a
 // zero address on a memory kind; the static table is exactly the
 // distinct instructions modulo Seq/Addr/Taken, stripped of those three;
-// Addrs holds exactly the non-zero addresses; and a Seq that is not the
-// index, or an address at or beyond 2^32, is refused wherever it sits.
+// the op words are cut into runs by the rule and each distinct run is
+// kept once (checkRuns); Addrs holds exactly the non-zero addresses;
+// and a Seq that is not the index, or an address at or beyond 2^32, is
+// refused wherever it sits.
 func FuzzStreamRoundTrip(f *testing.F) {
 	loop := []byte{0, 0x85, 0x0a, 0xff, 0, 0x85, 0x0a, 0xff, 0x12, 0x13, 0, 0x85, 0x0a, 0xff}
 	for k := uint8(0); k < numKinds; k++ {
@@ -54,6 +57,15 @@ func FuzzStreamRoundTrip(f *testing.F) {
 	// Two instructions that differ only in Kind, which the interner's key
 	// omits: one key, two static entries.
 	f.Add(uint8(isa.Op3DVLoad), uint8(isa.Kind3DLoad), uint64(0), int64(0), int64(16), 4, 2, 0, uint8(0), []byte{0, 0x06, 0, 0x06})
+	// Runs: 40 words with no taken instruction (cut at maxRun, then the
+	// stream's end), a run that repeats, and a stream whose last
+	// instruction ends a run that began after a taken one.
+	f.Add(uint8(isa.OpIAdd), uint8(isa.KindScalar), uint64(0), int64(0), int64(8), 0, 0, 0, uint8(0),
+		slices.Repeat([]byte{0, 0x05, 0x0a, 0x11}, 10))
+	f.Add(uint8(isa.OpIAdd), uint8(isa.KindScalar), uint64(0), int64(0), int64(8), 0, 0, 0, uint8(0),
+		[]byte{0x01, 0x06, 0x83, 0x01, 0x06, 0x83, 0x01, 0x06, 0x83})
+	f.Add(uint8(isa.OpIAdd), uint8(isa.KindScalar), uint64(0), int64(0), int64(8), 0, 0, 0, uint8(0),
+		[]byte{0x01, 0x86, 0x05, 0x09})
 
 	f.Fuzz(func(t *testing.T, op, kind uint8, regs uint64, imm, stride int64, vl, width, ptrStep int, flags uint8, dyn []byte) {
 		insts := fuzzTrace(isa.Inst{Op: isa.Op(op), Kind: isa.Kind(kind % numKinds),
@@ -61,9 +73,10 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			Imm: imm, VL: vl, Stride: stride, Width: width, PtrStep: ptrStep,
 			Back: flags&1 != 0, IsStore: flags&2 != 0}, dyn)
 		s := Compact(insts)
-		if len(s.Ops) != len(insts) {
-			t.Fatalf("stream of %d instructions from a trace of %d", len(s.Ops), len(insts))
+		if s.Len() != len(insts) {
+			t.Fatalf("stream of %d instructions from a trace of %d", s.Len(), len(insts))
 		}
+		checkRuns(t, s)
 		n := 0
 		for i, got := range s.All() {
 			if got != insts[i] {
@@ -110,6 +123,109 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			t.Fatalf("Compact accepted address %#x at index %d", bad[at].Addr, at)
 		}
 	})
+}
+
+// checkRuns holds a stream's run tables to their contract: a run ends
+// after a taken instruction or at maxRun words, and nowhere else but at
+// the stream's end; Dict holds each distinct run once, the spans tiling
+// it in first-seen order; and Spans and Runs end in the sentinel, an
+// empty span at Dict's end.
+func checkRuns(t *testing.T, s *Stream) {
+	t.Helper()
+	end := uint32(len(s.Dict))
+	nr, ns := len(s.Runs)-1, len(s.Spans)-1
+	if nr < 0 || ns < 0 || s.Spans[ns] != (Span{end, end}) || s.Runs[nr] != uint32(ns) {
+		t.Fatalf("run tables do not end in the sentinel: spans %v, runs %v", s.Spans, s.Runs)
+	}
+	seen := map[string]bool{}
+	at := uint32(0)
+	for i, sp := range s.Spans[:ns] {
+		words := s.Dict[sp.At:sp.End]
+		if sp.At != at || len(words) == 0 || len(words) > maxRun || seen[fmt.Sprint(words)] {
+			t.Fatalf("span %d is %v: not the next 1..%d words of the dictionary, or a run already kept", i, sp, maxRun)
+		}
+		seen[fmt.Sprint(words)] = true
+		at = sp.End
+	}
+	if at != end {
+		t.Fatalf("the spans cover %d of the dictionary's %d words", at, end)
+	}
+	n, next := 0, 0
+	for i, r := range s.Runs[:nr] {
+		if int(r) > next || int(r) >= ns {
+			t.Fatalf("dynamic run %d is distinct run %d, but %d is the next new one", i, r, next)
+		}
+		next = max(next, int(r)+1)
+		words := s.Dict[s.Spans[r].At:s.Spans[r].End]
+		for j, w := range words[:len(words)-1] {
+			if w&takenBit != 0 {
+				t.Fatalf("dynamic run %d goes on past the taken instruction at its word %d", i, j)
+			}
+		}
+		if last := words[len(words)-1]; i < nr-1 && last&takenBit == 0 && len(words) < maxRun {
+			t.Fatalf("dynamic run %d ends after %d words with no taken instruction, before the stream's end", i, len(words))
+		}
+		n += len(words)
+	}
+	if n != s.Len() || next != ns {
+		t.Fatalf("the runs hold %d words of %d and use %d of %d distinct runs", n, s.Len(), next, ns)
+	}
+}
+
+// Two different runs whose keys collide must stay two dictionary
+// entries, told apart by the full compare on the index chain, and each
+// must read back as itself. The key is 32 bits, so a search over the
+// 262,144 two-word runs of templates below 512 finds a colliding pair.
+func TestRunDictionaryChainsCollidingKeys(t *testing.T) {
+	const templates = 512
+	var x, y []uint16
+	first := map[uint32][]uint16{}
+	for a := uint16(0); a < templates && x == nil; a++ {
+		for b := uint16(0); b < templates; b++ {
+			run := []uint16{a, b | takenBit}
+			k := runKey(run)
+			if prev, ok := first[k]; ok {
+				x, y = prev, run
+				break
+			}
+			first[k] = run
+		}
+	}
+	if x == nil {
+		t.Fatal("no two two-word runs share a key")
+	}
+	// Templates 0..511 first, in order, so template i has index i and
+	// the prelude's last run ends at a maxRun cut; then x, y, x, y.
+	var insts []isa.Inst
+	emit := func(w uint16) {
+		insts = append(insts, isa.Inst{Seq: uint64(len(insts)), Op: isa.OpIAdd, Kind: isa.KindScalar,
+			Imm: int64(w & staticMask), Taken: w&takenBit != 0})
+	}
+	for i := range uint16(templates) {
+		emit(i)
+	}
+	for _, run := range [][]uint16{x, y, x, y} {
+		for _, w := range run {
+			emit(w)
+		}
+	}
+	var rec Recorder
+	r, _ := rec.Record(func(sink Sink) {
+		for _, in := range insts {
+			sink.Emit(in)
+		}
+	})
+	for name, s := range map[string]*Stream{"Compact": Compact(insts), "Recorder": r} {
+		checkRuns(t, s)
+		if got := len(s.Spans) - 1; got != templates/maxRun+2 {
+			t.Errorf("%s: %d distinct runs, want the prelude's %d and the two colliding ones", name, got, templates/maxRun)
+		}
+		for i, got := range s.All() {
+			if got != insts[i] {
+				t.Fatalf("%s: instruction %d reads back as %+v, want %+v", name, i, got, insts[i])
+			}
+		}
+	}
 }
 
 // panics reports whether f panicked.

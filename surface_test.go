@@ -39,6 +39,7 @@ var surfaceAllowlist = map[string]string{
 	"repro/internal/core.SimulateStream": "the reference loop TestSingleTenantMatchesSimulate holds a group of one to, and the core tests' simulate helper runs",
 	"repro/internal/dram/knobtest.Pick":  "knobtest is test support that only _test.go files import",
 	"repro/internal/engine.Step":         "the zero Mode, which every Runner and tenant.Options that names no engine runs; tests and bench/ name it",
+	"repro/internal/stats.errFile.Write": "io.Writer for runtime/pprof, which calls it: the profilers are handed an errFile so that their dropped write errors are kept",
 
 	"repro/internal/core.NewSim":             surfaceBenchOnly,
 	"repro/internal/core.Sim.SetEngine":      surfaceBenchOnly,
