@@ -41,7 +41,7 @@ func JPEGDecode(cfg JPEGDecConfig) Benchmark {
 // jpegdecInput reference-encodes a synthetic image into the quantized
 // coefficient stream the decoder consumes.
 func jpegdecInput(cfg JPEGDecConfig) []int16 {
-	img := media.Gray(cfg.W, cfg.H, cfg.Seed)
+	img := media.NewPicture(cfg.W, cfg.H, 0, 0, cfg.Seed).Frame()
 	recips := quantRecips(&jpegQuantTable)
 	var stream []int16
 	for y0 := 0; y0+8 <= cfg.H; y0 += 8 {

@@ -37,11 +37,9 @@ func JPEGEncode(cfg JPEGEncConfig) Benchmark {
 }
 
 func jpegencRun(cfg JPEGEncConfig, v Variant, sink trace.Sink) []byte {
-	img := media.Gray(cfg.W, cfg.H, cfg.Seed)
 	e := newEnv(v, sink)
 
-	imgA := e.alloc(len(img.Pix), 64)
-	e.m.Mem.Load(imgA, img.Pix)
+	imgA := e.input(media.NewPicture(cfg.W, cfg.H, 0, 0, cfg.Seed))
 	shiftA := e.alloc(blockBytes, 64) // level-shifted 16-bit block
 	coefA := e.alloc(blockBytes, 64)
 	nBlocks := (cfg.W / 8) * (cfg.H / 8)
@@ -133,7 +131,7 @@ func jpegencBlockBody(e *env, d *dctGen, rShift, rCoef, rOut, rBias isa.Reg, out
 }
 
 func jpegencRef(cfg JPEGEncConfig) []byte {
-	img := media.Gray(cfg.W, cfg.H, cfg.Seed)
+	img := media.NewPicture(cfg.W, cfg.H, 0, 0, cfg.Seed).Frame()
 	recips := quantRecips(&jpegQuantTable)
 	var stream []int16
 	for y0 := 0; y0+8 <= cfg.H; y0 += 8 {

@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/emu"
 	"repro/internal/isa"
+	"repro/internal/media"
 	"repro/internal/mmem"
 	"repro/internal/prog"
 	"repro/internal/trace"
@@ -154,6 +155,15 @@ func newEnv(v Variant, sink trace.Sink) *env {
 
 // alloc reserves a block in the traced program's address space.
 func (e *env) alloc(size, align int) uint64 { return e.al.Alloc(size, align) }
+
+// input reserves a picture's bytes in the traced program's address
+// space and maps them there lazily: a page is built the first time the
+// kernel touches it.
+func (e *env) input(p media.Picture) uint64 {
+	a := e.alloc(p.W*p.H, 64)
+	e.m.Mem.Lazy(a, uint64(p.W*p.H), p.Fill)
+	return a
+}
 
 // setBase materializes an address constant into a scalar register.
 func (e *env) setBase(r isa.Reg, addr uint64) { e.b.MovImm(r, int64(addr)) }

@@ -46,22 +46,21 @@ func MotionSearch(cfg MotionSearchConfig) Benchmark {
 	}
 }
 
-func motionSearchFrames(cfg MotionSearchConfig) (cur, ref *media.Frame) {
-	fr := media.VideoSequence(cfg.W, cfg.H, 2, 5, 1, cfg.Seed)
-	ref, cur = fr[0], fr[1]
-	media.AddNoise(cur, 4, cfg.Seed^0x5eed)
+// motionSearchPictures is the frame pair: the reference frame and its
+// successor, the content moved by (-5, -1) and noise added.
+func motionSearchPictures(cfg MotionSearchConfig) (cur, ref media.Picture) {
+	ref = media.NewPicture(cfg.W, cfg.H, 0, 0, cfg.Seed)
+	cur = media.NewPicture(cfg.W, cfg.H, 5, 1, cfg.Seed).Noisy(4, cfg.Seed^0x5eed)
 	return cur, ref
 }
 
 func motionSearchRun(cfg MotionSearchConfig, v Variant, sink trace.Sink) []byte {
-	cur, ref := motionSearchFrames(cfg)
+	cur, ref := motionSearchPictures(cfg)
 	e := newEnv(v, sink)
 
-	curA := e.alloc(len(cur.Pix), 64)
-	refA := e.alloc(len(ref.Pix), 64)
+	curA := e.input(cur)
+	refA := e.input(ref)
 	reconA := e.alloc(cfg.W*cfg.H, 64)
-	e.m.Mem.Load(curA, cur.Pix)
-	e.m.Mem.Load(refA, ref.Pix)
 
 	var (
 		rCur   = isa.R(1)
@@ -124,7 +123,8 @@ func motionSearchRun(cfg MotionSearchConfig, v Variant, sink trace.Sink) []byte 
 }
 
 func motionSearchRef(cfg MotionSearchConfig) []byte {
-	cur, ref := motionSearchFrames(cfg)
+	curP, refP := motionSearchPictures(cfg)
+	cur, ref := curP.Frame(), refP.Frame()
 	recon := make([]byte, cfg.W*cfg.H)
 	dg := newDigest()
 	for y0 := 0; y0+16 <= cfg.H; y0 += 16 * cfg.Step {

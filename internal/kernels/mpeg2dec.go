@@ -44,11 +44,10 @@ type mv struct {
 // motion vectors, and the quantized coefficient stream a front-end parser
 // would have produced (computed by reference-encoding a noisy successor
 // frame).
-func mpeg2decInput(cfg MPEG2DecConfig) (ref *media.Frame, mvs []mv, stream []int16) {
-	fr := media.VideoSequence(cfg.W, cfg.H, 2, 2, 0, cfg.Seed)
-	ref = fr[0]
-	cur := fr[1]
-	media.AddNoise(cur, 4, cfg.Seed^0x5eed)
+func mpeg2decInput(cfg MPEG2DecConfig) (refP media.Picture, mvs []mv, stream []int16) {
+	refP = media.NewPicture(cfg.W, cfg.H, 0, 0, cfg.Seed)
+	ref := refP.Frame()
+	cur := media.NewPicture(cfg.W, cfg.H, 2, 0, cfg.Seed).Noisy(4, cfg.Seed^0x5eed).Frame()
 
 	r := media.NewRand(cfg.Seed ^ 0xabcd)
 	recips := quantRecips(&mpeg2QuantTable)
@@ -84,7 +83,7 @@ func mpeg2decInput(cfg MPEG2DecConfig) (ref *media.Frame, mvs []mv, stream []int
 			}
 		}
 	}
-	return ref, mvs, stream
+	return refP, mvs, stream
 }
 
 // mcPredict is the half-pel prediction sample: avg rounding up, as pavgb.
@@ -101,8 +100,7 @@ func mpeg2decRun(cfg MPEG2DecConfig, v Variant, sink trace.Sink) []byte {
 	ref, mvs, stream := mpeg2decInput(cfg)
 	e := newEnv(v, sink)
 
-	refA := e.alloc(len(ref.Pix), 64)
-	e.m.Mem.Load(refA, ref.Pix)
+	refA := e.input(ref)
 	streamA := e.alloc(len(stream)*2, 64)
 	e.write16(streamA, stream)
 	dqA := e.alloc(blockBytes, 64)    // dequantized coefficients
@@ -197,7 +195,8 @@ func emitMCAdd(e *env, rPred, rRes, rOut isa.Reg, W int64, halfpel bool) {
 }
 
 func mpeg2decRef(cfg MPEG2DecConfig) []byte {
-	ref, mvs, stream := mpeg2decInput(cfg)
+	refP, mvs, stream := mpeg2decInput(cfg)
+	ref := refP.Frame()
 	out := make([]byte, cfg.W*cfg.H)
 	mb := 0
 	for y0 := 0; y0+16 <= cfg.H; y0 += 16 {

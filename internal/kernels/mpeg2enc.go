@@ -39,21 +39,20 @@ func MPEG2Encode(cfg MPEG2EncConfig) Benchmark {
 	}
 }
 
-func mpeg2encFrames(cfg MPEG2EncConfig) (cur, ref *media.Frame) {
-	fr := media.VideoSequence(cfg.W, cfg.H, 2, 3, 0, cfg.Seed)
-	ref, cur = fr[0], fr[1]
-	media.AddNoise(cur, 5, cfg.Seed^0x5eed)
+// mpeg2encPictures is the frame pair: the reference frame and its
+// successor, the content moved by (-3, 0) and noise added.
+func mpeg2encPictures(cfg MPEG2EncConfig) (cur, ref media.Picture) {
+	ref = media.NewPicture(cfg.W, cfg.H, 0, 0, cfg.Seed)
+	cur = media.NewPicture(cfg.W, cfg.H, 3, 0, cfg.Seed).Noisy(5, cfg.Seed^0x5eed)
 	return cur, ref
 }
 
 func mpeg2encRun(cfg MPEG2EncConfig, v Variant, sink trace.Sink) []byte {
-	cur, ref := mpeg2encFrames(cfg)
+	cur, ref := mpeg2encPictures(cfg)
 	e := newEnv(v, sink)
 
-	curA := e.alloc(len(cur.Pix), 64)
-	refA := e.alloc(len(ref.Pix), 64)
-	e.m.Mem.Load(curA, cur.Pix)
-	e.m.Mem.Load(refA, ref.Pix)
+	curA := e.input(cur)
+	refA := e.input(ref)
 	residA := e.alloc(blockBytes, 64)
 	coefA := e.alloc(blockBytes, 64)
 	nMB := (cfg.W / 16) * (cfg.H / 16)
@@ -165,7 +164,8 @@ func emitResidual(e *env, rCur, rRef, rRes isa.Reg, W int64) {
 }
 
 func mpeg2encRef(cfg MPEG2EncConfig) []byte {
-	cur, ref := mpeg2encFrames(cfg)
+	curP, refP := mpeg2encPictures(cfg)
+	cur, ref := curP.Frame(), refP.Frame()
 	recips := quantRecips(&mpeg2QuantTable)
 	dg := newDigest()
 	var stream []int16

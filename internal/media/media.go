@@ -67,49 +67,82 @@ func texture(x, y int, seed uint64) uint8 {
 	return uint8(128 + int(int8(uint8(l)))/2 + int(int8(uint8(h)))/4)
 }
 
-// VideoSequence produces n frames of w x h video where the content
-// translates by (dx, dy) pixels per frame over a static background, so
-// full-search motion estimation has true displacements to find.
-func VideoSequence(w, h, n, dx, dy int, seed uint64) []*Frame {
-	frames := make([]*Frame, n)
-	for t := 0; t < n; t++ {
-		f := NewFrame(w, h)
-		ox, oy := t*dx, t*dy
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				f.Pix[y*f.Stride+x] = texture(x+ox, y+oy, seed)
+// Picture is a synthetic picture read by byte offset, row-major with
+// stride == W: texture translated by (ox, oy), so that a video's frame
+// t is the picture at (t·dx, t·dy) and content moves by (-dx, -dy) per
+// frame, plus the noise Noisy adds, if it did. Fill builds any span of it
+// without building the rest, which is how a kernel's emulated memory
+// holds only the input pages it touches. A Picture is a value: the
+// method value p.Fill holds its own copy.
+type Picture struct {
+	W, H   int
+	ox, oy int
+	seed   uint64
+	amp    int      // noise amplitude; 0 when there is none
+	marks  []uint64 // the noise PRNG's state before every noiseMark-th pixel
+}
+
+// noiseMark is how many pixels apart a noisy picture keeps the noise
+// PRNG's state: 4 KB of state for a 1920x1088 picture.
+const noiseMark = 4096
+
+// NewPicture is the w x h texture of seed translated by (ox, oy).
+func NewPicture(w, h, ox, oy int, seed uint64) Picture {
+	return Picture{W: w, H: h, ox: ox, oy: oy, seed: seed}
+}
+
+// Noisy is the picture with every pixel, in raster order, perturbed
+// by a uniform value in [-amp, amp] drawn from a PRNG seeded with seed,
+// clamped to the 8-bit range: nonzero inter-frame residuals even for
+// perfectly translated content. It runs the PRNG over the whole
+// picture once, keeping its state every noiseMark pixels.
+func (p Picture) Noisy(amp int, seed uint64) Picture {
+	p.amp = amp
+	p.marks = make([]uint64, 0, (p.W*p.H+noiseMark-1)/noiseMark)
+	r := NewRand(seed)
+	for i := 0; i < p.W*p.H; i += noiseMark {
+		p.marks = append(p.marks, r.state)
+		for range min(noiseMark, p.W*p.H-i) {
+			r.Uint64()
+		}
+	}
+	return p
+}
+
+// Fill writes the picture's bytes from offset off on into dst, a row
+// segment at a time.
+func (p Picture) Fill(off uint64, dst []byte) {
+	if len(dst) == 0 {
+		return
+	}
+	i := int(off)
+	var r Rand
+	if p.marks != nil {
+		r.state = p.marks[i/noiseMark]
+		for range i % noiseMark {
+			r.Uint64()
+		}
+	}
+	y, x := i/p.W, i%p.W
+	for len(dst) > 0 {
+		row := dst[:min(p.W-x, len(dst))]
+		for j := range row {
+			row[j] = texture(x+j+p.ox, y+p.oy, p.seed)
+		}
+		if p.marks != nil {
+			for j, v := range row {
+				row[j] = uint8(min(max(int(v)+r.Intn(2*p.amp+1)-p.amp, 0), 255))
 			}
 		}
-		frames[t] = f
-	}
-	return frames
-}
-
-// AddNoise perturbs every pixel of f by a uniform value in [-amp, amp],
-// clamped to the 8-bit range. Used to make inter-frame residuals nonzero
-// even for perfectly translated content.
-func AddNoise(f *Frame, amp int, seed uint64) {
-	r := NewRand(seed)
-	for i := range f.Pix {
-		v := int(f.Pix[i]) + r.Intn(2*amp+1) - amp
-		if v < 0 {
-			v = 0
-		}
-		if v > 255 {
-			v = 255
-		}
-		f.Pix[i] = uint8(v)
+		dst = dst[len(row):]
+		y, x = y+1, 0
 	}
 }
 
-// Gray returns a single-channel image (for grayscale JPEG paths).
-func Gray(w, h int, seed uint64) *Frame {
-	f := NewFrame(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			f.Pix[y*f.Stride+x] = texture(x, y, seed)
-		}
-	}
+// Frame builds the whole picture as a frame.
+func (p Picture) Frame() *Frame {
+	f := NewFrame(p.W, p.H)
+	p.Fill(0, f.Pix)
 	return f
 }
 

@@ -6,42 +6,101 @@
 // models; it has no timing of its own.
 package mmem
 
-import "encoding/binary"
-
-const (
-	pageShift = 16
-	pageSize  = 1 << pageShift
-	pageMask  = pageSize - 1
+import (
+	"encoding/binary"
+	"slices"
 )
 
+// A page is 4 KiB, carved from a 64 KiB slab: one allocation per
+// slabPages pages.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+	slabPages = 16
+)
+
+type page = [pageSize]byte
+
 // Memory is a sparse byte-addressable memory image. The zero value is
-// ready to use; unwritten bytes read as zero.
+// ready to use; unwritten bytes read as zero, or as the content of a
+// region mapped with Lazy.
 type Memory struct {
-	pages map[uint64]*[pageSize]byte
+	pages   map[uint64]*page
+	slab    []page // the current slab's pages not yet handed out
+	regions []region
 }
 
-// New returns an empty memory image.
+// region is one Lazy mapping: size bytes at addr, filled by fill.
+type region struct {
+	addr, size uint64
+	fill       func(off uint64, dst []byte)
+}
+
+// New returns an empty memory image, its page map sized for the 32
+// pages (128 KiB) that hold every kernel's data but motionsearch's.
 func New() *Memory {
-	return &Memory{pages: make(map[uint64]*[pageSize]byte)}
+	return &Memory{pages: make(map[uint64]*page, 32)}
 }
 
-func (m *Memory) page(addr uint64, create bool) *[pageSize]byte {
-	if m.pages == nil {
-		if !create {
-			return nil
+// Lazy maps size bytes at addr whose content is fill's: fill(off, dst)
+// writes the region's bytes from off on into dst. A page is filled the
+// first time it is read or written, before the store lands, so a
+// kernel builds only the input bytes it touches. Lazy acts as a Write
+// of the whole region would: a page the region shares with other
+// regions gets every fill, in the order they were mapped, and a page
+// that exists already is filled at once. The region need not be
+// page-aligned.
+func (m *Memory) Lazy(addr, size uint64, fill func(off uint64, dst []byte)) {
+	r := region{addr, size, fill}
+	m.regions = append(m.regions, r)
+	for key := addr >> pageShift; key<<pageShift < addr+size; key++ {
+		if p := m.pages[key]; p != nil {
+			r.fillPage(key, p)
 		}
-		m.pages = make(map[uint64]*[pageSize]byte)
 	}
+}
+
+// fillPage writes the region's bytes on page key into p.
+func (r *region) fillPage(key uint64, p *page) {
+	base := key << pageShift
+	lo, hi := max(r.addr, base), min(r.addr+r.size, base+pageSize)
+	if lo < hi {
+		r.fill(lo-r.addr, p[lo-base:hi-base])
+	}
+}
+
+// page returns the page holding addr. A page that does not exist yet
+// is made if create is set or a region covers any of it, and is then
+// filled from every region that does; otherwise page returns nil.
+func (m *Memory) page(addr uint64, create bool) *page {
 	key := addr >> pageShift
-	p := m.pages[key]
-	if p == nil && create {
-		p = new([pageSize]byte)
-		m.pages[key] = p
+	if p := m.pages[key]; p != nil {
+		return p
+	}
+	base := key << pageShift
+	if !create && !slices.ContainsFunc(m.regions, func(r region) bool {
+		return r.addr < base+pageSize && base < r.addr+r.size
+	}) {
+		return nil
+	}
+	if m.pages == nil {
+		m.pages = make(map[uint64]*page)
+	}
+	if len(m.slab) == 0 {
+		m.slab = make([]page, slabPages)
+	}
+	p := &m.slab[0]
+	m.slab = m.slab[1:]
+	m.pages[key] = p
+	for i := range m.regions {
+		m.regions[i].fillPage(key, p)
 	}
 	return p
 }
 
-// ReadU8 returns the byte at addr (zero if never written).
+// ReadU8 returns the byte at addr (zero if never written and outside
+// every region).
 func (m *Memory) ReadU8(addr uint64) byte {
 	p := m.page(addr, false)
 	if p == nil {
@@ -84,26 +143,6 @@ func (m *Memory) Write(addr uint64, src []byte) {
 			n = uint64(len(src))
 		}
 		copy(m.page(addr, true)[off:off+n], src[:n])
-		src = src[n:]
-		addr += n
-	}
-}
-
-// Load is Write for a buffer the caller gives up: every page src covers
-// whole becomes that span of src itself, and only the partial pages at
-// either end are copied. Stores to an adopted page land in src, so the
-// caller must not use src again.
-func (m *Memory) Load(addr uint64, src []byte) {
-	if m.pages == nil {
-		m.pages = make(map[uint64]*[pageSize]byte)
-	}
-	for len(src) > 0 {
-		n := min(pageSize-addr&pageMask, uint64(len(src)))
-		if n == pageSize {
-			m.pages[addr>>pageShift] = (*[pageSize]byte)(src)
-		} else {
-			m.Write(addr, src[:n])
-		}
 		src = src[n:]
 		addr += n
 	}

@@ -2,6 +2,7 @@ package mmem
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,7 @@ import (
 
 func TestZeroValueReads(t *testing.T) {
 	m := New()
+	m.Lazy(1<<41, 100, func(uint64, []byte) { t.Fatal("a read outside the region filled it") })
 	if m.ReadU8(0) != 0 || m.ReadU64(1<<40) != 0 {
 		t.Error("unwritten memory must read as zero")
 	}
@@ -96,54 +98,159 @@ func TestZeroValueMemoryUsable(t *testing.T) {
 	}
 }
 
-// Load must leave memory exactly as Write does — over the span and a
-// byte either side, after whole aligned pages, unaligned spans over one
-// to four pages, a span ending mid-page and a Load onto written pages —
-// and adopt each page the span covers whole. Every src has spare
-// capacity filled with other bytes, so aliasing a partial page instead
-// of copying it shows up past the span's end.
-func TestLoadMatchesWrite(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	spans := [][2]uint64{
-		{0, 2 * pageSize},                // aligned whole pages
-		{3*pageSize + 17, pageSize},      // unaligned, two pages
-		{5*pageSize + 5, 3*pageSize + 1}, // unaligned, four pages
-		{10 * pageSize, pageSize + 100},  // ends mid-page
-		{pageSize - 9, 2*pageSize + 20},  // onto written pages
-		{10*pageSize + 50, 60},           // inside one written page
-	}
-	for range 40 {
-		addr := rng.Uint64N(12 * pageSize)
-		if rng.IntN(2) == 0 {
-			addr &^= pageMask
-		}
-		spans = append(spans, [2]uint64{addr, 1 + rng.Uint64N(4*pageSize)})
-	}
-	loaded, written := New(), New()
-	for _, sp := range spans {
-		addr, n := sp[0], sp[1]
-		buf := make([]byte, n+pageSize)
-		for i := range buf {
-			buf[i] = byte(rng.Uint32())
-		}
-		src := buf[:n]
-		written.Write(addr, src)
-		loaded.Load(addr, src)
+// source is a region's content for tests: fill copies from buf, and
+// fills counts the calls.
+type source struct {
+	buf   []byte
+	fills int
+}
 
-		want, got := make([]byte, n+2), make([]byte, n+2)
-		written.Read(addr-1, want)
-		loaded.Read(addr-1, got)
+func (s *source) fill(off uint64, dst []byte) {
+	s.fills++
+	copy(dst, s.buf[off:])
+}
+
+func randomBytes(rng *rand.Rand, n uint64) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(rng.Uint32())
+	}
+	return b
+}
+
+// Lazy must leave memory exactly as a Write of the whole region at the
+// moment of the mapping does, whatever comes before and after: aligned
+// and unaligned regions over one to many pages, regions that overlap
+// or share a page, regions mapped onto pages already made, stores
+// into regions before and after their pages are touched, and reads
+// anywhere, each checked as it happens. Each check reads only around
+// what the step touched, so most pages are first touched by a store or
+// a read of the steps themselves.
+func TestLazyMatchesWrite(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	lazy, written := New(), New()
+	check := func(what string, addr, n uint64) {
+		t.Helper()
+		want, got := make([]byte, n), make([]byte, n)
+		written.Read(addr, want)
+		lazy.Read(addr, got)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("Load(%#x, %d bytes) reads back differently from Write", addr, n)
+			t.Fatalf("after %s, %d bytes at %#x read back differently from Write", what, n, addr)
 		}
-		if len(loaded.pages) != len(written.pages) {
-			t.Fatalf("Load(%#x, %d bytes): %d pages, Write made %d", addr, n, len(loaded.pages), len(written.pages))
-		}
-		for k := (pageSize - addr&pageMask) & pageMask; k+pageSize <= n; k += pageSize {
-			if p := loaded.pages[(addr+k)>>pageShift]; &p[0] != &src[k] {
-				t.Fatalf("Load(%#x, %d bytes) copied the whole page at %#x instead of adopting it", addr, n, addr+k)
+	}
+	const span = 40 * pageSize
+	for step := range 400 {
+		addr := rng.Uint64N(span)
+		switch rng.IntN(4) {
+		case 0: // map a region
+			if rng.IntN(2) == 0 {
+				addr &^= pageMask
 			}
+			n := 1 + rng.Uint64N(5*pageSize)
+			src := &source{buf: randomBytes(rng, n)}
+			lazy.Lazy(addr, n, src.fill)
+			written.Write(addr, src.buf)
+			what := fmt.Sprintf("step %d: Lazy(%#x, %d)", step, addr, n)
+			check(what, addr-1, 2)
+			check(what, addr+n-1, 2)
+		case 1: // store
+			b := randomBytes(rng, 1+rng.Uint64N(2*pageSize))
+			lazy.Write(addr, b)
+			written.Write(addr, b)
+			check(fmt.Sprintf("step %d: Write(%#x, %d)", step, addr, len(b)), addr-1, uint64(len(b))+2)
+		default: // read
+			check(fmt.Sprintf("step %d", step), addr, 1+rng.Uint64N(pageSize))
 		}
+	}
+	check("every step", 0, span+6*pageSize)
+}
+
+// A read of a region whose page nobody touched reads the source; a
+// store then lands on it.
+func TestLazyReadBeforeWrite(t *testing.T) {
+	m := New()
+	src := &source{buf: bytes.Repeat([]byte{7}, 3*pageSize)}
+	m.Lazy(pageSize+100, 3*pageSize, src.fill)
+	if got := m.ReadU8(2*pageSize + 5); got != 7 {
+		t.Fatalf("an untouched region byte reads %d, want the source's 7", got)
+	}
+	m.WriteU8(2*pageSize+5, 9)
+	if got := m.ReadU8(2*pageSize + 5); got != 9 {
+		t.Fatalf("a stored region byte reads %d, want the store's 9", got)
+	}
+	if got := m.ReadU8(2*pageSize + 6); got != 7 {
+		t.Fatalf("the byte next to a store reads %d, want the source's 7", got)
+	}
+}
+
+// A store to a region's page nobody has read fills the page first: the
+// stored bytes read back, and the page's other bytes still read the
+// source.
+func TestLazyWriteBeforeRead(t *testing.T) {
+	m := New()
+	src := &source{buf: bytes.Repeat([]byte{7}, 2*pageSize)}
+	m.Lazy(0, 2*pageSize, src.fill)
+	m.WriteU32(pageSize+8, 0x01020304)
+	got := make([]byte, pageSize)
+	m.Read(pageSize, got)
+	want := bytes.Repeat([]byte{7}, pageSize)
+	copy(want[8:], []byte{4, 3, 2, 1})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("a page stored to before any read holds %v..., want the store over the source", got[:16])
+	}
+}
+
+// Two unaligned regions that share a page both fill it; the bytes of
+// the page outside both read zero.
+func TestLazyRegionsSharePage(t *testing.T) {
+	m := New()
+	a := &source{buf: bytes.Repeat([]byte{1}, 100)}
+	b := &source{buf: bytes.Repeat([]byte{2}, pageSize)}
+	m.Lazy(3*pageSize+10, 100, a.fill)
+	m.Lazy(3*pageSize+200, pageSize, b.fill)
+	got := make([]byte, pageSize)
+	m.Read(3*pageSize, got)
+	for i, v := range got {
+		want := byte(0)
+		switch {
+		case i >= 10 && i < 110:
+			want = 1
+		case i >= 200:
+			want = 2
+		}
+		if v != want {
+			t.Fatalf("byte %d of the shared page reads %d, want %d", i, v, want)
+		}
+	}
+	if a.fills != 1 || b.fills != 1 {
+		t.Fatalf("the shared page took %d and %d fills, want one from each region", a.fills, b.fills)
+	}
+	if m.ReadU8(4*pageSize+199) != 2 || m.ReadU8(4*pageSize+200) != 0 {
+		t.Fatal("the second region's next page reads wrong")
+	}
+}
+
+// Touching one byte of a region makes exactly the one page that holds
+// it, filled by one call; a read next to the region makes none.
+func TestLazyTouchMakesOnePage(t *testing.T) {
+	m := New()
+	src := &source{buf: make([]byte, 10*pageSize)}
+	m.Lazy(5*pageSize+1, 10*pageSize, src.fill)
+	if len(m.pages) != 0 || src.fills != 0 {
+		t.Fatalf("mapping made %d pages and %d fills, want none", len(m.pages), src.fills)
+	}
+	m.ReadU8(7*pageSize + 3)
+	if len(m.pages) != 1 || src.fills != 1 {
+		t.Fatalf("reading one byte made %d pages and %d fills, want 1 and 1", len(m.pages), src.fills)
+	}
+	m.ReadU64(5*pageSize - 8)
+	m.ReadU8(16 * pageSize)
+	if len(m.pages) != 1 {
+		t.Fatalf("reads outside the region made pages: %d, want 1", len(m.pages))
+	}
+	m.WriteU8(9*pageSize, 1)
+	if len(m.pages) != 2 || src.fills != 2 {
+		t.Fatalf("storing one byte made %d pages and %d fills in all, want 2 and 2", len(m.pages), src.fills)
 	}
 }
 

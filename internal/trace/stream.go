@@ -148,7 +148,13 @@ func (c *Cursor) Next() (in *isa.Inst, addr uint64, taken bool) {
 // a Stream has nowhere to keep it. So do an address of more than 32
 // bits and a 16,385th static instruction.
 func Compact(insts []isa.Inst) *Stream {
+	// Staging sized to the trace: an instruction adds at most one static
+	// entry, one dynamic run and one address.
 	var b builder
+	b.tab.static = make([]isa.Inst, 0, min(len(insts), maxStatic))
+	stage := make([]uint32, 2*len(insts))
+	b.runs.ids.flat = stage[:0:len(insts)]
+	b.addrs.flat = stage[len(insts):len(insts)]
 	for i := range insts {
 		in := insts[i]
 		b.add(&in)
@@ -188,6 +194,7 @@ func (b *builder) reset() {
 	}
 	r.dict, r.spans, r.next = r.dict[:0], r.spans[:0], r.next[:0]
 	clear(r.index)
+	clear(r.front[:])
 	r.open, r.n, r.ids.n, b.addrs.n = 0, 0, 0, 0
 }
 
@@ -216,14 +223,19 @@ func exact[T any](s []T, tail ...T) []T {
 
 // frontBits sizes the interner's front cache: 1024 slots answer for
 // 95–99.9 % of the instructions of every stream of the extended suite,
-// and most of the rest are each static instruction's first sight.
+// and most of the rest are each static instruction's first sight. The
+// run builder's front cache is as large.
 const frontBits = 10
 
 // interner builds a stream's static table. A direct-mapped front cache
 // of table indices, checked with a full compare, answers for the
 // instructions of the loop being executed; behind it an index keyed by
 // the front cache's hash chains, through next, the entries that share a
-// key. Entries are appended in first-seen order either way.
+// key. Entries are appended in first-seen order either way. Until two
+// entries share a front slot, the front cache holds every entry and
+// there is no index: the first slot that holds another instruction
+// builds it (a slot is never emptied, so an empty one means a new
+// instruction), and a Recorder keeps it from stream to stream.
 type interner struct {
 	static []isa.Inst
 	next   []uint32               // per entry: the older entry with its key, + 1; 0 ends the chain
@@ -251,45 +263,74 @@ func (t *interner) split(in *isa.Inst, i int) (op uint16, addr uint32) {
 	}
 	in.Seq, in.Addr, in.Taken = 0, 0, false
 
-	h := uint64(in.Op) | uint64(in.Dst)<<8 | uint64(in.Src1)<<24 | uint64(in.Src2)<<40
-	h ^= uint64(in.Imm)<<13 ^ uint64(in.Stride)<<29 ^ uint64(in.VL)<<56
+	h := instKey(in)
 	slot := &t.front[h*0x9E3779B97F4A7C15>>(64-frontBits)]
-	if j := *slot; j != 0 && t.static[j-1] == *in {
+	j := *slot
+	if j != 0 && t.static[j-1] == *in {
 		return op | uint16(j-1), addr
 	}
-	j := t.index[h]
-	for j != 0 && t.static[j-1] != *in {
-		j = t.next[j-1]
+	if j != 0 {
+		if t.index == nil {
+			t.buildIndex()
+		}
+		j = t.index[h]
+		for j != 0 && t.static[j-1] != *in {
+			j = t.next[j-1]
+		}
 	}
 	if j == 0 {
 		if len(t.static) == maxStatic {
 			panic(fmt.Sprintf("trace: instruction %d of a stream is its static instruction %d, past the %d a stream holds",
 				i, maxStatic+1, maxStatic))
 		}
-		if t.index == nil {
-			t.index = map[uint64]uint32{}
-		}
 		t.static = append(t.static, *in)
-		t.next = append(t.next, t.index[h])
 		j = uint32(len(t.static))
-		t.index[h] = j
+		if t.index != nil {
+			t.next = append(t.next, t.index[h])
+			t.index[h] = j
+		}
 	}
 	*slot = j
 	return op | uint16(j-1), addr
+}
+
+// instKey is the interner's hash of a stripped instruction.
+func instKey(in *isa.Inst) uint64 {
+	h := uint64(in.Op) | uint64(in.Dst)<<8 | uint64(in.Src1)<<24 | uint64(in.Src2)<<40
+	return h ^ uint64(in.Imm)<<13 ^ uint64(in.Stride)<<29 ^ uint64(in.VL)<<56
+}
+
+// buildIndex indexes every entry of the static table, in first-seen
+// order, as the index would hold them had it been kept all along.
+func (t *interner) buildIndex() {
+	t.index = make(map[uint64]uint32, len(t.static))
+	for e := range t.static {
+		h := instKey(&t.static[e])
+		t.next = append(t.next, t.index[h])
+		t.index[h] = uint32(e + 1)
+	}
 }
 
 // recorderChunk is the staging granularity in entries: 128 KiB of run
 // ids or of addresses. Each chunk is one malloc, paid once per Recorder.
 const recorderChunk = 32768
 
-// staging holds one table of the stream being recorded in fixed-size
-// chunks that never move, so growing it copies nothing.
+// staging holds one table of the stream being built. A Recorder's is
+// fixed-size chunks that never move, so growing it copies nothing;
+// Compact's is a slice with room for an entry an instruction of its
+// trace.
 type staging[T any] struct {
 	chunks []*[recorderChunk]T
+	flat   []T // Compact's entries, instead of chunks when non-nil
 	n      int // entries staged by the current Record
 }
 
 func (g *staging[T]) add(v T) {
+	if g.flat != nil {
+		g.flat = append(g.flat, v)
+		g.n++
+		return
+	}
 	c, i := g.n/recorderChunk, g.n%recorderChunk
 	if c == len(g.chunks) {
 		g.chunks = append(g.chunks, new([recorderChunk]T))
@@ -302,7 +343,8 @@ func (g *staging[T]) add(v T) {
 // their number.
 func (g *staging[T]) table(tail ...T) []T {
 	t := make([]T, g.n, g.n+len(tail))
-	for c := 0; c*recorderChunk < g.n; c++ {
+	copy(t, g.flat)
+	for c := 0; g.flat == nil && c*recorderChunk < g.n; c++ {
 		copy(t[c*recorderChunk:], g.chunks[c][:])
 	}
 	return append(t, tail...)
@@ -320,20 +362,22 @@ const (
 )
 
 // runBuilder cuts op words into runs and keeps each distinct run once.
-// Its index is built like the interner's: a map keyed by the run's hash
-// (runKey) holds the newest distinct run with that key, next chains the
-// older ones, and a lookup walks the chain with a full compare, so runs
-// whose keys collide stay distinct. Distinct runs are numbered in
-// first-seen order, and each dynamic run is staged as its number.
+// Its lookup is the interner's: a front cache keyed by the run's hash
+// (runKey), and behind it, once two runs share a slot, a map keyed by
+// the hash that holds the newest distinct run with that key, next
+// chaining the older ones; a lookup compares whole runs, so runs whose
+// keys collide stay distinct. Distinct runs are numbered in first-seen
+// order, and each dynamic run is staged as its number.
 type runBuilder struct {
 	run   [maxRun]uint16 // the run being cut: run[:open]
 	open  int
 	n     int // op words added
 	dict  []uint16
 	spans []Span
-	next  []uint32          // per distinct run: the older one with its key, + 1; 0 ends the chain
-	index map[uint32]uint32 // key → the newest distinct run with it, + 1
-	ids   staging[uint32]   // per dynamic run, its distinct run
+	next  []uint32               // per distinct run: the older one with its key, + 1; 0 ends the chain
+	index map[uint32]uint32      // key → the newest distinct run with it, + 1
+	front [1 << frontBits]uint32 // distinct run + 1; 0 is empty
+	ids   staging[uint32]        // per dynamic run, its distinct run
 }
 
 // add appends op to the run being cut and cuts it after a taken
@@ -356,22 +400,45 @@ func (b *runBuilder) cut() {
 	run := b.run[:b.open]
 	b.open = 0
 	key := runKey(run)
-	j := b.index[key]
-	for j != 0 && !slices.Equal(b.dict[b.spans[j-1].At:b.spans[j-1].End], run) {
-		j = b.next[j-1]
+	slot := &b.front[key*0x9E3779B9>>(32-frontBits)]
+	j := *slot
+	if j != 0 && !b.is(j, run) {
+		if b.index == nil {
+			b.buildIndex()
+		}
+		j = b.index[key]
+		for j != 0 && !b.is(j, run) {
+			j = b.next[j-1]
+		}
 	}
 	if j == 0 {
-		if b.index == nil {
-			b.index = map[uint32]uint32{}
-		}
 		at := uint32(len(b.dict))
 		b.dict = append(b.dict, run...)
 		b.spans = append(b.spans, Span{at, uint32(len(b.dict))})
-		b.next = append(b.next, b.index[key])
 		j = uint32(len(b.spans))
-		b.index[key] = j
+		if b.index != nil {
+			b.next = append(b.next, b.index[key])
+			b.index[key] = j
+		}
 	}
+	*slot = j
 	b.ids.add(j - 1)
+}
+
+// is reports whether distinct run j - 1 holds the words of run.
+func (b *runBuilder) is(j uint32, run []uint16) bool {
+	sp := b.spans[j-1]
+	return slices.Equal(b.dict[sp.At:sp.End], run)
+}
+
+// buildIndex indexes every distinct run, as the interner's does.
+func (b *runBuilder) buildIndex() {
+	b.index = make(map[uint32]uint32, len(b.spans))
+	for e, sp := range b.spans {
+		key := runKey(b.dict[sp.At:sp.End])
+		b.next = append(b.next, b.index[key])
+		b.index[key] = uint32(e + 1)
+	}
 }
 
 // runKey is the key of the run builder's index: the 64-bit FNV-1a hash

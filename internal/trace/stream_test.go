@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -315,5 +316,32 @@ func TestInternerChainsCollidingKeys(t *testing.T) {
 		if got != insts[i] {
 			t.Fatalf("instruction %d materialises as %+v, want %+v", i, got, insts[i])
 		}
+	}
+}
+
+// Compact stages a trace in storage sized to it, and builds an index
+// only when its front cache needs one: a 3-instruction trace allocates
+// well under a kilobyte in 10 mallocs, where staging in a Recorder's
+// 128 KiB chunks took 263 KB in 19.
+func TestCompactAllocatesItsTrace(t *testing.T) {
+	insts := []isa.Inst{
+		{Seq: 0, Op: isa.OpIAdd, Kind: isa.KindScalar, Imm: 1},
+		{Seq: 1, Op: isa.OpLoad, Kind: isa.KindScalarMem, Addr: 0x1000},
+		{Seq: 2, Op: isa.OpIAdd, Kind: isa.KindScalar, Imm: 1, Taken: true},
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		Compact(insts)
+	}
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+	mallocs := float64(after.Mallocs-before.Mallocs) / runs
+	if kb >= 4 || mallocs >= 12 {
+		t.Errorf("Compact of a 3-instruction trace allocates %.2f KB in %.1f mallocs, want < 4 KB and < 12: "+
+			"does it stage in a Recorder's chunks again, or build an index it does not need?", kb, mallocs)
+	} else {
+		t.Logf("Compact of a 3-instruction trace allocates %.2f KB in %.1f mallocs", kb, mallocs)
 	}
 }
