@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dram"
 	"repro/internal/kernels"
 )
 
@@ -38,30 +39,33 @@ func TestSimMemoization(t *testing.T) {
 
 // TestCellResultDoesNotPinTheMachine: the memo keeps every result for
 // the runner's life, so a result — its stats copies, DRAM shards and
-// histograms — must keep nothing of its machine reachable, for a solo
-// cell and a mix alike.
+// histograms — must keep nothing of its machine reachable, its memory
+// backend included, for a solo cell over flat memory or a DRAM part
+// and a mix alike.
 func TestCellResultDoesNotPinTheMachine(t *testing.T) {
 	r := mshrRunner()
 	for _, key := range []SimKey{
+		{Bench: "gsmencode", Variant: kernels.MOM, Mem: core.MemVectorCache, L2Lat: baseLat},
 		bestKey("motionsearch", "sdram/line/frfcfs/mshr8/pf8d2/va"),
 		bestKey("motionsearch+gsmencode", ifBaseSpec+"/tn2/mshr8"),
 	} {
 		g := r.machine(key)
-		freed := make(chan struct{})
-		runtime.SetFinalizer(g.Mem(0), func(*core.MemSystem) { close(freed) })
+		freed := make(chan string, 2)
+		runtime.SetFinalizer(g.Mem(0), func(*core.MemSystem) { freed <- "memory system" })
+		runtime.SetFinalizer(g.Mem(0).DRAM(), func(dram.Backend) { freed <- "backend" })
 		res := r.result(key, g)
 		g = nil
-		pinned := true
-		for i := 0; i < 10 && pinned; i++ {
+		left := map[string]bool{"memory system": true, "backend": true}
+		for i := 0; i < 10 && len(left) > 0; i++ {
 			runtime.GC()
 			select {
-			case <-freed:
-				pinned = false
+			case name := <-freed:
+				delete(left, name)
 			case <-time.After(10 * time.Millisecond):
 			}
 		}
-		if pinned {
-			t.Errorf("%s: the memory system is still reachable from the result", key.DRAM)
+		for name := range left {
+			t.Errorf("%q: the %s is still reachable from the result", key.DRAM, name)
 		}
 		runtime.KeepAlive(res)
 	}

@@ -291,6 +291,10 @@ func (r *Runner) result(key SimKey, g *tenant.Group) *SimResult {
 	res.Core, res.VM, res.Trace = g.Stats(0), *ms.VM.Stats(), r.traceFor(first, key.Variant).st
 	res.ScalarL2, res.Activity = ms.ScalarL2Accesses, ms.L2Activity()
 	res.DRAM = *ms.DRAM().Stats()
+	// A backend may hold its histograms inline (dram.Fixed does): copy
+	// them out, in one allocation, so the result pins no backend.
+	h := &[2]stats.Histogram{*res.DRAM.ReadWait, *res.DRAM.ReadService}
+	res.DRAM.ReadWait, res.DRAM.ReadService = &h[0], &h[1]
 	if f := ms.MSHR(); f != nil {
 		res.MSHR = *f.Stats()
 		res.PF = f.PrefetchStats()

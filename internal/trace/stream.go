@@ -17,10 +17,18 @@ import (
 // Compact and Recorder refuse a stream past either limit.
 const (
 	takenBit   uint16 = 1 << 15     // the instruction's branch outcome
-	addrBit    uint16 = 1 << 14     // the instruction has the next entry of Addrs
+	addrBit    uint16 = 1 << 14     // the instruction has the next address of Addrs
 	staticMask        = addrBit - 1 // the template index: op & staticMask
 	maxStatic         = 1 << 14
 )
+
+// escape is the address word that stands for a step no word holds.
+// Addrs holds each address as its step from the stream's previous one
+// (the first's from 0), a 16-bit two's-complement word, modulo 2^32:
+// the kernels walk memory in short strides, so 98.8 % of the paper
+// suite's 793,610 addresses take one word. A step outside ±32,767 is
+// written as escape, then the address's high and low halves.
+const escape uint16 = 0x8000
 
 // maxRun is the most op words a run holds. A stream's op words are cut
 // into runs after every taken instruction, and after maxRun words that
@@ -43,15 +51,16 @@ const maxRun = 32
 // each lies in Dict, and Runs the distinct run each dynamic run is, in
 // program order. Spans and Runs end in a sentinel, an empty span past
 // the last word, that a Cursor loads after the last run. Addrs holds
-// the non-zero addresses in program order. A Cursor decodes them. Every
-// table is read-only once built: every simulation of the stream reads
-// them in place.
+// the non-zero addresses in program order, each as a one-word step from
+// the one before or as an escape and two words (escape). A Cursor
+// decodes them. Every table is read-only once built: every simulation
+// of the stream reads them in place.
 type Stream struct {
 	Static []isa.Inst
 	Dict   []uint16
 	Spans  []Span
 	Runs   []uint32
-	Addrs  []uint32
+	Addrs  []uint16
 	n      int // dynamic instructions
 }
 
@@ -87,21 +96,23 @@ func (s *Stream) Bytes() int64 {
 }
 
 // Cursor reads a stream in program order without materialising it: the
-// one decoder of the op words. It is a value a reader keeps and
-// advances; the tables it reads stay shared. Next loads the next run as
-// it finishes one, with no test for the stream's end: the sentinel is
-// what it loads after the last. Pos, More, Peek and Next inline.
+// one decoder of the op words and the address steps. It is a value a
+// reader keeps and advances; the tables it reads stay shared. Next
+// loads the next run as it finishes one, with no test for the stream's
+// end: the sentinel is what it loads after the last. Pos, More and Peek
+// inline; Next, with its step decode, is past the inliner's budget.
 type Cursor struct {
 	static []isa.Inst
 	dict   []uint16
 	spans  []Span
 	runs   []uint32
-	addrs  []uint32
-	cur    Span // the current run's unread words
-	run    int  // the entry of runs Next loads next
-	pos    int  // the index of the next instruction
-	addr   int  // the entry of addrs the next op with addrBit takes
-	n      int  // the stream's length
+	addrs  []uint16
+	cur    Span   // the current run's unread words
+	run    int    // the entry of runs Next loads next
+	pos    int    // the index of the next instruction
+	addr   int    // the word of addrs the next op with addrBit starts at
+	last   uint32 // the address Next read last, which the next step is from
+	n      int    // the stream's length
 }
 
 // Cursor returns a cursor at the stream's first instruction. The stream
@@ -135,8 +146,14 @@ func (c *Cursor) Next() (in *isa.Inst, addr uint64, taken bool) {
 		c.run++
 	}
 	if op&addrBit != 0 {
-		addr = uint64(c.addrs[c.addr])
-		c.addr++
+		if w := c.addrs[c.addr]; w != escape {
+			c.last += uint32(int16(w))
+			c.addr++
+		} else {
+			c.last = uint32(c.addrs[c.addr+1])<<16 | uint32(c.addrs[c.addr+2])
+			c.addr += 3
+		}
+		addr = uint64(c.last)
 	}
 	return &c.static[op&staticMask], addr, op&takenBit != 0
 }
@@ -149,12 +166,11 @@ func (c *Cursor) Next() (in *isa.Inst, addr uint64, taken bool) {
 // bits and a 16,385th static instruction.
 func Compact(insts []isa.Inst) *Stream {
 	// Staging sized to the trace: an instruction adds at most one static
-	// entry, one dynamic run and one address.
+	// entry, one dynamic run and three address words.
 	var b builder
 	b.tab.static = make([]isa.Inst, 0, min(len(insts), maxStatic))
-	stage := make([]uint32, 2*len(insts))
-	b.runs.ids.flat = stage[:0:len(insts)]
-	b.addrs.flat = stage[len(insts):len(insts)]
+	b.runs.ids.flat = make([]uint32, 0, len(insts))
+	b.addrs.flat = make([]uint16, 0, 3*len(insts))
 	for i := range insts {
 		in := insts[i]
 		b.add(&in)
@@ -164,18 +180,26 @@ func Compact(insts []isa.Inst) *Stream {
 
 // builder turns instructions into a stream's tables: the interner the
 // static table, the run builder the op words, and staging the
-// addresses. Its storage outlives the stream it built (reset).
+// addresses' words. Its storage outlives the stream it built (reset).
 type builder struct {
 	tab   interner
 	runs  runBuilder
-	addrs staging[uint32]
+	addrs staging[uint16]
+	last  uint32 // the address staged last, which the next step is from
 }
 
 func (b *builder) add(in *isa.Inst) {
 	op, addr := b.tab.split(in, b.runs.n)
 	b.runs.add(op)
 	if op&addrBit != 0 {
-		b.addrs.add(addr)
+		if step := int32(addr - b.last); -0x7fff <= step && step <= 0x7fff {
+			b.addrs.add(uint16(step))
+		} else {
+			b.addrs.add(escape)
+			b.addrs.add(uint16(addr >> 16))
+			b.addrs.add(uint16(addr))
+		}
+		b.last = addr
 	}
 }
 
@@ -195,7 +219,7 @@ func (b *builder) reset() {
 	r.dict, r.spans, r.next = r.dict[:0], r.spans[:0], r.next[:0]
 	clear(r.index)
 	clear(r.front[:])
-	r.open, r.n, r.ids.n, b.addrs.n = 0, 0, 0, 0
+	r.open, r.n, r.ids.n, b.addrs.n, b.last = 0, 0, 0, 0, 0
 }
 
 // stream copies what was built into a Stream whose tables are each
@@ -312,13 +336,13 @@ func (t *interner) buildIndex() {
 }
 
 // recorderChunk is the staging granularity in entries: 128 KiB of run
-// ids or of addresses. Each chunk is one malloc, paid once per Recorder.
+// ids or 64 KiB of address words. Each chunk is one malloc, paid once
+// per Recorder.
 const recorderChunk = 32768
 
 // staging holds one table of the stream being built. A Recorder's is
 // fixed-size chunks that never move, so growing it copies nothing;
-// Compact's is a slice with room for an entry an instruction of its
-// trace.
+// Compact's is a slice with room for the most its trace can stage.
 type staging[T any] struct {
 	chunks []*[recorderChunk]T
 	flat   []T // Compact's entries, instead of chunks when non-nil

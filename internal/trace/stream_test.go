@@ -40,9 +40,9 @@ func fuzzTrace(tmpl isa.Inst, dyn []byte) []isa.Inst {
 // zero address on a memory kind; the static table is exactly the
 // distinct instructions modulo Seq/Addr/Taken, stripped of those three;
 // the op words are cut into runs by the rule and each distinct run is
-// kept once (checkRuns); Addrs holds exactly the non-zero addresses;
-// and a Seq that is not the index, or an address at or beyond 2^32, is
-// refused wherever it sits.
+// kept once (checkRuns); Addrs holds a word for each non-zero address
+// and two more for each escape; and a Seq that is not the index, or an
+// address at or beyond 2^32, is refused wherever it sits.
 func FuzzStreamRoundTrip(f *testing.F) {
 	loop := []byte{0, 0x85, 0x0a, 0xff, 0, 0x85, 0x0a, 0xff, 0x12, 0x13, 0, 0x85, 0x0a, 0xff}
 	for k := uint8(0); k < numKinds; k++ {
@@ -67,6 +67,14 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		[]byte{0x01, 0x06, 0x83, 0x01, 0x06, 0x83, 0x01, 0x06, 0x83})
 	f.Add(uint8(isa.OpIAdd), uint8(isa.KindScalar), uint64(0), int64(0), int64(8), 0, 0, 0, uint8(0),
 		[]byte{0x01, 0x86, 0x05, 0x09})
+	// Address steps at the edge of one word and past it, both ways (the
+	// stride's product wraps below 2^32), and far jumps in the top byte.
+	for _, stride := range []int64{0x7fff, 0x8000, -0x7fff, -0x8000, 1 << 20} {
+		f.Add(uint8(isa.OpLoad), uint8(isa.KindScalarMem), uint64(0), int64(4), stride, 0, 0, 0, uint8(0),
+			[]byte{0, 0, 0, 0, 0, 0})
+	}
+	f.Add(uint8(isa.OpLoad), uint8(isa.KindScalarMem), uint64(0), int64(4), int64(16), 0, 0, 0, uint8(0),
+		[]byte{0x10, 0x20, 0, 0x7c, 0x7c, 0x04, 0, 0})
 
 	f.Fuzz(func(t *testing.T, op, kind uint8, regs uint64, imm, stride int64, vl, width, ptrStep int, flags uint8, dyn []byte) {
 		insts := fuzzTrace(isa.Inst{Op: isa.Op(op), Kind: isa.Kind(kind % numKinds),
@@ -89,16 +97,20 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			t.Fatalf("All yielded %d instructions of %d", n, len(insts))
 		}
 		distinct := map[isa.Inst]bool{}
-		var addrs []uint32
+		addrs, escapes, last := 0, 0, uint32(0)
 		for _, in := range insts {
-			if in.Addr != 0 {
-				addrs = append(addrs, uint32(in.Addr))
+			if a := uint32(in.Addr); a != 0 {
+				if step := int32(a - last); step < -0x7fff || step > 0x7fff {
+					escapes++
+				}
+				addrs, last = addrs+1, a
 			}
 			in.Seq, in.Addr, in.Taken = 0, 0, false
 			distinct[in] = true
 		}
-		if !slices.Equal(s.Addrs, addrs) {
-			t.Fatalf("Addrs holds %d entries, the trace has %d non-zero addresses", len(s.Addrs), len(addrs))
+		if len(s.Addrs) != addrs+2*escapes {
+			t.Fatalf("Addrs holds %d words, the trace has %d non-zero addresses, %d of them escapes",
+				len(s.Addrs), addrs, escapes)
 		}
 		if len(s.Static) != len(distinct) {
 			t.Fatalf("%d static instructions, the trace has %d distinct", len(s.Static), len(distinct))
@@ -282,6 +294,54 @@ func TestStreamLimits(t *testing.T) {
 			for i, got := range s.All() {
 				if got != insts[i] {
 					t.Fatalf("%s: instruction %d reads back as %+v, want %+v", c.name, i, got, insts[i])
+				}
+			}
+		}
+	}
+}
+
+// An address is a one-word step from the one before it, the first from
+// 0, modulo 2^32, while the step is within ±32,767; past that it is an
+// escape and its two halves. Each case's addresses read back through
+// Compact and a Recorder alike, in the number of words the rule gives.
+func TestAddressSteps(t *testing.T) {
+	const base = 0x100000
+	var rec Recorder
+	for _, c := range []struct {
+		name  string
+		addrs []uint32
+		words int
+	}{
+		{"a first address one step from 0", []uint32{0x7fff, 0x10}, 2},
+		{"a first address past a step", []uint32{0x8000, 0x8010}, 4},
+		{"steps of ±32,767", []uint32{base, base + 0x7fff, base, base - 0x7fff, base}, 7},
+		{"steps of ±32,768", []uint32{base, base + 0x8000, base, base - 0x8000, base - 0x7ff0}, 13},
+		{"steps far past a word", []uint32{base, 0x5ff000, 0x10000, 0x10004}, 10},
+		{"a wrap through 2^32", []uint32{0xffff_ffff, 0x1, 0xffff_fffe}, 3},
+		{"two escapes in a row, then a step", []uint32{0x10000, 0x500000, 0x12344, 0x12346}, 10},
+		{"an escape last", []uint32{0x10, 0x20, 0x600000}, 5},
+	} {
+		// A load per address, each behind an add: every other
+		// instruction has none.
+		var insts []isa.Inst
+		for _, a := range c.addrs {
+			insts = append(insts,
+				isa.Inst{Seq: uint64(len(insts)), Op: isa.OpIAdd, Kind: isa.KindScalar, Imm: 1},
+				isa.Inst{Seq: uint64(len(insts) + 1), Op: isa.OpLoad, Kind: isa.KindScalarMem, Imm: 4, Addr: uint64(a)})
+		}
+		r, _ := rec.Record(func(sink Sink) {
+			for _, in := range insts {
+				sink.Emit(in)
+			}
+		})
+		for name, s := range map[string]*Stream{"Compact": Compact(insts), "Recorder": r} {
+			if len(s.Addrs) != c.words {
+				t.Errorf("%s: %s: %d address words for %d addresses, want %d", c.name, name, len(s.Addrs), len(c.addrs), c.words)
+			}
+			for i, got := range s.All() {
+				if got != insts[i] {
+					t.Errorf("%s: %s: instruction %d reads back with address %#x, want %#x", c.name, name, i, got.Addr, insts[i].Addr)
+					break
 				}
 			}
 		}
