@@ -1,8 +1,10 @@
 package trace_test
 
 import (
+	"encoding/binary"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/experiments"
@@ -23,7 +25,7 @@ func (f sinkFunc) Emit(in isa.Inst) { f(in) }
 // replaces: same stream once materialised (and the stream Compact
 // makes of that trace), same statistics (the unexported dimension
 // bookkeeping included), for every kernel and variant — through one recorder, so every generation but the first
-// runs on reused staging and a reused interning table.
+// runs on reused staging and reused dedups.
 func TestRecorderMatchesTraceAndStats(t *testing.T) {
 	var rec trace.Recorder
 	for _, bm := range experiments.GoldenSuite() {
@@ -53,6 +55,116 @@ func TestRecorderMatchesTraceAndStats(t *testing.T) {
 				t.Errorf("%s/%s: folded stats differ from a stand-alone trace.Stats\nfolded:\n%s\nstand-alone:\n%s",
 					bm.Name, v, folded, st)
 			}
+		}
+	}
+}
+
+// refStream builds a stream's numbered tables by the rule Stream
+// documents, with maps and nothing of trace's own: the stripped
+// instructions numbered in first-seen order; an op word per instruction,
+// its number with bit 14 set when it has an address and bit 15 when it
+// is taken; the words cut after a taken instruction or at 32 words; the
+// distinct runs numbered in first-seen order, their words laid end to
+// end; and the spans and run ids closed by the sentinel.
+type refStream struct {
+	static []isa.Inst
+	dict   []uint16
+	spans  []trace.Span
+	runs   []uint32
+	insts  map[isa.Inst]int
+	ids    map[string]int
+	open   []uint16
+}
+
+func newRefStream() *refStream {
+	return &refStream{insts: map[isa.Inst]int{}, ids: map[string]int{}}
+}
+
+func (r *refStream) Emit(in isa.Inst) {
+	var w uint16
+	if in.Addr != 0 {
+		w |= 1 << 14
+	}
+	if in.Taken {
+		w |= 1 << 15
+	}
+	in.Seq, in.Addr, in.Taken = 0, 0, false
+	i, ok := r.insts[in]
+	if !ok {
+		i = len(r.static)
+		r.insts[in] = i
+		r.static = append(r.static, in)
+	}
+	if r.open = append(r.open, w|uint16(i)); w&(1<<15) != 0 || len(r.open) == 32 {
+		r.cut()
+	}
+}
+
+func (r *refStream) cut() {
+	if len(r.open) == 0 {
+		return
+	}
+	var key []byte
+	for _, w := range r.open {
+		key = binary.LittleEndian.AppendUint16(key, w)
+	}
+	id, ok := r.ids[string(key)]
+	if !ok {
+		id = len(r.spans)
+		r.ids[string(key)] = id
+		r.spans = append(r.spans, trace.Span{At: uint32(len(r.dict)), End: uint32(len(r.dict) + len(r.open))})
+		r.dict = append(r.dict, r.open...)
+	}
+	r.runs = append(r.runs, uint32(id))
+	r.open = r.open[:0]
+}
+
+// finish cuts the last run and appends the sentinel.
+func (r *refStream) finish() {
+	r.cut()
+	end := uint32(len(r.dict))
+	r.spans = append(r.spans, trace.Span{At: end, End: end})
+	r.runs = append(r.runs, uint32(len(r.spans)-1))
+}
+
+// check holds s's numbered tables to the finished reference's.
+func (r *refStream) check(t *testing.T, name string, s *trace.Stream) {
+	t.Helper()
+	if !slices.Equal(s.Static, r.static) {
+		t.Errorf("%s: static table of %d entries, the reference numbers %d", name, len(s.Static), len(r.static))
+	}
+	if !slices.Equal(s.Dict, r.dict) || !slices.Equal(s.Spans, r.spans) || !slices.Equal(s.Runs, r.runs) {
+		t.Errorf("%s: %d dictionary words, %d spans and %d run ids, the reference %d, %d and %d, or their contents differ",
+			name, len(s.Dict), len(s.Spans), len(s.Runs), len(r.dict), len(r.spans), len(r.runs))
+	}
+}
+
+// Every full-size stream of the extended suite, recorded through one
+// reused Recorder and made by Compact, numbers its static instructions
+// and its distinct runs exactly as refStream does: a check on the two
+// tables' shared dedup (its front caches, its lazily built index, and
+// what a Recorder keeps of them between streams) that trusts nothing of
+// it. Compact needs the trace materialised, one reused buffer of up to
+// 1.04 M instructions (91 MB).
+func TestNumberingMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates the 18 full-size streams")
+	}
+	var rec trace.Recorder
+	var insts []isa.Inst
+	for _, bm := range kernels.Extended() {
+		for _, v := range variants {
+			ref := newRefStream()
+			s, _ := rec.Record(func(sink trace.Sink) {
+				bm.Run(v, sinkFunc(func(in isa.Inst) { sink.Emit(in); ref.Emit(in) }))
+			})
+			ref.finish()
+			name := bm.Name + "/" + v.String()
+			ref.check(t, name+" Recorder", s)
+
+			insts = slices.Grow(insts[:0], s.Len())
+			bm.Run(v, sinkFunc(func(in isa.Inst) { insts = append(insts, in) }))
+			ref.check(t, name+" Compact", trace.Compact(insts))
 		}
 	}
 }

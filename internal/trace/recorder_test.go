@@ -78,8 +78,8 @@ func TestRecorderSizes(t *testing.T) {
 		var r Recorder
 		s, st := r.Record(emit(n, 7))
 		checkStream(t, s, st, n, 7)
-		if want := chunksFor((n + maxRun - 1) / maxRun); len(r.b.runs.ids.chunks) != want {
-			t.Errorf("%d instructions staged in %d run chunks, want %d", n, len(r.b.runs.ids.chunks), want)
+		if want := chunksFor((n + maxRun - 1) / maxRun); len(r.b.ids.chunks) != want {
+			t.Errorf("%d instructions staged in %d run chunks, want %d", n, len(r.b.ids.chunks), want)
 		}
 		if want := chunksFor(n / 3); len(r.b.addrs.chunks) != want {
 			t.Errorf("%d addresses staged in %d chunks, want %d", n/3, len(r.b.addrs.chunks), want)
@@ -89,14 +89,14 @@ func TestRecorderSizes(t *testing.T) {
 
 // Generations through one recorder: each reuses the first's staging
 // (same chunks, none added), an earlier stream does not change when the
-// staging, the dictionary and the interning table are overwritten, and
+// staging, the dictionary and the static table are overwritten, and
 // no stream or statistics carry anything over — not even from a
 // generation that panicked half way.
 func TestRecorderReusesStagingWithoutCrossTalk(t *testing.T) {
 	var r Recorder
 	nA, nB := maxRun*recorderChunk+100, recorderChunk+5
 	a, stA := r.Record(emit(nA, 1))
-	runs, addrs := slices.Clone(r.b.runs.ids.chunks), slices.Clone(r.b.addrs.chunks)
+	runs, addrs := slices.Clone(r.b.ids.chunks), slices.Clone(r.b.addrs.chunks)
 
 	func() {
 		defer func() { recover() }()
@@ -108,9 +108,9 @@ func TestRecorderReusesStagingWithoutCrossTalk(t *testing.T) {
 	b, stB := r.Record(emit(nB, 2))
 	checkStream(t, a, stA, nA, 1)
 	checkStream(t, b, stB, nB, 2)
-	if !slices.Equal(runs, r.b.runs.ids.chunks) || !slices.Equal(addrs, r.b.addrs.chunks) {
+	if !slices.Equal(runs, r.b.ids.chunks) || !slices.Equal(addrs, r.b.addrs.chunks) {
 		t.Errorf("later generations did not reuse the staging: %d+%d chunks before, %d+%d after",
-			len(runs), len(addrs), len(r.b.runs.ids.chunks), len(r.b.addrs.chunks))
+			len(runs), len(addrs), len(r.b.ids.chunks), len(r.b.addrs.chunks))
 	}
 
 	empty, stE := r.Record(emit(0, 0))

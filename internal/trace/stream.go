@@ -168,8 +168,8 @@ func Compact(insts []isa.Inst) *Stream {
 	// Staging sized to the trace: an instruction adds at most one static
 	// entry, one dynamic run and three address words.
 	var b builder
-	b.tab.static = make([]isa.Inst, 0, min(len(insts), maxStatic))
-	b.runs.ids.flat = make([]uint32, 0, len(insts))
+	b.static = make([]isa.Inst, 0, min(len(insts), maxStatic))
+	b.ids.flat = make([]uint32, 0, len(insts))
 	b.addrs.flat = make([]uint16, 0, 3*len(insts))
 	for i := range insts {
 		in := insts[i]
@@ -178,20 +178,54 @@ func Compact(insts []isa.Inst) *Stream {
 	return b.stream()
 }
 
-// builder turns instructions into a stream's tables: the interner the
-// static table, the run builder the op words, and staging the
-// addresses' words. Its storage outlives the stream it built (reset).
+// builder turns instructions into a stream's tables: the static table
+// and the run dictionary, each numbered by a dedup of its own, and
+// staging for the dynamic runs' ids and the addresses' words. Its
+// storage outlives the stream it built (reset).
 type builder struct {
-	tab   interner
-	runs  runBuilder
-	addrs staging[uint16]
-	last  uint32 // the address staged last, which the next step is from
+	static  []isa.Inst
+	statics dedup
+	dict    []uint16
+	spans   []Span
+	runs    dedup          // the distinct runs: dict[spans[e].At:spans[e].End]
+	run     [maxRun]uint16 // the run being cut: run[:open]
+	open    int
+	n       int             // instructions added
+	ids     staging[uint32] // per dynamic run, its distinct run
+	addrs   staging[uint16]
+	last    uint32 // the address staged last, which the next step is from
 }
 
+// add strips instruction b.n of its dynamic facts and numbers what
+// remains in the static table; it appends the op word — that number,
+// with the outcome and address bits — to the run being cut, cut after a
+// taken instruction or at maxRun words, and stages the address. It
+// refuses what a stream cannot hold: a Seq that is not b.n, an address
+// of more than 32 bits, more than maxStatic static instructions.
 func (b *builder) add(in *isa.Inst) {
-	op, addr := b.tab.split(in, b.runs.n)
-	b.runs.add(op)
-	if op&addrBit != 0 {
+	if in.Seq != uint64(b.n) {
+		panic(fmt.Sprintf("trace: instruction %d of a stream carries Seq %d", b.n, in.Seq))
+	}
+	if in.Addr>>32 != 0 {
+		panic(fmt.Sprintf("trace: instruction %d of a stream has address %#x, beyond the 32 bits a stream holds", b.n, in.Addr))
+	}
+	addr, taken := uint32(in.Addr), in.Taken
+	in.Seq, in.Addr, in.Taken = 0, 0, false
+	op := uint16(b.statics.find(instKey(in),
+		func(e uint32) bool { return b.static[e] == *in },
+		func(e uint32) uint64 { return instKey(&b.static[e]) },
+		func() {
+			if len(b.static) == maxStatic {
+				panic(fmt.Sprintf("trace: instruction %d of a stream is its static instruction %d, past the %d a stream holds",
+					b.n, maxStatic+1, maxStatic))
+			}
+			b.static = append(b.static, *in)
+		}))
+	if taken {
+		op |= takenBit
+	}
+	if addr != 0 {
+		op |= addrBit
 		if step := int32(addr - b.last); -0x7fff <= step && step <= 0x7fff {
 			b.addrs.add(uint16(step))
 		} else {
@@ -201,40 +235,62 @@ func (b *builder) add(in *isa.Inst) {
 		}
 		b.last = addr
 	}
+	b.run[b.open] = op
+	b.open++
+	b.n++
+	if taken || b.open == maxRun {
+		b.cut()
+	}
 }
+
+// cut ends the run being cut, if it has a word: it numbers the run in
+// the dictionary, adding it if it is new, and stages its number.
+func (b *builder) cut() {
+	if b.open == 0 {
+		return
+	}
+	run := b.run[:b.open]
+	b.open = 0
+	b.ids.add(b.runs.find(runKey(run),
+		func(e uint32) bool { return slices.Equal(b.words(e), run) },
+		func(e uint32) uint64 { return runKey(b.words(e)) },
+		func() {
+			at := uint32(len(b.dict))
+			b.dict = append(b.dict, run...)
+			b.spans = append(b.spans, Span{at, uint32(len(b.dict))})
+		}))
+}
+
+// words is distinct run e's op words.
+func (b *builder) words(e uint32) []uint16 { return b.dict[b.spans[e].At:b.spans[e].End] }
 
 // reset empties the builder for the next stream and keeps its storage;
 // a builder that has none yet it sizes first (dictWords).
 func (b *builder) reset() {
-	t, r := &b.tab, &b.runs
-	t.static, t.next = t.static[:0], t.next[:0]
-	clear(t.index)
-	clear(t.front[:])
-	if r.index == nil {
-		r.dict = make([]uint16, 0, dictWords)
-		r.spans = make([]Span, 0, dictRuns)
-		r.next = make([]uint32, 0, dictRuns)
-		r.index = make(map[uint32]uint32, dictRuns)
+	if b.runs.index == nil {
+		b.dict = make([]uint16, 0, dictWords)
+		b.spans = make([]Span, 0, dictRuns)
+		b.runs.next = make([]uint32, 0, dictRuns)
+		b.runs.index = make(map[uint64]uint32, dictRuns)
 	}
-	r.dict, r.spans, r.next = r.dict[:0], r.spans[:0], r.next[:0]
-	clear(r.index)
-	clear(r.front[:])
-	r.open, r.n, r.ids.n, b.addrs.n, b.last = 0, 0, 0, 0, 0
+	b.static, b.dict, b.spans = b.static[:0], b.dict[:0], b.spans[:0]
+	b.statics.reset()
+	b.runs.reset()
+	b.open, b.n, b.ids.n, b.addrs.n, b.last = 0, 0, 0, 0, 0
 }
 
 // stream copies what was built into a Stream whose tables are each
 // exactly their size, the sentinel run appended.
 func (b *builder) stream() *Stream {
-	r := &b.runs
-	r.cut()
-	end := uint32(len(r.dict))
+	b.cut()
+	end := uint32(len(b.dict))
 	return &Stream{
-		Static: exact(b.tab.static),
-		Dict:   exact(r.dict),
-		Spans:  exact(r.spans, Span{end, end}),
-		Runs:   r.ids.table(uint32(len(r.spans))),
+		Static: exact(b.static),
+		Dict:   exact(b.dict),
+		Spans:  exact(b.spans, Span{end, end}),
+		Runs:   b.ids.table(uint32(len(b.spans))),
 		Addrs:  b.addrs.table(),
-		n:      r.n,
+		n:      b.n,
 	}
 }
 
@@ -245,94 +301,77 @@ func exact[T any](s []T, tail ...T) []T {
 	return append(t, tail...)
 }
 
-// frontBits sizes the interner's front cache: 1024 slots answer for
-// 95–99.9 % of the instructions of every stream of the extended suite,
-// and most of the rest are each static instruction's first sight. The
-// run builder's front cache is as large.
+// frontBits sizes a dedup's front cache: for the static table, 1024
+// slots answer for 95–99.9 % of the instructions of every stream of the
+// extended suite, and most of the rest are each static instruction's
+// first sight.
 const frontBits = 10
 
-// interner builds a stream's static table. A direct-mapped front cache
-// of table indices, checked with a full compare, answers for the
-// instructions of the loop being executed; behind it an index keyed by
-// the front cache's hash chains, through next, the entries that share a
-// key. Entries are appended in first-seen order either way. Until two
-// entries share a front slot, the front cache holds every entry and
-// there is no index: the first slot that holds another instruction
-// builds it (a slot is never emptied, so an empty one means a new
-// instruction), and a Recorder keeps it from stream to stream.
-type interner struct {
-	static []isa.Inst
-	next   []uint32               // per entry: the older entry with its key, + 1; 0 ends the chain
-	index  map[uint64]uint32      // key → the newest entry with it, + 1
-	front  [1 << frontBits]uint32 // static index + 1; 0 is empty
+// dedup numbers the entries of a table — the static table's
+// instructions, the dictionary's runs — in first-seen order. A
+// direct-mapped front cache of entry numbers, checked with a full
+// compare, answers for the loop being executed; behind it an index
+// keyed by the entries' 64-bit keys chains, through next, the entries
+// that share a key. The index is only read when a front slot holds
+// another entry (a slot is never emptied, so an empty one means a new
+// entry), and is brought up to date then. Until two entries share a
+// slot there is none but the one a Recorder presizes for its runs
+// (dictRuns), and a Recorder keeps both from stream to stream.
+type dedup struct {
+	n     uint32                 // entries
+	next  []uint32               // per indexed entry: the older entry with its key, + 1; 0 ends the chain
+	index map[uint64]uint32      // key → the newest indexed entry with it, + 1
+	front [1 << frontBits]uint32 // entry + 1; 0 is empty
 }
 
-// split strips instruction i of its dynamic facts and returns its op
-// word — the index of what remains of *in in the static table, with
-// the outcome and address bits — and its address. It refuses what a
-// stream cannot hold: a Seq that is not i, an address of more than 32
-// bits, more than maxStatic static instructions.
-func (t *interner) split(in *isa.Inst, i int) (op uint16, addr uint32) {
-	if in.Seq != uint64(i) {
-		panic(fmt.Sprintf("trace: instruction %d of a stream carries Seq %d", i, in.Seq))
-	}
-	if in.Addr>>32 != 0 {
-		panic(fmt.Sprintf("trace: instruction %d of a stream has address %#x, beyond the 32 bits a stream holds", i, in.Addr))
-	}
-	if addr = uint32(in.Addr); addr != 0 {
-		op |= addrBit
-	}
-	if in.Taken {
-		op |= takenBit
-	}
-	in.Seq, in.Addr, in.Taken = 0, 0, false
-
-	h := instKey(in)
-	slot := &t.front[h*0x9E3779B97F4A7C15>>(64-frontBits)]
+// find returns the number of the entry with key that is accepts, after
+// add has appended the entry if none is. keyOf is an entry's key, which
+// the index needs for the entries added since it was last read.
+func (d *dedup) find(key uint64, is func(e uint32) bool, keyOf func(e uint32) uint64, add func()) uint32 {
+	slot := &d.front[key*0x9E3779B97F4A7C15>>(64-frontBits)]
 	j := *slot
-	if j != 0 && t.static[j-1] == *in {
-		return op | uint16(j-1), addr
-	}
-	if j != 0 {
-		if t.index == nil {
-			t.buildIndex()
+	if j != 0 && !is(j-1) {
+		if d.index == nil {
+			d.index = make(map[uint64]uint32, d.n)
 		}
-		j = t.index[h]
-		for j != 0 && t.static[j-1] != *in {
-			j = t.next[j-1]
+		for e := uint32(len(d.next)); e < d.n; e++ {
+			k := keyOf(e)
+			d.next = append(d.next, d.index[k])
+			d.index[k] = e + 1
+		}
+		for j = d.index[key]; j != 0 && !is(j-1); j = d.next[j-1] {
 		}
 	}
 	if j == 0 {
-		if len(t.static) == maxStatic {
-			panic(fmt.Sprintf("trace: instruction %d of a stream is its static instruction %d, past the %d a stream holds",
-				i, maxStatic+1, maxStatic))
-		}
-		t.static = append(t.static, *in)
-		j = uint32(len(t.static))
-		if t.index != nil {
-			t.next = append(t.next, t.index[h])
-			t.index[h] = j
-		}
+		add()
+		d.n++
+		j = d.n
 	}
 	*slot = j
-	return op | uint16(j-1), addr
+	return j - 1
 }
 
-// instKey is the interner's hash of a stripped instruction.
+// reset empties the dedup for the next table and keeps its storage.
+func (d *dedup) reset() {
+	d.n, d.next = 0, d.next[:0]
+	clear(d.index)
+	clear(d.front[:])
+}
+
+// instKey is a stripped instruction's key.
 func instKey(in *isa.Inst) uint64 {
 	h := uint64(in.Op) | uint64(in.Dst)<<8 | uint64(in.Src1)<<24 | uint64(in.Src2)<<40
 	return h ^ uint64(in.Imm)<<13 ^ uint64(in.Stride)<<29 ^ uint64(in.VL)<<56
 }
 
-// buildIndex indexes every entry of the static table, in first-seen
-// order, as the index would hold them had it been kept all along.
-func (t *interner) buildIndex() {
-	t.index = make(map[uint64]uint32, len(t.static))
-	for e := range t.static {
-		h := instKey(&t.static[e])
-		t.next = append(t.next, t.index[h])
-		t.index[h] = uint32(e + 1)
+// runKey is a run's key: the 64-bit FNV-1a hash of its words, folded to
+// 32 bits, so a test can find runs whose keys collide by search.
+func runKey(run []uint16) uint64 {
+	h := uint64(14695981039346656037)
+	for _, w := range run {
+		h = (h ^ uint64(w)) * 1099511628211
 	}
+	return uint64(uint32(h ^ h>>32))
 }
 
 // recorderChunk is the staging granularity in entries: 128 KiB of run
@@ -374,112 +413,22 @@ func (g *staging[T]) table(tail ...T) []T {
 	return append(t, tail...)
 }
 
-// dictWords and dictRuns size a Recorder's dictionary when it first
-// records: every stream of the paper suite fits (mpeg2encode/MMX, the
-// largest, holds 26,276 words in 830 runs), so recording it grows
-// nothing. Growing by append cost about 40 mallocs a fresh Recorder.
-// Compact grows its builder from nothing instead, as far as its trace
-// needs.
+// dictWords and dictRuns size a Recorder's dictionary and its run index
+// when it first records: every stream of the paper suite fits
+// (mpeg2encode/MMX, the largest, holds 26,276 words in 830 runs), so
+// recording it grows nothing. Growing by append cost about 40 mallocs a
+// fresh Recorder. Compact grows its builder from nothing instead, as far
+// as its trace needs.
 const (
 	dictWords = 1 << 15
 	dictRuns  = 1 << 11
 )
 
-// runBuilder cuts op words into runs and keeps each distinct run once.
-// Its lookup is the interner's: a front cache keyed by the run's hash
-// (runKey), and behind it, once two runs share a slot, a map keyed by
-// the hash that holds the newest distinct run with that key, next
-// chaining the older ones; a lookup compares whole runs, so runs whose
-// keys collide stay distinct. Distinct runs are numbered in first-seen
-// order, and each dynamic run is staged as its number.
-type runBuilder struct {
-	run   [maxRun]uint16 // the run being cut: run[:open]
-	open  int
-	n     int // op words added
-	dict  []uint16
-	spans []Span
-	next  []uint32               // per distinct run: the older one with its key, + 1; 0 ends the chain
-	index map[uint32]uint32      // key → the newest distinct run with it, + 1
-	front [1 << frontBits]uint32 // distinct run + 1; 0 is empty
-	ids   staging[uint32]        // per dynamic run, its distinct run
-}
-
-// add appends op to the run being cut and cuts it after a taken
-// instruction or at maxRun words.
-func (b *runBuilder) add(op uint16) {
-	b.run[b.open] = op
-	b.open++
-	b.n++
-	if op&takenBit != 0 || b.open == maxRun {
-		b.cut()
-	}
-}
-
-// cut ends the run being cut, if it has a word: it finds the run in the
-// dictionary, or adds it, and stages its number.
-func (b *runBuilder) cut() {
-	if b.open == 0 {
-		return
-	}
-	run := b.run[:b.open]
-	b.open = 0
-	key := runKey(run)
-	slot := &b.front[key*0x9E3779B9>>(32-frontBits)]
-	j := *slot
-	if j != 0 && !b.is(j, run) {
-		if b.index == nil {
-			b.buildIndex()
-		}
-		j = b.index[key]
-		for j != 0 && !b.is(j, run) {
-			j = b.next[j-1]
-		}
-	}
-	if j == 0 {
-		at := uint32(len(b.dict))
-		b.dict = append(b.dict, run...)
-		b.spans = append(b.spans, Span{at, uint32(len(b.dict))})
-		j = uint32(len(b.spans))
-		if b.index != nil {
-			b.next = append(b.next, b.index[key])
-			b.index[key] = j
-		}
-	}
-	*slot = j
-	b.ids.add(j - 1)
-}
-
-// is reports whether distinct run j - 1 holds the words of run.
-func (b *runBuilder) is(j uint32, run []uint16) bool {
-	sp := b.spans[j-1]
-	return slices.Equal(b.dict[sp.At:sp.End], run)
-}
-
-// buildIndex indexes every distinct run, as the interner's does.
-func (b *runBuilder) buildIndex() {
-	b.index = make(map[uint32]uint32, len(b.spans))
-	for e, sp := range b.spans {
-		key := runKey(b.dict[sp.At:sp.End])
-		b.next = append(b.next, b.index[key])
-		b.index[key] = uint32(e + 1)
-	}
-}
-
-// runKey is the key of the run builder's index: the 64-bit FNV-1a hash
-// of a run's words, folded to 32 bits.
-func runKey(run []uint16) uint32 {
-	h := uint64(14695981039346656037)
-	for _, w := range run {
-		h = (h ^ uint64(w)) * 1099511628211
-	}
-	return uint32(h ^ h>>32)
-}
-
-// Recorder is the sink whole streams are generated through. It interns
-// each instruction's static half, cuts the op words into runs, stages
-// the runs and addresses in chunks, accumulates the stream's Stats in
-// the same Emit, and copies the finished tables once into slices of
-// exactly their size. Its storage outlives the stream, so a Recorder
+// Recorder is the sink whole streams are generated through. It numbers
+// each instruction's static half, cuts the op words into runs and
+// numbers them (dedup), stages the run ids and addresses in chunks,
+// accumulates the stream's Stats in the same Emit, and copies the
+// finished tables once into slices of exactly their size. Its storage outlives the stream, so a Recorder
 // that records stream after stream allocates only the streams
 // themselves. The zero value is ready to use.
 type Recorder struct {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -41,8 +42,9 @@ func fuzzTrace(tmpl isa.Inst, dyn []byte) []isa.Inst {
 // distinct instructions modulo Seq/Addr/Taken, stripped of those three;
 // the op words are cut into runs by the rule and each distinct run is
 // kept once (checkRuns); Addrs holds a word for each non-zero address
-// and two more for each escape; and a Seq that is not the index, or an
-// address at or beyond 2^32, is refused wherever it sits.
+// and two more for each escape; a Recorder reused from input to input
+// builds what Compact builds (fuzzRec); and a Seq that is not the index,
+// or an address at or beyond 2^32, is refused wherever it sits.
 func FuzzStreamRoundTrip(f *testing.F) {
 	loop := []byte{0, 0x85, 0x0a, 0xff, 0, 0x85, 0x0a, 0xff, 0x12, 0x13, 0, 0x85, 0x0a, 0xff}
 	for k := uint8(0); k < numKinds; k++ {
@@ -55,9 +57,14 @@ func FuzzStreamRoundTrip(f *testing.F) {
 	f.Add(uint8(isa.OpIAdd), uint8(isa.KindScalar), uint64(0), int64(0), int64(8), 0, 0, 0, uint8(0), []byte{0x10, 0x20, 0x30})
 	f.Add(uint8(isa.OpLoad), uint8(isa.KindScalarMem), uint64(0), int64(4), int64(0), 0, 0, 0, uint8(0), []byte{0, 0, 0})
 	f.Add(uint8(isa.OpIAdd), uint8(isa.KindScalar), uint64(0), int64(0), int64(0), 0, 0, 0, uint8(0), []byte{0x80, 0, 0x80})
-	// Two instructions that differ only in Kind, which the interner's key
+	// Two instructions that differ only in Kind, which the instruction key
 	// omits: one key, two static entries.
 	f.Add(uint8(isa.Op3DVLoad), uint8(isa.Kind3DLoad), uint64(0), int64(0), int64(16), 4, 2, 0, uint8(0), []byte{0, 0x06, 0, 0x06})
+	// Two instructions with different keys in one front slot (Imm + 3
+	// and Imm + 7 of this template), taking turns: each sight after the
+	// first two misses the front cache and is found through the index.
+	f.Add(uint8(isa.OpIAdd), uint8(isa.KindScalar), uint64(0x839ae7ac0000), int64(1<<19-7), int64(8), 0, 0, 0, uint8(0),
+		[]byte{0x0d, 0x1d, 0x0d, 0x1d})
 	// Runs: 40 words with no taken instruction (cut at maxRun, then the
 	// stream's end), a run that repeats, and a stream whose last
 	// instruction ends a run that began after a taken one.
@@ -86,6 +93,13 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			t.Fatalf("stream of %d instructions from a trace of %d", s.Len(), len(insts))
 		}
 		checkRuns(t, s)
+		fuzzRec.b.reset()
+		for _, in := range insts {
+			fuzzRec.b.add(&in)
+		}
+		if r := fuzzRec.b.stream(); !reflect.DeepEqual(r, s) {
+			t.Fatalf("a reused Recorder and Compact build different streams of one trace")
+		}
 		n := 0
 		for i, got := range s.All() {
 			if got != insts[i] {
@@ -137,6 +151,14 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// fuzzRec records every input of FuzzStreamRoundTrip in turn, so an
+// input meets the indexes earlier inputs built and front caches just
+// cleared: the warm path of a Recorder, which Compact, starting cold
+// each time, never takes. The fuzz target drives its builder as Record
+// does (reset, add, stream) but folds no Stats, which index the 3D
+// register file by whatever register a fuzzed instruction names.
+var fuzzRec Recorder
 
 // checkRuns holds a stream's run tables to their contract: a run ends
 // after a taken instruction or at maxRun words, and nowhere else but at
@@ -192,7 +214,7 @@ func checkRuns(t *testing.T, s *Stream) {
 func TestRunDictionaryChainsCollidingKeys(t *testing.T) {
 	const templates = 512
 	var x, y []uint16
-	first := map[uint32][]uint16{}
+	first := map[uint64][]uint16{}
 	for a := uint16(0); a < templates && x == nil; a++ {
 		for b := uint16(0); b < templates; b++ {
 			run := []uint16{a, b | takenBit}
@@ -348,7 +370,7 @@ func TestAddressSteps(t *testing.T) {
 	}
 }
 
-// Instructions that differ only in a field the interner's key omits
+// Instructions that differ only in a field the instruction key omits
 // share one index key, and the key's chain must tell them apart with
 // the full compare: distinct static entries, in first-seen order, and a
 // stream that materialises as the trace it was made of.
