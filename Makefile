@@ -65,7 +65,7 @@ loc:
 # exceeds LOC_CEILING, the figure the last PR left behind, so a PR that
 # grows the tree has to raise the number in its own diff (and a PR that
 # shrinks it should lower it).
-LOC_CEILING = 16595
+LOC_CEILING = 16445
 loc-check:
 	@scripts/loc.sh $(LOC_CEILING)
 
@@ -109,7 +109,7 @@ wheel:
 		./internal/engine/ ./internal/core/ ./internal/tenant/ ./internal/experiments/ ./cmd/momexp/
 
 # rpsweep regenerates the full-size per-bank row-policy matrix
-# (EXPERIMENTS.md's reference table): open/close/timer/history ×
+# (EXPERIMENTS.md's reference table): open/close/history ×
 # demand-only and prefetch traffic on the streaming kernels, with cells
 # sharded across the host's CPUs.
 rpsweep:

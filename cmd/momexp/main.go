@@ -10,7 +10,7 @@
 //	momexp -dramsweep   the fixed-vs-SDRAM main-memory comparison
 //	momexp -mshrsweep   the blocking-vs-MSHR non-blocking pipeline sweep
 //	momexp -pfsweep     the stream-prefetcher sweep over the streaming kernels
-//	momexp -rpsweep     the per-bank row-policy sweep (open/close/timer/history)
+//	momexp -rpsweep     the per-bank row-policy sweep (open/close/history)
 //	momexp -ifsweep     the multi-tenant interference sweep (FR-FCFS vs QoS)
 //	momexp -vasweep     the placement-policy × mix matrix under address translation
 //	momexp -latdist     the ddr-vs-hbm read-latency distribution table

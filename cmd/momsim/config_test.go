@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/dram/policy"
 	"repro/internal/kernels"
 	"repro/internal/stats"
 )
@@ -133,27 +132,24 @@ func TestResolvePrefetch(t *testing.T) {
 
 func TestResolveRowPolicy(t *testing.T) {
 	o := defaultOptions()
-	o.DRAM, o.RP = "sdram", policy.Spec{Kind: policy.History}
+	o.DRAM, o.RP = "sdram", "history"
 	rc, err := resolve(o)
 	if err != nil {
 		t.Fatalf("resolve(rp history): %v", err)
 	}
 	cfg := rc.Timing.Backend.(*dram.SDRAM).Config()
-	if cfg.RowPolicy.Kind != policy.History {
-		t.Errorf("row policy not applied: %+v", cfg.RowPolicy)
+	if cfg.RowPolicy != dram.RowHistory {
+		t.Errorf("row policy not applied: %v", cfg.RowPolicy)
 	}
 	if got := rc.Timing.Backend.Name(); got != "sdram(line,frfcfs,history)" {
 		t.Errorf("backend = %q, want sdram(line,frfcfs,history)", got)
 	}
-	// The timer takes its idle gap through the same flag.
+	// Set from Go rather than through the flag, a name no policy has is
+	// refused all the same.
 	o = defaultOptions()
-	o.DRAM, o.RP = "sdram", policy.Spec{Kind: policy.Timer, Idle: 77}
-	if rc, err = resolve(o); err != nil {
-		t.Fatalf("resolve(rp timer:77): %v", err)
-	}
-	cfg = rc.Timing.Backend.(*dram.SDRAM).Config()
-	if cfg.RowPolicy.Kind != policy.Timer || cfg.RowPolicy.Idle != 77 {
-		t.Errorf("timer policy not applied: %+v", cfg.RowPolicy)
+	o.DRAM, o.RP = "sdram", "timer:77"
+	if _, err = resolve(o); err == nil || !strings.Contains(err.Error(), "unknown row policy") {
+		t.Errorf("resolve(rp timer:77) = %v, want an unknown row policy", err)
 	}
 	// The default is the static open page — today's behaviour.
 	if rc, err = resolve(defaultOptions()); err != nil || rc.Timing.Backend.Name() != "fixed" {
@@ -226,8 +222,9 @@ func TestResolveRejectsUnknownValues(t *testing.T) {
 		{"pfd-no-pf", "-mshr 8 -pfd 4", "-pfd / pf<n>d<m> needs -pf / pf<n>"},
 		{"pf-ideal", "-mem ideal -mshr 8 -pf 8", "-mshr"},
 		{"rp-unknown", "-dram sdram -rp lru", "row policy"},
-		{"rp-timer-zero", "-dram sdram -rp timer:0", "idle gap"},
-		{"rp-arg-on-open", "-dram sdram -rp open:5", "parameter"},
+		{"rp-timer", "-dram sdram -rp timer", "unknown row policy"},
+		{"rp-timer-zero", "-dram sdram -rp timer:0", "unknown row policy"},
+		{"rp-arg-on-open", "-dram sdram -rp open:5", "unknown row policy"},
 		{"qos-one-tenant", "-dram sdram -qos", "-qos / qos needs -tenants / tn<n> of at least 2"},
 		{"qos-fixed", "-tenants 2 -qos", "-qos configures"},
 		{"mlat-sdram", "-dram sdram -mlat 50", "-mlat applies to the fixed backend only"},
@@ -378,7 +375,7 @@ func TestFlagsMatchSpec(t *testing.T) {
 	}
 	for i := range dram.KnobTable {
 		r := &dram.KnobTable[i]
-		vals := strings.Split(strings.Replace(r.Names, "timer[:<n>]", "timer:77", 1), "|")
+		vals := strings.Split(r.Names, "|")
 		switch {
 		case r.Max > 0: // a count; 8 is inside every range and a power of two
 			vals = []string{fmt.Sprint(r.Min), "8", fmt.Sprint(r.Max)}

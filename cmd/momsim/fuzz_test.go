@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/dram/policy"
 )
 
 // FuzzResolve drives momsim's flag resolution with arbitrary values.
@@ -29,7 +28,7 @@ func FuzzResolve(f *testing.F) {
 	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "hbm", "history",
 		4, 16, 8, 4, 20, 100, "t.json", "s.json", 1024, 1, false)
 	add("motionsearch", "mom", "vcache", "sdram", "bank", "fcfs", "ddr", "timer:150",
-		0, 8, 0, 0, 40, 100, "", "", 0, 1, false)
+		0, 8, 0, 0, 40, 100, "", "", 0, 1, false) // a row policy that went (the idle timer): rejected
 	add("jpegencode", "mmx", "multibanked", "fixed", "line", "frfcfs", "ddr", "open",
 		0, 0, 0, 0, 20, 100, "", "out.json", 0, 1, false)
 	add("mpeg2decode", "mom3d", "ideal", "fixed", "line", "frfcfs", "ddr", "open",
@@ -39,7 +38,7 @@ func FuzzResolve(f *testing.F) {
 	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "", "close",
 		0, 1, 8, 0, 20, 100, "", "", 0, 1, false) // pf over a blocking file: rejected
 	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "", "timer:0",
-		0, 16, 8, 0, 20, 100, "", "", 0, 1, false) // zero timer gap: rejected
+		0, 16, 8, 0, 20, 100, "", "", 0, 1, false) // ditto
 	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "", "open",
 		0, 16, 0, 4, 20, 100, "", "", 0, 1, false) // pfd without pf: rejected
 	add("mpeg2encode", "mom3d", "vcache3d", "fixed", "line", "frfcfs", "ddr", "open",
@@ -74,15 +73,11 @@ func FuzzResolve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, bench, isa, mem, kind, dmap, dsched, dprof, rp string,
 		dchan, mshr, pf, pfd int, l2, mlat int64,
 		traceOut, statsOut string, tracebuf, tenants int, qos bool) {
-		rpSpec, err := policy.Parse(rp)
-		if err != nil {
-			return
-		}
 		rc, err := resolve(options{
 			Bench: bench, ISA: isa, Mem: mem, DRAM: kind,
 			Selection: dram.Selection{Mapping: dmap, Sched: dsched, Prof: dprof, Knobs: dram.Knobs{
 				Channels: dchan, MSHRs: mshr, PFStreams: pf, PFDegree: pfd,
-				Tenants: tenants, QoS: qos, RP: rpSpec}},
+				Tenants: tenants, QoS: qos, RP: rp}},
 			L2Lat: l2, MemLat: mlat,
 			Trace: traceOut, StatsJSON: statsOut, TraceBuf: tracebuf,
 		})

@@ -11,7 +11,7 @@
 // -dprof the timing profile (ddr/hbm), whose write-drain and
 // reorder-window settings it keeps, and -dchan overrides the channel
 // count). -rp picks the per-bank row policy (open, close,
-// timer[:<idle>], history — the 2-bit live/dead predictor). -mshr N
+// history — the 2-bit live/dead predictor). -mshr N
 // enables the non-blocking memory pipeline: N miss-status holding
 // registers decouple instruction issue from memory completion (0 or 1
 // = the blocking model, which has no file; 0 is the default). -pf N
@@ -78,7 +78,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/dram/policy"
 	"repro/internal/engine"
 	"repro/internal/kernels"
 	"repro/internal/power"
@@ -249,7 +248,7 @@ func reportSolo(w io.Writer, rc runConfig, g *tenant.Group, tst *trace.Stats, en
 		if sd, ok := ms.DRAM().(*dram.SDRAM); ok {
 			fmt.Fprintf(w, "dram rows: hit rate %.3f (%d hit / %d miss / %d conflict), %d refreshes\n",
 				ds.RowHitRate(), ds.RowHits, ds.RowMisses, ds.RowConflicts, ds.Refreshes)
-			if cfg := sd.Config(); cfg.RowPolicy != (policy.Spec{}) || ds.RowClosedEarly > 0 {
+			if cfg := sd.Config(); cfg.RowPolicy != dram.RowOpen || ds.RowClosedEarly > 0 {
 				fmt.Fprintf(w, "dram row policy (%s): %d closed early, %d reopened, %d predictor flips\n",
 					cfg.RowPolicy, ds.RowClosedEarly, ds.RowReopened, ds.PredictorFlips)
 			}

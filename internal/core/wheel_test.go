@@ -144,7 +144,7 @@ func TestWheelMatchesStepSnapshots(t *testing.T) {
 		"sdram/line/frfcfs/mshr8",
 		"sdram/line/frfcfs/hbm/mshr16/pf8d2",
 		"sdram/line/frfcfs/mshr16/rphistory/pf8",
-		"sdram/line/frfcfs/ddr/mshr8/rptimer:150",
+		"sdram/bank/frfcfs/ddr/mshr8/rphistory",
 		"sdram/line/frfcfs/rpclose",
 	}
 	benches := []kernels.Benchmark{

@@ -173,9 +173,9 @@ type Stats struct {
 	// range would corrupt another tenant's accounting.
 	TenantMisroute uint64
 
-	// Row-policy accounting (internal/dram/policy): RowClosedEarly
-	// counts rows a policy precharged before a conflict or refresh
-	// would have (auto-precharge closes and fired idle timers);
+	// Row-policy accounting (rowpolicy.go): RowClosedEarly counts rows
+	// a policy precharged before a conflict or refresh would have
+	// (auto-precharge closes);
 	// RowReopened counts the subset the very next access to the bank
 	// re-activated — the wasted closes; PredictorFlips counts history-
 	// predictor decision changes (a bank crossing between live and

@@ -3,8 +3,6 @@ package dram
 import (
 	"flag"
 	"testing"
-
-	"repro/internal/dram/policy"
 )
 
 // Build and FormatSpec are the flag-level forms these tests were written
@@ -68,7 +66,7 @@ func TestRowMissHitConflictTiming(t *testing.T) {
 
 func TestClosedPagePolicy(t *testing.T) {
 	cfg := testConfig()
-	cfg.RowPolicy = policy.Spec{Kind: policy.Close}
+	cfg.RowPolicy = RowClose
 	s := NewSDRAM(cfg)
 
 	if got, want := access(s, 0, 0), int64(19); got != want {
@@ -388,8 +386,7 @@ func TestConfigValidateRefuses(t *testing.T) {
 		{"row under a line", func(c *Config) { c.RowBytes = lineBytes / 2 }, "dram: row of 64 bytes smaller than a 128-byte line"},
 		{"refresh outlasts its interval", func(c *Config) { c.TREFI, c.TRFC = 100, 100 },
 			"dram: refresh duration 100 must be shorter than the refresh interval 100"},
-		{"timer without an idle gap", func(c *Config) { c.RowPolicy = policy.Spec{Kind: policy.Timer} },
-			"dram: timer row policy needs a positive idle gap"},
+		{"row policy past history", func(c *Config) { c.RowPolicy = RowHistory + 1 }, "dram: unknown row policy 3"},
 		{"negative tenants", func(c *Config) { c.Tenants = -1 }, "dram: tenant count -1 is negative"},
 		{"qos for one tenant", func(c *Config) { c.QoS, c.Tenants = true, 1 }, "dram: qos scheduling needs at least two tenants"},
 	} {

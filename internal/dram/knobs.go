@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"repro/internal/dram/policy"
 )
 
 // Selection is everything below the backend kind that a command line or
@@ -74,15 +72,14 @@ var KnobTable = []Knob{
 	{Flag: "dchan", Token: "ch", Suffix: true, Min: 1, Max: 64, Pow2: true, SDRAM: true, Momexp: true,
 		Help: "sdram channel count override (power of two; 0 = profile default)",
 		num:  func(s *Selection) *int { return &s.Channels }},
-	{Flag: "rp", Token: "rp", Names: "open|close|timer[:<n>]|history", SDRAM: true, Momexp: true,
-		Help: "sdram per-bank row policy: open (the default), close, timer[:<idle>], history",
-		get: func(s *Selection) string {
-			if s.RP == (policy.Spec{}) {
-				return ""
-			}
-			return s.RP.String()
-		},
-		set: func(s *Selection, v string) (err error) { s.RP, err = policy.Parse(v); return }},
+	{Flag: "rp", Token: "rp", Names: "open|close|history", SDRAM: true, Momexp: true,
+		Help: "sdram per-bank row policy: open (the default), close, history",
+		get:  func(s *Selection) string { return s.RP },
+		set: func(s *Selection, v string) (err error) {
+			s.RP = strings.ToLower(v)
+			_, err = ParseRowPolicy(v)
+			return
+		}},
 	{Flag: "qos", Token: "qos", SDRAM: true, Needs: "tenants", NeedsMin: 2,
 		Help: "per-tenant credit scheduling in the sdram channel scheduler (needs -tenants >= 2)",
 		on:   func(s *Selection) *bool { return &s.QoS }},

@@ -23,8 +23,7 @@ func rowValues(r *Knob) []string {
 	case r.on != nil:
 		return []string{"true"}
 	}
-	// "timer[:<n>]" is the one name with a parameter: try it both ways.
-	return strings.Split(strings.Replace(r.Names, "timer[:<n>]", "timer|timer:77", 1), "|")
+	return strings.Split(r.Names, "|")
 }
 
 // selectionWith sets one row to v on top of the defaults, together with

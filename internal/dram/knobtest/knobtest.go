@@ -28,12 +28,12 @@ func Pick(t testing.TB, pick []byte, sdram bool) dram.Selection {
 			continue
 		}
 		v := int(binary.LittleEndian.Uint16(pick[2*i:]))
-		names := strings.Split(strings.Replace(r.Names, "timer[:<n>]", "timer:"+strconv.Itoa(v), 1), "|")
 		switch {
 		case v == 0:
 		case r.Max == 0 && r.Names == "": // a switch
 			val[r.Flag] = "true"
 		case r.Max == 0: // a named value
+			names := strings.Split(r.Names, "|")
 			val[r.Flag] = names[min(v-1, len(names)-1)]
 		default: // a count
 			n := r.Max

@@ -1,79 +1,9 @@
 package dram
 
 import (
+	"math/rand"
 	"testing"
-
-	"repro/internal/dram/policy"
 )
-
-// TestTimerPolicyClosesIdleRows: the idle-timer policy precharges a row
-// lazily once the bank has sat idle past the gap — an access inside the
-// gap still hits, an access after it pays a plain activate (not a
-// conflict), and the wasted-close accounting fires when the same row is
-// reopened.
-func TestTimerPolicyClosesIdleRows(t *testing.T) {
-	cfg := testConfig() // 1 channel, 1 bank; TRCD 10, TCAS 5, TRP 7, TBurst 4
-	cfg.RowPolicy = policy.Spec{Kind: policy.Timer, Idle: 20}
-	s := NewSDRAM(cfg)
-
-	// Cold activate: done at 19; the timer arms for 19+20 = 39.
-	if got := access(s, 0, 0); got != 19 {
-		t.Fatalf("cold access done = %d, want 19", got)
-	}
-	// Inside the gap the row is still open: a same-row access hits.
-	if got, want := access(s, 128, 25), int64(25+5+4); got != want {
-		t.Fatalf("in-gap access done = %d, want %d (row hit)", got, want)
-	}
-	// The hit re-arms the timer for 34+20 = 54. Arriving long after, the
-	// row was precharged during the idle gap: a plain activate, never a
-	// conflict — and reopening the same row counts as a wasted close.
-	if got, want := access(s, 256, 100), int64(100+10+5+4); got != want {
-		t.Fatalf("post-gap access done = %d, want %d (activate from idle)", got, want)
-	}
-	st := s.Stats()
-	if st.RowHits != 1 || st.RowMisses != 2 || st.RowConflicts != 0 {
-		t.Fatalf("stats = hit %d miss %d conflict %d, want 1/2/0", st.RowHits, st.RowMisses, st.RowConflicts)
-	}
-	if st.RowClosedEarly != 1 || st.RowReopened != 1 {
-		t.Fatalf("closed early %d reopened %d, want 1/1", st.RowClosedEarly, st.RowReopened)
-	}
-}
-
-// TestTimerPolicyPrechargeOccupiesBank: an access landing inside the
-// precharge the fired timer started waits for it to finish before
-// activating.
-func TestTimerPolicyPrechargeOccupiesBank(t *testing.T) {
-	cfg := testConfig()
-	cfg.RowPolicy = policy.Spec{Kind: policy.Timer, Idle: 20}
-	s := NewSDRAM(cfg)
-	access(s, 0, 0) // done 19, timer fires at 39, precharge busy until 46
-	// Arriving at 40, the precharge (39..46) is still in flight: the
-	// activate starts at 46.
-	if got, want := access(s, 128, 40), int64(46+10+5+4); got != want {
-		t.Fatalf("in-precharge access done = %d, want %d", got, want)
-	}
-}
-
-// TestTimerPolicyDefeatsConflict: the timer's payoff — a different-row
-// access after the gap pays activate only, where open-page would have
-// paid precharge + activate.
-func TestTimerPolicyDefeatsConflict(t *testing.T) {
-	run := func(rp policy.Spec) int64 {
-		cfg := testConfig()
-		cfg.RowPolicy = rp
-		s := NewSDRAM(cfg)
-		access(s, 0, 0)
-		return access(s, 4096, 200) // row 4: a conflict under open page
-	}
-	open := run(policy.Spec{})
-	timer := run(policy.Spec{Kind: policy.Timer, Idle: 20})
-	if want := int64(200 + 7 + 10 + 5 + 4); open != want {
-		t.Fatalf("open-page conflict done = %d, want %d", open, want)
-	}
-	if want := int64(200 + 10 + 5 + 4); timer != want {
-		t.Fatalf("timer activate done = %d, want %d (precharge hidden in the idle gap)", timer, want)
-	}
-}
 
 // TestHistoryPolicyConverges: at the controller level the live/dead
 // predictor starts open, turns a conflict-thrashing bank into
@@ -81,7 +11,7 @@ func TestTimerPolicyDefeatsConflict(t *testing.T) {
 // decision flips.
 func TestHistoryPolicyConverges(t *testing.T) {
 	cfg := testConfig()
-	cfg.RowPolicy = policy.Spec{Kind: policy.History}
+	cfg.RowPolicy = RowHistory
 	s := NewSDRAM(cfg)
 
 	// Alternate rows 0 and 1 on the one bank with long gaps. The first
@@ -119,7 +49,7 @@ func TestHistoryPolicyConverges(t *testing.T) {
 // predictor never leaves the open-page behaviour — completions match
 // the static open policy bit for bit and no row is ever closed early.
 func TestHistoryPolicyMatchesOpenOnStreams(t *testing.T) {
-	run := func(rp policy.Spec) ([]int64, Stats) {
+	run := func(rp RowPolicy) ([]int64, Stats) {
 		cfg := DefaultConfig()
 		cfg.Mapping = MapBank
 		cfg.RowPolicy = rp
@@ -132,8 +62,8 @@ func TestHistoryPolicyMatchesOpenOnStreams(t *testing.T) {
 		}
 		return dones, *s.Stats()
 	}
-	openDones, openStats := run(policy.Spec{})
-	histDones, histStats := run(policy.Spec{Kind: policy.History})
+	openDones, openStats := run(RowOpen)
+	histDones, histStats := run(RowHistory)
 	for i := range openDones {
 		if openDones[i] != histDones[i] {
 			t.Fatalf("access %d: history done %d != open done %d", i, histDones[i], openDones[i])
@@ -162,12 +92,11 @@ func TestRowPolicySpecEquivalence(t *testing.T) {
 	if a, b := base.(*SDRAM).Config(), open.(*SDRAM).Config(); a != b {
 		t.Fatalf("rpopen config diverged:\n%+v\n%+v", a, b)
 	}
-	for spec, want := range map[string]policy.Spec{
-		"sdram/rpclose":                         {Kind: policy.Close},
-		"sdram/rptimer:64":                      {Kind: policy.Timer, Idle: 64},
-		"sdram/rptimer":                         {Kind: policy.Timer, Idle: policy.DefaultTimerIdle},
-		"sdram/bank/fcfs/rphistory":             {Kind: policy.History},
-		"sdram/line/frfcfs/hbm/rphistory/mshr8": {Kind: policy.History},
+	for spec, want := range map[string]RowPolicy{
+		"sdram/rpclose":                         RowClose,
+		"sdram/rpCLOSE":                         RowClose,
+		"sdram/bank/fcfs/rphistory":             RowHistory,
+		"sdram/line/frfcfs/hbm/rphistory/mshr8": RowHistory,
 	} {
 		b, _, err := ParseSpecFull(spec, 100)
 		if err != nil {
@@ -175,11 +104,11 @@ func TestRowPolicySpecEquivalence(t *testing.T) {
 			continue
 		}
 		if got := b.(*SDRAM).Config().RowPolicy; got != want {
-			t.Errorf("%q: row policy %+v, want %+v", spec, got, want)
+			t.Errorf("%q: row policy %v, want %v", spec, got, want)
 		}
 	}
 	for _, bad := range []string{
-		"sdram/rplru", "sdram/rptimer:0", "sdram/rpopen:5", "fixed/rpopen",
+		"sdram/rplru", "sdram/rptimer", "sdram/rptimer:200", "sdram/rpopen:5", "fixed/rpopen",
 	} {
 		if _, _, err := ParseSpecFull(bad, 100); err == nil {
 			t.Errorf("%q accepted", bad)
@@ -291,7 +220,7 @@ func TestDemandPriorityAfterPressure(t *testing.T) {
 // and a same-row return is RowReopened — the wasted-close signal.
 func TestRowPolicyStatsAccounting(t *testing.T) {
 	cfg := testConfig()
-	cfg.RowPolicy = policy.Spec{Kind: policy.Close}
+	cfg.RowPolicy = RowClose
 	s := NewSDRAM(cfg)
 	access(s, 0, 0)
 	access(s, 128, 50) // same row: the close was wasted
@@ -302,5 +231,234 @@ func TestRowPolicyStatsAccounting(t *testing.T) {
 	}
 	if st.RowReopened != 1 {
 		t.Fatalf("reopened = %d, want 1 (only the same-row return)", st.RowReopened)
+	}
+}
+
+// TestParseRowPolicy pins the rp<name> grammar and its canonical
+// rendering: three names, any case, no parameter.
+func TestParseRowPolicy(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		ok   bool
+		want RowPolicy
+		out  string
+	}{
+		{"open", true, RowOpen, "open"},
+		{"OPEN", true, RowOpen, "open"},
+		{"close", true, RowClose, "close"},
+		{"history", true, RowHistory, "history"},
+		{"timer", false, 0, ""}, // the idle timer went
+		{"timer:64", false, 0, ""},
+		{"timer:0", false, 0, ""},
+		{"open:5", false, 0, ""}, // no policy takes a parameter
+		{"history:2", false, 0, ""},
+		{"lru", false, 0, ""},
+		{"", false, 0, ""},
+	} {
+		got, err := ParseRowPolicy(c.in)
+		if c.ok != (err == nil) {
+			t.Errorf("ParseRowPolicy(%q): accepted=%v, want %v (err %v)", c.in, err == nil, c.ok, err)
+			continue
+		}
+		if !c.ok {
+			if err.Error() != `unknown row policy "`+c.in+`" (open, close, history)` {
+				t.Errorf("ParseRowPolicy(%q): %v", c.in, err)
+			}
+			continue
+		}
+		if got != c.want || got.String() != c.out {
+			t.Errorf("ParseRowPolicy(%q) = %v (%d), want %s", c.in, got, got, c.out)
+		}
+		if again, err := ParseRowPolicy(got.String()); err != nil || again != got {
+			t.Errorf("round trip of %q via %q: %v (err %v)", c.in, got, again, err)
+		}
+	}
+	// Set from Go rather than through the knob's row, a name no policy
+	// has is refused by Build all the same.
+	for _, name := range []string{"timer", "timer:200", "lru"} {
+		if _, err := (&Selection{Knobs: Knobs{RP: name}}).Build("sdram", 100); err == nil {
+			t.Errorf("Build with Knobs.RP %q accepted", name)
+		}
+	}
+}
+
+// policyPart builds a four-bank test part under rp.
+func policyPart(rp RowPolicy) *SDRAM {
+	cfg := testConfig()
+	cfg.Banks, cfg.RowPolicy = 4, rp
+	return NewSDRAM(cfg)
+}
+
+// seq drives global bank g of s through same-row (true) / other-row
+// (false) observations and returns the close decision after each, plus
+// the flips observed.
+func seq(s *SDRAM, g int, obs []bool) (closes []bool, flips int) {
+	for _, same := range obs {
+		if s.train(g, same) {
+			flips++
+		}
+		closes = append(closes, s.closesAfter(g))
+	}
+	return closes, flips
+}
+
+// TestOpenNeverCloses: the static open page keeps every row open
+// whatever the training says, and learns nothing.
+func TestOpenNeverCloses(t *testing.T) {
+	s := policyPart(RowOpen)
+	closes, flips := seq(s, 0, []bool{true, false, false, false, true})
+	for i, c := range closes {
+		if c {
+			t.Fatalf("open policy closed after observation %d", i)
+		}
+	}
+	if flips != 0 {
+		t.Fatalf("open policy flipped %d times", flips)
+	}
+}
+
+// TestCloseAlwaysCloses: static close auto-precharges after every
+// access, training notwithstanding.
+func TestCloseAlwaysCloses(t *testing.T) {
+	s := policyPart(RowClose)
+	closes, flips := seq(s, 1, []bool{true, true, true, false})
+	for i, c := range closes {
+		if !c {
+			t.Fatalf("close policy kept the row open after observation %d", i)
+		}
+	}
+	if flips != 0 {
+		t.Fatalf("close policy flipped %d times", flips)
+	}
+}
+
+// TestHistorySaturatingCounter walks the 2-bit predictor through a
+// synthetic hit/conflict sequence: it starts weakly live (the open-page
+// default), one conflict drives it dead, two hits bring it back, and
+// the counter saturates at both ends.
+func TestHistorySaturatingCounter(t *testing.T) {
+	s := policyPart(RowHistory)
+	if s.closesAfter(0) {
+		t.Fatal("an untrained bank closes its row")
+	}
+	// conflict → dead (one flip at the threshold crossing); conflicts
+	// again → saturated dead, no further flip.
+	closes, flips := seq(s, 0, []bool{false, false, false})
+	if !closes[0] || !closes[1] || !closes[2] {
+		t.Fatalf("conflict run decisions = %v, want all closes (init is weakly live: one conflict kills it)", closes)
+	}
+	if flips != 1 {
+		t.Fatalf("conflict run flips = %d, want 1", flips)
+	}
+	// hit, hit → live again (one flip); two more hits saturate.
+	closes, flips = seq(s, 0, []bool{true, true, true, true})
+	if !closes[0] {
+		t.Fatalf("first hit already reopened the bank: %v", closes)
+	}
+	if closes[1] || closes[2] || closes[3] {
+		t.Fatalf("hit run decisions = %v, want live from the second hit", closes)
+	}
+	if flips != 1 {
+		t.Fatalf("hit run flips = %d, want 1", flips)
+	}
+	// Saturated live survives a single conflict (hysteresis).
+	if s.train(0, false) {
+		t.Fatal("single conflict must not flip a saturated live counter")
+	}
+	if s.closesAfter(0) {
+		t.Fatal("one conflict closed a saturated live bank")
+	}
+}
+
+// TestHistoryPerBankIsolation: training one bank never moves another's
+// counter.
+func TestHistoryPerBankIsolation(t *testing.T) {
+	s := policyPart(RowHistory)
+	seq(s, 0, []bool{false, false, false}) // bank 0 goes dead
+	if s.closesAfter(1) {
+		t.Fatal("bank 1 closes after bank 0's training")
+	}
+}
+
+// TestRowPolicyCounters: only the history policy keeps counters, one
+// per bank of the part, each starting weakly live.
+func TestRowPolicyCounters(t *testing.T) {
+	for _, rp := range []RowPolicy{RowOpen, RowClose} {
+		if s := policyPart(rp); s.hist != nil {
+			t.Errorf("%v keeps %d counters", rp, len(s.hist))
+		}
+	}
+	s := policyPart(RowHistory)
+	if len(s.hist) != 4 {
+		t.Fatalf("history keeps %d counters, want 4", len(s.hist))
+	}
+	for g, c := range s.hist {
+		if c != historyInit {
+			t.Errorf("bank %d starts at %d, want %d", g, c, historyInit)
+		}
+	}
+}
+
+// TestHistoryMatchesReference holds the controller's history policy to
+// a map-based 2-bit counter written from the policy's definition: start
+// at 2, +1 on a same-row access up to 3, −1 on an other-row access down
+// to 0, keep the row open at 2 or more. Seeded random accesses, each to
+// a random bank of four with that bank's own chance of returning to its
+// last row, are served one at a time through Submit; after each, the
+// controller's close (RowClosedEarly), flips (PredictorFlips) and row
+// hits must be the model's.
+func TestHistoryMatchesReference(t *testing.T) {
+	stay := []float64{0.9, 0.6, 0.3, 0.05} // per bank: chance of a same-row access
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := policyPart(RowHistory)
+		ctr := map[int]int{}
+		lastRow := map[int]int64{}
+		open := map[int]bool{} // the model's row buffer: bank → last row kept open
+		var closes, flips, hits uint64
+		t0 := int64(0)
+		for i := 0; i < 2000; i++ {
+			b := rng.Intn(len(stay))
+			row, seen := lastRow[b]
+			if !seen || rng.Float64() >= stay[b] {
+				row = rng.Int63n(64)
+			}
+			// Model: train against the last row, then decide.
+			c, ok := ctr[b]
+			if !ok {
+				c = 2
+			}
+			if seen {
+				was := c >= 2
+				if row == lastRow[b] {
+					c = min(c+1, 3)
+				} else {
+					c = max(c-1, 0)
+				}
+				if (c >= 2) != was {
+					flips++
+				}
+				if open[b] && row == lastRow[b] {
+					hits++
+				}
+			}
+			ctr[b], lastRow[b], open[b] = c, row, c >= 2
+			if c < 2 {
+				closes++
+			}
+			// Controller: line-interleaved banks, any column of the row.
+			col := uint64(rng.Intn(8))
+			addr := ((uint64(row)<<3|col)<<2 | uint64(b)) * lineBytes
+			t0 += 1000
+			access(s, addr, t0)
+			st := s.Stats()
+			if st.RowClosedEarly != closes || st.PredictorFlips != flips || st.RowHits != hits {
+				t.Fatalf("seed %d access %d (bank %d row %d): closed %d flips %d hits %d, model %d/%d/%d",
+					seed, i, b, row, st.RowClosedEarly, st.PredictorFlips, st.RowHits, closes, flips, hits)
+			}
+		}
+		if flips == 0 || closes == 0 || hits == 0 {
+			t.Fatalf("seed %d never exercised the predictor: %d flips, %d closes, %d hits", seed, flips, closes, hits)
+		}
 	}
 }

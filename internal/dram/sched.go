@@ -273,7 +273,7 @@ func (s *SDRAM) pick(c *channel, batch []Request, window []int, p *choice) {
 			}
 			cand.load, cand.over = s.overShare(c, d, r)
 			start := max(r.At, bk.freeAt)
-			cand.ready = start + s.peekRowLatency(bk, d.row, start)
+			cand.ready = start + s.peekRowLatency(bk, d.row)
 		} else {
 			hit := s.rowOpenAt(c, bk, d.row, r.At)
 			cand.spec = c.demandFirst && r.speculative()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/dram/policy"
 	"repro/internal/stats"
 )
 
@@ -143,10 +142,10 @@ type Config struct {
 	Scheduler Scheduler
 
 	// RowPolicy selects the per-bank row-buffer management policy
-	// (internal/dram/policy): static open (the zero value, the
-	// historical behaviour), static close, idle-timer close, or the
-	// 2-bit history live/dead predictor.
-	RowPolicy policy.Spec
+	// (rowpolicy.go): static open (the zero value, the historical
+	// behaviour), static close, or the 2-bit history live/dead
+	// predictor.
+	RowPolicy RowPolicy
 }
 
 // DefaultConfig is the commodity-DDR preset: a two-channel, two-rank,
@@ -168,12 +167,6 @@ type bank struct {
 	openRow int64
 	open    bool
 
-	// closeAt is the pending idle-timer precharge deadline the row
-	// policy set after the last access (0 = none). The close is
-	// materialized lazily: the next access to the bank (or the pick
-	// loop's rowOpenAt consultation) observes whether the deadline
-	// passed first.
-	closeAt int64
 	// lastRow and used feed the policy's training oracle: would the
 	// next access have hit the row the bank last used?
 	lastRow int64
@@ -216,7 +209,7 @@ type decoded struct {
 type SDRAM struct {
 	cfg   Config
 	chans []channel
-	rp    policy.RowPolicy
+	hist  []uint8 // history policy: a 2-bit counter per global bank (nil otherwise)
 	st    Stats
 	tst   []TenantStats // per-requestor shards (nil = off)
 
@@ -238,8 +231,8 @@ type SDRAM struct {
 
 // Validate refuses a configuration no controller can be built from: a
 // geometry that is not a power of two, a row shorter than a line, a
-// refresh that outlasts its interval, a timer row policy without an
-// idle gap, a negative tenant count, QoS with fewer than two tenants.
+// refresh that outlasts its interval, a row policy no name spells, a
+// negative tenant count, QoS with fewer than two tenants.
 func (cfg *Config) Validate() error {
 	for _, g := range []struct {
 		name string
@@ -257,8 +250,8 @@ func (cfg *Config) Validate() error {
 		return fmt.Errorf("dram: row of %d bytes smaller than a %d-byte line", cfg.RowBytes, lineBytes)
 	case cfg.TREFI > 0 && cfg.TRFC >= cfg.TREFI:
 		return fmt.Errorf("dram: refresh duration %d must be shorter than the refresh interval %d", cfg.TRFC, cfg.TREFI)
-	case cfg.RowPolicy.Kind == policy.Timer && cfg.RowPolicy.Idle <= 0:
-		return errors.New("dram: timer row policy needs a positive idle gap")
+	case cfg.RowPolicy > RowHistory:
+		return fmt.Errorf("dram: unknown row policy %d", cfg.RowPolicy)
 	case cfg.Tenants < 0:
 		return fmt.Errorf("dram: tenant count %d is negative", cfg.Tenants)
 	case cfg.QoS && cfg.Tenants < 2:
@@ -272,7 +265,6 @@ func (cfg *Config) Validate() error {
 func NewSDRAM(cfg Config) *SDRAM {
 	s := &SDRAM{
 		cfg:       cfg,
-		rp:        cfg.RowPolicy.New(cfg.Channels * cfg.Ranks * cfg.Banks),
 		lineShift: log2(lineBytes),
 		colBits:   log2(cfg.RowBytes / lineBytes),
 		rowBits:   log2(cfg.RowsPerBank),
@@ -281,6 +273,12 @@ func NewSDRAM(cfg Config) *SDRAM {
 	}
 	if cfg.QoS {
 		s.tenants = cfg.Tenants
+	}
+	if cfg.RowPolicy == RowHistory {
+		s.hist = make([]uint8, cfg.Channels*cfg.Ranks*cfg.Banks)
+		for i := range s.hist {
+			s.hist[i] = historyInit
+		}
 	}
 	s.chans = make([]channel, cfg.Channels)
 	for c := range s.chans {
@@ -300,8 +298,8 @@ func NewSDRAM(cfg Config) *SDRAM {
 	return s
 }
 
-// globalBank is the part-wide bank index the row policy keys its
-// per-bank state by.
+// globalBank is the part-wide bank index the history counters and the
+// trace lanes are keyed by.
 func (s *SDRAM) globalBank(ch, bk int) int {
 	return ch*s.cfg.Ranks*s.cfg.Banks + bk
 }
@@ -480,9 +478,8 @@ func (s *SDRAM) burst(c *channel, ready int64, write bool) int64 {
 }
 
 // service runs one request through the bank and bus of its channel:
-// refresh catch-up, any pending idle-timer precharge, row management,
-// column access and data burst, leaving the row buffer per the row
-// policy's decision. arrival must already include any queue
+// refresh catch-up, row management, column access and data burst,
+// leaving the row buffer per the row policy's decision. arrival must already include any queue
 // back-pressure; r is the request being served, read for its direction
 // and, when tracing, its identity.
 func (s *SDRAM) service(ci, bi int, row, arrival int64, r *Request) int64 {
@@ -508,23 +505,6 @@ func (s *SDRAM) service(ci, bi int, row, arrival int64, r *Request) int64 {
 		return start
 	}
 	start := catchUp()
-	// Materialize a pending idle-timer close: the policy's deadline
-	// passed while the row sat open, so the precharge fired at closeAt
-	// and occupies the bank for TRP from there — an access landing
-	// inside that window waits the precharge out, one landing later
-	// finds the bank idle and closed.
-	if bk.open && bk.closeAt > 0 && start >= bk.closeAt {
-		bk.open = false
-		bk.early = true
-		s.st.RowClosedEarly++
-		if s.tr != nil {
-			s.tr.Emit(stats.Event{Cycle: bk.closeAt, Cat: "dram", Name: "rp_close", Lane: s.globalBank(ci, bi)})
-		}
-		if pre := bk.closeAt + s.cfg.TRP; pre > bk.freeAt {
-			bk.freeAt = pre
-		}
-		start = catchUp()
-	}
 	// Train the policy against the open-page oracle — would this access
 	// have hit the row the bank last used? — and account a close the
 	// very next access undoes as wasted (the row had to be reopened).
@@ -533,7 +513,7 @@ func (s *SDRAM) service(ci, bi int, row, arrival int64, r *Request) int64 {
 		if bk.early && sameRow {
 			s.st.RowReopened++
 		}
-		if s.rp.Train(s.globalBank(ci, bi), sameRow) {
+		if s.train(s.globalBank(ci, bi), sameRow) {
 			s.st.PredictorFlips++
 		}
 	}
@@ -558,23 +538,16 @@ func (s *SDRAM) service(ci, bi int, row, arrival int64, r *Request) int64 {
 
 	bk.freeAt = done
 	bk.lastRow, bk.used = row, true
-	bk.closeAt, bk.early = 0, false
-	switch gap := s.rp.CloseAfter(s.globalBank(ci, bi)); {
-	case gap == policy.KeepOpen:
-		bk.open, bk.openRow = true, row
-	case gap == 0:
+	bk.open, bk.openRow, bk.early = true, row, false
+	if s.closesAfter(s.globalBank(ci, bi)) {
 		// Auto-precharge rides the burst: the bank is busy TRP longer
 		// and the next access activates from idle.
 		bk.freeAt += s.cfg.TRP
-		bk.open = false
-		bk.early = true
+		bk.open, bk.early = false, true
 		s.st.RowClosedEarly++
 		if s.tr != nil {
 			s.tr.Emit(stats.Event{Cycle: done, Cat: "dram", Name: "rp_close", Lane: s.globalBank(ci, bi)})
 		}
-	default:
-		bk.open, bk.openRow = true, row
-		bk.closeAt = done + gap
 	}
 	return done
 }
@@ -610,15 +583,12 @@ func (s *SDRAM) drainWrites(ci int, t int64, keep int) {
 }
 
 // peekRowLatency is rowLatency without the statistics side effects,
-// used to estimate a write's service time before committing to it. at
-// is the cycle the estimate is for: a row whose idle-timer deadline
-// passed by then counts as closed.
-func (s *SDRAM) peekRowLatency(bk *bank, row, at int64) int64 {
-	open := bk.open && (bk.closeAt == 0 || at < bk.closeAt)
+// used to estimate a write's service time before committing to it.
+func (s *SDRAM) peekRowLatency(bk *bank, row int64) int64 {
 	switch {
-	case open && bk.openRow == row:
+	case bk.open && bk.openRow == row:
 		return 0
-	case !open:
+	case !bk.open:
 		return s.cfg.TRCD
 	default:
 		return s.cfg.TRP + s.cfg.TRCD
@@ -654,7 +624,7 @@ func (s *SDRAM) opportunisticDrain(ci int, readBank int, arrival int64) {
 		if s.cfg.Scheduler == FCFS {
 			colStart = max(colStart, c.cmdFree)
 		}
-		colIssue := colStart + s.peekRowLatency(bk, row, colStart)
+		colIssue := colStart + s.peekRowLatency(bk, row)
 		busReady := c.busFree
 		if !c.busWrite { // switching read→write pays the turnaround
 			busReady += s.cfg.TTurn
@@ -693,18 +663,10 @@ func (s *SDRAM) postWrite(d decoded, w Request) int64 {
 }
 
 // rowOpenAt reports whether the bank's row buffer still holds row when
-// a request arriving at cycle at reaches it: the row must be open, no
-// refresh epoch may close it first, and a pending idle-timer precharge
-// must not have fired — the pick loop's consultation of the row policy
-// when it decides what a bank going idle is worth.
+// a request arriving at cycle at reaches it: the row must be open and
+// no refresh epoch may close it first.
 func (s *SDRAM) rowOpenAt(c *channel, bk *bank, row, at int64) bool {
-	if !bk.open || bk.openRow != row {
-		return false
-	}
-	if s.cfg.TREFI > 0 && at >= c.nextRefresh {
-		return false
-	}
-	return bk.closeAt == 0 || at < bk.closeAt
+	return bk.open && bk.openRow == row && (s.cfg.TREFI == 0 || at < c.nextRefresh)
 }
 
 // Flush drains every channel's write queue at its current bus-free

@@ -3,8 +3,6 @@ package dram
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/dram/policy"
 )
 
 // Preset selects a timing profile for the SDRAM model: a commodity DDR
@@ -68,9 +66,9 @@ type Knobs struct {
 	Channels int // channel count
 	MSHRs    int // vmem MSHR file size (0 or 1 = the blocking model)
 
-	// RP is the per-bank row policy; the zero value keeps the preset's
-	// static open page.
-	RP policy.Spec
+	// RP names the per-bank row policy ("open", "close" or "history");
+	// "" keeps the preset's static open page.
+	RP string
 
 	// PFStreams/PFDegree size the vmem-level stream prefetcher:
 	// stream-table entries and lines kept in flight per stream. They
@@ -95,16 +93,6 @@ func (k Knobs) apply(cfg Config) Config {
 	if k.Channels > 0 {
 		cfg.Channels = k.Channels
 	}
-	if k.RP != (policy.Spec{}) {
-		// An explicit rpopen canonicalizes to the zero spec, so a
-		// configuration that names the default compares (and simulates)
-		// identically to one that omits it.
-		if k.RP.Kind == policy.Open {
-			cfg.RowPolicy = policy.Spec{}
-		} else {
-			cfg.RowPolicy = k.RP
-		}
-	}
 	if k.Tenants > 0 {
 		cfg.Tenants = k.Tenants
 	}
@@ -120,13 +108,15 @@ func (k Knobs) apply(cfg Config) Config {
 // set without the knob it needs, and a configuration Config.Validate
 // refuses, is an error and never reaches NewSDRAM.
 func (s *Selection) Build(kind string, fixedLatency int64) (Backend, error) {
-	// Mapping, scheduler and profile are validated for every kind so a
-	// typo is diagnosed even when the fixed backend would ignore the
-	// value (empty strings mean "unspecified" and stay legal for fixed).
+	// Mapping, scheduler, profile and row policy are validated for every
+	// kind so a typo is diagnosed even when the fixed backend would
+	// ignore the value (empty strings mean "unspecified" and stay legal
+	// for fixed).
 	kind = strings.ToLower(kind)
 	var m Mapping
 	var sc Scheduler
 	var p Preset
+	var rp RowPolicy
 	var err error
 	if s.Mapping != "" || kind == "sdram" {
 		if m, err = ParseMapping(s.Mapping); err != nil {
@@ -143,6 +133,11 @@ func (s *Selection) Build(kind string, fixedLatency int64) (Backend, error) {
 			return nil, err
 		}
 	}
+	if s.RP != "" {
+		if rp, err = ParseRowPolicy(s.RP); err != nil {
+			return nil, err
+		}
+	}
 	for i := range KnobTable {
 		if err := KnobTable[i].check(s); err != nil {
 			return nil, err
@@ -153,7 +148,7 @@ func (s *Selection) Build(kind string, fixedLatency int64) (Backend, error) {
 		return NewFixed(fixedLatency), nil
 	case "sdram":
 		cfg := s.apply(p.Config())
-		cfg.Mapping, cfg.Scheduler = m, sc
+		cfg.Mapping, cfg.Scheduler, cfg.RowPolicy = m, sc, rp
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
@@ -188,7 +183,7 @@ func grammar() string {
 // ParseSpecFull builds a backend from a spec string and returns its knobs:
 //
 //	fixed[/mshr<n>][/pf<n>[d<m>]][/tn<n>][/va|vacolor|vacolo]
-//	sdram[/mapping[/sched[/profile]]][/<n>ch][/rp<name>[:<n>]][/qos]
+//	sdram[/mapping[/sched[/profile]]][/<n>ch][/rp<name>][/qos]
 //	     [/mshr<n>][/pf<n>[d<m>]][/tn<n>][/va|vacolor|vacolo]
 //
 // This is the one statement of the grammar; KnobTable generates it.

@@ -33,11 +33,11 @@ func FuzzParseSpec(f *testing.F) {
 		"sdram/8ch",
 		"sdram/rpopen",
 		"sdram/rpclose/mshr8",
-		"sdram/line/frfcfs/rptimer:150",
-		"sdram/line/frfcfs/rptimer",
+		"sdram/line/frfcfs/rptimer:150", // rejected: a policy that went (the idle timer)
+		"sdram/line/frfcfs/rptimer",     // rejected: ditto
 		"sdram/rphistory/mshr64/pf48d2",
-		"sdram/rphistory:3",   // rejected: only timer takes a parameter
-		"sdram/rptimer:0",     // rejected: non-positive idle gap
+		"sdram/rphistory:3",   // rejected: no policy takes a parameter
+		"sdram/rptimer:0",     // rejected: a policy that went
 		"sdram/rplru",         // rejected: unknown policy
 		"fixed/rpopen",        // rejected: controller knob on fixed
 		"sdram/mshr8/pfq2",    // rejected: a token the presets replaced

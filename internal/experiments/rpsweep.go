@@ -4,14 +4,13 @@ import (
 	"fmt"
 
 	"repro/internal/dram"
-	"repro/internal/dram/policy"
 )
 
 // RPPolicies are the per-bank row policies the sweep crosses, as
 // rp<name> spec tokens: the static open page (the default and the
-// PR 4 behaviour), static close (auto-precharge), the idle-timer close
-// at the default gap, and the 2-bit history live/dead predictor.
-var RPPolicies = []string{"open", "close", "timer:200", "history"}
+// controller's historical behaviour), static close (auto-precharge),
+// and the 2-bit history live/dead predictor.
+var RPPolicies = []string{"open", "close", "history"}
 
 // RPBenches are the streaming kernels the sweep runs — the same two
 // full-size workloads the MSHR and prefetch sweeps use, which bracket
@@ -39,7 +38,7 @@ func rpPFShape(bench, profile string) (streams, degree int) {
 }
 
 // RPSweep runs the row-policy sweep: for each streaming kernel and
-// timing profile, the four per-bank policies over demand-only traffic
+// timing profile, the three per-bank policies over demand-only traffic
 // and again under the kernel's PR 4 prefetcher shape with the
 // demand-priority scheduler (the row's Knobs), all behind the
 // PFMSHRs-entry file. It is the experiment behind the policy
@@ -67,14 +66,11 @@ func RPSweep(r *Runner) *Table {
 		s.Rows = append(s.Rows, w)
 	}
 	for _, p := range RPPolicies {
-		rp, err := policy.Parse(p)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: RPPolicies: %v", err))
-		}
-		if rp.Kind == policy.Open {
+		rp := p
+		if rp == "open" {
 			// The default policy needs no token: rpopen is the machine
 			// PFSweep runs for the same shape, under the same memo key.
-			rp = policy.Spec{}
+			rp = ""
 		}
 		spec := at(func(k *dram.Knobs) { k.RP = rp })
 		s.Cols = append(s.Cols, Col{fmt.Sprintf(" %9s %6s %6s", "rp"+p, "B/cyc", "rowhit"), spec, " %9d %6.2f %6.3f",

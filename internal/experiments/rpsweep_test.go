@@ -71,7 +71,7 @@ func TestRPSweepPoliciesDiverge(t *testing.T) {
 
 // TestRPSweepSharesPFSweepCells: the rpopen column of every row is a
 // machine PFSweep already simulated (same shape, default row policy),
-// so after PFSweep's 20 cells RPSweep adds 24, not its full 32.
+// so after PFSweep's 20 cells RPSweep adds 16, not its full 24.
 func TestRPSweepSharesPFSweepCells(t *testing.T) {
 	r := mshrRunner()
 	calls := 0
@@ -81,7 +81,7 @@ func TestRPSweepSharesPFSweepCells(t *testing.T) {
 		t.Fatalf("PFSweep simulated %d cells, want 20", calls)
 	}
 	RPSweep(r)
-	if calls != 20+24 {
-		t.Errorf("PFSweep then RPSweep simulated %d cells, want 20 + 24", calls)
+	if calls != 20+16 {
+		t.Errorf("PFSweep then RPSweep simulated %d cells, want 20 + 16", calls)
 	}
 }

@@ -163,7 +163,8 @@ func (c *Cursor) Next() (in *isa.Inst, addr uint64, taken bool) {
 // bench/ uses (core.NewSim, tenant.Options.Traces). It builds the stream
 // as a Recorder does. A Seq that is not the instruction's index panics:
 // a Stream has nowhere to keep it. So do an address of more than 32
-// bits and a 16,385th static instruction.
+// bits, a 16,385th static instruction, and a 3D load or move whose 3D
+// register is none.
 func Compact(insts []isa.Inst) *Stream {
 	// Staging sized to the trace: an instruction adds at most one static
 	// entry, one dynamic run and three address words.
@@ -201,13 +202,25 @@ type builder struct {
 // with the outcome and address bits — to the run being cut, cut after a
 // taken instruction or at maxRun words, and stages the address. It
 // refuses what a stream cannot hold: a Seq that is not b.n, an address
-// of more than 32 bits, more than maxStatic static instructions.
+// of more than 32 bits, more than maxStatic static instructions; and a
+// 3D load or move whose register (Dst, Src1) is not a 3D register,
+// which Stats would index its 3D register file by.
 func (b *builder) add(in *isa.Inst) {
 	if in.Seq != uint64(b.n) {
 		panic(fmt.Sprintf("trace: instruction %d of a stream carries Seq %d", b.n, in.Seq))
 	}
 	if in.Addr>>32 != 0 {
 		panic(fmt.Sprintf("trace: instruction %d of a stream has address %#x, beyond the 32 bits a stream holds", b.n, in.Addr))
+	}
+	if in.Kind == isa.Kind3DLoad || in.Kind == isa.Kind3DMove {
+		r := in.Dst
+		if in.Kind == isa.Kind3DMove {
+			r = in.Src1
+		}
+		if r.Class() != isa.RC3D || r.Index() >= isa.Num3DRegs {
+			panic(fmt.Sprintf("trace: instruction %d of a stream is a %v of %v, not one of the %d 3D registers",
+				b.n, in.Kind, r, isa.Num3DRegs))
+		}
 	}
 	addr, taken := uint32(in.Addr), in.Taken
 	in.Seq, in.Addr, in.Taken = 0, 0, false
@@ -437,10 +450,14 @@ type Recorder struct {
 }
 
 // Emit stages one instruction and accumulates it, implementing Sink for
-// the generator Record runs.
+// the generator Record runs. The builder goes first, so a 3D register
+// Stats could not index is refused by name; it strips the instruction
+// of its dynamic facts, and of those Stats reads only the outcome.
 func (r *Recorder) Emit(in isa.Inst) {
-	r.st.add(&in)
+	taken := in.Taken
 	r.b.add(&in)
+	in.Taken = taken
+	r.st.add(&in)
 }
 
 // Record runs gen with the recorder as its sink and returns the stream

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -58,8 +59,10 @@ func FuzzStreamRoundTrip(f *testing.F) {
 	f.Add(uint8(isa.OpLoad), uint8(isa.KindScalarMem), uint64(0), int64(4), int64(0), 0, 0, 0, uint8(0), []byte{0, 0, 0})
 	f.Add(uint8(isa.OpIAdd), uint8(isa.KindScalar), uint64(0), int64(0), int64(0), 0, 0, 0, uint8(0), []byte{0x80, 0, 0x80})
 	// Two instructions that differ only in Kind, which the instruction key
-	// omits: one key, two static entries.
-	f.Add(uint8(isa.Op3DVLoad), uint8(isa.Kind3DLoad), uint64(0), int64(0), int64(16), 4, 2, 0, uint8(0), []byte{0, 0x06, 0, 0x06})
+	// omits: one key, two static entries (a 3D load into d0, a 3D move
+	// from d0).
+	f.Add(uint8(isa.Op3DVLoad), uint8(isa.Kind3DLoad), uint64(isa.D(0))|uint64(isa.D(0))<<16, int64(0), int64(16), 4, 2, 0, uint8(0),
+		[]byte{0, 0x06, 0, 0x06})
 	// Two instructions with different keys in one front slot (Imm + 3
 	// and Imm + 7 of this template), taking turns: each sight after the
 	// first two misses the front cache and is found through the index.
@@ -84,21 +87,29 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		[]byte{0x10, 0x20, 0, 0x7c, 0x7c, 0x04, 0, 0})
 
 	f.Fuzz(func(t *testing.T, op, kind uint8, regs uint64, imm, stride int64, vl, width, ptrStep int, flags uint8, dyn []byte) {
-		insts := fuzzTrace(isa.Inst{Op: isa.Op(op), Kind: isa.Kind(kind % numKinds),
+		insts := fuzzTrace(isa.Inst{Op: isa.Op(int(op) % isa.NumOps), Kind: isa.Kind(kind % numKinds),
 			Dst: isa.Reg(regs), Src1: isa.Reg(regs >> 16), Src2: isa.Reg(regs >> 32), Ptr: isa.Reg(regs >> 48),
 			Imm: imm, VL: vl, Stride: stride, Width: width, PtrStep: ptrStep,
 			Back: flags&1 != 0, IsStore: flags&2 != 0}, dyn)
+		// A 3D load or move whose register is not a 3D register is the
+		// one instruction a stream refuses for its fields; the trace
+		// goes on with that register moved into the 3D file.
+		if bad := slices.Clone(insts); fix3D(insts) {
+			if !panics(func() { Compact(bad) }) || !panics(func() { fuzzRec.Record(emitAll(bad)) }) {
+				t.Fatal("a 3D load or move of no 3D register was recorded")
+			}
+		}
 		s := Compact(insts)
 		if s.Len() != len(insts) {
 			t.Fatalf("stream of %d instructions from a trace of %d", s.Len(), len(insts))
 		}
 		checkRuns(t, s)
-		fuzzRec.b.reset()
-		for _, in := range insts {
-			fuzzRec.b.add(&in)
-		}
-		if r := fuzzRec.b.stream(); !reflect.DeepEqual(r, s) {
+		r, st := fuzzRec.Record(emitAll(insts))
+		if !reflect.DeepEqual(r, s) {
 			t.Fatalf("a reused Recorder and Compact build different streams of one trace")
+		}
+		if st.Total != uint64(len(insts)) {
+			t.Fatalf("the Recorder's stats count %d instructions of %d", st.Total, len(insts))
 		}
 		n := 0
 		for i, got := range s.All() {
@@ -155,10 +166,37 @@ func FuzzStreamRoundTrip(f *testing.F) {
 // fuzzRec records every input of FuzzStreamRoundTrip in turn, so an
 // input meets the indexes earlier inputs built and front caches just
 // cleared: the warm path of a Recorder, which Compact, starting cold
-// each time, never takes. The fuzz target drives its builder as Record
-// does (reset, add, stream) but folds no Stats, which index the 3D
-// register file by whatever register a fuzzed instruction names.
+// each time, never takes.
 var fuzzRec Recorder
+
+// emitAll is a generator that emits insts.
+func emitAll(insts []isa.Inst) func(Sink) {
+	return func(sink Sink) {
+		for _, in := range insts {
+			sink.Emit(in)
+		}
+	}
+}
+
+// fix3D moves every register a 3D load (Dst) or 3D move (Src1) of
+// insts names outside the 3D register file into it, and reports whether
+// there was one.
+func fix3D(insts []isa.Inst) (found bool) {
+	for i := range insts {
+		r := &insts[i].Dst
+		switch insts[i].Kind {
+		case isa.Kind3DMove:
+			r = &insts[i].Src1
+		case isa.Kind3DLoad:
+		default:
+			continue
+		}
+		if r.Class() != isa.RC3D || r.Index() >= isa.Num3DRegs {
+			*r, found = isa.D(r.Index()%isa.Num3DRegs), true
+		}
+	}
+	return found
+}
 
 // checkRuns holds a stream's run tables to their contract: a run ends
 // after a taken instruction or at maxRun words, and nowhere else but at
@@ -317,6 +355,51 @@ func TestStreamLimits(t *testing.T) {
 				if got != insts[i] {
 					t.Fatalf("%s: instruction %d reads back as %+v, want %+v", c.name, i, got, insts[i])
 				}
+			}
+		}
+	}
+}
+
+// A 3D load names its 3D register in Dst and a 3D move in Src1, and
+// Stats counts slices per 3D register: an instruction naming anything
+// else there is refused by name, by Compact and a Recorder alike,
+// before Stats indexes by it.
+func TestRefuses3DOfNo3DRegister(t *testing.T) {
+	var rec Recorder
+	for _, c := range []struct {
+		in      isa.Inst
+		refused bool
+	}{
+		{isa.Inst{Op: isa.Op3DVLoad, Kind: isa.Kind3DLoad, Dst: isa.D(1)}, false},
+		{isa.Inst{Op: isa.Op3DVMov, Kind: isa.Kind3DMove, Dst: isa.V(7), Src1: isa.D(0)}, false},
+		{isa.Inst{Op: isa.Op3DVLoad, Kind: isa.Kind3DLoad, Dst: isa.V(7)}, true},
+		{isa.Inst{Op: isa.Op3DVLoad, Kind: isa.Kind3DLoad, Dst: isa.D(isa.Num3DRegs)}, true},
+		{isa.Inst{Op: isa.Op3DVMov, Kind: isa.Kind3DMove, Dst: isa.D(0), Src1: isa.R(3)}, true},
+	} {
+		var msgs []string
+		for _, record := range []func(){
+			func() { Compact([]isa.Inst{c.in}) },
+			func() { rec.Record(func(sink Sink) { sink.Emit(c.in) }) },
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						msgs = append(msgs, fmt.Sprint(r))
+					}
+				}()
+				record()
+			}()
+		}
+		want := 0
+		if c.refused {
+			want = 2
+		}
+		if len(msgs) != want {
+			t.Errorf("%v (Dst %v, Src1 %v): %d of Compact and Record refused it, want %d", c.in.Kind, c.in.Dst, c.in.Src1, len(msgs), want)
+		}
+		for _, m := range msgs {
+			if !strings.HasPrefix(m, "trace: instruction 0 of a stream is a "+c.in.Kind.String()) {
+				t.Errorf("refused with %q, not by name", m)
 			}
 		}
 	}
