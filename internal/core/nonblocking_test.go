@@ -167,16 +167,16 @@ func TestScoreboardStallsOnTrueDependency(t *testing.T) {
 	mk := func(dependent bool) []isa.Inst {
 		var insts []isa.Inst
 		// One cold scalar load: L1 miss + L2 miss + 100-cycle memory.
-		insts = append(insts, isa.Inst{Op: isa.OpLoad, Kind: isa.KindScalarMem,
+		insts = append(insts, isa.Inst{Op: isa.OpLoadS, Kind: isa.KindScalarMem,
 			Dst: isa.R(1), Imm: 8, Addr: 0x80000})
 		src := 2
 		if dependent {
 			src = 1
 		}
-		insts = append(insts, isa.Inst{Op: isa.OpIAdd, Kind: isa.KindScalar,
+		insts = append(insts, isa.Inst{Op: isa.OpISlt, Kind: isa.KindScalar,
 			Dst: isa.R(3), Src1: isa.R(src), Src2: isa.R(4)})
 		for i := 0; i < chain; i++ {
-			insts = append(insts, isa.Inst{Op: isa.OpIAddImm, Kind: isa.KindScalar,
+			insts = append(insts, isa.Inst{Op: isa.OpIShl, Kind: isa.KindScalar,
 				Dst: isa.R(3), Src1: isa.R(3), Imm: 1})
 		}
 		for i := range insts {

@@ -42,7 +42,7 @@ func TestROBStallCounted(t *testing.T) {
 func TestLSQStallCounted(t *testing.T) {
 	var insts []isa.Inst
 	for i := 0; i < 64; i++ {
-		insts = append(insts, isa.Inst{Op: isa.OpLoad, Kind: isa.KindScalarMem,
+		insts = append(insts, isa.Inst{Op: isa.OpLoadS, Kind: isa.KindScalarMem,
 			Dst: isa.R(1 + i%8), Imm: 8, Addr: uint64(0x200000 + i*4096)})
 	}
 	cfg := MMXCore()
@@ -66,7 +66,7 @@ func TestDispatchStallPrecedence(t *testing.T) {
 	insts := []isa.Inst{{Op: isa.OpVLoad, Kind: isa.KindMOMMem,
 		Dst: isa.V(1), VL: 16, Stride: 4096, Addr: 0x100000}}
 	for i := 0; i < 64; i++ {
-		insts = append(insts, isa.Inst{Op: isa.OpLoad, Kind: isa.KindScalarMem,
+		insts = append(insts, isa.Inst{Op: isa.OpLoadS, Kind: isa.KindScalarMem,
 			Dst: isa.R(1 + i%8), Imm: 8, Addr: uint64(0x200000 + i*64)})
 	}
 	seqify(insts)

@@ -650,7 +650,7 @@ func (s *Sim) insert(in *isa.Inst, seq, addr uint64) {
 		addDep(in.Ptr, true)
 	}
 	switch in.Op {
-	case isa.OpVSadAcc, isa.OpVMacAcc, isa.OpVAddWAcc:
+	case isa.OpVSadAcc, isa.OpVMacAcc:
 		addDep(in.Dst, false) // accumulators read-modify-write
 	}
 

@@ -35,7 +35,7 @@ func seqify(insts []isa.Inst) []isa.Inst {
 }
 
 func add(dst, a, b int) isa.Inst {
-	return isa.Inst{Op: isa.OpIAdd, Kind: isa.KindScalar, Dst: isa.R(dst), Src1: isa.R(a), Src2: isa.R(b)}
+	return isa.Inst{Op: isa.OpISlt, Kind: isa.KindScalar, Dst: isa.R(dst), Src1: isa.R(a), Src2: isa.R(b)}
 }
 
 func TestIndependentScalarIPC(t *testing.T) {
@@ -82,8 +82,8 @@ func TestMOMOccupancy(t *testing.T) {
 	// Two independent VL=16 vector adds on the 4-lane MOM unit: the
 	// second cannot issue until the first's 4 occupancy cycles elapse.
 	insts := seqify([]isa.Inst{
-		{Op: isa.OpPAddB, Kind: isa.KindMOM, Dst: isa.V(1), Src1: isa.V(2), Src2: isa.V(3), VL: 16},
-		{Op: isa.OpPAddB, Kind: isa.KindMOM, Dst: isa.V(4), Src1: isa.V(5), Src2: isa.V(6), VL: 16},
+		{Op: isa.OpPAddW, Kind: isa.KindMOM, Dst: isa.V(1), Src1: isa.V(2), Src2: isa.V(3), VL: 16},
+		{Op: isa.OpPAddW, Kind: isa.KindMOM, Dst: isa.V(4), Src1: isa.V(5), Src2: isa.V(6), VL: 16},
 	})
 	st := simulate(MOMCore(), idealMem(), insts)
 	// First issues at cycle 0 (occ 4, lat 1): done 4. Second issues at 4,
@@ -97,7 +97,7 @@ func TestMMXParallelSIMD(t *testing.T) {
 	// Four independent μSIMD adds issue in one cycle on the MMX core.
 	var insts []isa.Inst
 	for i := 0; i < 4; i++ {
-		insts = append(insts, isa.Inst{Op: isa.OpPAddB, Kind: isa.KindUSIMD,
+		insts = append(insts, isa.Inst{Op: isa.OpPAddW, Kind: isa.KindUSIMD,
 			Dst: isa.V(i), Src1: isa.V(8 + i), Src2: isa.V(16 + i)})
 	}
 	st := simulate(MMXCore(), idealMem(), seqify(insts))
@@ -123,7 +123,7 @@ func TestStoreLoadOrdering(t *testing.T) {
 			isa.Inst{Op: isa.OpVLoad, Kind: isa.KindMOMMem, Dst: isa.V(6), VL: 4, Stride: 8, Addr: 0x9000},
 		)
 		for i := 0; i < 30; i++ { // serial chain producing the store data
-			insts = append(insts, isa.Inst{Op: isa.OpPAddB, Kind: isa.KindMOM,
+			insts = append(insts, isa.Inst{Op: isa.OpPAddW, Kind: isa.KindMOM,
 				Dst: isa.V(1), Src1: isa.V(1), Src2: isa.V(2), VL: 16})
 		}
 		insts = append(insts,
@@ -133,7 +133,7 @@ func TestStoreLoadOrdering(t *testing.T) {
 			isa.Inst{Op: isa.OpVMovV2I, Kind: isa.KindScalar, Dst: isa.R(1), Src1: isa.V(3)},
 		)
 		for i := 0; i < 30; i++ {
-			insts = append(insts, isa.Inst{Op: isa.OpIAddImm, Kind: isa.KindScalar,
+			insts = append(insts, isa.Inst{Op: isa.OpIShl, Kind: isa.KindScalar,
 				Dst: isa.R(1), Src1: isa.R(1), Imm: 1})
 		}
 		return seqify(insts)
@@ -238,7 +238,7 @@ func TestL2ActivityAccounting(t *testing.T) {
 	mem := NewMemSystem(MemVectorCache, vmem.DefaultTiming(), 4, false)
 	insts := seqify([]isa.Inst{
 		{Op: isa.OpVLoad, Kind: isa.KindMOMMem, Dst: isa.V(1), VL: 16, Stride: 176, Addr: 0x2000},
-		{Op: isa.OpLoad, Kind: isa.KindScalarMem, Dst: isa.R(1), Imm: 8, Addr: 0x80000},
+		{Op: isa.OpLoadS, Kind: isa.KindScalarMem, Dst: isa.R(1), Imm: 8, Addr: 0x80000},
 	})
 	simulate(MOMCore(), mem, insts)
 	if mem.L2Activity() != mem.VM.Stats().Accesses+mem.ScalarL2Accesses {

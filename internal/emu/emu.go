@@ -83,49 +83,19 @@ func (m *Machine) execScalar(in *isa.Inst) error {
 	b := int64(m.Int[in.Src2.Index()])
 	var r int64
 	switch in.Op {
-	case isa.OpNop, isa.OpBr, isa.OpJump:
+	case isa.OpBr:
 		return nil // control flow outcome is recorded in the trace
 	case isa.OpIMovImm:
 		r = in.Imm
 	case isa.OpIMov:
 		r = a
-	case isa.OpIAdd:
-		r = a + b
-	case isa.OpIAddImm:
-		r = a + in.Imm
-	case isa.OpISub:
-		r = a - b
-	case isa.OpIMul:
-		r = a * b
-	case isa.OpIAnd:
-		r = a & b
-	case isa.OpIOr:
-		r = a | b
-	case isa.OpIXor:
-		r = a ^ b
 	case isa.OpIShl:
 		r = int64(uint64(a) << uint(in.Imm&63))
-	case isa.OpIShr:
-		r = int64(uint64(a) >> uint(in.Imm&63))
 	case isa.OpISra:
 		r = a >> uint(in.Imm&63)
-	case isa.OpISltI:
-		if a < in.Imm {
-			r = 1
-		}
 	case isa.OpISlt:
 		if a < b {
 			r = 1
-		}
-	case isa.OpIMin:
-		r = a
-		if b < a {
-			r = b
-		}
-	case isa.OpIMax:
-		r = a
-		if b > a {
-			r = b
 		}
 	case isa.OpAccMov:
 		if in.Src1.Class() != isa.RCAcc {
@@ -160,24 +130,15 @@ func (m *Machine) execScalar(in *isa.Inst) error {
 func (m *Machine) execScalarMem(in *isa.Inst) error {
 	size := int(in.Imm)
 	switch in.Op {
-	case isa.OpLoad, isa.OpLoadS:
+	case isa.OpLoadS:
 		var v uint64
 		switch size {
 		case 1:
-			v = uint64(m.Mem.ReadU8(in.Addr))
-			if in.Op == isa.OpLoadS {
-				v = uint64(int64(int8(v)))
-			}
+			v = uint64(int8(m.Mem.ReadU8(in.Addr)))
 		case 2:
-			v = uint64(m.Mem.ReadU16(in.Addr))
-			if in.Op == isa.OpLoadS {
-				v = uint64(int64(int16(v)))
-			}
+			v = uint64(int16(m.Mem.ReadU16(in.Addr)))
 		case 4:
-			v = uint64(m.Mem.ReadU32(in.Addr))
-			if in.Op == isa.OpLoadS {
-				v = uint64(int64(int32(v)))
-			}
+			v = uint64(int32(m.Mem.ReadU32(in.Addr)))
 		case 8:
 			v = m.Mem.ReadU64(in.Addr)
 		default:
@@ -204,40 +165,15 @@ func (m *Machine) execScalarMem(in *isa.Inst) error {
 	return fmt.Errorf("emu: op %s is not scalar memory", in.Op.Name())
 }
 
-// packedUnary lists packed opcodes that take an immediate instead of a
-// second register source.
-func packedImmOperand(op isa.Op) bool {
-	switch op {
-	case isa.OpPSllW, isa.OpPSrlW, isa.OpPSraW, isa.OpPSllD, isa.OpPSrlD,
-		isa.OpPSraD, isa.OpPSllQ, isa.OpPSrlQ, isa.OpPShufW:
-		return true
-	}
-	return false
-}
-
 // evalPacked applies one packed operation to 64-bit lanes a, b.
 func evalPacked(op isa.Op, a, b uint64, imm int64) (uint64, error) {
 	switch op {
-	case isa.OpPAddB:
-		return usimd.PAddB(a, b), nil
 	case isa.OpPAddW:
 		return usimd.PAddW(a, b), nil
 	case isa.OpPAddD:
 		return usimd.PAddD(a, b), nil
-	case isa.OpPAddSW:
-		return usimd.PAddSW(a, b), nil
-	case isa.OpPAddUSB:
-		return usimd.PAddUSB(a, b), nil
-	case isa.OpPSubB:
-		return usimd.PSubB(a, b), nil
 	case isa.OpPSubW:
 		return usimd.PSubW(a, b), nil
-	case isa.OpPSubD:
-		return usimd.PSubD(a, b), nil
-	case isa.OpPSubSW:
-		return usimd.PSubSW(a, b), nil
-	case isa.OpPSubUSB:
-		return usimd.PSubUSB(a, b), nil
 	case isa.OpPMullW:
 		return usimd.PMullW(a, b), nil
 	case isa.OpPMulhW:
@@ -246,40 +182,18 @@ func evalPacked(op isa.Op, a, b uint64, imm int64) (uint64, error) {
 		return usimd.PMAddWD(a, b), nil
 	case isa.OpPAvgB:
 		return usimd.PAvgB(a, b), nil
-	case isa.OpPMinUB:
-		return usimd.PMinUB(a, b), nil
-	case isa.OpPMaxUB:
-		return usimd.PMaxUB(a, b), nil
 	case isa.OpPSadBW:
 		return usimd.PSadBW(a, b), nil
-	case isa.OpPAnd:
-		return usimd.PAnd(a, b), nil
-	case isa.OpPOr:
-		return usimd.POr(a, b), nil
 	case isa.OpPXor:
 		return usimd.PXor(a, b), nil
-	case isa.OpPAndN:
-		return usimd.PAndN(a, b), nil
-	case isa.OpPSllW:
-		return usimd.PSllW(a, int(imm)), nil
-	case isa.OpPSrlW:
-		return usimd.PSrlW(a, int(imm)), nil
 	case isa.OpPSraW:
 		return usimd.PSraW(a, int(imm)), nil
-	case isa.OpPSllD:
-		return usimd.PSllD(a, int(imm)), nil
-	case isa.OpPSrlD:
-		return usimd.PSrlD(a, int(imm)), nil
 	case isa.OpPSraD:
 		return usimd.PSraD(a, int(imm)), nil
-	case isa.OpPSllQ:
-		return usimd.PSllQ(a, int(imm)), nil
 	case isa.OpPSrlQ:
 		return usimd.PSrlQ(a, int(imm)), nil
 	case isa.OpPackUSWB:
 		return usimd.PackUSWB(a, b), nil
-	case isa.OpPackSSWB:
-		return usimd.PackSSWB(a, b), nil
 	case isa.OpPackSSDW:
 		return usimd.PackSSDW(a, b), nil
 	case isa.OpPUnpckLDQ:
@@ -303,14 +217,7 @@ func evalPacked(op isa.Op, a, b uint64, imm int64) (uint64, error) {
 // execPacked executes a packed ALU operation over the first vl elements of
 // the operand registers (vl = 1 for μSIMD instructions).
 func (m *Machine) execPacked(in *isa.Inst, vl int) error {
-	switch in.Op {
-	case isa.OpVMovI2V:
-		if in.Dst.Class() != isa.RCVec || in.Src1.Class() != isa.RCInt {
-			return fmt.Errorf("emu: vmovi2v operand classes %v, %v", in.Dst, in.Src1)
-		}
-		m.Vec[in.Dst.Index()][0] = m.Int[in.Src1.Index()]
-		return nil
-	case isa.OpVSplatW:
+	if in.Op == isa.OpVSplatW {
 		if in.Dst.Class() != isa.RCVec || in.Src1.Class() != isa.RCInt {
 			return fmt.Errorf("emu: vsplatw operand classes %v, %v", in.Dst, in.Src1)
 		}
@@ -329,7 +236,7 @@ func (m *Machine) execPacked(in *isa.Inst, vl int) error {
 			return fmt.Errorf("emu: packed source %v is not a vector register", in.Src2)
 		}
 		s2 = in.Src2.Index()
-	} else if !packedImmOperand(in.Op) {
+	} else if !in.Op.HasImm() {
 		return fmt.Errorf("emu: packed op %s missing second source", in.Op.Name())
 	}
 	for e := 0; e < vl; e++ {
@@ -359,7 +266,7 @@ func (m *Machine) execMOM(in *isa.Inst) error {
 		return err
 	}
 	switch in.Op {
-	case isa.OpVSadAcc, isa.OpVMacAcc, isa.OpVAddWAcc:
+	case isa.OpVSadAcc, isa.OpVMacAcc:
 		return m.execAccumulate(in)
 	}
 	return m.execPacked(in, in.VL)
@@ -389,10 +296,6 @@ func (m *Machine) execAccumulate(in *isa.Inst) error {
 			b := m.Vec[in.Src2.Index()][e]
 			for w := 0; w < 4; w++ {
 				sum += int64(int16(usimd.Word(a, w))) * int64(int16(usimd.Word(b, w)))
-			}
-		case isa.OpVAddWAcc:
-			for w := 0; w < 4; w++ {
-				sum += int64(int16(usimd.Word(a, w)))
 			}
 		}
 	}

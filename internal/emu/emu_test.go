@@ -21,22 +21,21 @@ func TestScalarALU(t *testing.T) {
 	m := newM()
 	mustExec(t, m, isa.Inst{Op: isa.OpIMovImm, Kind: isa.KindScalar, Dst: isa.R(1), Imm: 40})
 	mustExec(t, m, isa.Inst{Op: isa.OpIMovImm, Kind: isa.KindScalar, Dst: isa.R(2), Imm: -2})
-	mustExec(t, m, isa.Inst{Op: isa.OpIAdd, Kind: isa.KindScalar, Dst: isa.R(3), Src1: isa.R(1), Src2: isa.R(2)})
-	if m.IntVal(isa.R(3)) != 38 {
-		t.Errorf("add: %d", m.IntVal(isa.R(3)))
+	mustExec(t, m, isa.Inst{Op: isa.OpIMov, Kind: isa.KindScalar, Dst: isa.R(3), Src1: isa.R(2)})
+	if m.IntVal(isa.R(3)) != -2 {
+		t.Errorf("mov: %d", m.IntVal(isa.R(3)))
 	}
-	mustExec(t, m, isa.Inst{Op: isa.OpIMul, Kind: isa.KindScalar, Dst: isa.R(4), Src1: isa.R(1), Src2: isa.R(2)})
-	if m.IntVal(isa.R(4)) != -80 {
-		t.Errorf("mul: %d", m.IntVal(isa.R(4)))
+	mustExec(t, m, isa.Inst{Op: isa.OpIShl, Kind: isa.KindScalar, Dst: isa.R(4), Src1: isa.R(2), Imm: 3})
+	if m.IntVal(isa.R(4)) != -16 {
+		t.Errorf("shl: %d", m.IntVal(isa.R(4)))
 	}
 	mustExec(t, m, isa.Inst{Op: isa.OpISlt, Kind: isa.KindScalar, Dst: isa.R(5), Src1: isa.R(2), Src2: isa.R(1)})
 	if m.IntVal(isa.R(5)) != 1 {
 		t.Error("slt must be signed")
 	}
-	mustExec(t, m, isa.Inst{Op: isa.OpIMin, Kind: isa.KindScalar, Dst: isa.R(6), Src1: isa.R(1), Src2: isa.R(2)})
-	mustExec(t, m, isa.Inst{Op: isa.OpIMax, Kind: isa.KindScalar, Dst: isa.R(7), Src1: isa.R(1), Src2: isa.R(2)})
-	if m.IntVal(isa.R(6)) != -2 || m.IntVal(isa.R(7)) != 40 {
-		t.Error("min/max wrong")
+	mustExec(t, m, isa.Inst{Op: isa.OpISra, Kind: isa.KindScalar, Dst: isa.R(6), Src1: isa.R(4), Imm: 2})
+	if m.IntVal(isa.R(6)) != -4 {
+		t.Errorf("sra must be arithmetic: %d", m.IntVal(isa.R(6)))
 	}
 }
 
@@ -44,7 +43,7 @@ func TestScalarMemory(t *testing.T) {
 	m := newM()
 	m.Int[1] = 0x1234567890
 	mustExec(t, m, isa.Inst{Op: isa.OpStore, Kind: isa.KindScalarMem, Src2: isa.R(1), Imm: 8, Addr: 0x100, IsStore: true})
-	mustExec(t, m, isa.Inst{Op: isa.OpLoad, Kind: isa.KindScalarMem, Dst: isa.R(2), Imm: 8, Addr: 0x100})
+	mustExec(t, m, isa.Inst{Op: isa.OpLoadS, Kind: isa.KindScalarMem, Dst: isa.R(2), Imm: 8, Addr: 0x100})
 	if m.IntVal(isa.R(2)) != 0x1234567890 {
 		t.Error("64-bit round trip failed")
 	}
@@ -54,12 +53,15 @@ func TestScalarMemory(t *testing.T) {
 	if m.IntVal(isa.R(3)) != -1 {
 		t.Errorf("sign-extended byte = %d, want -1", m.IntVal(isa.R(3)))
 	}
-	mustExec(t, m, isa.Inst{Op: isa.OpLoad, Kind: isa.KindScalarMem, Dst: isa.R(4), Imm: 1, Addr: 0x200})
-	if m.IntVal(isa.R(4)) != 255 {
-		t.Errorf("zero-extended byte = %d, want 255", m.IntVal(isa.R(4)))
+	m.Mem.WriteU16(0x210, 0x8000)
+	m.Mem.WriteU32(0x220, 0x7fffffff)
+	mustExec(t, m, isa.Inst{Op: isa.OpLoadS, Kind: isa.KindScalarMem, Dst: isa.R(4), Imm: 2, Addr: 0x210})
+	mustExec(t, m, isa.Inst{Op: isa.OpLoadS, Kind: isa.KindScalarMem, Dst: isa.R(5), Imm: 4, Addr: 0x220})
+	if m.IntVal(isa.R(4)) != -32768 || m.IntVal(isa.R(5)) != 0x7fffffff {
+		t.Errorf("sign-extended half, word = %d, %d", m.IntVal(isa.R(4)), m.IntVal(isa.R(5)))
 	}
 	// Bad size is an error.
-	in := isa.Inst{Op: isa.OpLoad, Kind: isa.KindScalarMem, Dst: isa.R(5), Imm: 3, Addr: 0}
+	in := isa.Inst{Op: isa.OpLoadS, Kind: isa.KindScalarMem, Dst: isa.R(5), Imm: 3, Addr: 0}
 	if err := m.Exec(&in); err == nil {
 		t.Error("load size 3 must fail")
 	}
@@ -69,18 +71,18 @@ func TestUSIMDOps(t *testing.T) {
 	m := newM()
 	m.Vec[1][0] = 0x0102030405060708
 	m.Vec[2][0] = 0x1010101010101010
-	mustExec(t, m, isa.Inst{Op: isa.OpPAddB, Kind: isa.KindUSIMD, Dst: isa.V(3), Src1: isa.V(1), Src2: isa.V(2)})
-	if m.Vec[3][0] != usimd.PAddB(0x0102030405060708, 0x1010101010101010) {
-		t.Error("usimd paddb mismatch")
+	mustExec(t, m, isa.Inst{Op: isa.OpPAddW, Kind: isa.KindUSIMD, Dst: isa.V(3), Src1: isa.V(1), Src2: isa.V(2)})
+	if m.Vec[3][0] != usimd.PAddW(0x0102030405060708, 0x1010101010101010) {
+		t.Error("usimd paddw mismatch")
 	}
-	mustExec(t, m, isa.Inst{Op: isa.OpPSllW, Kind: isa.KindUSIMD, Dst: isa.V(4), Src1: isa.V(1), Imm: 4})
-	if m.Vec[4][0] != usimd.PSllW(0x0102030405060708, 4) {
+	mustExec(t, m, isa.Inst{Op: isa.OpPSraW, Kind: isa.KindUSIMD, Dst: isa.V(4), Src1: isa.V(1), Imm: 4})
+	if m.Vec[4][0] != usimd.PSraW(0x0102030405060708, 4) {
 		t.Error("usimd shift mismatch")
 	}
 	// Missing second source on a two-source op is an error.
-	in := isa.Inst{Op: isa.OpPAddB, Kind: isa.KindUSIMD, Dst: isa.V(3), Src1: isa.V(1)}
+	in := isa.Inst{Op: isa.OpPAddW, Kind: isa.KindUSIMD, Dst: isa.V(3), Src1: isa.V(1)}
 	if err := m.Exec(&in); err == nil {
-		t.Error("paddb without src2 must fail")
+		t.Error("paddw without src2 must fail")
 	}
 }
 
@@ -91,9 +93,9 @@ func TestMOMElementwise(t *testing.T) {
 		m.Vec[2][e] = 0x0202020202020202
 	}
 	m.Vec[1][9] = 0xdead // beyond VL, must not be touched
-	mustExec(t, m, isa.Inst{Op: isa.OpPAddB, Kind: isa.KindMOM, Dst: isa.V(1), Src1: isa.V(1), Src2: isa.V(2), VL: 8})
+	mustExec(t, m, isa.Inst{Op: isa.OpPAddW, Kind: isa.KindMOM, Dst: isa.V(1), Src1: isa.V(1), Src2: isa.V(2), VL: 8})
 	for e := 0; e < 8; e++ {
-		want := usimd.PAddB(uint64(e)*0x0101010101010101, 0x0202020202020202)
+		want := usimd.PAddW(uint64(e)*0x0101010101010101, 0x0202020202020202)
 		if m.Vec[1][e] != want {
 			t.Errorf("elem %d: got %x want %x", e, m.Vec[1][e], want)
 		}
@@ -102,7 +104,7 @@ func TestMOMElementwise(t *testing.T) {
 		t.Error("elements beyond VL must be untouched")
 	}
 	// VL out of range.
-	in := isa.Inst{Op: isa.OpPAddB, Kind: isa.KindMOM, Dst: isa.V(1), Src1: isa.V(1), Src2: isa.V(2), VL: 17}
+	in := isa.Inst{Op: isa.OpPAddW, Kind: isa.KindMOM, Dst: isa.V(1), Src1: isa.V(1), Src2: isa.V(2), VL: 17}
 	if err := m.Exec(&in); err == nil {
 		t.Error("VL=17 must fail")
 	}
@@ -268,8 +270,8 @@ func TestExecErrors(t *testing.T) {
 		{Op: isa.Op3DVMov, Kind: isa.Kind3DMove, Dst: isa.V(0), Src1: isa.V(1), VL: 1},                // src not 3D
 		{Op: isa.Op3DVMov, Kind: isa.Kind3DMove, Dst: isa.V(0), Src1: isa.D(0), Ptr: isa.P(1), VL: 1}, // ptr mismatch
 		{Op: isa.OpVSadAcc, Kind: isa.KindMOM, Dst: isa.V(0), Src1: isa.V(1), Src2: isa.V(2), VL: 1},  // dst not acc
-		{Op: isa.OpIAdd, Kind: isa.KindScalar, Dst: isa.V(0), Src1: isa.R(0), Src2: isa.R(0)},         // dst not int
-		{Op: isa.OpPAddB, Kind: isa.KindUSIMD, Dst: isa.R(0), Src1: isa.V(0), Src2: isa.V(1)},         // dst not vec
+		{Op: isa.OpISlt, Kind: isa.KindScalar, Dst: isa.V(0), Src1: isa.R(0), Src2: isa.R(0)},         // dst not int
+		{Op: isa.OpPAddW, Kind: isa.KindUSIMD, Dst: isa.R(0), Src1: isa.V(0), Src2: isa.V(1)},         // dst not vec
 	}
 	for i := range bad {
 		if err := m.Exec(&bad[i]); err == nil {
@@ -286,10 +288,6 @@ func TestSplatAndMoves(t *testing.T) {
 		if m.Vec[1][e] != 0xabcdabcdabcdabcd {
 			t.Errorf("splat elem %d = %x", e, m.Vec[1][e])
 		}
-	}
-	mustExec(t, m, isa.Inst{Op: isa.OpVMovI2V, Kind: isa.KindUSIMD, Dst: isa.V(2), Src1: isa.R(1)})
-	if m.Vec[2][0] != 0xabcd {
-		t.Error("vmovi2v wrong")
 	}
 	m.Vec[3][5] = 777
 	mustExec(t, m, isa.Inst{Op: isa.OpVMovV2I, Kind: isa.KindScalar, Dst: isa.R(2), Src1: isa.V(3), Imm: 5})

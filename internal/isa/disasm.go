@@ -20,10 +20,7 @@ func (in *Inst) String() string {
 	if in.Src2.Valid() {
 		ops = append(ops, in.Src2.String())
 	}
-	switch in.Op {
-	case OpIMovImm, OpIAddImm, OpIShl, OpIShr, OpISltI,
-		OpPSllW, OpPSrlW, OpPSraW, OpPSllD, OpPSrlD, OpPSraD,
-		OpPSllQ, OpPSrlQ, OpPShufW, OpVMovV2I:
+	if in.Op.HasImm() {
 		ops = append(ops, fmt.Sprintf("#%d", in.Imm))
 	}
 	b.WriteString(strings.Join(ops, ", "))

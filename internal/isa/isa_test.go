@@ -136,7 +136,7 @@ func TestElemAddrsNegativeStride(t *testing.T) {
 }
 
 func TestElemAddrsScalar(t *testing.T) {
-	in := &Inst{Op: OpLoad, Kind: KindScalarMem, Addr: 0x42, Imm: 4}
+	in := &Inst{Op: OpLoadS, Kind: KindScalarMem, Addr: 0x42, Imm: 4}
 	got := footprint(in)
 	if len(got) != 1 || got[0].size != 4 || got[0].addr != 0x42 {
 		t.Errorf("got %+v", got)
@@ -144,7 +144,7 @@ func TestElemAddrsScalar(t *testing.T) {
 	if in.Bytes() != 4 {
 		t.Errorf("Bytes = %d, want 4", in.Bytes())
 	}
-	alu := &Inst{Op: OpIAdd, Kind: KindScalar, VL: 4}
+	alu := &Inst{Op: OpISlt, Kind: KindScalar, VL: 4}
 	if alu.Elems() != 0 || alu.Bytes() != 0 {
 		t.Errorf("ALU op: Elems = %d, Bytes = %d, want 0, 0", alu.Elems(), alu.Bytes())
 	}
@@ -172,7 +172,7 @@ func TestLatencies(t *testing.T) {
 	if ECSimple.Latency() != 1 {
 		t.Error("simple ops must be single cycle")
 	}
-	if ECPMul.Latency() != 3 || ECPSad.Latency() != 3 || ECIMul.Latency() != 3 {
+	if ECPMul.Latency() != 3 || ECPSad.Latency() != 3 {
 		t.Error("multiply/SAD pipelines must be 3 cycles")
 	}
 	if ECMove3D.Latency() != 3 {
@@ -184,13 +184,13 @@ func TestLatencies(t *testing.T) {
 }
 
 func TestIsPacked(t *testing.T) {
-	packed := []Op{OpPAddB, OpPSadBW, OpPShufW, OpPackUSWB, OpPSrlQ}
+	packed := []Op{OpPAddW, OpPSadBW, OpPShufW, OpPackUSWB, OpPSrlQ}
 	for _, o := range packed {
 		if !o.IsPacked() {
 			t.Errorf("%v should be packed", o)
 		}
 	}
-	notPacked := []Op{OpIAdd, OpVLoad, Op3DVLoad, Op3DVMov, OpVSadAcc, OpBr}
+	notPacked := []Op{OpISlt, OpVLoad, Op3DVLoad, Op3DVMov, OpVSadAcc, OpBr}
 	for _, o := range notPacked {
 		if o.IsPacked() {
 			t.Errorf("%v should not be packed", o)
@@ -203,7 +203,9 @@ func TestDisasm(t *testing.T) {
 		in   Inst
 		want string
 	}{
-		{Inst{Op: OpIAdd, Kind: KindScalar, Dst: R(1), Src1: R(2), Src2: R(3)}, "add      r1, r2, r3"},
+		{Inst{Op: OpISlt, Kind: KindScalar, Dst: R(1), Src1: R(2), Src2: R(3)}, "slt      r1, r2, r3"},
+		{Inst{Op: OpPSraW, Kind: KindMOM, Dst: V(1), Src1: V(2), Imm: 3, VL: 4}, "mom.psraw v1, v2, #3 vl=4"},
+		{Inst{Op: OpVMovV2I, Kind: KindScalar, Dst: R(5), Src1: V(2), Imm: 7}, "vmovv2i  r5, v2, #7"},
 		{Inst{Op: OpVLoad, Kind: KindMOMMem, Dst: V(2), Addr: 0x100, VL: 8, Stride: 64},
 			"mom.vload v2 [0x100] vl=8 vs=64"},
 		{Inst{Op: Op3DVLoad, Kind: Kind3DLoad, Dst: D(0), Addr: 0x200, VL: 8, Stride: 176, Width: 16},
@@ -221,7 +223,7 @@ func TestDisasm(t *testing.T) {
 
 func TestInstStringAllKindsNonEmpty(t *testing.T) {
 	for k := KindScalar; k <= Kind3DMove; k++ {
-		in := Inst{Op: OpNop, Kind: k}
+		in := Inst{Op: OpIMov, Kind: k}
 		if in.String() == "" {
 			t.Errorf("kind %v: empty disassembly", k)
 		}

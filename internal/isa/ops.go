@@ -2,76 +2,45 @@ package isa
 
 import "fmt"
 
-// Op enumerates every operation in the combined scalar + μSIMD + MOM + 3D
-// instruction repertoire. Packed operations (OpPAddB ... OpPSrlQ) are shared
-// between the μSIMD and MOM instruction kinds: under KindUSIMD they operate
-// on one 64-bit register, under KindMOM they are replicated over VL register
-// elements (the second dimension of vectorization).
+// Op enumerates the operations the kernels emit: scalar, μSIMD, MOM and
+// 3D. An opcode lands with the kernel that emits it
+// (internal/kernels TestEveryOpcodeIsEmitted). Packed operations
+// (OpPAddW ... OpPShufW) are shared between the μSIMD and MOM
+// instruction kinds: under KindUSIMD they operate on one 64-bit
+// register, under KindMOM they are replicated over VL register elements
+// (the second dimension of vectorization).
 type Op uint8
 
 const (
-	OpNop Op = iota
-
 	// Scalar integer operations.
-	OpIMovImm // dst = imm
-	OpIMov    // dst = src1
-	OpIAdd    // dst = src1 + src2
-	OpIAddImm // dst = src1 + imm
-	OpISub    // dst = src1 - src2
-	OpIMul    // dst = src1 * src2
-	OpIAnd
-	OpIOr
-	OpIXor
-	OpIShl  // dst = src1 << imm
-	OpIShr  // dst = src1 >> imm (logical)
-	OpISra  // dst = src1 >> imm (arithmetic)
-	OpISltI // dst = src1 < imm ? 1 : 0 (signed)
-	OpISlt  // dst = src1 < src2 ? 1 : 0 (signed)
-	OpIMin  // dst = min(src1, src2) (signed)
-	OpIMax  // dst = max(src1, src2) (signed)
+	OpIMovImm Op = iota // dst = imm
+	OpIMov              // dst = src1
+	OpIShl              // dst = src1 << imm
+	OpISra              // dst = src1 >> imm (arithmetic)
+	OpISlt              // dst = src1 < src2 ? 1 : 0 (signed)
 
 	// Control flow. Branches carry their dynamic outcome in Inst.Taken.
-	OpBr   // conditional branch on src1 != 0
-	OpJump // unconditional jump / call / return
+	OpBr // conditional branch on src1 != 0
 
 	// Scalar memory. The access size in bytes travels in Inst.Imm.
-	OpLoad  // dst = mem[Addr], zero-extended
 	OpLoadS // dst = mem[Addr], sign-extended
 	OpStore // mem[Addr] = src2
 
 	// Packed 64-bit operations (μSIMD under KindUSIMD, per-element 2D
 	// vector under KindMOM).
-	OpPAddB   // 8x8-bit wrapping add
 	OpPAddW   // 4x16-bit wrapping add
 	OpPAddD   // 2x32-bit wrapping add
-	OpPAddSW  // 4x16-bit signed saturating add
-	OpPAddUSB // 8x8-bit unsigned saturating add
-	OpPSubB
-	OpPSubW
-	OpPSubD
-	OpPSubSW  // 4x16-bit signed saturating subtract
-	OpPSubUSB // 8x8-bit unsigned saturating subtract
+	OpPSubW   // 4x16-bit wrapping subtract
 	OpPMullW  // 4x16-bit multiply, low halves
 	OpPMulhW  // 4x16-bit signed multiply, high halves
 	OpPMAddWD // 4x16 -> 2x32 multiply-add pairs
 	OpPAvgB   // 8x8-bit unsigned rounding average
-	OpPMinUB
-	OpPMaxUB
-	OpPSadBW // sum of absolute differences of 8 bytes -> 64-bit scalar sum
-	OpPAnd
-	OpPOr
+	OpPSadBW  // sum of absolute differences of 8 bytes -> 64-bit scalar sum
 	OpPXor
-	OpPAndN
-	OpPSllW // shift counts travel in Inst.Imm
-	OpPSrlW
-	OpPSraW
-	OpPSllD
-	OpPSrlD
-	OpPSraD
-	OpPSllQ
-	OpPSrlQ
+	OpPSraW     // 4x16-bit arithmetic right shift by Imm
+	OpPSraD     // 2x32-bit arithmetic right shift by Imm
+	OpPSrlQ     // 64-bit logical right shift by Imm
 	OpPackUSWB  // pack 4+4 signed words to 8 unsigned saturated bytes
-	OpPackSSWB  // pack 4+4 signed words to 8 signed saturated bytes
 	OpPackSSDW  // pack 2+2 signed dwords to 4 signed saturated words
 	OpPUnpckLBW // interleave low 4 bytes of src1/src2 into 4 words' bytes
 	OpPUnpckHBW
@@ -82,7 +51,6 @@ const (
 	OpPShufW    // shuffle 4 words by immediate control
 
 	// Multimedia register moves.
-	OpVMovI2V // vec[0:63] = scalar src1 (broadcast not implied)
 	OpVMovV2I // scalar dst = vec element word (Imm selects element)
 	OpVSplatW // broadcast low 16 bits of scalar src1 across register/elements
 
@@ -92,11 +60,10 @@ const (
 	OpVStore
 
 	// MOM packed-accumulator operations (192-bit accumulator RF).
-	OpVSadAcc  // acc += sum over elements of SAD(src1[e], src2[e])
-	OpVMacAcc  // acc += sum over elements of dot16(src1[e], src2[e])
-	OpVAddWAcc // acc += sum over elements of sum of 4 words (signed)
-	OpAccClr   // acc = 0
-	OpAccMov   // scalar dst = saturated/truncated accumulator value
+	OpVSadAcc // acc += sum over elements of SAD(src1[e], src2[e])
+	OpVMacAcc // acc += sum over elements of dot16(src1[e], src2[e])
+	OpAccClr  // acc = 0
+	OpAccMov  // scalar dst = saturated/truncated accumulator value
 
 	// 3D memory vectorization extension (the paper's new instructions).
 	Op3DVLoad // dvload DRi <- [Addr], stride, W words/elem, flag b
@@ -115,8 +82,6 @@ type ExecClass uint8
 const (
 	// ECSimple executes in one cycle (ALU, logic, moves).
 	ECSimple ExecClass = iota
-	// ECIMul is the scalar integer multiplier.
-	ECIMul
 	// ECPMul is the packed multiplier pipeline (pmull/pmulh/pmadd).
 	ECPMul
 	// ECPSad is the packed sum-of-absolute-differences pipeline.
@@ -131,87 +96,54 @@ const (
 type opInfo struct {
 	name  string
 	class ExecClass
+	imm   bool // Imm is an operand (HasImm)
 }
 
 var opTable = [opCount]opInfo{
-	OpNop:     {"nop", ECSimple},
-	OpIMovImm: {"movi", ECSimple},
-	OpIMov:    {"mov", ECSimple},
-	OpIAdd:    {"add", ECSimple},
-	OpIAddImm: {"addi", ECSimple},
-	OpISub:    {"sub", ECSimple},
-	OpIMul:    {"mul", ECIMul},
-	OpIAnd:    {"and", ECSimple},
-	OpIOr:     {"or", ECSimple},
-	OpIXor:    {"xor", ECSimple},
-	OpIShl:    {"shl", ECSimple},
-	OpIShr:    {"shr", ECSimple},
-	OpISra:    {"sra", ECSimple},
-	OpISltI:   {"slti", ECSimple},
-	OpISlt:    {"slt", ECSimple},
-	OpIMin:    {"min", ECSimple},
-	OpIMax:    {"max", ECSimple},
-	OpBr:      {"br", ECSimple},
-	OpJump:    {"jmp", ECSimple},
-	OpLoad:    {"ld", ECMem},
-	OpLoadS:   {"lds", ECMem},
-	OpStore:   {"st", ECMem},
+	OpIMovImm: {"movi", ECSimple, true},
+	OpIMov:    {"mov", ECSimple, false},
+	OpIShl:    {"shl", ECSimple, true},
+	OpISra:    {"sra", ECSimple, false},
+	OpISlt:    {"slt", ECSimple, false},
+	OpBr:      {"br", ECSimple, false},
+	OpLoadS:   {"lds", ECMem, false},
+	OpStore:   {"st", ECMem, false},
 
-	OpPAddB:     {"paddb", ECSimple},
-	OpPAddW:     {"paddw", ECSimple},
-	OpPAddD:     {"paddd", ECSimple},
-	OpPAddSW:    {"paddsw", ECSimple},
-	OpPAddUSB:   {"paddusb", ECSimple},
-	OpPSubB:     {"psubb", ECSimple},
-	OpPSubW:     {"psubw", ECSimple},
-	OpPSubD:     {"psubd", ECSimple},
-	OpPSubSW:    {"psubsw", ECSimple},
-	OpPSubUSB:   {"psubusb", ECSimple},
-	OpPMullW:    {"pmullw", ECPMul},
-	OpPMulhW:    {"pmulhw", ECPMul},
-	OpPMAddWD:   {"pmaddwd", ECPMul},
-	OpPAvgB:     {"pavgb", ECSimple},
-	OpPMinUB:    {"pminub", ECSimple},
-	OpPMaxUB:    {"pmaxub", ECSimple},
-	OpPSadBW:    {"psadbw", ECPSad},
-	OpPAnd:      {"pand", ECSimple},
-	OpPOr:       {"por", ECSimple},
-	OpPXor:      {"pxor", ECSimple},
-	OpPAndN:     {"pandn", ECSimple},
-	OpPSllW:     {"psllw", ECSimple},
-	OpPSrlW:     {"psrlw", ECSimple},
-	OpPSraW:     {"psraw", ECSimple},
-	OpPSllD:     {"pslld", ECSimple},
-	OpPSrlD:     {"psrld", ECSimple},
-	OpPSraD:     {"psrad", ECSimple},
-	OpPSllQ:     {"psllq", ECSimple},
-	OpPSrlQ:     {"psrlq", ECSimple},
-	OpPackUSWB:  {"packuswb", ECSimple},
-	OpPackSSWB:  {"packsswb", ECSimple},
-	OpPackSSDW:  {"packssdw", ECSimple},
-	OpPUnpckLBW: {"punpcklbw", ECSimple},
-	OpPUnpckHBW: {"punpckhbw", ECSimple},
-	OpPUnpckLWD: {"punpcklwd", ECSimple},
-	OpPUnpckHWD: {"punpckhwd", ECSimple},
-	OpPUnpckLDQ: {"punpckldq", ECSimple},
-	OpPUnpckHDQ: {"punpckhdq", ECSimple},
-	OpPShufW:    {"pshufw", ECSimple},
+	OpPAddW:     {"paddw", ECSimple, false},
+	OpPAddD:     {"paddd", ECSimple, false},
+	OpPSubW:     {"psubw", ECSimple, false},
+	OpPMullW:    {"pmullw", ECPMul, false},
+	OpPMulhW:    {"pmulhw", ECPMul, false},
+	OpPMAddWD:   {"pmaddwd", ECPMul, false},
+	OpPAvgB:     {"pavgb", ECSimple, false},
+	OpPSadBW:    {"psadbw", ECPSad, false},
+	OpPXor:      {"pxor", ECSimple, false},
+	OpPSraW:     {"psraw", ECSimple, true},
+	OpPSraD:     {"psrad", ECSimple, true},
+	OpPSrlQ:     {"psrlq", ECSimple, true},
+	OpPackUSWB:  {"packuswb", ECSimple, false},
+	OpPackSSDW:  {"packssdw", ECSimple, false},
+	OpPUnpckLBW: {"punpcklbw", ECSimple, false},
+	OpPUnpckHBW: {"punpckhbw", ECSimple, false},
+	OpPUnpckLWD: {"punpcklwd", ECSimple, false},
+	OpPUnpckHWD: {"punpckhwd", ECSimple, false},
+	OpPUnpckLDQ: {"punpckldq", ECSimple, false},
+	OpPUnpckHDQ: {"punpckhdq", ECSimple, false},
+	OpPShufW:    {"pshufw", ECSimple, true},
 
-	OpVMovI2V: {"vmovi2v", ECSimple},
-	OpVMovV2I: {"vmovv2i", ECSimple},
-	OpVSplatW: {"vsplatw", ECSimple},
+	OpVMovV2I: {"vmovv2i", ECSimple, true},
+	OpVSplatW: {"vsplatw", ECSimple, false},
 
-	OpVLoad:  {"vload", ECMem},
-	OpVStore: {"vstore", ECMem},
+	OpVLoad:  {"vload", ECMem, false},
+	OpVStore: {"vstore", ECMem, false},
 
-	OpVSadAcc:  {"vsadacc", ECPSad},
-	OpVMacAcc:  {"vmacacc", ECPMul},
-	OpVAddWAcc: {"vaddwacc", ECSimple},
-	OpAccClr:   {"accclr", ECSimple},
-	OpAccMov:   {"accmov", ECSimple},
+	OpVSadAcc: {"vsadacc", ECPSad, false},
+	OpVMacAcc: {"vmacacc", ECPMul, false},
+	OpAccClr:  {"accclr", ECSimple, false},
+	OpAccMov:  {"accmov", ECSimple, false},
 
-	Op3DVLoad: {"dvload", ECMem},
-	Op3DVMov:  {"3dvmov", ECMove3D},
+	Op3DVLoad: {"dvload", ECMem, false},
+	Op3DVMov:  {"3dvmov", ECMove3D, false},
 }
 
 // Name returns the opcode mnemonic.
@@ -230,6 +162,12 @@ func (o Op) Class() ExecClass {
 	return ECSimple
 }
 
+// HasImm reports whether the opcode's Imm is an operand: the
+// disassembly prints it, and a packed operation reads it in place of a
+// second source. sra is not marked, so its disassembly omits the shift
+// count it reads from Imm; marking it changes momtrace -dump output.
+func (o Op) HasImm() bool { return int(o) < len(opTable) && opTable[o].imm }
+
 // Latency returns the execution latency in cycles for non-memory classes.
 // Memory latencies are produced by the memory subsystem; ECMove3D latency
 // is the 3-cycle 3D register file access of §5.3.
@@ -237,7 +175,7 @@ func (c ExecClass) Latency() int {
 	switch c {
 	case ECSimple:
 		return 1
-	case ECIMul, ECPMul, ECPSad:
+	case ECPMul, ECPSad:
 		return 3
 	case ECMove3D:
 		return 3
@@ -250,5 +188,5 @@ func (c ExecClass) Latency() int {
 // IsPacked reports whether the opcode is a packed (μSIMD-style) ALU
 // operation shareable between the MMX and MOM instruction kinds.
 func (o Op) IsPacked() bool {
-	return o >= OpPAddB && o <= OpPShufW
+	return o >= OpPAddW && o <= OpPShufW
 }

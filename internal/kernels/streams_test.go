@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
 // TestStreamsMatchGolden pins the instruction streams themselves: for
@@ -35,7 +36,9 @@ var updateGolden = flag.Bool("update-golden", false,
 const streamsGoldenPath = "testdata/streams.txt"
 
 // instHash is a trace sink that counts instructions and hashes each one
-// field by field: every integer and bool field as 8 little-endian bytes.
+// field by field: the opcode as its mnemonic and a zero byte, so the pin
+// holds the program rather than the enum's numbering, and every other
+// integer and bool field as 8 little-endian bytes.
 type instHash struct {
 	n   int
 	h   hash.Hash
@@ -47,6 +50,10 @@ func (s *instHash) Emit(in isa.Inst) {
 	s.buf = s.buf[:0]
 	v := reflect.ValueOf(in)
 	for i := 0; i < v.NumField(); i++ {
+		if v.Type().Field(i).Name == "Op" {
+			s.buf = append(append(s.buf, in.Op.Name()...), 0)
+			continue
+		}
 		f := v.Field(i)
 		var u uint64
 		switch f.Kind() {
@@ -99,5 +106,23 @@ func TestStreamsMatchGolden(t *testing.T) {
 	}
 	if len(gl) != len(wl) {
 		t.Errorf("streamed %d lines, golden has %d", len(gl), len(wl))
+	}
+}
+
+// TestEveryOpcodeIsEmitted holds the ISA to the kernels' traffic: every
+// opcode is emitted by some small benchmark under some variant (the
+// full-size suite emits the same set), so an opcode lands with the
+// kernel that emits it and goes when the last one stops.
+func TestEveryOpcodeIsEmitted(t *testing.T) {
+	st := trace.NewStats()
+	for _, bm := range small() {
+		for _, v := range variants {
+			bm.Run(v, st)
+		}
+	}
+	for op := range isa.NumOps {
+		if st.ByOp[op] == 0 {
+			t.Errorf("no stream emits %s", isa.Op(op).Name())
+		}
 	}
 }

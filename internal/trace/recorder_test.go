@@ -15,9 +15,9 @@ import (
 func emit(n int, tag int64) func(Sink) {
 	return func(s Sink) {
 		for i := 0; i < n; i++ {
-			in := isa.Inst{Seq: uint64(i), Op: isa.OpIAdd, Kind: isa.KindScalar, Imm: tag}
+			in := isa.Inst{Seq: uint64(i), Op: isa.OpISlt, Kind: isa.KindScalar, Imm: tag}
 			if i%3 == 2 {
-				in.Op, in.Kind, in.Addr = isa.OpLoad, isa.KindScalarMem, uint64(8*i)
+				in.Op, in.Kind, in.Addr = isa.OpLoadS, isa.KindScalarMem, uint64(8*i)
 			}
 			s.Emit(in)
 		}
@@ -63,9 +63,9 @@ func checkStream(t *testing.T, s *Stream, st *Stats, n int, tag int64) {
 			t.Fatalf("inst %d of %d: %+v, want %+v", i, n, got, gen.Insts[i])
 		}
 	}
-	if loads := uint64(n / 3); st.Total != uint64(n) || st.ByOp[isa.OpLoad] != loads || st.MemBytes != loads*uint64(tag) {
+	if loads := uint64(n / 3); st.Total != uint64(n) || st.ByOp[isa.OpLoadS] != loads || st.MemBytes != loads*uint64(tag) {
 		t.Fatalf("folded stats counted %d (%d loads, %d bytes), want %d (%d, %d)",
-			st.Total, st.ByOp[isa.OpLoad], st.MemBytes, n, loads, loads*uint64(tag))
+			st.Total, st.ByOp[isa.OpLoadS], st.MemBytes, n, loads, loads*uint64(tag))
 	}
 }
 

@@ -163,8 +163,8 @@ func (c *Cursor) Next() (in *isa.Inst, addr uint64, taken bool) {
 // bench/ uses (core.NewSim, tenant.Options.Traces). It builds the stream
 // as a Recorder does. A Seq that is not the instruction's index panics:
 // a Stream has nowhere to keep it. So do an address of more than 32
-// bits, a 16,385th static instruction, and a 3D load or move whose 3D
-// register is none.
+// bits, a 16,385th static instruction, an opcode or kind the ISA does
+// not define, and a 3D load or move whose 3D register is none.
 func Compact(insts []isa.Inst) *Stream {
 	// Staging sized to the trace: an instruction adds at most one static
 	// entry, one dynamic run and three address words.
@@ -202,15 +202,20 @@ type builder struct {
 // with the outcome and address bits — to the run being cut, cut after a
 // taken instruction or at maxRun words, and stages the address. It
 // refuses what a stream cannot hold: a Seq that is not b.n, an address
-// of more than 32 bits, more than maxStatic static instructions; and a
-// 3D load or move whose register (Dst, Src1) is not a 3D register,
-// which Stats would index its 3D register file by.
+// of more than 32 bits, more than maxStatic static instructions; and
+// what Stats would index its tables by out of range: an opcode or kind
+// the ISA does not define, or a 3D load or move whose register (Dst,
+// Src1) is not a 3D register.
 func (b *builder) add(in *isa.Inst) {
 	if in.Seq != uint64(b.n) {
 		panic(fmt.Sprintf("trace: instruction %d of a stream carries Seq %d", b.n, in.Seq))
 	}
 	if in.Addr>>32 != 0 {
 		panic(fmt.Sprintf("trace: instruction %d of a stream has address %#x, beyond the 32 bits a stream holds", b.n, in.Addr))
+	}
+	if int(in.Op) >= isa.NumOps || in.Kind > isa.Kind3DMove {
+		panic(fmt.Sprintf("trace: instruction %d of a stream is a %v %s, not one of the ISA's %d kinds and %d opcodes",
+			b.n, in.Kind, in.Op.Name(), isa.Kind3DMove+1, isa.NumOps))
 	}
 	if in.Kind == isa.Kind3DLoad || in.Kind == isa.Kind3DMove {
 		r := in.Dst

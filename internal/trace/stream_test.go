@@ -44,20 +44,27 @@ func fuzzTrace(tmpl isa.Inst, dyn []byte) []isa.Inst {
 // the op words are cut into runs by the rule and each distinct run is
 // kept once (checkRuns); Addrs holds a word for each non-zero address
 // and two more for each escape; a Recorder reused from input to input
-// builds what Compact builds (fuzzRec); and a Seq that is not the index,
-// or an address at or beyond 2^32, is refused wherever it sits.
+// builds what Compact builds (fuzzRec), of the trace and then of the
+// trace reversed, which meets none of the trace's entries where the
+// front caches held them; and a Seq that is not the index, an address at
+// or beyond 2^32, an opcode or kind the ISA does not define, or a 3D
+// load or move of no 3D register is refused wherever it sits.
 func FuzzStreamRoundTrip(f *testing.F) {
 	loop := []byte{0, 0x85, 0x0a, 0xff, 0, 0x85, 0x0a, 0xff, 0x12, 0x13, 0, 0x85, 0x0a, 0xff}
 	for k := uint8(0); k < numKinds; k++ {
 		regs := uint64(isa.V(int(k))) | uint64(isa.R(3))<<16 | uint64(isa.D(1))<<32 | uint64(isa.P(1))<<48
-		f.Add(uint8(isa.OpLoad)+k, k, regs, int64(-(1 << 40)), int64(-640), 16, 16, -8, k, loop)
+		f.Add(uint8(isa.OpLoadS)+k, k, regs, int64(-(1 << 40)), int64(-640), 16, 16, -8, k, loop)
 	}
 	f.Add(uint8(0), uint8(0), uint64(0), int64(0), int64(0), 0, 0, 0, uint8(0), []byte{})
+	// An opcode and a kind past the ISA's, the kind wrapped into it by
+	// the variations of the second and third instructions.
+	f.Add(uint8(isa.NumOps), numKinds, uint64(0), int64(0), int64(8), 0, 0, 0, uint8(0), []byte{0, 0x02, 0x0a})
+	f.Add(uint8(255), uint8(isa.KindScalar), uint64(0), int64(0), int64(8), 0, 0, 0, uint8(0), []byte{0x01, 0x85})
 	// A non-memory instruction with an address, a memory instruction at
 	// address 0, a taken instruction that is no branch.
-	f.Add(uint8(isa.OpIAdd), uint8(isa.KindScalar), uint64(0), int64(0), int64(8), 0, 0, 0, uint8(0), []byte{0x10, 0x20, 0x30})
-	f.Add(uint8(isa.OpLoad), uint8(isa.KindScalarMem), uint64(0), int64(4), int64(0), 0, 0, 0, uint8(0), []byte{0, 0, 0})
-	f.Add(uint8(isa.OpIAdd), uint8(isa.KindScalar), uint64(0), int64(0), int64(0), 0, 0, 0, uint8(0), []byte{0x80, 0, 0x80})
+	f.Add(uint8(isa.OpISlt), uint8(isa.KindScalar), uint64(0), int64(0), int64(8), 0, 0, 0, uint8(0), []byte{0x10, 0x20, 0x30})
+	f.Add(uint8(isa.OpLoadS), uint8(isa.KindScalarMem), uint64(0), int64(4), int64(0), 0, 0, 0, uint8(0), []byte{0, 0, 0})
+	f.Add(uint8(isa.OpISlt), uint8(isa.KindScalar), uint64(0), int64(0), int64(0), 0, 0, 0, uint8(0), []byte{0x80, 0, 0x80})
 	// Two instructions that differ only in Kind, which the instruction key
 	// omits: one key, two static entries (a 3D load into d0, a 3D move
 	// from d0).
@@ -66,34 +73,41 @@ func FuzzStreamRoundTrip(f *testing.F) {
 	// Two instructions with different keys in one front slot (Imm + 3
 	// and Imm + 7 of this template), taking turns: each sight after the
 	// first two misses the front cache and is found through the index.
-	f.Add(uint8(isa.OpIAdd), uint8(isa.KindScalar), uint64(0x839ae7ac0000), int64(1<<19-7), int64(8), 0, 0, 0, uint8(0),
+	f.Add(uint8(isa.OpISlt), uint8(isa.KindScalar), uint64(0x839a00360000), int64(1<<19-7), int64(8), 0, 0, 0, uint8(0),
 		[]byte{0x0d, 0x1d, 0x0d, 0x1d})
 	// Runs: 40 words with no taken instruction (cut at maxRun, then the
 	// stream's end), a run that repeats, and a stream whose last
 	// instruction ends a run that began after a taken one.
-	f.Add(uint8(isa.OpIAdd), uint8(isa.KindScalar), uint64(0), int64(0), int64(8), 0, 0, 0, uint8(0),
+	f.Add(uint8(isa.OpISlt), uint8(isa.KindScalar), uint64(0), int64(0), int64(8), 0, 0, 0, uint8(0),
 		slices.Repeat([]byte{0, 0x05, 0x0a, 0x11}, 10))
-	f.Add(uint8(isa.OpIAdd), uint8(isa.KindScalar), uint64(0), int64(0), int64(8), 0, 0, 0, uint8(0),
+	f.Add(uint8(isa.OpISlt), uint8(isa.KindScalar), uint64(0), int64(0), int64(8), 0, 0, 0, uint8(0),
 		[]byte{0x01, 0x06, 0x83, 0x01, 0x06, 0x83, 0x01, 0x06, 0x83})
-	f.Add(uint8(isa.OpIAdd), uint8(isa.KindScalar), uint64(0), int64(0), int64(8), 0, 0, 0, uint8(0),
+	f.Add(uint8(isa.OpISlt), uint8(isa.KindScalar), uint64(0), int64(0), int64(8), 0, 0, 0, uint8(0),
 		[]byte{0x01, 0x86, 0x05, 0x09})
 	// Address steps at the edge of one word and past it, both ways (the
 	// stride's product wraps below 2^32), and far jumps in the top byte.
 	for _, stride := range []int64{0x7fff, 0x8000, -0x7fff, -0x8000, 1 << 20} {
-		f.Add(uint8(isa.OpLoad), uint8(isa.KindScalarMem), uint64(0), int64(4), stride, 0, 0, 0, uint8(0),
+		f.Add(uint8(isa.OpLoadS), uint8(isa.KindScalarMem), uint64(0), int64(4), stride, 0, 0, 0, uint8(0),
 			[]byte{0, 0, 0, 0, 0, 0})
 	}
-	f.Add(uint8(isa.OpLoad), uint8(isa.KindScalarMem), uint64(0), int64(4), int64(16), 0, 0, 0, uint8(0),
+	f.Add(uint8(isa.OpLoadS), uint8(isa.KindScalarMem), uint64(0), int64(4), int64(16), 0, 0, 0, uint8(0),
 		[]byte{0x10, 0x20, 0, 0x7c, 0x7c, 0x04, 0, 0})
 
 	f.Fuzz(func(t *testing.T, op, kind uint8, regs uint64, imm, stride int64, vl, width, ptrStep int, flags uint8, dyn []byte) {
-		insts := fuzzTrace(isa.Inst{Op: isa.Op(int(op) % isa.NumOps), Kind: isa.Kind(kind % numKinds),
+		insts := fuzzTrace(isa.Inst{Op: isa.Op(op), Kind: isa.Kind(kind),
 			Dst: isa.Reg(regs), Src1: isa.Reg(regs >> 16), Src2: isa.Reg(regs >> 32), Ptr: isa.Reg(regs >> 48),
 			Imm: imm, VL: vl, Stride: stride, Width: width, PtrStep: ptrStep,
 			Back: flags&1 != 0, IsStore: flags&2 != 0}, dyn)
-		// A 3D load or move whose register is not a 3D register is the
-		// one instruction a stream refuses for its fields; the trace
-		// goes on with that register moved into the 3D file.
+		// An opcode or kind the ISA does not define, and a 3D load or
+		// move whose register is not a 3D register, are the instructions
+		// a stream refuses for their fields; the trace goes on with the
+		// opcode and kind wrapped into the ISA and the register moved
+		// into the 3D file.
+		if bad := slices.Clone(insts); fixRange(insts) {
+			if !panics(func() { Compact(bad) }) || !panics(func() { fuzzRec.Record(emitAll(bad)) }) {
+				t.Fatal("an opcode or kind the ISA does not define was recorded")
+			}
+		}
 		if bad := slices.Clone(insts); fix3D(insts) {
 			if !panics(func() { Compact(bad) }) || !panics(func() { fuzzRec.Record(emitAll(bad)) }) {
 				t.Fatal("a 3D load or move of no 3D register was recorded")
@@ -107,6 +121,14 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		r, st := fuzzRec.Record(emitAll(insts))
 		if !reflect.DeepEqual(r, s) {
 			t.Fatalf("a reused Recorder and Compact build different streams of one trace")
+		}
+		rev := make([]isa.Inst, len(insts))
+		for i, in := range insts {
+			in.Seq = uint64(len(insts) - 1 - i)
+			rev[in.Seq] = in
+		}
+		if r, _ := fuzzRec.Record(emitAll(rev)); !reflect.DeepEqual(r, Compact(rev)) {
+			t.Fatalf("a reused Recorder and Compact build different streams of the trace reversed")
 		}
 		if st.Total != uint64(len(insts)) {
 			t.Fatalf("the Recorder's stats count %d instructions of %d", st.Total, len(insts))
@@ -176,6 +198,18 @@ func emitAll(insts []isa.Inst) func(Sink) {
 			sink.Emit(in)
 		}
 	}
+}
+
+// fixRange wraps every opcode and kind of insts that the ISA does not
+// define into it, and reports whether there was one.
+func fixRange(insts []isa.Inst) (found bool) {
+	for i := range insts {
+		in := &insts[i]
+		if int(in.Op) >= isa.NumOps || uint8(in.Kind) >= numKinds {
+			in.Op, in.Kind, found = isa.Op(int(in.Op)%isa.NumOps), isa.Kind(uint8(in.Kind)%numKinds), true
+		}
+	}
+	return found
 }
 
 // fix3D moves every register a 3D load (Dst) or 3D move (Src1) of
@@ -271,7 +305,7 @@ func TestRunDictionaryChainsCollidingKeys(t *testing.T) {
 	// the prelude's last run ends at a maxRun cut; then x, y, x, y.
 	var insts []isa.Inst
 	emit := func(w uint16) {
-		insts = append(insts, isa.Inst{Seq: uint64(len(insts)), Op: isa.OpIAdd, Kind: isa.KindScalar,
+		insts = append(insts, isa.Inst{Seq: uint64(len(insts)), Op: isa.OpISlt, Kind: isa.KindScalar,
 			Imm: int64(w & staticMask), Taken: w&takenBit != 0})
 	}
 	for i := range uint16(templates) {
@@ -327,10 +361,10 @@ func TestStreamLimits(t *testing.T) {
 		// Each instruction is its own template; the last one loads addr.
 		insts := make([]isa.Inst, c.static)
 		for i := range insts {
-			insts[i] = isa.Inst{Seq: uint64(i), Op: isa.OpIAdd, Kind: isa.KindScalar, Imm: int64(i)}
+			insts[i] = isa.Inst{Seq: uint64(i), Op: isa.OpISlt, Kind: isa.KindScalar, Imm: int64(i)}
 		}
 		last := &insts[c.static-1]
-		last.Op, last.Kind, last.Addr = isa.OpLoad, isa.KindScalarMem, c.addr
+		last.Op, last.Kind, last.Addr = isa.OpLoadS, isa.KindScalarMem, c.addr
 		var s *Stream
 		if got := panics(func() { s = Compact(insts) }); got != c.refused {
 			t.Errorf("%s: Compact refused it: %v, want %v", c.name, got, c.refused)
@@ -363,7 +397,8 @@ func TestStreamLimits(t *testing.T) {
 // A 3D load names its 3D register in Dst and a 3D move in Src1, and
 // Stats counts slices per 3D register: an instruction naming anything
 // else there is refused by name, by Compact and a Recorder alike,
-// before Stats indexes by it.
+// before Stats indexes by it. So is an opcode or a kind the ISA does
+// not define, which Stats counts instructions by.
 func TestRefuses3DOfNo3DRegister(t *testing.T) {
 	var rec Recorder
 	for _, c := range []struct {
@@ -375,6 +410,10 @@ func TestRefuses3DOfNo3DRegister(t *testing.T) {
 		{isa.Inst{Op: isa.Op3DVLoad, Kind: isa.Kind3DLoad, Dst: isa.V(7)}, true},
 		{isa.Inst{Op: isa.Op3DVLoad, Kind: isa.Kind3DLoad, Dst: isa.D(isa.Num3DRegs)}, true},
 		{isa.Inst{Op: isa.Op3DVMov, Kind: isa.Kind3DMove, Dst: isa.D(0), Src1: isa.R(3)}, true},
+		{isa.Inst{Op: isa.Op(isa.NumOps - 1), Kind: isa.KindScalar}, false},
+		{isa.Inst{Op: isa.Op(isa.NumOps), Kind: isa.KindScalar}, true},
+		{isa.Inst{Op: isa.Op(255), Kind: isa.KindMOM}, true},
+		{isa.Inst{Op: isa.OpISlt, Kind: isa.Kind3DMove + 1}, true},
 	} {
 		var msgs []string
 		for _, record := range []func(){
@@ -395,7 +434,8 @@ func TestRefuses3DOfNo3DRegister(t *testing.T) {
 			want = 2
 		}
 		if len(msgs) != want {
-			t.Errorf("%v (Dst %v, Src1 %v): %d of Compact and Record refused it, want %d", c.in.Kind, c.in.Dst, c.in.Src1, len(msgs), want)
+			t.Errorf("%v %s (Dst %v, Src1 %v): %d of Compact and Record refused it, want %d",
+				c.in.Kind, c.in.Op.Name(), c.in.Dst, c.in.Src1, len(msgs), want)
 		}
 		for _, m := range msgs {
 			if !strings.HasPrefix(m, "trace: instruction 0 of a stream is a "+c.in.Kind.String()) {
@@ -431,8 +471,8 @@ func TestAddressSteps(t *testing.T) {
 		var insts []isa.Inst
 		for _, a := range c.addrs {
 			insts = append(insts,
-				isa.Inst{Seq: uint64(len(insts)), Op: isa.OpIAdd, Kind: isa.KindScalar, Imm: 1},
-				isa.Inst{Seq: uint64(len(insts) + 1), Op: isa.OpLoad, Kind: isa.KindScalarMem, Imm: 4, Addr: uint64(a)})
+				isa.Inst{Seq: uint64(len(insts)), Op: isa.OpISlt, Kind: isa.KindScalar, Imm: 1},
+				isa.Inst{Seq: uint64(len(insts) + 1), Op: isa.OpLoadS, Kind: isa.KindScalarMem, Imm: 4, Addr: uint64(a)})
 		}
 		r, _ := rec.Record(func(sink Sink) {
 			for _, in := range insts {
@@ -490,9 +530,9 @@ func TestInternerChainsCollidingKeys(t *testing.T) {
 // 128 KiB chunks took 263 KB in 19.
 func TestCompactAllocatesItsTrace(t *testing.T) {
 	insts := []isa.Inst{
-		{Seq: 0, Op: isa.OpIAdd, Kind: isa.KindScalar, Imm: 1},
-		{Seq: 1, Op: isa.OpLoad, Kind: isa.KindScalarMem, Addr: 0x1000},
-		{Seq: 2, Op: isa.OpIAdd, Kind: isa.KindScalar, Imm: 1, Taken: true},
+		{Seq: 0, Op: isa.OpISlt, Kind: isa.KindScalar, Imm: 1},
+		{Seq: 1, Op: isa.OpLoadS, Kind: isa.KindScalarMem, Addr: 0x1000},
+		{Seq: 2, Op: isa.OpISlt, Kind: isa.KindScalar, Imm: 1, Taken: true},
 	}
 	const runs = 100
 	var before, after runtime.MemStats

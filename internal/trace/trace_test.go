@@ -9,8 +9,8 @@ import (
 
 func TestTraceAppends(t *testing.T) {
 	tr := &Trace{}
-	tr.Emit(isa.Inst{Op: isa.OpIAdd, Kind: isa.KindScalar})
-	tr.Emit(isa.Inst{Op: isa.OpISub, Kind: isa.KindScalar})
+	tr.Emit(isa.Inst{Op: isa.OpISlt, Kind: isa.KindScalar})
+	tr.Emit(isa.Inst{Op: isa.OpIShl, Kind: isa.KindScalar})
 	if len(tr.Insts) != 2 {
 		t.Fatalf("len = %d", len(tr.Insts))
 	}
@@ -18,8 +18,8 @@ func TestTraceAppends(t *testing.T) {
 
 func TestStatsKindsAndBytes(t *testing.T) {
 	s := NewStats()
-	s.Emit(isa.Inst{Op: isa.OpIAdd, Kind: isa.KindScalar})
-	s.Emit(isa.Inst{Op: isa.OpLoad, Kind: isa.KindScalarMem, Imm: 4})
+	s.Emit(isa.Inst{Op: isa.OpISlt, Kind: isa.KindScalar})
+	s.Emit(isa.Inst{Op: isa.OpLoadS, Kind: isa.KindScalarMem, Imm: 4})
 	s.Emit(isa.Inst{Op: isa.OpVLoad, Kind: isa.KindMOMMem, VL: 8, Stride: 8, Imm: 8})
 	s.Emit(isa.Inst{Op: isa.OpBr, Kind: isa.KindBranch, Taken: true})
 	s.Emit(isa.Inst{Op: isa.OpBr, Kind: isa.KindBranch})
@@ -42,7 +42,7 @@ func TestStatsKindsAndBytes(t *testing.T) {
 
 func TestDimsNoVectorMemory(t *testing.T) {
 	s := NewStats()
-	s.Emit(isa.Inst{Op: isa.OpIAdd, Kind: isa.KindScalar})
+	s.Emit(isa.Inst{Op: isa.OpISlt, Kind: isa.KindScalar})
 	d1, d2, d3, mx, has3 := s.Dims()
 	if d1 != 0 || d2 != 0 || d3 != 0 || mx != 0 || has3 {
 		t.Error("dims of scalar-only stream must be zero")

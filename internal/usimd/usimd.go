@@ -1,7 +1,8 @@
-// Package usimd implements the packed (sub-word SIMD) arithmetic that the
-// MMX-like μSIMD instructions and the per-element MOM vector operations
-// share. All operations work on 64-bit little-endian packed values:
-// 8x8-bit bytes, 4x16-bit words, or 2x32-bit doublewords.
+// Package usimd implements the packed (sub-word SIMD) operations the
+// kernels use, the arithmetic that the MMX-like μSIMD instructions and
+// the per-element MOM vector operations share. All operations work on
+// 64-bit little-endian packed values: 8x8-bit bytes, 4x16-bit words, or
+// 2x32-bit doublewords.
 //
 // The functions are pure and allocation-free; they are the single source
 // of truth for packed semantics, used by the functional emulator and
@@ -39,15 +40,6 @@ func SetDword(x uint64, i int, v uint32) uint64 {
 
 // Wrapping lane adds/subtracts.
 
-// PAddB adds byte lanes with wraparound.
-func PAddB(a, b uint64) uint64 {
-	var r uint64
-	for i := 0; i < 8; i++ {
-		r = SetByte(r, i, Byte(a, i)+Byte(b, i))
-	}
-	return r
-}
-
 // PAddW adds 16-bit lanes with wraparound.
 func PAddW(a, b uint64) uint64 {
 	var r uint64
@@ -66,15 +58,6 @@ func PAddD(a, b uint64) uint64 {
 	return r
 }
 
-// PSubB subtracts byte lanes with wraparound.
-func PSubB(a, b uint64) uint64 {
-	var r uint64
-	for i := 0; i < 8; i++ {
-		r = SetByte(r, i, Byte(a, i)-Byte(b, i))
-	}
-	return r
-}
-
 // PSubW subtracts 16-bit lanes with wraparound.
 func PSubW(a, b uint64) uint64 {
 	var r uint64
@@ -84,16 +67,7 @@ func PSubW(a, b uint64) uint64 {
 	return r
 }
 
-// PSubD subtracts 32-bit lanes with wraparound.
-func PSubD(a, b uint64) uint64 {
-	var r uint64
-	for i := 0; i < 2; i++ {
-		r = SetDword(r, i, Dword(a, i)-Dword(b, i))
-	}
-	return r
-}
-
-// Saturating arithmetic.
+// Saturation, for the packs.
 
 func satI16(v int32) int16 {
 	if v > 32767 {
@@ -113,56 +87,6 @@ func satU8(v int32) uint8 {
 		return 0
 	}
 	return uint8(v)
-}
-
-func satI8(v int32) int8 {
-	if v > 127 {
-		return 127
-	}
-	if v < -128 {
-		return -128
-	}
-	return int8(v)
-}
-
-// PAddSW adds 16-bit lanes with signed saturation.
-func PAddSW(a, b uint64) uint64 {
-	var r uint64
-	for i := 0; i < 4; i++ {
-		s := int32(int16(Word(a, i))) + int32(int16(Word(b, i)))
-		r = SetWord(r, i, uint16(satI16(s)))
-	}
-	return r
-}
-
-// PSubSW subtracts 16-bit lanes with signed saturation.
-func PSubSW(a, b uint64) uint64 {
-	var r uint64
-	for i := 0; i < 4; i++ {
-		s := int32(int16(Word(a, i))) - int32(int16(Word(b, i)))
-		r = SetWord(r, i, uint16(satI16(s)))
-	}
-	return r
-}
-
-// PAddUSB adds byte lanes with unsigned saturation.
-func PAddUSB(a, b uint64) uint64 {
-	var r uint64
-	for i := 0; i < 8; i++ {
-		s := int32(Byte(a, i)) + int32(Byte(b, i))
-		r = SetByte(r, i, satU8(s))
-	}
-	return r
-}
-
-// PSubUSB subtracts byte lanes with unsigned saturation (floor at zero).
-func PSubUSB(a, b uint64) uint64 {
-	var r uint64
-	for i := 0; i < 8; i++ {
-		s := int32(Byte(a, i)) - int32(Byte(b, i))
-		r = SetByte(r, i, satU8(s))
-	}
-	return r
 }
 
 // Multiplies.
@@ -197,7 +121,7 @@ func PMAddWD(a, b uint64) uint64 {
 	return uint64(uint32(lo)) | uint64(uint32(hi))<<32
 }
 
-// Byte min/max/average.
+// Byte average and sum of absolute differences.
 
 // PAvgB averages unsigned byte lanes with rounding: (a+b+1)>>1.
 func PAvgB(a, b uint64) uint64 {
@@ -205,32 +129,6 @@ func PAvgB(a, b uint64) uint64 {
 	for i := 0; i < 8; i++ {
 		v := (uint16(Byte(a, i)) + uint16(Byte(b, i)) + 1) >> 1
 		r = SetByte(r, i, uint8(v))
-	}
-	return r
-}
-
-// PMinUB takes the unsigned minimum of byte lanes.
-func PMinUB(a, b uint64) uint64 {
-	var r uint64
-	for i := 0; i < 8; i++ {
-		x, y := Byte(a, i), Byte(b, i)
-		if y < x {
-			x = y
-		}
-		r = SetByte(r, i, x)
-	}
-	return r
-}
-
-// PMaxUB takes the unsigned maximum of byte lanes.
-func PMaxUB(a, b uint64) uint64 {
-	var r uint64
-	for i := 0; i < 8; i++ {
-		x, y := Byte(a, i), Byte(b, i)
-		if y > x {
-			x = y
-		}
-		r = SetByte(r, i, x)
 	}
 	return r
 }
@@ -250,46 +148,13 @@ func PSadBW(a, b uint64) uint64 {
 	return sum
 }
 
-// Logicals.
-
-// PAnd is bitwise AND.
-func PAnd(a, b uint64) uint64 { return a & b }
-
-// POr is bitwise OR.
-func POr(a, b uint64) uint64 { return a | b }
+// Logical.
 
 // PXor is bitwise XOR.
 func PXor(a, b uint64) uint64 { return a ^ b }
 
-// PAndN is MMX pandn: NOT(a) AND b.
-func PAndN(a, b uint64) uint64 { return ^a & b }
-
 // Shifts. Counts larger than the lane width zero the lane (or replicate
 // the sign bit for arithmetic right shifts), matching MMX semantics.
-
-// PSllW shifts 16-bit lanes left.
-func PSllW(a uint64, n int) uint64 {
-	if n >= 16 || n < 0 {
-		return 0
-	}
-	var r uint64
-	for i := 0; i < 4; i++ {
-		r = SetWord(r, i, Word(a, i)<<uint(n))
-	}
-	return r
-}
-
-// PSrlW shifts 16-bit lanes right logically.
-func PSrlW(a uint64, n int) uint64 {
-	if n >= 16 || n < 0 {
-		return 0
-	}
-	var r uint64
-	for i := 0; i < 4; i++ {
-		r = SetWord(r, i, Word(a, i)>>uint(n))
-	}
-	return r
-}
 
 // PSraW shifts 16-bit lanes right arithmetically.
 func PSraW(a uint64, n int) uint64 {
@@ -302,30 +167,6 @@ func PSraW(a uint64, n int) uint64 {
 	var r uint64
 	for i := 0; i < 4; i++ {
 		r = SetWord(r, i, uint16(int16(Word(a, i))>>uint(n)))
-	}
-	return r
-}
-
-// PSllD shifts 32-bit lanes left.
-func PSllD(a uint64, n int) uint64 {
-	if n >= 32 || n < 0 {
-		return 0
-	}
-	var r uint64
-	for i := 0; i < 2; i++ {
-		r = SetDword(r, i, Dword(a, i)<<uint(n))
-	}
-	return r
-}
-
-// PSrlD shifts 32-bit lanes right logically.
-func PSrlD(a uint64, n int) uint64 {
-	if n >= 32 || n < 0 {
-		return 0
-	}
-	var r uint64
-	for i := 0; i < 2; i++ {
-		r = SetDword(r, i, Dword(a, i)>>uint(n))
 	}
 	return r
 }
@@ -345,14 +186,6 @@ func PSraD(a uint64, n int) uint64 {
 	return r
 }
 
-// PSllQ shifts the whole 64-bit register left.
-func PSllQ(a uint64, n int) uint64 {
-	if n >= 64 || n < 0 {
-		return 0
-	}
-	return a << uint(n)
-}
-
 // PSrlQ shifts the whole 64-bit register right logically.
 func PSrlQ(a uint64, n int) uint64 {
 	if n >= 64 || n < 0 {
@@ -370,17 +203,6 @@ func PackUSWB(a, b uint64) uint64 {
 	for i := 0; i < 4; i++ {
 		r = SetByte(r, i, satU8(int32(int16(Word(a, i)))))
 		r = SetByte(r, i+4, satU8(int32(int16(Word(b, i)))))
-	}
-	return r
-}
-
-// PackSSWB packs the four signed words of a and b into eight signed
-// saturated bytes.
-func PackSSWB(a, b uint64) uint64 {
-	var r uint64
-	for i := 0; i < 4; i++ {
-		r = SetByte(r, i, uint8(satI8(int32(int16(Word(a, i))))))
-		r = SetByte(r, i+4, uint8(satI8(int32(int16(Word(b, i))))))
 	}
 	return r
 }

@@ -92,14 +92,8 @@ func TestLaneAccessors(t *testing.T) {
 }
 
 func TestWrappingAddsSubs(t *testing.T) {
-	check2(t, "paddb", PAddB, func(a, b uint64) uint64 {
-		return refBytes(a, b, func(x, y uint8) uint8 { return x + y })
-	})
 	check2(t, "paddw", PAddW, func(a, b uint64) uint64 {
 		return refWords(a, b, func(x, y uint16) uint16 { return x + y })
-	})
-	check2(t, "psubb", PSubB, func(a, b uint64) uint64 {
-		return refBytes(a, b, func(x, y uint8) uint8 { return x - y })
 	})
 	check2(t, "psubw", PSubW, func(a, b uint64) uint64 {
 		return refWords(a, b, func(x, y uint16) uint16 { return x - y })
@@ -109,70 +103,6 @@ func TestWrappingAddsSubs(t *testing.T) {
 		hi := Dword(a, 1) + Dword(b, 1)
 		return uint64(lo) | uint64(hi)<<32
 	})
-	check2(t, "psubd", PSubD, func(a, b uint64) uint64 {
-		lo := Dword(a, 0) - Dword(b, 0)
-		hi := Dword(a, 1) - Dword(b, 1)
-		return uint64(lo) | uint64(hi)<<32
-	})
-}
-
-func TestSaturatingOps(t *testing.T) {
-	check2(t, "paddsw", PAddSW, func(a, b uint64) uint64 {
-		return refWords(a, b, func(x, y uint16) uint16 {
-			s := int32(int16(x)) + int32(int16(y))
-			if s > 32767 {
-				s = 32767
-			}
-			if s < -32768 {
-				s = -32768
-			}
-			return uint16(int16(s))
-		})
-	})
-	check2(t, "psubsw", PSubSW, func(a, b uint64) uint64 {
-		return refWords(a, b, func(x, y uint16) uint16 {
-			s := int32(int16(x)) - int32(int16(y))
-			if s > 32767 {
-				s = 32767
-			}
-			if s < -32768 {
-				s = -32768
-			}
-			return uint16(int16(s))
-		})
-	})
-	check2(t, "paddusb", PAddUSB, func(a, b uint64) uint64 {
-		return refBytes(a, b, func(x, y uint8) uint8 {
-			s := int(x) + int(y)
-			if s > 255 {
-				s = 255
-			}
-			return uint8(s)
-		})
-	})
-	check2(t, "psubusb", PSubUSB, func(a, b uint64) uint64 {
-		return refBytes(a, b, func(x, y uint8) uint8 {
-			if y > x {
-				return 0
-			}
-			return x - y
-		})
-	})
-}
-
-func TestSaturationBoundaries(t *testing.T) {
-	// 0x7fff + 1 saturates, not wraps.
-	a := packWords([4]uint16{0x7fff, 0x8000, 0xffff, 1})
-	b := packWords([4]uint16{1, 0xffff /* -1 */, 1, 0x7fff})
-	got := unpackWords(PAddSW(a, b))
-	want := [4]uint16{0x7fff, 0x8000, 0, 0x7fff}
-	if got != want {
-		t.Errorf("paddsw boundaries: got %x want %x", got, want)
-	}
-	if PAddUSB(packBytes([8]uint8{250, 250, 250, 250, 250, 250, 250, 250}),
-		packBytes([8]uint8{10, 10, 10, 10, 10, 10, 10, 10})) != ^uint64(0) {
-		t.Error("paddusb must saturate to 0xff lanes")
-	}
 }
 
 func TestMultiplies(t *testing.T) {
@@ -197,22 +127,6 @@ func TestByteOps(t *testing.T) {
 	check2(t, "pavgb", PAvgB, func(a, b uint64) uint64 {
 		return refBytes(a, b, func(x, y uint8) uint8 {
 			return uint8((uint16(x) + uint16(y) + 1) >> 1)
-		})
-	})
-	check2(t, "pminub", PMinUB, func(a, b uint64) uint64 {
-		return refBytes(a, b, func(x, y uint8) uint8 {
-			if x < y {
-				return x
-			}
-			return y
-		})
-	})
-	check2(t, "pmaxub", PMaxUB, func(a, b uint64) uint64 {
-		return refBytes(a, b, func(x, y uint8) uint8 {
-			if x > y {
-				return x
-			}
-			return y
 		})
 	})
 }
@@ -240,31 +154,22 @@ func TestPSadBW(t *testing.T) {
 }
 
 func TestLogicals(t *testing.T) {
-	check2(t, "pandn", PAndN, func(a, b uint64) uint64 { return ^a & b })
-	if PAnd(0xf0f0, 0xff00) != 0xf000 || POr(0xf0f0, 0x0f0f) != 0xffff || PXor(0xffff, 0xf0f0) != 0x0f0f {
-		t.Error("basic logicals wrong")
+	check2(t, "pxor", PXor, func(a, b uint64) uint64 { return a ^ b })
+	if PXor(0xffff, 0xf0f0) != 0x0f0f {
+		t.Error("pxor wrong")
 	}
 }
 
 func TestShifts(t *testing.T) {
 	a := packWords([4]uint16{0x8001, 0x4002, 0x2003, 0x1004})
-	if got := unpackWords(PSllW(a, 4)); got != [4]uint16{0x0010, 0x0020, 0x0030, 0x0040} {
-		t.Errorf("psllw: %x", got)
-	}
-	if got := unpackWords(PSrlW(a, 4)); got != [4]uint16{0x0800, 0x0400, 0x0200, 0x0100} {
-		t.Errorf("psrlw: %x", got)
-	}
 	if got := unpackWords(PSraW(a, 4)); got != [4]uint16{0xf800, 0x0400, 0x0200, 0x0100} {
 		t.Errorf("psraw: %x", got)
 	}
 	// Out-of-range counts.
-	if PSllW(a, 16) != 0 || PSrlW(a, 16) != 0 || PSllD(a, 32) != 0 || PSrlD(a, 32) != 0 {
-		t.Error("out-of-range logical shifts must produce 0")
-	}
 	if got := unpackWords(PSraW(a, 100)); got != [4]uint16{0xffff, 0, 0, 0} {
 		t.Errorf("psraw saturating count: %x", got)
 	}
-	if PSllQ(1, 63) != 1<<63 || PSrlQ(1<<63, 63) != 1 || PSllQ(1, 64) != 0 || PSrlQ(1, 64) != 0 {
+	if PSrlQ(1<<63, 63) != 1 || PSrlQ(1, 64) != 0 || PSrlQ(1, -1) != 0 {
 		t.Error("quad shifts wrong")
 	}
 	d := uint64(0x80000000_00000001)
@@ -280,11 +185,6 @@ func TestPacks(t *testing.T) {
 	wantU := [8]uint8{0x12, 0, 0xff, 0, 0x7f, 0x80, 0xff, 0}
 	if gotU != wantU {
 		t.Errorf("packuswb: got %x want %x", gotU, wantU)
-	}
-	gotS := unpackBytes(PackSSWB(a, b))
-	wantS := [8]uint8{0x12, 0xff, 0x7f, 0x80, 0x7f, 0x7f, 0x7f, 0x80}
-	if gotS != wantS {
-		t.Errorf("packsswb: got %x want %x", gotS, wantS)
 	}
 }
 
