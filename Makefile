@@ -1,7 +1,7 @@
 # The verify target is the tier-1 gate: CI runs it, and it is the
 # command to run before sending a change.
 
-.PHONY: verify build test test-race bench perf perf-compare perf-pairs loc loc-check wheel rpsweep ifsweep vasweep cpisweep stats trace tenants fmt-check vet
+.PHONY: verify build test test-race bench perf perf-compare perf-pairs loc loc-check cover-cmds wheel rpsweep ifsweep vasweep cpisweep stats trace tenants fmt-check vet
 
 # J is the sweep parallelism the sweep targets pass to momexp; override
 # with `make rpsweep J=1` to force a serial run.
@@ -65,9 +65,18 @@ loc:
 # exceeds LOC_CEILING, the figure the last PR left behind, so a PR that
 # grows the tree has to raise the number in its own diff (and a PR that
 # shrinks it should lower it).
-LOC_CEILING = 16110
+LOC_CEILING = 16041
 loc-check:
 	@scripts/loc.sh $(LOC_CEILING)
+
+# cover-cmds builds momexp, momsim and momtrace with coverage on, runs
+# every selector, every declared flag and CI's refusals, and prints the
+# functions no run enters. It fails when a declared flag has no run, or
+# when the list differs from testdata/unreached.txt: a new function
+# lands with a run that enters it, and a line goes when its function is
+# reached or deleted, so the file only shrinks. Not part of go test.
+cover-cmds:
+	@scripts/cover_cmds.sh
 
 # stats smokes the observability layer end to end: a tiny run with the
 # registry exporter on, then the pretty-printed snapshot so a reader

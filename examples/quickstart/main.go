@@ -47,7 +47,7 @@ func record() (*trace.Stream, *trace.Stats, int64) {
 	const base, stride = 0x1000, 64
 	for row := 0; row < 4; row++ {
 		for i := 0; i < 32; i++ {
-			mem.WriteU8(base+uint64(row*stride+i), uint8(row*10+i))
+			mem.Write(base+uint64(row*stride+i), []byte{uint8(row*10 + i)})
 		}
 	}
 

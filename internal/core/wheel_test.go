@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/dram"
@@ -48,7 +49,7 @@ func TestWheelMatchesStepGolden(t *testing.T) {
 }
 
 // engineSnapshot runs one configuration under one engine and returns
-// the full registry snapshot rendered to its deterministic listing.
+// the full registry snapshot as its (key-sorted) JSON export.
 func engineSnapshot(t *testing.T, bm kernels.Benchmark, v kernels.Variant,
 	kind MemKind, spec string, mut func(*Config), mode engine.Mode) string {
 	t.Helper()
@@ -115,7 +116,11 @@ func timSnapshot(t *testing.T, bm kernels.Benchmark, v kernels.Variant,
 	reg := stats.NewRegistry()
 	st.Register(reg)
 	ms.Register(reg)
-	return reg.Snapshot().String()
+	var b strings.Builder
+	if err := reg.Snapshot().WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 // requireEngineMatch asserts wheel == step on the full snapshot.

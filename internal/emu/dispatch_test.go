@@ -156,7 +156,7 @@ func TestD3SliceEquivalence(t *testing.T) {
 			x ^= x << 13
 			x ^= x >> 7
 			x ^= x << 17
-			m.Mem.WriteU8(base+uint64(i), uint8(x))
+			m.Mem.Write(base+uint64(i), []byte{uint8(x)})
 		}
 		dv := isa.Inst{Op: isa.Op3DVLoad, Kind: isa.Kind3DLoad, Dst: isa.D(0),
 			VL: vl, Stride: stride, Width: 16, Addr: base}

@@ -127,39 +127,21 @@ func (m *Machine) execScalar(in *isa.Inst) error {
 	return nil
 }
 
+// execScalarMem runs lds and st, whose one width (Imm, in bytes) is 2:
+// the kernels move scalar data only as the DCT transpose's halfwords.
 func (m *Machine) execScalarMem(in *isa.Inst) error {
-	size := int(in.Imm)
 	switch in.Op {
 	case isa.OpLoadS:
-		var v uint64
-		switch size {
-		case 1:
-			v = uint64(int8(m.Mem.ReadU8(in.Addr)))
-		case 2:
-			v = uint64(int16(m.Mem.ReadU16(in.Addr)))
-		case 4:
-			v = uint64(int32(m.Mem.ReadU32(in.Addr)))
-		case 8:
-			v = m.Mem.ReadU64(in.Addr)
-		default:
-			return fmt.Errorf("emu: scalar load size %d", size)
+		if in.Imm != 2 {
+			return fmt.Errorf("emu: scalar load size %d", in.Imm)
 		}
-		m.Int[in.Dst.Index()] = v
+		m.Int[in.Dst.Index()] = uint64(int16(m.Mem.ReadU16(in.Addr)))
 		return nil
 	case isa.OpStore:
-		v := m.Int[in.Src2.Index()]
-		switch size {
-		case 1:
-			m.Mem.WriteU8(in.Addr, uint8(v))
-		case 2:
-			m.Mem.WriteU16(in.Addr, uint16(v))
-		case 4:
-			m.Mem.WriteU32(in.Addr, uint32(v))
-		case 8:
-			m.Mem.WriteU64(in.Addr, v)
-		default:
-			return fmt.Errorf("emu: scalar store size %d", size)
+		if in.Imm != 2 {
+			return fmt.Errorf("emu: scalar store size %d", in.Imm)
 		}
+		m.Mem.WriteU16(in.Addr, uint16(m.Int[in.Src2.Index()]))
 		return nil
 	}
 	return fmt.Errorf("emu: op %s is not scalar memory", in.Op.Name())

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/isa"
@@ -39,31 +40,72 @@ func TestScalarALU(t *testing.T) {
 	}
 }
 
+// An opcode whose result moves with Imm must be marked in the opcode
+// table (Op.HasImm), or the disassembly hides an operand emu reads:
+// every scalar and packed opcode runs with two Imm values from one
+// register state.
+func TestImmIsReadOnlyWhenMarked(t *testing.T) {
+	seed := newM()
+	for r := range seed.Int {
+		seed.Int[r] = 0x0123456789abcdef * uint64(r+1)
+	}
+	for r := range seed.Vec {
+		for e := range seed.Vec[r] {
+			seed.Vec[r][e] = 0xfedcba9876543210 ^ uint64(r<<8|e)
+		}
+	}
+	for r := range seed.Acc {
+		seed.Acc[r] = int64(r+1) << 20
+	}
+	for op := range isa.Op(isa.NumOps) {
+		in := isa.Inst{Op: op, Kind: isa.KindScalar, Dst: isa.R(3), Src1: isa.R(1), Src2: isa.R(2)}
+		switch {
+		case op.IsPacked():
+			in.Kind, in.Dst, in.Src1, in.Src2 = isa.KindUSIMD, isa.V(3), isa.V(1), isa.V(2)
+		case op == isa.OpAccMov:
+			in.Src1 = isa.A(1)
+		case op == isa.OpAccClr:
+			in.Dst = isa.A(1)
+		case op == isa.OpVMovV2I:
+			in.Src1 = isa.V(1)
+		}
+		var after [2]Machine
+		var err error
+		for i, imm := range []int64{1, 3} {
+			after[i], in.Imm = *seed, imm
+			err = errors.Join(err, after[i].Exec(&in))
+		}
+		moved := after[0].Int != after[1].Int || after[0].Vec != after[1].Vec || after[0].Acc != after[1].Acc
+		switch {
+		case err != nil && op.IsPacked():
+			t.Fatalf("%s: %v", op.Name(), err)
+		case err == nil && moved && !op.HasImm(): // an erring opcode is not scalar
+			t.Errorf("%s reads Imm, but the opcode table does not mark it", op.Name())
+		}
+	}
+}
+
+// lds and st move halfwords (Imm 2); every other width is refused.
 func TestScalarMemory(t *testing.T) {
 	m := newM()
-	m.Int[1] = 0x1234567890
-	mustExec(t, m, isa.Inst{Op: isa.OpStore, Kind: isa.KindScalarMem, Src2: isa.R(1), Imm: 8, Addr: 0x100, IsStore: true})
-	mustExec(t, m, isa.Inst{Op: isa.OpLoadS, Kind: isa.KindScalarMem, Dst: isa.R(2), Imm: 8, Addr: 0x100})
-	if m.IntVal(isa.R(2)) != 0x1234567890 {
-		t.Error("64-bit round trip failed")
+	m.Int[1] = 0x12348765
+	mustExec(t, m, isa.Inst{Op: isa.OpStore, Kind: isa.KindScalarMem, Src2: isa.R(1), Imm: 2, Addr: 0x100, IsStore: true})
+	if got := m.Mem.ReadU64(0x100); got != 0x8765 {
+		t.Errorf("halfword store wrote %#x, want the low 16 bits 0x8765", got)
 	}
-	// Sign extension.
-	m.Mem.WriteU8(0x200, 0xff)
-	mustExec(t, m, isa.Inst{Op: isa.OpLoadS, Kind: isa.KindScalarMem, Dst: isa.R(3), Imm: 1, Addr: 0x200})
-	if m.IntVal(isa.R(3)) != -1 {
-		t.Errorf("sign-extended byte = %d, want -1", m.IntVal(isa.R(3)))
+	mustExec(t, m, isa.Inst{Op: isa.OpLoadS, Kind: isa.KindScalarMem, Dst: isa.R(2), Imm: 2, Addr: 0x100})
+	if got := m.IntVal(isa.R(2)); got != int64(int16(-0x789b)) {
+		t.Errorf("sign-extended halfword = %d, want %d", got, int16(-0x789b))
 	}
-	m.Mem.WriteU16(0x210, 0x8000)
-	m.Mem.WriteU32(0x220, 0x7fffffff)
-	mustExec(t, m, isa.Inst{Op: isa.OpLoadS, Kind: isa.KindScalarMem, Dst: isa.R(4), Imm: 2, Addr: 0x210})
-	mustExec(t, m, isa.Inst{Op: isa.OpLoadS, Kind: isa.KindScalarMem, Dst: isa.R(5), Imm: 4, Addr: 0x220})
-	if m.IntVal(isa.R(4)) != -32768 || m.IntVal(isa.R(5)) != 0x7fffffff {
-		t.Errorf("sign-extended half, word = %d, %d", m.IntVal(isa.R(4)), m.IntVal(isa.R(5)))
+	for _, size := range []int64{1, 3, 4, 8} {
+		ld := isa.Inst{Op: isa.OpLoadS, Kind: isa.KindScalarMem, Dst: isa.R(3), Imm: size, Addr: 0x200}
+		st := isa.Inst{Op: isa.OpStore, Kind: isa.KindScalarMem, Src2: isa.R(1), Imm: size, Addr: 0x200, IsStore: true}
+		if m.Exec(&ld) == nil || m.Exec(&st) == nil {
+			t.Errorf("scalar load and store of size %d must fail", size)
+		}
 	}
-	// Bad size is an error.
-	in := isa.Inst{Op: isa.OpLoadS, Kind: isa.KindScalarMem, Dst: isa.R(5), Imm: 3, Addr: 0}
-	if err := m.Exec(&in); err == nil {
-		t.Error("load size 3 must fail")
+	if m.IntVal(isa.R(3)) != 0 || m.Mem.ReadU64(0x200) != 0 {
+		t.Error("a refused scalar load or store changed state")
 	}
 }
 
@@ -171,7 +213,7 @@ func TestD3LoadAndMove(t *testing.T) {
 	// Lay out 4 rows of 128 consecutive bytes 0..127, row base 0x1000+r*256.
 	for r := 0; r < 4; r++ {
 		for i := 0; i < 128; i++ {
-			m.Mem.WriteU8(0x1000+uint64(r*256+i), uint8(i))
+			m.Mem.Write(0x1000+uint64(r*256+i), []byte{uint8(i)})
 		}
 	}
 	mustExec(t, m, isa.Inst{Op: isa.Op3DVLoad, Kind: isa.Kind3DLoad, Dst: isa.D(0),
@@ -203,7 +245,7 @@ func TestD3LoadAndMove(t *testing.T) {
 func TestD3BackPointerAndNegativeStep(t *testing.T) {
 	m := newM()
 	for i := 0; i < 32; i++ {
-		m.Mem.WriteU8(0x100+uint64(i), uint8(i))
+		m.Mem.Write(0x100+uint64(i), []byte{uint8(i)})
 	}
 	// Width 4 words = 32 bytes; back pointer starts at last sub-block (24).
 	mustExec(t, m, isa.Inst{Op: isa.Op3DVLoad, Kind: isa.Kind3DLoad, Dst: isa.D(1),
@@ -234,7 +276,7 @@ func TestD3LoadClearsStaleWords(t *testing.T) {
 func TestD3SliceAtRegisterEnd(t *testing.T) {
 	m := newM()
 	for i := 0; i < 128; i++ {
-		m.Mem.WriteU8(uint64(i), uint8(i))
+		m.Mem.Write(uint64(i), []byte{uint8(i)})
 	}
 	mustExec(t, m, isa.Inst{Op: isa.Op3DVLoad, Kind: isa.Kind3DLoad, Dst: isa.D(0),
 		VL: 1, Stride: 0, Width: 16, Addr: 0})

@@ -103,7 +103,7 @@ var opTable = [opCount]opInfo{
 	OpIMovImm: {"movi", ECSimple, true},
 	OpIMov:    {"mov", ECSimple, false},
 	OpIShl:    {"shl", ECSimple, true},
-	OpISra:    {"sra", ECSimple, false},
+	OpISra:    {"sra", ECSimple, true},
 	OpISlt:    {"slt", ECSimple, false},
 	OpBr:      {"br", ECSimple, false},
 	OpLoadS:   {"lds", ECMem, false},
@@ -164,8 +164,7 @@ func (o Op) Class() ExecClass {
 
 // HasImm reports whether the opcode's Imm is an operand: the
 // disassembly prints it, and a packed operation reads it in place of a
-// second source. sra is not marked, so its disassembly omits the shift
-// count it reads from Imm; marking it changes momtrace -dump output.
+// second source.
 func (o Op) HasImm() bool { return int(o) < len(opTable) && opTable[o].imm }
 
 // Latency returns the execution latency in cycles for non-memory classes.

@@ -225,8 +225,8 @@ func (d *dctGen) transpose(rSrc, rDst isa.Reg) {
 		for y := 0; y < 8; y++ {
 			for x := 0; x < 8; x++ {
 				r := tmp[(y*8+x)%4]
-				b.LoadS(r, rSrc, int64(y*16+x*2), 2)
-				b.Store(rDst, int64(x*16+y*2), r, 2)
+				b.LoadS(r, rSrc, int64(y*16+x*2))
+				b.Store(rDst, int64(x*16+y*2), r)
 			}
 		}
 		return

@@ -99,21 +99,6 @@ func (m *Memory) page(addr uint64, create bool) *page {
 	return p
 }
 
-// ReadU8 returns the byte at addr (zero if never written and outside
-// every region).
-func (m *Memory) ReadU8(addr uint64) byte {
-	p := m.page(addr, false)
-	if p == nil {
-		return 0
-	}
-	return p[addr&pageMask]
-}
-
-// WriteU8 stores one byte at addr.
-func (m *Memory) WriteU8(addr uint64, v byte) {
-	m.page(addr, true)[addr&pageMask] = v
-}
-
 // Read copies len(dst) bytes starting at addr into dst.
 func (m *Memory) Read(addr uint64, dst []byte) {
 	for len(dst) > 0 {
@@ -160,13 +145,6 @@ func (m *Memory) WriteU16(addr uint64, v uint16) {
 	var b [2]byte
 	binary.LittleEndian.PutUint16(b[:], v)
 	m.Write(addr, b[:])
-}
-
-// ReadU32 reads a little-endian 32-bit value.
-func (m *Memory) ReadU32(addr uint64) uint32 {
-	var b [4]byte
-	m.Read(addr, b[:])
-	return binary.LittleEndian.Uint32(b[:])
 }
 
 // WriteU32 writes a little-endian 32-bit value.

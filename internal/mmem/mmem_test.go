@@ -11,7 +11,7 @@ import (
 func TestZeroValueReads(t *testing.T) {
 	m := New()
 	m.Lazy(1<<41, 100, func(uint64, []byte) { t.Fatal("a read outside the region filled it") })
-	if m.ReadU8(0) != 0 || m.ReadU64(1<<40) != 0 {
+	if m.ReadU16(0) != 0 || m.ReadU64(1<<40) != 0 {
 		t.Error("unwritten memory must read as zero")
 	}
 	buf := make([]byte, 64)
@@ -26,13 +26,20 @@ func TestZeroValueReads(t *testing.T) {
 	}
 }
 
+// byteAt reads the one byte at addr.
+func byteAt(m *Memory, addr uint64) byte {
+	var b [1]byte
+	m.Read(addr, b[:])
+	return b[0]
+}
+
 func TestByteRoundTrip(t *testing.T) {
 	m := New()
-	m.WriteU8(42, 0xab)
-	if m.ReadU8(42) != 0xab {
+	m.Write(42, []byte{0xab})
+	if byteAt(m, 42) != 0xab {
 		t.Error("byte round trip failed")
 	}
-	if m.ReadU8(43) != 0 {
+	if byteAt(m, 43) != 0 {
 		t.Error("adjacent byte must stay zero")
 	}
 }
@@ -45,14 +52,14 @@ func TestWideRoundTrips(t *testing.T) {
 	if m.ReadU16(100) != 0x1234 {
 		t.Error("u16")
 	}
-	if m.ReadU32(200) != 0xdeadbeef {
+	if m.ReadU64(200) != 0xdeadbeef {
 		t.Error("u32")
 	}
 	if m.ReadU64(300) != 0x0123456789abcdef {
 		t.Error("u64")
 	}
 	// Little-endian byte order.
-	if m.ReadU8(100) != 0x34 || m.ReadU8(101) != 0x12 {
+	if byteAt(m, 100) != 0x34 || byteAt(m, 101) != 0x12 {
 		t.Error("u16 must be little-endian")
 	}
 }
@@ -93,7 +100,7 @@ func TestBulkRoundTripProperty(t *testing.T) {
 func TestZeroValueMemoryUsable(t *testing.T) {
 	var m Memory // zero value, no New
 	m.WriteU32(16, 7)
-	if m.ReadU32(16) != 7 {
+	if m.ReadU64(16) != 7 {
 		t.Error("zero-value Memory must be usable")
 	}
 }
@@ -171,14 +178,14 @@ func TestLazyReadBeforeWrite(t *testing.T) {
 	m := New()
 	src := &source{buf: bytes.Repeat([]byte{7}, 3*pageSize)}
 	m.Lazy(pageSize+100, 3*pageSize, src.fill)
-	if got := m.ReadU8(2*pageSize + 5); got != 7 {
+	if got := byteAt(m, 2*pageSize+5); got != 7 {
 		t.Fatalf("an untouched region byte reads %d, want the source's 7", got)
 	}
-	m.WriteU8(2*pageSize+5, 9)
-	if got := m.ReadU8(2*pageSize + 5); got != 9 {
+	m.Write(2*pageSize+5, []byte{9})
+	if got := byteAt(m, 2*pageSize+5); got != 9 {
 		t.Fatalf("a stored region byte reads %d, want the store's 9", got)
 	}
-	if got := m.ReadU8(2*pageSize + 6); got != 7 {
+	if got := byteAt(m, 2*pageSize+6); got != 7 {
 		t.Fatalf("the byte next to a store reads %d, want the source's 7", got)
 	}
 }
@@ -225,7 +232,7 @@ func TestLazyRegionsSharePage(t *testing.T) {
 	if a.fills != 1 || b.fills != 1 {
 		t.Fatalf("the shared page took %d and %d fills, want one from each region", a.fills, b.fills)
 	}
-	if m.ReadU8(4*pageSize+199) != 2 || m.ReadU8(4*pageSize+200) != 0 {
+	if byteAt(m, 4*pageSize+199) != 2 || byteAt(m, 4*pageSize+200) != 0 {
 		t.Fatal("the second region's next page reads wrong")
 	}
 }
@@ -239,16 +246,16 @@ func TestLazyTouchMakesOnePage(t *testing.T) {
 	if len(m.pages) != 0 || src.fills != 0 {
 		t.Fatalf("mapping made %d pages and %d fills, want none", len(m.pages), src.fills)
 	}
-	m.ReadU8(7*pageSize + 3)
+	byteAt(m, 7*pageSize+3)
 	if len(m.pages) != 1 || src.fills != 1 {
 		t.Fatalf("reading one byte made %d pages and %d fills, want 1 and 1", len(m.pages), src.fills)
 	}
 	m.ReadU64(5*pageSize - 8)
-	m.ReadU8(16 * pageSize)
+	byteAt(m, 16*pageSize)
 	if len(m.pages) != 1 {
 		t.Fatalf("reads outside the region made pages: %d, want 1", len(m.pages))
 	}
-	m.WriteU8(9*pageSize, 1)
+	m.Write(9*pageSize, []byte{1})
 	if len(m.pages) != 2 || src.fills != 2 {
 		t.Fatalf("storing one byte made %d pages and %d fills in all, want 2 and 2", len(m.pages), src.fills)
 	}

@@ -89,18 +89,18 @@ func (b *Builder) BrNZ(cond isa.Reg) bool {
 	return taken
 }
 
-// Scalar memory. size is the access width in bytes (1, 2, 4, 8).
+// Scalar memory moves 16-bit halfwords (Imm 2, the width in bytes).
 
-// LoadS emits a sign-extending load of size bytes from base+off.
-func (b *Builder) LoadS(dst, base isa.Reg, off int64, size int) {
+// LoadS emits a sign-extending halfword load from base+off.
+func (b *Builder) LoadS(dst, base isa.Reg, off int64) {
 	b.emit(isa.Inst{Op: isa.OpLoadS, Kind: isa.KindScalarMem, Dst: dst, Src1: base,
-		Imm: int64(size), Addr: b.addr(base, off)})
+		Imm: 2, Addr: b.addr(base, off)})
 }
 
-// Store emits a store of the low size bytes of src to base+off.
-func (b *Builder) Store(base isa.Reg, off int64, src isa.Reg, size int) {
+// Store emits a store of the low halfword of src to base+off.
+func (b *Builder) Store(base isa.Reg, off int64, src isa.Reg) {
 	b.emit(isa.Inst{Op: isa.OpStore, Kind: isa.KindScalarMem, Src1: base, Src2: src,
-		Imm: int64(size), Addr: b.addr(base, off), IsStore: true})
+		Imm: 2, Addr: b.addr(base, off), IsStore: true})
 }
 
 // μSIMD (MMX-like) operations.

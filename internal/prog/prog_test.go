@@ -34,13 +34,13 @@ func TestEffectiveAddresses(t *testing.T) {
 	b, tr, m := newB()
 	b.MovImm(isa.R(1), 0x1000)
 	b.MovImm(isa.R(9), 42)
-	b.Store(isa.R(1), 8, isa.R(9), 4)
-	b.LoadS(isa.R(2), isa.R(1), 8, 4)
+	b.Store(isa.R(1), 8, isa.R(9))
+	b.LoadS(isa.R(2), isa.R(1), 8)
 	if m.IntVal(isa.R(2)) != 42 {
 		t.Fatal("store/load round trip failed")
 	}
 	st := tr.Insts[2]
-	if st.Addr != 0x1008 || !st.IsStore || st.Kind != isa.KindScalarMem {
+	if st.Addr != 0x1008 || !st.IsStore || st.Kind != isa.KindScalarMem || st.Imm != 2 {
 		t.Errorf("store inst: %+v", st)
 	}
 }
@@ -84,7 +84,7 @@ func TestDVLoadDVMovRoundTrip(t *testing.T) {
 	// 8 rows at stride 64, 16 bytes each of recognizable content.
 	for r := 0; r < 8; r++ {
 		for i := 0; i < 16; i++ {
-			m.Mem.WriteU8(uint64(0x3000+r*64+i), uint8(r*16+i))
+			m.Mem.Write(uint64(0x3000+r*64+i), []byte{uint8(r*16 + i)})
 		}
 	}
 	b.MovImm(isa.R(1), 0x3000)

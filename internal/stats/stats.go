@@ -206,34 +206,6 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// String renders the snapshot as an aligned name/value listing, sorted
-// by name — the pretty-printed form `make stats` shows.
-func (s Snapshot) String() string {
-	type row struct{ name, val string }
-	rows := make([]row, 0, len(s.Counters)+len(s.Gauges)+len(s.Hists))
-	for n, v := range s.Counters {
-		rows = append(rows, row{n, fmt.Sprintf("%d", v)})
-	}
-	for n, v := range s.Gauges {
-		rows = append(rows, row{n, fmt.Sprintf("%d", v)})
-	}
-	for n, h := range s.Hists {
-		rows = append(rows, row{n, h.String()})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
-	width := 0
-	for _, r := range rows {
-		if len(r.name) > width {
-			width = len(r.name)
-		}
-	}
-	var b strings.Builder
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-*s %s\n", width, r.name, r.val)
-	}
-	return b.String()
-}
-
 // SnakeCase converts a Go field name to the registry's snake_case
 // spelling: "RowHits" → "row_hits", "StallROB" → "stall_rob",
 // "D3Words" → "d3_words".

@@ -151,19 +151,6 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	}
 }
 
-func TestSnapshotString(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b.two", func() uint64 { return 2 })
-	r.Counter("a.one", func() uint64 { return 1 })
-	s := r.Snapshot().String()
-	if !strings.Contains(s, "a.one") || !strings.Contains(s, "b.two") {
-		t.Fatalf("String() missing names:\n%s", s)
-	}
-	if strings.Index(s, "a.one") > strings.Index(s, "b.two") {
-		t.Errorf("String() not sorted:\n%s", s)
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	cases := []struct {
 		v      int64
