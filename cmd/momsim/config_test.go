@@ -229,6 +229,10 @@ func TestResolveRejectsUnknownValues(t *testing.T) {
 		{"qos-fixed", "-tenants 2 -qos", "-qos configures"},
 		{"mlat-sdram", "-dram sdram -mlat 50", "-mlat applies to the fixed backend only"},
 		{"va-unknown", "-va best", "placement policy"},
+		// Under line interleaving with the profile's two channels every
+		// page starts on channel 0, so coloring would scan the whole pool
+		// for each page and fall back to first-fit under its own name.
+		{"va-color-line", "-dram sdram -va color", "every page starts on channel 0: give a mapping with channel bits above the page, such as -dmap bank"},
 		{"tenants-zero", "-tenants 0", "-tenants must be 1..256"},
 		{"tenants-past-the-request-field", "-tenants 257", "-tenants / tn<n>: 257 is out of range (want 1..256"},
 		{"dram-ideal", "-mem ideal -dram fixed", "-mem ideal"},
@@ -386,6 +390,9 @@ func TestFlagsMatchSpec(t *testing.T) {
 			// Whatever the row needs rides along, at the least value it
 			// needs.
 			args := []string{"-dram", "sdram", "-" + r.Flag + "=" + v}
+			if r.Flag == "va" && v == "color" {
+				args = append(args, "-dmap=bank") // refused on the line mapping
+			}
 			for k := r; k.Needs != ""; k = byFlag[k.Needs] {
 				args = append(args, fmt.Sprintf("-%s=%d", k.Needs, max(k.NeedsMin, 1)))
 			}

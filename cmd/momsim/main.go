@@ -312,9 +312,10 @@ func fmtCPS(cycles int64, wall time.Duration) string {
 
 // registerHost publishes host-performance figures — wall-clock
 // nanoseconds of the simulation loop, simulated cycles per host second,
-// and the Step calls the engine made of the tenant-cycles simulated —
-// under host.* so sweep tooling can read engine throughput and
-// efficiency straight out of the stats snapshot.
+// the Step calls the engine made of the tenant-cycles simulated, and
+// the pipelines' work counts (host.work.*, core.Work) — under host.* so
+// sweep tooling can read engine throughput and efficiency straight out
+// of the stats snapshot.
 func registerHost(reg *stats.Registry, cycles int64, wall time.Duration, g *tenant.Group) {
 	ns := wall.Nanoseconds()
 	cps := int64(0)
@@ -325,6 +326,15 @@ func registerHost(reg *stats.Registry, cycles int64, wall time.Duration, g *tena
 	reg.Gauge("host.sim_cycles_per_sec", func() int64 { return cps })
 	reg.Gauge("host.steps", g.Steps)
 	reg.Gauge("host.tenant_cycles", g.TenantCycles)
+	w := g.Work()
+	for _, c := range []struct {
+		name string
+		n    uint64
+	}{{"scan_turns", w.ScanTurns}, {"sorted", w.Sorted},
+		{"ring_events", w.RingEvents}, {"still_blocked", w.StillBlocked}, {"repolls", w.Repolls}} {
+		n := int64(c.n)
+		reg.Gauge("host.work."+c.name, func() int64 { return n })
+	}
 }
 
 // reportTenants is the multi-requestor report: every tenant's pipeline

@@ -29,7 +29,7 @@ var updateGolden = flag.Bool("update-golden", false,
 // address translation), the whole non-blocking backend, a multi-tenant
 // run, and the colo and color placements over tenant groups on the bank
 // mapping (the only mapping under which coloring finds a page on the
-// channel it asks for). stats also pins the line's -statsjson export.
+// channel it asks for; on the line mapping it is refused). stats also pins the line's -statsjson export.
 // Every line runs the wheel; the _wheel suffix of three names is only a
 // name.
 var reportLines = []struct {
@@ -41,7 +41,6 @@ var reportLines = []struct {
 	{name: "mmx_multibanked", args: "-isa mmx -mem multibanked"},
 	{name: "ideal", args: "-mem ideal"},
 	{name: "sdram_mshr16_pf8_rphistory_wheel", args: "-dram sdram -mshr 16 -pf 8 -rp history -cpistack"},
-	{name: "sdram_vacolor", args: "-dram sdram -va color"},
 	{name: "tenants2_qos_vafirst", args: "-bench motionsearch -dram sdram -tenants 2 -qos -va first -cpistack", stats: true},
 	{name: "tenants3_bank_vacolo_wheel", args: "-bench motionsearch -dram sdram -dmap bank -tenants 3 -va colo", stats: true},
 	{name: "tenants2_bank_vacolor_wheel", args: "-bench motionsearch -dram sdram -dmap bank -tenants 2 -va color"},

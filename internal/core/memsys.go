@@ -165,7 +165,10 @@ func NewTenantMemSystems(kind MemKind, tim vmem.Timing, lanes int, bankL1 bool, 
 // default 4-level/4 KiB configuration under the named placement policy
 // ("first", "color" or "colo"), colored by the backend's channel
 // decode when it exposes one (the SDRAM controller does; the flat
-// backend degrades coloring to first-fit).
+// backend degrades coloring to first-fit). Coloring is refused on a
+// mapping whose channel bits all lie inside the page offset: there every
+// page starts on channel 0, and each page asked for on another channel
+// costs a scan of the whole pool before falling back to first-fit.
 func NewVM(policy string, n int, backend dram.Backend) (*vm.VM, error) {
 	pol, err := vm.ParsePolicy(policy)
 	if err != nil {
@@ -176,6 +179,20 @@ func NewVM(policy string, n int, backend dram.Backend) (*vm.VM, error) {
 	var cm vm.ChannelMapper
 	if sd, ok := backend.(vm.ChannelMapper); ok {
 		cm = sd
+	}
+	if pol == vm.PolicyColor && cm != nil {
+		// The channel decode is a bit field: address bit b is a channel
+		// bit exactly when it alone decodes to a channel other than 0.
+		below := 0
+		for b := range cfg.PageBits {
+			if cm.ChannelOf(1<<b) != 0 {
+				below++
+			}
+		}
+		if n := cm.ChannelCount(); n > 1 && n>>below == 1 {
+			return nil, fmt.Errorf("-va color places pages by DRAM channel, but this mapping selects all %d channels with address bits inside the %d KiB page, so every page starts on channel 0: give a mapping with channel bits above the page, such as -dmap bank on the ddr profile or -dmap row",
+				n, 1<<cfg.PageBits>>10)
+		}
 	}
 	return vm.New(cfg, n, cm), nil
 }

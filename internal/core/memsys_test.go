@@ -53,3 +53,37 @@ func TestTenantCountBounds(t *testing.T) {
 		t.Errorf("256 tenants built %d views", got)
 	}
 }
+
+// TestColoringNeedsPageChannels: page coloring is refused exactly where
+// every channel bit lies inside the 4 KiB page, so that every page
+// starts on channel 0: the line mapping up to 32 channels (128-byte
+// lines), and the bank mapping on the hbm profile's 2 KiB rows at two
+// channels. Where page starts reach some channels (line at 64, bank on
+// hbm's eight), all, or the only one, and on a backend without a
+// channel decode, it builds.
+func TestColoringNeedsPageChannels(t *testing.T) {
+	for _, c := range []struct{ spec, want string }{
+		{"sdram/line", "selects all 2 channels with address bits inside the 4 KiB page, so every page starts on channel 0: give a mapping with channel bits above the page, such as -dmap bank"},
+		{"sdram/line/32ch", "selects all 32 channels with address bits inside the 4 KiB page"},
+		{"sdram/bank/frfcfs/hbm/2ch", "selects all 2 channels with address bits inside the 4 KiB page"},
+		{"sdram/line/64ch", ""},
+		{"sdram/bank/frfcfs/hbm", ""},
+		{"sdram/bank", ""},
+		{"sdram/bank/64ch", ""},
+		{"sdram/row", ""},
+		{"sdram/line/1ch", ""},
+		{"fixed", ""},
+	} {
+		backend, _, err := dram.ParseSpecFull(c.spec, 100)
+		if err != nil {
+			t.Fatalf("%s: %v", c.spec, err)
+		}
+		_, err = NewVM("color", 1, backend)
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: NewVM(color) = %v, want %q", c.spec, err, c.want)
+		}
+		if _, err := NewVM("first", 1, backend); err != nil {
+			t.Errorf("%s: NewVM(first) = %v", c.spec, err)
+		}
+	}
+}

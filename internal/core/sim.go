@@ -53,6 +53,18 @@ const (
 	noProgressLimit = 1 << 20 // cycles without commits before declaring deadlock
 )
 
+// Work counts the host work of a run's pipeline: plain increments the
+// simulation never reads, the same for one commit, machine and stream on
+// any host, so a change to the issue stage can state its effect exactly
+// where wall time on a shared host blurs it.
+type Work struct {
+	ScanTurns    uint64 // entries the issue scans evaluated or walked
+	Sorted       uint64 // active-list elements the scans inserted in age order
+	RingEvents   uint64 // timed wake-ups scheduled on the issue ring
+	StillBlocked uint64 // scan turns that found the entry blocked and parked it again
+	Repolls      uint64 // scan turns that kept a blocked entry active: its bound was not in the future
+}
+
 type dep struct {
 	seq    uint64
 	usePtr bool // consume the 3dvmov pointer result, not the data result
@@ -184,6 +196,9 @@ type Sim struct {
 	// registered wake-up and is never touched.
 	issueWake *engine.Ring
 	qActive   [qCount][]uint64
+	// qSorted is the length of each active list's prefix known to be
+	// in age order.
+	qSorted [qCount]int
 	// issueNoSkip is the issue side's skip verdict, rebuilt by each
 	// Step's scans so NextWake needs no walk of its own: it forces a
 	// real step next cycle (an active entry needs a per-cycle re-check).
@@ -199,6 +214,7 @@ type Sim struct {
 
 	now   int64
 	stats Stats
+	work  Work
 }
 
 // limits per class: in-flight writers must not exceed physical - logical.
@@ -280,6 +296,18 @@ func (s *Sim) Step() {
 			s.now, s.cur.Pos(), s.cur.Len(), s.count))
 	}
 }
+
+// Add sums o into w.
+func (w *Work) Add(o Work) {
+	w.ScanTurns += o.ScanTurns
+	w.Sorted += o.Sorted
+	w.RingEvents += o.RingEvents
+	w.StillBlocked += o.StillBlocked
+	w.Repolls += o.Repolls
+}
+
+// Work returns the host work counted so far.
+func (s *Sim) Work() Work { return s.work }
 
 // StatsRef exposes the simulator's live counters (the same struct
 // Finish returns) so a registry can be wired up before the run.

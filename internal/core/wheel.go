@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/trace"
@@ -18,20 +17,26 @@ import (
 //
 // Two structures carry it. First, the issue scan is event-driven under
 // both engines: each queue only evaluates its active list — entries
-// with a pending reason to re-check. A blocked entry parks with a
-// registered wake-up: a cycle bound on the sim's persistent issueWake
-// ring (the blocker's completion or flush bound, or the free cycle of
-// the unit that refused a ready entry), or a link on the blocking
-// entry's waiter chain when only that entry's own issue can unblock
-// it. Sleeping entries are never touched, which is what makes
-// an executed step cheap. Second — the wheel engine alone — after a
-// Step, NextWake collects a conservative wake-up from every pollable
-// subsystem (commit head, store buffer, dispatch gates, active
-// entries, the earliest sleeping entry) and SkipTo jumps the clock
-// there in one move, bulk-charging the stall reasons Step would have
-// charged cycle by cycle. Every predicate SkipTo consults is frozen
-// across the window by construction: any cycle at which it could flip
-// is itself a scheduled wake-up.
+// with a pending reason to re-check — in age order: dispatch appends the
+// youngest, wake-ups land behind the sorted prefix (qSorted) and are
+// inserted as the scan starts, and a waiter an issue wakes mid-scan
+// joins the unscanned part, being younger than its blocker. Evaluation
+// stops when width is spent. A blocked entry parks with a registered
+// wake-up: a cycle bound on the sim's persistent issueWake ring (the
+// blocker's completion or flush bound, or the free cycle of the unit
+// that refused a ready entry), or a link on the blocking entry's waiter
+// chain when only that entry's own issue can unblock it. New entries,
+// woken waiters and entries past the width are walked without polls
+// (issueBoundPark) and park at once if something holds them. Sleeping
+// entries are never touched, which is what makes an executed step
+// cheap. Second — the wheel engine alone — after a Step, NextWake
+// collects a conservative wake-up from every pollable subsystem (commit
+// head, store buffer, dispatch gates, active entries, the earliest
+// sleeping entry) and SkipTo jumps the clock there in one move,
+// bulk-charging the stall reasons Step would have charged cycle by
+// cycle. Every predicate SkipTo consults is frozen across the window by
+// construction: any cycle at which it could flip is itself a scheduled
+// wake-up.
 //
 // Why parking is sound — a parked verdict can only flip at its
 // registered wake-up:
@@ -57,8 +62,8 @@ import (
 //     unit refuses every issue until then; a translation stall ends
 //     at its transaction's ready cycle, which never moves
 //     (internal/vm). Every entry a unit refused wakes at that one
-//     cycle and the scan sorts them, so the oldest gets the unit, as
-//     it would had each been re-checked every cycle.
+//     cycle and the scan inserts the wake-ups by age, so the oldest
+//     gets the unit, as it would had each been re-checked every cycle.
 //
 // Why the ready latch is sound — a ready verdict never flips back, so
 // robEntry.ready lets every later turn skip the walk (a ready entry can
@@ -75,10 +80,11 @@ import (
 // handle before the first blocker is resolved (its polls mutate
 // nothing), and the blocker's own poll first flushes at its lower
 // bound — exactly the registered wake-up, where the scan performs the
-// poll. A scan that re-walks every unissued entry every cycle flushes
-// at the same cycles, so the MSHR occupancy/flush statistics match the
-// frozen output of one bit for bit (internal/experiments/testdata/
-// fullsize_digests.txt, core's golden_stats.txt).
+// poll. A scan that evaluates every unissued entry every cycle until
+// width is spent flushes at the same cycles, so the MSHR occupancy/
+// flush statistics match the frozen output of one bit for bit
+// (internal/experiments/testdata/fullsize_digests.txt, core's
+// golden_stats.txt), and TestNaiveScanMatches reruns such a scan.
 
 // SimulateStream runs a recorded stream, which it only reads, to
 // completion under either engine, with bit-identical statistics. It is
@@ -114,10 +120,14 @@ func (s *Sim) SetEngine(engine.Mode) {}
 const maxWake = math.MaxInt64
 
 // activate puts e on its queue's active list: the queue's next scan
-// evaluates it.
+// evaluates it. The sorted prefix grows while the list stays in order.
 func (s *Sim) activate(e *robEntry) {
 	e.active = true
-	s.qActive[e.q] = append(s.qActive[e.q], e.seq)
+	l := s.qActive[e.q]
+	if n := len(l); s.qSorted[e.q] == n && (n == 0 || l[n-1] < e.seq) {
+		s.qSorted[e.q]++
+	}
+	s.qActive[e.q] = append(l, e.seq)
 }
 
 // drainWakes moves every entry whose timed wake-up is due back onto
@@ -159,18 +169,18 @@ func (s *Sim) park(e *robEntry, wake int64, wseq uint64) bool {
 		return false
 	}
 	s.issueWake.Schedule(wake, e.seq)
+	s.work.RingEvents++
 	e.active = false
 	return true
 }
 
-// wakeWaiters re-activates every entry chained on p, called when p
-// issues from queue q's scan. Waiters on q or a later queue activate —
+// wakeWaiters wakes every entry chained on p, called when p issues from
+// queue q's scan. Each waiter is walked without polls, as dispatch walks
+// a new entry, and parks again at once if something still holds it
+// (typically p's completion). The rest activate: on q or a later queue
 // their scan runs (or is running) this very cycle, exactly when an
-// in-order pass over the whole queue would reach them. A waiter on an
-// already-scanned queue cannot issue this cycle (its blocker's
-// completion lies in the future), so it re-parks immediately —
-// typically on the blocker's completion time — instead of burning a
-// step on a doomed re-check.
+// in-order pass over the whole queue would reach them; on an
+// already-scanned queue they are evaluated next cycle.
 func (s *Sim) wakeWaiters(p *robEntry, q queue) {
 	h := p.waiterHead
 	p.waiterHead = 0
@@ -185,68 +195,93 @@ func (s *Sim) wakeWaiters(p *robEntry, q queue) {
 		if e.issued || e.active {
 			continue
 		}
-		if e.q >= q {
-			s.activate(e)
-			continue
-		}
 		if _, asleep := s.issueBoundPark(e); !asleep {
 			s.activate(e)
-			s.issueNoSkip = true // evaluated next cycle; its scan already ran
+			if e.q < q {
+				s.issueNoSkip = true // evaluated next cycle; its scan already ran
+			}
 		}
 	}
 }
 
 // issueQueue scans one queue's active list oldest-first, issuing up to
-// width entries for which fire grants a unit. The list is sorted so
-// width goes to the oldest ready entries, as an in-order pass over the
-// whole queue would allocate it; survivors compact in place behind the
+// width entries for which fire grants a unit, as an in-order pass over
+// the whole queue would allocate width. It first inserts the wake-ups
+// behind the sorted prefix; survivors compact in place behind the
 // cursor.
 func (s *Sim) issueQueue(q queue, width int, fire func(e *robEntry) (int64, int64)) {
 	act := s.qActive[q]
-	slices.Sort(act)
-	issued, kept := 0, 0
-	for i := 0; i < len(act); i++ {
+	if len(act) == 0 {
+		return
+	}
+	if k := s.qSorted[q]; k < len(act) {
+		s.work.Sorted += uint64(len(act) - k)
+		insertSorted(act, k)
+	}
+	issued, kept, i := 0, 0, 0
+	for ; i < len(act) && issued < width; i++ {
 		seq := act[i]
-		keep := s.evaluate(q, seq, width, &issued, fire)
+		keep := s.evaluate(q, seq, &issued, fire)
 		if woken := s.qActive[q]; len(woken) > len(act) {
 			// The issue woke waiters in this queue, appended behind the
-			// cursor. A waiter is younger than its blocker, hence than
-			// every entry scanned so far, so an in-order pass would
-			// reach it this cycle: re-sort the unscanned tail.
+			// list. A waiter is younger than its blocker, hence than
+			// every entry scanned so far: it joins the unscanned part.
+			s.work.Sorted += uint64(len(woken) - len(act))
+			insertSorted(woken[i+1:], len(act)-i-1)
 			act = woken
-			slices.Sort(act[i+1:])
 		}
 		if keep {
 			act[kept] = seq
 			kept++
 		}
 	}
+	// Width is spent: nothing more is evaluated or polled, so the
+	// poll-free walk is exact for the rest. A ready entry is re-checked
+	// next cycle without one; of the others, those a registered wake-up
+	// covers park, so that a dead cycle can still be skipped.
+	for ; i < len(act); i++ {
+		if e := s.entry(act[i]); !e.ready {
+			s.work.ScanTurns++
+			if _, asleep := s.issueBoundPark(e); asleep {
+				continue
+			}
+		}
+		act[kept] = act[i]
+		kept++
+		s.issueNoSkip = true
+	}
 	s.qActive[q] = act[:kept]
+	s.qSorted[q] = kept
+}
+
+// insertSorted sorts l, whose first k elements are in order, by
+// inserting each later element into the ordered part.
+func insertSorted(l []uint64, k int) {
+	for ; k < len(l); k++ {
+		x, i := l[k], k
+		for ; i > 0 && l[i-1] > x; i-- {
+			l[i] = l[i-1]
+		}
+		l[i] = x
+	}
 }
 
 // evaluate gives the entry seq its turn in queue q's scan — issuing it
-// if it is ready, width remains and fire grants the unit, parking it if
-// a registered wake-up covers what blocks it — and reports whether it
-// stays on the active list for the next cycle's scan.
-func (s *Sim) evaluate(q queue, seq uint64, width int, issued *int, fire func(e *robEntry) (int64, int64)) bool {
+// if it is ready and fire grants the unit, parking it if a registered
+// wake-up covers what blocks it — and reports whether it stays on the
+// active list for the next cycle's scan.
+func (s *Sim) evaluate(q queue, seq uint64, issued *int, fire func(e *robEntry) (int64, int64)) bool {
+	s.work.ScanTurns++
 	e := s.entry(seq)
 	if e == nil || e.issued {
 		return false
 	}
-	if *issued >= width {
-		// Nothing is evaluated (or polled) once width is spent, so the
-		// poll-free walk is exact here: park if a registered wake-up
-		// covers the entry, else re-check next cycle.
-		_, asleep := s.issueBoundPark(e)
-		if !asleep {
-			s.issueNoSkip = true
-		}
-		return !asleep
-	}
 	if b, blocked := s.readyBound(e); blocked {
 		if s.park(e, b.wake, b.seq) {
+			s.work.StillBlocked++
 			return false
 		}
+		s.work.Repolls++
 		s.issueNoSkip = true // bound not in the future: re-poll next cycle
 		return true
 	}

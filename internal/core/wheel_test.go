@@ -260,6 +260,58 @@ func TestMidScanWakeTakesWidthInOrder(t *testing.T) {
 	}
 }
 
+// TestNaiveScanMatches holds the issue scan to the one it stands for: a
+// scan that every cycle evaluates every unissued window entry in age
+// order, polling each, until its queue's width is spent — the scan that
+// wrote the frozen digests. Before every Step, wakeAll puts every
+// unissued entry on its queue's active list, off any waiter chain (a
+// stale ring wake-up then finds its entry active and does nothing).
+// The run must match the scan's own, counter for counter, on
+// every pipeline over the flat latency, an MSHR file, and a deep file
+// with the prefetcher. Mutation-checked: a refused entry woken a cycle
+// after its unit frees, a mid-scan insertion that drops its last
+// arrival, and a waiter parked a cycle past its producer's done time
+// each fail here.
+func TestNaiveScanMatches(t *testing.T) {
+	pipelines := []struct {
+		v    kernels.Variant
+		kind MemKind
+	}{{kernels.MOM3D, MemVectorCache3D}, {kernels.MOM, MemVectorCache}, {kernels.MMX, MemMultiBanked}}
+	for _, bm := range []kernels.Benchmark{GSMEnc(), MPEG2Enc(),
+		kernels.MotionSearch(kernels.SmallMotionSearchConfig())} {
+		for _, p := range pipelines {
+			for _, spec := range []string{"", "sdram/line/frfcfs/mshr8", "sdram/line/frfcfs/hbm/mshr16/pf8d2"} {
+				want := engineSnapshot(t, bm, p.v, p.kind, spec, nil, engine.Step)
+				got := driveSnapshot(t, bm, p.v, p.kind, spec, nil, func(s *Sim) {
+					for s.Running() {
+						wakeAll(s)
+						s.Step()
+					}
+				})
+				if got != want {
+					t.Errorf("%s/%s/%s: the naive scan diverged from the issue scan\n--- scan ---\n%s--- naive ---\n%s",
+						bm.Name, p.v, spec, want, got)
+				}
+			}
+		}
+	}
+}
+
+// wakeAll empties the waiter chains and puts every unissued window
+// entry, oldest first, on its queue's active list.
+func wakeAll(s *Sim) {
+	for q := range s.qActive {
+		s.qActive[q], s.qSorted[q] = s.qActive[q][:0], 0
+	}
+	for k := 0; k < s.count; k++ {
+		e := &s.rob[s.slot(uint64(s.head+k))]
+		e.waiterHead, e.waiterNext, e.enlisted = 0, 0, false
+		if !e.issued {
+			s.activate(e)
+		}
+	}
+}
+
 // sleeperSpecs are the backends the mid-run tests cross: the flat
 // latency (the dram.Fixed NewMemSystem builds when none is named), the
 // non-blocking pipeline over the banked part, and a deep MSHR file with

@@ -209,8 +209,12 @@ func ParseSpecFull(spec string, fixedLatency int64) (Backend, Knobs, error) {
 		for next < len(KnobTable) && KnobTable[next].Token != "" {
 			next++
 		}
-		if next == len(KnobTable) || KnobTable[next].set(&sel, tok) != nil {
+		if next == len(KnobTable) {
 			return nil, Knobs{}, fmt.Errorf("unknown token %q in spec %q (want%s)", tok, spec, grammar())
+		}
+		if r := &KnobTable[next]; r.set(&sel, tok) != nil {
+			return nil, Knobs{}, fmt.Errorf("unknown token %q in spec %q: not a knob, nor a -%s value (%s), the positional field its place holds; the positional fields come first, in the order listed (want%s)",
+				tok, spec, r.Flag, r.Names, grammar())
 		}
 		next++
 	}

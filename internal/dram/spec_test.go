@@ -53,6 +53,26 @@ func TestSpecRejectsUnknownTokens(t *testing.T) {
 	}
 }
 
+// TestSpecNamesThePositionalSlot: a value that is valid in another
+// positional slot ("hbm" is a profile) but lands in an earlier one is
+// refused with the slot it was read as and the order the slots come in,
+// not as a bare unknown token.
+func TestSpecNamesThePositionalSlot(t *testing.T) {
+	for _, c := range []struct{ spec, want string }{
+		{"sdram/hbm", `"hbm" in spec "sdram/hbm": not a knob, nor a -dmap value (line|bank|row), the positional field its place holds; the positional fields come first, in the order listed (want <line|bank|row> <fcfs|frfcfs> <ddr|hbm> `},
+		{"sdram/bank/hbm", `nor a -dsched value (fcfs|frfcfs), the positional field`},
+		{"sdram/line/frfcfs/bank", `nor a -dprof value (ddr|hbm), the positional field`},
+	} {
+		if _, _, err := ParseSpecFull(c.spec, 100); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ParseSpecFull(%q) = %v, want an error containing %q", c.spec, err, c.want)
+		}
+	}
+	// The slots' order is unchanged: the same values in their places parse.
+	if _, _, err := ParseSpecFull("sdram/line/frfcfs/hbm", 100); err != nil {
+		t.Errorf("sdram/line/frfcfs/hbm: %v", err)
+	}
+}
+
 // TestSpecMSHRKnob: mshr<n> parses on both kinds (it configures the
 // vmem layer, not the controller) and round-trips through
 // FormatSpecOpts.

@@ -11,7 +11,7 @@ import "math/bits"
 //
 // Same-cycle events pop in LIFO order. The ring's consumers are
 // order-insensitive within a cycle (waking an entry is idempotent and
-// the issue scan re-sorts by age), which is what buys the cheapest
+// the issue scan inserts wake-ups by age), which is what buys the cheapest
 // bucket representation: a chain pushed and popped at its head.
 //
 // Every simulator owns a ring, so the ring allocates nothing per

@@ -124,7 +124,7 @@ func TestRunnerDRAMSpecAppliesToSim(t *testing.T) {
 	}
 	// A spec the runner could only panic on later is an error now, and
 	// leaves the backend as it was.
-	for _, bad := range []string{"sdram/bank/frfcfs/msrh8", "sdram/tn2"} {
+	for _, bad := range []string{"sdram/bank/frfcfs/msrh8", "sdram/tn2", "sdram/line/vacolor"} {
 		if err := r.SetDRAM(bad); err == nil {
 			t.Errorf("SetDRAM(%q) accepted", bad)
 		}

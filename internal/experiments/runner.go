@@ -114,16 +114,22 @@ type stream struct {
 // SetDRAM sets the main-memory backend Sim runs every cell on: "" (the
 // seed's flat latency) or a spec dram.ParseSpecFull accepts, such as
 // "fixed" or "sdram/<mapping>/<scheduler>". A spec that does not parse,
-// or that carries a tn token (a runner's cells are solo), is refused and
-// leaves the runner as it was.
+// that carries a tn token (a runner's cells are solo), or whose
+// placement policy core.NewVM refuses, is refused and leaves the runner
+// as it was.
 func (r *Runner) SetDRAM(spec string) error {
 	if spec != "" {
-		_, knobs, err := dram.ParseSpecFull(spec, flatMemLatency)
+		backend, knobs, err := dram.ParseSpecFull(spec, flatMemLatency)
 		if err != nil {
 			return err
 		}
 		if knobs.Tenants != 0 {
 			return fmt.Errorf("spec %q carries tn%d: a runner's cells are solo", spec, knobs.Tenants)
+		}
+		if knobs.VA != "" {
+			if _, err := core.NewVM(knobs.VA, 1, backend); err != nil {
+				return err
+			}
 		}
 	}
 	r.dramSpec = spec

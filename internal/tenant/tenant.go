@@ -88,6 +88,7 @@ type Group struct {
 	cur int
 
 	steps, cycles int64 // Step calls made; tenant-cycles they stand for
+	work          core.Work
 }
 
 // seat is one tenant's place in the round: its simulator and the cycle
@@ -227,6 +228,7 @@ func (g *Group) RunSampled(s *stats.Sampler) {
 		sim := g.seats[i].sim
 		g.cycles += sim.Now()
 		g.stats[i] = *sim.Finish()
+		g.work.Add(sim.Work())
 	}
 	g.mems[0].Drain()
 	g.done = true
@@ -263,6 +265,10 @@ func (g *Group) catchUp() {
 // summed. The difference is the wheel's saving.
 func (g *Group) Steps() int64        { return g.steps }
 func (g *Group) TenantCycles() int64 { return g.cycles }
+
+// Work is the host work of every tenant's pipeline, summed when Run
+// ended (zero before).
+func (g *Group) Work() core.Work { return g.work }
 
 // N is the tenant count.
 func (g *Group) N() int { return len(g.seats) }

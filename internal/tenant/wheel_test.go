@@ -129,7 +129,7 @@ func TestWheelMatchesStepTenants(t *testing.T) {
 		{"full-solo", "sdram/line/frfcfs", 1},
 		{"2x-full", "sdram/line/frfcfs/tn2", 2},
 		{"4x-full-mshr-qos", "sdram/line/frfcfs/mshr8/tn4/qos", 4},
-		{"4x-full-vacolor", "sdram/line/frfcfs/tn4/vacolor", 4},
+		{"4x-full-vacolor", "sdram/bank/frfcfs/tn4/vacolor", 4},
 	} {
 		requireWheelMatchesStep(t, tc.name, tc.spec, slices.Repeat([][]isa.Inst{full}, tc.n))
 	}

@@ -73,7 +73,7 @@ run momexp -headline
 # The backend flags.
 run momexp -q -fig 9 -dram sdram -dprof hbm -dchan 2 -dmap bank -dsched fcfs -rp close
 run momexp -q -headline -dram fixed -mshr 8 -pf 4 -pfd 2
-run momexp -q -table 3 -dram sdram -va color -cpuprofile cpu.prof -memprofile mem.prof
+run momexp -q -table 3 -dram sdram -dmap bank -va color -cpuprofile cpu.prof -memprofile mem.prof
 
 # momsim: the report goldens' configurations (cmd/momsim/report_test.go),
 # then every flag.
@@ -81,7 +81,7 @@ run momsim -bench gsmencode -statsjson s.json
 run momsim -isa mmx -mem multibanked
 run momsim -mem ideal
 run momsim -dram sdram -mshr 16 -pf 8 -rp history -cpistack
-run momsim -dram sdram -va color
+run momsim -dram sdram -dmap bank -va color
 run momsim -bench motionsearch -dram sdram -tenants 2 -qos -va first -cpistack
 run momsim -bench motionsearch -dram sdram -dmap bank -tenants 3 -va colo
 run momsim -bench motionsearch -dram sdram -dmap bank -tenants 2 -va color
@@ -103,6 +103,7 @@ done
 # CI's refusals (.github/workflows/ci.yml, "flag errors are errors").
 refuse momsim -bench gsmencode -tenants 257
 refuse momsim -bench gsmencode -l2 -100
+refuse momsim -bench motionsearch -isa mom3d -mem vcache3d -dram sdram -tenants 4 -va color
 refuse momtrace -bench gsmencode -skip -1 -dump 2
 refuse momtrace -bench gsmencode -dump -1
 refuse momtrace -bench gsmencode -skip 999999999 -dump 3
