@@ -1,9 +1,9 @@
 package repro
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
-// lane count (vector cache port width), the graduation window, branch
-// prediction, and the 3D register file geometry. Each reports the cycle
-// count of the mpeg2encode flagship under the varied parameter.
+// lane count (vector cache port width), the graduation window and the
+// 3D register file geometry. Each reports the cycle count of the
+// mpeg2encode flagship under the varied parameter.
 
 import (
 	"fmt"
@@ -59,28 +59,6 @@ func BenchmarkAblationWindow(b *testing.B) {
 				ms := core.NewMemSystem(core.MemVectorCache3D, vmem.DefaultTiming(), cfg.Lanes, false)
 				st := simulate(cfg, ms, tr.Insts)
 				b.ReportMetric(float64(st.Cycles), "cycles")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationGshare compares the perfect-prediction default against
-// the gshare predictor (the §5.3 modeling assumption).
-func BenchmarkAblationGshare(b *testing.B) {
-	tr := mpeg2encTrace(kernels.MOM3D)
-	for _, gshare := range []bool{false, true} {
-		name := "perfect"
-		if gshare {
-			name = "gshare"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := core.MOMCore()
-				cfg.UseGshare = gshare
-				ms := core.NewMemSystem(core.MemVectorCache3D, vmem.DefaultTiming(), cfg.Lanes, false)
-				st := simulate(cfg, ms, tr.Insts)
-				b.ReportMetric(float64(st.Cycles), "cycles")
-				b.ReportMetric(float64(st.Mispredicts), "mispredicts")
 			}
 		})
 	}

@@ -32,8 +32,6 @@ type options struct {
 
 	L2Lat  int64
 	MemLat int64
-	Gshare bool
-	Verify bool // check the kernel output against the scalar reference
 
 	// Observability outputs: Trace writes a Chrome trace-event JSON
 	// file (TraceBuf sizes the event ring; 0 = default), StatsJSON
@@ -64,8 +62,6 @@ func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
 	knobs := dram.RegisterFlags(fs, false)
 	fs.Int64Var(&o.L2Lat, "l2", 20, "L2 cache latency in cycles")
 	fs.Int64Var(&o.MemLat, "mlat", 100, "fixed backend: main memory latency beyond L2 in cycles")
-	fs.BoolVar(&o.Gshare, "gshare", false, "use a gshare branch predictor instead of perfect prediction")
-	fs.BoolVar(&o.Verify, "verify", true, "check the kernel output against the scalar reference")
 	fs.StringVar(&o.Trace, "trace", "", "write a cycle-stamped Chrome trace-event JSON to this file")
 	fs.StringVar(&o.StatsJSON, "statsjson", "", "write the stats-registry snapshot as JSON to this file")
 	fs.IntVar(&o.TraceBuf, "tracebuf", 0, "trace event-ring capacity; oldest events drop first (0 = default)")
@@ -124,6 +120,9 @@ func resolve(o options) (runConfig, error) {
 	memKind, err := parseMem(o.Mem)
 	if err != nil {
 		return rc, err
+	}
+	if variant == kernels.MOM3D && memKind == core.MemVectorCache {
+		return rc, fmt.Errorf("-isa mom3d loads through the 3D register file datapath; use -mem vcache3d, not -mem vcache")
 	}
 	if o.L2Lat < 0 {
 		return rc, fmt.Errorf("-l2 is a latency in cycles and must not be negative (got %d)", o.L2Lat)
@@ -188,7 +187,6 @@ func resolve(o options) (runConfig, error) {
 	)...); err != nil {
 		return rc, err
 	}
-	cfg.UseGshare = o.Gshare
 	rc.Bench = bm
 	rc.Variant = variant
 	rc.Core = cfg

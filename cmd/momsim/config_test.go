@@ -233,6 +233,11 @@ func TestResolveRejectsUnknownValues(t *testing.T) {
 		// page starts on channel 0, so coloring would scan the whole pool
 		// for each page and fall back to first-fit under its own name.
 		{"va-color-line", "-dram sdram -va color", "every page starts on channel 0: give a mapping with channel bits above the page, such as -dmap bank"},
+		// The flat backend has no channels to color by.
+		{"va-color-fixed", "-va color -dram fixed", "has a single channel (-dram fixed, or -dchan 1), so coloring would be first-fit: give -dram sdram"},
+		// MOM+3D code loads through the 3D datapath the plain vector
+		// cache does not have.
+		{"mom3d-vcache", "-isa mom3d -mem vcache", "use -mem vcache3d"},
 		{"tenants-zero", "-tenants 0", "-tenants must be 1..256"},
 		{"tenants-past-the-request-field", "-tenants 257", "-tenants / tn<n>: 257 is out of range (want 1..256"},
 		{"dram-ideal", "-mem ideal -dram fixed", "-mem ideal"},

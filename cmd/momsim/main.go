@@ -5,8 +5,12 @@
 //
 //	momsim -bench mpeg2encode -isa mom3d -mem vcache3d -l2 20 -dram sdram
 //
+// Every run checks the kernel's output against its scalar reference
+// and fails when they differ.
+//
 // ISA variants: mmx, mom, mom3d. Memory systems: ideal, multibanked,
-// vcache, vcache3d. DRAM backends: fixed (flat latency), sdram (banked
+// vcache, vcache3d (mom3d is refused on vcache, which has no 3D
+// datapath). DRAM backends: fixed (flat latency), sdram (banked
 // controller; -dmap picks the address mapping, -dsched the scheduler,
 // -dprof the timing profile (ddr/hbm), whose write-drain and
 // reorder-window settings it keeps, and -dchan overrides the channel
@@ -114,7 +118,7 @@ func run(w io.Writer, rc runConfig) error {
 	var rec trace.Recorder
 	var digest []byte
 	stream, tst := rec.Record(func(sink trace.Sink) { digest = rc.Bench.Run(rc.Variant, sink) })
-	if rc.Verify && string(digest) != string(rc.Bench.Reference()) {
+	if string(digest) != string(rc.Bench.Reference()) {
 		return errors.New("kernel output does not match the scalar reference")
 	}
 	streams := make([]*trace.Stream, rc.Tenants)
@@ -197,9 +201,7 @@ func reportSolo(w io.Writer, rc runConfig, g *tenant.Group, tst *trace.Stats, en
 	}
 	fmt.Fprintf(w, "instructions: %d  cycles: %d  IPC: %.3f\n", st.Committed, st.Cycles, st.IPC())
 	fmt.Fprint(w, engineLine)
-	if rc.Verify {
-		fmt.Fprintln(w, "output verified against the scalar reference")
-	}
+	fmt.Fprintln(w, "output verified against the scalar reference")
 	fmt.Fprintln(w)
 	fmt.Fprint(w, tst.String())
 	fmt.Fprintln(w)
@@ -278,9 +280,6 @@ func reportSolo(w io.Writer, rc runConfig, g *tenant.Group, tst *trace.Stats, en
 	if rc.MemKind != core.MemIdeal {
 		bd := power.Estimate(power.DefaultParams(), st.Cycles, vs, ms.ScalarL2Accesses, tst.D3MoveElems)
 		fmt.Fprintf(w, "memory subsystem power: %.2f W (L2 %.2f, 3D RF %.3f)\n", bd.Total(), bd.L2Watts, bd.D3Watts)
-	}
-	if st.Mispredicts > 0 {
-		fmt.Fprintf(w, "branch mispredicts: %d\n", st.Mispredicts)
 	}
 	if rc.CPIStack {
 		printCPIStack(w, "", st)

@@ -5,6 +5,9 @@
 // of internal/cache and internal/vmem.
 //
 // It is the repository's substitute for the authors' Jinks simulator.
+// Branch prediction is perfect, the §5.3 modelling assumption for
+// trace-driven, loop-dominated media codes: a taken branch only ends
+// its cycle's fetch.
 package core
 
 import "repro/internal/isa"
@@ -23,11 +26,10 @@ type Config struct {
 	// Integer pipeline.
 	IntIssue int
 
-	// Multimedia pipeline. The MMX flavor has SIMDFUs independent
-	// single-op units; the MOM flavor has one unit of Lanes lanes that
-	// processes Lanes vector elements per cycle.
+	// Multimedia pipeline. The MMX flavor (Lanes 1) has SIMDIssue
+	// independent single-op units; the MOM flavor has one unit of Lanes
+	// lanes that processes Lanes vector elements per cycle.
 	SIMDIssue int
-	SIMDFUs   int
 	Lanes     int
 
 	// Memory pipeline.
@@ -45,13 +47,6 @@ type Config struct {
 	// gate dispatch: in-flight writers are bounded by physical - logical.
 	PhysVec, LogVec int
 	Phys3D, Log3D   int
-
-	// Branch handling: perfect prediction when UseGshare is false
-	// (trace-driven, loop-dominated media codes); otherwise a gshare
-	// predictor with a fixed redirect penalty.
-	UseGshare         bool
-	GshareBits        int
-	MispredictPenalty int64
 }
 
 // MMXCore returns the MMX-like configuration of Table 2.
@@ -60,11 +55,10 @@ func MMXCore() Config {
 		Name:       "MMX",
 		FetchWidth: 8, CommitWidth: 8, Window: 128, LSQ: 32,
 		IntIssue:  4,
-		SIMDIssue: 4, SIMDFUs: 4, Lanes: 1,
+		SIMDIssue: 4, Lanes: 1,
 		MemIssue: 4, StoreBuf: 16,
 		PhysVec: 80, LogVec: 32,
 		Phys3D: 4, Log3D: 2,
-		GshareBits: 12, MispredictPenalty: 8,
 	}
 }
 
@@ -75,11 +69,10 @@ func MOMCore() Config {
 		Name:       "MOM",
 		FetchWidth: 8, CommitWidth: 8, Window: 128, LSQ: 32,
 		IntIssue:  4,
-		SIMDIssue: 1, SIMDFUs: 1, Lanes: 4,
+		SIMDIssue: 1, Lanes: 4,
 		MemIssue: 2, StoreBuf: 16,
 		PhysVec: 36, LogVec: 16,
 		Phys3D: 4, Log3D: 2,
-		GshareBits: 12, MispredictPenalty: 8,
 	}
 }
 

@@ -60,8 +60,8 @@ type CPIStack struct {
 	// QosYield: the fill's wait was extended by QoS credit yields to
 	// other tenants in the channel scheduler.
 	QosYield uint64
-	// Frontend: the window is empty — a taken-branch fetch break,
-	// a mispredict resume, or the trace's tail.
+	// Frontend: the window is empty — a taken-branch fetch break or
+	// the trace's tail.
 	Frontend uint64
 	// Drain: end-of-run cycles between the last commit and the last
 	// outstanding fill landing.

@@ -19,8 +19,8 @@ const machineCycleCap = 50_000_000
 // kernel, an ISA and memory-system pair — must build without panicking,
 // run to completion under Step and under Advance within a cycle cap,
 // and report the same core.Stats and the same registry snapshot from
-// both. A selection Build still refuses is not a machine and is
-// skipped.
+// both. A selection Build or NewVM still refuses is not a machine and
+// is skipped.
 func FuzzMachine(f *testing.F) {
 	benches := []kernels.Benchmark{GSMEnc(), MPEG2Enc(), MPEG2Dec(), JPEGEnc(), JPEGDec(),
 		kernels.MotionSearch(kernels.SmallMotionSearchConfig())}
@@ -50,7 +50,11 @@ func FuzzMachine(f *testing.F) {
 			kind = "sdram"
 		}
 		sel := knobtest.Pick(t, pick, sdram)
-		if _, err := sel.Build(kind, 100); err != nil {
+		backend, err := sel.Build(kind, 100)
+		if err == nil && sel.VA != "" {
+			_, err = NewVM(sel.VA, 1, backend)
+		}
+		if err != nil {
 			t.Skip(err)
 		}
 		bm, m, spec := benches[int(bench)%len(benches)], machines[int(machine)%len(machines)], sel.Spec(kind)

@@ -22,10 +22,10 @@ const (
 	// the L1 data cache ports instead.
 	MemMultiBanked
 	// MemVectorCache attaches the single-wide-port vector cache
-	// (Fig 2-b).
+	// (Fig 2-b): the MOM-vc machine, which runs no 3D code.
 	MemVectorCache
-	// MemVectorCache3D is the vector cache plus the 3D register file
-	// datapath (Fig 8-c).
+	// MemVectorCache3D is the same vector cache with the 3D register
+	// file datapath (Fig 8-c) that MOM+3D code loads through.
 	MemVectorCache3D
 )
 
@@ -114,10 +114,8 @@ func newFrontEnd(kind MemKind, tim vmem.Timing, lanes int, bankL1 bool, l2 *cach
 	switch kind {
 	case MemMultiBanked:
 		m.VM = vmem.NewMultiBanked(m.L2, m.L1, m.Tim, 4, 8)
-	case MemVectorCache:
-		m.VM = vmem.NewVectorCache(m.L2, m.L1, m.Tim, lanes, false)
-	case MemVectorCache3D:
-		m.VM = vmem.NewVectorCache(m.L2, m.L1, m.Tim, lanes, true)
+	case MemVectorCache, MemVectorCache3D:
+		m.VM = vmem.NewVectorCache(m.L2, m.L1, m.Tim, lanes)
 	}
 	if bankL1 {
 		m.l1Banks = make([]int64, 8)
@@ -164,11 +162,12 @@ func NewTenantMemSystems(kind MemKind, tim vmem.Timing, lanes int, bankL1 bool, 
 // NewVM builds the address-translation layer for n requestors: the
 // default 4-level/4 KiB configuration under the named placement policy
 // ("first", "color" or "colo"), colored by the backend's channel
-// decode when it exposes one (the SDRAM controller does; the flat
-// backend degrades coloring to first-fit). Coloring is refused on a
-// mapping whose channel bits all lie inside the page offset: there every
-// page starts on channel 0, and each page asked for on another channel
-// costs a scan of the whole pool before falling back to first-fit.
+// decode. Coloring is refused where it would be first-fit under another
+// name: on a backend with no channel decode (the flat one) or a single
+// channel, and on a mapping whose channel bits all lie inside the page
+// offset, where every page starts on channel 0 and each page asked for
+// on another channel costs a scan of the whole pool before falling back
+// to first-fit.
 func NewVM(policy string, n int, backend dram.Backend) (*vm.VM, error) {
 	pol, err := vm.ParsePolicy(policy)
 	if err != nil {
@@ -180,7 +179,10 @@ func NewVM(policy string, n int, backend dram.Backend) (*vm.VM, error) {
 	if sd, ok := backend.(vm.ChannelMapper); ok {
 		cm = sd
 	}
-	if pol == vm.PolicyColor && cm != nil {
+	if pol == vm.PolicyColor {
+		if cm == nil || cm.ChannelCount() < 2 {
+			return nil, fmt.Errorf("-va color places pages by DRAM channel, but this backend has a single channel (-dram fixed, or -dchan 1), so coloring would be first-fit: give -dram sdram with two or more channels")
+		}
 		// The channel decode is a bit field: address bit b is a channel
 		// bit exactly when it alone decodes to a channel other than 0.
 		below := 0
@@ -189,7 +191,7 @@ func NewVM(policy string, n int, backend dram.Backend) (*vm.VM, error) {
 				below++
 			}
 		}
-		if n := cm.ChannelCount(); n > 1 && n>>below == 1 {
+		if n := cm.ChannelCount(); n>>below == 1 {
 			return nil, fmt.Errorf("-va color places pages by DRAM channel, but this mapping selects all %d channels with address bits inside the %d KiB page, so every page starts on channel 0: give a mapping with channel bits above the page, such as -dmap bank on the ddr profile or -dmap row",
 				n, 1<<cfg.PageBits>>10)
 		}

@@ -54,13 +54,14 @@ func TestTenantCountBounds(t *testing.T) {
 	}
 }
 
-// TestColoringNeedsPageChannels: page coloring is refused exactly where
-// every channel bit lies inside the 4 KiB page, so that every page
-// starts on channel 0: the line mapping up to 32 channels (128-byte
-// lines), and the bank mapping on the hbm profile's 2 KiB rows at two
-// channels. Where page starts reach some channels (line at 64, bank on
-// hbm's eight), all, or the only one, and on a backend without a
-// channel decode, it builds.
+// TestColoringNeedsPageChannels: page coloring is refused where it
+// would be first-fit under another name. That is a backend without a
+// channel decode or with one channel, and a mapping whose channel bits
+// all lie inside the 4 KiB page, so that every page starts on channel
+// 0: the line mapping up to 32 channels (128-byte lines), and the bank
+// mapping on the hbm profile's 2 KiB rows at two channels. Where page
+// starts reach some channels (line at 64, bank on hbm's eight) or all,
+// it builds.
 func TestColoringNeedsPageChannels(t *testing.T) {
 	for _, c := range []struct{ spec, want string }{
 		{"sdram/line", "selects all 2 channels with address bits inside the 4 KiB page, so every page starts on channel 0: give a mapping with channel bits above the page, such as -dmap bank"},
@@ -71,8 +72,8 @@ func TestColoringNeedsPageChannels(t *testing.T) {
 		{"sdram/bank", ""},
 		{"sdram/bank/64ch", ""},
 		{"sdram/row", ""},
-		{"sdram/line/1ch", ""},
-		{"fixed", ""},
+		{"sdram/line/1ch", "has a single channel (-dram fixed, or -dchan 1), so coloring would be first-fit: give -dram sdram"},
+		{"fixed", "has a single channel (-dram fixed, or -dchan 1), so coloring would be first-fit: give -dram sdram"},
 	} {
 		backend, _, err := dram.ParseSpecFull(c.spec, 100)
 		if err != nil {

@@ -18,8 +18,6 @@ type Stats struct {
 	Committed uint64
 	ByKind    [isa.Kind3DMove + 1]uint64
 
-	Mispredicts uint64
-
 	// Forwarded counts loads served from the store queue (fully covered
 	// by an older in-flight store) without touching the cache hierarchy.
 	Forwarded uint64
@@ -167,13 +165,6 @@ type Sim struct {
 	pendBySeq    []pendRec
 	postedStores []*vmem.Pending
 
-	// Branch prediction state (gshare ablation).
-	history        uint64
-	pht            []int8
-	mispredictSeq  uint64
-	mispredictPend bool
-	fetchResumeAt  int64
-
 	// Stepping state, owned by Step so a Sim can be advanced one
 	// cycle at a time interleaved with other requestors. The stream is
 	// shared and read-only: cur reads it, at the next instruction to
@@ -262,9 +253,6 @@ func NewStreamSim(cfg Config, mem *MemSystem, stream *trace.Stream, base uint64)
 	lists := make([]uint64, len(s.qActive)*w)
 	for q := range s.qActive {
 		s.qActive[q] = lists[q*w : q*w : (q+1)*w]
-	}
-	if cfg.UseGshare {
-		s.pht = make([]int8, 1<<cfg.GshareBits)
 	}
 	return s
 }
@@ -500,7 +488,7 @@ func (s *Sim) issue() {
 	})
 
 	// Multimedia pipeline.
-	momStyle := s.cfg.SIMDFUs == 1 && s.cfg.Lanes > 1
+	momStyle := s.cfg.Lanes > 1
 	s.issueQueue(qSIMD, s.cfg.SIMDIssue, func(e *robEntry) (int64, int64) {
 		lat := int64(e.in.Op.Class().Latency())
 		if !momStyle {
@@ -590,22 +578,6 @@ func (s *Sim) forwardable(e *robEntry) bool {
 // dispatch brings up to FetchWidth instructions into the window, stopping
 // at resource exhaustion or a taken branch (fetch break).
 func (s *Sim) dispatch() {
-	if s.mispredictPend {
-		e := s.entry(s.mispredictSeq)
-		if e == nil || (e.issued && e.done <= s.now) {
-			resolve := s.now
-			if e != nil {
-				resolve = e.done
-			}
-			s.fetchResumeAt = resolve + s.cfg.MispredictPenalty
-			s.mispredictPend = false
-		} else {
-			return
-		}
-	}
-	if s.now < s.fetchResumeAt {
-		return
-	}
 	for n := 0; n < s.cfg.FetchWidth && s.cur.More(); n++ {
 		if c := s.dispatchStall(s.cur.Peek()); c != nil {
 			*c++
@@ -614,16 +586,8 @@ func (s *Sim) dispatch() {
 		seq := uint64(s.cur.Pos())
 		in, addr, taken := s.cur.Next()
 		s.insert(in, seq, addr)
-		if in.Kind == isa.KindBranch {
-			if s.cfg.UseGshare && s.predict(taken) != taken {
-				s.stats.Mispredicts++
-				s.mispredictPend = true
-				s.mispredictSeq = seq
-				break
-			}
-			if taken {
-				break // fetch break on taken branches
-			}
+		if in.Kind == isa.KindBranch && taken {
+			break // fetch break on taken branches
 		}
 	}
 }
@@ -728,28 +692,4 @@ func memRange(in *isa.Inst, addr uint64) (lo, hi uint64) {
 		first, last = last, first
 	}
 	return uint64(first), uint64(last + int64(in.ElemBytes()))
-}
-
-// predict consults the gshare pattern history table and updates it with
-// the actual outcome (traces carry perfect outcomes; the predictor is an
-// ablation of the perfect-prediction default).
-func (s *Sim) predict(taken bool) bool {
-	idx := s.history & (uint64(len(s.pht)) - 1)
-	ctr := s.pht[idx]
-	pred := ctr >= 2
-	if taken && ctr < 3 {
-		s.pht[idx]++
-	}
-	if !taken && ctr > 0 {
-		s.pht[idx]--
-	}
-	s.history = s.history<<1 | uint64(boolBit(taken))
-	return pred
-}
-
-func boolBit(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

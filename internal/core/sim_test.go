@@ -204,27 +204,6 @@ func TestPointerChainFasterThanData(t *testing.T) {
 	}
 }
 
-func TestGshareAblation(t *testing.T) {
-	// Alternating taken/not-taken branches: gshare learns the pattern,
-	// so mispredicts must be far below 50%.
-	var insts []isa.Inst
-	for i := 0; i < 2000; i++ {
-		insts = append(insts, add(1, 2, 3))
-		insts = append(insts, isa.Inst{Op: isa.OpBr, Kind: isa.KindBranch, Src1: isa.R(1), Taken: i%2 == 0})
-	}
-	cfg := MMXCore()
-	cfg.UseGshare = true
-	st := simulate(cfg, idealMem(), seqify(insts))
-	if st.Mispredicts > 400 {
-		t.Errorf("mispredicts = %d on a learnable pattern", st.Mispredicts)
-	}
-	// And the penalty must cost cycles relative to perfect prediction.
-	st2 := simulate(MMXCore(), idealMem(), seqify(insts))
-	if st.Cycles <= st2.Cycles {
-		t.Errorf("gshare (%d cycles) must not beat perfect prediction (%d)", st.Cycles, st2.Cycles)
-	}
-}
-
 func TestMemKindStrings(t *testing.T) {
 	kinds := []MemKind{MemIdeal, MemMultiBanked, MemVectorCache, MemVectorCache3D}
 	for _, k := range kinds {

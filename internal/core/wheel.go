@@ -55,7 +55,7 @@ import (
 //     chain cannot dangle: waiters are younger than their blocker, and
 //     in-order commit cannot retire past an unissued entry, so no
 //     chained slot is recycled while the chain is live. (There is no
-//     squash path — mispredicts only stall fetch.)
+//     squash path: branch prediction is perfect.)
 //   - A refused grant waits on its unit's free cycle, fixed when the
 //     unit refuses: the MOM SIMD unit and the 3D mover each hold one
 //     busy-until cycle that only an issue on the unit moves, and the
@@ -481,26 +481,11 @@ func (s *Sim) nextWake() int64 {
 		// An unissued head is covered by the issue scan below.
 	}
 
-	// Dispatch side.
-	if s.mispredictPend {
-		// Dispatch resolves the mispredict the cycle the branch's done
-		// time passes (the resume time is computed from e.done, so the
-		// resolution Step must not be skipped past). An unissued branch
-		// is covered by the issue scan.
-		if e := s.entry(s.mispredictSeq); e != nil && e.issued {
-			sched(e.done)
-		}
-	} else if s.cur.More() {
-		if now < s.fetchResumeAt {
-			sched(s.fetchResumeAt)
-		} else {
-			if s.dispatchStall(s.cur.Peek()) == nil {
-				return now // dispatch inserts next cycle
-			}
-			// Resource-stalled: only a commit frees the window / LSQ /
-			// rename registers, and the commit candidates above (or the
-			// issue scan, for an unissued head) already cover that.
-		}
+	// Dispatch side. Resource-stalled, only a commit frees the window
+	// / LSQ / rename registers, and the commit candidates above (or the
+	// issue scan, for an unissued head) already cover that.
+	if s.cur.More() && s.dispatchStall(s.cur.Peek()) == nil {
+		return now // dispatch inserts next cycle
 	}
 
 	// Issue side: the verdict was computed by this step's own scans
@@ -541,7 +526,7 @@ func (s *Sim) SkipTo(t int64) {
 			s.stats.StallSB += uint64(n)
 		}
 	}
-	if !s.mispredictPend && s.now >= s.fetchResumeAt && s.cur.More() {
+	if s.cur.More() {
 		if c := s.dispatchStall(s.cur.Peek()); c != nil {
 			*c += uint64(n)
 		}

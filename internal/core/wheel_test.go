@@ -206,19 +206,6 @@ func TestWheelMatchesStepVA(t *testing.T) {
 	}
 }
 
-// TestWheelMatchesStepGshare covers the mispredict-pending and
-// fetch-resume wake-ups, which only the gshare ablation exercises.
-func TestWheelMatchesStepGshare(t *testing.T) {
-	gshare := func(c *Config) { c.UseGshare = true }
-	for _, bm := range []kernels.Benchmark{GSMEnc(), JPEGEnc(),
-		kernels.MotionSearch(kernels.SmallMotionSearchConfig())} {
-		requireEngineMatch(t, bm.Name+"/gshare/flat", bm, kernels.MOM3D,
-			MemVectorCache3D, "", gshare)
-		requireEngineMatch(t, bm.Name+"/gshare/mshr8", bm, kernels.MOM3D,
-			MemVectorCache3D, "sdram/line/frfcfs/mshr8", gshare)
-	}
-}
-
 // TestWheelMatchesStepStoreBuffer pins the store-buffer-full skip path
 // (sbBlocked's verdict bulk-charged by SkipTo, plus the oldest posted
 // store's flush poll) with a 1-entry buffer, the configuration

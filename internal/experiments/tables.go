@@ -68,7 +68,7 @@ func Table2() string {
 	row("INTEGER issue", mmx.IntIssue, mom.IntIssue)
 	row("INTEGER FUs", mmx.IntIssue, mom.IntIssue)
 	row("SIMD issue", mmx.SIMDIssue, mom.SIMDIssue)
-	row("SIMD FUs", fmt.Sprintf("%d", mmx.SIMDFUs), fmt.Sprintf("%dx%d", mom.SIMDFUs, mom.Lanes))
+	row("SIMD FUs", fmt.Sprintf("%d", mmx.SIMDIssue), fmt.Sprintf("%dx%d", mom.SIMDIssue, mom.Lanes))
 	row("memory issue", mmx.MemIssue, mom.MemIssue)
 	row("L1 memory ports", mmx.MemIssue, mom.MemIssue)
 	row("L2 vector ports", "n/a", fmt.Sprintf("1x%d", mom.Lanes))

@@ -63,7 +63,11 @@ func FuzzGroup(f *testing.F) {
 		n := 2 + int(tenants)%3
 		sel := knobtest.Pick(t, pick, sdram)
 		sel.Tenants = n // the spec names the group's requestor count
-		if _, err := sel.Build(kind, 100); err != nil {
+		backend, err := sel.Build(kind, 100)
+		if err == nil && sel.VA != "" {
+			_, err = core.NewVM(sel.VA, n, backend)
+		}
+		if err != nil {
 			t.Skip(err)
 		}
 		spec := sel.Spec(kind)

@@ -74,8 +74,7 @@ func (p Policy) String() string {
 }
 
 // ChannelMapper exposes a DRAM part's address-to-channel decode to the
-// coloring policy. dram.SDRAM satisfies it; a nil mapper (the flat
-// backend) degrades coloring to first-fit.
+// coloring policy. dram.SDRAM satisfies it.
 type ChannelMapper interface {
 	ChannelOf(addr uint64) int
 	ChannelCount() int
@@ -150,7 +149,8 @@ type VM struct {
 }
 
 // New builds a VM with n spaces. cm supplies the DRAM channel decode
-// for PolicyColor; nil degrades coloring to first-fit.
+// PolicyColor needs, of two or more channels (core.NewVM refuses
+// coloring without one); the other policies take nil.
 func New(cfg Config, n int, cm ChannelMapper) *VM {
 	if cfg.PageBits == 0 {
 		panic("vm: zero page size")
@@ -211,15 +211,10 @@ func (v *VM) RegisterShared(reg *stats.Registry) {
 	reg.AddStruct("vm.walk", &v.wst)
 }
 
-// pageChannel is the DRAM channel a physical page decodes to. With
-// channel bits above the page offset (the bank mapping) a page lives
-// wholly on one channel and coloring is meaningful; under line
-// interleaving every page touches every channel and the policy
-// degrades gracefully (channel of the page's first line).
+// pageChannel is the DRAM channel a physical page decodes to: the
+// channel of its first line. With channel bits above the page offset
+// (the bank mapping) a page lives wholly on one channel.
 func (v *VM) pageChannel(idx uint64) int {
-	if v.chanOf == nil {
-		return 0
-	}
 	return v.chanOf(idx << v.cfg.PageBits)
 }
 
@@ -417,11 +412,9 @@ func (sp *Space) allocPage() uint64 {
 	ok := false
 	switch v.cfg.Policy {
 	case PolicyColor:
-		if v.nchan > 1 {
-			want := sp.nextColor
-			idx, ok = v.pool.find(func(i uint64) bool { return v.pageChannel(i) == want })
-			sp.nextColor = (want + 1) % v.nchan
-		}
+		want := sp.nextColor
+		idx, ok = v.pool.find(func(i uint64) bool { return v.pageChannel(i) == want })
+		sp.nextColor = (want + 1) % v.nchan
 	case PolicyColocate:
 		// March forward from the tenant's home region: first choice is
 		// the page right after the last one (contiguous, same row), then

@@ -295,15 +295,14 @@ func (m *MultiBanked) access(addr uint64, store bool) cache.Result {
 
 // VectorCache is the port-widening design of Fig 2-b: one port delivering
 // up to `lanes` consecutive 64-bit words per access (two interleaved line
-// banks allow crossing one line boundary). With wide3D set it is the
-// Fig 8-c system: dvload elements of up to a whole L2 line move in a
-// single access into the 3D register file.
+// banks allow crossing one line boundary). A 3D load is the Fig 8-c
+// datapath: dvload elements of up to a whole L2 line move in a single
+// access into the 3D register file.
 type VectorCache struct {
 	l2       *cache.Cache
 	l1       *cache.Cache
 	tim      Timing
 	lanes    int
-	wide3D   bool
 	portFree int64
 	st       Stats
 	missBuf  []uint64
@@ -313,8 +312,8 @@ type VectorCache struct {
 }
 
 // NewVectorCache builds the vector cache subsystem over the shared L2.
-func NewVectorCache(l2, l1 *cache.Cache, tim Timing, lanes int, wide3D bool) *VectorCache {
-	return &VectorCache{l2: l2, l1: l1, tim: tim, lanes: lanes, wide3D: wide3D}
+func NewVectorCache(l2, l1 *cache.Cache, tim Timing, lanes int) *VectorCache {
+	return &VectorCache{l2: l2, l1: l1, tim: tim, lanes: lanes}
 }
 
 // Stats implements System.
@@ -351,33 +350,14 @@ func (v *VectorCache) Issue(in *isa.Inst, t0 int64) (int64, *Pending) {
 		}
 	}
 
-	if in.Kind == isa.Kind3DLoad && v.wide3D {
+	switch {
+	case in.Kind == isa.Kind3DLoad:
 		// One wide access per element: the two interleaved banks deliver
 		// any span of up to a full line's width crossing at most one
 		// line boundary, written in parallel to one 3D register lane.
 		for e := 0; e < in.VL; e++ {
 			access(in.ElemAddr(in.Addr, e), in.Width, 1)
 			v.st.D3Words += uint64(in.Width)
-		}
-		// The whole instruction's misses form one controller batch.
-		return v.tim.Complete(v.batch, v.pfBuf, done)
-	}
-
-	switch {
-	case in.Kind == isa.Kind3DLoad:
-		// A 3D load on a plain vector cache (not a paper configuration,
-		// but kept well-defined): each element moves lanes words per
-		// access.
-		for e := 0; e < in.VL; e++ {
-			base := in.ElemAddr(in.Addr, e)
-			for w := 0; w < in.Width; w += v.lanes {
-				n := in.Width - w
-				if n > v.lanes {
-					n = v.lanes
-				}
-				access(base+uint64(8*w), n, 0)
-			}
-			v.st.Elements++
 		}
 	case in.Stride == 0:
 		// Broadcast: a single access feeds every element.

@@ -65,7 +65,7 @@ func TestMultiBankedBankConflicts(t *testing.T) {
 }
 
 func TestVectorCacheConsecutiveRuns(t *testing.T) {
-	v := NewVectorCache(l2(), nil, tim(), 4, false)
+	v := NewVectorCache(l2(), nil, tim(), 4)
 	v.Issue(momLoad(0x100, 16, 8), 0)
 	st := v.Stats()
 	// 16 consecutive words in runs of 4 = 4 accesses.
@@ -81,7 +81,7 @@ func TestVectorCacheConsecutiveRuns(t *testing.T) {
 }
 
 func TestVectorCacheStridedDegrades(t *testing.T) {
-	v := NewVectorCache(l2(), nil, tim(), 4, false)
+	v := NewVectorCache(l2(), nil, tim(), 4)
 	v.Issue(momLoad(0x100, 16, 176), 0)
 	st := v.Stats()
 	if st.Accesses != 16 {
@@ -93,7 +93,7 @@ func TestVectorCacheStridedDegrades(t *testing.T) {
 }
 
 func TestVectorCacheBroadcast(t *testing.T) {
-	v := NewVectorCache(l2(), nil, tim(), 4, false)
+	v := NewVectorCache(l2(), nil, tim(), 4)
 	v.Issue(momLoad(0x100, 8, 0), 0)
 	if v.Stats().Accesses != 1 {
 		t.Errorf("broadcast accesses = %d, want 1", v.Stats().Accesses)
@@ -101,7 +101,7 @@ func TestVectorCacheBroadcast(t *testing.T) {
 }
 
 func TestVectorCache3DWideAccess(t *testing.T) {
-	v := NewVectorCache(l2(), nil, tim(), 4, true)
+	v := NewVectorCache(l2(), nil, tim(), 4)
 	v.Issue(dvLoad(0x100, 16, 16, 176), 0)
 	st := v.Stats()
 	// One 128-byte access per element.
@@ -117,7 +117,7 @@ func TestVectorCache3DWideAccess(t *testing.T) {
 }
 
 func TestVectorCachePortSerialization(t *testing.T) {
-	v := NewVectorCache(l2(), nil, tim(), 4, false)
+	v := NewVectorCache(l2(), nil, tim(), 4)
 	// Warm the line so both instructions hit.
 	v.Issue(momLoad(0x100, 4, 8), 0)
 	d1, _ := v.Issue(momLoad(0x100, 4, 8), 10)
@@ -128,7 +128,7 @@ func TestVectorCachePortSerialization(t *testing.T) {
 }
 
 func TestMissLatency(t *testing.T) {
-	v := NewVectorCache(l2(), nil, tim(), 4, false)
+	v := NewVectorCache(l2(), nil, tim(), 4)
 	d, _ := v.Issue(momLoad(0x100, 1, 8), 0)
 	if d != 0+20+100 {
 		t.Errorf("miss completion = %d, want 120", d)
@@ -143,7 +143,7 @@ func TestMissLatency(t *testing.T) {
 }
 
 func TestLineCrossingCountsOneAccess(t *testing.T) {
-	v := NewVectorCache(l2(), nil, tim(), 4, false)
+	v := NewVectorCache(l2(), nil, tim(), 4)
 	// 4 words starting 8 bytes before a line boundary: spans two lines,
 	// still one access (two interleaved banks).
 	v.Issue(momLoad(128-8, 4, 8), 0)
@@ -158,7 +158,7 @@ func TestExclusiveBitInvalidatesL1(t *testing.T) {
 	// Scalar side pulls a line into L1 and marks it exclusive in L2.
 	l1c.Access(0x1000, false, false)
 	l2c.Access(0x1000, false, true)
-	v := NewVectorCache(l2c, l1c, tim(), 4, false)
+	v := NewVectorCache(l2c, l1c, tim(), 4)
 	st := &isa.Inst{Op: isa.OpVStore, Kind: isa.KindMOMMem, Addr: 0x1000, VL: 4, Stride: 8, IsStore: true}
 	v.Issue(st, 0)
 	if l1c.Contains(0x1000) {
@@ -202,7 +202,7 @@ func (r *recordingBackend) Submit(batch []dram.Request) []dram.Completion {
 // instruction's whole memory parallelism at once.
 func TestInstructionMissesFormOneBatch(t *testing.T) {
 	rb := &recordingBackend{}
-	v := NewVectorCache(l2(), nil, Timing{L2Latency: 20, Backend: rb}, 4, false)
+	v := NewVectorCache(l2(), nil, Timing{L2Latency: 20, Backend: rb}, 4)
 	// 32 consecutive words from a cold cache: two 128-byte lines miss.
 	done, _ := v.Issue(momLoad(0, 32, 8), 0)
 	if len(rb.batches) != 1 {
@@ -251,7 +251,7 @@ func TestDirtyVictimWritebackRidesBatch(t *testing.T) {
 	l2c := cache.New(cache.Config{Name: "L2", Size: 4 * cache.L2LineBytes,
 		LineSize: cache.L2LineBytes, Ways: 1, WriteBack: true, Latency: 20})
 	rb := &recordingBackend{}
-	v := NewVectorCache(l2c, nil, Timing{L2Latency: 20, Backend: rb}, 4, false)
+	v := NewVectorCache(l2c, nil, Timing{L2Latency: 20, Backend: rb}, 4)
 
 	// Dirty a line, then force its eviction with a conflicting fill
 	// (direct-mapped: same set every 4 lines).

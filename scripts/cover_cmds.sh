@@ -85,7 +85,6 @@ run momsim -dram sdram -dmap bank -va color
 run momsim -bench motionsearch -dram sdram -tenants 2 -qos -va first -cpistack
 run momsim -bench motionsearch -dram sdram -dmap bank -tenants 3 -va colo
 run momsim -bench motionsearch -dram sdram -dmap bank -tenants 2 -va color
-run momsim -bench gsmencode -isa mmx -gshare -verify=false
 run momsim -bench jpegdecode -isa mom -mem vcache -l2 12 -mlat 50
 run momsim -bench mpeg2decode -dram sdram -dprof hbm -dchan 2 -dsched fcfs -mshr 8 -pf 4 -pfd 2
 # The tracer over each backend, with translation and two tenants.
@@ -104,6 +103,8 @@ done
 refuse momsim -bench gsmencode -tenants 257
 refuse momsim -bench gsmencode -l2 -100
 refuse momsim -bench motionsearch -isa mom3d -mem vcache3d -dram sdram -tenants 4 -va color
+refuse momsim -bench gsmencode -dram fixed -va color
+refuse momsim -bench gsmencode -isa mom3d -mem vcache
 refuse momtrace -bench gsmencode -skip -1 -dump 2
 refuse momtrace -bench gsmencode -dump -1
 refuse momtrace -bench gsmencode -skip 999999999 -dump 3

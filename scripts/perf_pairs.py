@@ -10,6 +10,11 @@ first, and prints for every metric of the result line both medians and
 quartiles, the pairs the working tree won, and every run in pair order:
 the table choosing-metrics section 8 asks a performance claim to show.
 Extra flags (`-seed 20020918`, `-trace 1`) go to both sides.
+
+Each pair's end-to-end values (BENCHMARK.json's `end_to_end` metrics)
+go to stderr as the pair completes. A run that fails, or an interrupt,
+ends the loop: the table then covers the pairs already made, and the
+script exits non-zero.
 """
 import json
 import os
@@ -20,14 +25,21 @@ import sys
 import tempfile
 
 
+class RunFailed(Exception):
+    pass
+
+
 def run_bench(binary, tree, workload, flags, out):
     """One benchmark run from tree; returns the result line's metrics."""
     cmd = [binary, "-workload", workload, "-o", out] + flags
-    stdout = subprocess.run(cmd, cwd=tree, check=True, text=True,
-                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL).stdout
-    result = json.loads(stdout.splitlines()[-1])
-    if result["failed"] or not result["correct"]:
-        sys.exit(f"{' '.join(cmd)}: {result['failed']} of {result['attempted']} operations failed")
+    proc = subprocess.run(cmd, cwd=tree, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    lines = proc.stdout.splitlines()
+    if not lines:
+        raise RunFailed(f"{' '.join(cmd)}: exit status {proc.returncode}, no result line")
+    result = json.loads(lines[-1])
+    if proc.returncode or result["failed"] or not result["correct"]:
+        raise RunFailed(f"{' '.join(cmd)}: {result['failed']} of {result['attempted']} operations failed")
     return result["metrics"]
 
 
@@ -55,17 +67,38 @@ def main():
             binaries[side] = os.path.join(tmp, side + ".bench")
             subprocess.run(["go", "build", "-o", binaries[side], "./bench"], cwd=tree, check=True)
 
+        with open(os.path.join(root, "BENCHMARK.json")) as f:
+            end_to_end = [m["name"] for m in json.load(f)["end_to_end"]]
         runs = {"ref": [], "new": []}
-        for pair in range(n):
-            for side in (("ref", "new"), ("new", "ref"))[pair % 2]:
-                runs[side].append(run_bench(binaries[side], trees[side], workload, flags,
-                                            os.path.join(tmp, "result.json")))
-            print(f"pair {pair + 1}/{n} done", file=sys.stderr)
+        stopped = None
+        try:
+            for pair in range(n):
+                for side in (("ref", "new"), ("new", "ref"))[pair % 2]:
+                    runs[side].append(run_bench(binaries[side], trees[side], workload, flags,
+                                                os.path.join(tmp, "result.json")))
+                print(f"pair {pair + 1}/{n}: " + "; ".join(
+                    f"{name} ref {runs['ref'][-1][name]['value']:.6g} new {runs['new'][-1][name]['value']:.6g}"
+                    for name in end_to_end if name in runs["ref"][-1]), file=sys.stderr)
+        except (RunFailed, KeyboardInterrupt) as e:
+            stopped = str(e) or "interrupted"
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
+    done = min(len(runs["ref"]), len(runs["new"]))
+    if stopped:
+        print(f"perf-pairs: stopped after {done} of {n} pairs: {stopped}", file=sys.stderr)
+    if done:
+        summarize(runs["ref"][:done], runs["new"][:done], workload, flags, commit)
+    if stopped:
+        sys.exit(1)
+
+
+def summarize(ref, new, workload, flags, commit):
+    """Prints the table over the pairs ref[i], new[i]."""
+    n = len(ref)
     print(f"perf-pairs: {workload} {' '.join(flags)}".rstrip() +
           f", ref {commit} vs working tree, {n} pairs (even pairs run the working tree first)")
+    runs = {"ref": ref, "new": new}
     for name, first in sorted(runs["ref"][0].items()):
         a = [r[name]["value"] for r in runs["ref"]]
         b = [r[name]["value"] for r in runs["new"]]
