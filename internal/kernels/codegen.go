@@ -5,50 +5,88 @@ import (
 	"repro/internal/prog"
 )
 
-// cg dispatches the μSIMD-style code shared between variants: under MMX it
-// emits KindUSIMD operations and L1 μSIMD memory accesses; under MOM and
-// MOM3D it emits the same operations as VL=1 MOM instructions, whose
-// memory accesses travel through the L2 vector port (the MOM cache
-// hierarchy of §5.3 routes all multimedia memory around the L1).
-type cg struct {
-	b *prog.Builder
-	v Variant
+// row is one step of a row loop (env.rows): a single row under MMX, a
+// strip of up to isa.MOMElems rows under MOM and MOM+3D. Its methods
+// emit one instruction for the whole step, addressing the step's first
+// row at off + y*stride.
+type row struct {
+	b  *prog.Builder
+	y  int // first row of the step
+	vl int // rows in the strip; 0 for a μSIMD row
 }
 
-// ld emits a 64-bit multimedia load from base+off.
-func (c *cg) ld(dst, base isa.Reg, off int64, pack int) {
-	if c.v == MMX {
-		c.b.MMXLoad(dst, base, off, pack)
-	} else {
-		c.b.MOMLoad(dst, base, off, 8, 1, pack)
+// rows emits body for rows 0..n-1: under MMX once per row, as μSIMD
+// instructions; under MOM and MOM+3D once per strip of at most
+// isa.MOMElems rows, as MOM instructions of the strip's vector length.
+// A kernel's MMX code is its MOM code with the row dimension unrolled.
+func (e *env) rows(n int, body func(r row)) {
+	if e.v == MMX {
+		for y := 0; y < n; y++ {
+			body(row{b: e.b, y: y})
+		}
+		return
+	}
+	for y := 0; y < n; y += isa.MOMElems {
+		body(row{b: e.b, y: y, vl: min(n-y, isa.MOMElems)})
 	}
 }
 
-// st emits a 64-bit multimedia store to base+off.
-func (c *cg) st(base isa.Reg, off int64, src isa.Reg, pack int) {
-	if c.v == MMX {
-		c.b.MMXStore(base, off, src, pack)
+// at is the address offset of the step's first row.
+func (r row) at(off, stride int64) int64 { return off + int64(r.y)*stride }
+
+// ld loads 64 bits per row from base+off, rows stride bytes apart.
+func (r row) ld(dst, base isa.Reg, off, stride int64, pack int) {
+	if r.vl == 0 {
+		r.b.MMXLoad(dst, base, r.at(off, stride), pack)
 	} else {
-		c.b.MOMStore(base, off, 8, src, 1, pack)
+		r.b.MOMLoad(dst, base, r.at(off, stride), stride, r.vl, pack)
+	}
+}
+
+// st stores 64 bits per row to base+off, rows stride bytes apart.
+func (r row) st(base isa.Reg, off, stride int64, src isa.Reg, pack int) {
+	if r.vl == 0 {
+		r.b.MMXStore(base, r.at(off, stride), src, pack)
+	} else {
+		r.b.MOMStore(base, r.at(off, stride), stride, src, r.vl, pack)
 	}
 }
 
 // op emits a two-source packed operation.
-func (c *cg) op(op isa.Op, dst, s1, s2 isa.Reg) {
-	if c.v == MMX {
-		c.b.U(op, dst, s1, s2)
+func (r row) op(op isa.Op, dst, s1, s2 isa.Reg) {
+	if r.vl == 0 {
+		r.b.U(op, dst, s1, s2)
 	} else {
-		c.b.M(op, dst, s1, s2, 1)
+		r.b.M(op, dst, s1, s2, r.vl)
 	}
 }
 
 // opi emits a packed operation with an immediate.
-func (c *cg) opi(op isa.Op, dst, s1 isa.Reg, imm int64) {
-	if c.v == MMX {
-		c.b.UImm(op, dst, s1, imm)
+func (r row) opi(op isa.Op, dst, s1 isa.Reg, imm int64) {
+	if r.vl == 0 {
+		r.b.UImm(op, dst, s1, imm)
 	} else {
-		c.b.MImm(op, dst, s1, imm, 1)
+		r.b.MImm(op, dst, s1, imm, r.vl)
 	}
+}
+
+// splat broadcasts the low 16 bits of scalar src across dst.
+func (r row) splat(dst, src isa.Reg) {
+	if r.vl == 0 {
+		r.b.SplatW(dst, src)
+	} else {
+		r.b.MSplatW(dst, src, r.vl)
+	}
+}
+
+// broadcast is the step that sets a value every one of n rows shares:
+// under MMX one μSIMD register, which serves each row a row loop
+// visits; under MOM one instruction of VL n.
+func (e *env) broadcast(n int) row {
+	if e.v == MMX {
+		return row{b: e.b}
+	}
+	return row{b: e.b, vl: n}
 }
 
 // Vector register assignments for the shared code generators (see the
@@ -119,12 +157,7 @@ func (e *env) prepareDCT() *dctGen {
 	e.setBase(rTmpA, tA)
 	e.setBase(rTmpB, tB)
 
-	if e.v == MMX {
-		e.b.MMXLoad(vRound, rRound, 0, 2)
-	} else {
-		// Broadcast the rounding pair across all elements.
-		e.b.MOMLoad(vRound, rRound, 0, 0, isa.MOMElems, 2)
-	}
+	e.broadcast(isa.MOMElems).ld(vRound, rRound, 0, 0, 2)
 	return &dctGen{e: e}
 }
 
@@ -141,73 +174,52 @@ func (d *dctGen) loadMMXCoefs(rCoef isa.Reg, tag byte) {
 
 // pass emits one transform pass: dst[y][u] = sat16((Σ_x src[y][x]*T[u][x]
 // + 2048) >> 12) for the 8x8 int16 block at rSrc (row stride 16 bytes),
-// writing rDst. The MMX form iterates rows; the MOM form vectorizes the
-// row dimension with VL=8.
+// writing rDst. The rows are the vector dimension: MMX unrolls them, MOM
+// runs them as one VL=8 strip.
 func (d *dctGen) pass(rSrc, rDst, rCoef isa.Reg) {
-	c := d.e.c
-	if d.e.v == MMX {
-		for y := 0; y < 8; y++ {
-			off := int64(y * 16)
-			c.ld(vT0, rSrc, off, 4)
-			c.ld(vT1, rSrc, off+8, 4)
-			c.opi(isa.OpPShufW, vB01, vT0, 0x44)
-			c.opi(isa.OpPShufW, vB23, vT0, 0xee)
-			c.opi(isa.OpPShufW, vB45, vT1, 0x44)
-			c.opi(isa.OpPShufW, vB67, vT1, 0xee)
-			for g := 0; g < 4; g++ {
-				cr := func(p int) isa.Reg { return isa.V(mmxCoefBase + g*4 + p) }
-				acc := vW0
-				if g%2 == 1 {
-					acc = vW1
-				}
-				c.op(isa.OpPMAddWD, acc, vB01, cr(0))
-				c.op(isa.OpPMAddWD, vT0, vB23, cr(1))
-				c.op(isa.OpPAddD, acc, acc, vT0)
-				c.op(isa.OpPMAddWD, vT0, vB45, cr(2))
-				c.op(isa.OpPAddD, acc, acc, vT0)
-				c.op(isa.OpPMAddWD, vT0, vB67, cr(3))
-				c.op(isa.OpPAddD, acc, acc, vT0)
-				c.op(isa.OpPAddD, acc, acc, vRound)
-				c.opi(isa.OpPSraD, acc, acc, dctScaleBits)
-				if g%2 == 1 {
-					c.op(isa.OpPackSSDW, vW0, vW0, vW1)
-					c.st(rDst, off+int64(g/2)*8, vW0, 4)
-				}
+	d.e.rows(8, func(r row) {
+		r.ld(vT0, rSrc, 0, 16, 4)
+		r.ld(vT1, rSrc, 8, 16, 4)
+		r.opi(isa.OpPShufW, vB01, vT0, 0x44)
+		r.opi(isa.OpPShufW, vB23, vT0, 0xee)
+		r.opi(isa.OpPShufW, vB45, vT1, 0x44)
+		r.opi(isa.OpPShufW, vB67, vT1, 0xee)
+		for g := 0; g < 4; g++ {
+			c := d.coefs(r, rCoef, g)
+			acc := vW0
+			if g%2 == 1 {
+				acc = vW1
+			}
+			r.op(isa.OpPMAddWD, acc, vB01, isa.V(c))
+			r.op(isa.OpPMAddWD, vT0, vB23, isa.V(c+1))
+			r.op(isa.OpPAddD, acc, acc, vT0)
+			r.op(isa.OpPMAddWD, vT0, vB45, isa.V(c+2))
+			r.op(isa.OpPAddD, acc, acc, vT0)
+			r.op(isa.OpPMAddWD, vT0, vB67, isa.V(c+3))
+			r.op(isa.OpPAddD, acc, acc, vT0)
+			r.op(isa.OpPAddD, acc, acc, vRound)
+			r.opi(isa.OpPSraD, acc, acc, dctScaleBits)
+			if g%2 == 1 {
+				r.op(isa.OpPackSSDW, vW0, vW0, vW1)
+				r.st(rDst, int64(g/2)*8, 16, vW0, 4)
 			}
 		}
-		return
+	})
+}
+
+// coefs returns the index of the first of the four vector registers
+// holding u-group g's coefficient quadwords. Under MMX the whole table
+// is resident in v16..v31 (transform loads it); under MOM a resident
+// table would take all 16 logical matrix registers, so each group's
+// four quadwords are broadcast down the strip into vC0..vC3 before use.
+func (d *dctGen) coefs(r row, rCoef isa.Reg, g int) int {
+	if d.e.v == MMX {
+		return mmxCoefBase + g*4
 	}
-	// MOM form: elements are rows.
-	b := d.e.b
-	b.MOMLoad(vT0, rSrc, 0, 16, 8, 4)
-	b.MOMLoad(vT1, rSrc, 8, 16, 8, 4)
-	b.MImm(isa.OpPShufW, vB01, vT0, 0x44, 8)
-	b.MImm(isa.OpPShufW, vB23, vT0, 0xee, 8)
-	b.MImm(isa.OpPShufW, vB45, vT1, 0x44, 8)
-	b.MImm(isa.OpPShufW, vB67, vT1, 0xee, 8)
-	for g := 0; g < 4; g++ {
-		// Broadcast the four coefficient quadwords for this u-group.
-		for p := 0; p < 4; p++ {
-			b.MOMLoad(isa.V(vC0.Index()+p), rCoef, int64((g*4+p)*8), 0, 8, 4)
-		}
-		acc := vW0
-		if g%2 == 1 {
-			acc = vW1
-		}
-		b.M(isa.OpPMAddWD, acc, vB01, vC0, 8)
-		b.M(isa.OpPMAddWD, vT0, vB23, vC1, 8)
-		b.M(isa.OpPAddD, acc, acc, vT0, 8)
-		b.M(isa.OpPMAddWD, vT0, vB45, vC2, 8)
-		b.M(isa.OpPAddD, acc, acc, vT0, 8)
-		b.M(isa.OpPMAddWD, vT0, vB67, vC3, 8)
-		b.M(isa.OpPAddD, acc, acc, vT0, 8)
-		b.M(isa.OpPAddD, acc, acc, vRound, 8)
-		b.MImm(isa.OpPSraD, acc, acc, dctScaleBits, 8)
-		if g%2 == 1 {
-			b.M(isa.OpPackSSDW, vW0, vW0, vW1, 8)
-			b.MOMStore(rDst, int64(g/2)*8, 16, vW0, 8, 4)
-		}
+	for p := 0; p < 4; p++ {
+		r.ld(isa.V(vC0.Index()+p), rCoef, int64((g*4+p)*8), 0, 4)
 	}
+	return vC0.Index()
 }
 
 // transpose emits an 8x8 int16 transpose from rSrc to rDst (distinct
@@ -219,8 +231,8 @@ func (d *dctGen) pass(rSrc, rDst, rCoef isa.Reg) {
 // reduction for this ISA; four rotating temporaries keep the loads
 // pipelined).
 func (d *dctGen) transpose(rSrc, rDst isa.Reg) {
+	b := d.e.b
 	if d.e.v != MMX {
-		b := d.e.b
 		tmp := [4]isa.Reg{isa.R(11), isa.R(12), isa.R(13), isa.R(14)}
 		for y := 0; y < 8; y++ {
 			for x := 0; x < 8; x++ {
@@ -231,23 +243,22 @@ func (d *dctGen) transpose(rSrc, rDst isa.Reg) {
 		}
 		return
 	}
-	c := d.e.c
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
 			for r := 0; r < 4; r++ {
-				c.ld(isa.V(1+r), rSrc, int64((4*i+r)*16+j*8), 4)
+				b.MMXLoad(isa.V(1+r), rSrc, int64((4*i+r)*16+j*8), 4)
 			}
-			c.op(isa.OpPUnpckLWD, vT0, vB01, vB23)
-			c.op(isa.OpPUnpckHWD, vT1, vB01, vB23)
-			c.op(isa.OpPUnpckLWD, vB01, vB45, vB67)
-			c.op(isa.OpPUnpckHWD, vB23, vB45, vB67)
-			c.op(isa.OpPUnpckLDQ, vB45, vT0, vB01)
-			c.op(isa.OpPUnpckHDQ, vB67, vT0, vB01)
-			c.op(isa.OpPUnpckLDQ, vT0, vT1, vB23)
-			c.op(isa.OpPUnpckHDQ, vT1, vT1, vB23)
+			b.U(isa.OpPUnpckLWD, vT0, vB01, vB23)
+			b.U(isa.OpPUnpckHWD, vT1, vB01, vB23)
+			b.U(isa.OpPUnpckLWD, vB01, vB45, vB67)
+			b.U(isa.OpPUnpckHWD, vB23, vB45, vB67)
+			b.U(isa.OpPUnpckLDQ, vB45, vT0, vB01)
+			b.U(isa.OpPUnpckHDQ, vB67, vT0, vB01)
+			b.U(isa.OpPUnpckLDQ, vT0, vT1, vB23)
+			b.U(isa.OpPUnpckHDQ, vT1, vT1, vB23)
 			outs := [4]isa.Reg{vB45, vB67, vT0, vT1}
 			for r := 0; r < 4; r++ {
-				c.st(rDst, int64((4*j+r)*16+i*8), outs[r], 4)
+				b.MMXStore(rDst, int64((4*j+r)*16+i*8), outs[r], 4)
 			}
 		}
 	}
@@ -287,45 +298,33 @@ func (e *env) prepareQuant(steps *[64]int16) {
 }
 
 // quant emits pmulhw quantization of the block at rSrc into rDst.
-func (e *env) quant(rSrc, rDst isa.Reg) {
-	if e.v == MMX {
-		for i := 0; i < 16; i++ {
-			off := int64(8 * i)
-			e.b.MMXLoad(vT0, rSrc, off, 4)
-			e.b.MMXLoad(vT1, rQuant, off, 4)
-			e.b.U(isa.OpPMulhW, vT0, vT0, vT1)
-			e.b.MMXStore(rDst, off, vT0, 4)
-		}
-		return
-	}
-	e.b.MOMLoad(vT0, rSrc, 0, 8, 16, 4)
-	e.b.M(isa.OpPMulhW, vT0, vT0, vQTab, 16)
-	e.b.MOMStore(rDst, 0, 8, vT0, 16, 4)
-}
+func (e *env) quant(rSrc, rDst isa.Reg) { e.scale(isa.OpPMulhW, rSrc, rDst, rQuant, vQTab) }
 
 // dequant emits pmullw dequantization of the block at rSrc into rDst.
-func (e *env) dequant(rSrc, rDst isa.Reg) {
-	if e.v == MMX {
-		for i := 0; i < 16; i++ {
-			off := int64(8 * i)
-			e.b.MMXLoad(vT0, rSrc, off, 4)
-			e.b.MMXLoad(vT1, rDQuant, off, 4)
-			e.b.U(isa.OpPMullW, vT0, vT0, vT1)
-			e.b.MMXStore(rDst, off, vT0, 4)
-		}
-		return
+func (e *env) dequant(rSrc, rDst isa.Reg) { e.scale(isa.OpPMullW, rSrc, rDst, rDQuant, vDQTab) }
+
+// scale multiplies the 16 quadwords of the block at rSrc by the table at
+// rTab with op, writing rDst.
+func (e *env) scale(op isa.Op, rSrc, rDst, rTab, vTab isa.Reg) {
+	e.rows(16, func(r row) {
+		r.ld(vT0, rSrc, 0, 8, 4)
+		r.op(op, vT0, vT0, e.tableRow(r, rTab, vTab))
+		r.st(rDst, 0, 8, vT0, 4)
+	})
+}
+
+// tableRow returns the register holding the quantization table's rows
+// for step r. Under MOM the whole table is resident in vTab (one VL=16
+// register, loaded by prepareQuant); under MMX a 64-bit register holds
+// one row, so each row is loaded from rTab into vT1.
+func (e *env) tableRow(r row, rTab, vTab isa.Reg) isa.Reg {
+	if e.v != MMX {
+		return vTab
 	}
-	e.b.MOMLoad(vT0, rSrc, 0, 8, 16, 4)
-	e.b.M(isa.OpPMullW, vT0, vT0, vDQTab, 16)
-	e.b.MOMStore(rDst, 0, 8, vT0, 16, 4)
+	r.ld(vT1, rTab, 0, 8, 4)
+	return vT1
 }
 
 // zeroVec clears v0 across all elements; kernels that use unpacking call
 // it once at the start.
-func (e *env) zeroVec() {
-	if e.v == MMX {
-		e.b.U(isa.OpPXor, vZero, vZero, vZero)
-	} else {
-		e.b.M(isa.OpPXor, vZero, vZero, vZero, isa.MOMElems)
-	}
-}
+func (e *env) zeroVec() { e.broadcast(isa.MOMElems).op(isa.OpPXor, vZero, vZero, vZero) }

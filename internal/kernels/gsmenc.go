@@ -78,24 +78,11 @@ func gsmencRun(cfg GSMEncConfig, v Variant, sink trace.Sink) []byte {
 
 	// Preprocessing: scale samples down 2 bits so 40-sample dot products
 	// fit 32-bit μSIMD accumulation (the GSM coder's own scaling stage).
-	qwords := n / 4 // 4 samples per 64-bit word; n is a multiple of 4
-	if v == MMX {
-		for q := 0; q < qwords; q++ {
-			b.MMXLoad(vT0, rRaw, int64(8*q), 4)
-			b.UImm(isa.OpPSraW, vT0, vT0, 2)
-			b.MMXStore(rScaled, int64(8*q), vT0, 4)
-		}
-	} else {
-		for q := 0; q < qwords; q += 16 {
-			vl := qwords - q
-			if vl > 16 {
-				vl = 16
-			}
-			b.MOMLoad(vT0, rRaw, int64(8*q), 8, vl, 4)
-			b.MImm(isa.OpPSraW, vT0, vT0, 2, vl)
-			b.MOMStore(rScaled, int64(8*q), 8, vT0, vl, 4)
-		}
-	}
+	e.rows(n/4, func(r row) { // 4 samples per 64-bit word; n is a multiple of 4
+		r.ld(vT0, rRaw, 0, 8, 4)
+		r.opi(isa.OpPSraW, vT0, vT0, 2)
+		r.st(rScaled, 0, 8, vT0, 4)
+	})
 
 	dg := newDigest()
 	for f := 0; f < cfg.Frames; f++ {

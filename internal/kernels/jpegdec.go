@@ -92,7 +92,6 @@ func jpegdecRun(cfg JPEGDecConfig, v Variant, sink trace.Sink) []byte {
 	e.b.MovImm(rBias, 128)
 
 	W := int64(cfg.W)
-	b := e.b
 	blk := 0
 	for y0 := 0; y0+8 <= cfg.H; y0 += 8 {
 		for x0 := 0; x0 < cfg.W; x0 += 8 {
@@ -100,25 +99,15 @@ func jpegdecRun(cfg JPEGDecConfig, v Variant, sink trace.Sink) []byte {
 			e.dequant(rStream, rDq)
 			d.idct(rDq, rPix)
 			e.setBase(rImg, imgA+uint64(y0*cfg.W+x0))
-			if v == MMX {
-				b.SplatW(vB67, rBias)
-				for y := 0; y < 8; y++ {
-					b.MMXLoad(vT0, rPix, int64(y*16), 4)
-					b.MMXLoad(vT1, rPix, int64(y*16+8), 4)
-					b.U(isa.OpPAddW, vT0, vT0, vB67)
-					b.U(isa.OpPAddW, vT1, vT1, vB67)
-					b.U(isa.OpPackUSWB, vT0, vT0, vT1)
-					b.MMXStore(rImg, int64(y)*W, vT0, 8)
-				}
-			} else {
-				b.MSplatW(vB67, rBias, 8)
-				b.MOMLoad(vT0, rPix, 0, 16, 8, 4)
-				b.MOMLoad(vT1, rPix, 8, 16, 8, 4)
-				b.M(isa.OpPAddW, vT0, vT0, vB67, 8)
-				b.M(isa.OpPAddW, vT1, vT1, vB67, 8)
-				b.M(isa.OpPackUSWB, vT0, vT0, vT1, 8)
-				b.MOMStore(rImg, 0, W, vT0, 8, 8)
-			}
+			e.broadcast(8).splat(vB67, rBias)
+			e.rows(8, func(r row) {
+				r.ld(vT0, rPix, 0, 16, 4)
+				r.ld(vT1, rPix, 8, 16, 4)
+				r.op(isa.OpPAddW, vT0, vT0, vB67)
+				r.op(isa.OpPAddW, vT1, vT1, vB67)
+				r.op(isa.OpPackUSWB, vT0, vT0, vT1)
+				r.st(rImg, 0, W, vT0, 8)
+			})
 			blk++
 		}
 	}
@@ -128,31 +117,15 @@ func jpegdecRun(cfg JPEGDecConfig, v Variant, sink trace.Sink) []byte {
 	n := cfg.W * cfg.H
 	e.setBase(rImg, imgA)
 	e.setBase(rOut, outA)
-	if v == MMX {
-		for o := 0; o < n; o += 8 {
-			b.MMXLoad(vB01, rImg, int64(o), 8)
-			b.MMXLoad(vB23, rImg, int64(o)+1, 8)
-			b.U(isa.OpPAvgB, vB23, vB01, vB23)
-			b.U(isa.OpPUnpckLBW, vT0, vB01, vB23)
-			b.U(isa.OpPUnpckHBW, vT1, vB01, vB23)
-			b.MMXStore(rOut, int64(2*o), vT0, 8)
-			b.MMXStore(rOut, int64(2*o)+8, vT1, 8)
-		}
-	} else {
-		for o := 0; o < n; o += 128 {
-			vl := (n - o) / 8
-			if vl > 16 {
-				vl = 16
-			}
-			b.MOMLoad(vB01, rImg, int64(o), 8, vl, 8)
-			b.MOMLoad(vB23, rImg, int64(o)+1, 8, vl, 8)
-			b.M(isa.OpPAvgB, vB23, vB01, vB23, vl)
-			b.M(isa.OpPUnpckLBW, vT0, vB01, vB23, vl)
-			b.M(isa.OpPUnpckHBW, vT1, vB01, vB23, vl)
-			b.MOMStore(rOut, int64(2*o), 16, vT0, vl, 8)
-			b.MOMStore(rOut, int64(2*o)+8, 16, vT1, vl, 8)
-		}
-	}
+	e.rows(n/8, func(r row) {
+		r.ld(vB01, rImg, 0, 8, 8)
+		r.ld(vB23, rImg, 1, 8, 8)
+		r.op(isa.OpPAvgB, vB23, vB01, vB23)
+		r.op(isa.OpPUnpckLBW, vT0, vB01, vB23)
+		r.op(isa.OpPUnpckHBW, vT1, vB01, vB23)
+		r.st(rOut, 0, 16, vT0, 8)
+		r.st(rOut, 8, 16, vT1, 8)
+	})
 
 	dg := newDigest()
 	dg.mem(e.m.Mem, imgA, n)

@@ -64,47 +64,43 @@ func jpegencRun(cfg JPEGEncConfig, v Variant, sink trace.Sink) []byte {
 	b := e.b
 	blk := 0
 	for y0 := 0; y0+8 <= cfg.H; y0 += 8 {
-		if v == MOM3D {
-			// One dvload per 128-byte span of the stripe covers 16
-			// horizontally adjacent blocks' rows.
-			for x0 := 0; x0 < cfg.W; x0 += 128 {
-				e.setBase(rImg, imgA+uint64(y0*cfg.W+x0))
-				b.DVLoad(isa.D(0), rImg, 0, W, 8, 16, false, 8)
-				span := 16
-				if cfg.W-x0 < 128 {
-					span = (cfg.W - x0) / 8
-				}
-				for s := 0; s < span; s++ {
-					b.DVMov(vB01, isa.D(0), 8, 8) // block s's rows, ptr += 8
-					jpegencBlockBody(e, d, rShift, rCoef, rOut, rBias,
-						outA+uint64(blk*blockBytes))
-					blk++
-				}
-			}
-			continue
-		}
 		for x0 := 0; x0 < cfg.W; x0 += 8 {
-			e.setBase(rImg, imgA+uint64(y0*cfg.W+x0))
-			if v == MOM {
-				b.MOMLoad(vB01, rImg, 0, W, 8, 8)
-				jpegencBlockBody(e, d, rShift, rCoef, rOut, rBias,
-					outA+uint64(blk*blockBytes))
-			} else {
-				// MMX: per-row level shift straight from the image.
-				b.SplatW(vB67, rBias)
-				for y := 0; y < 8; y++ {
-					b.MMXLoad(vB01, rImg, int64(y)*W, 8)
-					b.U(isa.OpPUnpckLBW, vT0, vB01, vZero)
-					b.U(isa.OpPUnpckHBW, vT1, vB01, vZero)
-					b.U(isa.OpPSubW, vT0, vT0, vB67)
-					b.U(isa.OpPSubW, vT1, vT1, vB67)
-					b.MMXStore(rShift, int64(y*16), vT0, 4)
-					b.MMXStore(rShift, int64(y*16+8), vT1, 4)
+			// How the block's pixel rows reach vB01: one MOM load, a
+			// slice of the 3D register, or under MMX, where a register
+			// holds one row, a load per row inside the level shift.
+			loadRows := false
+			switch v {
+			case MOM3D:
+				if x0%128 == 0 {
+					// One dvload per 128-byte span of the stripe covers
+					// 16 horizontally adjacent blocks' rows.
+					e.setBase(rImg, imgA+uint64(y0*cfg.W+x0))
+					b.DVLoad(isa.D(0), rImg, 0, W, 8, 16, false, 8)
 				}
-				d.fdct(rShift, rCoef)
-				e.setBase(rOut, outA+uint64(blk*blockBytes))
-				e.quant(rCoef, rOut)
+				b.DVMov(vB01, isa.D(0), 8, 8) // this block's rows, ptr += 8
+			case MOM:
+				e.setBase(rImg, imgA+uint64(y0*cfg.W+x0))
+				b.MOMLoad(vB01, rImg, 0, W, 8, 8)
+			case MMX:
+				e.setBase(rImg, imgA+uint64(y0*cfg.W+x0))
+				loadRows = true
 			}
+			// Level shift, FDCT and quantization.
+			e.broadcast(8).splat(vB67, rBias)
+			e.rows(8, func(r row) {
+				if loadRows {
+					r.ld(vB01, rImg, 0, W, 8)
+				}
+				r.op(isa.OpPUnpckLBW, vT0, vB01, vZero)
+				r.op(isa.OpPUnpckHBW, vT1, vB01, vZero)
+				r.op(isa.OpPSubW, vT0, vT0, vB67)
+				r.op(isa.OpPSubW, vT1, vT1, vB67)
+				r.st(rShift, 0, 16, vT0, 4)
+				r.st(rShift, 8, 16, vT1, 4)
+			})
+			d.fdct(rShift, rCoef)
+			e.setBase(rOut, outA+uint64(blk*blockBytes))
+			e.quant(rCoef, rOut)
 			blk++
 		}
 	}
@@ -112,22 +108,6 @@ func jpegencRun(cfg JPEGEncConfig, v Variant, sink trace.Sink) []byte {
 	dg := newDigest()
 	dg.mem(e.m.Mem, outA, nBlocks*blockBytes)
 	return dg.sum()
-}
-
-// jpegencBlockBody emits level shift, FDCT and quantization for the MOM
-// variants, starting from the block's pixel rows already in vB01.
-func jpegencBlockBody(e *env, d *dctGen, rShift, rCoef, rOut, rBias isa.Reg, outAddr uint64) {
-	b := e.b
-	b.MSplatW(vB67, rBias, 8)
-	b.M(isa.OpPUnpckLBW, vT0, vB01, vZero, 8)
-	b.M(isa.OpPUnpckHBW, vT1, vB01, vZero, 8)
-	b.M(isa.OpPSubW, vT0, vT0, vB67, 8)
-	b.M(isa.OpPSubW, vT1, vT1, vB67, 8)
-	b.MOMStore(rShift, 0, 16, vT0, 8, 4)
-	b.MOMStore(rShift, 8, 16, vT1, 8, 4)
-	d.fdct(rShift, rCoef)
-	e.setBase(rOut, outAddr)
-	e.quant(rCoef, rOut)
 }
 
 func jpegencRef(cfg JPEGEncConfig) []byte {

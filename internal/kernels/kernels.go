@@ -138,18 +138,15 @@ type env struct {
 	m  *emu.Machine
 	al *mmem.Allocator
 	v  Variant
-	c  *cg
 }
 
 func newEnv(v Variant, sink trace.Sink) *env {
 	m := emu.New(mmem.New())
-	b := prog.New(m, sink)
 	return &env{
-		b:  b,
+		b:  prog.New(m, sink),
 		m:  m,
 		al: mmem.NewAllocator(0x1_0000),
 		v:  v,
-		c:  &cg{b: b, v: v},
 	}
 }
 

@@ -262,3 +262,72 @@ func TestParseVariant(t *testing.T) {
 		}
 	}
 }
+
+// TestRowsStripMines pins the row emitter's own arithmetic, which the
+// stream digests reach only where some stream happens to need it (a
+// partial last strip, say): under MMX one μSIMD instruction per row at
+// off + y*stride, under MOM and MOM+3D one MOM instruction per strip of
+// at most 16 rows, at the strip's first row, with the strip's VL.
+func TestRowsStripMines(t *testing.T) {
+	rB := isa.R(1)
+	// Each step's load address and VL (0 for a μSIMD row); the body
+	// loads at 0x1008 + 16y and stores 0x400 above.
+	mmx := func(addrs ...uint64) (steps [][2]uint64) {
+		for _, a := range addrs {
+			steps = append(steps, [2]uint64{a, 0})
+		}
+		return steps
+	}
+	cases := []struct {
+		v     Variant
+		n     int
+		steps [][2]uint64
+	}{
+		{MMX, 8, mmx(0x1008, 0x1018, 0x1028, 0x1038, 0x1048, 0x1058, 0x1068, 0x1078)},
+		{MMX, 16, mmx(0x1008, 0x1018, 0x1028, 0x1038, 0x1048, 0x1058, 0x1068, 0x1078,
+			0x1088, 0x1098, 0x10a8, 0x10b8, 0x10c8, 0x10d8, 0x10e8, 0x10f8)},
+		{MMX, 20, mmx(0x1008, 0x1018, 0x1028, 0x1038, 0x1048, 0x1058, 0x1068, 0x1078,
+			0x1088, 0x1098, 0x10a8, 0x10b8, 0x10c8, 0x10d8, 0x10e8, 0x10f8,
+			0x1108, 0x1118, 0x1128, 0x1138)},
+		{MOM, 8, [][2]uint64{{0x1008, 8}}},
+		{MOM, 16, [][2]uint64{{0x1008, 16}}},
+		{MOM, 20, [][2]uint64{{0x1008, 16}, {0x1108, 4}}},
+		{MOM3D, 20, [][2]uint64{{0x1008, 16}, {0x1108, 4}}},
+	}
+	for _, c := range cases {
+		var tr trace.Trace
+		e := newEnv(c.v, &tr)
+		e.setBase(rB, 0x1000)
+		e.rows(c.n, func(r row) {
+			r.ld(vT0, rB, 8, 16, 8)
+			r.opi(isa.OpPSraW, vT0, vT0, 2)
+			r.op(isa.OpPAddW, vT1, vT0, vT0)
+			r.st(rB, 0x408, 16, vT1, 8)
+		})
+		var want []isa.Inst
+		for _, s := range c.steps {
+			addr, vl := s[0], int(s[1])
+			mem, alu, stride := isa.KindUSIMDMem, isa.KindUSIMD, int64(0)
+			if vl > 0 {
+				mem, alu, stride = isa.KindMOMMem, isa.KindMOM, 16
+			}
+			want = append(want,
+				isa.Inst{Op: isa.OpVLoad, Kind: mem, Dst: vT0, Src1: rB, Imm: 8, Addr: addr, VL: vl, Stride: stride},
+				isa.Inst{Op: isa.OpPSraW, Kind: alu, Dst: vT0, Src1: vT0, Imm: 2, VL: vl},
+				isa.Inst{Op: isa.OpPAddW, Kind: alu, Dst: vT1, Src1: vT0, Src2: vT0, VL: vl},
+				isa.Inst{Op: isa.OpVStore, Kind: mem, Src1: rB, Src2: vT1, Imm: 8, Addr: addr + 0x400,
+					VL: vl, Stride: stride, IsStore: true})
+		}
+		got := tr.Insts[1:] // after the base's MovImm
+		if len(got) != len(want) {
+			t.Errorf("%v rows(%d): %d instructions, want %d", c.v, c.n, len(got), len(want))
+			continue
+		}
+		for i := range want {
+			want[i].Seq = uint64(i + 1)
+			if got[i] != want[i] {
+				t.Errorf("%v rows(%d) instruction %d:\n got %+v\nwant %+v", c.v, c.n, i, got[i], want[i])
+			}
+		}
+	}
+}

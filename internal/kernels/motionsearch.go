@@ -99,20 +99,12 @@ func motionSearchRun(cfg MotionSearchConfig, v Variant, sink trace.Sink) []byte 
 			best := int(e.m.IntVal(rPos))
 			e.setBase(rRefB, refA+uint64(y0*cfg.W+x0+best))
 			e.setBase(rRecon, reconA+uint64(y0*cfg.W+x0))
-			if v == MMX {
-				for y := 0; y < 16; y++ {
-					o := int64(y) * W
-					b.MMXLoad(vT0, rRefB, o, 8)
-					b.MMXLoad(vT1, rRefB, o+8, 8)
-					b.MMXStore(rRecon, o, vT0, 8)
-					b.MMXStore(rRecon, o+8, vT1, 8)
-				}
-			} else {
-				b.MOMLoad(vT0, rRefB, 0, W, 16, 8)
-				b.MOMLoad(vT1, rRefB, 8, W, 16, 8)
-				b.MOMStore(rRecon, 0, W, vT0, 16, 8)
-				b.MOMStore(rRecon, 8, W, vT1, 16, 8)
-			}
+			e.rows(16, func(r row) {
+				r.ld(vT0, rRefB, 0, W, 8)
+				r.ld(vT1, rRefB, 8, W, 8)
+				r.st(rRecon, 0, W, vT0, 8)
+				r.st(rRecon, 8, W, vT1, 8)
+			})
 
 			dg.u32(uint32(int32(e.m.IntVal(rMin))))
 			dg.u32(uint32(int32(best)))

@@ -149,49 +149,32 @@ func mpeg2decRun(cfg MPEG2DecConfig, v Variant, sink trace.Sink) []byte {
 // emitMCAdd emits prediction (optionally half-pel averaged), residual add
 // with unsigned saturation, and the store of one reconstructed 8x8 block.
 func emitMCAdd(e *env, rPred, rRes, rOut isa.Reg, W int64, halfpel bool) {
-	b := e.b
-	if e.v == MMX {
-		for y := 0; y < 8; y++ {
-			o := int64(y) * W
-			b.MMXLoad(vB01, rPred, o, 8)
-			if halfpel {
-				b.MMXLoad(vB23, rPred, o+1, 8)
-				b.U(isa.OpPAvgB, vB01, vB01, vB23)
-			}
-			b.U(isa.OpPUnpckLBW, vT0, vB01, vZero)
-			b.U(isa.OpPUnpckHBW, vT1, vB01, vZero)
-			b.MMXLoad(vB45, rRes, int64(y*16), 4)
-			b.MMXLoad(vB67, rRes, int64(y*16+8), 4)
-			b.U(isa.OpPAddW, vT0, vT0, vB45)
-			b.U(isa.OpPAddW, vT1, vT1, vB67)
-			b.U(isa.OpPackUSWB, vT0, vT0, vT1)
-			b.MMXStore(rOut, o, vT0, 8)
+	e.rows(8, func(r row) {
+		switch {
+		case e.v == MOM3D && halfpel:
+			// The two half-pel streams (offsets 0 and +1) overlap: one
+			// dvload of 16-byte rows serves both slices.
+			r.b.DVLoad(isa.D(0), rPred, r.at(0, W), W, r.vl, 2, false, 8)
+			r.b.DVMov(vB01, isa.D(0), 1, r.vl)  // slice at 0, ptr -> 1
+			r.b.DVMov(vB23, isa.D(0), -1, r.vl) // slice at 1, ptr -> 0
+		case halfpel:
+			r.ld(vB01, rPred, 0, W, 8)
+			r.ld(vB23, rPred, 1, W, 8)
+		default:
+			r.ld(vB01, rPred, 0, W, 8)
 		}
-		return
-	}
-	switch {
-	case e.v == MOM3D && halfpel:
-		// The two half-pel streams (offsets 0 and +1) overlap: one dvload
-		// of 16-byte rows serves both slices.
-		b.DVLoad(isa.D(0), rPred, 0, W, 8, 2, false, 8)
-		b.DVMov(vB01, isa.D(0), 1, 8)  // slice at 0, ptr -> 1
-		b.DVMov(vB23, isa.D(0), -1, 8) // slice at 1, ptr -> 0
-		b.M(isa.OpPAvgB, vB01, vB01, vB23, 8)
-	case halfpel:
-		b.MOMLoad(vB01, rPred, 0, W, 8, 8)
-		b.MOMLoad(vB23, rPred, 1, W, 8, 8)
-		b.M(isa.OpPAvgB, vB01, vB01, vB23, 8)
-	default:
-		b.MOMLoad(vB01, rPred, 0, W, 8, 8)
-	}
-	b.M(isa.OpPUnpckLBW, vT0, vB01, vZero, 8)
-	b.M(isa.OpPUnpckHBW, vT1, vB01, vZero, 8)
-	b.MOMLoad(vB45, rRes, 0, 16, 8, 4)
-	b.MOMLoad(vB67, rRes, 8, 16, 8, 4)
-	b.M(isa.OpPAddW, vT0, vT0, vB45, 8)
-	b.M(isa.OpPAddW, vT1, vT1, vB67, 8)
-	b.M(isa.OpPackUSWB, vT0, vT0, vT1, 8)
-	b.MOMStore(rOut, 0, W, vT0, 8, 8)
+		if halfpel {
+			r.op(isa.OpPAvgB, vB01, vB01, vB23)
+		}
+		r.op(isa.OpPUnpckLBW, vT0, vB01, vZero)
+		r.op(isa.OpPUnpckHBW, vT1, vB01, vZero)
+		r.ld(vB45, rRes, 0, 16, 4)
+		r.ld(vB67, rRes, 8, 16, 4)
+		r.op(isa.OpPAddW, vT0, vT0, vB45)
+		r.op(isa.OpPAddW, vT1, vT1, vB67)
+		r.op(isa.OpPackUSWB, vT0, vT0, vT1)
+		r.st(rOut, 0, W, vT0, 8)
+	})
 }
 
 func mpeg2decRef(cfg MPEG2DecConfig) []byte {

@@ -134,33 +134,18 @@ func mpeg2encRun(cfg MPEG2EncConfig, v Variant, sink trace.Sink) []byte {
 // emitResidual emits cur - ref of one 8x8 block (byte rows at stride W)
 // into the 16-bit residual buffer at rRes.
 func emitResidual(e *env, rCur, rRef, rRes isa.Reg, W int64) {
-	b := e.b
-	if e.v == MMX {
-		for y := 0; y < 8; y++ {
-			o := int64(y) * W
-			b.MMXLoad(vB01, rCur, o, 8)
-			b.MMXLoad(vB23, rRef, o, 8)
-			b.U(isa.OpPUnpckLBW, vT0, vB01, vZero)
-			b.U(isa.OpPUnpckHBW, vT1, vB01, vZero)
-			b.U(isa.OpPUnpckLBW, vB45, vB23, vZero)
-			b.U(isa.OpPUnpckHBW, vB67, vB23, vZero)
-			b.U(isa.OpPSubW, vT0, vT0, vB45)
-			b.U(isa.OpPSubW, vT1, vT1, vB67)
-			b.MMXStore(rRes, int64(y*16), vT0, 4)
-			b.MMXStore(rRes, int64(y*16+8), vT1, 4)
-		}
-		return
-	}
-	b.MOMLoad(vB01, rCur, 0, W, 8, 8)
-	b.MOMLoad(vB23, rRef, 0, W, 8, 8)
-	b.M(isa.OpPUnpckLBW, vT0, vB01, vZero, 8)
-	b.M(isa.OpPUnpckHBW, vT1, vB01, vZero, 8)
-	b.M(isa.OpPUnpckLBW, vB45, vB23, vZero, 8)
-	b.M(isa.OpPUnpckHBW, vB67, vB23, vZero, 8)
-	b.M(isa.OpPSubW, vT0, vT0, vB45, 8)
-	b.M(isa.OpPSubW, vT1, vT1, vB67, 8)
-	b.MOMStore(rRes, 0, 16, vT0, 8, 4)
-	b.MOMStore(rRes, 8, 16, vT1, 8, 4)
+	e.rows(8, func(r row) {
+		r.ld(vB01, rCur, 0, W, 8)
+		r.ld(vB23, rRef, 0, W, 8)
+		r.op(isa.OpPUnpckLBW, vT0, vB01, vZero)
+		r.op(isa.OpPUnpckHBW, vT1, vB01, vZero)
+		r.op(isa.OpPUnpckLBW, vB45, vB23, vZero)
+		r.op(isa.OpPUnpckHBW, vB67, vB23, vZero)
+		r.op(isa.OpPSubW, vT0, vT0, vB45)
+		r.op(isa.OpPSubW, vT1, vT1, vB67)
+		r.st(rRes, 0, 16, vT0, 4)
+		r.st(rRes, 8, 16, vT1, 4)
+	})
 }
 
 func mpeg2encRef(cfg MPEG2EncConfig) []byte {
